@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     InvalidParameterError,
@@ -20,14 +22,17 @@ from .errors import (
     UnsupportedError,
 )
 from .functionals import BallFunctional, ZdLinear, eval_functional
-from .groups import CayleyBall, GeneratingSet, GroupFamily, cayley_ball
+from .groups import CayleyBall, FreeGroup, GeneratingSet, GroupFamily, Zd, cayley_ball
 from .metric import Scalar
 
 
-def _has_closed_form(ball: CayleyBall) -> bool:
-    return ball.gens.is_standard and ball.family.closed_form_length(
-        ball.family.identity()
-    ) is not None
+# Check and value temporaries hold at most about this many elements per chunk.
+_CHUNK = 1 << 18
+
+
+def _closed_form(family: GroupFamily, gens: GeneratingSet) -> bool:
+    """Word length has a closed form: Z^d or a free group, standard generators."""
+    return gens.is_standard and isinstance(family, (Zd, FreeGroup))
 
 
 def _ball_distance(ball: CayleyBall, x, g) -> int:
@@ -46,55 +51,139 @@ def _ball_distance(ball: CayleyBall, x, g) -> int:
     return n
 
 
+def _lengths(ball: CayleyBall, idx: np.ndarray) -> np.ndarray:
+    """Word lengths of ball elements by index, read off the sphere offsets."""
+    return np.searchsorted(ball.sphere_offsets, idx, side="right") - 1
+
+
+def _distance_blocks(ball: CayleyBall, n: int, lo: int, hi: int, dtype) -> Iterator[np.ndarray]:
+    """Row blocks of the matrix of d(x, g) = |x^-1 g|, one row per g in
+    elements[lo:hi] and one column per x in B(r) = elements[:n].
+
+    Z^d: l1 distance by broadcasting.  Free groups: |x| + |g| - 2 lcp(x, g)
+    on letter arrays padded with 0, which is never a letter.  Every other
+    group: a walk over B(r) in BFS order through the left-multiplication
+    table, col[p.s] = L[col[p], s^-1], which needs the ball to reach R + r.
+    """
+    fam = ball.family
+    points = ball.elements[:n]
+    if _closed_form(fam, ball.gens):
+        if isinstance(fam, Zd):
+            width = fam.dim
+            X = np.array(points, dtype).reshape(n, width)
+
+            def block(a, b):
+                G = np.array(ball.elements[lo + a : lo + b], dtype).reshape(b - a, width)
+                return np.abs(G[:, None, :] - X).sum(axis=2, dtype=dtype)
+
+        else:
+            # lcp(x, g) <= |x| <= r, so only the first r letters count; 0 pads
+            # shorter words and is never a letter.
+            width = max(1, ball.lengths[n - 1])
+
+            def letters(words):
+                out = np.zeros((len(words), width), dtype)
+                for k in range(width):
+                    out[:, k] = [w[k] if len(w) > k else 0 for w in words]
+                return out
+
+            X = letters(points)
+            real = X != 0
+            xlen = _lengths(ball, np.arange(n)).astype(dtype)
+
+            def block(a, b):
+                same = (letters(ball.elements[lo + a : lo + b])[:, None, :] == X) & real
+                lcp = np.logical_and.accumulate(same, axis=2).sum(axis=2, dtype=dtype)
+                glen = _lengths(ball, np.arange(lo + a, lo + b)).astype(dtype)
+                return xlen + glen[:, None] - 2 * lcp
+
+        step = max(1, _CHUNK // (n * width))
+        for a in range(0, hi - lo, step):
+            yield block(a, min(a + step, hi - lo))
+        return
+    table, gens, index = ball.left_table, ball.gens.elements, ball.index
+    inv = [gens.index(fam._inv(s)) for s in gens]
+    cols = np.empty((n, hi - lo), np.int32)
+    cols[0] = np.arange(lo, hi)
+    for i in range(1, n):
+        # A BFS parent p of x with x = p.s_k, so x^-1 g = s_k^-1 (p^-1 g).
+        for k in range(len(gens)):
+            p = index.get(fam._mul(points[i], gens[inv[k]]))
+            if p is not None and ball.lengths[p] < ball.lengths[i]:
+                break
+        cols[i] = table[cols[p], inv[k]]
+    yield _lengths(ball, cols.T).astype(dtype)
+
+
+def _rows_lipschitz(rows: np.ndarray, D: np.ndarray, r: int) -> bool:
+    """Every row vanishes at the identity, |v| <= d(e, .), |v| <= r, and
+    |v_i - v_j| <= D_ij on every pair; pairs are checked in bounded chunks."""
+    mag = np.abs(rows)
+    if (rows[:, 0] != 0).any() or (mag > D[0]).any() or (mag > r).any():
+        return False
+    i, j = np.triu_indices(len(D), 1)
+    bound = D[i, j]
+    step = max(1, _CHUNK // max(1, len(i)))
+    for a in range(0, len(rows), step):
+        chunk = rows[a : a + step]
+        if (np.abs(chunk[:, i] - chunk[:, j]) > bound).any():
+            return False
+    return True
+
+
+def _ball_functionals(r, points, labels, rows: np.ndarray, D: np.ndarray) -> list[BallFunctional]:
+    """BallFunctionals for the sorted value rows, checked at once against the
+    exact distance matrix D of the points.  A row that fails is found again
+    by the per-pair check, which raises its first failure and message."""
+    if not _rows_lipschitz(rows, D, r):
+        pos = {p: i for i, p in enumerate(points)}
+
+        def dist(p, q):
+            return int(D[pos[p], pos[q]])
+
+        for values in rows.tolist():
+            bf = BallFunctional.build(r, points, values, dist, labels)
+            if max(abs(v) for v in bf.values) > r:
+                raise InvalidParameterError("restriction value outside [-r, r]")
+    return [BallFunctional(r, labels, tuple(v), points) for v in rows.tolist()]
+
+
 def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> list[BallFunctional]:
     """Deduplicated restrictions h_g|B(r) over all g with |g| = R.
 
-    Requires R >= r and ball radius >= R + r so every value d(x, g) with
-    x in B(r) is computable inside the ball.  Output is sorted by value
-    tuple; every entry is validated exactly (vanishes at the identity,
-    1-Lipschitz, values within [-r, r]).
+    The |S(R)| x |B(r)| matrix of d(x, g) - R comes from one array kernel
+    (see ``_distance_blocks``): l1 broadcasting on Z^d and
+    |x| + |g| - 2 lcp(x, g) on free groups, which need a ball of radius R;
+    a left-multiplication table walk on every other group, which needs
+    radius R + r.  Values and the distance matrix D of B(r) are int16
+    (int64 once R + r leaves int16) and the table is int32.  Temporaries
+    are chunked to about 256K elements, and each chunk is deduplicated as
+    it is made.  ``np.unique`` sorts the rows in value-tuple order; one
+    chunked broadcast then checks every row exactly against D (vanishes at
+    the identity, 1-Lipschitz, |h(x)| <= |x| and values within [-r, r]).
+    If a row fails, the per-pair ``BallFunctional.build`` check runs and
+    raises its first failure with the usual message.
     """
-    if R < r:
-        raise PreconditionError(f"sphere radius {R} must be >= ball radius {r}")
-    # With a closed-form word length the values d(x, g) need no lookups, so
-    # the ball only has to contain the sphere S(R) itself.
-    needed = R if _has_closed_form(ball) else R + r
+    if not 0 <= r <= R:
+        raise PreconditionError(f"need 0 <= ball radius {r} <= sphere radius {R}")
+    needed = R if _closed_form(ball.family, ball.gens) else R + r
     if ball.radius < needed:
         raise PreconditionError(
             f"ball radius {ball.radius} is insufficient; need >= {needed}"
         )
     fam = ball.family
-    points = ball.ball(r)
+    n = ball.sphere_offsets[r + 1]
+    points = ball.elements[:n]
     labels = tuple(fam.element_label(p) for p in points)
-    inverses = [fam._inv(x) for x in points]
-    if _has_closed_form(ball):
-        dist_rel = fam.closed_form_length
-    else:
-        table = ball.index
-        lengths = ball.lengths
-
-        def dist_rel(rel):
-            i = table.get(rel)
-            if i is None:
-                raise PreconditionError("element falls outside the ball")
-            return lengths[i]
-
-    def dist(p, q):
-        return dist_rel(fam._mul(fam._inv(p), q))
-
-    seen: dict[tuple, None] = {}
-    mul = fam._mul
-    base = R
-    for g in ball.sphere(R):
-        values = tuple(dist_rel(mul(xi, g)) - base for xi in inverses)
-        seen.setdefault(values, None)
-    out = []
-    for values in sorted(seen):
-        bf = BallFunctional.build(r, points, values, dist, labels)
-        if max(abs(v) for v in bf.values) > r:
-            raise InvalidParameterError("restriction value outside [-r, r]")
-        out.append(bf)
-    return out
+    dtype = np.int16 if R + r <= np.iinfo(np.int16).max else np.int64
+    blocks = _distance_blocks(ball, n, ball.sphere_offsets[R], ball.sphere_offsets[R + 1], dtype)
+    # Dedup block by block, so that a huge sphere is never held whole.
+    rows = np.unique(
+        np.concatenate([np.empty((0, n), dtype), *(np.unique(b, axis=0) for b in blocks)]), axis=0
+    )
+    rows -= R
+    D = np.concatenate(list(_distance_blocks(ball, n, 0, n, dtype)))
+    return _ball_functionals(r, points, labels, rows, D)
 
 
 @dataclass(frozen=True)
@@ -121,8 +210,7 @@ def restriction_table(
     if not radii:
         raise PreconditionError("need at least one sphere radius")
     if ball is None:
-        probe = cayley_ball(family, gens, 0, limit=limit)
-        pad = 0 if _has_closed_form(probe) else r
+        pad = 0 if _closed_form(family, gens) else r
         ball = cayley_ball(family, gens, max(radii) + pad, limit=limit)
     return RestrictionTable(r, {R: tuple(sphere_restrictions(ball, r, R)) for R in radii})
 
@@ -182,8 +270,7 @@ def limit_restrictions(
         raise PreconditionError("window must be >= 1")
     if r_max <= r + window:
         raise PreconditionError("need r_max > r + window")
-    probe = cayley_ball(family, gens, 0, limit=limit)
-    pad = 0 if _has_closed_form(probe) else r
+    pad = 0 if _closed_form(family, gens) else r
     ball = cayley_ball(family, gens, r_max + pad, limit=limit)
     lo_needed = max(r, r_max - 2 * window)
     table = restriction_table(

@@ -12,6 +12,7 @@ import json
 import math
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -87,13 +88,24 @@ def _group_family(args):
     raise InvalidParameterError(f"unknown group {name!r}")
 
 
+@contextmanager
+def _parsing(flag: str):
+    """Report malformed text in ``flag`` as invalid input (exit 2); the same
+    exception types raised anywhere else are internal errors."""
+    try:
+        yield
+    except (TypeError, ValueError, KeyError) as exc:
+        raise InvalidParameterError(f"malformed {flag}: {exc}") from exc
+
+
 def _load_space(text: str):
-    desc = json.loads(text)
-    return space_from_descriptor(desc)
+    with _parsing("--space"):
+        return space_from_descriptor(json.loads(text))
 
 
 def _mobius_from_flag(text: str) -> MoebiusMap:
-    parts = [Fraction(p) for p in text.split(",")]
+    with _parsing("--matrix"):
+        parts = [Fraction(p) for p in text.split(",")]
     if len(parts) != 4:
         raise InvalidParameterError("matrix flag needs four comma-separated entries")
     return MoebiusMap(*parts)
@@ -167,16 +179,18 @@ def _selftest_boundary(args) -> list[tuple[str, bool]]:
 def _cmd_extend(args) -> tuple[dict, bool, str]:
     if args.variant == "mcshane":
         space = _load_space(args.space)
-        domain = json.loads(args.domain)
-        values = json.loads(args.values)
-        pts = [point_from_json(space, p) for p in domain]
-        vals = [Fraction(str(v)) if space.exact else float(v) for v in values]
+        with _parsing("--domain"):
+            pts = [point_from_json(space, p) for p in json.loads(args.domain)]
+        with _parsing("--values"):
+            values = json.loads(args.values)
+            vals = [Fraction(str(v)) if space.exact else float(v) for v in values]
         pf = PartialFunctional(space, pts, vals)
         ext = mcshane_extend(pf, args.mode)
         if args.eval == "all":
             targets = space.points() if hasattr(space, "points") else pts
         else:
-            targets = [point_from_json(space, p) for p in json.loads(args.eval)]
+            with _parsing("--eval"):
+                targets = [point_from_json(space, p) for p in json.loads(args.eval)]
         rows = [
             {"point": space.point_label(p), "value": scalar_to_json(ext.evaluate(p))}
             for p in targets
@@ -263,7 +277,9 @@ def _spectral_map(args):
     if args.map == "translation":
         family = _group_family(args)
         space = CayleyGraphSpace(family)
-        vector = tuple(int(v) for v in args.vector.split(","))
+        with _parsing("--vector"):
+            vector = tuple(int(v) for v in args.vector.split(","))
+        space.check_point(vector)
         return group_translation(space, vector)
     raise InvalidParameterError(f"unknown map {args.map!r}")
 
@@ -383,7 +399,8 @@ def _cmd_dynamics(args) -> tuple[dict, bool, str]:
         raise InvalidParameterError(f"unknown fixture {args.fixture!r}")
     if args.variant == "distorted-line":
         line = DistortedLine(args.distortion)
-        anchors = [float(a) for a in args.anchors.split(",")]
+        with _parsing("--anchors"):
+            anchors = [float(a) for a in args.anchors.split(",")]
         rep = distorted_compactification_check(line, args.r, anchors)
         payload = rep.as_dict()
         csv = "\n".join(
@@ -447,7 +464,8 @@ def _selftest_gallery(args) -> list[tuple[str, bool]]:
 
 def _cmd_reduced(args) -> tuple[dict, bool, str]:
     if args.variant == "classify-z":
-        lo, hi = (int(v) for v in args.anchors.split(":"))
+        with _parsing("--anchors"):
+            lo, hi = (int(v) for v in args.anchors.split(":"))
         fs = [ZFunctional.point(n) for n in range(lo, hi + 1)]
         fs += [ZFunctional.plus_end(), ZFunctional.minus_end()]
         classes = reduced_classify_z(fs)
@@ -637,7 +655,7 @@ def main(argv=None) -> int:
     except (ResourceLimitError, BudgetError) as exc:
         sys.stderr.write(emit_json({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 3
-    except (HorokitError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (HorokitError, json.JSONDecodeError) as exc:
         sys.stderr.write(emit_json({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2
     if args.format == "csv":

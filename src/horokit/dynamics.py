@@ -692,6 +692,8 @@ def parabolic_orbit_functional(
     tau = orbit.tau_bound()
     if tau >= delta:
         raise PreconditionError(f"certified tau bound {tau} is not below delta = {delta}")
+    if eval_hi < 0:
+        raise PreconditionError(f"eval_hi must be >= 0, got {eval_hi}")
     M = max(1, averaging)
     lo = -(M - 1)
     idx = list(range(lo, eval_hi + 1))
@@ -729,8 +731,8 @@ def parabolic_orbit_functional(
         values = list(vectors[-1])
     monotone_ok = all(values[i + 1] <= values[i] for i in range(len(values) - 1))
     # audit range 0..eval_hi for the vanishing trend
-    base = idx.index(0)
-    vanish = max(abs(float(values[base + k])) for k in range(0, eval_hi + 1))
+    # values[k - lo] is h(k): idx runs over lo..eval_hi in steps of one.
+    vanish = max(abs(float(values[k - lo])) for k in range(0, eval_hi + 1))
     # Cesaro average of the shifted candidates approximates the invariant
     # integral: (1/M) sum_j [h(m - j) - h(-j)].
     ces_idx = list(range(0, eval_hi + 1))
@@ -738,7 +740,7 @@ def parabolic_orbit_functional(
     for m in ces_idx:
         total = 0.0
         for j in range(M):
-            total += float(values[idx.index(m - j)]) - float(values[idx.index(-j)])
+            total += float(values[m - j - lo]) - float(values[-j - lo])
         ces_vals.append(total / M)
     ces_sup = max(abs(v) for v in ces_vals) if ces_vals else 0.0
     return OrbitFunctionalReport(
@@ -789,6 +791,8 @@ def disk_parabolic_horocycle_audit(n_lo: int, n_hi: int) -> tuple[float, list[fl
     0; exactly zero in exact arithmetic, tiny float drift in practice."""
     from .functionals import DiskBusemann
 
+    if n_lo > n_hi:
+        raise PreconditionError(f"empty orbit range [{n_lo}, {n_hi}]")
     h = DiskBusemann(1)
     vals = [h.evaluate(w) for w in disk_parabolic_orbit(n_lo, n_hi)]
     return max(abs(v) for v in vals), vals

@@ -9,11 +9,14 @@ arithmetic is exact and hashable.
 from __future__ import annotations
 
 import random
+import re
 import threading
 from functools import cached_property
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     InvalidParameterError,
@@ -25,7 +28,11 @@ from .metric import MetricSpace, ball_limit
 
 Element = Any
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+# Free-group letters: generators 1-4 are a-d, generator i >= 5 is x<i>; the
+# inverse is the upper-case form.  "e" names the identity and no generator.
+_LETTERS = "abcd"
+_TOKEN = re.compile(r"e|[a-dA-D]|[xX][1-9][0-9]*")
+_WORD = re.compile(f"(?:{_TOKEN.pattern})*")
 
 
 class GroupFamily(ABC):
@@ -174,7 +181,13 @@ class FreeGroup(GroupFamily):
     def element_label(self, g):
         if not g:
             return "e"
-        return "".join(_LETTERS[abs(x) - 1] if x > 0 else _LETTERS[abs(x) - 1].upper() for x in g)
+        return "".join(self._letter_label(x) for x in g)
+
+    @staticmethod
+    def _letter_label(x: int) -> str:
+        i = abs(x)
+        name = _LETTERS[i - 1] if i <= len(_LETTERS) else f"x{i}"
+        return name if x > 0 else name.upper()
 
     def standard_generators(self):
         gens = []
@@ -187,13 +200,15 @@ class FreeGroup(GroupFamily):
         return len(g)
 
     def word(self, text: str) -> Element:
-        """Parse a label like "abA" back into an element."""
+        """Parse a label like "abA" or "ax7X12" back into an element."""
+        if not _WORD.fullmatch(text):
+            raise InvalidPointError(f"{text!r} is not a free group word")
         out: list[int] = []
-        for ch in text:
-            if ch == "e":
+        for tok in _TOKEN.findall(text):
+            if tok == "e":
                 continue
-            idx = _LETTERS.index(ch.lower()) + 1
-            x = idx if ch.islower() else -idx
+            idx = _LETTERS.index(tok.lower()) + 1 if len(tok) == 1 else int(tok[1:])
+            x = idx if tok[0].islower() else -idx
             if out and out[-1] == -x:
                 out.pop()
             else:
@@ -398,6 +413,20 @@ class CayleyBall:
         if not 0 <= r <= self.radius:
             raise PreconditionError(f"ball radius {r} outside ball of radius {self.radius}")
         return self.elements[: self.sphere_offsets[r + 1]]
+
+    @cached_property
+    def left_table(self) -> np.ndarray:
+        """``L[i, k]``, the index of ``s_k · g_i``, for every g_i in B(radius - 1).
+
+        Rows stop one sphere short of the ball, so every product is inside
+        it.  int32, computed on first use.
+        """
+        fam, index = self.family, self.index
+        inner = self.elements[: self.sphere_offsets[self.radius]]
+        table = np.empty((len(inner), len(self.gens.elements)), dtype=np.int32)
+        for k, s in enumerate(self.gens.elements):
+            table[:, k] = [index[fam._mul(s, g)] for g in inner]
+        return table
 
     def length_of(self, g: Element) -> Optional[int]:
         i = self.index.get(g)

@@ -85,7 +85,14 @@ def space_from_descriptor(desc: dict) -> MetricSpace:
 
 
 def point_from_json(space: MetricSpace, obj) -> Any:
-    """Parse a point of the given space from its JSON form."""
+    """Parse a point of the given space from its JSON form and check that
+    it lies in the space."""
+    p = _parse_point(space, obj)
+    space.check_point(p)
+    return p
+
+
+def _parse_point(space: MetricSpace, obj) -> Any:
     if isinstance(space, FiniteMetricSpace):
         return int(obj)
     if isinstance(space, CayleyGraphSpace):

@@ -59,6 +59,44 @@ def heis_triple(m) -> tuple[int, int, int]:
     return (m[0][1], m[1][2], m[0][2])
 
 
+def inverse3(m):
+    """Inverse of a determinant-one integer 3x3 matrix: its adjugate."""
+
+    def minor(i, j):
+        a, b = ([v for col, v in enumerate(row) if col != j] for k, row in enumerate(m) if k != i)
+        return a[0] * b[1] - a[1] * b[0]
+
+    return tuple(tuple((-1) ** (i + j) * minor(j, i) for j in range(3)) for i in range(3))
+
+
+# --- sphere restriction patterns from a plain BFS ball -----------------------
+
+
+def bfs_restrictions(identity, gens, mul, inv, key, ball_r, radii):
+    """{R: sorted distinct tuples h_g|B(ball_r)} over |g| = R, for each R in
+    radii, from one BFS ball of radius ball_r + max(radii).  Ball points are
+    in shortlex order (word length, key)."""
+    radii = list(radii)
+    dist = bfs_ball(identity, gens, mul, ball_r + max(radii))
+    ball = sorted((p for p, d in dist.items() if d <= ball_r), key=lambda p: (dist[p], key(p)))
+    inverses = [inv(x) for x in ball]
+    out = {}
+    for R in radii:
+        sphere = [g for g, d in dist.items() if d == R]
+        out[R] = sorted({tuple(dist[mul(xi, g)] - R for xi in inverses) for g in sphere})
+    return out
+
+
+def h3_restrictions(ball_r, radii):
+    """Heisenberg restriction patterns, computed on the defining 3x3 integer
+    matrices with the generators x^+-1, y^+-1; points ordered by (length,
+    (a, b, c))."""
+    gens = [heis_matrix(*v) for v in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))]
+    return bfs_restrictions(
+        heis_matrix(0, 0, 0), gens, heis_matmul, inverse3, heis_triple, ball_r, radii
+    )
+
+
 # --- Spoke-ray space as a discretized weighted graph -------------------------
 
 
@@ -180,27 +218,39 @@ def free_reduce(word):
     return tuple(out)
 
 
+def free_words(rank: int, r: int):
+    """Every reduced word of length <= r over letters +-1..+-rank."""
+    letters = [x for i in range(1, rank + 1) for x in (i, -i)]
+    out = [()]
+    frontier = [()]
+    for _ in range(r):
+        frontier = [w + (x,) for w in frontier for x in letters if not w or w[-1] != -x]
+        out.extend(frontier)
+    return out
+
+
+def free_restrictions(rank: int, ball_r: int, sphere_r: int):
+    """Deduplicated restriction patterns of h_g, |g| = sphere_r, to the free
+    group ball, by brute-force word reduction.  Ball points are in shortlex
+    order with letters a < a^-1 < b < b^-1 < ..."""
+    ball = sorted(
+        free_words(rank, ball_r),
+        key=lambda w: (len(w), [2 * abs(x) + (x < 0) for x in w]),
+    )
+    sphere = [g for g in free_words(rank, sphere_r) if len(g) == sphere_r]
+    patterns = {
+        tuple(len(free_reduce(tuple(-x for x in reversed(p)) + g)) - sphere_r for p in ball)
+        for g in sphere
+    }
+    return sorted(patterns)
+
+
 def free_end_restrictions(rank: int, ball_r: int, depth: int = 24):
     """Restriction of the end through each word w with |w| = ball_r, taken
     at a deep anchor continuing w by repeating its last letter."""
-    letters = [x for i in range(1, rank + 1) for x in (i, -i)]
-
-    def ball(r):
-        out = [()]
-        frontier = [()]
-        for _ in range(r):
-            nxt = []
-            for w in frontier:
-                for x in letters:
-                    if not w or w[-1] != -x:
-                        nxt.append(w + (x,))
-            out.extend(nxt)
-            frontier = nxt
-        return out
-
-    ball_pts = sorted(ball(ball_r), key=lambda w: (len(w), w))
+    ball_pts = sorted(free_words(rank, ball_r), key=lambda w: (len(w), w))
     patterns = set()
-    for w in ball(ball_r):
+    for w in ball_pts:
         if len(w) != ball_r:
             continue
         g = w + (w[-1],) * depth

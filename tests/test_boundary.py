@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from horokit.boundary import (
     DriftMeasure,
+    _ball_functionals,
     ZFunctional,
     act_on_restriction,
     drift_audit,
@@ -21,7 +23,7 @@ from horokit.errors import (
     PreconditionError,
     UnsupportedError,
 )
-from horokit.functionals import HalfPlaneBusemannInfinity, ZdLinear
+from horokit.functionals import BallFunctional, HalfPlaneBusemannInfinity, ZdLinear
 from horokit.groups import (
     CayleyGraphSpace,
     FreeGroup,
@@ -32,7 +34,13 @@ from horokit.groups import (
 )
 from horokit.spaces import PoincareDisk, UpperHalfPlane
 
-from oracles import free_end_restrictions, l1_restrictions
+from oracles import (
+    bfs_restrictions,
+    free_end_restrictions,
+    free_restrictions,
+    h3_restrictions,
+    l1_restrictions,
+)
 
 Z1 = Zd(1)
 Z1_GENS = GeneratingSet.standard(Z1)
@@ -291,3 +299,89 @@ def test_fixed_point_audit_parabolic_exact_invariance():
     rep = reduced_fixed_point_audit(g, h, hp.sample_points(random.Random(2), 48), tol=1e-12)
     assert rep.passed
     assert rep.worst == 0  # Im is translation-invariant
+
+
+# ---------------------------------------------------------------------------
+# The sphere restriction kernel against independent oracles
+# ---------------------------------------------------------------------------
+
+
+def _values(out):
+    values = [bf.values for bf in out]
+    assert all(type(v) is int for row in values for v in row)
+    return values
+
+
+@pytest.fixture(scope="module")
+def h3_ball():
+    h3 = Heisenberg()
+    return cayley_ball(h3, GeneratingSet.standard(h3), 10)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_h3_sphere_restrictions_match_matrix_oracle(h3_ball, r):
+    oracle = h3_restrictions(r, range(r, 9))
+    for R in range(r, 9):
+        assert _values(sphere_restrictions(h3_ball, r, R)) == oracle[R], R
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2])
+def test_zd_sphere_restrictions_match_l1_oracle(d, r):
+    zd = Zd(d)
+    ball = cayley_ball(zd, GeneratingSet.standard(zd), 5)
+    for R in range(r, 6):
+        assert _values(sphere_restrictions(ball, r, R)) == l1_restrictions(d, r, R), R
+
+
+@pytest.mark.parametrize("rank,r,r_max", [(2, 1, 6), (2, 2, 6), (2, 3, 5), (3, 1, 5), (3, 2, 4)])
+def test_free_sphere_restrictions_match_reduction_oracle(rank, r, r_max):
+    fam = FreeGroup(rank)
+    ball = cayley_ball(fam, GeneratingSet.standard(fam), r_max)
+    for R in range(r, r_max + 1):
+        assert _values(sphere_restrictions(ball, r, R)) == free_restrictions(rank, r, R), R
+
+
+def test_table_walk_on_nonstandard_generators_matches_bfs_oracle():
+    z2 = Zd(2)
+    steps = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
+    gens = GeneratingSet.create(z2, steps)
+    ball = cayley_ball(z2, gens, 9)
+    oracle = bfs_restrictions(
+        (0, 0),
+        steps,
+        lambda p, q: (p[0] + q[0], p[1] + q[1]),
+        lambda p: (-p[0], -p[1]),
+        lambda p: p,
+        2,
+        range(2, 8),
+    )
+    for R in range(2, 8):
+        assert _values(sphere_restrictions(ball, 2, R)) == oracle[R], R
+
+
+def test_sphere_restrictions_beyond_int16():
+    # R + r leaves int16, so values and distances switch to a wider type.
+    ball = cayley_ball(Z1, Z1_GENS, 32_800)
+    assert _values(sphere_restrictions(ball, 1, 32_799)) == [(0, -1, 1), (0, 1, -1)]
+
+
+def test_forged_row_fails_with_the_per_pair_message():
+    z2 = Zd(2)
+    ball = cayley_ball(z2, GeneratingSet.standard(z2), 6)
+    genuine = sphere_restrictions(ball, 2, 6)
+    points, labels = genuine[0].points, genuine[0].labels
+
+    def l1(p, q):
+        return sum(abs(a - b) for a, b in zip(p, q))
+
+    D = np.array([[l1(p, q) for q in points] for p in points], dtype=np.int16)
+    forged = list(genuine[0].values)
+    forged[points.index((1, 0))], forged[points.index((2, 0))] = 1, -1  # gap 2 at distance 1
+    with pytest.raises(InvalidParameterError) as per_pair:
+        BallFunctional.build(2, points, forged, l1, labels)
+    rows = np.array([genuine[0].values, forged], dtype=np.int16)
+    with pytest.raises(InvalidParameterError) as batch:
+        _ball_functionals(2, points, labels, rows, D)
+    assert str(batch.value) == str(per_pair.value)
+    assert "not 1-Lipschitz" in str(batch.value)

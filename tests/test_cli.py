@@ -142,3 +142,44 @@ def test_selftests_pass(capsys, command):
     assert code == 0
     assert "FAIL" not in out
     assert "PASS" in out
+
+
+def test_internal_error_is_not_reported_as_invalid_input(monkeypatch):
+    import horokit.cli as cli
+
+    def broken(args):
+        raise TypeError("internal bug")
+
+    monkeypatch.setattr(cli, "_cmd_boundary", broken)
+    with pytest.raises(TypeError, match="internal bug"):
+        main(["boundary"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectral", "tau", "--map", "mobius", "--matrix", "1,2,x,4"),
+        ("spectral", "tau", "--map", "translation", "--group", "zd", "--vector", "1,y"),
+        ("spectral", "tau", "--map", "translation", "--group", "zd", "--vector", "1"),
+        ("reduced", "classify-z", "--anchors", "1:2:3"),
+        ("dynamics", "distorted-line", "--anchors", "10,z"),
+        ("dynamics", "parabolic", "--fixture", "heisenberg-z", "--eval-hi", "-1"),
+        ("validate", "metric", "--space", "{not json"),
+        ("validate", "metric", "--space", '{"type": "finite", "params": {}}'),
+        ("extend", "mcshane", "--space", '{"type": "free", "params": {"rank": 2}}',
+         "--domain", '["a?"]', "--values", '["0"]'),
+        ("extend", "mcshane", "--space", '{"type": "zd", "params": {"dim": 2}}',
+         "--domain", "[[0, 0]]", "--values", '["x"]'),
+        ("extend", "mcshane", "--space", '{"type": "zd", "params": {"dim": 2}}',
+         "--domain", "[[0, 0, 0]]", "--values", '["0"]'),
+        ("extend", "mcshane", "--space", '{"type": "finite", "params": {"matrix": [[0]]}}',
+         "--domain", "[3]", "--values", '["0"]'),
+        ("dynamics", "parabolic", "--fixture", "disk-parabolic", "--n", "-2"),
+        ("boundary", "--r", "-1"),
+    ],
+    ids=lambda a: "-".join(a[:2]) + ":" + a[-1][:12],
+)
+def test_malformed_flags_exit_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "error" in err

@@ -216,3 +216,31 @@ def test_cayley_graph_space_distance():
     assert space.distance((0, 0), (3, 4)) == 7
     assert space.distance((1, 1), (1, 1)) == 0
     assert space.neighbors((0, 0)) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+
+
+def test_free_label_of_fifth_generator_is_not_identity():
+    f5 = FreeGroup(5)
+    assert f5.element_label((5,)) != f5.element_label(())
+    assert f5.word(f5.element_label((5,))) == (5,)
+
+
+def test_free_labels_of_small_ranks_unchanged():
+    f4 = FreeGroup(4)
+    assert f4.element_label(()) == "e"
+    assert f4.element_label((1, 2, -3, 4, -1)) == "abCdA"
+    assert f4.word("abCdA") == (1, 2, -3, 4, -1)
+
+
+@st.composite
+def _free_words(draw):
+    rank = draw(st.integers(1, 40))
+    letters = [x for i in range(1, rank + 1) for x in (i, -i)]
+    raw = draw(st.lists(st.sampled_from(letters), max_size=12))
+    return rank, free_reduce(raw)
+
+
+@given(_free_words())
+def test_free_label_round_trip(case):
+    rank, w = case
+    fam = FreeGroup(rank)
+    assert fam.word(fam.element_label(w)) == w
