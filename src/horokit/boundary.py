@@ -21,13 +21,9 @@ from .errors import (
     PreconditionError,
     UnsupportedError,
 )
-from .functionals import BallFunctional, ZdLinear, eval_functional
+from .functionals import BallFunctional, ZdLinear, check_rows, eval_functional
 from .groups import CayleyBall, FreeGroup, GeneratingSet, GroupFamily, Zd, cayley_ball
-from .metric import Scalar
-
-
-# Check and value temporaries hold at most about this many elements per chunk.
-_CHUNK = 1 << 18
+from .metric import CHUNK, Scalar
 
 
 def _closed_form(family: GroupFamily, gens: GeneratingSet) -> bool:
@@ -97,7 +93,7 @@ def _distance_blocks(ball: CayleyBall, n: int, lo: int, hi: int, dtype) -> Itera
                 glen = _lengths(ball, np.arange(lo + a, lo + b)).astype(dtype)
                 return xlen + glen[:, None] - 2 * lcp
 
-        step = max(1, _CHUNK // (n * width))
+        step = max(1, CHUNK // (n * width))
         for a in range(0, hi - lo, step):
             yield block(a, min(a + step, hi - lo))
         return
@@ -115,36 +111,11 @@ def _distance_blocks(ball: CayleyBall, n: int, lo: int, hi: int, dtype) -> Itera
     yield _lengths(ball, cols.T).astype(dtype)
 
 
-def _rows_lipschitz(rows: np.ndarray, D: np.ndarray, r: int) -> bool:
-    """Every row vanishes at the identity, |v| <= d(e, .), |v| <= r, and
-    |v_i - v_j| <= D_ij on every pair; pairs are checked in bounded chunks."""
-    mag = np.abs(rows)
-    if (rows[:, 0] != 0).any() or (mag > D[0]).any() or (mag > r).any():
-        return False
-    i, j = np.triu_indices(len(D), 1)
-    bound = D[i, j]
-    step = max(1, _CHUNK // max(1, len(i)))
-    for a in range(0, len(rows), step):
-        chunk = rows[a : a + step]
-        if (np.abs(chunk[:, i] - chunk[:, j]) > bound).any():
-            return False
-    return True
-
-
 def _ball_functionals(r, points, labels, rows: np.ndarray, D: np.ndarray) -> list[BallFunctional]:
     """BallFunctionals for the sorted value rows, checked at once against the
-    exact distance matrix D of the points.  A row that fails is found again
-    by the per-pair check, which raises its first failure and message."""
-    if not _rows_lipschitz(rows, D, r):
-        pos = {p: i for i, p in enumerate(points)}
-
-        def dist(p, q):
-            return int(D[pos[p], pos[q]])
-
-        for values in rows.tolist():
-            bf = BallFunctional.build(r, points, values, dist, labels)
-            if max(abs(v) for v in bf.values) > r:
-                raise InvalidParameterError("restriction value outside [-r, r]")
+    exact distance matrix D of the points; the first failing row raises as
+    ``BallFunctional.check`` does."""
+    check_rows(labels, rows, D)
     return [BallFunctional(r, labels, tuple(v), points) for v in rows.tolist()]
 
 
@@ -158,11 +129,11 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> list[BallFunctional
     radius R + r.  Values and the distance matrix D of B(r) are int16
     (int64 once R + r leaves int16) and the table is int32.  Temporaries
     are chunked to about 256K elements, and each chunk is deduplicated as
-    it is made.  ``np.unique`` sorts the rows in value-tuple order; one
-    chunked broadcast then checks every row exactly against D (vanishes at
-    the identity, 1-Lipschitz, |h(x)| <= |x| and values within [-r, r]).
-    If a row fails, the per-pair ``BallFunctional.build`` check runs and
-    raises its first failure with the usual message.
+    it is made.  ``np.unique`` sorts the rows in value-tuple order; the
+    checker in ``metric`` then checks every row exactly against D in
+    chunked broadcasts: each row vanishes at the identity and is 1-Lipschitz
+    on every pair, which implies |h(x)| <= |x| <= r.  The first failing row
+    raises with the message ``BallFunctional.check`` gives.
     """
     if not 0 <= r <= R:
         raise PreconditionError(f"need 0 <= ball radius {r} <= sphere radius {R}")
@@ -389,12 +360,8 @@ class DriftMeasure:
                     )
 
     def integrate(self, g) -> Fraction:
+        """The drift homomorphism T(g): the integral of h(g) over the measure."""
         return sum((w * h.evaluate(g) for h, w in self.support), Fraction(0))
-
-
-def drift_homomorphism(measure: DriftMeasure, g) -> Fraction:
-    """T(g) = integral of h(g) over the invariant measure."""
-    return measure.integrate(g)
 
 
 @dataclass

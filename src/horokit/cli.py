@@ -98,6 +98,13 @@ def _parsing(flag: str):
         raise InvalidParameterError(f"malformed {flag}: {exc}") from exc
 
 
+def _count(flag: str, value: int) -> int:
+    """A count flag: a negative value would make the check pass vacuously."""
+    if value < 0:
+        raise InvalidParameterError(f"{flag} must be >= 0, got {value}")
+    return value
+
+
 def _load_space(text: str):
     with _parsing("--space"):
         return space_from_descriptor(json.loads(text))
@@ -200,6 +207,7 @@ def _cmd_extend(args) -> tuple[dict, bool, str]:
         csv = "\n".join(["point,value"] + [f"{r['point']},{r['value']}" for r in rows])
         return _report("extend.mcshane", payload, {"mode": args.mode}), ok, csv
     # hahn-banach fixtures
+    _count("--n", args.n)
     if args.fixture == "spoke-ray":
         space = SpokeRaySpace()
         n_max = args.n
@@ -314,7 +322,7 @@ def _cmd_spectral(args) -> tuple[dict, bool, str]:
         space = UpperHalfPlane()
         rows = []
         ok = True
-        for _ in range(args.count):
+        for _ in range(_count("--count", args.count)):
             fm, gm = random_hyperbolic_pair(rng)
             rep = tracial_check(fm.as_selfmap(space), gm.as_selfmap(space), args.n)
             ok = ok and rep.passed and rep.closed_form_gap == 0
@@ -425,6 +433,7 @@ def _selftest_dynamics(args) -> list[tuple[str, bool]]:
 
 
 def _cmd_gallery(args) -> tuple[dict, bool, str]:
+    _count("--count", args.count)
     if args.piece == "spoke-ray":
         rep = horofunction_failure_witness("spoke_ray", args.r, list(range(2, 2 + args.count)))
         ok = all(w.gap == Fraction(3, 2) for w in rep.witnesses)

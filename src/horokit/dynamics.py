@@ -401,20 +401,6 @@ def displacement_sublevels(
     return out
 
 
-def displacement_sublevel_witnesses(
-    f: SelfMap, points: Sequence[Point], eps_schedule: Sequence
-) -> list[Point]:
-    """First point with displacement <= eps, for each eps in the schedule."""
-    disp = [(x, f.space.distance(x, f.apply(x))) for x in points]
-    out = []
-    for eps in eps_schedule:
-        w = next((x for x, d in disp if d <= eps), None)
-        if w is None:
-            raise PreconditionError(f"no witness with displacement <= {eps}")
-        out.append(w)
-    return out
-
-
 @dataclass
 class TracialReport:
     """Difference of translation-number estimates for fg vs gf, with the
@@ -564,7 +550,8 @@ def almost_fixed_invariant_functional(
         raise PreconditionError(
             f"displacement bound {disp.bound} does not reach min epsilon {min(eps_schedule)}"
         )
-    chosen = displacement_sublevel_witnesses(f, witness_points, eps_schedule)
+    levels = displacement_sublevels(f, witness_points, eps_schedule)
+    chosen = [level.witnesses[0] for level in levels]
     if not f.space.exact:
         # a repeated witness would satisfy the successive-difference
         # criterion vacuously; exact spaces keep repeats (constant runs are

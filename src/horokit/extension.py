@@ -21,6 +21,7 @@ from .errors import (
 )
 from .functionals import EvalOutcome
 from .metric import MetricSpace, Point, Scalar
+from .metric import first_lipschitz_violation, numeric_arrays, pair_distances
 from .spaces import HUB, SpokeRaySpace, StarTreeSpace, frac
 
 
@@ -33,7 +34,8 @@ class PartialFunctional:
     """A 1-Lipschitz real function on a finite subset of a space.
 
     The Lipschitz certificate is checked over all domain pairs at
-    construction; a violating pair is reported in the error.
+    construction; the first violating pair in row-major order is reported
+    in the error.
     """
 
     def __init__(
@@ -52,25 +54,23 @@ class PartialFunctional:
         self.points = list(points)
         self.values = list(values)
         self.mesh = mesh  # spacing bound when the domain samples a larger set
-        n = len(points)
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = space.distance(points[i], points[j])
-                if abs(values[i] - values[j]) > d + (0 if space.exact else 1e-12):
-                    raise InvalidParameterError(
-                        f"not 1-Lipschitz on pair ({points[i]!r}, {points[j]!r}): "
-                        f"|{values[i]} - {values[j]}| > {d}"
-                    )
+        D = pair_distances(space.distance, self.points)
+        # The checker wants 0 at index 0; a shift leaves every pair gap as is.
+        shifted = [[v - self.values[0] for v in self.values]]
+        tol = 0 if space.exact else 1e-12
+        hit = first_lipschitz_violation(*numeric_arrays(shifted, D, tol=tol))
+        if hit is not None:
+            _, i, j = hit
+            raise InvalidParameterError(
+                f"not 1-Lipschitz on pair ({points[i]!r}, {points[j]!r}): "
+                f"|{values[i]} - {values[j]}| > {D[i][j]}"
+            )
 
     def value_at(self, p: Point) -> Scalar:
         for q, v in zip(self.points, self.values):
             if q == p:
                 return v
         raise InvalidParameterError(f"{p!r} is not in the domain")
-
-    def contains_base(self) -> bool:
-        x0 = self.space.base_point
-        return any(q == x0 for q in self.points)
 
 
 @dataclass

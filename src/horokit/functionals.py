@@ -24,6 +24,7 @@ from .errors import (
     UnsupportedError,
 )
 from .metric import MetricSpace, Point, Scalar
+from .metric import first_lipschitz_violation, numeric_arrays, pair_distances
 from .spaces import LpSpace, PoincareDisk
 
 
@@ -54,38 +55,21 @@ class BallFunctional:
         values: Sequence[Scalar],
         dist: Callable[[Point, Point], Scalar],
         labels: Sequence[str] | None = None,
-        *,
-        tol: Scalar = 0,
-        check: bool = True,
     ) -> "BallFunctional":
         pts = tuple(points)
-        vals = tuple(values)
         if labels is None:
             labels = tuple(str(p) for p in pts)
-        bf = cls(radius, tuple(labels), vals, pts)
-        if check:
-            bf.check(dist, tol=tol)
+        bf = cls(radius, tuple(labels), tuple(values), pts)
+        bf.check(dist)
         return bf
 
-    def check(self, dist: Callable[[Point, Point], Scalar], *, tol: Scalar = 0) -> None:
+    def check(self, dist: Callable[[Point, Point], Scalar]) -> None:
+        """Check the value at the base point (points[0]) is 0 and every pair
+        is 1-Lipschitz under ``dist``; |value| <= d(base, .) follows."""
         if len(self.points) != len(self.values):
             raise InvalidParameterError("domain and value lists differ in length")
-        if self.values[0] != 0:
-            raise InvalidParameterError("value at the base point must be 0")
-        n = len(self.points)
-        for i in range(n):
-            for j in range(i + 1, n):
-                gap = abs(self.values[i] - self.values[j])
-                if gap > dist(self.points[i], self.points[j]) + tol:
-                    raise InvalidParameterError(
-                        f"restriction is not 1-Lipschitz on pair ({self.labels[i]}, {self.labels[j]})"
-                    )
-        base = self.points[0]
-        for p, v in zip(self.points, self.values):
-            if abs(v) > dist(base, p) + tol:
-                raise InvalidParameterError(
-                    f"|value| exceeds distance to base at {p!r}: {v}"
-                )
+        V, D, _ = numeric_arrays([self.values], pair_distances(dist, self.points))
+        check_rows(self.labels, V, D)
 
     def value_at(self, point: Point) -> Scalar:
         for p, v in zip(self.points, self.values):
@@ -109,6 +93,21 @@ class BallFunctional:
             "order": list(self.labels),
             "values": [scalar_to_json(v) for v in self.values],
         }
+
+
+def check_rows(labels: Sequence[str], V: np.ndarray, D: np.ndarray) -> None:
+    """Raise the first failure of the value rows V of ball restrictions
+    against the distance matrix D of their points, as BallFunctional.check
+    reports it (see ``first_lipschitz_violation`` for the order)."""
+    hit = first_lipschitz_violation(V, D)
+    if hit is None:
+        return
+    _, i, j = hit
+    if i == j:
+        raise InvalidParameterError("value at the base point must be 0")
+    raise InvalidParameterError(
+        f"restriction is not 1-Lipschitz on pair ({labels[i]}, {labels[j]})"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -629,7 +629,6 @@ class CayleyGraphSpace(MetricSpace):
     """A group with a word metric, as a discrete exact metric space."""
 
     exact = True
-    discrete = True
 
     def __init__(
         self,
@@ -673,11 +672,6 @@ class CayleyGraphSpace(MetricSpace):
         if n is None:
             n = word_length(self.family, self.gens, p, self.distance_bound, oracle=self._oracle)
         return (n, self.family.element_key(p))
-
-    def neighbors(self, p) -> list:
-        out = [self.family.multiply(p, s) for s in self.gens.elements]
-        out.sort(key=self.family.element_key)
-        return out
 
     def sample_points(self, rng: random.Random, count: int) -> list:
         out = []

@@ -2,25 +2,30 @@
 
 A space is either *exact* (all distances are :class:`fractions.Fraction`
 and every assertion about it can be checked with zero tolerance) or
-float-valued with explicit tolerances.  Discrete spaces additionally
-expose a locally finite neighbor enumeration with unit-length edges, which
-is what ball construction relies on.
+float-valued with explicit tolerances.
+
+This module also holds the one checker of the metric axioms, the triangle
+inequality and the 1-Lipschitz condition.  It works on distance matrices
+and reports the first violation in a fixed canonical order; callers build
+the matrix, through their distance oracle or an array kernel, and call it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     InvalidSpaceError,
     PreconditionError,
-    ResourceLimitError,
     UnsupportedError,
 )
 
@@ -48,7 +53,6 @@ class MetricSpace(ABC):
     """
 
     exact: bool = True
-    discrete: bool = False
 
     @abstractmethod
     def distance(self, p: Point, q: Point) -> Scalar:
@@ -72,12 +76,104 @@ class MetricSpace(ABC):
     def sample_points(self, rng: random.Random, count: int) -> list:
         raise UnsupportedError(f"{type(self).__name__} has no point sampler")
 
-    def neighbors(self, p: Point) -> list:
-        raise UnsupportedError(f"{type(self).__name__} is not a unit-edge graph space")
 
-    @property
-    def tolerance(self) -> Scalar:
-        return Fraction(0) if self.exact else 1e-9
+# ---------------------------------------------------------------------------
+# The checker: metric axioms, triangle inequality, 1-Lipschitz rows
+# ---------------------------------------------------------------------------
+
+# Check temporaries (and boundary's value blocks) hold at most about this
+# many elements per chunk.
+CHUNK = 1 << 18
+
+
+def numeric_arrays(*tables, tol: Scalar = 0) -> tuple:
+    """The 2-D tables as arrays for the checks below, followed by tol.
+
+    Ints and Fractions are scaled by one common denominator to exact
+    integers: int64 while sums of three fit, Python ints in object arrays
+    beyond.  If any entry or tol is a float, everything becomes float64.
+    """
+    flat = [v for t in tables for row in t for v in row]
+    flat.append(tol)
+    if not all(isinstance(v, (int, Fraction, np.integer)) for v in flat):
+        return (*(np.array(t, dtype=float) for t in tables), float(tol))
+    scale = math.lcm(*(v.denominator for v in flat if isinstance(v, Fraction)))
+
+    def scaled(v) -> int:
+        return int(v.numerator) * (scale // int(v.denominator))
+
+    out = [[[scaled(v) for v in row] for row in t] for t in tables]
+    big = max((abs(v) for t in out for row in t for v in row), default=0)
+    dtype = np.int64 if max(big, abs(scaled(tol))) < 1 << 61 else object
+    return (*(np.array(t, dtype=dtype) for t in out), scaled(tol))
+
+
+def pair_distances(dist: Callable[[Point, Point], Scalar], points: Sequence[Point]) -> list:
+    """The distance matrix of the points through the oracle, asked once for
+    each pair i < j in row-major order; the diagonal and lower triangle are 0."""
+    n = len(points)
+    return [[dist(points[i], points[j]) if i < j else 0 for j in range(n)] for i in range(n)]
+
+
+def first_axiom_violation(D: np.ndarray) -> Optional[tuple[str, int, int]]:
+    """First (kind, i, j) where the square matrix D breaks a metric axiom, or
+    None.  Rows are scanned in order; within row i the diagonal entry comes
+    first (kind "diagonal", j = i), then for each column j a negative entry
+    ("negative") before an asymmetric one ("asymmetric")."""
+    bad = (D < 0) | (D != D.T)
+    diagonal = np.diagonal(D) != 0
+    rows = np.flatnonzero(diagonal | bad.any(axis=1))
+    if not rows.size:
+        return None
+    i = int(rows[0])
+    if diagonal[i]:
+        return ("diagonal", i, i)
+    j = int(np.argmax(bad[i]))
+    return ("negative" if D[i, j] < 0 else "asymmetric", i, j)
+
+
+def first_triangle_violation(D: np.ndarray, tol: Scalar = 0, triples=None) -> Optional[int]:
+    """Position of the first triple (i, j, k), k the middle point, with
+    D[i, j] > D[i, k] + D[k, j] + tol, or None: over all triples in
+    lexicographic order (position i n^2 + j n + k), or over the rows of
+    ``triples`` in order (position = row index)."""
+    if triples is None:
+        n = len(D)
+        step = max(1, CHUNK // max(1, n * n))
+        for a in range(0, n, step):
+            bad = D[a : a + step, :, None] > D[a : a + step, None, :] + D.T + tol
+            if bad.any():
+                return a * n * n + int(np.argmax(bad))
+        return None
+    triples = np.asarray(triples, dtype=np.intp).reshape(-1, 3)
+    for a in range(0, len(triples), CHUNK):
+        i, j, k = triples[a : a + CHUNK].T
+        bad = D[i, j] > D[i, k] + D[k, j] + tol
+        if bad.any():
+            return a + int(np.argmax(bad))
+    return None
+
+
+def first_lipschitz_violation(V: np.ndarray, D: np.ndarray, tol: Scalar = 0) -> Optional[tuple]:
+    """First (row, i, j) where a value row of V fails against the distance
+    matrix D, or None.  Within a row, a nonzero value at the base point,
+    index 0, comes first (i = j = 0); then the first pair i < j in
+    row-major order with |V[row, i] - V[row, j]| > D[i, j] + tol."""
+    i, j = np.triu_indices(D.shape[0], 1)
+    bound = D[i, j] + tol
+    step = max(1, CHUNK // max(1, len(i)))
+    for a in range(0, len(V), step):
+        chunk = V[a : a + step]
+        bad = np.abs(chunk[:, i] - chunk[:, j]) > bound
+        based = chunk[:, 0] != 0
+        rows = np.flatnonzero(based | bad.any(axis=1))
+        if rows.size:
+            r = int(rows[0])
+            if based[r]:
+                return (a + r, 0, 0)
+            p = int(np.argmax(bad[r]))
+            return (a + r, int(i[p]), int(j[p]))
+    return None
 
 
 class FiniteMetricSpace(MetricSpace):
@@ -89,7 +185,6 @@ class FiniteMetricSpace(MetricSpace):
     """
 
     exact = True
-    discrete = False
 
     def __init__(self, matrix: Sequence[Sequence[Scalar]], base_index: int = 0):
         n = len(matrix)
@@ -103,26 +198,17 @@ class FiniteMetricSpace(MetricSpace):
         if not 0 <= base_index < n:
             raise InvalidSpaceError(f"base index {base_index} outside [0, {n})")
         self.base_index = base_index
-        self._validate()
-
-    def _validate(self) -> None:
-        m = self.matrix
-        for i in range(self.n):
-            if m[i][i] != 0:
+        D, _ = numeric_arrays(self.matrix)
+        hit = first_axiom_violation(D)
+        if hit is not None:
+            kind, i, j = hit
+            if kind == "diagonal":
                 raise InvalidSpaceError(f"nonzero diagonal at point {i}")
-            for j in range(self.n):
-                if m[i][j] < 0:
-                    raise InvalidSpaceError(f"negative distance at pair ({i}, {j})")
-                if m[i][j] != m[j][i]:
-                    raise InvalidSpaceError(f"asymmetric distance at pair ({i}, {j})")
-        for i in range(self.n):
-            for j in range(self.n):
-                dij = m[i][j]
-                for k in range(self.n):
-                    if dij > m[i][k] + m[k][j]:
-                        raise InvalidSpaceError(
-                            f"triangle inequality fails at triple ({i}, {j}, {k})"
-                        )
+            raise InvalidSpaceError(f"{kind} distance at pair ({i}, {j})")
+        pos = first_triangle_violation(D)
+        if pos is not None:
+            i, j, k = (int(v) for v in np.unravel_index(pos, (self.n,) * 3))
+            raise InvalidSpaceError(f"triangle inequality fails at triple ({i}, {j}, {k})")
 
     def distance(self, p: int, q: int) -> Fraction:
         return self.matrix[p][q]
@@ -224,6 +310,8 @@ def validate_metric(
     """
     if tol is None:
         tol = Fraction(0) if space.exact else 1e-10
+    if max_triples < 0:
+        raise PreconditionError(f"max_triples must be >= 0, got {max_triples}")
 
     exhaustive = isinstance(space, FiniteMetricSpace) and sample is None
     if sample is None:
@@ -236,36 +324,31 @@ def validate_metric(
     if not pts:
         raise PreconditionError("validation sample is empty")
 
-    pairs = 0
-    for p in pts:
-        d = _checked_distance(space, p, p)
+    n = len(pts)
+    D = [[None] * n for _ in range(n)]
+    for a, p in enumerate(pts):
+        D[a][a] = d = _checked_distance(space, p, p)
         if d > tol:
-            return MetricReport(False, len(pts), pairs, 0, tol, ("self_distance", p))
-    for p, q in itertools.combinations(pts, 2):
+            return MetricReport(False, n, 0, 0, tol, ("self_distance", p))
+    pairs = 0
+    for a, b in itertools.combinations(range(n), 2):
         pairs += 1
-        dpq = _checked_distance(space, p, q)
-        dqp = _checked_distance(space, q, p)
+        D[a][b] = dpq = _checked_distance(space, pts[a], pts[b])
+        D[b][a] = dqp = _checked_distance(space, pts[b], pts[a])
         if abs(dpq - dqp) > tol:
-            return MetricReport(False, len(pts), pairs, 0, tol, ("symmetry", p, q))
+            return MetricReport(False, n, pairs, 0, tol, ("symmetry", pts[a], pts[b]))
 
-    triples = 0
-    if exhaustive:
-        for p in pts:
-            for q in pts:
-                for r in pts:
-                    triples += 1
-                    if space.distance(p, r) > space.distance(p, q) + space.distance(q, r) + tol:
-                        return MetricReport(
-                            False, len(pts), pairs, triples, tol, ("triangle", p, q, r)
-                        )
-    else:
+    triples = None
+    if not exhaustive:
+        # A drawn (p, q, r) has q in the middle: the checker's (i, j, k) is (p, r, q).
         rng = random.Random(seed)
-        for _ in range(max_triples):
-            p, q, r = (pts[rng.randrange(len(pts))] for _ in range(3))
-            triples += 1
-            if space.distance(p, r) > space.distance(p, q) + space.distance(q, r) + tol:
-                return MetricReport(False, len(pts), pairs, triples, tol, ("triangle", p, q, r))
-    return MetricReport(True, len(pts), pairs, triples, tol)
+        draws = ([rng.randrange(n) for _ in range(3)] for _ in range(max_triples))
+        triples = [(p, r, q) for p, q, r in draws]
+    pos = first_triangle_violation(*numeric_arrays(D, tol=tol), triples)
+    if pos is None:
+        return MetricReport(True, n, pairs, n**3 if exhaustive else max_triples, tol)
+    p, r, q = np.unravel_index(pos, (n, n, n)) if exhaustive else triples[pos]
+    return MetricReport(False, n, pairs, pos + 1, tol, ("triangle", pts[p], pts[q], pts[r]))
 
 
 def discrete_ball(
@@ -276,39 +359,20 @@ def discrete_ball(
 ) -> list[tuple[Point, Scalar]]:
     """All points at distance <= r from the base point, with exact distances.
 
-    For unit-edge graph spaces this runs a BFS using the space's neighbor
-    enumerator; finite spaces are scanned directly.  Output is in canonical
-    order (distance first, then the space's point order).
+    Cayley graphs, the only discrete spaces, return the BFS ball of
+    ``cayley_ball``; finite spaces are scanned directly.  Output is in
+    canonical order (distance first, then the space's point order).
     """
     if r < 0:
         raise PreconditionError("ball radius must be nonnegative")
-    cap = ball_limit(limit)
     if isinstance(space, FiniteMetricSpace):
         x0 = space.base_point
         out = [(p, space.distance(x0, p)) for p in space.points() if space.distance(x0, p) <= r]
         out.sort(key=lambda t: (t[1], space.point_key(t[0])))
         return out
-    if not space.discrete:
+    from .groups import CayleyGraphSpace, cayley_ball
+
+    if not isinstance(space, CayleyGraphSpace):
         raise UnsupportedError("discrete_ball requires a discrete space")
-    x0 = space.base_point
-    depth_max = int(r)
-    dist = {space.point_key(x0): (x0, 0)}
-    frontier = [x0]
-    depth = 0
-    while frontier and depth < depth_max:
-        depth += 1
-        nxt = []
-        for p in frontier:
-            for q in space.neighbors(p):
-                k = space.point_key(q)
-                if k not in dist:
-                    dist[k] = (q, depth)
-                    nxt.append(q)
-                    if len(dist) > cap:
-                        raise ResourceLimitError(
-                            f"ball exceeded limit {cap}", radius_reached=depth - 1
-                        )
-        frontier = nxt
-    out = [(p, d) for (p, d) in dist.values()]
-    out.sort(key=lambda t: (t[1], space.point_key(t[0])))
-    return out
+    ball = cayley_ball(space.family, space.gens, int(r), limit=limit)
+    return list(zip(ball.elements, ball.lengths))

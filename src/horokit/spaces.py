@@ -55,7 +55,6 @@ class SpokeRaySpace(MetricSpace):
     """
 
     exact = True
-    discrete = False
 
     @property
     def base_point(self):
@@ -190,11 +189,6 @@ class SpokeRaySpace(MetricSpace):
         return out
 
 
-def spoke_ray_distance(u, v) -> Fraction:
-    """Exact distance in the ray-with-spokes space."""
-    return SpokeRaySpace().distance(u, v)
-
-
 # ---------------------------------------------------------------------------
 # Star of intervals
 # ---------------------------------------------------------------------------
@@ -208,7 +202,6 @@ class StarTreeSpace(MetricSpace):
     """
 
     exact = True
-    discrete = False
 
     @property
     def base_point(self):
@@ -271,10 +264,6 @@ class StarTreeSpace(MetricSpace):
         return out
 
 
-def star_tree_distance(u, v) -> Fraction:
-    return StarTreeSpace().distance(u, v)
-
-
 # ---------------------------------------------------------------------------
 # Distorted line
 # ---------------------------------------------------------------------------
@@ -332,7 +321,6 @@ class DistortedLine(MetricSpace):
     """The real line with distance D(|x - y|) for a sublinear distortion D."""
 
     exact = False
-    discrete = False
 
     def __init__(self, dfun: Callable[[float], float] | str, name: str | None = None):
         if isinstance(dfun, str):
@@ -393,7 +381,6 @@ class PoincareDisk(MetricSpace):
     """Open unit disk with the conformal metric of curvature -1; base 0."""
 
     exact = False
-    discrete = False
 
     @property
     def base_point(self) -> complex:
@@ -439,7 +426,6 @@ class UpperHalfPlane(MetricSpace):
     """
 
     exact = False
-    discrete = False
 
     @property
     def base_point(self) -> complex:
@@ -469,13 +455,6 @@ class UpperHalfPlane(MetricSpace):
         ]
 
 
-def hyperbolic_distance(model: MetricSpace, z: complex, w: complex) -> float:
-    """Distance in either hyperbolic model (domain-checked)."""
-    if not isinstance(model, (PoincareDisk, UpperHalfPlane)):
-        raise InvalidParameterError("model must be a hyperbolic plane model")
-    return model.distance(z, w)
-
-
 # ---------------------------------------------------------------------------
 # l^p truncations
 # ---------------------------------------------------------------------------
@@ -485,7 +464,6 @@ class LpSpace(MetricSpace):
     """R^m with the l^p norm distance and base point 0."""
 
     exact = False
-    discrete = False
 
     def __init__(self, p: float, dim: int):
         if p < 1:
@@ -535,7 +513,3 @@ class LpSpace(MetricSpace):
                 continue
             out.append(v * (radius / n))
         return out
-
-
-def euclidean(dim: int) -> LpSpace:
-    return LpSpace(2.0, dim)

@@ -309,3 +309,47 @@ def random_rational_metric(rng, n: int, *, integral: bool = False):
                 if wik + w[k][j] < w[i][j]:
                     w[i][j] = wik + w[k][j]
     return w
+
+
+# --- brute-force metric and Lipschitz checks ----------------------------------
+
+
+def first_axiom_violation(D):
+    """First (kind, i, j) where the matrix breaks a metric axiom: row by
+    row, the diagonal first, then per column a negative entry before an
+    asymmetric one."""
+    n = len(D)
+    for i in range(n):
+        if D[i][i] != 0:
+            return ("diagonal", i, i)
+        for j in range(n):
+            if D[i][j] < 0:
+                return ("negative", i, j)
+            if D[i][j] != D[j][i]:
+                return ("asymmetric", i, j)
+    return None
+
+
+def first_triangle_violation(D, tol=0, triples=None):
+    """Position of the first (i, j, k), k the middle point, with
+    D[i][j] > D[i][k] + D[k][j] + tol: over all triples in lexicographic
+    order, or over the given triples in their order."""
+    order = itertools.product(range(len(D)), repeat=3) if triples is None else triples
+    for pos, (i, j, k) in enumerate(order):
+        if D[i][j] > D[i][k] + D[k][j] + tol:
+            return pos
+    return None
+
+
+def first_lipschitz_violation(V, D, tol=0):
+    """First (row, i, j) where a value row fails: a nonzero value at index 0
+    (reported as i = j = 0), else the first pair i < j in row-major order
+    with |v_i - v_j| > D[i][j] + tol."""
+    for row, v in enumerate(V):
+        if v[0] != 0:
+            return (row, 0, 0)
+        for i in range(len(v)):
+            for j in range(i + 1, len(v)):
+                if abs(v[i] - v[j]) > D[i][j] + tol:
+                    return (row, i, j)
+    return None

@@ -9,7 +9,6 @@ from horokit.boundary import (
     ZFunctional,
     act_on_restriction,
     drift_audit,
-    drift_homomorphism,
     limit_restrictions,
     reduced_classify_z,
     reduced_fixed_point_audit,
@@ -200,14 +199,14 @@ def test_drift_uniform_on_ends_is_zero():
     m = DriftMeasure.create(
         space, [(ZdLinear([1]), Fraction(1, 2)), (ZdLinear([-1]), Fraction(1, 2))]
     )
-    assert all(drift_homomorphism(m, (n,)) == 0 for n in range(-10, 11))
+    assert all(m.integrate((n,)) == 0 for n in range(-10, 11))
     assert drift_audit(m, [(n,) for n in range(-10, 11)]).passed
 
 
 def test_drift_point_mass_minus_id():
     space = CayleyGraphSpace(Z1)
     m = DriftMeasure.create(space, [(ZdLinear([1]), Fraction(1))])
-    assert drift_homomorphism(m, (7,)) == -7
+    assert m.integrate((7,)) == -7
     rep = drift_audit(m, [(n,) for n in range(-10, 11)])
     assert rep.passed
     assert rep.additive_pairs == 21 * 21
@@ -216,7 +215,7 @@ def test_drift_point_mass_minus_id():
 def test_drift_z2_coordinate():
     space = CayleyGraphSpace(Zd(2))
     m = DriftMeasure.create(space, [(ZdLinear([1, 0]), Fraction(1))])
-    assert drift_homomorphism(m, (3, -4)) == -3
+    assert m.integrate((3, -4)) == -3
     els = [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
     assert drift_audit(m, els).passed
 

@@ -176,6 +176,13 @@ def test_internal_error_is_not_reported_as_invalid_input(monkeypatch):
          "--domain", "[3]", "--values", '["0"]'),
         ("dynamics", "parabolic", "--fixture", "disk-parabolic", "--n", "-2"),
         ("boundary", "--r", "-1"),
+        ("validate", "metric", "--triples", "-5"),
+        ("spectral", "tracial", "--count", "-1"),
+        ("gallery", "star-tree", "--count", "-1"),
+        ("gallery", "spoke-ray", "--count", "-1"),
+        ("gallery", "euclidean-zero", "--count", "-1"),
+        ("extend", "hahn-banach", "--n", "-1"),
+        ("extend", "hahn-banach", "--fixture", "star-tree", "--n", "-1"),
     ],
     ids=lambda a: "-".join(a[:2]) + ":" + a[-1][:12],
 )

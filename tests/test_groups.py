@@ -215,7 +215,6 @@ def test_cayley_graph_space_distance():
     space = CayleyGraphSpace(Zd(2))
     assert space.distance((0, 0), (3, 4)) == 7
     assert space.distance((1, 1), (1, 1)) == 0
-    assert space.neighbors((0, 0)) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
 
 
 def test_free_label_of_fifth_generator_is_not_identity():

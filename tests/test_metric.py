@@ -1,20 +1,39 @@
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from horokit.errors import InvalidSpaceError, ResourceLimitError, UnsupportedError
+import horokit.metric as metric
+import oracles
+from horokit.errors import (
+    InvalidParameterError,
+    InvalidSpaceError,
+    PreconditionError,
+    ResourceLimitError,
+    UnsupportedError,
+)
+from horokit.extension import PartialFunctional
+from horokit.functionals import BallFunctional
 from horokit.groups import CayleyGraphSpace, FreeGroup, Heisenberg, Zd
 from horokit.metric import (
     FiniteMetricSpace,
+    MetricSpace,
     PointFunctional,
     discrete_ball,
+    first_axiom_violation,
+    first_lipschitz_violation,
+    first_triangle_violation,
+    numeric_arrays,
     point_functional_eval,
     validate_metric,
 )
 from horokit.spaces import PoincareDisk, SpokeRaySpace, StarTreeSpace, UpperHalfPlane
 
-from oracles import bfs_ball
+from oracles import bfs_ball, random_rational_metric
 
 
 def test_triangle_violation_reported():
@@ -134,3 +153,272 @@ def test_finite_space_ball_scan():
     space = FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     ball = discrete_ball(space, 1)
     assert [p for p, _ in ball] == [0, 1]
+
+
+def test_discrete_ball_matches_independent_bfs():
+    for family, r in ((Zd(2), 3), (FreeGroup(2), 3), (Heisenberg(), 2)):
+        gens = CayleyGraphSpace(family).gens.elements
+        dist = bfs_ball(family.identity(), gens, family._mul, r)
+        expected = sorted(dist.items(), key=lambda t: (t[1], family.element_key(t[0])))
+        assert discrete_ball(CayleyGraphSpace(family), r) == expected
+
+
+def test_discrete_ball_limit_reports_radius_reached():
+    with pytest.raises(ResourceLimitError) as exc:
+        discrete_ball(CayleyGraphSpace(FreeGroup(2)), 8, limit=100)
+    assert exc.value.radius_reached == 3  # |B(3)| = 53 <= 100 < |B(4)| = 161
+
+
+def test_negative_triple_count_rejected():
+    with pytest.raises(PreconditionError):
+        validate_metric(CayleyGraphSpace(Zd(2)), max_triples=-5)
+
+
+# ---------------------------------------------------------------------------
+# The checker against the brute-force loops in oracles.py
+# ---------------------------------------------------------------------------
+
+# ints, Fractions with mixed denominators, Fractions too large for int64
+# once scaled, and floats
+KINDS = ("int", "fraction", "huge", "float")
+EXACT_KINDS = KINDS[:3]
+CHUNKS = st.sampled_from([1, 5, 64, metric.CHUNK])
+
+
+@contextmanager
+def chunk_size(size):
+    """Run the checker with small chunks, so that inputs span many."""
+    old = metric.CHUNK
+    metric.CHUNK = size
+    try:
+        yield
+    finally:
+        metric.CHUNK = old
+
+
+def _unit(kind):
+    return {"int": 1, "fraction": Fraction(1, 3), "huge": Fraction(2**70, 7), "float": 1.0}[kind]
+
+
+def _recast(kind, v):
+    if kind == "int":
+        return int(v)
+    if kind == "float":
+        return float(v)
+    return v * _unit(kind) if kind == "huge" else v
+
+
+def _metric(rng, kind, n):
+    m = random_rational_metric(rng, n, integral=kind in ("int", "huge"))
+    return [[_recast(kind, v) for v in row] for row in m]
+
+
+def _corrupt(rng, kind, M, count):
+    """Move ``count`` random entries by a few units, or negate or zero them."""
+    for _ in range(count):
+        i, j = rng.randrange(len(M)), rng.randrange(len(M[0]))
+        how = rng.randrange(3)
+        if how == 0:
+            M[i][j] = M[i][j] + rng.choice([-2, -1, 1, 2]) * _unit(kind)
+        elif how == 1:
+            M[i][j] = -M[i][j]
+        else:
+            M[i][j] = 0 * _unit(kind)
+    return M
+
+
+def _tol(rng, kind):
+    return rng.choice([0.0, 1e-10]) if kind == "float" else rng.choice([0, Fraction(1, 3)])
+
+
+def test_numeric_arrays_scaling():
+    D, tol = numeric_arrays([[0, Fraction(1, 2)], [Fraction(1, 3), 0]], tol=Fraction(1, 4))
+    assert D.dtype == np.int64 and D.tolist() == [[0, 6], [4, 0]] and tol == 3
+    D, _ = numeric_arrays([[0, Fraction(2**70, 7)]])
+    assert D.dtype == object and D.tolist() == [[0, 2**70]]
+    D, tol = numeric_arrays([[0, Fraction(1, 2)]], tol=1e-12)
+    assert D.dtype == np.float64 and tol == 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(KINDS),
+    n=st.integers(1, 7),
+    count=st.integers(0, 3),
+)
+def test_axiom_checker_matches_brute_force(seed, kind, n, count):
+    rng = random.Random(seed)
+    D = _corrupt(rng, kind, _metric(rng, kind, n), count)
+    assert first_axiom_violation(numeric_arrays(D)[0]) == oracles.first_axiom_violation(D)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(KINDS),
+    n=st.integers(1, 7),
+    count=st.integers(0, 2),
+    chunk=CHUNKS,
+)
+def test_triangle_checker_matches_brute_force(seed, kind, n, count, chunk):
+    rng = random.Random(seed)
+    D = _corrupt(rng, kind, _metric(rng, kind, n), count)
+    tol = _tol(rng, kind)
+    triples = [[rng.randrange(n) for _ in range(3)] for _ in range(rng.randrange(80))]
+    Dn, t = numeric_arrays(D, tol=tol)
+    with chunk_size(chunk):
+        assert first_triangle_violation(Dn, t) == oracles.first_triangle_violation(D, tol)
+        assert first_triangle_violation(Dn, t, triples) == oracles.first_triangle_violation(
+            D, tol, triples
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(KINDS),
+    n=st.integers(1, 7),
+    rows=st.integers(1, 12),
+    count=st.integers(0, 3),
+    chunk=CHUNKS,
+)
+def test_lipschitz_checker_matches_brute_force(seed, kind, n, rows, count, chunk):
+    rng = random.Random(seed)
+    D = _metric(rng, kind, n)
+    # point functionals d(., x) - d(x0, x): 1-Lipschitz and 0 at index 0
+    V = [[D[y][x] - D[0][x] for y in range(n)] for x in rng.choices(range(n), k=rows)]
+    _corrupt(rng, kind, V, count)
+    _corrupt(rng, kind, D, rng.randrange(2))
+    tol = _tol(rng, kind)
+    Vn, Dn, t = numeric_arrays(V, D, tol=tol)
+    with chunk_size(chunk):
+        assert first_lipschitz_violation(Vn, Dn, t) == oracles.first_lipschitz_violation(V, D, tol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(EXACT_KINDS),
+    n=st.integers(1, 7),
+    count=st.integers(0, 2),
+)
+def test_finite_space_reports_the_first_violation(seed, kind, n, count):
+    rng = random.Random(seed)
+    D = _corrupt(rng, kind, _metric(rng, kind, n), count)
+    hit = oracles.first_axiom_violation(D)
+    pos = oracles.first_triangle_violation(D) if hit is None else None
+    if hit is None and pos is None:
+        assert FiniteMetricSpace(D).matrix == tuple(tuple(row) for row in D)
+        return
+    if hit is None:
+        i, j, k = pos // (n * n), pos // n % n, pos % n
+        expected = f"triangle inequality fails at triple ({i}, {j}, {k})"
+    elif hit[0] == "diagonal":
+        expected = f"nonzero diagonal at point {hit[1]}"
+    else:
+        expected = f"{hit[0]} distance at pair ({hit[1]}, {hit[2]})"
+    with pytest.raises(InvalidSpaceError) as exc:
+        FiniteMetricSpace(D)
+    assert str(exc.value) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), count=st.integers(0, 2))
+def test_partial_functional_reports_the_first_pair(seed, n, count):
+    rng = random.Random(seed)
+    matrix = random_rational_metric(rng, n)
+    space = FiniteMetricSpace(matrix)
+    domain = rng.sample(range(n), rng.randrange(1, n + 1))
+    anchor = rng.randrange(n)
+    values = [matrix[p][anchor] - matrix[0][anchor] for p in domain]
+    for _ in range(count):
+        values[rng.randrange(len(values))] += Fraction(rng.choice([-3, -1, 1, 3]), rng.randrange(1, 4))
+    D = [[matrix[p][q] for q in domain] for p in domain]
+    hit = oracles.first_lipschitz_violation([[v - values[0] for v in values]], D)
+    if hit is None:
+        assert PartialFunctional(space, domain, values).values == values
+        return
+    _, i, j = hit
+    with pytest.raises(InvalidParameterError) as exc:
+        PartialFunctional(space, domain, values)
+    assert str(exc.value) == (
+        f"not 1-Lipschitz on pair ({domain[i]!r}, {domain[j]!r}): "
+        f"|{values[i]} - {values[j]}| > {D[i][j]}"
+    )
+
+
+def _l1(p, q):
+    return sum(abs(a - b) for a, b in zip(p, q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 2))
+def test_ball_functional_check_reports_the_first_failure(seed, count):
+    rng = random.Random(seed)
+    points = [p for p, _ in discrete_ball(CayleyGraphSpace(Zd(2)), 2)]
+    labels = [str(p) for p in points]
+    anchor = (rng.randrange(-6, 7), rng.randrange(-6, 7))
+    values = [_l1(p, anchor) - _l1(points[0], anchor) for p in points]
+    for _ in range(count):
+        values[rng.randrange(len(values))] += rng.choice([-2, -1, 1, 2])
+    D = [[_l1(p, q) for q in points] for p in points]
+    hit = oracles.first_lipschitz_violation([values], D)
+    bf = BallFunctional(2, tuple(labels), tuple(values), tuple(points))
+    if hit is None:
+        bf.check(_l1)
+        return
+    _, i, j = hit
+    with pytest.raises(InvalidParameterError) as exc:
+        bf.check(_l1)
+    if i == j:
+        assert str(exc.value) == "value at the base point must be 0"
+    else:
+        assert str(exc.value) == f"restriction is not 1-Lipschitz on pair ({labels[i]}, {labels[j]})"
+
+
+class _Planted(MetricSpace):
+    """|p - q| on the integers 0..11, except one pair pushed further apart,
+    which breaks the triangle inequality through any point between them."""
+
+    exact = True
+
+    def __init__(self, a, b, bump):
+        self.pair, self.bump = {a, b}, bump
+
+    @property
+    def base_point(self):
+        return 0
+
+    def distance(self, p, q):
+        return abs(p - q) + (self.bump if {p, q} == self.pair and p != q else 0)
+
+    def sample_points(self, rng, count):
+        return [rng.randrange(12) for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    a=st.integers(0, 11),
+    b=st.integers(0, 11),
+    bump=st.integers(0, 3),
+    max_triples=st.integers(0, 3000),
+)
+def test_validate_metric_reports_the_first_drawn_violation(seed, a, b, bump, max_triples):
+    space = _Planted(a, b, bump)
+    pts = space.sample_points(random.Random(seed), 48)
+    D = [[space.distance(p, q) for q in pts] for p in pts]
+    rng = random.Random(seed)
+    draws = [[rng.randrange(48) for _ in range(3)] for _ in range(max_triples)]
+    pos = oracles.first_triangle_violation(D, 0, [(p, r, q) for p, q, r in draws])
+    report = validate_metric(space, max_triples=max_triples, seed=seed)
+    assert report.pairs_checked == 48 * 47 // 2
+    if pos is None:
+        assert report.passed and report.failure is None
+        assert report.triples_checked == max_triples
+    else:
+        p, q, r = draws[pos]
+        assert not report.passed
+        assert report.failure == ("triangle", pts[p], pts[q], pts[r])
+        assert report.triples_checked == pos + 1

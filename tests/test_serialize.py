@@ -1,22 +1,44 @@
+import functools
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horokit.errors import InvalidParameterError
-from horokit.groups import CayleyGraphSpace, FreeGroup, GeneratingSet, Zd, cayley_ball
+from horokit.extension import PartialFunctional
+from horokit.groups import (
+    CayleyGraphSpace,
+    FreeGroup,
+    GeneratingSet,
+    Heisenberg,
+    Zd,
+    cayley_ball,
+    cyclic_group,
+)
 from horokit.metric import FiniteMetricSpace
 from horokit.serialize import (
     ball_to_json,
     emit_json,
+    partial_functional_from_json,
+    partial_functional_to_json,
     point_from_json,
     point_to_json,
     scalar_from_json,
     scalar_to_json,
     space_from_descriptor,
 )
-from horokit.spaces import LpSpace, PoincareDisk, SpokeRaySpace, StarTreeSpace
+from horokit.spaces import (
+    HUB,
+    DistortedLine,
+    LpSpace,
+    PoincareDisk,
+    SpokeRaySpace,
+    StarTreeSpace,
+    UpperHalfPlane,
+)
 
 
 def test_scalar_round_trip():
@@ -114,3 +136,114 @@ def test_partial_functional_round_trip():
     assert data == {"domain": [0, 1], "values": ["0", "1/2"]}
     back = partial_functional_from_json(space, data)
     assert back.points == pf.points and back.values == pf.values
+
+
+# ---------------------------------------------------------------------------
+# Round trips over every space type
+# ---------------------------------------------------------------------------
+
+SR, ST = SpokeRaySpace(), StarTreeSpace()
+COORD = st.floats(-1e3, 1e3)
+FRACS = functools.partial(st.fractions, max_denominator=16)
+
+
+def _free_word(rank):
+    fam = FreeGroup(rank)
+    letters = st.sampled_from([x for i in range(1, rank + 1) for x in (i, -i)])
+    return st.lists(letters, max_size=8).map(
+        lambda xs: functools.reduce(fam.multiply, [(x,) for x in xs], fam.identity())
+    )
+
+
+def _with_points(space, points):
+    return st.just((space, points))
+
+
+# Each draws (space, strategy for its points).
+SPACES = {
+    "finite": st.integers(1, 6).flatmap(
+        lambda n: _with_points(
+            FiniteMetricSpace([[abs(i - j) for j in range(n)] for i in range(n)]),
+            st.integers(0, n - 1),
+        )
+    ),
+    "zd": st.integers(1, 4).flatmap(
+        lambda d: _with_points(
+            CayleyGraphSpace(Zd(d)), st.tuples(*[st.integers(-6, 6)] * d)
+        )
+    ),
+    "free": st.integers(1, 6).flatmap(
+        lambda k: _with_points(CayleyGraphSpace(FreeGroup(k)), _free_word(k))
+    ),
+    "heisenberg": _with_points(
+        CayleyGraphSpace(Heisenberg()),
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-3, 3)),
+    ),
+    "finite_group": st.integers(2, 9).flatmap(
+        lambda n: _with_points(CayleyGraphSpace(cyclic_group(n)), st.integers(0, n - 1))
+    ),
+    "spoke_ray": _with_points(
+        SR,
+        st.one_of(
+            st.just(HUB),
+            FRACS(min_value=0, max_value=200).map(SR.ray_point),
+            st.integers(1, 50).map(SR.spoke_head),
+            st.integers(1, 20).flatmap(
+                lambda n: FRACS(min_value=0, max_value=Fraction(2 * n - 1, 2)).map(
+                    lambda s: SR.spoke_interior(n, s)
+                )
+            ),
+        ),
+    ),
+    "star_tree": _with_points(
+        ST,
+        st.integers(1, 20).flatmap(
+            lambda n: FRACS(min_value=0, max_value=n).map(lambda s: ST.interval_point(n, s))
+        ),
+    ),
+    "distorted_line": _with_points(DistortedLine("sqrt"), COORD),
+    "poincare_disk": _with_points(
+        PoincareDisk(), st.complex_numbers(max_magnitude=0.99, allow_subnormal=False)
+    ),
+    "half_plane": _with_points(
+        UpperHalfPlane(), st.builds(complex, COORD, st.floats(1e-3, 1e3))
+    ),
+    "lp": st.integers(1, 5).flatmap(
+        lambda d: _with_points(
+            LpSpace(3, d), st.lists(COORD, min_size=d, max_size=d).map(np.array)
+        )
+    ),
+}
+
+
+def _wire(obj):
+    return json.loads(emit_json(obj))
+
+
+def _same_point(p, q):
+    if isinstance(p, np.ndarray):
+        return isinstance(q, np.ndarray) and np.array_equal(p, q)
+    return type(p) is type(q) and p == q
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(SPACES)), data=st.data())
+def test_point_json_round_trip(kind, data):
+    space, points = data.draw(SPACES[kind])
+    p = data.draw(points)
+    assert _same_point(point_from_json(space, _wire(point_to_json(space, p))), p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(SPACES)), data=st.data())
+def test_partial_functional_json_round_trip(kind, data):
+    space, points = data.draw(SPACES[kind])
+    domain = data.draw(st.lists(points, min_size=1, max_size=5))
+    anchor = data.draw(points)
+    x0 = space.base_point
+    # a point functional d(., a) - d(x0, a) is 1-Lipschitz
+    values = [space.distance(p, anchor) - space.distance(x0, anchor) for p in domain]
+    pf = PartialFunctional(space, domain, values)
+    back = partial_functional_from_json(space, _wire(partial_functional_to_json(pf)))
+    assert all(_same_point(q, p) for q, p in zip(back.points, domain))
+    assert back.values == values
