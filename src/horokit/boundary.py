@@ -22,13 +22,15 @@ from .errors import (
     UnsupportedError,
 )
 from .functionals import BallFunctional, ZdLinear, check_rows, eval_functional
-from .groups import CayleyBall, FreeGroup, GeneratingSet, GroupFamily, Zd, cayley_ball
+from .groups import (
+    CayleyBall,
+    GeneratingSet,
+    GroupFamily,
+    Zd,
+    cayley_ball,
+    has_closed_form,
+)
 from .metric import CHUNK, Scalar
-
-
-def _closed_form(family: GroupFamily, gens: GeneratingSet) -> bool:
-    """Word length has a closed form: Z^d or a free group, standard generators."""
-    return gens.is_standard and isinstance(family, (Zd, FreeGroup))
 
 
 def _ball_distance(ball: CayleyBall, x, g) -> int:
@@ -53,51 +55,49 @@ def _lengths(ball: CayleyBall, idx: np.ndarray) -> np.ndarray:
 
 
 def _distance_blocks(ball: CayleyBall, n: int, lo: int, hi: int, dtype) -> Iterator[np.ndarray]:
-    """Row blocks of the matrix of d(x, g) = |x^-1 g|, one row per g in
-    elements[lo:hi] and one column per x in B(r) = elements[:n].
+    """Row blocks of the matrix of d(x, g) = |x^-1 g|, with one column per x
+    in B(r) = elements[:n] and rows for the g in elements[lo:hi].
 
-    Z^d: l1 distance by broadcasting.  Free groups: |x| + |g| - 2 lcp(x, g)
-    on letter arrays padded with 0, which is never a letter.  Every other
-    group: a walk over B(r) in BFS order through the left-multiplication
-    table, col[p.s] = L[col[p], s^-1], which needs the ball to reach R + r.
+    Z^d: l1 distance of ``ball.coords`` rows by broadcasting, one row per g.
+    Free groups: |x| + |g| - 2 lcp(x, g) on the ``ball.coords`` letter rows,
+    padded with 0, which is never a letter.  lcp(x, g) <= |x| <= r, so a row
+    depends only on |g| and the first r letters of g: g that share both give
+    one row, which leaves B(r) whole and cuts a sphere S(R) to its distinct
+    r-prefixes.  Every other group: one row per g, from a walk over B(r) in
+    BFS order through the left-multiplication table, col[p.s] =
+    L[col[p], s^-1], which needs the ball to reach R + r.
     """
     fam = ball.family
-    points = ball.elements[:n]
-    if _closed_form(fam, ball.gens):
+    if has_closed_form(fam, ball.gens):
         if isinstance(fam, Zd):
-            width = fam.dim
-            X = np.array(points, dtype).reshape(n, width)
+            X = np.asarray(ball.coords[:n], dtype)
+            G = ball.coords[lo:hi]
 
             def block(a, b):
-                G = np.array(ball.elements[lo + a : lo + b], dtype).reshape(b - a, width)
-                return np.abs(G[:, None, :] - X).sum(axis=2, dtype=dtype)
+                return np.abs(np.asarray(G[a:b], dtype)[:, None, :] - X).sum(axis=2, dtype=dtype)
 
         else:
-            # lcp(x, g) <= |x| <= r, so only the first r letters count; 0 pads
-            # shorter words and is never a letter.
-            width = max(1, ball.lengths[n - 1])
-
-            def letters(words):
-                out = np.zeros((len(words), width), dtype)
-                for k in range(width):
-                    out[:, k] = [w[k] if len(w) > k else 0 for w in words]
-                return out
-
-            X = letters(points)
+            width = ball.lengths[n - 1]
+            X = ball.coords[:n, :width]
             real = X != 0
             xlen = _lengths(ball, np.arange(n)).astype(dtype)
+            G = ball.coords[lo:hi, :width]
+            glen = _lengths(ball, np.arange(lo, hi))
+            # Shortlex order puts g with the same length and prefix side by side.
+            first = np.ones(len(G), bool)
+            first[1:] = (G[1:] != G[:-1]).any(axis=1) | (glen[1:] != glen[:-1])
+            G, glen = G[first], glen[first].astype(dtype)
 
             def block(a, b):
-                same = (letters(ball.elements[lo + a : lo + b])[:, None, :] == X) & real
+                same = (G[a:b, None, :] == X) & real
                 lcp = np.logical_and.accumulate(same, axis=2).sum(axis=2, dtype=dtype)
-                glen = _lengths(ball, np.arange(lo + a, lo + b)).astype(dtype)
-                return xlen + glen[:, None] - 2 * lcp
+                return xlen + glen[a:b, None] - 2 * lcp
 
-        step = max(1, CHUNK // (n * width))
-        for a in range(0, hi - lo, step):
-            yield block(a, min(a + step, hi - lo))
+        step = max(1, CHUNK // (n * max(1, X.shape[1])))
+        for a in range(0, len(G), step):
+            yield block(a, a + step)
         return
-    table, gens, index = ball.left_table, ball.gens.elements, ball.index
+    points, table, gens, index = ball.elements[:n], ball.left_table, ball.gens.elements, ball.index
     inv = [gens.index(fam._inv(s)) for s in gens]
     cols = np.empty((n, hi - lo), np.int32)
     cols[0] = np.arange(lo, hi)
@@ -124,7 +124,8 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> list[BallFunctional
 
     The |S(R)| x |B(r)| matrix of d(x, g) - R comes from one array kernel
     (see ``_distance_blocks``): l1 broadcasting on Z^d and
-    |x| + |g| - 2 lcp(x, g) on free groups, which need a ball of radius R;
+    |x| + |g| - 2 lcp(x, g) over the distinct r-prefixes of the sphere on
+    free groups, both read from ``ball.coords`` and needing radius R only;
     a left-multiplication table walk on every other group, which needs
     radius R + r.  Values and the distance matrix D of B(r) are int16
     (int64 once R + r leaves int16) and the table is int32.  Temporaries
@@ -137,7 +138,7 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> list[BallFunctional
     """
     if not 0 <= r <= R:
         raise PreconditionError(f"need 0 <= ball radius {r} <= sphere radius {R}")
-    needed = R if _closed_form(ball.family, ball.gens) else R + r
+    needed = R if has_closed_form(ball.family, ball.gens) else R + r
     if ball.radius < needed:
         raise PreconditionError(
             f"ball radius {ball.radius} is insufficient; need >= {needed}"
@@ -181,7 +182,7 @@ def restriction_table(
     if not radii:
         raise PreconditionError("need at least one sphere radius")
     if ball is None:
-        pad = 0 if _closed_form(family, gens) else r
+        pad = 0 if has_closed_form(family, gens) else r
         ball = cayley_ball(family, gens, max(radii) + pad, limit=limit)
     return RestrictionTable(r, {R: tuple(sphere_restrictions(ball, r, R)) for R in radii})
 
@@ -241,7 +242,7 @@ def limit_restrictions(
         raise PreconditionError("window must be >= 1")
     if r_max <= r + window:
         raise PreconditionError("need r_max > r + window")
-    pad = 0 if _closed_form(family, gens) else r
+    pad = 0 if has_closed_form(family, gens) else r
     ball = cayley_ball(family, gens, r_max + pad, limit=limit)
     lo_needed = max(r, r_max - 2 * window)
     table = restriction_table(

@@ -98,10 +98,10 @@ def _parsing(flag: str):
         raise InvalidParameterError(f"malformed {flag}: {exc}") from exc
 
 
-def _count(flag: str, value: int) -> int:
-    """A count flag: a negative value would make the check pass vacuously."""
-    if value < 0:
-        raise InvalidParameterError(f"{flag} must be >= 0, got {value}")
+def _count(flag: str, value: int, minimum: int = 0) -> int:
+    """A count flag: below ``minimum`` the check would pass vacuously."""
+    if value < minimum:
+        raise InvalidParameterError(f"{flag} must be >= {minimum}, got {value}")
     return value
 
 
@@ -322,7 +322,7 @@ def _cmd_spectral(args) -> tuple[dict, bool, str]:
         space = UpperHalfPlane()
         rows = []
         ok = True
-        for _ in range(_count("--count", args.count)):
+        for _ in range(_count("--count", args.count, 1)):
             fm, gm = random_hyperbolic_pair(rng)
             rep = tracial_check(fm.as_selfmap(space), gm.as_selfmap(space), args.n)
             ok = ok and rep.passed and rep.closed_form_gap == 0
@@ -433,7 +433,7 @@ def _selftest_dynamics(args) -> list[tuple[str, bool]]:
 
 
 def _cmd_gallery(args) -> tuple[dict, bool, str]:
-    _count("--count", args.count)
+    _count("--count", args.count, 1)
     if args.piece == "spoke-ray":
         rep = horofunction_failure_witness("spoke_ray", args.r, list(range(2, 2 + args.count)))
         ok = all(w.gap == Fraction(3, 2) for w in rep.witnesses)
@@ -535,6 +535,7 @@ def _selftest_reduced(args) -> list[tuple[str, bool]]:
 def _cmd_validate(args) -> tuple[dict, bool, str]:
     if args.variant == "metric":
         space = _load_space(args.space)
+        _count("--triples", args.triples, 1)
         rep = validate_metric(space, max_triples=args.triples, seed=args.seed)
         payload = rep.as_dict()
         csv = f"passed,{rep.passed}"

@@ -8,12 +8,14 @@ arithmetic is exact and hashable.
 
 from __future__ import annotations
 
+import bisect
 import random
 import re
 import threading
 from functools import cached_property
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from math import comb
 from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
@@ -379,8 +381,13 @@ class GeneratingSet:
 class CayleyBall:
     """The radius-R ball of a Cayley graph, in canonical (shortlex) order.
 
-    ``sphere_offsets[r]`` is the index where sphere S(r) starts.  The
-    generator-labeled edge list (i, j, gen_index) is computed on first use.
+    ``sphere_offsets[r]`` is the index where sphere S(r) starts.  On Z^d and
+    free groups under standard generators, ``coords`` is the same ball as
+    one narrow int array, row i for element i: its coordinates on Z^d
+    (int16, int64 once the radius leaves int16), or its letters padded with
+    0 to the ball radius on F_n (int8, int64 past rank 127).  It is None on
+    every other group.  The element-to-index dict ``index`` and the
+    generator-labeled edge list (i, j, gen_index) are computed on first use.
     """
 
     family: GroupFamily
@@ -389,20 +396,21 @@ class CayleyBall:
     elements: tuple[Element, ...]
     lengths: tuple[int, ...]
     sphere_offsets: tuple[int, ...]
-    index: dict = field(repr=False, default=None)
-    _edges: Optional[tuple[tuple[int, int, int], ...]] = field(repr=False, default=None)
+    coords: Optional[np.ndarray] = field(repr=False, default=None)
 
-    @property
+    @cached_property
+    def index(self) -> dict:
+        return {g: i for i, g in enumerate(self.elements)}
+
+    @cached_property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
-        if self._edges is None:
-            out = []
-            for i, g in enumerate(self.elements):
-                for k, s in enumerate(self.gens.elements):
-                    j = self.index.get(self.family._mul(g, s))
-                    if j is not None:
-                        out.append((i, j, k))
-            self._edges = tuple(out)
-        return self._edges
+        out = []
+        for i, g in enumerate(self.elements):
+            for k, s in enumerate(self.gens.elements):
+                j = self.index.get(self.family._mul(g, s))
+                if j is not None:
+                    out.append((i, j, k))
+        return tuple(out)
 
     def sphere(self, r: int) -> tuple[Element, ...]:
         if not 0 <= r <= self.radius:
@@ -438,6 +446,72 @@ class CayleyBall:
         ]
 
 
+def has_closed_form(family: GroupFamily, gens: GeneratingSet) -> bool:
+    """Z^d or a free group under standard generators: word lengths, spheres
+    and ball sizes have closed forms."""
+    return gens.is_standard and isinstance(family, (Zd, FreeGroup))
+
+
+def _ball_size(family: GroupFamily, r: int, cap: int) -> int:
+    """min(|B(r)|, cap + 1) on Z^d or F_n under standard generators."""
+    if isinstance(family, Zd):
+        d = family.dim
+        size = sum(2**k * comb(d, k) * comb(r, k) for k in range(min(d, r) + 1))
+    elif family.rank == 1:
+        size = 2 * r + 1
+    elif r > cap.bit_length():
+        return cap + 1  # |S(r)| >= 4 * 3^(r - 1) > 2^r > cap
+    else:
+        q = 2 * family.rank - 1
+        size = 1 + (q + 1) * (q**r - 1) // (q - 1)
+    return min(size, cap + 1)
+
+
+def _zd_coords(dim: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Z^dim ball as coordinate rows in shortlex order, and its sphere sizes.
+
+    Z^1 is 0, -1, 1, -2, 2, ...  Then S_k(r) is the union over a = -r..r, in
+    that order, of {a} x S_(k-1)(r - |a|): one gather per dimension.
+    """
+    dtype = np.int16 if radius <= np.iinfo(np.int16).max else np.int64
+    rs = np.arange(radius + 1)
+    X = np.stack([-rs, rs], axis=1).reshape(-1, 1)[1:].astype(dtype)
+    sizes = np.where(rs > 0, 2, 1)
+    for _ in range(1, dim):
+        rr = np.repeat(rs, 2 * rs + 1)
+        aa = np.arange(len(rr)) - rr * rr - rr  # block (r, a) is number r^2 + r + a
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        sub = rr - np.abs(aa)
+        count = sizes[sub]
+        ends = np.cumsum(count)
+        idx = np.arange(ends[-1]) + np.repeat(offsets[sub] - ends + count, count)
+        X = np.concatenate([np.repeat(aa.astype(dtype), count)[:, None], X[idx]], axis=1)
+        sizes = np.add.reduceat(count, rs * rs)
+    return X, sizes
+
+
+def _free_coords(rank: int, radius: int) -> tuple[np.ndarray, list[int]]:
+    """The F_rank ball as letter rows padded with 0, in shortlex order, and
+    its sphere sizes.
+
+    Each word of S(r - 1) is followed by its non-cancelling letters in key
+    order a < a^-1 < b < ..., so every sphere comes out sorted.
+    """
+    dtype = np.int8 if rank <= np.iinfo(np.int8).max else np.int64
+    letters = np.array([x for i in range(1, rank + 1) for x in (i, -i)], dtype)
+    sizes = [1] + [2 * rank * (2 * rank - 1) ** (r - 1) for r in range(1, radius + 1)]
+    offsets = np.cumsum([0] + sizes)
+    coords = np.zeros((offsets[-1], radius), dtype)
+    for r in range(1, radius + 1):
+        a, b, c = offsets[r - 1 : r + 2]
+        last = coords[a:b, r - 2] if r > 1 else np.zeros(1, dtype)
+        allowed = letters != -last[:, None]
+        children = coords[b:c].reshape(b - a, -1, radius)
+        children[:, :, : r - 1] = coords[a:b, None, : r - 1]
+        children[:, :, r - 1] = np.broadcast_to(letters, allowed.shape)[allowed].reshape(b - a, -1)
+    return coords, sizes
+
+
 def cayley_ball(
     family: GroupFamily,
     gens: GeneratingSet,
@@ -445,30 +519,38 @@ def cayley_ball(
     *,
     limit: int | None = None,
 ) -> CayleyBall:
-    """Breadth-first ball around the identity with exact word lengths."""
+    """Ball around the identity with exact word lengths, in shortlex order.
+
+    On Z^d and free groups under standard generators (``has_closed_form``)
+    the closed-form ball size is checked against the limit first, and then
+    every sphere is built as an int array (kept as ``coords``).  Every other
+    group is a breadth-first search with a visited dict.  Either way a ball
+    over the limit raises ``ResourceLimitError`` with the last radius that
+    fits.
+    """
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
     cap = ball_limit(limit)
     ident = family.identity()
     layers: list[list[Element]]
-    if isinstance(family, FreeGroup) and gens.is_standard:
-        # The Cayley graph is a tree: spheres extend words by any
-        # non-cancelling letter, with no visited set needed.
-        size = 1
-        layers = [[ident]]
-        for r in range(1, radius + 1):
-            nxt = []
-            for w in layers[r - 1]:
-                last = w[-1] if w else 0
-                for i in range(1, family.rank + 1):
-                    for x in (i, -i):
-                        if x != -last:
-                            nxt.append(w + (x,))
-            size += len(nxt)
-            if size > cap:
-                raise ResourceLimitError(f"ball size exceeded limit {cap}", radius_reached=r - 1)
-            nxt.sort(key=family.element_key)
-            layers.append(nxt)
+    coords = None
+    if has_closed_form(family, gens):
+        if radius > 0 and _ball_size(family, radius, cap) > cap:
+            fits = bisect.bisect_right(
+                range(1, radius + 1), cap, key=lambda r: _ball_size(family, r, cap)
+            )
+            raise ResourceLimitError(f"ball size exceeded limit {cap}", radius_reached=fits)
+        free = isinstance(family, FreeGroup)
+        if free:
+            coords, sizes = _free_coords(family.rank, radius)
+        else:
+            coords, sizes = _zd_coords(family.dim, radius)
+        # Tuples zipped from column lists; r = 0 has no columns on F_n.
+        bounds = np.cumsum([0, *sizes]).tolist()
+        layers = [[ident]] + [
+            list(zip(*coords[bounds[r] : bounds[r + 1], : r if free else None].T.tolist()))
+            for r in range(1, radius + 1)
+        ]
     else:
         dist: dict[Element, int] = {ident: 0}
         layers = [[ident]]
@@ -493,15 +575,8 @@ def cayley_ball(
         elements.extend(layer)
         lengths.extend([r] * len(layer))
         offsets.append(len(elements))
-    index = {g: i for i, g in enumerate(elements)}
     return CayleyBall(
-        family,
-        gens,
-        radius,
-        tuple(elements),
-        tuple(lengths),
-        tuple(offsets),
-        index,
+        family, gens, radius, tuple(elements), tuple(lengths), tuple(offsets), coords
     )
 
 

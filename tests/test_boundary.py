@@ -341,6 +341,15 @@ def test_free_sphere_restrictions_match_reduction_oracle(rank, r, r_max):
         assert _values(sphere_restrictions(ball, r, R)) == free_restrictions(rank, r, R), R
 
 
+@pytest.mark.parametrize("rank,r,R", [(2, 1, 6), (2, 1, 8), (2, 2, 7), (2, 2, 8), (2, 3, 8), (3, 1, 6)])
+def test_free_sphere_restrictions_far_out_match_reduction_oracle(rank, r, R):
+    # At R >= r + 5 many words share each r-prefix, so the kernel keeps a
+    # small share of the sphere.
+    fam = FreeGroup(rank)
+    ball = cayley_ball(fam, GeneratingSet.standard(fam), R)
+    assert _values(sphere_restrictions(ball, r, R)) == free_restrictions(rank, r, R)
+
+
 def test_table_walk_on_nonstandard_generators_matches_bfs_oracle():
     z2 = Zd(2)
     steps = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]

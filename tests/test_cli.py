@@ -183,6 +183,12 @@ def test_internal_error_is_not_reported_as_invalid_input(monkeypatch):
         ("gallery", "euclidean-zero", "--count", "-1"),
         ("extend", "hahn-banach", "--n", "-1"),
         ("extend", "hahn-banach", "--fixture", "star-tree", "--n", "-1"),
+        ("validate", "metric", "--triples", "0"),
+        ("validate", "metric", "--space", '{"type": "heisenberg"}', "--triples", "0"),
+        ("spectral", "tracial", "--count", "0"),
+        ("gallery", "star-tree", "--count", "0"),
+        ("gallery", "spoke-ray", "--count", "0"),
+        ("gallery", "euclidean-zero", "--count", "0"),
     ],
     ids=lambda a: "-".join(a[:2]) + ":" + a[-1][:12],
 )

@@ -149,6 +149,73 @@ def test_ball_resource_limit_reports_radius():
     assert exc.value.radius_reached is not None
 
 
+def _zd_oracle(d):
+    units = [tuple(sign * (i == k) for k in range(d)) for i in range(d) for sign in (1, -1)]
+    return (0,) * d, units, lambda g, s: tuple(a + b for a, b in zip(g, s)), lambda g: g
+
+
+def _free_oracle(rank):
+    letters = [(x,) for i in range(1, rank + 1) for x in (i, -i)]
+    # shortlex letter order a < a^-1 < b < b^-1 < ...
+    return (), letters, lambda g, s: free_reduce(g + s), lambda g: [2 * abs(x) + (x < 0) for x in g]
+
+
+BALL_CASES = [(Zd(d), R) for d, radii in [(1, (0, 1, 9)), (2, (0, 1, 2, 7)), (3, (0, 3, 5)),
+                                          (4, (0, 2, 4)), (5, (0, 1, 3))] for R in radii]
+BALL_CASES += [(FreeGroup(n), R) for n, radii in [(1, (0, 1, 8)), (2, (0, 1, 2, 6)), (3, (0, 3, 4)),
+                                                  (4, (0, 1, 3)), (128, (2,))] for R in radii]
+
+
+@pytest.mark.parametrize("fam,R", BALL_CASES, ids=lambda c: getattr(c, "name", c))
+def test_closed_form_ball_matches_plain_bfs(fam, R):
+    ident, gens, mul, key = (_zd_oracle if isinstance(fam, Zd) else _free_oracle)(
+        fam.dim if isinstance(fam, Zd) else fam.rank
+    )
+    dist = bfs_ball(ident, gens, mul, R)
+    order = sorted(dist, key=lambda g: (dist[g], key(g)))
+    ball = cayley_ball(fam, GeneratingSet.standard(fam), R)
+    assert ball.elements == tuple(order)
+    assert ball.lengths == tuple(dist[g] for g in order)
+    assert ball.sphere_offsets == tuple(
+        sum(1 for g in order if dist[g] < r) for r in range(R + 2)
+    )
+    assert ball.index == {g: i for i, g in enumerate(order)}
+    assert all(type(a) is int for g in ball.elements for a in g)
+    # coords holds the same elements, letters padded with 0 on free groups
+    width = fam.dim if isinstance(fam, Zd) else R
+    assert ball.coords.tolist() == [list(g) + [0] * (width - len(g)) for g in order]
+
+
+def _sizes(fam, R):
+    count = zd_sphere_count if isinstance(fam, Zd) else free_sphere_count
+    param = fam.dim if isinstance(fam, Zd) else fam.rank
+    return [sum(count(param, k) for k in range(r + 1)) for r in range(R + 1)]
+
+
+@pytest.mark.parametrize("fam", [Zd(1), Zd(2), Zd(3), FreeGroup(1), FreeGroup(2), FreeGroup(3)],
+                         ids=lambda f: f.name)
+def test_closed_form_ball_limit_inside_a_sphere(fam):
+    gens = GeneratingSet.standard(fam)
+    size = _sizes(fam, 4)
+    # limits that fall inside S(3): B(2) fits, B(3) does not
+    for limit in (size[2] + 1, size[3] - 1):
+        with pytest.raises(ResourceLimitError, match=f"^ball size exceeded limit {limit}$") as exc:
+            cayley_ball(fam, gens, 4, limit=limit)
+        assert exc.value.radius_reached == 2
+    assert len(cayley_ball(fam, gens, 3, limit=size[3]).elements) == size[3]
+
+
+@pytest.mark.parametrize("fam", [Zd(1), Zd(2), Zd(6), FreeGroup(1), FreeGroup(2), FreeGroup(200)],
+                         ids=lambda f: f.name)
+def test_closed_form_ball_limit_checked_before_building(fam):
+    # B(10^9) would need far more than the memory of any machine.
+    gens = GeneratingSet.standard(fam)
+    with pytest.raises(ResourceLimitError, match="^ball size exceeded limit 1000$") as exc:
+        cayley_ball(fam, gens, 10**9, limit=1000)
+    size = _sizes(fam, exc.value.radius_reached + 1)
+    assert size[-2] <= 1000 < size[-1]
+
+
 def test_ball_deterministic():
     fam = Heisenberg()
     gens = GeneratingSet.standard(fam)

@@ -1,3 +1,4 @@
+import cmath
 import functools
 import json
 from fractions import Fraction
@@ -9,6 +10,15 @@ from hypothesis import strategies as st
 
 from horokit.errors import InvalidParameterError
 from horokit.extension import PartialFunctional
+from horokit.functionals import (
+    DiskBusemann,
+    HalfPlaneBusemannInfinity,
+    Linear,
+    LpMu,
+    LpZC,
+    ZdLinear,
+    Zero,
+)
 from horokit.groups import (
     CayleyGraphSpace,
     FreeGroup,
@@ -22,6 +32,8 @@ from horokit.metric import FiniteMetricSpace
 from horokit.serialize import (
     ball_to_json,
     emit_json,
+    functional_from_json,
+    functional_to_json,
     partial_functional_from_json,
     partial_functional_to_json,
     point_from_json,
@@ -247,3 +259,44 @@ def test_partial_functional_json_round_trip(kind, data):
     back = partial_functional_from_json(space, _wire(partial_functional_to_json(pf)))
     assert all(_same_point(q, p) for q, p in zip(back.points, domain))
     assert back.values == values
+
+
+# ---------------------------------------------------------------------------
+# Round trips over every closed-form functional type
+# ---------------------------------------------------------------------------
+
+
+def _scaled(d):
+    """Vectors of length d with l1 norm <= 1, so every lp norm is <= 1 too."""
+    return st.lists(st.floats(-1, 1), min_size=d, max_size=d).map(lambda v: [x / d for x in v])
+
+
+def _lp_zc():
+    def build(z, p, extra):
+        return LpZC(z, sum(abs(x) for x in z) + extra, p)  # c >= ||z||_1 >= ||z||_p
+
+    return st.integers(1, 4).flatmap(
+        lambda d: st.builds(build, st.lists(COORD, min_size=d, max_size=d),
+                            st.floats(1, 8), st.floats(0, 1e3))
+    )
+
+
+FUNCTIONALS = {
+    "lp_zc": _lp_zc(),
+    "lp_mu": st.integers(1, 4).flatmap(lambda d: st.builds(LpMu, _scaled(d), st.floats(1.01, 8))),
+    "linear": st.integers(1, 4).flatmap(lambda d: st.builds(Linear, _scaled(d))),
+    "zero": st.builds(Zero),
+    "disk_busemann": st.floats(-4, 4).map(lambda t: DiskBusemann(cmath.rect(1.0, t))),
+    "half_plane_busemann_infinity": st.builds(HalfPlaneBusemannInfinity),
+    "zd_linear": st.lists(FRACS(min_value=-1, max_value=1), min_size=1, max_size=5).map(ZdLinear),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(FUNCTIONALS)), data=st.data())
+def test_functional_json_round_trip(kind, data):
+    f = data.draw(FUNCTIONALS[kind])
+    wire = _wire(functional_to_json(f))
+    g = functional_from_json(wire)
+    assert type(g) is type(f) and g.kind == kind
+    assert _wire(functional_to_json(g)) == wire
