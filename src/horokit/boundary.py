@@ -26,9 +26,11 @@ from .groups import (
     CayleyBall,
     GeneratingSet,
     GroupFamily,
+    Heisenberg,
     Zd,
     cayley_ball,
     has_closed_form,
+    heisenberg_length,
 )
 from .metric import CHUNK, Scalar
 
@@ -63,7 +65,9 @@ def _distance_blocks(ball: CayleyBall, n: int, lo: int, hi: int, dtype) -> Itera
     padded with 0, which is never a letter.  lcp(x, g) <= |x| <= r, so a row
     depends only on |g| and the first r letters of g: g that share both give
     one row, which leaves B(r) whole and cuts a sphere S(R) to its distinct
-    r-prefixes.  Every other group: one row per g, from a walk over B(r) in
+    r-prefixes.  H3: ``heisenberg_length`` of x^-1 g, broadcast over the
+    (a, b, c) rows of ``ball.coords``, one row per g.  Non-standard
+    generators and finite groups: one row per g, from a walk over B(r) in
     BFS order through the left-multiplication table, col[p.s] =
     L[col[p], s^-1], which needs the ball to reach R + r.
     """
@@ -75,6 +79,15 @@ def _distance_blocks(ball: CayleyBall, n: int, lo: int, hi: int, dtype) -> Itera
 
             def block(a, b):
                 return np.abs(np.asarray(G[a:b], dtype)[:, None, :] - X).sum(axis=2, dtype=dtype)
+
+        elif isinstance(fam, Heisenberg):
+            X = ball.coords[:n]
+            G = ball.coords[lo:hi]
+
+            def block(a, b):
+                # x^-1 g = (g_a - x_a, g_b - x_b, g_c - x_c - x_a (g_b - x_b))
+                da, db, dc = np.moveaxis(G[a:b, None, :] - X, 2, 0)
+                return heisenberg_length(da, db, dc - X[:, 0] * db).astype(dtype)
 
         else:
             width = ball.lengths[n - 1]
@@ -123,11 +136,12 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> list[BallFunctional
     """Deduplicated restrictions h_g|B(r) over all g with |g| = R.
 
     The |S(R)| x |B(r)| matrix of d(x, g) - R comes from one array kernel
-    (see ``_distance_blocks``): l1 broadcasting on Z^d and
+    (see ``_distance_blocks``): l1 broadcasting on Z^d,
     |x| + |g| - 2 lcp(x, g) over the distinct r-prefixes of the sphere on
-    free groups, both read from ``ball.coords`` and needing radius R only;
-    a left-multiplication table walk on every other group, which needs
-    radius R + r.  Values and the distance matrix D of B(r) are int16
+    free groups and the closed-form word length of x^-1 g on H3, all read
+    from ``ball.coords`` and needing radius R only; a left-multiplication
+    table walk under non-standard generators and on finite groups, which
+    needs radius R + r.  Values and the distance matrix D of B(r) are int16
     (int64 once R + r leaves int16) and the table is int32.  Temporaries
     are chunked to about 256K elements, and each chunk is deduplicated as
     it is made.  ``np.unique`` sorts the rows in value-tuple order; the

@@ -110,8 +110,10 @@ def _load_space(text: str):
         return space_from_descriptor(json.loads(text))
 
 
-def _mobius_from_flag(text: str) -> MoebiusMap:
+def _mobius_from_flag(text: str | None) -> MoebiusMap:
     with _parsing("--matrix"):
+        if text is None:
+            raise InvalidParameterError("--map mobius needs --matrix")
         parts = [Fraction(p) for p in text.split(",")]
     if len(parts) != 4:
         raise InvalidParameterError("matrix flag needs four comma-separated entries")
@@ -206,8 +208,8 @@ def _cmd_extend(args) -> tuple[dict, bool, str]:
         ok = True
         csv = "\n".join(["point,value"] + [f"{r['point']},{r['value']}" for r in rows])
         return _report("extend.mcshane", payload, {"mode": args.mode}), ok, csv
-    # hahn-banach fixtures
-    _count("--n", args.n)
+    # hahn-banach fixtures; spoke-ray at n = 0 would evaluate no point
+    _count("--n", args.n, 1 if args.fixture == "spoke-ray" else 0)
     if args.fixture == "spoke-ray":
         space = SpokeRaySpace()
         n_max = args.n
@@ -389,6 +391,7 @@ def _cmd_dynamics(args) -> tuple[dict, bool, str]:
             csv = "\n".join(["n,value"] + [f"{n - args.n},{v}" for n, v in enumerate(vals)])
             return _report("dynamics.parabolic.disk", payload, {"n": args.n}), ok, csv
         if args.fixture == "heisenberg-z":
+            _count("--eval-hi", args.eval_hi)
             family = Heisenberg()
             space = CayleyGraphSpace(family)
             f = group_translation(space, family.central(1))

@@ -9,7 +9,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -358,7 +357,7 @@ class RealizedFunctional:
     ``stable_window`` ends the iteration); float spaces stop once two
     successive evaluations differ by less than tol/10.  Running out of
     witnesses yields an explicit non-stabilized outcome, never a silent
-    value.  Evaluations are cached; the cache is safe for concurrent use.
+    value.  Evaluations are cached.
     """
 
     def __init__(
@@ -380,7 +379,6 @@ class RealizedFunctional:
         self._points: list[Point] = []
         self._offsets: list[Scalar] = []
         self._cache: dict[Any, EvalOutcome] = {}
-        self._lock = threading.Lock()
 
     def _witness(self, k: int) -> Optional[Point]:
         while len(self._points) <= k:
@@ -396,13 +394,10 @@ class RealizedFunctional:
 
     def evaluate(self, y: Point) -> EvalOutcome:
         key = self.space.point_key(y)
-        with self._lock:
-            hit = self._cache.get(key)
-            if hit is not None:
-                return hit
-            outcome = self._evaluate(y)
-            self._cache[key] = outcome
-            return outcome
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = self._cache[key] = self._evaluate(y)
+        return hit
 
     def _evaluate(self, y: Point) -> EvalOutcome:
         # Exact spaces consume the whole witness schedule and report the

@@ -11,11 +11,10 @@ from __future__ import annotations
 import bisect
 import random
 import re
-import threading
 from functools import cached_property
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, isqrt
 from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
@@ -218,11 +217,64 @@ class FreeGroup(GroupFamily):
         return tuple(out)
 
 
+class _IntOps:
+    """The four primitives of ``heisenberg_length`` on Python ints."""
+
+    minimum, maximum, isqrt = min, max, isqrt
+
+    @staticmethod
+    def where(cond, x, y):
+        return x if cond else y
+
+
+class _ArrayOps:
+    """The same primitives elementwise on int64 arrays."""
+
+    minimum, maximum, where = np.minimum, np.maximum, np.where
+
+    @staticmethod
+    def isqrt(e):
+        # A float square root is off by at most one below 2^62.
+        s = np.sqrt(e.astype(np.float64)).astype(np.int64)
+        s -= s * s > e
+        s += (s + 1) * (s + 1) <= e
+        return s
+
+
+def heisenberg_length(a, b, c):
+    """Word length of (a, b, c) in H3 under x^+-1, y^+-1 (Blachere 2003).
+
+    Works on Python ints (exact at any size) and elementwise on int64
+    arrays (exact while |ab| and |c| stay below 2^61).  The automorphisms
+    x -> x^-1 and y -> y^-1 map (a, b, c) to (-a, b, -c) and (a, -b, -c),
+    so a, b >= 0 after flipping c when the signs differ.  Then 0 <= c <= ab
+    has length a + b.  Otherwise let e = c when c > ab, or e = ab - c when
+    c < 0 (the inverse with a and b negated is (a, b, ab - c)); the length
+    is 2 min{P + Q : P >= a, Q >= b, PQ >= e} - a - b.
+
+    With a <= b, e > ab puts both P = ceil(e/b) (with Q = b) and
+    P = isqrt(e) above a.  Past ceil(e/b) the sum P + b only grows, and
+    below it the sum is P + ceil(e/P) >= ceil(2 sqrt(e)), which isqrt(e)
+    attains, so the minimum is at one of the two.
+    """
+    ops = _IntOps if isinstance(a, int) else _ArrayOps
+    c = ops.where((a < 0) ^ (b < 0), -c, c)
+    a, b = abs(a), abs(b)
+    ab = a * b
+    e = ops.where(c > ab, c, ab - c)
+    # The clamps at 1 only guard the divisions where e = 0 or a = b = 0.
+    hi = ops.maximum(ops.maximum(a, b), 1)
+    s = ops.maximum(ops.isqrt(e), 1)
+    best = ops.minimum(-(-e // hi) + hi, s + ops.maximum(hi, -(-e // s)))
+    return ops.where((0 <= c) & (c <= ab), a + b, 2 * best - a - b)
+
+
 class Heisenberg(GroupFamily):
     """Discrete Heisenberg group as integer triples (a, b, c).
 
     (a, b, c) stands for the upper-triangular matrix [[1, a, c], [0, 1, b],
-    [0, 0, 1]]; multiplication follows from the matrix product.
+    [0, 0, 1]]; multiplication follows from the matrix product, and c is
+    the area term of the lattice path.
     """
 
     name = "H3"
@@ -253,6 +305,9 @@ class Heisenberg(GroupFamily):
         # x = (1,0,0), y = (0,1,0) and inverses; the commutator [x, y] is
         # the central element z = (0,0,1).
         return ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
+
+    def closed_form_length(self, g):
+        return heisenberg_length(*g)
 
     def central(self, n: int = 1) -> Element:
         return (0, 0, n)
@@ -285,7 +340,6 @@ class FiniteGroup(GroupFamily):
             self._inverses[g] = inv
         self._default_gens = tuple(generators) if generators else None
         self._length_cache: dict[tuple[int, ...], dict[int, int]] = {}
-        self._lock = threading.Lock()
 
     def identity(self):
         return self._identity
@@ -315,8 +369,7 @@ class FiniteGroup(GroupFamily):
     def lengths_for(self, gens: "GeneratingSet") -> dict[int, int]:
         """Word lengths of all elements reachable from the identity."""
         key = tuple(gens.elements)
-        with self._lock:
-            cached = self._length_cache.get(key)
+        cached = self._length_cache.get(key)
         if cached is not None:
             return cached
         dist = {self._identity: 0}
@@ -332,8 +385,7 @@ class FiniteGroup(GroupFamily):
                         dist[h] = d
                         nxt.append(h)
             frontier = nxt
-        with self._lock:
-            self._length_cache[key] = dist
+        self._length_cache[key] = dist
         return dist
 
 
@@ -381,13 +433,14 @@ class GeneratingSet:
 class CayleyBall:
     """The radius-R ball of a Cayley graph, in canonical (shortlex) order.
 
-    ``sphere_offsets[r]`` is the index where sphere S(r) starts.  On Z^d and
-    free groups under standard generators, ``coords`` is the same ball as
-    one narrow int array, row i for element i: its coordinates on Z^d
-    (int16, int64 once the radius leaves int16), or its letters padded with
-    0 to the ball radius on F_n (int8, int64 past rank 127).  It is None on
-    every other group.  The element-to-index dict ``index`` and the
-    generator-labeled edge list (i, j, gen_index) are computed on first use.
+    ``sphere_offsets[r]`` is the index where sphere S(r) starts.  On Z^d,
+    free groups and H3 under standard generators, ``coords`` is the same
+    ball as one int array, row i for element i: its coordinates on Z^d
+    (int16, int64 once the radius leaves int16), its letters padded with 0
+    to the ball radius on F_n (int8, int64 past rank 127), or its (a, b, c)
+    on H3 (int64).  It is None under non-standard generators and on finite
+    groups.  The element-to-index dict ``index`` and the generator-labeled
+    edge list (i, j, gen_index) are computed on first use.
     """
 
     family: GroupFamily
@@ -447,16 +500,23 @@ class CayleyBall:
 
 
 def has_closed_form(family: GroupFamily, gens: GeneratingSet) -> bool:
-    """Z^d or a free group under standard generators: word lengths, spheres
-    and ball sizes have closed forms."""
-    return gens.is_standard and isinstance(family, (Zd, FreeGroup))
+    """Z^d, a free group or H3 under standard generators: word lengths,
+    spheres and ball sizes have closed forms."""
+    return gens.is_standard and isinstance(family, (Zd, FreeGroup, Heisenberg))
 
 
 def _ball_size(family: GroupFamily, r: int, cap: int) -> int:
-    """min(|B(r)|, cap + 1) on Z^d or F_n under standard generators."""
+    """min(|B(r)|, cap + 1) on Z^d, F_n or H3 under standard generators."""
     if isinstance(family, Zd):
         d = family.dim
         size = sum(2**k * comb(d, k) * comb(r, k) for k in range(min(d, r) + 1))
+    elif isinstance(family, Heisenberg):
+        # B(r) holds (a, b, c) for a, b >= 0, a + b <= r and 0 <= c <= ab:
+        # more than the sum of ab, which is C(r + 2, 4).
+        if comb(r + 2, 4) > cap:
+            return cap + 1
+        lo, hi = _h3_columns(r)[2:]
+        size = int((hi - lo + 1).sum())
     elif family.rank == 1:
         size = 2 * r + 1
     elif r > cap.bit_length():
@@ -512,6 +572,41 @@ def _free_coords(rank: int, radius: int) -> tuple[np.ndarray, list[int]]:
     return coords, sizes
 
 
+def _h3_columns(radius: int) -> tuple[np.ndarray, ...]:
+    """Every (a, b) with |a| + |b| <= radius, and the c-interval [lo, hi] of
+    its column in the H3 ball B(radius).
+
+    With a, b >= 0 (see ``heisenberg_length``) the length is at most R iff
+    e <= E = max{PQ : P >= a, Q >= b, P + Q <= T}, T = (R + a + b) // 2.
+    E is taken at P = T // 2 clamped to [a, T - b], so c runs over
+    [ab - E, E].  Flipping c when the signs of a and b differ gives
+    [-E, E - ab].
+    """
+    av = np.arange(-radius, radius + 1)
+    span = radius - np.abs(av)
+    a = np.repeat(av, 2 * span + 1)
+    # b runs over -span..span; the run of av[i] ends at cumsum[i].
+    b = np.arange(len(a)) - np.repeat(np.cumsum(2 * span + 1) - span - 1, 2 * span + 1)
+    A, B = np.abs(a), np.abs(b)
+    T = (radius + A + B) // 2
+    P = np.clip(T // 2, A, T - B)
+    E, ab = P * (T - P), A * B
+    flip = (a < 0) ^ (b < 0)
+    return a, b, np.where(flip, -E, ab - E), np.where(flip, E - ab, E)
+
+
+def _h3_coords(radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """The H3 ball as int64 (a, b, c) rows in shortlex order, and its sphere
+    sizes: every column interval, sorted by (length, a, b, c)."""
+    a, b, lo, hi = _h3_columns(radius)
+    count = hi - lo + 1
+    c = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
+    a, b = np.repeat(a, count), np.repeat(b, count)
+    length = heisenberg_length(a, b, c)
+    order = np.lexsort((c, b, a, length))
+    return np.stack([a, b, c], axis=1)[order], np.bincount(length, minlength=radius + 1)
+
+
 def cayley_ball(
     family: GroupFamily,
     gens: GeneratingSet,
@@ -521,12 +616,13 @@ def cayley_ball(
 ) -> CayleyBall:
     """Ball around the identity with exact word lengths, in shortlex order.
 
-    On Z^d and free groups under standard generators (``has_closed_form``)
-    the closed-form ball size is checked against the limit first, and then
-    every sphere is built as an int array (kept as ``coords``).  Every other
-    group is a breadth-first search with a visited dict.  Either way a ball
-    over the limit raises ``ResourceLimitError`` with the last radius that
-    fits.
+    On Z^d, free groups and H3 under standard generators
+    (``has_closed_form``) the closed-form ball size is checked against the
+    limit first, and then the ball is built as an int array (kept as
+    ``coords``) without a search.  Non-standard generators and finite
+    groups take a breadth-first search with a visited dict.  Either way a
+    ball over the limit raises ``ResourceLimitError`` with the last radius
+    that fits.
     """
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
@@ -543,8 +639,10 @@ def cayley_ball(
         free = isinstance(family, FreeGroup)
         if free:
             coords, sizes = _free_coords(family.rank, radius)
-        else:
+        elif isinstance(family, Zd):
             coords, sizes = _zd_coords(family.dim, radius)
+        else:
+            coords, sizes = _h3_coords(radius)
         # Tuples zipped from column lists; r = 0 has no columns on F_n.
         bounds = np.cumsum([0, *sizes]).tolist()
         layers = [[ident]] + [
@@ -581,96 +679,46 @@ def cayley_ball(
 
 
 class WordLengthOracle:
-    """Bidirectional BFS word lengths with a persistent identity-side ball.
+    """Word lengths from one breadth-first ball around the identity, grown
+    as queries need it and shared by all of them.
 
-    The forward ball from the identity is grown once and shared across
-    queries, so repeated lookups (orbit displacement tables, sphere
-    restriction values) amortize to a single backward search each.
-    Thread-safe: queries lock around forward-side growth.
+    It serves generating sets without a closed form (non-standard
+    generators); finite groups use ``FiniteGroup.lengths_for``.
     """
 
     def __init__(self, family: GroupFamily, gens: GeneratingSet, *, limit: int | None = None):
         self.family = family
         self.gens = gens
         self.cap = ball_limit(limit)
-        self._fwd: dict[Element, int] = {family.identity(): 0}
+        self._dist: dict[Element, int] = {family.identity(): 0}
         self._frontier: list[Element] = [family.identity()]
-        self._fwd_radius = 0
-        self._lock = threading.Lock()
+        self._radius = 0
 
-    def _grow_forward(self) -> bool:
+    def _grow(self) -> None:
         nxt = []
         for g in self._frontier:
             for s in self.gens.elements:
                 h = self.family._mul(g, s)
-                if h not in self._fwd:
-                    self._fwd[h] = self._fwd_radius + 1
+                if h not in self._dist:
+                    self._dist[h] = self._radius + 1
                     nxt.append(h)
-                    if len(self._fwd) > self.cap:
+                    if len(self._dist) > self.cap:
                         raise ResourceLimitError(
                             f"word-length search exceeded limit {self.cap}",
-                            radius_reached=self._fwd_radius,
+                            radius_reached=self._radius,
                         )
         self._frontier = nxt
-        self._fwd_radius += 1
-        return bool(nxt)
+        self._radius += 1
 
     def length(self, g: Element, bound: int) -> Optional[int]:
         """Exact word length of ``g`` if <= bound, else None."""
         if bound < 0:
             raise PreconditionError("bound must be >= 0")
         self.family.check_element(g)
-        with self._lock:
-            cached = self._fwd.get(g)
-            if cached is not None and cached <= self._fwd_radius:
-                return cached if cached <= bound else None
-            fam = self.family
-            bwd: dict[Element, int] = {g: 0}
-            bfrontier = [g]
-            bradius = 0
-            best: Optional[int] = None
-            while True:
-                if best is not None and best <= self._fwd_radius + bradius + 1:
-                    return best if best <= bound else None
-                # Any undiscovered path has length >= fwd_radius + bradius + 1.
-                if best is None and self._fwd_radius + bradius + 1 > bound:
-                    return None
-                # Bias growth toward the persistent forward side.
-                grow_fwd = self._frontier and (
-                    not bfrontier or len(self._frontier) <= 4 * len(bfrontier)
-                )
-                if grow_fwd:
-                    if not self._grow_forward():
-                        if not bfrontier:
-                            return best if (best is not None and best <= bound) else None
-                    for h in self._frontier:
-                        db = bwd.get(h)
-                        if db is not None:
-                            cand = self._fwd[h] + db
-                            if best is None or cand < best:
-                                best = cand
-                else:
-                    if not bfrontier:
-                        return best if (best is not None and best <= bound) else None
-                    nxt = []
-                    for p in bfrontier:
-                        for s in self.gens.elements:
-                            q = fam._mul(p, s)
-                            if q not in bwd:
-                                bwd[q] = bradius + 1
-                                nxt.append(q)
-                                df = self._fwd.get(q)
-                                if df is not None:
-                                    cand = df + bradius + 1
-                                    if best is None or cand < best:
-                                        best = cand
-                                if len(bwd) > self.cap:
-                                    raise ResourceLimitError(
-                                        f"word-length search exceeded limit {self.cap}",
-                                        radius_reached=bradius,
-                                    )
-                    bfrontier = nxt
-                    bradius += 1
+        while g not in self._dist and self._radius < bound and self._frontier:
+            self._grow()
+        n = self._dist.get(g)
+        return n if n is not None and n <= bound else None
 
 
 def word_length(
@@ -683,9 +731,9 @@ def word_length(
 ) -> Optional[int]:
     """Word length of ``g`` w.r.t. ``gens`` if <= bound, else None.
 
-    Uses the closed form for Z^d and free groups under their standard
-    generators, the precomputed table for finite groups, and bidirectional
-    BFS otherwise.
+    Uses the closed form for Z^d, free groups and H3 under their standard
+    generators (``heisenberg_length`` on H3), the precomputed table for
+    finite groups, and the breadth-first ``WordLengthOracle`` otherwise.
     """
     family.check_element(g)
     if gens.is_standard:

@@ -59,6 +59,42 @@ def heis_triple(m) -> tuple[int, int, int]:
     return (m[0][1], m[1][2], m[0][2])
 
 
+def heis_mul(g, h):
+    """heis_matmul on triples: entries (0, 1), (1, 2) and (0, 2) of the
+    product of the two matrices."""
+    a, b, c = g
+    x, y, z = h
+    return (a + x, b + y, c + z + a * y)
+
+
+def h3_lengths_by_area(targets, max_length):
+    """Word lengths under x^+-1, y^+-1 of the (a, b, c) in targets, or None
+    past max_length, from the signed areas of lattice paths.
+
+    A word is a lattice path from (0, 0); a step y^+-1 taken at x adds
+    +-x to c.  Over the words of length exactly t ending at (x, y), the
+    areas form an integer interval: swapping two adjacent letters moves c
+    by at most 1, replacing x x^-1 by y y^-1 keeps it, and these moves
+    connect all such words.  Padding with x x^-1 keeps c, so the length of
+    (a, b, c) is the least t whose interval at (a, b) holds c.
+    """
+    ranges = {(0, 0): (0, 0)}
+    out = {g: (0 if tuple(g) == (0, 0, 0) else None) for g in targets}
+    for t in range(1, max_length + 1):
+        nxt = {}
+        for (x, y), (lo, hi) in ranges.items():
+            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                key, dc = (x + dx, y + dy), x * dy
+                old = nxt.get(key)
+                nxt[key] = (lo + dc, hi + dc) if old is None else (
+                    min(old[0], lo + dc), max(old[1], hi + dc))
+        ranges = nxt
+        for (a, b, c), n in out.items():
+            if n is None and (a, b) in ranges and ranges[a, b][0] <= c <= ranges[a, b][1]:
+                out[a, b, c] = t
+    return out
+
+
 def inverse3(m):
     """Inverse of a determinant-one integer 3x3 matrix: its adjugate."""
 

@@ -82,9 +82,14 @@ def test_sphere_restrictions_preconditions():
     with pytest.raises(PreconditionError):
         sphere_restrictions(ball, 3, 2)  # R < r
     h3 = Heisenberg()
-    hball = cayley_ball(h3, GeneratingSet.standard(h3), 4)
+    skew = GeneratingSet.create(h3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    hball = cayley_ball(h3, skew, 4)
     with pytest.raises(PreconditionError):
         sphere_restrictions(hball, 2, 3)  # needs radius >= 5 without closed form
+    # Under the standard generators H3 has a closed form: radius R suffices.
+    assert sphere_restrictions(cayley_ball(h3, GeneratingSet.standard(h3), 3), 2, 3)
+    with pytest.raises(PreconditionError):
+        sphere_restrictions(cayley_ball(h3, GeneratingSet.standard(h3), 2), 2, 3)
 
 
 def test_limit_restrictions_z():
@@ -317,7 +322,7 @@ def h3_ball():
     return cayley_ball(h3, GeneratingSet.standard(h3), 10)
 
 
-@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("r", [1, 2, 3])
 def test_h3_sphere_restrictions_match_matrix_oracle(h3_ball, r):
     oracle = h3_restrictions(r, range(r, 9))
     for R in range(r, 9):

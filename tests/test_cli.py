@@ -4,6 +4,8 @@ import pytest
 
 from horokit.cli import main
 
+from oracles import h3_lengths_by_area, heis_matmul, heis_matrix, heis_triple
+
 
 def run(capsys, *args):
     code = main(list(args))
@@ -189,6 +191,9 @@ def test_internal_error_is_not_reported_as_invalid_input(monkeypatch):
         ("gallery", "star-tree", "--count", "0"),
         ("gallery", "spoke-ray", "--count", "0"),
         ("gallery", "euclidean-zero", "--count", "0"),
+        ("spectral", "tau"),
+        ("spectral", "displacement"),
+        ("extend", "hahn-banach", "--n", "0"),
     ],
     ids=lambda a: "-".join(a[:2]) + ":" + a[-1][:12],
 )
@@ -196,3 +201,46 @@ def test_malformed_flags_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error" in err
+
+
+def test_eval_hi_rejected_before_the_orbit_is_built(capsys, monkeypatch):
+    from horokit.dynamics import OrbitSpace
+
+    def built(*args, **kwargs):
+        raise AssertionError("orbit built before --eval-hi was checked")
+
+    monkeypatch.setattr(OrbitSpace, "from_selfmap", built)
+    code, _, err = run(capsys, "dynamics", "parabolic", "--fixture", "heisenberg-z", "--eval-hi", "-1")
+    assert code == 2
+    assert "--eval-hi" in err
+
+
+def test_hahn_banach_star_tree_keeps_n_zero(capsys):
+    code, out, _ = run(capsys, "extend", "hahn-banach", "--fixture", "star-tree", "--n", "0")
+    assert code == 0
+    assert len(json.loads(out)["result"]["values"]) == 8
+
+
+def test_heisenberg_translation_far_out(capsys, monkeypatch):
+    # |g^64| = 68 for g = (1, 0, 2), far past what a word-length search reaches.
+    import horokit.cli as cli
+
+    reports = []
+
+    def recording(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    real = cli.translation_number
+    monkeypatch.setattr(cli, "translation_number", recording)
+    code, out, _ = run(capsys, "spectral", "tau", "--map", "translation", "--group", "heisenberg",
+                       "--vector", "1,0,2", "--n", "64")
+    assert code == 0
+    powers = [heis_matrix(0, 0, 0)]
+    for _ in range(64):
+        powers.append(heis_matmul(powers[-1], heis_matrix(1, 0, 2)))
+    want = h3_lengths_by_area([heis_triple(m) for m in powers], 72)
+    lengths = [want[heis_triple(m)] for m in powers]
+    assert reports[0].displacements == lengths
+    trace = [min(lengths[j] / j for j in range(1, k + 1)) for k in range(1, 65)]
+    assert json.loads(out)["result"]["bound_trace"] == trace

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from horokit.groups import (
     Zd,
     cayley_ball,
     cyclic_group,
+    heisenberg_length,
     word_length,
 )
 
@@ -22,11 +24,15 @@ from oracles import (
     bfs_ball,
     free_reduce,
     free_sphere_count,
+    h3_lengths_by_area,
     heis_matmul,
     heis_matrix,
+    heis_mul,
     heis_triple,
     zd_sphere_count,
 )
+
+H3_GENS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
 
 # Frozen from the independent matrix-BFS oracle (see test below).
 HEISENBERG_CENTRAL_LENGTHS = [0, 4, 6, 8, 8, 10, 10, 12, 12, 12, 14, 14, 14, 16, 16, 16, 16]
@@ -64,6 +70,7 @@ def test_heisenberg_commutator_is_central():
 def test_heisenberg_matches_matrix_representation(g, h):
     fam = Heisenberg()
     assert fam.multiply(g, h) == heis_triple(heis_matmul(heis_matrix(*g), heis_matrix(*h)))
+    assert heis_mul(g, h) == fam.multiply(g, h)
     assert fam.multiply(g, fam.inverse(g)) == (0, 0, 0)
 
 
@@ -160,17 +167,24 @@ def _free_oracle(rank):
     return (), letters, lambda g, s: free_reduce(g + s), lambda g: [2 * abs(x) + (x < 0) for x in g]
 
 
+def _oracle(fam):
+    if isinstance(fam, Zd):
+        return _zd_oracle(fam.dim)
+    if isinstance(fam, FreeGroup):
+        return _free_oracle(fam.rank)
+    return (0, 0, 0), H3_GENS, heis_mul, lambda g: g
+
+
 BALL_CASES = [(Zd(d), R) for d, radii in [(1, (0, 1, 9)), (2, (0, 1, 2, 7)), (3, (0, 3, 5)),
                                           (4, (0, 2, 4)), (5, (0, 1, 3))] for R in radii]
 BALL_CASES += [(FreeGroup(n), R) for n, radii in [(1, (0, 1, 8)), (2, (0, 1, 2, 6)), (3, (0, 3, 4)),
                                                   (4, (0, 1, 3)), (128, (2,))] for R in radii]
+BALL_CASES += [(Heisenberg(), R) for R in range(11)]
 
 
 @pytest.mark.parametrize("fam,R", BALL_CASES, ids=lambda c: getattr(c, "name", c))
 def test_closed_form_ball_matches_plain_bfs(fam, R):
-    ident, gens, mul, key = (_zd_oracle if isinstance(fam, Zd) else _free_oracle)(
-        fam.dim if isinstance(fam, Zd) else fam.rank
-    )
+    ident, gens, mul, key = _oracle(fam)
     dist = bfs_ball(ident, gens, mul, R)
     order = sorted(dist, key=lambda g: (dist[g], key(g)))
     ball = cayley_ball(fam, GeneratingSet.standard(fam), R)
@@ -182,18 +196,21 @@ def test_closed_form_ball_matches_plain_bfs(fam, R):
     assert ball.index == {g: i for i, g in enumerate(order)}
     assert all(type(a) is int for g in ball.elements for a in g)
     # coords holds the same elements, letters padded with 0 on free groups
-    width = fam.dim if isinstance(fam, Zd) else R
+    width = R if isinstance(fam, FreeGroup) else len(ident)
     assert ball.coords.tolist() == [list(g) + [0] * (width - len(g)) for g in order]
 
 
 def _sizes(fam, R):
+    if isinstance(fam, Heisenberg):
+        dist = bfs_ball((0, 0, 0), H3_GENS, heis_mul, R)
+        return [sum(1 for d in dist.values() if d <= r) for r in range(R + 1)]
     count = zd_sphere_count if isinstance(fam, Zd) else free_sphere_count
     param = fam.dim if isinstance(fam, Zd) else fam.rank
     return [sum(count(param, k) for k in range(r + 1)) for r in range(R + 1)]
 
 
-@pytest.mark.parametrize("fam", [Zd(1), Zd(2), Zd(3), FreeGroup(1), FreeGroup(2), FreeGroup(3)],
-                         ids=lambda f: f.name)
+@pytest.mark.parametrize("fam", [Zd(1), Zd(2), Zd(3), FreeGroup(1), FreeGroup(2), FreeGroup(3),
+                                 Heisenberg()], ids=lambda f: f.name)
 def test_closed_form_ball_limit_inside_a_sphere(fam):
     gens = GeneratingSet.standard(fam)
     size = _sizes(fam, 4)
@@ -205,8 +222,8 @@ def test_closed_form_ball_limit_inside_a_sphere(fam):
     assert len(cayley_ball(fam, gens, 3, limit=size[3]).elements) == size[3]
 
 
-@pytest.mark.parametrize("fam", [Zd(1), Zd(2), Zd(6), FreeGroup(1), FreeGroup(2), FreeGroup(200)],
-                         ids=lambda f: f.name)
+@pytest.mark.parametrize("fam", [Zd(1), Zd(2), Zd(6), FreeGroup(1), FreeGroup(2), FreeGroup(200),
+                                 Heisenberg()], ids=lambda f: f.name)
 def test_closed_form_ball_limit_checked_before_building(fam):
     # B(10^9) would need far more than the memory of any machine.
     gens = GeneratingSet.standard(fam)
@@ -214,6 +231,84 @@ def test_closed_form_ball_limit_checked_before_building(fam):
         cayley_ball(fam, gens, 10**9, limit=1000)
     size = _sizes(fam, exc.value.radius_reached + 1)
     assert size[-2] <= 1000 < size[-1]
+
+
+@pytest.fixture(scope="module")
+def h3_matrix_lengths():
+    """{(a, b, c): word length} over B(12), by BFS on the 3x3 matrices."""
+    dist = bfs_ball(heis_matrix(0, 0, 0), [heis_matrix(*g) for g in H3_GENS], heis_matmul, 12)
+    return {heis_triple(m): d for m, d in dist.items()}
+
+
+def _columns(elements):
+    return [np.array(col, dtype=np.int64) for col in zip(*elements)]
+
+
+def test_heisenberg_length_matches_plain_bfs(h3_matrix_lengths):
+    fam, gens = Heisenberg(), GeneratingSet.standard(Heisenberg())
+    for g, d in h3_matrix_lengths.items():
+        assert heisenberg_length(*g) == d, g
+        assert word_length(fam, gens, g, 100) == d, g
+    got = heisenberg_length(*_columns(h3_matrix_lengths))
+    assert got.tolist() == list(h3_matrix_lengths.values())
+    # No other box element has length <= 12 (the box holds B(12) with room).
+    assert max(abs(v) for g in h3_matrix_lengths for v in g) <= 36
+    a, b, c = np.meshgrid(np.arange(-13, 14), np.arange(-13, 14), np.arange(-150, 151), indexing="ij")
+    assert (heisenberg_length(a.ravel(), b.ravel(), c.ravel()) <= 12).sum() == len(h3_matrix_lengths)
+
+
+def test_heisenberg_length_on_seeded_far_elements():
+    rng = random.Random(2003)
+    dist = bfs_ball((0, 0, 0), H3_GENS, heis_mul, 20)
+    far = rng.sample(sorted(g for g, d in dist.items() if d >= 13), 400)
+    assert [heisenberg_length(*g) for g in far] == [dist[g] for g in far]
+    assert heisenberg_length(*_columns(far)).tolist() == [dist[g] for g in far]
+    # Farther still, against the lattice-path area oracle, itself checked on B(20).
+    assert h3_lengths_by_area(list(dist), 20) == dist
+    far = [(rng.randint(-25, 25), rng.randint(-25, 25), rng.randint(-300, 300)) for _ in range(300)]
+    want = h3_lengths_by_area(far, 72)
+    assert None not in want.values()
+    assert [heisenberg_length(*g) for g in far] == [want[g] for g in far]
+    assert heisenberg_length(*_columns(far)).tolist() == [want[g] for g in far]
+
+
+def _brute_length(a, b, c):
+    """a, b >= 0: the length formula with the minimum taken over every P."""
+    if 0 <= c <= a * b:
+        return a + b
+    e = c if c > a * b else a * b - c
+    return 2 * min(P + max(b, -(-e // P)) for P in range(max(a, 1), max(a, e) + 2)) - a - b
+
+
+@given(
+    st.integers(0, 40),
+    st.integers(0, 40),
+    st.sampled_from(("zero", "ab", "aa", "bb", "any")),
+    st.integers(-3, 3),
+    st.integers(-2000, 2000),
+)
+def test_heisenberg_length_min_search_matches_brute_force(a, b, near, offset, anywhere):
+    c = {"zero": 0, "ab": a * b, "aa": a * a, "bb": b * b, "any": anywhere}[near] + offset
+    want = _brute_length(a, b, c)
+    # every sign combination, through x -> x^-1 and y -> y^-1
+    images = [(a, b, c), (-a, b, -c), (a, -b, -c), (-a, -b, c)]
+    assert [heisenberg_length(*g) for g in images] == [want] * 4
+    assert heisenberg_length(*_columns(images)).tolist() == [want] * 4
+
+
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.integers(-10**12, 10**12))
+def test_heisenberg_length_scalar_and_array_agree(a, b, c):
+    n = heisenberg_length(a, b, c)
+    assert type(n) is int
+    assert n >= abs(a) + abs(b) and (n - a - b) % 2 == 0
+    assert heisenberg_length(*_columns([(a, b, c)])).tolist() == [n]
+
+
+@given(st.integers(1, 2**30), st.integers(-1, 1), st.integers(0, 3))
+def test_heisenberg_length_near_large_squares(m, offset, a):
+    # A float square root of e can be off by one near m^2 at this size.
+    g = (a, a, a * a + m * m + offset)
+    assert heisenberg_length(*_columns([g])).tolist() == [heisenberg_length(*g)]
 
 
 def test_ball_deterministic():
@@ -247,6 +342,7 @@ def test_heisenberg_central_lengths_fixture():
     oracle = WordLengthOracle(fam, gens)
     got = [oracle.length(fam.central(k), 64) for k in range(17)]
     assert got == HEISENBERG_CENTRAL_LENGTHS
+    assert [fam.closed_form_length(fam.central(k)) for k in range(17)] == got
     # sublinear: consistent with sqrt-type growth
     assert got[16] / 16 < got[1] / 1
     assert got[16] <= 4 * (16**0.5) + 4
@@ -267,6 +363,18 @@ def test_word_length_custom_generators():
     gens = GeneratingSet.create(z1, [(2,), (3,)])
     assert word_length(z1, gens, (1,), 10) == 2  # 3 - 2
     assert word_length(z1, gens, (7,), 10) == 3  # 2 + 2 + 3
+
+
+def test_word_length_oracle_on_nonstandard_generators():
+    fam = Heisenberg()
+    steps = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
+    dist = bfs_ball((0, 0, 0), steps + [(-1, 0, 0), (0, -1, 0), (-1, -1, 1)], heis_mul, 6)
+    oracle = WordLengthOracle(fam, GeneratingSet.create(fam, steps))
+    rng = random.Random(6)
+    for g in rng.sample(sorted(dist), 300):
+        assert oracle.length(g, dist[g]) == dist[g], g
+        if dist[g]:
+            assert oracle.length(g, dist[g] - 1) is None, g
 
 
 def test_finite_group_lengths():
