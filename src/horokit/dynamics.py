@@ -681,7 +681,9 @@ def parabolic_orbit_functional(
         raise PreconditionError(f"certified tau bound {tau} is not below delta = {delta}")
     if eval_hi < 0:
         raise PreconditionError(f"eval_hi must be >= 0, got {eval_hi}")
-    M = max(1, averaging)
+    if averaging < 1:
+        raise PreconditionError(f"averaging must be >= 1, got {averaging}")
+    M = averaging
     lo = -(M - 1)
     idx = list(range(lo, eval_hi + 1))
     n_lo = orbit.n0 + max(0, eval_hi)

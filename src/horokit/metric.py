@@ -48,8 +48,10 @@ def ball_limit(override: int | None = None) -> int:
 class MetricSpace(ABC):
     """A point universe with a distance oracle and a base point.
 
-    Subclasses are immutable after construction and their distance
-    oracles must be safe for concurrent evaluation.
+    Subclasses are immutable after construction, except for caches that a
+    distance oracle grows as it is queried (``CayleyGraphSpace`` grows an
+    unlocked ``WordLengthOracle``), so distance oracles are not safe for
+    concurrent evaluation.
     """
 
     exact: bool = True

@@ -42,7 +42,7 @@ def test_reports_byte_identical(capsys):
 
 
 def test_gallery_spoke_ray(capsys):
-    code, out, _ = run(capsys, "gallery", "spoke-ray", "--check", "--r", "1")
+    code, out, _ = run(capsys, "gallery", "spoke-ray", "--r", "1")
     assert code == 0
     data = json.loads(out)
     gaps = {w["gap"] for w in data["result"]["witnesses"]}
@@ -50,7 +50,7 @@ def test_gallery_spoke_ray(capsys):
 
 
 def test_gallery_euclidean_zero(capsys):
-    code, out, _ = run(capsys, "gallery", "euclidean-zero", "--check")
+    code, out, _ = run(capsys, "gallery", "euclidean-zero")
     assert code == 0
     assert json.loads(out)["result"]["min_of_max"] == "1"
 
@@ -149,10 +149,10 @@ def test_selftests_pass(capsys, command):
 def test_internal_error_is_not_reported_as_invalid_input(monkeypatch):
     import horokit.cli as cli
 
-    def broken(args):
+    def broken(*args):
         raise TypeError("internal bug")
 
-    monkeypatch.setattr(cli, "_cmd_boundary", broken)
+    monkeypatch.setattr(cli, "limit_restrictions", broken)
     with pytest.raises(TypeError, match="internal bug"):
         main(["boundary"])
 
@@ -194,6 +194,11 @@ def test_internal_error_is_not_reported_as_invalid_input(monkeypatch):
         ("spectral", "tau"),
         ("spectral", "displacement"),
         ("extend", "hahn-banach", "--n", "0"),
+        ("dynamics", "almost-fixed", "--grid", "0"),
+        ("dynamics", "almost-fixed", "--grid", "-3"),
+        ("dynamics", "parabolic", "--fixture", "heisenberg-z", "--averaging", "0"),
+        ("dynamics", "parabolic", "--fixture", "heisenberg-z", "--averaging", "-4"),
+        ("reduced", "classify-z", "--anchors=5:1"),
     ],
     ids=lambda a: "-".join(a[:2]) + ":" + a[-1][:12],
 )
@@ -201,6 +206,38 @@ def test_malformed_flags_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("boundary", "--seed", "1"),
+        ("extend", "mcshane", "--space", '{"type": "finite", "params": {"matrix": [[0]]}}',
+         "--domain", "[0]", "--values", '["0"]', "--n", "5"),
+        ("extend", "hahn-banach", "--mode", "inf"),
+        ("spectral", "tau", "--matrix", "2,0,0,1/2", "--budget", "5"),
+        ("spectral", "displacement", "--matrix", "2,0,0,1/2", "--count", "3"),
+        ("spectral", "tracial", "--matrix", "1,0,0,1"),
+        ("spectral", "principle", "--group", "zd"),
+        ("dynamics", "almost-fixed", "--n", "5"),
+        ("dynamics", "parabolic", "--grid", "5"),
+        ("dynamics", "distorted-line", "--seed", "1"),
+        ("gallery", "spoke-ray", "--check"),
+        ("gallery", "star-tree", "--seed", "1"),
+        ("gallery", "euclidean-zero", "--r", "2"),
+        ("reduced", "classify-z", "--fixture", "z-shift"),
+        ("reduced", "fixed-point", "--anchors", "1:2"),
+        ("validate", "metric", "--name", "sqrt"),
+        ("validate", "distortion", "--seed", "1"),
+        ("spectral", "--n", "5", "tau", "--matrix", "2,0,0,1/2"),
+    ],
+    ids=lambda a: " ".join(x for x in a if not x.startswith(("{", "[")))[:48],
+)
+def test_unread_flag_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_eval_hi_rejected_before_the_orbit_is_built(capsys, monkeypatch):
