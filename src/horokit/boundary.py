@@ -32,28 +32,25 @@ from .groups import (
     has_closed_form,
     heisenberg_length,
 )
-from .metric import CHUNK, Scalar
-
-
-def _ball_distance(ball: CayleyBall, x, g) -> int:
-    """d(x, g) inside the ball: closed form if available, else table lookup."""
-    fam = ball.family
-    rel = fam._mul(fam._inv(x), g)
-    if ball.gens.is_standard:
-        n = fam.closed_form_length(rel)
-        if n is not None:
-            return n
-    n = ball.length_of(rel)
-    if n is None:
-        raise PreconditionError(
-            f"element {rel!r} falls outside the ball; increase the ball radius"
-        )
-    return n
+from .metric import CHUNK, Scalar, numeric_arrays
 
 
 def _lengths(ball: CayleyBall, idx: np.ndarray) -> np.ndarray:
     """Word lengths of ball elements by index, read off the sphere offsets."""
     return np.searchsorted(ball.sphere_offsets, idx, side="right") - 1
+
+
+def _reach(family: GroupFamily, gens: GeneratingSet, r: int, R: int) -> int:
+    """The ball radius ``_distance_blocks`` needs for rows g with |g| <= R
+    over B(r): R where word lengths have a closed form, R + r for the table
+    walk."""
+    return R if has_closed_form(family, gens) else R + r
+
+
+def _check_reach(ball: CayleyBall, r: int, R: int) -> None:
+    needed = _reach(ball.family, ball.gens, r, R)
+    if ball.radius < needed:
+        raise PreconditionError(f"ball radius {ball.radius} is insufficient; need >= {needed}")
 
 
 def _distance_blocks(ball: CayleyBall, n: int, lo: int, hi: int, dtype) -> Iterator[np.ndarray]:
@@ -90,7 +87,7 @@ def _distance_blocks(ball: CayleyBall, n: int, lo: int, hi: int, dtype) -> Itera
                 return heisenberg_length(da, db, dc - X[:, 0] * db).astype(dtype)
 
         else:
-            width = ball.lengths[n - 1]
+            width = int(_lengths(ball, n - 1))
             X = ball.coords[:n, :width]
             real = X != 0
             xlen = _lengths(ball, np.arange(n)).astype(dtype)
@@ -112,13 +109,15 @@ def _distance_blocks(ball: CayleyBall, n: int, lo: int, hi: int, dtype) -> Itera
         return
     points, table, gens, index = ball.elements[:n], ball.left_table, ball.gens.elements, ball.index
     inv = [gens.index(fam._inv(s)) for s in gens]
+    # Where the sphere of each x starts: a parent lies before it.
+    starts = np.asarray(ball.sphere_offsets)[_lengths(ball, np.arange(n))].tolist()
     cols = np.empty((n, hi - lo), np.int32)
     cols[0] = np.arange(lo, hi)
     for i in range(1, n):
         # A BFS parent p of x with x = p.s_k, so x^-1 g = s_k^-1 (p^-1 g).
         for k in range(len(gens)):
             p = index.get(fam._mul(points[i], gens[inv[k]]))
-            if p is not None and ball.lengths[p] < ball.lengths[i]:
+            if p is not None and p < starts[i]:
                 break
         cols[i] = table[cols[p], inv[k]]
     yield _lengths(ball, cols.T).astype(dtype)
@@ -152,11 +151,7 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> list[BallFunctional
     """
     if not 0 <= r <= R:
         raise PreconditionError(f"need 0 <= ball radius {r} <= sphere radius {R}")
-    needed = R if has_closed_form(ball.family, ball.gens) else R + r
-    if ball.radius < needed:
-        raise PreconditionError(
-            f"ball radius {ball.radius} is insufficient; need >= {needed}"
-        )
+    _check_reach(ball, r, R)
     fam = ball.family
     n = ball.sphere_offsets[r + 1]
     points = ball.elements[:n]
@@ -196,8 +191,7 @@ def restriction_table(
     if not radii:
         raise PreconditionError("need at least one sphere radius")
     if ball is None:
-        pad = 0 if has_closed_form(family, gens) else r
-        ball = cayley_ball(family, gens, max(radii) + pad, limit=limit)
+        ball = cayley_ball(family, gens, _reach(family, gens, r, max(radii)), limit=limit)
     return RestrictionTable(r, {R: tuple(sphere_restrictions(ball, r, R)) for R in radii})
 
 
@@ -256,12 +250,9 @@ def limit_restrictions(
         raise PreconditionError("window must be >= 1")
     if r_max <= r + window:
         raise PreconditionError("need r_max > r + window")
-    pad = 0 if has_closed_form(family, gens) else r
-    ball = cayley_ball(family, gens, r_max + pad, limit=limit)
+    ball = cayley_ball(family, gens, _reach(family, gens, r, r_max), limit=limit)
     lo_needed = max(r, r_max - 2 * window)
-    table = restriction_table(
-        family, gens, r, range(lo_needed, r_max + 1), ball=ball, limit=limit
-    )
+    table = restriction_table(family, gens, r, range(lo_needed, r_max + 1), ball=ball)
 
     def accepted(at_r_max: int) -> frozenset:
         lo = max(r, at_r_max - window)
@@ -311,22 +302,28 @@ def act_on_restriction(ball: CayleyBall, g, bf: BallFunctional, r: int) -> BallF
     """Translate a restriction by g: (g.h)(x) = h(g^-1 x) - h(g^-1 e).
 
     ``bf`` must be a restriction on a ball of radius >= r + |g| so that all
-    shifted arguments stay inside its domain.
+    shifted arguments stay inside its domain.  The result is checked like
+    the rows of ``sphere_restrictions``.
     """
     fam = ball.family
     ginv = fam.inverse(g)
-    glen = _ball_distance(ball, fam.identity(), g)
+    i = ball.index.get(g)
+    if i is None:
+        raise PreconditionError(f"element {g!r} falls outside the ball; increase the ball radius")
+    glen = int(_lengths(ball, i))
     if bf.radius < r + glen:
         raise PreconditionError(
             f"restriction radius {bf.radius} too small; need >= r + |g| = {r + glen}"
         )
+    _check_reach(ball, r, r)
     offset = bf.value_at(ginv)
     points = ball.ball(r)
     labels = tuple(fam.element_label(p) for p in points)
     values = tuple(bf.value_at(fam.multiply(ginv, x)) - offset for x in points)
-    return BallFunctional.build(
-        r, points, values, lambda p, q: _ball_distance(ball, p, q), labels
-    )
+    D = np.concatenate(list(_distance_blocks(ball, len(points), 0, len(points), np.int64)))
+    V, D, _ = numeric_arrays([values], D)
+    check_rows(labels, V, D)
+    return BallFunctional(r, labels, values, points)
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,8 @@ def _parsing(flag: str):
 
 
 def _count(flag: str, value: int, minimum: int = 0) -> int:
-    """A count flag: below ``minimum`` the check would pass vacuously."""
+    """A count or tolerance flag: below ``minimum`` a check would pass
+    vacuously or could not pass at all."""
     if value < minimum:
         raise InvalidParameterError(f"{flag} must be >= {minimum}, got {value}")
     return value
@@ -344,7 +345,7 @@ def _dynamics_almost_fixed(args) -> Outcome:
         [complex(0.0, 2.0**k) for k in range(0, 46)],
         [2.0 ** -j for j in range(0, 31)],
         grid,
-        tol=args.tol,
+        tol=_count("--tol", args.tol),
     )
     return Outcome("dynamics.almost_fixed", {"grid": args.grid}, rep.as_dict(), rep.audit_passed,
                    lambda: [("audit_worst", rep.audit_worst)])
@@ -352,10 +353,12 @@ def _dynamics_almost_fixed(args) -> Outcome:
 
 def _dynamics_parabolic(args) -> Outcome:
     if args.fixture == "disk-parabolic":
-        worst, vals = disk_parabolic_horocycle_audit(-args.n, args.n)
-        return Outcome("dynamics.parabolic.disk", {"n": args.n},
-                       {"max_abs": worst, "values_head": vals[:5]}, worst <= args.tol,
-                       lambda: [("n", "value"), *enumerate(vals, -args.n)])
+        # at n = 0 the audit would check only the point where h is 0 by construction
+        n, tol = _count("--n", args.n, 1), _count("--tol", args.tol)
+        worst, vals = disk_parabolic_horocycle_audit(-n, n)
+        return Outcome("dynamics.parabolic.disk", {"n": n},
+                       {"max_abs": worst, "values_head": vals[:5]}, worst <= tol,
+                       lambda: [("n", "value"), *enumerate(vals, -n)])
     _count("--eval-hi", args.eval_hi)
     family = Heisenberg()
     orbit = OrbitSpace.from_selfmap(group_translation(CayleyGraphSpace(family), family.central(1)), args.n)
@@ -479,7 +482,9 @@ def _validate_metric(args) -> Outcome:
 
 
 def _validate_distortion(args) -> Outcome:
-    rep = distorted_line_validate(DISTORTIONS[args.name], range(1, args.grid_max + 1))
+    # one grid point has no consecutive pair to check
+    grid = range(1, _count("--grid-max", args.grid_max, 2) + 1)
+    rep = distorted_line_validate(DISTORTIONS[args.name], grid)
     return Outcome("validate.distortion", {"name": args.name}, rep.as_dict(), rep.passed,
                    lambda: [("passed", rep.passed)])
 

@@ -611,9 +611,6 @@ class OrbitSpace:
     def from_selfmap(cls, f: SelfMap, n: int, *, x0: Point | None = None) -> "OrbitSpace":
         return cls(_orbit_displacements(f, n, x0))
 
-    def index_distance(self, m: int, n: int):
-        return self.D[abs(m - n)]
-
     def tau_bound(self) -> float:
         return min(self.D[k] / k for k in range(1, self.N + 1))
 
@@ -761,18 +758,11 @@ def half_plane_translation(t: float = 1.0) -> MoebiusMap:
 def disk_parabolic_orbit(n_lo: int, n_hi: int) -> list[complex]:
     """Orbit of 0 under the disk conjugate of z -> z + 1 (fixes zeta = 1).
 
-    Computed through float matrix powers with determinant renormalization
-    at every step, as the entries are exact in floats anyway.
+    The n-th point is the Cayley image of i + n.  The float matrix of
+    z -> z + n has exact integer entries and determinant exactly 1, so this
+    equals the orbit through composed ``MoebiusMap`` powers bit for bit.
     """
-    step = half_plane_translation(1.0)
-    out = []
-    for n in range(n_lo, n_hi + 1):
-        m = MoebiusMap(1.0, 0.0, 0.0, 1.0)
-        factor = step if n >= 0 else step.inverse()
-        for _ in range(abs(n)):
-            m = m.compose(factor)  # renormalizes determinant drift each step
-        out.append(cayley_to_disk(m.apply_half_plane(1j)))
-    return out
+    return [cayley_to_disk(complex(n, 1.0)) for n in range(n_lo, n_hi + 1)]
 
 
 def disk_parabolic_horocycle_audit(n_lo: int, n_hi: int) -> tuple[float, list[float]]:

@@ -82,15 +82,6 @@ class GroupFamily(ABC):
         """Exact word length w.r.t. the standard generators, if closed-form."""
         return None
 
-    def power(self, g: Element, n: int) -> Element:
-        if n == 0:
-            return self.identity()
-        if n < 0:
-            return self.power(self.inverse(g), -n)
-        half = self.power(g, n // 2)
-        sq = self.multiply(half, half)
-        return self.multiply(sq, g) if n % 2 else sq
-
 
 class Zd(GroupFamily):
     """Free abelian group of rank d; elements are integer d-tuples."""
@@ -339,7 +330,6 @@ class FiniteGroup(GroupFamily):
                 raise InvalidParameterError(f"element {g} has no inverse")
             self._inverses[g] = inv
         self._default_gens = tuple(generators) if generators else None
-        self._length_cache: dict[tuple[int, ...], dict[int, int]] = {}
 
     def identity(self):
         return self._identity
@@ -365,28 +355,6 @@ class FiniteGroup(GroupFamily):
             raise InvalidParameterError("finite group was built without generators")
         closed = set(self._default_gens) | {self._inverses[g] for g in self._default_gens}
         return tuple(sorted(closed))
-
-    def lengths_for(self, gens: "GeneratingSet") -> dict[int, int]:
-        """Word lengths of all elements reachable from the identity."""
-        key = tuple(gens.elements)
-        cached = self._length_cache.get(key)
-        if cached is not None:
-            return cached
-        dist = {self._identity: 0}
-        frontier = [self._identity]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for g in frontier:
-                for s in gens.elements:
-                    h = self.table[g][s]
-                    if h not in dist:
-                        dist[h] = d
-                        nxt.append(h)
-            frontier = nxt
-        self._length_cache[key] = dist
-        return dist
 
 
 def cyclic_group(n: int, step: int = 1) -> FiniteGroup:
@@ -433,23 +401,27 @@ class GeneratingSet:
 class CayleyBall:
     """The radius-R ball of a Cayley graph, in canonical (shortlex) order.
 
-    ``sphere_offsets[r]`` is the index where sphere S(r) starts.  On Z^d,
-    free groups and H3 under standard generators, ``coords`` is the same
-    ball as one int array, row i for element i: its coordinates on Z^d
-    (int16, int64 once the radius leaves int16), its letters padded with 0
-    to the ball radius on F_n (int8, int64 past rank 127), or its (a, b, c)
-    on H3 (int64).  It is None under non-standard generators and on finite
-    groups.  The element-to-index dict ``index`` and the generator-labeled
-    edge list (i, j, gen_index) are computed on first use.
+    ``sphere_offsets[r]`` is the index where sphere S(r) starts: the one
+    record of word lengths.  On Z^d, free groups and H3 under standard
+    generators, ``coords`` is the same ball as one int array, row i for
+    element i: its coordinates on Z^d (int16, int64 once the radius leaves
+    int16), its letters padded with 0 to the ball radius on F_n (int8,
+    int64 past rank 127), or its (a, b, c) on H3 (int64).  It is None under
+    non-standard generators and on finite groups.  The tuple ``lengths``,
+    the dict ``index`` and the edge list (i, j, gen_index) are derived on
+    first use.
     """
 
     family: GroupFamily
     gens: GeneratingSet
     radius: int
     elements: tuple[Element, ...]
-    lengths: tuple[int, ...]
     sphere_offsets: tuple[int, ...]
     coords: Optional[np.ndarray] = field(repr=False, default=None)
+
+    @cached_property
+    def lengths(self) -> tuple[int, ...]:
+        return tuple(r for r, size in enumerate(self.sphere_sizes()) for _ in range(size))
 
     @cached_property
     def index(self) -> dict:
@@ -488,10 +460,6 @@ class CayleyBall:
         for k, s in enumerate(self.gens.elements):
             table[:, k] = [index[fam._mul(s, g)] for g in inner]
         return table
-
-    def length_of(self, g: Element) -> Optional[int]:
-        i = self.index.get(g)
-        return None if i is None else self.lengths[i]
 
     def sphere_sizes(self) -> list[int]:
         return [
@@ -620,70 +588,50 @@ def cayley_ball(
     (``has_closed_form``) the closed-form ball size is checked against the
     limit first, and then the ball is built as an int array (kept as
     ``coords``) without a search.  Non-standard generators and finite
-    groups take a breadth-first search with a visited dict.  Either way a
-    ball over the limit raises ``ResourceLimitError`` with the last radius
-    that fits.
+    groups grow a ``WordLengthOracle`` to the radius and sort each of its
+    spheres by ``element_key``.  Either way a ball over the limit raises
+    ``ResourceLimitError("ball size exceeded limit N")`` with the last
+    radius that fits.
     """
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
+    if not has_closed_form(family, gens):
+        oracle = WordLengthOracle(family, gens, limit=limit)
+        oracle.grow(radius)
+        layers = [sorted(layer, key=family.element_key) for layer in oracle.layers]
+        elements = tuple(g for layer in layers for g in layer)
+        offsets = tuple(np.cumsum([0, *map(len, layers)]).tolist())
+        return CayleyBall(family, gens, radius, elements, offsets)
     cap = ball_limit(limit)
-    ident = family.identity()
-    layers: list[list[Element]]
-    coords = None
-    if has_closed_form(family, gens):
-        if radius > 0 and _ball_size(family, radius, cap) > cap:
-            fits = bisect.bisect_right(
-                range(1, radius + 1), cap, key=lambda r: _ball_size(family, r, cap)
-            )
-            raise ResourceLimitError(f"ball size exceeded limit {cap}", radius_reached=fits)
-        free = isinstance(family, FreeGroup)
-        if free:
-            coords, sizes = _free_coords(family.rank, radius)
-        elif isinstance(family, Zd):
-            coords, sizes = _zd_coords(family.dim, radius)
-        else:
-            coords, sizes = _h3_coords(radius)
-        # Tuples zipped from column lists; r = 0 has no columns on F_n.
-        bounds = np.cumsum([0, *sizes]).tolist()
-        layers = [[ident]] + [
-            list(zip(*coords[bounds[r] : bounds[r + 1], : r if free else None].T.tolist()))
-            for r in range(1, radius + 1)
-        ]
+    if radius > 0 and _ball_size(family, radius, cap) > cap:
+        fits = bisect.bisect_right(
+            range(1, radius + 1), cap, key=lambda r: _ball_size(family, r, cap)
+        )
+        raise ResourceLimitError(f"ball size exceeded limit {cap}", radius_reached=fits)
+    free = isinstance(family, FreeGroup)
+    if free:
+        coords, sizes = _free_coords(family.rank, radius)
+    elif isinstance(family, Zd):
+        coords, sizes = _zd_coords(family.dim, radius)
     else:
-        dist: dict[Element, int] = {ident: 0}
-        layers = [[ident]]
-        for r in range(1, radius + 1):
-            nxt = []
-            for g in layers[r - 1]:
-                for s in gens.elements:
-                    h = family._mul(g, s)
-                    if h not in dist:
-                        dist[h] = r
-                        nxt.append(h)
-                        if len(dist) > cap:
-                            raise ResourceLimitError(
-                                f"ball size exceeded limit {cap}", radius_reached=r - 1
-                            )
-            nxt.sort(key=family.element_key)
-            layers.append(nxt)
-    elements: list[Element] = []
-    offsets = [0]
-    lengths: list[int] = []
-    for r, layer in enumerate(layers):
-        elements.extend(layer)
-        lengths.extend([r] * len(layer))
-        offsets.append(len(elements))
-    return CayleyBall(
-        family, gens, radius, tuple(elements), tuple(lengths), tuple(offsets), coords
-    )
+        coords, sizes = _h3_coords(radius)
+    # Tuples zipped from column lists; r = 0 has no columns on F_n.
+    offsets = np.cumsum([0, *sizes]).tolist()
+    elements = [family.identity()]
+    for r in range(1, radius + 1):
+        block = coords[offsets[r] : offsets[r + 1], : r if free else None]
+        elements.extend(zip(*block.T.tolist()))
+    return CayleyBall(family, gens, radius, tuple(elements), tuple(offsets), coords)
 
 
 class WordLengthOracle:
-    """Word lengths from one breadth-first ball around the identity, grown
-    as queries need it and shared by all of them.
+    """The one breadth-first search of the package: the ball around the
+    identity, grown sphere by sphere as callers need it.
 
-    It serves generating sets without a closed form (non-standard
-    generators); finite groups use ``FiniteGroup.lengths_for``.
+    ``layers[r]`` is S(r) in discovery order, empty past the reach of a
+    finite group.  It serves every generating set without a closed form:
+    ``cayley_ball`` grows one to the radius, and one oracle answers all
+    word-length queries of a ``CayleyGraphSpace``.
     """
 
     def __init__(self, family: GroupFamily, gens: GeneratingSet, *, limit: int | None = None):
@@ -691,32 +639,32 @@ class WordLengthOracle:
         self.gens = gens
         self.cap = ball_limit(limit)
         self._dist: dict[Element, int] = {family.identity(): 0}
-        self._frontier: list[Element] = [family.identity()]
-        self._radius = 0
+        self.layers: list[list[Element]] = [[family.identity()]]
 
-    def _grow(self) -> None:
-        nxt = []
-        for g in self._frontier:
-            for s in self.gens.elements:
-                h = self.family._mul(g, s)
-                if h not in self._dist:
-                    self._dist[h] = self._radius + 1
-                    nxt.append(h)
-                    if len(self._dist) > self.cap:
-                        raise ResourceLimitError(
-                            f"word-length search exceeded limit {self.cap}",
-                            radius_reached=self._radius,
-                        )
-        self._frontier = nxt
-        self._radius += 1
+    def grow(self, radius: int) -> None:
+        """Grow the ball to ``radius``."""
+        while len(self.layers) <= radius:
+            r = len(self.layers)
+            nxt = []
+            for g in self.layers[-1]:
+                for s in self.gens.elements:
+                    h = self.family._mul(g, s)
+                    if h not in self._dist:
+                        self._dist[h] = r
+                        nxt.append(h)
+                        if len(self._dist) > self.cap:
+                            raise ResourceLimitError(
+                                f"ball size exceeded limit {self.cap}", radius_reached=r - 1
+                            )
+            self.layers.append(nxt)
 
     def length(self, g: Element, bound: int) -> Optional[int]:
         """Exact word length of ``g`` if <= bound, else None."""
         if bound < 0:
             raise PreconditionError("bound must be >= 0")
         self.family.check_element(g)
-        while g not in self._dist and self._radius < bound and self._frontier:
-            self._grow()
+        while g not in self._dist and len(self.layers) <= bound and self.layers[-1]:
+            self.grow(len(self.layers))
         n = self._dist.get(g)
         return n if n is not None and n <= bound else None
 
@@ -732,17 +680,15 @@ def word_length(
     """Word length of ``g`` w.r.t. ``gens`` if <= bound, else None.
 
     Uses the closed form for Z^d, free groups and H3 under their standard
-    generators (``heisenberg_length`` on H3), the precomputed table for
-    finite groups, and the breadth-first ``WordLengthOracle`` otherwise.
+    generators (``heisenberg_length`` on H3), and the breadth-first
+    ``WordLengthOracle`` otherwise, finite groups included; an element the
+    generators do not reach has no length and gives None.
     """
     family.check_element(g)
     if gens.is_standard:
         n = family.closed_form_length(g)
         if n is not None:
             return n if n <= bound else None
-    if isinstance(family, FiniteGroup):
-        n = family.lengths_for(gens).get(g)
-        return n if (n is not None and n <= bound) else None
     if oracle is None:
         oracle = WordLengthOracle(family, gens)
     return oracle.length(g, bound)

@@ -161,7 +161,6 @@ class SpokeRaySpace(MetricSpace):
         return f"spoke({p[1]},{p[2]})"
 
     def point_key(self, p):
-        order = {"hub": 0, "ray": 1, "head": 2, "spoke": 3}
         tag = p[0]
         if tag == "hub":
             return (0, Fraction(0), Fraction(0))

@@ -26,6 +26,7 @@ from horokit.functionals import BallFunctional, HalfPlaneBusemannInfinity, ZdLin
 from horokit.groups import (
     CayleyGraphSpace,
     FreeGroup,
+    cyclic_group,
     GeneratingSet,
     Heisenberg,
     Zd,
@@ -34,6 +35,7 @@ from horokit.groups import (
 from horokit.spaces import PoincareDisk, UpperHalfPlane
 
 from oracles import (
+    bfs_ball,
     bfs_restrictions,
     free_end_restrictions,
     free_restrictions,
@@ -371,6 +373,59 @@ def test_table_walk_on_nonstandard_generators_matches_bfs_oracle():
     )
     for R in range(2, 8):
         assert _values(sphere_restrictions(ball, 2, R)) == oracle[R], R
+
+
+Z2_XY = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
+ACTION_CASES = [
+    ("Z^2", Zd(2), None),
+    ("F_2", FreeGroup(2), None),
+    ("H3", Heisenberg(), None),
+    ("Z^2{x,y,xy}", Zd(2), Z2_XY),  # table walk
+    ("C12", cyclic_group(12), None),  # table walk
+]
+
+
+@pytest.mark.parametrize("case", ACTION_CASES, ids=lambda c: c[0])
+def test_action_on_restrictions_translates_values(case):
+    _, fam, steps = case
+    gens = GeneratingSet.create(fam, steps) if steps else GeneratingSet.standard(fam)
+    ball = cayley_ball(fam, gens, 6)
+    for bf in sphere_restrictions(ball, 2, 4):
+        for g in gens.elements:
+            acted = act_on_restriction(ball, g, bf, 1)
+            ginv = fam.inverse(g)
+            assert acted.points == ball.ball(1)
+            assert acted.values == tuple(
+                bf.value_at(fam.multiply(ginv, x)) - bf.value_at(ginv) for x in ball.ball(1)
+            )
+
+
+def test_action_needs_room_for_the_table_walk():
+    z2 = Zd(2)
+    gens = GeneratingSet.create(z2, Z2_XY)
+    bf = sphere_restrictions(cayley_ball(z2, gens, 8), 3, 5)[0]
+    # the walk over B(2) needs a ball of radius 4
+    assert act_on_restriction(cayley_ball(z2, gens, 4), (1, 0), bf, 2).radius == 2
+    with pytest.raises(PreconditionError, match="need >= 4"):
+        act_on_restriction(cayley_ball(z2, gens, 3), (1, 0), bf, 2)
+
+
+def test_action_fails_with_the_per_pair_message():
+    z2 = Zd(2)
+    ball = cayley_ball(z2, GeneratingSet.create(z2, Z2_XY), 6)
+    dist = bfs_ball((0, 0), Z2_XY, lambda p, q: (p[0] + q[0], p[1] + q[1]), 4)
+    bf = sphere_restrictions(ball, 2, 4)[0]
+    forged = BallFunctional(2, bf.labels, (3, *bf.values[1:]), bf.points)  # h(e) = 3
+    points = ball.ball(1)
+    labels = tuple(z2.element_label(p) for p in points)
+    # translation by g = (1, 0): x -> h(x - g) - h(-g)
+    values = [forged.value_at((x[0] - 1, x[1])) - forged.value_at((-1, 0)) for x in points]
+    with pytest.raises(InvalidParameterError) as per_pair:
+        BallFunctional.build(1, points, values, lambda p, q: dist[q[0] - p[0], q[1] - p[1]], labels)
+    with pytest.raises(InvalidParameterError) as acted:
+        act_on_restriction(ball, (1, 0), forged, 1)
+    assert str(acted.value) == str(per_pair.value)
+    assert "not 1-Lipschitz" in str(acted.value)
 
 
 def test_sphere_restrictions_beyond_int16():

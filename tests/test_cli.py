@@ -199,6 +199,10 @@ def test_internal_error_is_not_reported_as_invalid_input(monkeypatch):
         ("dynamics", "parabolic", "--fixture", "heisenberg-z", "--averaging", "0"),
         ("dynamics", "parabolic", "--fixture", "heisenberg-z", "--averaging", "-4"),
         ("reduced", "classify-z", "--anchors=5:1"),
+        ("dynamics", "almost-fixed", "--tol", "-1"),
+        ("dynamics", "parabolic", "--fixture", "disk-parabolic", "--tol", "-0.5"),
+        ("dynamics", "parabolic", "--n", "0", "--fixture", "disk-parabolic"),
+        ("validate", "distortion", "--grid-max", "1"),
     ],
     ids=lambda a: "-".join(a[:2]) + ":" + a[-1][:12],
 )

@@ -22,6 +22,10 @@ from horokit.cli import main
 
 PINS = Path(__file__).with_name("cli_pins.json")
 FINITE = json.dumps({"type": "finite", "params": {"matrix": [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]]}})
+# S3 from its multiplication table, generated by two transpositions
+S3 = json.dumps({"type": "finite_group", "params": {"generators": [1, 2], "table": [
+    [0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
+    [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]]}})
 
 CONFIGS = [
     ("boundary", "--group", "z", "--r", "2", "--rmax", "10", "--window", "3"),
@@ -33,6 +37,8 @@ CONFIGS = [
      "--mode", "inf", "--eval", "[1]"),
     ("extend", "mcshane", "--space", '{"type": "lp", "params": {"p": 2, "dim": 2}}',
      "--domain", "[[0, 0], [3, 4]]", "--values", "[0, 1]", "--eval", "[[1, 1]]"),
+    ("extend", "mcshane", "--space", S3, "--domain", "[0, 5]", "--values", '["0", "3/2"]',
+     "--eval", "[1, 2, 3, 4, 5]"),
     ("extend", "hahn-banach", "--fixture", "spoke-ray", "--n", "4"),
     ("extend", "hahn-banach", "--fixture", "plane-axis"),
     ("extend", "hahn-banach", "--fixture", "star-tree", "--n", "3"),
@@ -62,6 +68,7 @@ CONFIGS = [
     ("reduced", "fixed-point", "--fixture", "disk-rotation", "--seed", "1"),
     ("validate", "metric", "--space", '{"type": "zd", "params": {"dim": 2}}', "--triples", "50", "--seed", "1"),
     ("validate", "metric", "--space", FINITE, "--triples", "20"),
+    ("validate", "metric", "--space", S3, "--triples", "40", "--seed", "2"),
     ("validate", "distortion", "--name", "sqrt", "--grid-max", "50"),
     ("validate", "distortion", "--name", "log1p", "--grid-max", "50"),
     # every default value, with only the flags a leaf cannot run without

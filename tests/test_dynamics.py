@@ -12,6 +12,7 @@ from horokit.dynamics import (
     OrbitSpace,
     SelfMap,
     almost_fixed_invariant_functional,
+    cayley_to_disk,
     disk_parabolic_horocycle_audit,
     disk_parabolic_orbit,
     distorted_compactification_check,
@@ -384,6 +385,21 @@ def test_disk_parabolic_orbit_points():
     pts = disk_parabolic_orbit(-3, 3)
     for n, w in zip(range(-3, 4), pts):
         assert w == pytest.approx(n / (n + 2j), abs=1e-12)
+
+
+def test_disk_parabolic_orbit_equals_composed_matrices():
+    # The n-th point of the composed orbit: |n| steps of z -> z +- 1 composed
+    # as MoebiusMaps from the identity, then i mapped and Cayley-transformed.
+    step = half_plane_translation(1.0)
+    for factor, ns in ((step, range(0, 151)), (step.inverse(), range(0, -151, -1))):
+        m = MoebiusMap(1.0, 0.0, 0.0, 1.0)
+        composed = []
+        for _ in ns:
+            composed.append(cayley_to_disk(m.apply_half_plane(1j)))
+            m = m.compose(factor)
+        lo, hi = min(ns), max(ns)
+        got = disk_parabolic_orbit(lo, hi)
+        assert (got if lo == 0 else got[::-1]) == composed  # bit for bit
 
 
 def test_disk_parabolic_orbit_functional_trend():

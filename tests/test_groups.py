@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -233,6 +234,80 @@ def test_closed_form_ball_limit_checked_before_building(fam):
     assert size[-2] <= 1000 < size[-1]
 
 
+# S3 as permutations of (0, 1, 2), indexed in lexicographic order; the
+# product p.q applies q first.
+S3_PERMS = sorted(itertools.permutations(range(3)))
+S3_TABLE = [[S3_PERMS.index(tuple(p[i] for i in q)) for q in S3_PERMS] for p in S3_PERMS]
+
+
+def _table_case(table, gens, name):
+    """A finite group with its own closure of gens under inverses."""
+    n = len(table)
+    inv = {g: next(h for h in range(n) if table[g][h] == 0) for g in range(n)}
+    closed = sorted(set(gens) | {inv[g] for g in gens})
+    return name, FiniteGroup(table, generators=gens), 0, closed, lambda g, s: table[g][s]
+
+
+def _cyclic_table(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+# (name, family, identity, inverse-closed generators, multiply) for the
+# generating sets with no closed form, which cayley_ball reaches by search.
+SEARCH_CASES = [
+    ("Z^2{x,y,xy}", Zd(2), (0, 0), [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)],
+     lambda g, s: (g[0] + s[0], g[1] + s[1])),
+    ("H3{x,y,xy}", Heisenberg(), (0, 0, 0),
+     [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (1, 1, 0), (-1, -1, 1)], heis_mul),
+    _table_case(_cyclic_table(12), [1], "C12"),
+    _table_case(_cyclic_table(12), [5], "C12{5}"),
+    _table_case(S3_TABLE, [1, 2], "S3"),
+    _table_case(_cyclic_table(12), [3], "C12{3}"),  # generates only {0, 3, 6, 9}
+]
+
+
+@pytest.mark.parametrize("R", [0, 1, 2, 4, 7])
+@pytest.mark.parametrize("case", SEARCH_CASES, ids=lambda c: c[0])
+def test_search_ball_matches_plain_bfs(case, R):
+    _, fam, ident, gens, mul = case
+    dist = bfs_ball(ident, gens, mul, R)
+    order = sorted(dist, key=lambda g: (dist[g], g))
+    ball = cayley_ball(fam, GeneratingSet.create(fam, gens), R)
+    assert ball.coords is None
+    assert ball.elements == tuple(order)
+    assert ball.lengths == tuple(dist[g] for g in order)
+    assert ball.sphere_offsets == tuple(
+        sum(1 for g in order if dist[g] < r) for r in range(R + 2)
+    )
+    assert ball.index == {g: i for i, g in enumerate(order)}
+
+
+@pytest.mark.parametrize("case", SEARCH_CASES, ids=lambda c: c[0])
+def test_search_ball_limit_inside_a_sphere(case):
+    _, fam, ident, gens, mul = case
+    dist = bfs_ball(ident, gens, mul, 3)
+    size = [sum(1 for d in dist.values() if d <= r) for r in range(4)]
+    gset = GeneratingSet.create(fam, gens)
+    # every limit that B(2) fits and B(3) does not
+    for limit in range(size[2], size[3]):
+        with pytest.raises(ResourceLimitError, match=f"^ball size exceeded limit {limit}$") as exc:
+            cayley_ball(fam, gset, 4, limit=limit)
+        assert exc.value.radius_reached == 2
+    assert len(cayley_ball(fam, gset, 3, limit=size[3]).elements) == size[3]
+
+
+@pytest.mark.parametrize("case", [c for c in SEARCH_CASES if isinstance(c[1], FiniteGroup)],
+                         ids=lambda c: c[0])
+def test_finite_word_length_of_every_element(case):
+    _, fam, ident, gens, mul = case
+    dist = bfs_ball(ident, gens, mul, fam.n)
+    gset = GeneratingSet.create(fam, gens)
+    for g in range(fam.n):
+        assert word_length(fam, gset, g, fam.n) == dist.get(g), g
+        if dist.get(g):
+            assert word_length(fam, gset, g, dist[g] - 1) is None, g
+
+
 @pytest.fixture(scope="module")
 def h3_matrix_lengths():
     """{(a, b, c): word length} over B(12), by BFS on the 3x3 matrices."""
@@ -375,6 +450,29 @@ def test_word_length_oracle_on_nonstandard_generators():
         assert oracle.length(g, dist[g]) == dist[g], g
         if dist[g]:
             assert oracle.length(g, dist[g] - 1) is None, g
+
+
+# every search case but the last has a sphere S(3)
+@pytest.mark.parametrize("case", SEARCH_CASES[:-1], ids=lambda c: c[0])
+def test_word_length_oracle_limit_inside_a_sphere(case):
+    _, fam, ident, gens, mul = case
+    dist = bfs_ball(ident, gens, mul, 3)
+    size = [sum(1 for d in dist.values() if d <= r) for r in range(4)]
+    near, far = (next(g for g, d in dist.items() if d == r) for r in (2, 3))
+    for limit in range(size[2], size[3]):
+        oracle = WordLengthOracle(fam, GeneratingSet.create(fam, gens), limit=limit)
+        assert oracle.length(near, 8) == 2
+        with pytest.raises(ResourceLimitError, match=f"^ball size exceeded limit {limit}$") as exc:
+            oracle.length(far, 8)
+        assert exc.value.radius_reached == 2
+
+
+def test_finite_group_distance_obeys_the_ball_limit():
+    space = CayleyGraphSpace(cyclic_group(12), limit=6)
+    assert space.distance(0, 2) == 2  # |B(2)| = 5
+    with pytest.raises(ResourceLimitError, match="^ball size exceeded limit 6$") as exc:
+        space.distance(0, 6)  # |B(3)| = 7
+    assert exc.value.radius_reached == 2
 
 
 def test_finite_group_lengths():
