@@ -112,10 +112,10 @@ def _parsing(flag: str):
 
 
 def _count(flag: str, value: int, minimum: int = 0) -> int:
-    """A count or tolerance flag: below ``minimum`` a check would pass
-    vacuously or could not pass at all."""
-    if value < minimum:
-        raise InvalidParameterError(f"{flag} must be >= {minimum}, got {value}")
+    """A count or tolerance flag: below ``minimum``, infinite or NaN, a
+    check would pass vacuously or could not pass at all."""
+    if not minimum <= value < math.inf:
+        raise InvalidParameterError(f"{flag} must be finite and >= {minimum}, got {value}")
     return value
 
 

@@ -22,6 +22,7 @@ from .errors import (
 )
 from .functionals import RealizedFunctional, eval_functional
 from .metric import MetricSpace, Point, Scalar
+from .serialize import scalar_to_json
 from .spaces import (
     DistortedLine,
     PoincareDisk,
@@ -631,8 +632,6 @@ class OrbitFunctionalReport:
     tau_bound: float
 
     def as_dict(self) -> dict:
-        from .serialize import scalar_to_json
-
         return {
             "indices": self.indices,
             "values": [scalar_to_json(v) for v in self.values],

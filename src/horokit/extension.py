@@ -22,6 +22,7 @@ from .errors import (
 from .functionals import EvalOutcome
 from .metric import MetricSpace, Point, Scalar
 from .metric import first_lipschitz_violation, numeric_arrays, pair_distances
+from .serialize import scalar_to_json
 from .spaces import HUB, SpokeRaySpace, StarTreeSpace, frac
 
 
@@ -295,8 +296,6 @@ class FailureWitness:
     gap: Scalar
 
     def as_dict(self) -> dict:
-        from .serialize import scalar_to_json
-
         return {
             "stage": scalar_to_json(self.stage),
             "point": self.point,
@@ -314,8 +313,6 @@ class FailureReport:
     pointwise_stabilization: list[tuple[str, int]]  # (point, stage index where exact)
 
     def as_dict(self) -> dict:
-        from .serialize import scalar_to_json
-
         return {
             "space": self.space,
             "r": scalar_to_json(self.r),
@@ -407,8 +404,6 @@ class ZeroObstructionReport:
     inside_identity_ok: bool  # h_z(1) + h_z(-1) = 2(1 - |z|) for |z| <= 1
 
     def as_dict(self) -> dict:
-        from .serialize import scalar_to_json
-
         return {
             "passed": self.passed,
             "grid": self.grid_size,

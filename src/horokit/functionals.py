@@ -24,6 +24,7 @@ from .errors import (
 )
 from .metric import MetricSpace, Point, Scalar
 from .metric import first_lipschitz_violation, numeric_arrays, pair_distances
+from .serialize import scalar_to_json
 from .spaces import LpSpace, PoincareDisk
 
 
@@ -85,13 +86,10 @@ class BallFunctional:
     kind = "ball"
 
     def as_dict(self) -> dict:
-        from .serialize import scalar_to_json
-
-        return {
-            "radius": scalar_to_json(self.radius),
-            "order": list(self.labels),
-            "values": [scalar_to_json(v) for v in self.values],
-        }
+        values = self.values
+        if set(map(type, values)) != {int}:
+            values = [scalar_to_json(v) for v in values]
+        return {"radius": scalar_to_json(self.radius), "order": self.labels, "values": values}
 
 
 def check_rows(labels: Sequence[str], V: np.ndarray, D: np.ndarray) -> None:

@@ -3,12 +3,19 @@
 Exact rationals serialize as "p/q" strings (plain "p" when integral);
 floats serialize as their shortest round-trip decimals.  Space descriptors
 follow {"type": ..., "params": {...}, "base": ...}.
+
+``emit_json`` returns exactly the text of ``json.dumps(obj, default=...,
+sort_keys=True, indent=2)`` without the stdlib's per-value generators:
+a list or tuple of only exact ints, or only exact strs, is one ``join``,
+and a str sequence met again at one indent in one call (the ``labels``
+every ``BallFunctional`` of a sphere shares) reuses its text from a memo.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _str
 from typing import Any
 
 import numpy as np
@@ -30,6 +37,8 @@ SCHEMA_VERSION = "1"
 
 
 def scalar_to_json(v) -> Any:
+    if type(v) is int:
+        return v
     if isinstance(v, Fraction):
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     if isinstance(v, (int, np.integer)):
@@ -224,23 +233,58 @@ def partial_functional_from_json(space: MetricSpace, obj: dict):
     return PartialFunctional(space, points, values)
 
 
-class _Encoder(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, Fraction):
-            return scalar_to_json(o)
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        if isinstance(o, (np.floating,)):
-            return float(o)
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, complex):
-            return [o.real, o.imag]
-        if hasattr(o, "as_dict"):
-            return o.as_dict()
-        return super().default(o)
+def _default(o):
+    """Convert a value JSON has no literal for; the result is written in its place."""
+    if isinstance(o, (Fraction, np.integer, np.floating)):
+        return scalar_to_json(o)
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    if isinstance(o, complex):
+        return [o.real, o.imag]
+    if hasattr(o, "as_dict"):
+        return o.as_dict()
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _literal(o) -> str | None:
+    """The stdlib's text for None, a bool, an int or a float; else None."""
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return "NaN" if o != o else "Infinity" if o == math.inf else "-Infinity" if o == -math.inf else float.__repr__(o)
+    return None
 
 
 def emit_json(obj) -> str:
-    """Deterministic JSON: sorted keys, no whitespace surprises."""
-    return json.dumps(obj, cls=_Encoder, sort_keys=True, indent=2)
+    """Deterministic JSON: sorted keys, two-space indent, ASCII only."""
+    labels: dict[tuple, str] = {}
+
+    def text(o, level: int) -> str:
+        scalar = _str(o) if isinstance(o, str) else _literal(o)
+        if scalar is not None:
+            return scalar
+        if isinstance(o, (list, tuple, dict)) and not o:
+            return "{}" if isinstance(o, dict) else "[]"
+        inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
+        if isinstance(o, dict):
+            items = []
+            for k, v in sorted(o.items()):
+                key = k if isinstance(k, str) else _literal(k)
+                if key is None:
+                    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+                items.append(_str(key) + ": " + text(v, level + 1))
+            return "{" + inner + ("," + inner).join(items) + outer + "}"
+        if isinstance(o, (list, tuple)):
+            kinds = set(map(type, o))
+            if kinds == {str}:
+                key = (tuple(o), level)
+                if key not in labels:
+                    labels[key] = "[" + inner + ("," + inner).join(map(_str, o)) + outer + "]"
+                return labels[key]
+            item = repr if kinds == {int} else lambda v: text(v, level + 1)  # repr is int.__repr__ here
+            return "[" + inner + ("," + inner).join(map(item, o)) + outer + "]"
+        return text(_default(o), level)
+
+    return text(obj, 0)

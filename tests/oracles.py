@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import json
 from fractions import Fraction
 from math import comb
+
+import numpy as np
 
 
 def bfs_ball(identity, gens, mul, radius):
@@ -389,3 +392,25 @@ def first_lipschitz_violation(V, D, tol=0):
                 if abs(v[i] - v[j]) > D[i][j] + tol:
                     return (row, i, j)
     return None
+
+
+def _json_default(o):
+    if isinstance(o, Fraction):
+        return str(o)  # "p/q", or "p" when integral
+    if isinstance(o, np.integer):
+        return int(o)
+    if isinstance(o, np.floating):
+        return float(o)
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    if isinstance(o, complex):
+        return [o.real, o.imag]
+    if hasattr(o, "as_dict"):
+        return o.as_dict()
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def json_report(obj) -> str:
+    """A report as the stdlib's pure-Python encoder writes it: sorted keys,
+    a two-space indent, ASCII escapes."""
+    return json.dumps(obj, default=_json_default, sort_keys=True, indent=2)

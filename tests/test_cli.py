@@ -203,6 +203,9 @@ def test_internal_error_is_not_reported_as_invalid_input(monkeypatch):
         ("dynamics", "parabolic", "--fixture", "disk-parabolic", "--tol", "-0.5"),
         ("dynamics", "parabolic", "--n", "0", "--fixture", "disk-parabolic"),
         ("validate", "distortion", "--grid-max", "1"),
+        ("dynamics", "almost-fixed", "--tol", "nan"),
+        ("dynamics", "almost-fixed", "--tol", "inf"),
+        ("dynamics", "parabolic", "--fixture", "disk-parabolic", "--tol", "inf"),
     ],
     ids=lambda a: "-".join(a[:2]) + ":" + a[-1][:12],
 )

@@ -1,6 +1,7 @@
 import cmath
 import functools
 import json
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horokit import serialize
+from horokit.boundary import limit_restrictions, unboundedness_check
+from horokit.cli import main
 from horokit.errors import InvalidParameterError
 from horokit.extension import PartialFunctional
 from horokit.functionals import (
+    BallFunctional,
     DiskBusemann,
     HalfPlaneBusemannInfinity,
     Linear,
@@ -30,6 +35,7 @@ from horokit.groups import (
 )
 from horokit.metric import FiniteMetricSpace
 from horokit.serialize import (
+    SCHEMA_VERSION,
     ball_to_json,
     emit_json,
     functional_from_json,
@@ -51,6 +57,7 @@ from horokit.spaces import (
     StarTreeSpace,
     UpperHalfPlane,
 )
+from oracles import json_report
 
 
 def test_scalar_round_trip():
@@ -59,6 +66,16 @@ def test_scalar_round_trip():
     assert scalar_from_json("7/2") == Fraction(7, 2)
     assert scalar_from_json("3") == 3
     assert scalar_to_json(0.25) == 0.25
+    assert type(scalar_to_json(np.int64(-3))) is int and scalar_to_json(True) == 1
+
+
+def test_ball_functional_as_dict_converts_only_non_int_values():
+    labels, points = ("e", "a", "A"), ((0,), (1,), (-1,))
+    exact = BallFunctional(1, labels, (0, 1, -1), points)
+    assert exact.as_dict()["order"] is labels
+    assert emit_json(exact) == json_report({"radius": 1, "order": list(labels), "values": [0, 1, -1]})
+    mixed = BallFunctional(1, labels, (0, Fraction(1, 2), np.int64(-1)), points)
+    assert mixed.as_dict()["values"] == [0, "1/2", -1]
 
 
 def test_space_descriptors():
@@ -300,3 +317,111 @@ def test_functional_json_round_trip(kind, data):
     g = functional_from_json(wire)
     assert type(g) is type(f) and g.kind == kind
     assert _wire(functional_to_json(g)) == wire
+
+
+# ---------------------------------------------------------------------------
+# Report emission: the same text as the stdlib encoder
+# ---------------------------------------------------------------------------
+
+
+class _Reported:
+    """Any object with ``as_dict`` is written as the value it returns."""
+
+    def __init__(self, body):
+        self.body = body
+
+    def as_dict(self):
+        return self.body
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+TEXT = st.text(max_size=6) | st.sampled_from(["", '"', "\\", "\n\t\x00\x1f\x7f", "é", "☃", "\U0001d11e", "\ud800"])
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    FLOATS,
+    TEXT,
+    FRACS(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    FLOATS.map(np.float64),
+    st.complex_numbers(),
+    st.lists(FLOATS, max_size=3).map(np.array),
+    st.lists(st.integers(-99, 99), max_size=3).map(np.array),
+)
+# the shapes the two fast paths take, and near misses that must not
+LEAF_LISTS = st.one_of(
+    st.lists(st.integers(), max_size=6),
+    st.lists(st.integers(), max_size=6).map(tuple),
+    st.lists(st.integers() | st.booleans(), max_size=6),
+    st.lists(TEXT, max_size=6),
+    st.lists(TEXT, max_size=6).map(tuple),
+    st.lists(TEXT | st.integers(), max_size=6).map(tuple),
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(TEXT, children, max_size=4),
+        st.dictionaries(st.integers() | FLOATS | st.booleans(), children, max_size=4),
+        st.dictionaries(st.none(), children, max_size=1),
+        children.map(_Reported),
+    )
+
+
+@st.composite
+def _reports(draw):
+    """A nested value in which one str tuple recurs at several depths."""
+    shared = draw(st.lists(TEXT, min_size=1, max_size=4).map(tuple))
+    leaves = st.one_of(SCALARS, LEAF_LISTS, st.just(shared))
+    tree = draw(st.recursive(leaves, _containers, max_leaves=12))
+    return [shared, {"deeper": [shared, tree]}, tree]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reports())
+def test_emit_json_matches_stdlib_oracle(obj):
+    assert emit_json(obj) == json_report(obj)
+
+
+@pytest.mark.parametrize("obj", [{"x": object()}, {(1, 2): 0}, {1: 0, "a": 0}, [{1, 2}]])
+def test_emit_json_rejects_what_stdlib_rejects(obj):
+    with pytest.raises(TypeError):
+        json_report(obj)
+    with pytest.raises(TypeError):
+        emit_json(obj)
+
+
+def test_emit_json_converts_only_non_json_values(monkeypatch):
+    """str, None, bools, ints and floats, subclasses such as np.float64
+    included, are written as the stdlib writes them, never converted."""
+    seen = []
+    convert = serialize._default
+    monkeypatch.setattr(serialize, "_default", lambda o: seen.append(o) or convert(o))
+    natives = {"f": np.float64(0.1), "nan": np.float64("nan"), "xs": [1, True, None, "s", 2.5, -np.float64("inf")]}
+    assert emit_json(natives) == json_report(natives)
+    assert seen == []
+    assert emit_json([np.int64(3), Fraction(1, 2)]) == json_report([np.int64(3), Fraction(1, 2)])
+    assert len(seen) == 2
+
+
+def test_h3_boundary_report_matches_stdlib_oracle(capsys):
+    """H3, r = 3, R = 8, window 3: 1,110 functionals sharing their label
+    tuples, a 2.4 MB report."""
+    assert main(["boundary", "--group", "heisenberg", "--r", "3", "--rmax", "8", "--window", "3"]) == 0
+    family = Heisenberg()
+    lrs = limit_restrictions(family, GeneratingSet.standard(family), 3, 8, 3)
+    assert len(lrs.functionals) == 1110
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "boundary",
+        "config": {"group": "heisenberg", "dim": 2, "rank": 2, "r": 3, "rmax": 8, "window": 3},
+        "result": {"restrictions": lrs, "unboundedness": unboundedness_check(lrs)},
+    }
+    out, expected = capsys.readouterr().out, json_report(report) + "\n"
+    if out != expected:  # no bare assert: pytest's diff of two 2.4 MB texts takes minutes
+        at = len(os.path.commonprefix([out, expected]))
+        pytest.fail(f"report differs from the oracle at line {out.count(chr(10), 0, at) + 1}")
