@@ -42,8 +42,8 @@ def _lengths(ball: CayleyBall, idx: np.ndarray) -> np.ndarray:
 
 def _reach(family: GroupFamily, gens: GeneratingSet, r: int, R: int) -> int:
     """The ball radius ``_distance_blocks`` needs for rows g with |g| <= R
-    over B(r): R where word lengths have a closed form, R + r for the table
-    walk."""
+    over B(r): R where word lengths have a closed form, R + r where x^-1 g
+    is looked up in the ball's index."""
     return R if has_closed_form(family, gens) else R + r
 
 
@@ -64,9 +64,8 @@ def _distance_blocks(ball: CayleyBall, n: int, lo: int, hi: int, dtype) -> Itera
     one row, which leaves B(r) whole and cuts a sphere S(R) to its distinct
     r-prefixes.  H3: ``heisenberg_length`` of x^-1 g, broadcast over the
     (a, b, c) rows of ``ball.coords``, one row per g.  Non-standard
-    generators and finite groups: one row per g, from a walk over B(r) in
-    BFS order through the left-multiplication table, col[p.s] =
-    L[col[p], s^-1], which needs the ball to reach R + r.
+    generators and finite groups: one row per g, the word length of each
+    x^-1 g looked up in ``ball.index``, which needs the ball to reach R + r.
     """
     fam = ball.family
     if has_closed_form(fam, ball.gens):
@@ -107,20 +106,10 @@ def _distance_blocks(ball: CayleyBall, n: int, lo: int, hi: int, dtype) -> Itera
         for a in range(0, len(G), step):
             yield block(a, a + step)
         return
-    points, table, gens, index = ball.elements[:n], ball.left_table, ball.gens.elements, ball.index
-    inv = [gens.index(fam._inv(s)) for s in gens]
-    # Where the sphere of each x starts: a parent lies before it.
-    starts = np.asarray(ball.sphere_offsets)[_lengths(ball, np.arange(n))].tolist()
-    cols = np.empty((n, hi - lo), np.int32)
-    cols[0] = np.arange(lo, hi)
-    for i in range(1, n):
-        # A BFS parent p of x with x = p.s_k, so x^-1 g = s_k^-1 (p^-1 g).
-        for k in range(len(gens)):
-            p = index.get(fam._mul(points[i], gens[inv[k]]))
-            if p is not None and p < starts[i]:
-                break
-        cols[i] = table[cols[p], inv[k]]
-    yield _lengths(ball, cols.T).astype(dtype)
+    index = ball.index
+    xinv = [fam._inv(x) for x in ball.elements[:n]]
+    rows = [[index[fam._mul(x, g)] for x in xinv] for g in ball.elements[lo:hi]]
+    yield _lengths(ball, np.array(rows, np.intp).reshape(hi - lo, n)).astype(dtype)
 
 
 def _ball_functionals(r, points, labels, rows: np.ndarray, D: np.ndarray) -> list[BallFunctional]:
@@ -138,10 +127,10 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> list[BallFunctional
     (see ``_distance_blocks``): l1 broadcasting on Z^d,
     |x| + |g| - 2 lcp(x, g) over the distinct r-prefixes of the sphere on
     free groups and the closed-form word length of x^-1 g on H3, all read
-    from ``ball.coords`` and needing radius R only; a left-multiplication
-    table walk under non-standard generators and on finite groups, which
+    from ``ball.coords`` and needing radius R only; x^-1 g looked up in the
+    ball's index under non-standard generators and on finite groups, which
     needs radius R + r.  Values and the distance matrix D of B(r) are int16
-    (int64 once R + r leaves int16) and the table is int32.  Temporaries
+    (int64 once R + r leaves int16).  Temporaries
     are chunked to about 256K elements, and each chunk is deduplicated as
     it is made.  ``np.unique`` sorts the rows in value-tuple order; the
     checker in ``metric`` then checks every row exactly against D in

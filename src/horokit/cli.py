@@ -55,8 +55,9 @@ from .extension import (
     PartialFunctional,
     euclidean_zero_nonmembership_check,
     hahn_banach_extend,
-    horofunction_failure_witness,
     mcshane_extend,
+    spoke_ray_failure_witness,
+    star_tree_failure_witness,
 )
 from .functionals import HalfPlaneBusemannInfinity, ZdLinear
 from .groups import CayleyGraphSpace, FreeGroup, GeneratingSet, Heisenberg, Zd
@@ -390,20 +391,21 @@ def _selftest_dynamics() -> list[tuple[str, bool]]:
 # ---------------------------------------------------------------------------
 
 
-def _failure_witness(args, piece: str, gap_ok) -> Outcome:
+def _failure_witness(args, piece: str, witness, gap_ok) -> Outcome:
     stages = list(range(2, 2 + _count("--count", args.count, 1)))
-    rep = horofunction_failure_witness(piece.replace("-", "_"), args.r, stages)
+    rep = witness(args.r, stages)
     return Outcome(f"gallery.{piece}", {"r": args.r}, rep.as_dict(), all(gap_ok(w) for w in rep.witnesses),
                    lambda: [("stage", "point", "gap"),
                             *((scalar_to_json(w.stage), w.point, scalar_to_json(w.gap)) for w in rep.witnesses)])
 
 
 def _gallery_spoke_ray(args) -> Outcome:
-    return _failure_witness(args, "spoke-ray", lambda w: w.gap == Fraction(3, 2))
+    return _failure_witness(args, "spoke-ray", spoke_ray_failure_witness, lambda w: w.gap == Fraction(3, 2))
 
 
 def _gallery_star_tree(args) -> Outcome:
-    return _failure_witness(args, "star-tree", lambda w: w.gap == 2 * min(frac(args.r), Fraction(int(w.stage))))
+    return _failure_witness(args, "star-tree", star_tree_failure_witness,
+                            lambda w: w.gap == 2 * min(frac(args.r), Fraction(int(w.stage))))
 
 
 def _gallery_euclidean_zero(args) -> Outcome:
@@ -414,7 +416,7 @@ def _gallery_euclidean_zero(args) -> Outcome:
 
 
 def _selftest_gallery() -> list[tuple[str, bool]]:
-    rep = horofunction_failure_witness("spoke_ray", 1, [5, 9])
+    rep = spoke_ray_failure_witness(1, [5, 9])
     checks = [("spoke_gap", all(w.gap == Fraction(3, 2) for w in rep.witnesses))]
     rep2 = euclidean_zero_nonmembership_check([Fraction(k, 2) for k in range(-8, 9)])
     checks.append(("zero_obstruction", rep2.passed))

@@ -71,9 +71,9 @@ class SelfMap:
             raise UnsupportedError(f"{self.label} has no inverse oracle")
         return self.inverse_func(x)
 
-    def orbit(self, n: int, x0: Point | None = None) -> list[Point]:
-        """[x0, f(x0), ..., f^n(x0)]."""
-        x = self.space.base_point if x0 is None else x0
+    def orbit(self, n: int) -> list[Point]:
+        """[x0, f(x0), ..., f^n(x0)] from the base point x0."""
+        x = self.space.base_point
         out = [x]
         for _ in range(n):
             x = self.func(x)
@@ -171,17 +171,11 @@ class MoebiusMap:
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
 
     def classify(self) -> str:
-        t = abs(float(self.trace()))
-        if self.exact:
-            t2 = abs(self.trace())
-            if t2 < 2:
-                return "elliptic"
-            if t2 == 2:
-                return "parabolic"
-            return "hyperbolic"
-        if t < 2 - 1e-12:
+        t = abs(self.trace())
+        eps = 0 if self.exact else 1e-12
+        if t < 2 - eps:
             return "elliptic"
-        if t <= 2 + 1e-12:
+        if t <= 2 + eps:
             return "parabolic"
         return "hyperbolic"
 
@@ -201,24 +195,12 @@ class MoebiusMap:
     def as_selfmap(self, space: MetricSpace, *, kind: str = "isometry") -> SelfMap:
         inv = self.inverse()
         if isinstance(space, UpperHalfPlane):
-            return SelfMap(
-                space,
-                self.apply_half_plane,
-                kind=kind,
-                inverse=inv.apply_half_plane,
-                label="moebius",
-                matrix=self,
-            )
-        if isinstance(space, PoincareDisk):
-            return SelfMap(
-                space,
-                self.apply_disk,
-                kind=kind,
-                inverse=inv.apply_disk,
-                label="moebius(disk)",
-                matrix=self,
-            )
-        raise UnsupportedError("Moebius maps act on the hyperbolic models only")
+            func, inverse, label = self.apply_half_plane, inv.apply_half_plane, "moebius"
+        elif isinstance(space, PoincareDisk):
+            func, inverse, label = self.apply_disk, inv.apply_disk, "moebius(disk)"
+        else:
+            raise UnsupportedError("Moebius maps act on the hyperbolic models only")
+        return SelfMap(space, func, kind=kind, inverse=inverse, label=label, matrix=self)
 
     def orbit_distances(self, n_max: int) -> list[float]:
         """d(i, M^n i) for n = 0..n_max via scale-tracked matrix powers.
@@ -248,7 +230,7 @@ class MoebiusMap:
         return out
 
 
-def random_hyperbolic_pair(rng: random.Random, *, max_trace: int = 12) -> tuple[MoebiusMap, MoebiusMap]:
+def random_hyperbolic_pair(rng: random.Random) -> tuple[MoebiusMap, MoebiusMap]:
     """Seeded pair of exact hyperbolic maps built from elementary shears."""
 
     def one() -> MoebiusMap:
@@ -261,7 +243,7 @@ def random_hyperbolic_pair(rng: random.Random, *, max_trace: int = 12) -> tuple[
                 else:
                     m = m.compose(MoebiusMap(1, 0, p, 1))
             t = abs(m.trace())
-            if 2 < t <= max_trace:
+            if 2 < t <= 12:
                 return m
 
     return one(), one()
@@ -294,13 +276,13 @@ class TauReport:
         }
 
 
-def _orbit_displacements(f: SelfMap, n: int, x0: Point | None) -> list:
-    """a_k = d(x0, f^k(x0)) for k = 0..n, exact where the space is."""
+def _orbit_displacements(f: SelfMap, n: int) -> list:
+    """a_k = d(x0, f^k(x0)) for k = 0..n from the base point x0, exact where
+    the space is."""
     space = f.space
-    base = space.base_point if x0 is None else x0
-    if f.matrix is not None and x0 is None and isinstance(space, UpperHalfPlane):
+    if f.matrix is not None and isinstance(space, UpperHalfPlane):
         return f.matrix.orbit_distances(n)
-    if f.group_element is not None and x0 is None:
+    if f.group_element is not None:
         fam = space.family
         out = [0]
         power = fam.identity()
@@ -312,14 +294,14 @@ def _orbit_displacements(f: SelfMap, n: int, x0: Point | None) -> list:
             out.append(length)
         return out
     out = [0]
-    x = base
+    base = x = space.base_point
     for _ in range(n):
         x = f.apply(x)
         out.append(space.distance(base, x))
     return out
 
 
-def translation_number(f: SelfMap, n: int, *, x0: Point | None = None) -> TauReport:
+def translation_number(f: SelfMap, n: int) -> TauReport:
     """Estimate and certify the translation number from n orbit steps.
 
     Subadditivity of a_k = d(x0, f^k x0) makes min a_k/k a true upper
@@ -327,7 +309,7 @@ def translation_number(f: SelfMap, n: int, *, x0: Point | None = None) -> TauRep
     """
     if n < 1:
         raise PreconditionError("need n >= 1")
-    a = _orbit_displacements(f, n, x0)
+    a = _orbit_displacements(f, n)
     bound_trace = []
     bound = None
     for k in range(1, n + 1):
@@ -488,14 +470,13 @@ def spectral_principle_witness(
     n: int,
     *,
     tol: float = 1e-9,
-    x0: Point | None = None,
 ) -> PrincipleReport:
     """Among the candidate functionals, find the one minimizing the maximal
     violation of h(f^k x0) <= -tau_hat k over k = 1..n."""
     if not candidates:
         raise InvalidParameterError("candidate list is empty")
-    tau = translation_number(f, n, x0=x0).bound
-    orbit = f.orbit(n, x0)
+    tau = translation_number(f, n).bound
+    orbit = f.orbit(n)
     worst = []
     for h in candidates:
         v = max(float(eval_functional(h, orbit[k])) + tau * k for k in range(1, n + 1))
@@ -609,8 +590,8 @@ class OrbitSpace:
         self.exact = all(isinstance(v, (int, Fraction)) for v in self.D)
 
     @classmethod
-    def from_selfmap(cls, f: SelfMap, n: int, *, x0: Point | None = None) -> "OrbitSpace":
-        return cls(_orbit_displacements(f, n, x0))
+    def from_selfmap(cls, f: SelfMap, n: int) -> "OrbitSpace":
+        return cls(_orbit_displacements(f, n))
 
     def tau_bound(self) -> float:
         return min(self.D[k] / k for k in range(1, self.N + 1))
@@ -691,19 +672,16 @@ def parabolic_orbit_functional(
     vectors = []
     for n in range(n_lo, n_hi + 1):
         vectors.append(tuple(orbit.D[n - m] - orbit.D[n] for m in idx))
+    # Count each key and keep its latest vector.  Exact keys are the vectors
+    # themselves, and the first one is kept: 0 and Fraction(0) are equal keys
+    # but are written differently.
+    quantum = tol / 10.0
     counts: dict[tuple, int] = {}
-    if orbit.exact:
-        for v in vectors:
-            counts[v] = counts.get(v, 0) + 1
-    else:
-        quantum = tol / 10.0
-        for v in vectors:
-            key = tuple(round(float(x) / quantum) for x in v)
-            counts[key] = counts.get(key, 0) + 1
-        # map quantized keys back to the latest representative
-        reps: dict[tuple, tuple] = {}
-        for v in vectors:
-            reps[tuple(round(float(x) / quantum) for x in v)] = v
+    reps: dict[tuple, tuple] = {}
+    for v in vectors:
+        k = v if orbit.exact else tuple(round(float(x) / quantum) for x in v)
+        counts[k] = counts.get(k, 0) + 1
+        reps[k] = v
     recurring = {k: c for k, c in counts.items() if c >= 2}
     if recurring:
         chosen_key = min(recurring)
@@ -749,9 +727,7 @@ def parabolic_orbit_functional(
 
 def half_plane_translation(t: float = 1.0) -> MoebiusMap:
     """The parabolic z -> z + t fixing infinity."""
-    if isinstance(t, (int, Fraction, str)):
-        return MoebiusMap(1, t, 0, 1)
-    return MoebiusMap(1.0, float(t), 0.0, 1.0)
+    return MoebiusMap(1, t, 0, 1)
 
 
 def disk_parabolic_orbit(n_lo: int, n_hi: int) -> list[complex]:

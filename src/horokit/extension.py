@@ -17,7 +17,6 @@ from .errors import (
     BudgetError,
     InvalidParameterError,
     PreconditionError,
-    UnsupportedError,
 )
 from .functionals import EvalOutcome
 from .metric import MetricSpace, Point, Scalar
@@ -377,14 +376,6 @@ def star_tree_failure_witness(r, branch_indices: Sequence[int]) -> FailureReport
         # h_{x_n}(y) equals d(x0, y) for every n != m: stabilizes past m.
         stab.append((space.point_label(y), m + 1))
     return FailureReport("star_tree", r, witnesses, stab)
-
-
-def horofunction_failure_witness(space_kind: str, r, stages: Sequence) -> FailureReport:
-    if space_kind == "spoke_ray":
-        return spoke_ray_failure_witness(r, stages)
-    if space_kind == "star_tree":
-        return star_tree_failure_witness(r, [int(s) for s in stages])
-    raise UnsupportedError(f"no failure witness for space kind {space_kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -496,33 +496,24 @@ def lipschitz_check(
     rng = random.Random(seed)
     if pairs < 1:
         raise PreconditionError("need at least one sample pair")
-    if isinstance(space, LpSpace) and hasattr(f, "evaluate_batch"):
+    if isinstance(space, (LpSpace, PoincareDisk)) and hasattr(f, "evaluate_batch"):
         nprng = np.random.default_rng(seed)
-        Y = nprng.normal(0.0, 3.0, size=(pairs, space.dim))
-        Z = nprng.normal(0.0, 3.0, size=(pairs, space.dim))
-        fy = f.evaluate_batch(Y)
-        fz = f.evaluate_batch(Z)
-        if space.p == 2.0:
-            d = np.linalg.norm(Y - Z, axis=1)
+        if isinstance(space, LpSpace):
+            Y = nprng.normal(0.0, 3.0, size=(pairs, space.dim))
+            Z = nprng.normal(0.0, 3.0, size=(pairs, space.dim))
+            if space.p == 2.0:
+                d = np.linalg.norm(Y - Z, axis=1)
+            else:
+                d = (np.abs(Y - Z) ** space.p).sum(axis=1) ** (1.0 / space.p)
         else:
-            d = (np.abs(Y - Z) ** space.p).sum(axis=1) ** (1.0 / space.p)
-        slack = np.abs(fy - fz) - d
-        worst = float(slack.max())
-        if worst > tol:
-            i = int(slack.argmax())
-            return CheckOutcome(False, pairs, worst, (Y[i], Z[i]))
-        return CheckOutcome(True, pairs, worst)
-    if isinstance(space, PoincareDisk) and hasattr(f, "evaluate_batch"):
-        nprng = np.random.default_rng(seed)
-        def draw():
-            z = nprng.uniform(-0.95, 0.95, size=(pairs, 2))
-            z = z[:, 0] + 1j * z[:, 1]
-            z[np.abs(z) >= 0.95] *= 0.5
-            return z
-        Y, Z = draw(), draw()
-        fy, fz = f.evaluate_batch(Y), f.evaluate_batch(Z)
-        d = 2.0 * np.arctanh(np.abs(Y - Z) / np.abs(1 - np.conj(Y) * Z))
-        slack = np.abs(fy - fz) - d
+            def draw():
+                z = nprng.uniform(-0.95, 0.95, size=(pairs, 2))
+                z = z[:, 0] + 1j * z[:, 1]
+                z[np.abs(z) >= 0.95] *= 0.5
+                return z
+            Y, Z = draw(), draw()
+            d = 2.0 * np.arctanh(np.abs(Y - Z) / np.abs(1 - np.conj(Y) * Z))
+        slack = np.abs(f.evaluate_batch(Y) - f.evaluate_batch(Z)) - d
         worst = float(slack.max())
         if worst > tol:
             i = int(slack.argmax())
@@ -706,7 +697,6 @@ def lp_limit_convergence_check(
     *,
     k_range: int = 32,
     tol: float = 1e-6,
-    witness_scale: Callable[[int], float] = lambda k: 2.0 * k * k,
 ) -> LimitConvergenceReport:
     """Evaluate the defining witness sequence of a closed-form l^p
     functional against the functional itself.
@@ -714,57 +704,43 @@ def lp_limit_convergence_check(
     Witnesses anchor at fresh coordinates beyond the support of all test
     vectors: LpZC uses z + (c^p - ||z||_p^p)^(1/p) e_j; Linear(v) uses
     a_k v-hat + b_k e_j with (a_k, b_k) = s(k) (||v||, sqrt(1 - ||v||^2));
-    Zero uses s(k) e_j.  Deviations are max over the test vectors.
+    Zero uses s(k) e_j, with s(k) = 2k^2.  Deviations are max over the
+    test vectors.
     """
     xs = [_vec(x) for x in test_vectors]
     if not xs:
         raise PreconditionError("need at least one test vector")
-    support = max(x.size for x in xs)
-    devs: list[float] = []
+    # Per witness k, the anchor's head (its leading coordinates) and its
+    # tail (its entry at the fresh coordinate j).
+    scales = [2.0 * k * k for k in range(1, k_range + 1)]
     if isinstance(target, LpZC):
-        support = max(support, target.z.size)
+        p = target.p
         t = (target.c**target.p - target.znorm**target.p) ** (1.0 / target.p)
-        for k in range(1, k_range + 1):
-            j = support + k - 1
-            anchor = np.zeros(j + 1)
-            anchor[: target.z.size] = target.z
-            anchor[j] += t
-            dev = 0.0
-            for x in xs:
-                xv, av = _pad_pair(x, anchor)
-                h = lp_norm(xv - av, target.p) - lp_norm(av, target.p)
-                dev = max(dev, abs(h - target.evaluate(x)))
-            devs.append(dev)
+        anchors = [(target.z, t)] * k_range
     elif isinstance(target, Linear):
-        support = max(support, target.v.size)
+        p = 2.0
         vnorm = float(np.linalg.norm(target.v))
         vhat = target.v / vnorm if vnorm > 0 else target.v
-        for k in range(1, k_range + 1):
-            j = support + k - 1
-            s = witness_scale(k)
-            anchor = np.zeros(j + 1)
-            anchor[: vhat.size] = s * vnorm * vhat
-            anchor[j] = s * math.sqrt(max(0.0, 1.0 - vnorm**2))
-            dev = 0.0
-            for x in xs:
-                xv, av = _pad_pair(x, anchor)
-                h = float(np.linalg.norm(xv - av) - np.linalg.norm(av))
-                dev = max(dev, abs(h - target.evaluate(x)))
-            devs.append(dev)
+        b = math.sqrt(max(0.0, 1.0 - vnorm**2))
+        anchors = [(s * vnorm * vhat, s * b) for s in scales]
     elif isinstance(target, Zero):
-        for k in range(1, k_range + 1):
-            j = support + k - 1
-            s = witness_scale(k)
-            anchor = np.zeros(j + 1)
-            anchor[j] = s
-            dev = 0.0
-            for x in xs:
-                xv, av = _pad_pair(x, anchor)
-                h = float(np.linalg.norm(xv - av) - s)
-                dev = max(dev, abs(h))
-            devs.append(dev)
+        p = 2.0
+        anchors = [(np.zeros(0), s) for s in scales]
     else:
         raise UnsupportedError(f"no witness construction for {type(target).__name__}")
+    support = max(v.size for v in xs + [head for head, _ in anchors])
+    devs: list[float] = []
+    for k, (head, tail) in enumerate(anchors, 1):
+        j = support + k - 1
+        anchor = np.zeros(j + 1)
+        anchor[: head.size] = head
+        anchor[j] = tail
+        dev = 0.0
+        for x in xs:
+            xv, av = _pad_pair(x, anchor)
+            h = lp_norm(xv - av, p) - lp_norm(av, p)
+            dev = max(dev, abs(h - target.evaluate(x)))
+        devs.append(dev)
     threshold = None
     for k in range(len(devs), 0, -1):
         if devs[k - 1] <= tol:

@@ -447,20 +447,6 @@ class CayleyBall:
             raise PreconditionError(f"ball radius {r} outside ball of radius {self.radius}")
         return self.elements[: self.sphere_offsets[r + 1]]
 
-    @cached_property
-    def left_table(self) -> np.ndarray:
-        """``L[i, k]``, the index of ``s_k · g_i``, for every g_i in B(radius - 1).
-
-        Rows stop one sphere short of the ball, so every product is inside
-        it.  int32, computed on first use.
-        """
-        fam, index = self.family, self.index
-        inner = self.elements[: self.sphere_offsets[self.radius]]
-        table = np.empty((len(inner), len(self.gens.elements)), dtype=np.int32)
-        for k, s in enumerate(self.gens.elements):
-            table[:, k] = [index[fam._mul(s, g)] for g in inner]
-        return table
-
     def sphere_sizes(self) -> list[int]:
         return [
             self.sphere_offsets[r + 1] - self.sphere_offsets[r] for r in range(self.radius + 1)
@@ -698,20 +684,19 @@ class CayleyGraphSpace(MetricSpace):
     """A group with a word metric, as a discrete exact metric space."""
 
     exact = True
+    distance_bound = 4096  # longest word length a distance query searches for
 
     def __init__(
         self,
         family: GroupFamily,
         gens: GeneratingSet | None = None,
         *,
-        distance_bound: int = 4096,
         limit: int | None = None,
     ):
         self.family = family
         self.gens = gens if gens is not None else GeneratingSet.standard(family)
         if self.gens.family is not family:
             raise InvalidParameterError("generating set belongs to a different family")
-        self.distance_bound = distance_bound
         self._oracle = WordLengthOracle(family, self.gens, limit=limit)
 
     def distance(self, p: Element, q: Element) -> int:

@@ -296,7 +296,6 @@ def _checked_distance(space: MetricSpace, p: Point, q: Point) -> Scalar:
 
 def validate_metric(
     space: MetricSpace,
-    sample: Sequence[Point] | None = None,
     *,
     max_triples: int = 10_000,
     seed: int = 0,
@@ -304,27 +303,28 @@ def validate_metric(
 ) -> MetricReport:
     """Check symmetry, zero self-distance, and the triangle inequality.
 
-    Finite spaces are checked exhaustively over all triples; otherwise the
-    triangle inequality is checked on ``max_triples`` seeded random triples
-    drawn from ``sample`` (or from the space's own sampler).  The first
-    violation is reported in canonical order for exhaustive checks and in
-    draw order for sampled ones.
+    Finite spaces (a ``FiniteMetricSpace``, or every element that the
+    generators of a finite group reach) are checked exhaustively over all
+    triples; otherwise the triangle inequality is checked on ``max_triples``
+    seeded random triples drawn from 48 points of the space's sampler.  The
+    first violation is reported in canonical order for exhaustive checks and
+    in draw order for sampled ones.
     """
     if tol is None:
         tol = Fraction(0) if space.exact else 1e-10
     if max_triples < 0:
         raise PreconditionError(f"max_triples must be >= 0, got {max_triples}")
 
-    exhaustive = isinstance(space, FiniteMetricSpace) and sample is None
-    if sample is None:
-        if exhaustive:
-            pts = space.points()
-        else:
-            pts = space.sample_points(random.Random(seed), 48)
+    from .groups import CayleyGraphSpace, FiniteGroup
+
+    exhaustive = True
+    if isinstance(space, FiniteMetricSpace):
+        pts = space.points()
+    elif isinstance(space, CayleyGraphSpace) and isinstance(space.family, FiniteGroup):
+        pts = [g for g, _ in discrete_ball(space, space.family.n)]
     else:
-        pts = list(sample)
-    if not pts:
-        raise PreconditionError("validation sample is empty")
+        exhaustive = False
+        pts = space.sample_points(random.Random(seed), 48)
 
     n = len(pts)
     D = [[None] * n for _ in range(n)]

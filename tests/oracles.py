@@ -13,6 +13,7 @@ import json
 from fractions import Fraction
 from math import comb
 
+import mpmath
 import numpy as np
 
 
@@ -30,6 +31,15 @@ def bfs_ball(identity, gens, mul, radius):
                     nxt.append(h)
         frontier = nxt
     return dist
+
+
+def disk_distance(z: complex, w: complex) -> float:
+    """Poincare disk distance 2 atanh(|z - w| / |1 - conj(z) w|), evaluated
+    on the exact binary values of z and w at 60 decimal digits and rounded
+    to a float."""
+    with mpmath.workdps(60):
+        z, w = mpmath.mpc(z), mpmath.mpc(w)
+        return float(2 * mpmath.atanh(abs(z - w) / abs(1 - mpmath.conj(z) * w)))
 
 
 def zd_sphere_count(d: int, r: int) -> int:

@@ -12,7 +12,6 @@ from horokit.extension import (
     PigeonholeLimit,
     euclidean_zero_nonmembership_check,
     hahn_banach_extend,
-    horofunction_failure_witness,
     mcshane_extend,
     spoke_ray_failure_witness,
     star_tree_failure_witness,
@@ -248,13 +247,6 @@ def test_star_tree_pointwise_limit_stabilizes():
         assert out.stabilized
         assert out.value == ST.distance(HUB, y)
         assert out.index == m  # witness x_{m+1} starts the constant tail
-
-
-def test_failure_witness_dispatch():
-    assert horofunction_failure_witness("spoke_ray", 1, [3]).space == "spoke_ray"
-    assert horofunction_failure_witness("star_tree", 1, [3]).space == "star_tree"
-    with pytest.raises(Exception):
-        horofunction_failure_witness("plane", 1, [3])
 
 
 def test_failure_witness_preconditions():

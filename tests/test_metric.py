@@ -1,3 +1,4 @@
+import itertools
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -18,7 +19,7 @@ from horokit.errors import (
 )
 from horokit.extension import PartialFunctional
 from horokit.functionals import BallFunctional
-from horokit.groups import CayleyGraphSpace, FreeGroup, Heisenberg, Zd
+from horokit.groups import CayleyGraphSpace, FiniteGroup, FreeGroup, Heisenberg, Zd, cyclic_group
 from horokit.metric import (
     FiniteMetricSpace,
     MetricSpace,
@@ -167,6 +168,28 @@ def test_discrete_ball_limit_reports_radius_reached():
     with pytest.raises(ResourceLimitError) as exc:
         discrete_ball(CayleyGraphSpace(FreeGroup(2)), 8, limit=100)
     assert exc.value.radius_reached == 3  # |B(3)| = 53 <= 100 < |B(4)| = 161
+
+
+S3_PERMS = sorted(itertools.permutations(range(3)))
+S3_TABLE = [[S3_PERMS.index(tuple(p[i] for i in q)) for q in S3_PERMS] for p in S3_PERMS]
+
+
+@pytest.mark.parametrize(
+    "family, points",
+    [
+        (FiniteGroup(S3_TABLE, [1, 2]), 6),  # two transpositions generate S3
+        (cyclic_group(12, step=3), 4),  # 3 generates the subgroup {0, 3, 6, 9}
+    ],
+    ids=["S3", "C12-step-3"],
+)
+def test_validate_metric_checks_a_finite_cayley_graph_exhaustively(family, points):
+    # every element the generators reach, each pair and each triple once,
+    # however many triples were asked for
+    report = validate_metric(CayleyGraphSpace(family), max_triples=40, seed=2)
+    assert report.passed
+    assert report.points_checked == points
+    assert report.pairs_checked == points * (points - 1) // 2
+    assert report.triples_checked == points**3
 
 
 def test_negative_triple_count_rejected():

@@ -24,7 +24,7 @@ from horokit.spaces import (
     table_distortion,
 )
 
-from oracles import spoke_ray_graph_distance
+from oracles import disk_distance, spoke_ray_graph_distance
 
 SR = SpokeRaySpace()
 ST = StarTreeSpace()
@@ -153,6 +153,29 @@ class TestHyperbolic:
         disk = PoincareDisk()
         assert abs(disk.distance(0, 0.5) - math.log(3)) < 1e-12
         assert disk.distance(0.3 + 0.2j, 0.3 + 0.2j) == 0
+
+    def test_disk_distance_near_the_boundary(self):
+        disk = PoincareDisk()
+        # the atanh form raised "math domain error" on this pair
+        z, w = -0.848687267781645 - 0.5288950003950973j, -0.8490562052607962 - 0.5283025272586541j
+        assert math.isclose(disk.distance(z, w), disk_distance(z, w), rel_tol=1e-5)
+        # and was off by a relative 3.2e-11 here
+        assert disk.distance(0.999999, 0.9999995) == disk_distance(0.999999, 0.9999995)
+
+    def test_disk_distance_against_mpmath(self):
+        # Rounding |z| to a float costs about one ulp, which 1 - |z| amplifies
+        # by 1 / (1 - |z|); nothing else may add error.
+        disk = PoincareDisk()
+        rng = random.Random(3)
+        for _ in range(400):
+            r1, r2 = (1 - 10 ** rng.uniform(-12, 0) for _ in range(2))
+            t1 = rng.uniform(0, 2 * math.pi)
+            t2 = t1 + rng.choice([1, -1]) * 10 ** rng.uniform(-12, 0.5)
+            z, w = r1 * complex(math.cos(t1), math.sin(t1)), r2 * complex(math.cos(t2), math.sin(t2))
+            if max(abs(z), abs(w)) >= 1 or z == w:
+                continue
+            bound = max(1e-14, 2.3e-16 * (1 / (1 - abs(z)) + 1 / (1 - abs(w))))
+            assert math.isclose(disk.distance(z, w), disk_distance(z, w), rel_tol=bound)
 
     def test_half_plane_closed_form(self):
         hp = UpperHalfPlane()
