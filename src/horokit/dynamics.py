@@ -80,25 +80,6 @@ class SelfMap:
             out.append(x)
         return out
 
-    def audit_nonexpansive(self, *, pairs: int = 512, tol: Scalar | None = None, seed: int = 0):
-        """Sampled check of d(f(x), f(y)) <= d(x, y); equality for isometries."""
-        from .functionals import CheckOutcome
-
-        rng = random.Random(seed)
-        pts = self.space.sample_points(rng, 2 * pairs)
-        if tol is None:
-            tol = 0 if self.space.exact else 1e-12
-        worst = 0
-        for i in range(pairs):
-            x, y = pts[2 * i], pts[2 * i + 1]
-            before = self.space.distance(x, y)
-            after = self.space.distance(self.func(x), self.func(y))
-            gap = after - before if self.kind == "semi-contraction" else abs(after - before)
-            worst = max(worst, gap)
-            if gap > tol:
-                return CheckOutcome(False, i + 1, float(gap), (x, y))
-        return CheckOutcome(True, pairs, float(worst))
-
 
 def group_translation(space, g) -> SelfMap:
     """Left translation x -> g x on a Cayley graph space (an isometry)."""

@@ -9,9 +9,12 @@ evaluation tables.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     BudgetError,
@@ -119,8 +122,11 @@ def mcshane_extend(f: PartialFunctional, mode: str) -> McShaneExtension:
 class PigeonholeLimit:
     """Limit of h_{y_k} along a deterministic subsequence.
 
-    At each newly requested point the active witness indices are grouped by
-    their value there (exactly for exact spaces, by tol/10 clustering for
+    ``space.functional_rows`` prepares the witnesses once and gives
+    h_{y_k}(y) over the active witnesses as one row; exact rows are
+    integers over one denominator, and only the chosen value becomes a
+    Fraction.  At each newly requested point the active witnesses are
+    grouped by value (exactly for exact spaces, by tol/10 clustering for
     float ones); among values recurring at least ``recur_min`` times the
     smallest is chosen and the subsequence restricted to it.  Restricting a
     convergent subsequence never changes already-chosen values, so earlier
@@ -136,22 +142,15 @@ class PigeonholeLimit:
         budget: int = 4096,
         tol: float = 1e-9,
         recur_min: int = 2,
-        name: str = "extension",
     ):
         self.space = space
-        self.name = name
         self.tol = tol
         self.recur_min = max(2, recur_min)
-        self.points: list[Point] = []
-        for w in witnesses:
-            self.points.append(w)
-            if len(self.points) >= budget:
-                break
+        self.points: list[Point] = list(itertools.islice(witnesses, max(budget, 1)))
         if not self.points:
             raise PreconditionError("witness sequence is empty")
-        x0 = space.base_point
-        self.offsets = [space.distance(x0, w) for w in self.points]
-        self.active: list[int] = list(range(len(self.points)))
+        self._row = space.functional_rows(self.points, space.base_point)
+        self.active = np.arange(len(self.points))
         self._cache: dict = {}
 
     def evaluate(self, y: Point) -> EvalOutcome:
@@ -159,55 +158,42 @@ class PigeonholeLimit:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        vals = [
-            (self.space.distance(y, self.points[i]) - self.offsets[i], i) for i in self.active
-        ]
-        outcome = self._choose(vals)
-        if outcome.stabilized:
-            chosen = outcome.value
-            if self.space.exact:
-                keep = [i for v, i in vals if v == chosen]
-            else:
-                keep = [i for v, i in vals if abs(v - chosen) <= self.tol]
-            self.active = keep
+        active = self.active
+        vals, den = self._row(y, active)
+        j, width = self._choose(vals, active)
+        k = -1 if j is None else j  # unstabilized: report the last witness
+        value = Fraction(int(vals[k]), den) if self.space.exact else float(vals[k])
+        outcome = EvalOutcome(value, j is not None, int(active[k]), width, len(vals))
+        if j is not None:
+            exact = self.space.exact
+            self.active = active[vals == vals[j] if exact else abs(vals - vals[j]) <= self.tol]
         self._cache[key] = outcome
         return outcome
 
-    def _choose(self, vals: list[tuple[Scalar, int]]) -> EvalOutcome:
-        used = len(vals)
+    def _choose(self, vals: np.ndarray, active: np.ndarray) -> tuple:
+        """(position in ``vals`` of the chosen value, cluster width), or
+        (None, None) when no value recurs.  Exact: the least recurring value
+        at its first witness.  Float: the least cluster of sorted values
+        with gaps at most tol/10, at its member from the deepest witness."""
         if self.space.exact:
-            counts: dict = {}
-            for v, _ in vals:
-                counts[v] = counts.get(v, 0) + 1
-            recurring = sorted(v for v, c in counts.items() if c >= self.recur_min)
-            if not recurring:
-                return EvalOutcome(vals[-1][0], False, vals[-1][1], None, used)
-            chosen = recurring[0]
-            first = next(i for v, i in vals if v == chosen)
-            return EvalOutcome(chosen, True, first, None, used)
-        # Float: cluster sorted values, breaking at gaps larger than tol/10.
-        ordered = sorted(vals)
-        clusters: list[list[tuple[float, int]]] = [[ordered[0]]]
-        for v, i in ordered[1:]:
-            if v - clusters[-1][-1][0] <= self.tol / 10.0:
-                clusters[-1].append((v, i))
-            else:
-                clusters.append([(v, i)])
-        recurring = [c for c in clusters if len(c) >= self.recur_min]
-        if not recurring:
-            return EvalOutcome(vals[-1][0], False, vals[-1][1], None, used)
-        cluster = recurring[0]
-        # Report the member computed from the deepest witness.
-        v, i = max(cluster, key=lambda t: t[1])
-        width = cluster[-1][0] - cluster[0][0]
-        return EvalOutcome(v, True, i, width, used)
+            _, first, counts = np.unique(vals, return_index=True, return_counts=True)
+            hits = np.flatnonzero(counts >= self.recur_min)
+            return (int(first[hits[0]]), None) if hits.size else (None, None)
+        order = np.argsort(vals)
+        ordered = vals[order]
+        starts = np.flatnonzero(np.r_[True, ~(np.diff(ordered) <= self.tol / 10.0)])
+        ends = np.r_[starts[1:], len(vals)]
+        hits = np.flatnonzero(ends - starts >= self.recur_min)
+        if not hits.size:
+            return None, None
+        lo, hi = starts[hits[0]], ends[hits[0]]
+        members = order[lo:hi]
+        return int(members[np.argmax(active[members])]), float(ordered[hi - 1] - ordered[lo])
 
     def value(self, y: Point) -> Scalar:
         out = self.evaluate(y)
         if not out.stabilized:
-            raise BudgetError(
-                f"{self.name}: no recurring value at {y!r} within {out.used} witnesses"
-            )
+            raise BudgetError(f"no recurring value at {y!r} within {out.used} witnesses")
         return out.value
 
     kind = "pigeonhole"
@@ -243,8 +229,6 @@ def hahn_banach_extend(
     *,
     eval_points: Sequence[Point] = (),
     audit_points: Sequence[Point] = (),
-    budget: int = 4096,
-    tol: float = 1e-9,
 ) -> HahnBanachResult:
     """Extend a limit functional of a subset to the whole space.
 
@@ -252,17 +236,14 @@ def hahn_banach_extend(
     the subset; the extension is the pigeonhole limit of their point
     functionals computed in the ambient space.  The audit re-evaluates the
     extension on subset points and compares with h (exactly on exact
-    spaces, within tol otherwise).
+    spaces, within the limit's tol otherwise).
     """
-    H = PigeonholeLimit(space, witnesses, budget=budget, tol=tol)
-    table: dict = {}
-    order = sorted(eval_points, key=space.point_key)
-    for p in order:
-        table[space.point_label(p)] = H.evaluate(p)
+    H = PigeonholeLimit(space, witnesses)
+    table = {space.point_label(p): H.evaluate(p) for p in sorted(eval_points, key=space.point_key)}
     worst: Scalar = 0
     checked = 0
     failure = None
-    slack = 0 if space.exact else tol
+    slack = 0 if space.exact else H.tol
     for y in sorted(audit_points, key=space.point_key):
         out = H.evaluate(y)
         if not out.stabilized:

@@ -78,6 +78,24 @@ class MetricSpace(ABC):
     def sample_points(self, rng: random.Random, count: int) -> list:
         raise UnsupportedError(f"{type(self).__name__} has no point sampler")
 
+    def functional_rows(self, points: Sequence[Point], origin: Point) -> Callable:
+        """Prepare, once, the point functionals h_p(y) = d(y, p) - d(origin, p)
+        of the fixed ``points``: a function from (y, idx), idx an index
+        array, to (row, den) with row[k] / den = h_p(y) for p =
+        points[idx[k]].  Exact rows are integers as :func:`exact_ints` holds
+        them; float rows are float64 with den 1.  This default asks
+        ``distance`` once per indexed point."""
+        offsets = [self.distance(origin, p) for p in points]
+
+        def row(y: Point, idx: np.ndarray) -> tuple[np.ndarray, int]:
+            hs = [self.distance(y, points[i]) - offsets[i] for i in idx]
+            if not self.exact:
+                return np.array(hs, dtype=float), 1
+            den = math.lcm(*(h.denominator for h in hs))
+            return exact_ints([h.numerator * (den // h.denominator) for h in hs]), den
+
+        return row
+
 
 # ---------------------------------------------------------------------------
 # The checker: metric axioms, triangle inequality, 1-Lipschitz rows
@@ -86,6 +104,16 @@ class MetricSpace(ABC):
 # Check temporaries (and boundary's value blocks) hold at most about this
 # many elements per chunk.
 CHUNK = 1 << 18
+
+# Exact integers below this magnitude are held in int64: sums of three fit.
+INT64_SAFE = 1 << 61
+
+
+def exact_ints(values) -> np.ndarray:
+    """Integers as an int64 array while all are below INT64_SAFE in
+    magnitude, else as Python ints in an object array."""
+    a = np.array(values, dtype=object)
+    return a.astype(np.int64) if np.abs(a).max(initial=0) < INT64_SAFE else a
 
 
 def numeric_arrays(*tables, tol: Scalar = 0) -> tuple:
@@ -106,7 +134,7 @@ def numeric_arrays(*tables, tol: Scalar = 0) -> tuple:
 
     out = [[[scaled(v) for v in row] for row in t] for t in tables]
     big = max((abs(v) for t in out for row in t for v in row), default=0)
-    dtype = np.int64 if max(big, abs(scaled(tol))) < 1 << 61 else object
+    dtype = np.int64 if max(big, abs(scaled(tol))) < INT64_SAFE else object
     return (*(np.array(t, dtype=dtype) for t in out), scaled(tol))
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidDistortionError, InvalidPointError, InvalidParameterError
-from .metric import MetricSpace
+from .metric import INT64_SAFE, MetricSpace, exact_ints
 
 
 def frac(x) -> Fraction:
@@ -33,14 +33,47 @@ def frac(x) -> Fraction:
     raise InvalidParameterError(f"cannot coerce {x!r} to an exact rational")
 
 
+class _CodedSpace(MetricSpace):
+    """An exact space whose distance is a closed form of per-point codes:
+    ``_codes(p)`` checks p and returns its rational codes, and
+    ``_code_distances(y_codes, columns)`` adds at most three code
+    magnitudes per entry of the row from y to the columns."""
+
+    def functional_rows(self, points, origin):
+        """Each point is checked and encoded once, and the codes are scaled
+        to integers over one shared denominator; a y with a new denominator
+        rescales them.  A distance adds at most three codes, so codes that
+        :func:`exact_ints` keeps in int64 (below 2^61) keep distances and
+        their differences below 2^63."""
+        codes = [self._codes(p) for p in (origin, *points)]
+        den = math.lcm(*(v.denominator for c in codes for v in c))
+        cols = offsets = None
+
+        def row(y, idx):
+            nonlocal den, cols, offsets
+            code = self._codes(y)
+            new = math.lcm(den, *(v.denominator for v in code))
+            ys = [v.numerator * (new // v.denominator) for v in code]
+            wide = cols is not None and cols.dtype != object and max(map(abs, ys)) >= INT64_SAFE
+            if cols is None or new != den or wide:
+                den = new
+                table = exact_ints([[v.numerator * (den // v.denominator) for v in c]
+                                    for c in (code, *codes)]).T
+                cols, offsets = table[:, 2:], self._code_distances(table[:, 1], table[:, 2:])
+            return self._code_distances(ys, cols[:, idx]) - offsets[idx], den
+
+        return row
+
+
 # ---------------------------------------------------------------------------
 # Ray with spokes
 # ---------------------------------------------------------------------------
 
 HUB = ("hub",)
+ZERO = Fraction(0)
 
 
-class SpokeRaySpace(MetricSpace):
+class SpokeRaySpace(_CodedSpace):
     """A geodesic ray with unit-distance satellites around its origin.
 
     Points: the hub (base point, ray parameter 0), ray points at parameter
@@ -90,65 +123,56 @@ class SpokeRaySpace(MetricSpace):
     gamma = ray_point  # the distinguished geodesic ray
 
     def check_point(self, p) -> None:
+        self._codes(p)
+
+    def _codes(self, p) -> tuple:
+        """(spoke, position, hub cost, ray anchor, ray cost) of a point,
+        checked: spoke index (0 off the spokes) and position along it, then
+        the costs of its exits onto the skeleton, the half-line of ray
+        parameters with the hub at 0."""
         if not isinstance(p, tuple) or not p:
             raise InvalidPointError(f"{p!r} is not a tagged point")
         tag = p[0]
         if tag == "hub":
             if p != HUB:
                 raise InvalidPointError(f"malformed hub point {p!r}")
-        elif tag == "ray":
+            return (0, ZERO, ZERO, ZERO, ZERO)
+        if tag == "ray":
             if len(p) != 2 or not isinstance(p[1], Fraction) or p[1] <= 0:
                 raise InvalidPointError(f"malformed ray point {p!r}")
-        elif tag == "head":
+            return (0, ZERO, p[1], p[1], ZERO)
+        if tag == "head":
             if len(p) != 2 or not isinstance(p[1], int) or p[1] < 1:
                 raise InvalidPointError(f"malformed spoke head {p!r}")
+            n, s = p[1], ZERO
         elif tag == "spoke":
             if len(p) != 3 or not isinstance(p[1], int) or p[1] < 1:
                 raise InvalidPointError(f"malformed spoke point {p!r}")
-            if not isinstance(p[2], Fraction) or not 0 < p[2] < Fraction(2 * p[1] - 1, 2):
+            n, s = p[1], p[2]
+            if not isinstance(s, Fraction) or not 0 < s < Fraction(2 * n - 1, 2):
                 raise InvalidPointError(f"spoke position out of range in {p!r}")
         else:
             raise InvalidPointError(f"unknown point tag {tag!r}")
+        return (n, s, 1 + s, n, Fraction(2 * n - 1, 2) - s)
 
     @staticmethod
-    def _exits(p) -> list[tuple[tuple, Fraction]]:
-        # (anchor, cost) pairs; anchors live on the hub/ray skeleton.
-        tag = p[0]
-        if tag == "hub":
-            return [(HUB, Fraction(0))]
-        if tag == "ray":
-            return [(("ray", p[1]), Fraction(0))]
-        if tag == "head":
-            n = p[1]
-            return [(HUB, Fraction(1)), (("ray", Fraction(n)), Fraction(2 * n - 1, 2))]
-        n, s = p[1], p[2]
-        return [(HUB, 1 + s), (("ray", Fraction(n)), Fraction(2 * n - 1, 2) - s)]
-
-    @staticmethod
-    def _skeleton(a, b) -> Fraction:
-        if a[0] == "hub":
-            return Fraction(0) if b[0] == "hub" else b[1]
-        if b[0] == "hub":
-            return a[1]
-        return abs(a[1] - b[1])
+    def _code_distances(y, cols):
+        # The four exit routes (hub-hub, hub-ray, ray-hub, ray-ray), or
+        # direct travel along a shared spoke.
+        spoke, pos, hub, anchor, ray = cols
+        y_spoke, y_pos, y_hub, y_anchor, y_ray = y
+        routes = np.minimum(
+            np.minimum(y_hub + hub, y_hub + anchor + ray),
+            np.minimum(y_ray + y_anchor + hub, y_ray + abs(y_anchor - anchor) + ray),
+        )
+        return np.where((spoke == y_spoke) & (spoke != 0), abs(pos - y_pos), routes)
 
     def distance(self, p, q) -> Fraction:
-        self.check_point(p)
-        self.check_point(q)
-        if p == q:
-            return Fraction(0)
-        # Same spoke: direct travel along it (head sits at position 0).
-        if p[0] in ("head", "spoke") and q[0] in ("head", "spoke") and p[1] == q[1]:
-            pos_p = p[2] if p[0] == "spoke" else Fraction(0)
-            pos_q = q[2] if q[0] == "spoke" else Fraction(0)
-            return abs(pos_p - pos_q)
-        best = None
-        for anchor_p, cost_p in self._exits(p):
-            for anchor_q, cost_q in self._exits(q):
-                total = cost_p + self._skeleton(anchor_p, anchor_q) + cost_q
-                if best is None or total < best:
-                    best = total
-        return best
+        a, b = self._codes(p), self._codes(q)
+        if a[0] and a[0] == b[0]:  # same spoke: direct travel along it
+            return abs(a[1] - b[1])
+        return min(a[2] + b[2], a[2] + b[3] + b[4], a[4] + a[3] + b[2],
+                   a[4] + abs(a[3] - b[3]) + b[4])
 
     def point_label(self, p) -> str:
         tag = p[0]
@@ -193,7 +217,7 @@ class SpokeRaySpace(MetricSpace):
 # ---------------------------------------------------------------------------
 
 
-class StarTreeSpace(MetricSpace):
+class StarTreeSpace(_CodedSpace):
     """Intervals [0, n] for n = 1, 2, ... all glued at 0 to a hub.
 
     Unbounded, but contains no infinite geodesic ray: every branch is a
@@ -234,17 +258,18 @@ class StarTreeSpace(MetricSpace):
             raise InvalidPointError(f"{p!r} is not a point of the interval star")
 
     def distance(self, p, q) -> Fraction:
+        (m, s), (n, t) = self._codes(p), self._codes(q)
+        return abs(s - t) if m == n else s + t
+
+    def _codes(self, p) -> tuple:
+        """(branch, depth) of a checked point; the hub is on branch 0."""
         self.check_point(p)
-        self.check_point(q)
-        if p == HUB and q == HUB:
-            return Fraction(0)
-        if p == HUB:
-            return q[2]
-        if q == HUB:
-            return p[2]
-        if p[1] == q[1]:
-            return abs(p[2] - q[2])
-        return p[2] + q[2]
+        return (0, ZERO) if p == HUB else (p[1], p[2])
+
+    @staticmethod
+    def _code_distances(y, cols):
+        branch, depth = cols
+        return np.where(branch == y[0], abs(depth - y[1]), depth + y[1])
 
     def point_label(self, p) -> str:
         return "hub" if p == HUB else f"int({p[1]},{p[2]})"
@@ -342,21 +367,6 @@ class DistortedLine(MetricSpace):
 
     def sample_points(self, rng: random.Random, count: int) -> list:
         return [rng.uniform(-1000.0, 1000.0) for _ in range(count)]
-
-
-def table_distortion(knots: Sequence[float], values: Sequence[float]) -> Callable[[float], float]:
-    """Piecewise-linear distortion through (0,0) and the given knots."""
-    ts = [0.0] + [float(t) for t in knots]
-    vs = [0.0] + [float(v) for v in values]
-    if len(ts) != len(vs):
-        raise InvalidParameterError("knots and values differ in length")
-
-    def dfun(t: float) -> float:
-        if t <= 0:
-            return 0.0
-        return float(np.interp(t, ts, vs))
-
-    return dfun
 
 
 # ---------------------------------------------------------------------------

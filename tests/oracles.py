@@ -156,7 +156,8 @@ def spoke_ray_graph_distance(u, v, *, n_max: int = 14, steps: int = 8) -> Fracti
     up to n_max, and spoke interior grid points; edges follow the defining
     segments (hub-head length 1, head-to-ray-point-n spoke of length
     n - 1/2, consecutive ray grid points).  The query points u, v are glued
-    into the graph on their own segments.
+    into the graph on their own segments, and to each other when one grid
+    segment holds both.
     """
     h = Fraction(1, steps)
     nodes = set()
@@ -184,33 +185,38 @@ def spoke_ray_graph_distance(u, v, *, n_max: int = 14, steps: int = 8) -> Fracti
     add_edge(("hub",), ("ray", Fraction(0)), Fraction(0))
 
     def glue(p):
+        # (node, the grid segment it was glued into, or None)
         tag = p[0]
         if tag in ("hub", "head"):
-            return p
+            return p, None
         if tag == "ray":
             t = p[1]
             lo = (t * steps).__floor__() * h
             node = ("ray", t)
-            if node not in nodes:
-                add_edge(node, ("ray", lo), t - lo)
-                add_edge(node, ("ray", lo + h), lo + h - t)
-            return node
+            if node in nodes:
+                return node, None
+            add_edge(node, ("ray", lo), t - lo)
+            add_edge(node, ("ray", lo + h), lo + h - t)
+            return node, ("ray", lo)
         n, s = p[1], p[2]
         length = Fraction(2 * n - 1, 2)
         grid_step = length / steps
         j = (s / grid_step).__floor__()
         lo = j * grid_step
         node = ("spoke", n, s)
-        if node not in nodes:
-            lo_node = ("head", n) if lo == 0 else ("spoke", n, lo)
-            hi = lo + grid_step
-            hi_node = ("ray", Fraction(n)) if hi >= length else ("spoke", n, hi)
-            add_edge(node, lo_node, s - lo)
-            add_edge(node, hi_node, min(hi, length) - s)
-        return node
+        if node in nodes:
+            return node, None
+        lo_node = ("head", n) if lo == 0 else ("spoke", n, lo)
+        hi = lo + grid_step
+        hi_node = ("ray", Fraction(n)) if hi >= length else ("spoke", n, hi)
+        add_edge(node, lo_node, s - lo)
+        add_edge(node, hi_node, min(hi, length) - s)
+        return node, ("spoke", n, j)
 
-    src = glue(u)
-    dst = glue(v)
+    src, seg_u = glue(u)
+    dst, seg_v = glue(v)
+    if seg_u is not None and seg_u == seg_v:
+        add_edge(src, dst, abs(src[-1] - dst[-1]))
     dist = {src: Fraction(0)}
     heap = [(Fraction(0), repr(src), src)]
     while heap:
@@ -225,6 +231,88 @@ def spoke_ray_graph_distance(u, v, *, n_max: int = 14, steps: int = 8) -> Fracti
                 dist[q] = nd
                 heapq.heappush(heap, (nd, repr(q), q))
     raise AssertionError(f"no path between {u} and {v}")
+
+
+def star_tree_distance(u, v) -> Fraction:
+    """Path length in the star of intervals [0, n] glued at 0.
+
+    A point is the hub or ("int", n, s), at depth s on branch n.  The
+    geodesics from the hub to u and to v share their first min(s, t) when
+    both lie on one branch and nothing otherwise, so the tree metric is
+    depth(u) + depth(v) - 2 * (shared length).
+    """
+
+    def branch_depth(p):
+        return (0, Fraction(0)) if p == ("hub",) else (p[1], p[2])
+
+    (m, s), (n, t) = branch_depth(u), branch_depth(v)
+    shared = min(s, t) if m == n and m != 0 else Fraction(0)
+    return s + t - 2 * shared
+
+
+# --- pigeonhole limits, one distance call per active witness ------------------
+
+
+def pigeonhole_reference(space, witnesses, ys, *, budget=4096, tol=1e-9, recur_min=2):
+    """Evaluate the pigeonhole limit of the witnesses' point functionals at
+    each y in turn, by the per-witness loop: one ``space.distance`` call per
+    active witness.  Returns, per y, the outcome (value, stabilized, index,
+    residual, used) and the active witness indices after it."""
+    recur_min = max(2, recur_min)
+    points = []
+    for w in witnesses:
+        points.append(w)
+        if len(points) >= budget:
+            break
+    x0 = space.base_point
+    offsets = [space.distance(x0, w) for w in points]
+    active = list(range(len(points)))
+    cache = {}
+
+    def choose(vals):
+        used = len(vals)
+        if space.exact:
+            counts = {}
+            for v, _ in vals:
+                counts[v] = counts.get(v, 0) + 1
+            recurring = sorted(v for v, c in counts.items() if c >= recur_min)
+            if not recurring:
+                return (vals[-1][0], False, vals[-1][1], None, used)
+            chosen = recurring[0]
+            first = next(i for v, i in vals if v == chosen)
+            return (chosen, True, first, None, used)
+        # Float: cluster sorted values, breaking at gaps larger than tol/10.
+        ordered = sorted(vals)
+        clusters = [[ordered[0]]]
+        for v, i in ordered[1:]:
+            if v - clusters[-1][-1][0] <= tol / 10.0:
+                clusters[-1].append((v, i))
+            else:
+                clusters.append([(v, i)])
+        recurring = [c for c in clusters if len(c) >= recur_min]
+        if not recurring:
+            return (vals[-1][0], False, vals[-1][1], None, used)
+        cluster = recurring[0]
+        # Report the member computed from the deepest witness.
+        v, i = max(cluster, key=lambda t: t[1])
+        width = cluster[-1][0] - cluster[0][0]
+        return (v, True, i, width, used)
+
+    out = []
+    for y in ys:
+        key = space.point_key(y)
+        if key not in cache:
+            vals = [(space.distance(y, points[i]) - offsets[i], i) for i in active]
+            outcome = choose(vals)
+            if outcome[1]:
+                chosen = outcome[0]
+                if space.exact:
+                    active = [i for v, i in vals if v == chosen]
+                else:
+                    active = [i for v, i in vals if abs(v - chosen) <= tol]
+            cache[key] = outcome
+        out.append((cache[key], list(active)))
+    return out
 
 
 # --- l1 sphere restriction patterns ------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horokit.errors import BudgetError, InvalidParameterError, PreconditionError
+from horokit.cli import main
 from horokit.extension import (
     PartialFunctional,
     PigeonholeLimit,
@@ -18,9 +20,9 @@ from horokit.extension import (
 )
 from horokit.functionals import RealizedFunctional
 from horokit.metric import FiniteMetricSpace
-from horokit.spaces import HUB, LpSpace, SpokeRaySpace, StarTreeSpace
+from horokit.spaces import DistortedLine, HUB, LpSpace, SpokeRaySpace, StarTreeSpace
 
-from oracles import integer_grid_extensions, random_rational_metric
+from oracles import integer_grid_extensions, pigeonhole_reference, random_rational_metric
 
 SR = SpokeRaySpace()
 ST = StarTreeSpace()
@@ -163,7 +165,6 @@ def test_extension_plane_from_axis():
         (np.array([2.0**k, 0.0]) for k in range(1, 48)),
         eval_points=[np.array([3.0, 4.0]), np.array([-2.0, 1.0])],
         audit_points=[np.array([s, 0.0]) for s in (0.0, 1.0, 5.0, 17.0)],
-        tol=1e-9,
     )
     assert res.audit.passed
     vals = {k: v.value for k, v in res.table.items()}
@@ -210,6 +211,75 @@ def test_pigeonhole_budget_report():
     assert not out.stabilized
     with pytest.raises(BudgetError):
         H.value(ST.interval_point(1, 1))
+
+
+# A Mersenne prime: a y with this denominator pushes the rows past int64.
+BIG = 2**61 - 1
+
+
+def pigeonhole_case(case, rng):
+    """(space, witnesses, evaluation points) drawn from small pools, so that
+    values recur, with repeated points and, on the exact tree spaces, new
+    denominators arriving mid-sequence."""
+    if case == "spoke-ray":
+        space = SR
+        pool = [SR.gamma(k) for k in range(1, 30)] + SR.sample_points(rng, 6)
+        extra = [SR.ray_point(Fraction(rng.randrange(1, 60), 7)),
+                 SR.spoke_interior(rng.randrange(2, 9), Fraction(1, BIG))]
+    elif case == "star-tree":
+        space = ST
+        pool = [ST.endpoint(n) for n in range(1, 20)] + ST.sample_points(rng, 6)
+        extra = [ST.interval_point(rng.randrange(1, 9), Fraction(1, 11)),
+                 ST.interval_point(rng.randrange(1, 9), Fraction(1, BIG))]
+    elif case == "finite":
+        space = FiniteMetricSpace(random_rational_metric(rng, 7))
+        pool, extra = space.points(), []
+    elif case == "plane":
+        space = LpSpace(2, 2)
+        pool = [np.array([2.0**k, 0.0]) for k in range(1, 48)] + space.sample_points(rng, 4)
+        extra = []
+    else:  # the distorted line
+        space = DistortedLine("sqrt")
+        pool = [float(4**k) for k in range(1, 30)] + space.sample_points(rng, 4)
+        extra = []
+    witnesses = [rng.choice(pool) for _ in range(rng.randrange(1, 40))]
+    if rng.random() < 0.5:
+        witnesses.sort(key=space.point_key)
+    ys = space.sample_points(rng, 5) + extra + [rng.choice(pool) for _ in range(3)]
+    rng.shuffle(ys)
+    return space, witnesses, ys + ys[:2]
+
+
+@given(
+    st.sampled_from(["spoke-ray", "star-tree", "finite", "plane", "line"]),
+    st.integers(0, 2**32),
+    st.integers(1, 5),
+    st.sampled_from([1e-9, 1e-3, 0.5]),
+)
+@settings(max_examples=80, deadline=None)
+def test_pigeonhole_matches_per_witness_loop(case, seed, recur_min, tol):
+    space, witnesses, ys = pigeonhole_case(case, random.Random(seed))
+    H = PigeonholeLimit(space, witnesses, tol=tol, recur_min=recur_min)
+    expected = pigeonhole_reference(space, witnesses, ys, tol=tol, recur_min=recur_min)
+    for y, (outcome, active) in zip(ys, expected):
+        out = H.evaluate(y)
+        assert (out.value, out.stabilized, out.index, out.residual, out.used) == outcome
+        assert type(out.value) is type(outcome[0])
+        assert list(H.active) == active
+
+
+def test_pigeonhole_spoke_ray_fixture_never_asks_distance(monkeypatch, tmp_path):
+    # The batched rows must serve every evaluation: no per-pair fallback.
+    def refuse(self, p, q):
+        raise AssertionError("SpokeRaySpace.distance called")
+
+    monkeypatch.setattr(SpokeRaySpace, "distance", refuse)
+    out = tmp_path / "report.json"
+    code = main(["extend", "hahn-banach", "--fixture", "spoke-ray", "--n", "40", "--out", str(out)])
+    assert code == 0
+    result = json.loads(out.read_text())["result"]
+    assert set(result["values"].values()) == {"-1/2"}
+    assert result["audit"]["passed"] and result["audit"]["checked"] == 12
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from horokit.metric import (
     MetricSpace,
     PointFunctional,
     discrete_ball,
+    exact_ints,
     first_axiom_violation,
     first_lipschitz_violation,
     first_triangle_violation,
@@ -261,6 +262,9 @@ def test_numeric_arrays_scaling():
     assert D.dtype == object and D.tolist() == [[0, 2**70]]
     D, tol = numeric_arrays([[0, Fraction(1, 2)]], tol=1e-12)
     assert D.dtype == np.float64 and tol == 1e-12
+    assert exact_ints([1 - 2**61, 3]).dtype == np.int64
+    wide = exact_ints([-(2**61), 3])
+    assert wide.dtype == object and wide.tolist() == [-(2**61), 3]
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,10 +22,9 @@ from horokit.spaces import (
     cayley_to_disk,
     cayley_to_half_plane,
     distorted_line_validate,
-    table_distortion,
 )
 
-from oracles import disk_distance, spoke_ray_graph_distance
+from oracles import disk_distance, spoke_ray_graph_distance, star_tree_distance
 
 SR = SpokeRaySpace()
 ST = StarTreeSpace()
@@ -115,6 +115,141 @@ class TestStarTree:
         assert validate_metric(ST, max_triples=10_000).passed
 
 
+# ---------------------------------------------------------------------------
+# Functional rows: the closed-form row kernels of the two exact tree spaces
+# ---------------------------------------------------------------------------
+
+# A Mersenne prime: a denominator this size scales codes past int64.
+BIG = 2**61 - 1
+
+SR_EDGES = [
+    HUB,
+    SR.ray_point(1),
+    SR.ray_point(14),
+    SR.ray_point(Fraction(1, 2)),
+    SR.spoke_head(1),
+    SR.spoke_head(12),
+    SR.spoke_interior(1, Fraction(1, 4)),
+    SR.spoke_interior(5, Fraction(9, 4)),
+    SR.spoke_interior(7, 0),  # endpoints normalize to head(7) and ray(7)
+    SR.spoke_interior(7, Fraction(13, 2)),
+    SR.ray_point(3 + Fraction(1, 2**54)),  # near the int64 bound, still int64
+    SR.ray_point(3 + Fraction(1, BIG)),
+    SR.spoke_interior(5, Fraction(1, BIG)),
+    SR.spoke_interior(6, Fraction(11, 2) - Fraction(1, BIG)),
+    SR.ray_point(2**62 + 1),  # integer codes past the int64 bound
+    SR.spoke_head(2**61 - 1),
+]
+
+ST_EDGES = [
+    HUB,
+    ST.endpoint(1),
+    ST.endpoint(12),
+    ST.interval_point(3, Fraction(1, 2)),
+    ST.interval_point(3, Fraction(5, 2)),
+    ST.interval_point(4, Fraction(1, 2**55)),
+    ST.interval_point(5, Fraction(1, BIG)),
+    ST.interval_point(7, 7 - Fraction(1, BIG)),
+    ST.endpoint(2**62),
+    ST.endpoint(2**62 + 1),
+]
+
+
+def in_graph_oracle_range(p):
+    # spoke_ray_graph_distance models ray parameters <= 14 and spokes <= 14
+    return p[0] == "hub" or p[1] <= 14
+
+
+@given(st.integers(0, 2**32), st.integers(0, 6), st.integers(1, 4))
+@settings(max_examples=25, deadline=None)
+def test_functional_rows_against_oracles(seed, sampled, queries):
+    rng = random.Random(seed)
+    for space, edges, oracle in (
+        (SR, SR_EDGES, spoke_ray_graph_distance),
+        (ST, ST_EDGES, star_tree_distance),
+    ):
+        pts = space.sample_points(rng, sampled) + rng.sample(edges, rng.randrange(1, 6))
+        rng.shuffle(pts)
+        origin = rng.choice([*pts, *edges])
+        row = space.functional_rows(pts, origin)
+        ys = space.sample_points(rng, queries) + rng.sample(edges, 2)
+        for y in ys:
+            idx = np.array(sorted(rng.sample(range(len(pts)), rng.randrange(1, len(pts) + 1))))
+            r, den = row(y, idx)
+            assert len(r) == len(idx)
+            for k, i in enumerate(idx):
+                h = Fraction(int(r[k]), den)
+                assert h == space.distance(y, pts[i]) - space.distance(origin, pts[i])
+                if space is ST or all(map(in_graph_oracle_range, (y, origin, pts[i]))):
+                    assert h == oracle(y, pts[i]) - oracle(origin, pts[i])
+
+
+@pytest.mark.parametrize(
+    "space, origin, columns, ys",
+    [
+        # a y with a new, large denominator rescales the columns past int64
+        (SR, HUB, [HUB, SR.ray_point(3 + Fraction(1, 2**54))],
+         [SR.spoke_interior(5, Fraction(1, BIG)), SR.spoke_head(3)]),
+        (ST, HUB, [HUB, ST.interval_point(4, Fraction(1, 2**55))],
+         [ST.interval_point(5, Fraction(1, BIG)), ST.endpoint(3)]),
+        # integer codes too wide for int64 sums: in a column, then only in y
+        (SR, HUB, [HUB, SR.spoke_head(2**61 - 1)], [HUB, SR.ray_point(5)]),
+        (SR, HUB, [HUB, SR.ray_point(5)], [SR.spoke_head(2**61 - 1), HUB]),
+        (ST, HUB, [HUB, ST.endpoint(2**62 + 1)], [ST.endpoint(2**62), HUB]),
+        (ST, HUB, [HUB, ST.endpoint(5)], [ST.endpoint(2**62 + 1), HUB]),
+        # ... or only in the origin
+        (SR, SR.ray_point(2**62), [HUB, SR.ray_point(5)], [SR.spoke_head(3), HUB]),
+        (ST, ST.endpoint(2**62), [HUB, ST.endpoint(5)], [ST.endpoint(3), HUB]),
+    ],
+)
+def test_functional_rows_past_int64_hold_python_ints(space, origin, columns, ys):
+    row = space.functional_rows(columns, origin)
+    idx = np.arange(len(columns))
+    if origin == HUB and columns[-1][-1] < 2**32:  # narrow codes, asked from one of them
+        assert row(columns[-1], idx)[0].dtype == np.int64
+    for y in ys:
+        r, den = row(y, idx)
+        assert r.dtype == object
+        assert [Fraction(v, den) for v in r] == [
+            space.distance(y, p) - space.distance(origin, p) for p in columns
+        ]
+
+
+def test_functional_rows_stay_int64_up_to_the_bound():
+    # scaled codes just below 2^61, so that route sums reach about 3 * 2^61
+    columns = [HUB, SR.ray_point(2**60 - 1), SR.spoke_head(2**60 - 1)]
+    row = SR.functional_rows(columns, HUB)
+    for y in columns:
+        r, den = row(y, np.arange(3))
+        assert r.dtype == np.int64
+        assert [Fraction(int(v), den) for v in r] == [
+            SR.distance(y, p) - SR.distance(HUB, p) for p in columns
+        ]
+
+
+MALFORMED = {
+    "sr": [("bogus",), "hub", ("hub", 1), ("ray", Fraction(0)), ("ray", 1.5), ("head", 0),
+           ("head", Fraction(2)), ("spoke", 3, Fraction(10)), ("spoke", 3)],
+    "st": [("hub", 1), ("int", 3, Fraction(4)), ("int", 0, Fraction(1, 2)), ("int", 3, 1),
+           ("ray", Fraction(1))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_functional_rows_reject_malformed_points_like_distance(name):
+    space = SR if name == "sr" else ST
+    row = space.functional_rows([HUB], HUB)
+    for bad in MALFORMED[name]:
+        with pytest.raises(InvalidPointError) as direct:
+            space.distance(bad, HUB)
+        for ask in (lambda: row(bad, np.arange(1)),
+                    lambda: space.functional_rows([HUB, bad], HUB),
+                    lambda: space.functional_rows([HUB], bad)):
+            with pytest.raises(InvalidPointError) as by_row:
+                ask()
+            assert str(by_row.value) == str(direct.value)
+
+
 class TestDistortedLine:
     def test_sqrt_profile_passes(self):
         assert distorted_line_validate(DISTORTIONS["sqrt"], range(1, 1001)).passed
@@ -130,10 +265,6 @@ class TestDistortedLine:
     def test_nonzero_at_zero_rejected(self):
         with pytest.raises(InvalidDistortionError):
             distorted_line_validate(lambda t: t + 1, range(1, 10))
-
-    def test_table_distortion(self):
-        d = table_distortion([1, 10, 100], [1, 3, 9])
-        assert distorted_line_validate(d, [1, 5, 10, 50, 100]).passed
 
     def test_far_anchor_flattens(self):
         line = DistortedLine("sqrt")
