@@ -337,17 +337,21 @@ def _selftest_spectral() -> list[tuple[str, bool]]:
 # ---------------------------------------------------------------------------
 
 
-def _dynamics_almost_fixed(args) -> Outcome:
+def _half_plane_almost_fixed(grid: int, seed: int, tol: float):
+    """The invariant functional of z -> z + 1 on the half-plane from its
+    almost-fixed points i 2^k, audited on ``grid`` seeded points."""
     space = UpperHalfPlane()
-    f = half_plane_translation(1.0).as_selfmap(space)
-    grid = space.sample_points(random.Random(args.seed), _count("--grid", args.grid, 1))
-    rep = almost_fixed_invariant_functional(
-        f,
+    return almost_fixed_invariant_functional(
+        half_plane_translation(1.0).as_selfmap(space),
         [complex(0.0, 2.0**k) for k in range(0, 46)],
         [2.0 ** -j for j in range(0, 31)],
-        grid,
-        tol=_count("--tol", args.tol),
+        space.sample_points(random.Random(seed), grid),
+        tol=tol,
     )
+
+
+def _dynamics_almost_fixed(args) -> Outcome:
+    rep = _half_plane_almost_fixed(_count("--grid", args.grid, 1), args.seed, _count("--tol", args.tol))
     return Outcome("dynamics.almost_fixed", {"grid": args.grid}, rep.as_dict(), rep.audit_passed,
                    lambda: [("audit_worst", rep.audit_worst)])
 
@@ -383,6 +387,8 @@ def _selftest_dynamics() -> list[tuple[str, bool]]:
     line = DistortedLine("log1p")
     rep = distorted_compactification_check(line, 10.0, [1e2, 1e4, 1e6])
     checks.append(("one_point_compactification", rep.decreasing and rep.sups[-1] < 1e-4))
+    fixed = _half_plane_almost_fixed(4, 0, 1e-9)
+    checks.append(("almost_fixed_invariance", fixed.audit_passed and fixed.audit_checked == 4))
     return checks
 
 

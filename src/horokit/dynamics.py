@@ -523,7 +523,7 @@ def almost_fixed_invariant_functional(
         chosen = [
             w for i, w in enumerate(chosen) if i == 0 or key(w) != key(chosen[i - 1])
         ]
-    h = RealizedFunctional(f.space, chosen, budget=budget, tol=tol, name="almost-fixed limit")
+    h = RealizedFunctional(f.space, chosen, budget=budget, tol=tol)
     equality = f.kind == "isometry"
     worst = 0.0
     checked = 0

@@ -9,19 +9,14 @@ evaluation tables.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    BudgetError,
-    InvalidParameterError,
-    PreconditionError,
-)
-from .functionals import EvalOutcome
+from .errors import InvalidParameterError, PreconditionError
+from .functionals import EvalOutcome, WitnessLimit
 from .metric import MetricSpace, Point, Scalar
 from .metric import first_lipschitz_violation, numeric_arrays, pair_distances
 from .serialize import scalar_to_json
@@ -107,8 +102,6 @@ class McShaneExtension:
     def error_bound(self) -> Scalar:
         return 0 if self.partial.mesh is None else 2 * self.partial.mesh
 
-    kind = "mcshane"
-
 
 def mcshane_extend(f: PartialFunctional, mode: str) -> McShaneExtension:
     return McShaneExtension(f, mode)
@@ -119,13 +112,10 @@ def mcshane_extend(f: PartialFunctional, mode: str) -> McShaneExtension:
 # ---------------------------------------------------------------------------
 
 
-class PigeonholeLimit:
+class PigeonholeLimit(WitnessLimit):
     """Limit of h_{y_k} along a deterministic subsequence.
 
-    ``space.functional_rows`` prepares the witnesses once and gives
-    h_{y_k}(y) over the active witnesses as one row; exact rows are
-    integers over one denominator, and only the chosen value becomes a
-    Fraction.  At each newly requested point the active witnesses are
+    At each newly requested point the row over the active witnesses is
     grouped by value (exactly for exact spaces, by tol/10 clustering for
     float ones); among values recurring at least ``recur_min`` times the
     smallest is chosen and the subsequence restricted to it.  Restricting a
@@ -143,32 +133,20 @@ class PigeonholeLimit:
         tol: float = 1e-9,
         recur_min: int = 2,
     ):
-        self.space = space
-        self.tol = tol
+        super().__init__(space, witnesses, budget, tol)
         self.recur_min = max(2, recur_min)
-        self.points: list[Point] = list(itertools.islice(witnesses, max(budget, 1)))
-        if not self.points:
-            raise PreconditionError("witness sequence is empty")
-        self._row = space.functional_rows(self.points, space.base_point)
-        self.active = np.arange(len(self.points))
-        self._cache: dict = {}
 
-    def evaluate(self, y: Point) -> EvalOutcome:
-        key = self.space.point_key(y)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+    evaluate = WitnessLimit.evaluate  # its own entry, so the layer tracer times it apart
+
+    def _limit(self, vals: np.ndarray, den: int) -> EvalOutcome:
         active = self.active
-        vals, den = self._row(y, active)
         j, width = self._choose(vals, active)
         k = -1 if j is None else j  # unstabilized: report the last witness
-        value = Fraction(int(vals[k]), den) if self.space.exact else float(vals[k])
-        outcome = EvalOutcome(value, j is not None, int(active[k]), width, len(vals))
+        exact = self.space.exact
+        value = Fraction(int(vals[k]), den) if exact else float(vals[k])
         if j is not None:
-            exact = self.space.exact
             self.active = active[vals == vals[j] if exact else abs(vals - vals[j]) <= self.tol]
-        self._cache[key] = outcome
-        return outcome
+        return EvalOutcome(value, j is not None, int(active[k]), width, len(vals))
 
     def _choose(self, vals: np.ndarray, active: np.ndarray) -> tuple:
         """(position in ``vals`` of the chosen value, cluster width), or
@@ -189,14 +167,6 @@ class PigeonholeLimit:
         lo, hi = starts[hits[0]], ends[hits[0]]
         members = order[lo:hi]
         return int(members[np.argmax(active[members])]), float(ordered[hi - 1] - ordered[lo])
-
-    def value(self, y: Point) -> Scalar:
-        out = self.evaluate(y)
-        if not out.stabilized:
-            raise BudgetError(f"no recurring value at {y!r} within {out.used} witnesses")
-        return out.value
-
-    kind = "pigeonhole"
 
 
 @dataclass

@@ -7,6 +7,7 @@ recovery, l^p limit witnesses).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -83,8 +84,6 @@ class BallFunctional:
     def evaluate(self, y: Point) -> Scalar:
         return self.value_at(y)
 
-    kind = "ball"
-
     def as_dict(self) -> dict:
         values = self.values
         if set(map(type, values)) != {int}:
@@ -135,8 +134,6 @@ class LpZC:
     coordinates j.
     """
 
-    kind = "lp_zc"
-
     def __init__(self, z, c: float, p: float):
         self.z = _vec(z)
         self.c = float(c)
@@ -164,14 +161,9 @@ class LpZC:
             1.0 / self.p
         ) - self.c
 
-    def params(self) -> dict:
-        return {"z": self.z.tolist(), "c": self.c, "p": self.p}
-
 
 class LpMu:
     """Linear-type l^p functional h(x) = -sum mu_j x_j with ||mu||_q <= 1."""
-
-    kind = "lp_mu"
 
     def __init__(self, mu, p: float):
         self.mu = _vec(mu)
@@ -192,14 +184,10 @@ class LpMu:
         M[: self.mu.size] = self.mu
         return -(X * M).sum(axis=1)
 
-    def params(self) -> dict:
-        return {"mu": self.mu.tolist(), "p": self.p}
-
 
 class Linear:
     """Euclidean linear functional h(x) = -<x, v> with ||v||_2 <= 1."""
 
-    kind = "linear"
     ambient_p = 2.0
 
     def __init__(self, v):
@@ -216,14 +204,10 @@ class Linear:
         V[: self.v.size] = self.v
         return -(X * V).sum(axis=1)
 
-    def params(self) -> dict:
-        return {"v": self.v.tolist()}
-
 
 class Zero:
     """The identically-zero functional."""
 
-    kind = "zero"
     ambient_p = 2.0
 
     def evaluate(self, x) -> float:
@@ -232,15 +216,10 @@ class Zero:
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
         return np.zeros(X.shape[0])
 
-    def params(self) -> dict:
-        return {}
-
 
 class DiskBusemann:
     """Boundary functional of the disk model at a unit complex zeta:
     h(z) = log(|zeta - z|^2 / (1 - |z|^2)), vanishing at 0."""
-
-    kind = "disk_busemann"
 
     def __init__(self, zeta: complex):
         zeta = complex(zeta)
@@ -258,15 +237,10 @@ class DiskBusemann:
         Z = np.asarray(Z, dtype=complex)
         return np.log(np.abs(self.zeta - Z) ** 2 / (1.0 - np.abs(Z) ** 2))
 
-    def params(self) -> dict:
-        return {"zeta": [self.zeta.real, self.zeta.imag]}
-
 
 class HalfPlaneBusemannInfinity:
     """Boundary functional of the half-plane at infinity: h(z) = -log Im z,
     normalized to vanish at i."""
-
-    kind = "half_plane_busemann_infinity"
 
     def evaluate(self, z) -> float:
         z = complex(z)
@@ -277,9 +251,6 @@ class HalfPlaneBusemannInfinity:
     def evaluate_batch(self, Z: np.ndarray) -> np.ndarray:
         return -np.log(np.asarray(Z, dtype=complex).imag)
 
-    def params(self) -> dict:
-        return {}
-
 
 class ZdLinear:
     """Lattice functional h(g) = -<g, u> with ||u||_inf <= 1, exact.
@@ -287,8 +258,6 @@ class ZdLinear:
     Fixed pointwise by every translation of the lattice, which is what the
     invariance audits of boundary measures rely on.
     """
-
-    kind = "zd_linear"
 
     def __init__(self, u: Sequence):
         self.u = tuple(Fraction(v) for v in u)
@@ -304,9 +273,6 @@ class ZdLinear:
         # (g.h)(x) = h(x - g) - h(-g) = h(x) for linear h.
         return self
 
-    def params(self) -> dict:
-        return {"u": [str(v) for v in self.u]}
-
     def __eq__(self, other):
         return isinstance(other, ZdLinear) and self.u == other.u
 
@@ -317,11 +283,11 @@ class ZdLinear:
 def eval_functional(f, y) -> Scalar:
     """Evaluate any functional-like object at a point.
 
-    Accepts model functionals, ball restrictions, realized limits (whose
+    Accepts model functionals, ball restrictions, witness limits (whose
     stabilized value is returned, raising BudgetError otherwise), and plain
     callables.
     """
-    if isinstance(f, RealizedFunctional):
+    if isinstance(f, WitnessLimit):
         return f.value(y)
     if hasattr(f, "evaluate"):
         return f.evaluate(y)
@@ -331,7 +297,7 @@ def eval_functional(f, y) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# Realized limits along witness sequences
+# Limits of point functionals along witness sequences
 # ---------------------------------------------------------------------------
 
 
@@ -348,14 +314,54 @@ class EvalOutcome:
     used: int
 
 
-class RealizedFunctional:
-    """Pointwise limit of d(., x_k) - d(x0, x_k) along witness points x_k.
+class WitnessLimit:
+    """Pointwise limit of h_k = d(., x_k) - d(x0, x_k) along at most
+    ``budget`` witness points x_k.
 
-    Exact spaces stabilize exactly (a trailing constant run of length
-    ``stable_window`` ends the iteration); float spaces stop once two
-    successive evaluations differ by less than tol/10.  Running out of
-    witnesses yields an explicit non-stabilized outcome, never a silent
-    value.  Evaluations are cached.
+    ``space.functional_rows`` prepares the witnesses once; at a new point y
+    the subclass's ``_limit`` reads h_k(y) over the active witnesses as one
+    row (integers over one denominator on exact spaces, floats otherwise)
+    and returns its EvalOutcome.  Outcomes are cached per point, and one
+    that did not stabilize is reported, never a silent value.
+    """
+
+    def __init__(self, space: MetricSpace, witnesses: Iterable[Point], budget: int, tol: float):
+        self.space = space
+        self.tol = tol
+        self.points: list[Point] = list(itertools.islice(witnesses, max(budget, 1)))
+        if not self.points:
+            raise PreconditionError("witness sequence is empty")
+        self._row = space.functional_rows(self.points, space.base_point)
+        self.active = np.arange(len(self.points))
+        self._cache: dict[Any, EvalOutcome] = {}
+
+    def evaluate(self, y: Point) -> EvalOutcome:
+        key = self.space.point_key(y)
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = self._cache[key] = self._limit(*self._row(y, self.active))
+        return hit
+
+    def value(self, y: Point) -> Scalar:
+        """Stabilized value at y; BudgetError if the limit did not stabilize."""
+        out = self.evaluate(y)
+        if not out.stabilized:
+            raise BudgetError(
+                f"{type(self).__name__}: evaluation at {y!r} did not stabilize "
+                f"within {out.used} witnesses (last value {out.value})"
+            )
+        return out.value
+
+
+class RealizedFunctional(WitnessLimit):
+    """The limit read along the whole witness sequence.
+
+    Exact spaces report the trailing constant run of the row, stabilized
+    when it is at least ``stable_window`` long: an earlier run may still
+    drop later (ray witnesses are nonincreasing), so it would be a
+    transient value.  Float spaces stop at the first witness where two
+    successive changes are both below tol/10, which guards against a single
+    accidental coincidence of values.
     """
 
     def __init__(
@@ -366,94 +372,25 @@ class RealizedFunctional:
         budget: int = 100_000,
         tol: float = 1e-9,
         stable_window: int = 8,
-        name: str = "realized",
     ):
-        self.space = space
-        self.budget = budget
-        self.tol = tol
+        super().__init__(space, witnesses, budget, tol)
         self.stable_window = max(2, stable_window)
-        self.name = name
-        self._witness_iter = iter(witnesses)
-        self._points: list[Point] = []
-        self._offsets: list[Scalar] = []
-        self._cache: dict[Any, EvalOutcome] = {}
 
-    def _witness(self, k: int) -> Optional[Point]:
-        while len(self._points) <= k:
-            if len(self._points) >= self.budget:
-                return None
-            try:
-                w = next(self._witness_iter)
-            except StopIteration:
-                return None
-            self._points.append(w)
-            self._offsets.append(self.space.distance(self.space.base_point, w))
-        return self._points[k]
+    evaluate = WitnessLimit.evaluate  # its own entry, so the layer tracer times it apart
 
-    def evaluate(self, y: Point) -> EvalOutcome:
-        key = self.space.point_key(y)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._cache[key] = self._evaluate(y)
-        return hit
-
-    def _evaluate(self, y: Point) -> EvalOutcome:
-        # Exact spaces consume the whole witness schedule and report the
-        # trailing constant run: an early constant run may still drop later
-        # (ray witnesses are nonincreasing), so stopping at the first run
-        # would report a transient value.  Float spaces stop once two
-        # successive evaluations agree within tol/10.
-        exact = self.space.exact
-        run_value: Optional[Scalar] = None
-        run_start = 0
-        run_len = 0
-        prev: Optional[Scalar] = None
-        last_diff: Optional[float] = None
-        small_run = 0
-        k = 0
-        while True:
-            w = self._witness(k)
-            if w is None:
-                if prev is None:
-                    raise PreconditionError("witness sequence is empty")
-                if exact:
-                    stabilized = run_len >= self.stable_window
-                    return EvalOutcome(run_value, stabilized, run_start, None, k)
-                return EvalOutcome(prev, False, run_start, last_diff, k)
-            v = self.space.distance(y, w) - self._offsets[k]
-            if exact:
-                if v == run_value:
-                    run_len += 1
-                else:
-                    run_value = v
-                    run_start = k
-                    run_len = 1
-            else:
-                run_start = k
-                if prev is not None:
-                    last_diff = abs(v - prev)
-                    # two consecutive small steps guard against a single
-                    # accidental coincidence of values along the witnesses
-                    if last_diff < self.tol / 10.0:
-                        small_run += 1
-                        if small_run >= 2:
-                            return EvalOutcome(v, True, k, last_diff, k + 1)
-                    else:
-                        small_run = 0
-            prev = v
-            k += 1
-
-    def value(self, y: Point) -> Scalar:
-        """Stabilized value at y; BudgetError if the limit did not stabilize."""
-        out = self.evaluate(y)
-        if not out.stabilized:
-            raise BudgetError(
-                f"{self.name}: evaluation at {y!r} did not stabilize within "
-                f"{out.used} witnesses (last value {out.value})"
-            )
-        return out.value
-
-    kind = "realized"
+    def _limit(self, vals: np.ndarray, den: int) -> EvalOutcome:
+        n = len(vals)
+        if self.space.exact:
+            changes = np.flatnonzero(vals[1:] != vals[:-1])
+            start = int(changes[-1]) + 1 if changes.size else 0
+            return EvalOutcome(Fraction(int(vals[-1]), den), n - start >= self.stable_window, start, None, n)
+        steps = np.abs(np.diff(vals))  # steps[i] = |v_(i+1) - v_i|
+        small = steps < self.tol / 10.0
+        hits = np.flatnonzero(small[1:] & small[:-1])
+        if hits.size:
+            k = int(hits[0]) + 2
+            return EvalOutcome(float(vals[k]), True, k, float(steps[k - 1]), k + 1)
+        return EvalOutcome(float(vals[-1]), False, n - 1, float(steps[-1]) if n > 1 else None, n)
 
 
 # ---------------------------------------------------------------------------

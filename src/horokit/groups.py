@@ -427,16 +427,6 @@ class CayleyBall:
     def index(self) -> dict:
         return {g: i for i, g in enumerate(self.elements)}
 
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int, int], ...]:
-        out = []
-        for i, g in enumerate(self.elements):
-            for k, s in enumerate(self.gens.elements):
-                j = self.index.get(self.family._mul(g, s))
-                if j is not None:
-                    out.append((i, j, k))
-        return tuple(out)
-
     def sphere(self, r: int) -> tuple[Element, ...]:
         if not 0 <= r <= self.radius:
             raise PreconditionError(f"sphere radius {r} outside ball of radius {self.radius}")

@@ -88,7 +88,7 @@ class MetricSpace(ABC):
         offsets = [self.distance(origin, p) for p in points]
 
         def row(y: Point, idx: np.ndarray) -> tuple[np.ndarray, int]:
-            hs = [self.distance(y, points[i]) - offsets[i] for i in idx]
+            hs = [self.distance(y, points[i]) - offsets[i] for i in idx.tolist()]
             if not self.exact:
                 return np.array(hs, dtype=float), 1
             den = math.lcm(*(h.denominator for h in hs))
@@ -281,8 +281,6 @@ class PointFunctional:
 
     def evaluate(self, y: Point) -> Scalar:
         return self.space.distance(y, self.anchor) - self.base_offset
-
-    kind = "point"
 
 
 def point_functional_eval(space: MetricSpace, x: Point, y: Point) -> Scalar:

@@ -48,14 +48,6 @@ def scalar_to_json(v) -> Any:
     raise UnsupportedError(f"cannot serialize scalar {v!r}")
 
 
-def scalar_from_json(v) -> Any:
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, (int, float)):
-        return v
-    raise InvalidParameterError(f"cannot parse scalar {v!r}")
-
-
 def space_from_descriptor(desc: dict) -> MetricSpace:
     """Build a metric space from a JSON descriptor."""
     if not isinstance(desc, dict) or "type" not in desc:
@@ -164,73 +156,6 @@ def point_to_json(space: MetricSpace, p) -> Any:
     if isinstance(space, LpSpace):
         return [float(v) for v in np.asarray(p, dtype=float).ravel()]
     raise UnsupportedError(f"no point serializer for {type(space).__name__}")
-
-
-def ball_to_json(ball) -> dict:
-    """CayleyBall wire format with generator-labeled edges."""
-    fam = ball.family
-    return {
-        "radius": ball.radius,
-        "elements": [fam.element_label(g) for g in ball.elements],
-        "lengths": list(ball.lengths),
-        "edges": [list(e) for e in ball.edges],
-    }
-
-
-def functional_to_json(f) -> dict:
-    """Closed-form functionals serialize by kind plus parameters."""
-    kind = getattr(f, "kind", None)
-    params = getattr(f, "params", None)
-    if kind is None or params is None:
-        raise UnsupportedError(f"{type(f).__name__} has no closed-form wire format")
-    return {"kind": kind, "params": params()}
-
-
-def functional_from_json(obj: dict):
-    from .functionals import (
-        DiskBusemann,
-        HalfPlaneBusemannInfinity,
-        Linear,
-        LpMu,
-        LpZC,
-        ZdLinear,
-        Zero,
-    )
-
-    kind = obj.get("kind")
-    params = obj.get("params", {})
-    if kind == "lp_zc":
-        return LpZC(params["z"], params["c"], params["p"])
-    if kind == "lp_mu":
-        return LpMu(params["mu"], params["p"])
-    if kind == "linear":
-        return Linear(params["v"])
-    if kind == "zero":
-        return Zero()
-    if kind == "disk_busemann":
-        re, im = params["zeta"]
-        return DiskBusemann(complex(re, im))
-    if kind == "half_plane_busemann_infinity":
-        return HalfPlaneBusemannInfinity()
-    if kind == "zd_linear":
-        return ZdLinear([Fraction(v) for v in params["u"]])
-    raise InvalidParameterError(f"unknown functional kind {kind!r}")
-
-
-def partial_functional_to_json(pf) -> dict:
-    space = pf.space
-    return {
-        "domain": [point_to_json(space, p) for p in pf.points],
-        "values": [scalar_to_json(v) for v in pf.values],
-    }
-
-
-def partial_functional_from_json(space: MetricSpace, obj: dict):
-    from .extension import PartialFunctional
-
-    points = [point_from_json(space, p) for p in obj["domain"]]
-    values = [scalar_from_json(v) for v in obj["values"]]
-    return PartialFunctional(space, points, values)
 
 
 def _default(o):

@@ -315,6 +315,46 @@ def pigeonhole_reference(space, witnesses, ys, *, budget=4096, tol=1e-9, recur_m
     return out
 
 
+# --- realized limits, one distance call per witness ---------------------------
+
+
+def realized_reference(space, witnesses, y, *, budget=100_000, tol=1e-9, stable_window=8):
+    """Evaluate the realized limit of the witnesses' point functionals at y
+    by the per-witness loop, pulling witnesses one at a time: one
+    ``space.distance`` call per witness read.  Returns the outcome (value,
+    stabilized, index, residual, used).
+
+    Exact spaces read every witness and report the trailing constant run,
+    stabilized when it is at least ``stable_window`` long; float spaces
+    stop once two successive changes are both below tol/10."""
+    stable_window = max(2, stable_window)
+    x0 = space.base_point
+    run_value, run_start, run_len = None, 0, 0
+    prev, last_diff, small_run = None, None, 0
+    k = 0
+    for w in itertools.islice(witnesses, max(budget, 1)):
+        v = space.distance(y, w) - space.distance(x0, w)
+        if space.exact:
+            if v == run_value:
+                run_len += 1
+            else:
+                run_value, run_start, run_len = v, k, 1
+        else:
+            run_start = k
+            if prev is not None:
+                last_diff = abs(v - prev)
+                small_run = small_run + 1 if last_diff < tol / 10.0 else 0
+                if small_run >= 2:
+                    return (v, True, k, last_diff, k + 1)
+        prev = v
+        k += 1
+    if prev is None:
+        raise ValueError("witness sequence is empty")
+    if space.exact:
+        return (run_value, run_len >= stable_window, run_start, None, k)
+    return (prev, False, run_start, last_diff, k)
+
+
 # --- l1 sphere restriction patterns ------------------------------------------
 
 

@@ -18,7 +18,7 @@ from horokit.extension import (
     spoke_ray_failure_witness,
     star_tree_failure_witness,
 )
-from horokit.functionals import RealizedFunctional
+from horokit.functionals import RealizedFunctional, eval_functional, lipschitz_check
 from horokit.metric import FiniteMetricSpace
 from horokit.spaces import DistortedLine, HUB, LpSpace, SpokeRaySpace, StarTreeSpace
 
@@ -199,8 +199,23 @@ def test_extension_trivial_subset_equals_function():
 
 
 def test_pigeonhole_needs_witnesses():
-    with pytest.raises(PreconditionError):
-        PigeonholeLimit(SR, [])
+    # Both limit classes refuse an empty schedule when built, not at the
+    # first evaluation.
+    for limit in (PigeonholeLimit, RealizedFunctional):
+        with pytest.raises(PreconditionError, match="empty"):
+            limit(SR, iter(()))
+
+
+def test_pigeonhole_limit_is_evaluated_by_its_value():
+    # eval_functional gives the stabilized value of either limit class, so
+    # the generic checks accept a pigeonhole limit: on the star tree the
+    # endpoints' limit is d(hub, .) on branches below 40.
+    H = PigeonholeLimit(ST, [ST.endpoint(n) for n in range(1, 40)])
+    y = ST.interval_point(3, 2)
+    assert eval_functional(H, y) == 2
+    assert lipschitz_check(H, ST, pairs=50).passed
+    with pytest.raises(BudgetError):
+        eval_functional(PigeonholeLimit(ST, [ST.endpoint(1), ST.endpoint(2)]), ST.interval_point(1, 1))
 
 
 def test_pigeonhole_budget_report():

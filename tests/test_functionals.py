@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horokit.errors import (
     BudgetError,
@@ -30,6 +32,8 @@ from horokit.functionals import (
 )
 from horokit.groups import CayleyGraphSpace, Zd
 from horokit.spaces import LpSpace, PoincareDisk, SpokeRaySpace, StarTreeSpace, UpperHalfPlane
+
+from oracles import realized_reference
 
 Z1 = CayleyGraphSpace(Zd(1))
 
@@ -133,7 +137,7 @@ MODEL_FUNCTIONALS_L2 = [
 ]
 
 
-@pytest.mark.parametrize("f", MODEL_FUNCTIONALS_L2, ids=lambda f: f.kind)
+@pytest.mark.parametrize("f", MODEL_FUNCTIONALS_L2, ids=["lp_zc", "lp_mu", "linear", "zero"])
 def test_models_lipschitz_l2(f):
     assert lipschitz_check(f, LpSpace(2, 8), pairs=10_000, tol=1e-12).passed
 
@@ -170,7 +174,7 @@ def test_corrupted_restriction_reports_violating_pair():
         Zero(),
         LpMu([0.3, -0.4, 0.5], 2.0),
     ],
-    ids=lambda f: f.kind,
+    ids=["lp_zc", "linear", "zero", "lp_mu"],
 )
 def test_models_midpoint_convex(f):
     assert midpoint_convexity_check(f, 8, pairs=10_000, tol=1e-12).passed
@@ -293,6 +297,62 @@ def test_realized_float_stabilization():
     assert out.stabilized
     assert out.value == pytest.approx(-math.log(3.0), abs=1e-9)
     assert out.residual < 1e-10
+
+
+# A Mersenne prime: a y with this denominator pushes the rows past int64.
+BIG = 2**61 - 1
+
+
+def realized_case(case, rng):
+    """(space, witnesses, evaluation points): a schedule heading to the
+    boundary with draws from a small pool mixed in, so that values run
+    constant, drop late, or never settle."""
+    if case == "spoke-ray":
+        space = SpokeRaySpace()
+        schedule = [space.gamma(k) for k in range(1, 40)]
+        pool = space.sample_points(rng, 4)
+        extra = [space.spoke_interior(rng.randrange(2, 9), Fraction(1, BIG)),
+                 space.ray_point(Fraction(rng.randrange(1, 60), BIG))]
+    elif case == "star-tree":
+        space = StarTreeSpace()
+        schedule = [space.endpoint(n) for n in range(1, 30)]
+        pool = space.sample_points(rng, 4)
+        extra = [space.interval_point(rng.randrange(1, 9), Fraction(1, BIG))]
+    elif case == "cayley":
+        space = CayleyGraphSpace(Zd(2))
+        c = rng.randrange(-2, 3)
+        schedule = [(k, c) for k in range(1, 40)]
+        pool = space.sample_points(rng, 4)
+        extra = []
+    else:  # the half-plane, for the float early stop
+        space = UpperHalfPlane()
+        x = rng.uniform(-1.0, 1.0)
+        schedule = [complex(x, 2.0**k) for k in range(0, 46)]
+        pool = space.sample_points(rng, 4)
+        extra = []
+    witnesses = schedule[: rng.randrange(1, len(schedule) + 1)]
+    for _ in range(rng.randrange(0, 4)):
+        witnesses.insert(rng.randrange(len(witnesses) + 1), rng.choice(pool))
+    ys = space.sample_points(rng, 5) + extra + pool[:1] + witnesses[-1:]
+    return space, witnesses, ys
+
+
+@pytest.mark.parametrize("case", ["spoke-ray", "star-tree", "cayley", "half-plane"])
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 60),
+    st.integers(1, 10),
+    st.sampled_from([1e-9, 1e-3, 0.5]),
+)
+@settings(max_examples=40, deadline=None)
+def test_realized_matches_per_witness_loop(case, seed, budget, stable_window, tol):
+    space, witnesses, ys = realized_case(case, random.Random(seed))
+    rf = RealizedFunctional(space, iter(witnesses), budget=budget, tol=tol, stable_window=stable_window)
+    for y in ys:
+        out = rf.evaluate(y)
+        expected = realized_reference(space, iter(witnesses), y, budget=budget, tol=tol,
+                                      stable_window=stable_window)
+        assert (out.value, out.stabilized, out.index, out.residual, out.used) == expected
 
 
 def test_realized_cache_and_eval_functional():

@@ -144,10 +144,17 @@ def test_heisenberg_ball_matches_plain_bfs():
 
 
 def test_ball_edges_shift_length_by_at_most_one():
+    # A generator step changes word length by at most one: every edge of
+    # the Cayley graph that stays inside the ball joins lengths r and r' with
+    # |r - r'| <= 1.
     fam = Heisenberg()
     ball = cayley_ball(fam, GeneratingSet.standard(fam), 4)
-    for i, j, _ in ball.edges:
-        assert abs(ball.lengths[i] - ball.lengths[j]) <= 1
+    index = ball.index
+    for g, length in zip(ball.elements, ball.lengths):
+        for s in ball.gens.elements:
+            j = index.get(fam._mul(g, s))
+            if j is not None:
+                assert abs(ball.lengths[j] - length) <= 1
 
 
 def test_ball_resource_limit_reports_radius():

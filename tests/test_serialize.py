@@ -1,4 +1,3 @@
-import cmath
 import functools
 import json
 import os
@@ -13,38 +12,21 @@ from horokit import serialize
 from horokit.boundary import limit_restrictions, unboundedness_check
 from horokit.cli import main
 from horokit.errors import InvalidParameterError
-from horokit.extension import PartialFunctional
-from horokit.functionals import (
-    BallFunctional,
-    DiskBusemann,
-    HalfPlaneBusemannInfinity,
-    Linear,
-    LpMu,
-    LpZC,
-    ZdLinear,
-    Zero,
-)
+from horokit.functionals import BallFunctional
 from horokit.groups import (
     CayleyGraphSpace,
     FreeGroup,
     GeneratingSet,
     Heisenberg,
     Zd,
-    cayley_ball,
     cyclic_group,
 )
 from horokit.metric import FiniteMetricSpace
 from horokit.serialize import (
     SCHEMA_VERSION,
-    ball_to_json,
     emit_json,
-    functional_from_json,
-    functional_to_json,
-    partial_functional_from_json,
-    partial_functional_to_json,
     point_from_json,
     point_to_json,
-    scalar_from_json,
     scalar_to_json,
     space_from_descriptor,
 )
@@ -63,8 +45,7 @@ from oracles import json_report
 def test_scalar_round_trip():
     assert scalar_to_json(Fraction(7, 2)) == "7/2"
     assert scalar_to_json(Fraction(3)) == "3"
-    assert scalar_from_json("7/2") == Fraction(7, 2)
-    assert scalar_from_json("3") == 3
+    assert Fraction(scalar_to_json(Fraction(7, 2))) == Fraction(7, 2)
     assert scalar_to_json(0.25) == 0.25
     assert type(scalar_to_json(np.int64(-3))) is int and scalar_to_json(True) == 1
 
@@ -117,16 +98,6 @@ def test_spoke_ray_tagged_form():
     assert point_to_json(sr, sr.ray_point(Fraction(7, 2))) == {"kind": "ray", "t": "7/2"}
 
 
-def test_ball_json_schema():
-    z1 = Zd(1)
-    ball = cayley_ball(z1, GeneratingSet.standard(z1), 2)
-    data = ball_to_json(ball)
-    assert data["radius"] == 2
-    assert data["elements"][0] == "(0)"
-    assert len(data["lengths"]) == 5
-    assert all(len(e) == 3 for e in data["edges"])
-
-
 def test_emit_json_deterministic_and_typed():
     payload = {
         "b": Fraction(1, 3),
@@ -142,29 +113,6 @@ def test_emit_json_deterministic_and_typed():
     assert data["c"] == [1.0, 2.0]
     assert data["d"] == [1.0, 2.0]
     assert list(data) == sorted(data)
-
-
-def test_model_functional_round_trip():
-    from horokit.functionals import DiskBusemann, Linear, LpZC, ZdLinear, Zero
-    from horokit.serialize import functional_from_json, functional_to_json
-
-    for f in (LpZC([1.0, 2.0], 4.0, 2.0), Linear([0.6, 0.8]), Zero(), DiskBusemann(1j), ZdLinear([1, -1])):
-        data = functional_to_json(f)
-        g = functional_from_json(json.loads(emit_json(data)))
-        assert type(g) is type(f)
-        assert functional_to_json(g) == data
-
-
-def test_partial_functional_round_trip():
-    from horokit.extension import PartialFunctional
-    from horokit.serialize import partial_functional_from_json, partial_functional_to_json
-
-    space = FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-    pf = PartialFunctional(space, [0, 1], [Fraction(0), Fraction(1, 2)])
-    data = partial_functional_to_json(pf)
-    assert data == {"domain": [0, 1], "values": ["0", "1/2"]}
-    back = partial_functional_from_json(space, data)
-    assert back.points == pf.points and back.values == pf.values
 
 
 # ---------------------------------------------------------------------------
@@ -261,62 +209,6 @@ def test_point_json_round_trip(kind, data):
     space, points = data.draw(SPACES[kind])
     p = data.draw(points)
     assert _same_point(point_from_json(space, _wire(point_to_json(space, p))), p)
-
-
-@settings(max_examples=150, deadline=None)
-@given(kind=st.sampled_from(sorted(SPACES)), data=st.data())
-def test_partial_functional_json_round_trip(kind, data):
-    space, points = data.draw(SPACES[kind])
-    domain = data.draw(st.lists(points, min_size=1, max_size=5))
-    anchor = data.draw(points)
-    x0 = space.base_point
-    # a point functional d(., a) - d(x0, a) is 1-Lipschitz
-    values = [space.distance(p, anchor) - space.distance(x0, anchor) for p in domain]
-    pf = PartialFunctional(space, domain, values)
-    back = partial_functional_from_json(space, _wire(partial_functional_to_json(pf)))
-    assert all(_same_point(q, p) for q, p in zip(back.points, domain))
-    assert back.values == values
-
-
-# ---------------------------------------------------------------------------
-# Round trips over every closed-form functional type
-# ---------------------------------------------------------------------------
-
-
-def _scaled(d):
-    """Vectors of length d with l1 norm <= 1, so every lp norm is <= 1 too."""
-    return st.lists(st.floats(-1, 1), min_size=d, max_size=d).map(lambda v: [x / d for x in v])
-
-
-def _lp_zc():
-    def build(z, p, extra):
-        return LpZC(z, sum(abs(x) for x in z) + extra, p)  # c >= ||z||_1 >= ||z||_p
-
-    return st.integers(1, 4).flatmap(
-        lambda d: st.builds(build, st.lists(COORD, min_size=d, max_size=d),
-                            st.floats(1, 8), st.floats(0, 1e3))
-    )
-
-
-FUNCTIONALS = {
-    "lp_zc": _lp_zc(),
-    "lp_mu": st.integers(1, 4).flatmap(lambda d: st.builds(LpMu, _scaled(d), st.floats(1.01, 8))),
-    "linear": st.integers(1, 4).flatmap(lambda d: st.builds(Linear, _scaled(d))),
-    "zero": st.builds(Zero),
-    "disk_busemann": st.floats(-4, 4).map(lambda t: DiskBusemann(cmath.rect(1.0, t))),
-    "half_plane_busemann_infinity": st.builds(HalfPlaneBusemannInfinity),
-    "zd_linear": st.lists(FRACS(min_value=-1, max_value=1), min_size=1, max_size=5).map(ZdLinear),
-}
-
-
-@settings(max_examples=300, deadline=None)
-@given(kind=st.sampled_from(sorted(FUNCTIONALS)), data=st.data())
-def test_functional_json_round_trip(kind, data):
-    f = data.draw(FUNCTIONALS[kind])
-    wire = _wire(functional_to_json(f))
-    g = functional_from_json(wire)
-    assert type(g) is type(f) and g.kind == kind
-    assert _wire(functional_to_json(g)) == wire
 
 
 # ---------------------------------------------------------------------------
