@@ -321,11 +321,14 @@ def _selftest_spectral() -> list[tuple[str, bool]]:
     m = MoebiusMap(2, 0, 0, Fraction(1, 2))
     rep = translation_number(m.as_selfmap(space), 64)
     checks = [("tau_closed_form", abs(rep.bound - math.log(4)) < 1e-9)]
-    rng = random.Random(0)
-    fm, gm = random_hyperbolic_pair(rng)
+    fm, gm = random_hyperbolic_pair(random.Random(0))
     tr = tracial_check(fm.as_selfmap(space), gm.as_selfmap(space), 100)
     checks.append(("tracial_exact", tr.closed_form_gap == 0))
     checks.append(("tracial_bound", tr.passed))
+    disk = PoincareDisk()
+    td = tracial_check(fm.as_selfmap(disk), gm.as_selfmap(disk), 100)
+    same = (td.estimate_fg, td.estimate_gf) == (tr.estimate_fg, tr.estimate_gf)
+    checks.append(("tracial_disk", td.passed and same))
     z1 = CayleyGraphSpace(Zd(1))
     t3 = translation_number(group_translation(z1, (3,)), 12)
     checks.append(("z_translation", t3.bound == 3.0))

@@ -259,9 +259,10 @@ class TauReport:
 
 def _orbit_displacements(f: SelfMap, n: int) -> list:
     """a_k = d(x0, f^k(x0)) for k = 0..n from the base point x0, exact where
-    the space is."""
+    the space is.  A Moebius map reads them from its matrix powers on either
+    model: the Cayley transform sends the disk's base point 0 to i."""
     space = f.space
-    if f.matrix is not None and isinstance(space, UpperHalfPlane):
+    if f.matrix is not None:
         return f.matrix.orbit_distances(n)
     if f.group_element is not None:
         fam = space.family

@@ -283,11 +283,6 @@ class PointFunctional:
         return self.space.distance(y, self.anchor) - self.base_offset
 
 
-def point_functional_eval(space: MetricSpace, x: Point, y: Point) -> Scalar:
-    """Evaluate d(y, x) - d(x0, x); always within [-d(x0,y), d(x0,y)]."""
-    return space.distance(y, x) - space.distance(space.base_point, x)
-
-
 @dataclass
 class MetricReport:
     """Outcome of a metric-axiom validation run."""

@@ -383,11 +383,31 @@ def cayley_to_half_plane(w: complex) -> complex:
     return 1j * (1 + w) / (1 - w)
 
 
+def disk_gap(p) -> float:
+    """1 - |p|^2, correctly rounded; raises unless p is inside the unit disk,
+    that is unless the gap is positive.  Each component is split into
+    26-bit halves (Veltkamp), so its square is a sum of three exact
+    products, and ``math.fsum`` rounds the exact total once."""
+    z = complex(p)
+    terms = [1.0]
+    for x in (z.real, z.imag):
+        t = 134217729.0 * x  # 2^27 + 1
+        hi = t - (t - x)
+        lo = x - hi
+        terms += (-hi * hi, -2.0 * hi * lo, -lo * lo)
+    gap = math.fsum(terms)
+    if not gap > 0:
+        raise InvalidPointError(f"{p!r} is not inside the unit disk")
+    return gap
+
+
 class PoincareDisk(MetricSpace):
     """Open unit disk with the conformal metric of curvature -1; base 0.
 
-    Distance uses 2*asinh(|z-w| / sqrt((1-|z|)(1+|z|)(1-|w|)(1+|w|))), which
-    stays in its domain and accurate near the boundary circle.
+    Every formula reads 1 - |z|^2 from :func:`disk_gap`, which is exact up
+    to one rounding and positive exactly inside the disk.  The distance
+    2*asinh(|z-w| / sqrt((1-|z|^2)(1-|w|^2))) is accurate to a few ulps up
+    to the boundary circle.
     """
 
     exact = False
@@ -397,15 +417,10 @@ class PoincareDisk(MetricSpace):
         return 0j
 
     def check_point(self, p) -> None:
-        if abs(complex(p)) >= 1:
-            raise InvalidPointError(f"{p!r} is not inside the unit disk")
+        disk_gap(p)
 
     def distance(self, p, q) -> float:
-        self.check_point(p)
-        self.check_point(q)
-        z, w = complex(p), complex(q)
-        a, b = abs(z), abs(w)
-        return 2.0 * math.asinh(abs(z - w) / math.sqrt((1 - a) * (1 + a) * (1 - b) * (1 + b)))
+        return 2.0 * math.asinh(abs(complex(p) - complex(q)) / math.sqrt(disk_gap(p) * disk_gap(q)))
 
     def point_label(self, p) -> str:
         return repr(complex(p))
@@ -469,6 +484,29 @@ class UpperHalfPlane(MetricSpace):
 # ---------------------------------------------------------------------------
 
 
+def lp_norm(x, p: float, axis=None):
+    """The l^p norm, p in [1, inf]: of x flattened, as a float, or of each
+    slice of x along ``axis``, as an array."""
+    v = np.asarray(x, dtype=float)
+    if axis is None:
+        v = v.ravel()
+    if p == 2.0:
+        n = np.linalg.norm(v, axis=axis)
+    elif math.isinf(p):
+        n = np.max(np.abs(v), axis=axis)
+    else:
+        n = np.sum(np.abs(v) ** p, axis=axis) ** (1.0 / p)
+    return float(n) if axis is None else n
+
+
+def pad_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Two vectors as float arrays, the shorter zero-padded to the longer."""
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    n = max(a.size, b.size)
+    return np.pad(a, (0, n - a.size)), np.pad(b, (0, n - b.size))
+
+
 class LpSpace(MetricSpace):
     """R^m with the l^p norm distance and base point 0."""
 
@@ -483,19 +521,10 @@ class LpSpace(MetricSpace):
         self.dim = dim
 
     def norm(self, x) -> float:
-        v = np.asarray(x, dtype=float).ravel()
-        if self.p == 2.0:
-            return float(np.linalg.norm(v))
-        if math.isinf(self.p):
-            return float(np.max(np.abs(v)))
-        return float(np.sum(np.abs(v) ** self.p) ** (1.0 / self.p))
+        return lp_norm(x, self.p)
 
     def distance(self, p, q) -> float:
-        a = np.asarray(p, dtype=float).ravel()
-        b = np.asarray(q, dtype=float).ravel()
-        n = max(a.size, b.size)
-        a = np.pad(a, (0, n - a.size))
-        b = np.pad(b, (0, n - b.size))
+        a, b = pad_pair(p, q)
         return self.norm(a - b)
 
     @property

@@ -42,6 +42,15 @@ def disk_distance(z: complex, w: complex) -> float:
         return float(2 * mpmath.atanh(abs(z - w) / abs(1 - mpmath.conj(z) * w)))
 
 
+def disk_busemann(zeta: complex, z: complex) -> float:
+    """Disk Busemann function log(|zeta - z|^2 / (1 - |z|^2)), evaluated on
+    the exact binary values of zeta and z at 60 decimal digits and rounded
+    to a float."""
+    with mpmath.workdps(60):
+        zeta, z = mpmath.mpc(zeta), mpmath.mpc(z)
+        return float(mpmath.log(abs(zeta - z) ** 2 / (1 - abs(z) ** 2)))
+
+
 def zd_sphere_count(d: int, r: int) -> int:
     """Number of lattice points with l1 norm exactly r."""
     if r == 0:

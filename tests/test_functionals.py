@@ -33,7 +33,7 @@ from horokit.functionals import (
 from horokit.groups import CayleyGraphSpace, Zd
 from horokit.spaces import LpSpace, PoincareDisk, SpokeRaySpace, StarTreeSpace, UpperHalfPlane
 
-from oracles import realized_reference
+from oracles import disk_busemann, realized_reference
 
 Z1 = CayleyGraphSpace(Zd(1))
 
@@ -87,6 +87,18 @@ def test_disk_busemann_values():
         h.evaluate(1.2)
     with pytest.raises(InvalidParameterError):
         DiskBusemann(0.5)
+
+
+def test_disk_busemann_against_mpmath():
+    # 1 - abs(z)**2 cancelled on these points: the worst error was 4.5e-5.
+    rng = random.Random(11)
+    for zeta in (1, 1j, -1, complex(math.cos(2.0), math.sin(2.0))):
+        h = DiskBusemann(zeta)
+        for _ in range(300):
+            r = 1 - 10 ** rng.uniform(-12, -1)
+            t = rng.uniform(0, 2 * math.pi)
+            z = r * complex(math.cos(t), math.sin(t))
+            assert abs(h.evaluate(z) - disk_busemann(h.zeta, z)) <= 1e-12
 
 
 def test_lp_zc_values():
@@ -145,6 +157,12 @@ def test_models_lipschitz_l2(f):
 def test_lp_zc_lipschitz_p3():
     f = LpZC([1.0, 2.0], 3.0, 3.0)
     assert lipschitz_check(f, LpSpace(3, 6), pairs=10_000, tol=1e-12).passed
+
+
+def test_linear_lipschitz_sup_norm():
+    # ||v||_1 <= 1 makes -<x, v> 1-Lipschitz for the sup norm; the batched
+    # draws once took every sup-norm distance to be 1.
+    assert lipschitz_check(Linear([0.5, -0.5]), LpSpace(math.inf, 2), pairs=10_000, tol=1e-12).passed
 
 
 def test_disk_busemann_lipschitz():

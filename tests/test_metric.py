@@ -30,7 +30,6 @@ from horokit.metric import (
     first_lipschitz_violation,
     first_triangle_violation,
     numeric_arrays,
-    point_functional_eval,
     validate_metric,
 )
 from horokit.spaces import PoincareDisk, SpokeRaySpace, StarTreeSpace, UpperHalfPlane
@@ -74,13 +73,13 @@ def test_point_functional_values():
     f = PointFunctional.at(space, (5,))
     assert f.evaluate((0,)) == 0  # vanishes at the base point
     assert f.evaluate((5,)) == -5  # equals -d(x0, x) at the anchor
-    assert point_functional_eval(space, (5,), (3,)) == -3
+    assert f.evaluate((3,)) == -3
 
 
 def test_point_functional_bounds_on_disk():
     disk = PoincareDisk()
     x, y = 0.9, 0.5j
-    val = point_functional_eval(disk, x, y)
+    val = PointFunctional.at(disk, x).evaluate(y)
     assert abs(val) <= disk.distance(0j, y) + 1e-12
 
 
