@@ -284,6 +284,8 @@ def _spectral_tau(args) -> Outcome:
 def _spectral_displacement(args) -> Outcome:
     f = _spectral_map(args)
     if args.map == "mobius":
+        if args.budget > 1024:  # 2.0**1024 is past the float range
+            raise InvalidParameterError(f"--budget {args.budget} puts i 2^k past the float range (max 1024)")
         pts = [complex(0.0, 2.0**k) for k in range(0, args.budget)]
     else:
         pts = f.space.sample_points(random.Random(args.seed), args.budget)

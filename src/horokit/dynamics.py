@@ -10,9 +10,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
-
-import numpy as np
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     InvalidParameterError,
@@ -31,9 +29,6 @@ from .spaces import (
     cayley_to_half_plane,
 )
 
-ExactOrFloat = Union[Fraction, float]
-
-
 # ---------------------------------------------------------------------------
 # Self-maps
 # ---------------------------------------------------------------------------
@@ -49,7 +44,6 @@ class SelfMap:
         *,
         kind: str = "semi-contraction",
         inverse: Callable[[Point], Point] | None = None,
-        label: str = "map",
         group_element=None,
         matrix: "MoebiusMap | None" = None,
     ):
@@ -59,7 +53,6 @@ class SelfMap:
         self.func = func
         self.kind = kind
         self.inverse_func = inverse
-        self.label = label
         self.group_element = group_element
         self.matrix = matrix
 
@@ -68,7 +61,7 @@ class SelfMap:
 
     def apply_inverse(self, x: Point) -> Point:
         if self.inverse_func is None:
-            raise UnsupportedError(f"{self.label} has no inverse oracle")
+            raise UnsupportedError("this map has no inverse oracle")
         return self.inverse_func(x)
 
     def orbit(self, n: int) -> list[Point]:
@@ -91,7 +84,6 @@ def group_translation(space, g) -> SelfMap:
         lambda x: fam._mul(g, x),
         kind="isometry",
         inverse=lambda x: fam._mul(ginv, x),
-        label=f"translation by {fam.element_label(g)}",
         group_element=g,
     )
 
@@ -101,46 +93,34 @@ def group_translation(space, g) -> SelfMap:
 # ---------------------------------------------------------------------------
 
 
-def _coerce_entry(v) -> ExactOrFloat:
-    if isinstance(v, (Fraction, int)):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
-    return float(v)
-
-
 class MoebiusMap:
     """A real 2x2 determinant-one matrix acting on the half-plane, with the
     disk action obtained by conjugating with the Cayley transform.
 
-    Entries given as ints, Fractions, or strings stay exact, which makes
-    traces of products exactly comparable; float entries are renormalized
-    to determinant one when the drift exceeds 1e-13.
+    Every entry is an exact ``Fraction``: ints, Fractions and strings such
+    as ``"1/2"`` are read exactly, and floats at their exact binary value.
+    The determinant must be exactly one, so a float matrix whose rounded
+    entries miss it (a float rotation, say) is rejected, and traces of
+    products compare exactly.  The actions on points and the orbit
+    distances read the entries rounded to floats, so each must lie in the
+    float range.
     """
 
     def __init__(self, a, b, c, d):
-        entries = [_coerce_entry(v) for v in (a, b, c, d)]
-        self.exact = all(isinstance(v, Fraction) for v in entries)
-        if self.exact:
-            det = entries[0] * entries[3] - entries[1] * entries[2]
-            if det != 1:
-                raise InvalidParameterError(f"determinant must be 1, got {det}")
-        else:
-            entries = [float(v) for v in entries]
-            det = entries[0] * entries[3] - entries[1] * entries[2]
-            if det <= 0:
-                raise InvalidParameterError(f"determinant must be 1, got {det}")
-            if abs(det - 1.0) > 1e-13:
-                s = math.sqrt(det)
-                entries = [v / s for v in entries]
-            if abs(entries[0] * entries[3] - entries[1] * entries[2] - 1.0) > 1e-9:
-                raise InvalidParameterError("determinant too far from 1")
+        try:
+            entries = [Fraction(v) for v in (a, b, c, d)]
+            self._floats = tuple(float(v) for v in entries)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise InvalidParameterError(f"matrix entries must be numbers in the float range: {exc}") from exc
+        det = entries[0] * entries[3] - entries[1] * entries[2]
+        if det != 1:
+            raise InvalidParameterError(f"determinant must be 1, got {det}")
         self.a, self.b, self.c, self.d = entries
 
-    def entries(self) -> tuple:
+    def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c, self.d)
 
-    def trace(self) -> ExactOrFloat:
+    def trace(self) -> Fraction:
         return self.a + self.d
 
     def compose(self, other: "MoebiusMap") -> "MoebiusMap":
@@ -153,10 +133,9 @@ class MoebiusMap:
 
     def classify(self) -> str:
         t = abs(self.trace())
-        eps = 0 if self.exact else 1e-12
-        if t < 2 - eps:
+        if t < 2:
             return "elliptic"
-        if t <= 2 + eps:
+        if t == 2:
             return "parabolic"
         return "hyperbolic"
 
@@ -167,42 +146,42 @@ class MoebiusMap:
         return 2.0 * math.acosh(t / 2.0) if t > 2.0 else 0.0
 
     def apply_half_plane(self, z: complex) -> complex:
-        a, b, c, d = (float(v) for v in self.entries())
+        a, b, c, d = self._floats
         return (a * z + b) / (c * z + d)
 
     def apply_disk(self, w: complex) -> complex:
         return cayley_to_disk(self.apply_half_plane(cayley_to_half_plane(w)))
 
-    def as_selfmap(self, space: MetricSpace, *, kind: str = "isometry") -> SelfMap:
+    def as_selfmap(self, space: MetricSpace) -> SelfMap:
         inv = self.inverse()
         if isinstance(space, UpperHalfPlane):
-            func, inverse, label = self.apply_half_plane, inv.apply_half_plane, "moebius"
+            func, inverse = self.apply_half_plane, inv.apply_half_plane
         elif isinstance(space, PoincareDisk):
-            func, inverse, label = self.apply_disk, inv.apply_disk, "moebius(disk)"
+            func, inverse = self.apply_disk, inv.apply_disk
         else:
             raise UnsupportedError("Moebius maps act on the hyperbolic models only")
-        return SelfMap(space, func, kind=kind, inverse=inverse, label=label, matrix=self)
+        return SelfMap(space, func, kind="isometry", inverse=inverse, matrix=self)
 
     def orbit_distances(self, n_max: int) -> list[float]:
         """d(i, M^n i) for n = 0..n_max via scale-tracked matrix powers.
 
         With determinant one, d(i, M i) = arccosh(||M||_F^2 / 2); powers are
         kept as a max-normalized matrix plus a log scale so hyperbolic
-        growth never overflows.
+        growth never overflows.  Each product entry is two separately
+        rounded products and one sum, so the result does not depend on
+        whether a linear-algebra kernel would fuse them.
         """
-        m0 = np.array(
-            [[float(self.a), float(self.b)], [float(self.c), float(self.d)]], dtype=float
-        )
-        u = np.eye(2)
+        a, b, c, d = self._floats
+        ua, ub, uc, ud = 1.0, 0.0, 0.0, 1.0
         logscale = 0.0
         out = [0.0]
         for _ in range(n_max):
-            u = u @ m0
-            m = float(np.abs(u).max())
-            u /= m
+            ua, ub, uc, ud = ua * a + ub * c, ua * b + ub * d, uc * a + ud * c, uc * b + ud * d
+            m = max(abs(ua), abs(ub), abs(uc), abs(ud))
+            ua, ub, uc, ud = ua / m, ub / m, uc / m, ud / m
             logscale += math.log(m)
             # log of ||M^n||_F^2 = 2*logscale + log(||u||_F^2)
-            log_t = 2.0 * logscale + math.log(float((u * u).sum()))
+            log_t = 2.0 * logscale + math.log(ua * ua + ub * ub + uc * uc + ud * ud)
             if log_t > 50.0:
                 out.append(log_t)  # arccosh(T/2) = log T + O(1/T^2)
             else:
@@ -212,20 +191,21 @@ class MoebiusMap:
 
 
 def random_hyperbolic_pair(rng: random.Random) -> tuple[MoebiusMap, MoebiusMap]:
-    """Seeded pair of exact hyperbolic maps built from elementary shears."""
+    """Seeded pair of exact hyperbolic maps, each a product of two to four
+    integer shears [[1, p], [0, 1]] or [[1, 0], [p, 1]] with |p| <= 2 and
+    absolute trace in (2, 12]; products are redrawn until one qualifies."""
 
     def one() -> MoebiusMap:
         while True:
-            m = MoebiusMap(1, 0, 0, 1)
+            a, b, c, d = 1, 0, 0, 1
             for _ in range(rng.randrange(2, 5)):
-                p = Fraction(rng.randrange(-2, 3))
+                p = rng.randrange(-2, 3)
                 if rng.randrange(2):
-                    m = m.compose(MoebiusMap(1, p, 0, 1))
+                    b, d = a * p + b, c * p + d
                 else:
-                    m = m.compose(MoebiusMap(1, 0, p, 1))
-            t = abs(m.trace())
-            if 2 < t <= 12:
-                return m
+                    a, c = a + b * p, c + d * p
+            if 2 < abs(a + d) <= 12:
+                return MoebiusMap(a, b, c, d)
 
     return one(), one()
 
@@ -316,14 +296,12 @@ class DisplacementReport:
         }
 
 
-def minimal_displacement(f: SelfMap, points: Iterable[Point], *, budget: int = 10_000) -> DisplacementReport:
+def minimal_displacement(f: SelfMap, points: Iterable[Point]) -> DisplacementReport:
     """Certified upper bound inf_x d(x, f(x)) over the visited points."""
     best = None
     arg = None
     trace = []
-    for k, x in enumerate(points):
-        if k >= budget:
-            break
+    for x in points:
         d = f.space.distance(x, f.apply(x))
         if best is None or d < best:
             best, arg = d, x
@@ -376,7 +354,7 @@ class TracialReport:
     estimate_gap: float
     proof_bound: float
     passed: bool
-    closed_form_gap: Optional[ExactOrFloat] = None
+    closed_form_gap: Optional[Fraction] = None
 
     def as_dict(self) -> dict:
         return {
@@ -391,12 +369,12 @@ class TracialReport:
         }
 
 
-def tracial_check(f: SelfMap, g: SelfMap, n: int, *, tol: float = 1e-9) -> TracialReport:
+def tracial_check(f: SelfMap, g: SelfMap, n: int) -> TracialReport:
     """Compare translation numbers of fg and gf.
 
-    For Moebius pairs with exact entries the closed forms agree exactly
-    because tr(AB) = tr(BA); the subadditive estimates agree within the
-    additive bound regardless of the map kind.
+    For Moebius pairs the closed-form gap is the exact trace difference,
+    zero because tr(AB) = tr(BA); the subadditive estimates agree within
+    the additive bound regardless of the map kind.
     """
     if f.space is not g.space:
         raise PreconditionError("maps must act on the same space")
@@ -404,11 +382,9 @@ def tracial_check(f: SelfMap, g: SelfMap, n: int, *, tol: float = 1e-9) -> Traci
     if f.matrix is not None and g.matrix is not None:
         fg_m = f.matrix.compose(g.matrix)
         gf_m = g.matrix.compose(f.matrix)
-        fg = fg_m.as_selfmap(space, kind=f.kind)
-        gf = gf_m.as_selfmap(space, kind=f.kind)
-        closed_gap = abs(fg_m.trace() - gf_m.trace())  # exact 0 for exact entries
-        if closed_gap == 0:
-            closed_gap = abs(fg_m.translation_length() - gf_m.translation_length())
+        fg, gf = fg_m.as_selfmap(space), gf_m.as_selfmap(space)
+        # the closed forms 2 arccosh(|tr|/2) agree iff the traces do
+        closed_gap = abs(fg_m.trace() - gf_m.trace())
     else:
         fg = SelfMap(space, lambda x: f.apply(g.apply(x)), kind="semi-contraction")
         gf = SelfMap(space, lambda x: g.apply(f.apply(x)), kind="semi-contraction")
@@ -423,7 +399,7 @@ def tracial_check(f: SelfMap, g: SelfMap, n: int, *, tol: float = 1e-9) -> Traci
     )
     gap = abs(t_fg.estimate - t_gf.estimate)
     return TracialReport(
-        t_fg.estimate, t_gf.estimate, gap, bound, gap <= bound + tol, closed_gap
+        t_fg.estimate, t_gf.estimate, gap, bound, gap <= bound + 1e-9, closed_gap
     )
 
 
@@ -498,7 +474,6 @@ def almost_fixed_invariant_functional(
     eval_grid: Sequence[Point],
     *,
     tol: float = 1e-9,
-    budget: int = 100_000,
 ) -> AlmostFixedReport:
     """Build the limit functional along points moved less and less by f and
     audit h(f(x)) <= h(x) on the grid (equality when f is an isometry).
@@ -524,7 +499,7 @@ def almost_fixed_invariant_functional(
         chosen = [
             w for i, w in enumerate(chosen) if i == 0 or key(w) != key(chosen[i - 1])
         ]
-    h = RealizedFunctional(f.space, chosen, budget=budget, tol=tol)
+    h = RealizedFunctional(f.space, chosen, tol=tol)
     equality = f.kind == "isometry"
     worst = 0.0
     checked = 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -442,11 +443,21 @@ class PoincareDisk(MetricSpace):
         return [r * cmath.exp(2j * math.pi * k / count) for k in range(count)]
 
 
+def _half_plane_point(p) -> complex:
+    """p as a complex number; raises unless it is finite with Im p > 0."""
+    z = complex(p)
+    if not (z.imag > 0 and cmath.isfinite(z)):
+        raise InvalidPointError(f"{p!r} is not in the upper half-plane")
+    return z
+
+
 class UpperHalfPlane(MetricSpace):
     """Upper half-plane model; base point i.
 
     Distance uses 2*asinh(|z-w| / (2*sqrt(Im z Im w))), which is stable for
-    nearby points.
+    nearby points.  While Im z Im w is a normal float the square root is
+    taken of the product; past either end of the float range it would
+    overflow or underflow, so the two square roots are taken apart.
     """
 
     exact = False
@@ -456,14 +467,16 @@ class UpperHalfPlane(MetricSpace):
         return 1j
 
     def check_point(self, p) -> None:
-        if complex(p).imag <= 0:
-            raise InvalidPointError(f"{p!r} is not in the upper half-plane")
+        _half_plane_point(p)
 
     def distance(self, p, q) -> float:
-        self.check_point(p)
-        self.check_point(q)
-        z, w = complex(p), complex(q)
-        return 2.0 * math.asinh(abs(z - w) / (2.0 * math.sqrt(z.imag * w.imag)))
+        z, w = _half_plane_point(p), _half_plane_point(q)
+        s = z.imag * w.imag
+        if sys.float_info.min <= s < math.inf:
+            root = math.sqrt(s)
+        else:
+            root = math.sqrt(z.imag) * math.sqrt(w.imag)
+        return 2.0 * math.asinh(abs(z - w) / (2.0 * root))
 
     def point_key(self, p):
         z = complex(p)

@@ -51,6 +51,56 @@ def disk_busemann(zeta: complex, z: complex) -> float:
         return float(mpmath.log(abs(zeta - z) ** 2 / (1 - abs(z) ** 2)))
 
 
+def half_plane_distance(z: complex, w: complex) -> float:
+    """Half-plane distance 2 asinh(|z - w| / (2 sqrt(Im z Im w))), evaluated
+    on the exact binary values of z and w at 60 decimal digits and rounded
+    to a float."""
+    with mpmath.workdps(60):
+        z, w = mpmath.mpc(z), mpmath.mpc(w)
+        return float(2 * mpmath.asinh(abs(z - w) / (2 * mpmath.sqrt(z.imag * w.imag))))
+
+
+def _matmul2(m, n):
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def hyperbolic_pair_reference(rng):
+    """Two 2x2 matrices as Fraction tuples (a, b, c, d), each a product of
+    two to four shears [[1, p], [0, 1]] or [[1, 0], [p, 1]], p in -2..2,
+    drawn from ``rng`` and redrawn until 2 < |trace| <= 12."""
+
+    def one():
+        while True:
+            m = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+            for _ in range(rng.randrange(2, 5)):
+                p = Fraction(rng.randrange(-2, 3))
+                if rng.randrange(2):
+                    m = _matmul2(m, (Fraction(1), p, Fraction(0), Fraction(1)))
+                else:
+                    m = _matmul2(m, (Fraction(1), Fraction(0), p, Fraction(1)))
+            if 2 < abs(m[0] + m[3]) <= 12:
+                return m
+
+    return one(), one()
+
+
+def moebius_orbit_distances(entries, n_max: int) -> list[float]:
+    """d(i, M^n i) = arccosh(||M^n||_F^2 / 2) for n = 0..n_max and a
+    determinant-one matrix M = (a, b, c, d): exact Fraction powers, then
+    the arccosh at 60 decimal digits, rounded to a float."""
+    m = tuple(Fraction(v) for v in entries)
+    power = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+    out = []
+    with mpmath.workdps(60):
+        for n in range(n_max + 1):
+            t = sum(v * v for v in power)
+            out.append(float(mpmath.acosh(mpmath.mpf(t.numerator) / t.denominator / 2)))
+            power = _matmul2(power, m)
+    return out
+
+
 def zd_sphere_count(d: int, r: int) -> int:
     """Number of lattice points with l1 norm exactly r."""
     if r == 0:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -60,6 +61,20 @@ def test_spectral_tau_closed_form(capsys):
     assert code == 0
     data = json.loads(out)
     assert abs(data["result"]["bound"] - 2 * 0.6931471805599453) < 1e-9
+
+
+def test_spectral_displacement_at_the_edge_of_the_float_range(capsys):
+    # z -> 4z moves each i 2^k by log 4; from k = 511 on Im z Im 4z overflows
+    code, out, _ = run(capsys, "spectral", "displacement", "--matrix", "2,0,0,1/2", "--budget", "600")
+    assert code == 0
+    rep = json.loads(out)["result"]["displacement"]
+    assert len(rep["trace"]) == 600 and rep["bound"] == pytest.approx(math.log(4), rel=1e-15)
+
+
+def test_spectral_displacement_reads_every_point(capsys):
+    code, out, _ = run(capsys, "spectral", "displacement", "--map", "translation", "--budget", "12000")
+    assert code == 0
+    assert len(json.loads(out)["result"]["displacement"]["trace"]) == 12_000
 
 
 def test_dynamics_parabolic_audit_failure_exit_code(capsys):
@@ -161,6 +176,8 @@ def test_internal_error_is_not_reported_as_invalid_input(monkeypatch):
     "argv",
     [
         ("spectral", "tau", "--map", "mobius", "--matrix", "1,2,x,4"),
+        ("spectral", "tau", "--matrix", "1e400,0,0,1e-400"),  # exact, past the float range
+        ("spectral", "displacement", "--matrix", "2,0,0,1/2", "--budget", "1100"),  # 2.0**1024
         ("spectral", "tau", "--map", "translation", "--group", "zd", "--vector", "1,y"),
         ("spectral", "tau", "--map", "translation", "--group", "zd", "--vector", "1"),
         ("reduced", "classify-z", "--anchors", "1:2:3"),

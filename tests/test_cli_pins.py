@@ -4,7 +4,10 @@ One small configuration of every leaf command, and of every fixture, map,
 piece and distortion value, runs through ``horokit.cli.main``; its exit code
 and the sha256 of its stdout must equal the values in ``cli_pins.json``.
 Some reports carry floats, so the pins hold on one platform's libm and
-NumPy.  A change that alters report bytes on purpose re-records them with
+NumPy.  The Möbius reports do not depend on the BLAS kernel NumPy picks for
+the CPU: their matrix powers are plain Python floats, so the pins also hold
+under, say, ``OPENBLAS_CORETYPE=Nehalem``.  A change that alters report
+bytes on purpose re-records them with
 
     PYTHONPATH=src python3 tests/test_cli_pins.py
 """

@@ -35,6 +35,8 @@ from horokit.groups import CayleyGraphSpace, Heisenberg, Zd, cyclic_group
 from horokit.metric import FiniteMetricSpace
 from horokit.spaces import DistortedLine, LpSpace, PoincareDisk, UpperHalfPlane
 
+from oracles import hyperbolic_pair_reference, moebius_orbit_distances
+
 HP = UpperHalfPlane()
 
 # Frozen by tests/test_groups.py against the matrix-representation BFS.
@@ -68,7 +70,7 @@ def test_moebius_composition_and_inverse():
     rng = random.Random(4)
     f, g = random_hyperbolic_pair(rng)
     fg = f.compose(g)
-    assert fg.exact
+    assert all(type(v) is Fraction for v in fg.entries())
     ident = fg.compose(fg.inverse())
     assert ident.entries() == (1, 0, 0, 1)
 
@@ -91,6 +93,59 @@ def test_orbit_distances_no_overflow_at_large_n():
     # d(i, g^n i) = n tau + 2 d(i, axis) + o(1): increments converge to tau
     assert dists[800] - dists[400] == pytest.approx(400 * tau, abs=1e-6)
     assert dists[400] / 400 == pytest.approx(tau, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        (math.nan, 0, 0, 1),
+        (math.inf, 0, 0, 0),
+        (1, -math.inf, 0, 1),
+        (1, "x", 0, 1),
+        (1, None, 0, 1),
+        (1, 1j, 0, 1),
+        (10**400, 0, 0, Fraction(1, 10**400)),  # exact, but past the float range
+    ],
+)
+def test_moebius_rejects_non_finite_and_non_numeric_entries(entries):
+    with pytest.raises(InvalidParameterError):
+        MoebiusMap(*entries)
+
+
+def test_moebius_float_entries_read_at_their_binary_value():
+    m = MoebiusMap(2.0, 0.0, 0.0, 0.5)
+    assert m.entries() == (2, 0, 0, Fraction(1, 2))
+    assert all(type(v) is Fraction for v in m.entries())
+    # a float rotation misses determinant one by a rounding error
+    c, s = math.cos(1.0), math.sin(1.0)
+    assert Fraction(c) ** 2 + Fraction(s) ** 2 != 1
+    with pytest.raises(InvalidParameterError):
+        MoebiusMap(c, -s, s, c)
+
+
+def test_random_hyperbolic_pair_matches_reference():
+    for seed in range(200):
+        pair = random_hyperbolic_pair(random.Random(seed))
+        ref = hyperbolic_pair_reference(random.Random(seed))
+        for m, r in zip(pair, ref):
+            assert m.entries() == r
+            assert all(type(v) is Fraction for v in m.entries())
+
+
+def test_orbit_distances_match_exact_powers():
+    # Hyperbolic products: relative 1e-13 (measured worst 9.1e-15).  Elliptic
+    # and parabolic products keep the orbit near arccosh(1), where the float
+    # norm's rounding is amplified: absolute 1.5e-6 (measured 1.06e-6).
+    for seed in range(40):
+        f, g = random_hyperbolic_pair(random.Random(seed))
+        for m in (f.compose(g), g.compose(f)):
+            got, ref = m.orbit_distances(200), moebius_orbit_distances(m.entries(), 200)
+            if m.classify() == "hyperbolic":
+                assert got == pytest.approx(ref, rel=1e-13, abs=0)
+            else:
+                assert got == pytest.approx(ref, rel=0, abs=1.5e-6)
+    m = MoebiusMap(8, 3, 5, 2)
+    assert m.orbit_distances(800) == pytest.approx(moebius_orbit_distances(m.entries(), 800), rel=1e-13, abs=0)
 
 
 # ---------------------------------------------------------------------------

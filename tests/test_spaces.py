@@ -24,7 +24,7 @@ from horokit.spaces import (
     distorted_line_validate,
 )
 
-from oracles import disk_distance, spoke_ray_graph_distance, star_tree_distance
+from oracles import disk_distance, half_plane_distance, spoke_ray_graph_distance, star_tree_distance
 
 SR = SpokeRaySpace()
 ST = StarTreeSpace()
@@ -313,6 +313,28 @@ class TestHyperbolic:
     def test_half_plane_closed_form(self):
         hp = UpperHalfPlane()
         assert abs(hp.distance(1j, 1 + 1j) - math.acosh(1.5)) < 1e-12
+
+    def test_half_plane_distance_at_the_edge_of_the_float_range(self):
+        hp = UpperHalfPlane()
+        # Im z Im w overflows to inf in the first pair and underflows to a
+        # subnormal in the second
+        for z, w in ((2.0**511 * 1j, 2.0**513 * 1j), (1e-170j, 4e-170j)):
+            assert hp.distance(z, w) == pytest.approx(math.log(4), rel=1e-15)
+            assert hp.distance(z, w) == pytest.approx(half_plane_distance(z, w), rel=1e-15)
+        rng = random.Random(11)
+        for _ in range(400):
+            y = 10.0 ** rng.uniform(-300, 300)
+            z = complex(y * rng.uniform(-3, 3), y * 10 ** rng.uniform(-1, 1))
+            w = complex(y * rng.uniform(-3, 3), y * 10 ** rng.uniform(-1, 1))
+            assert math.isclose(hp.distance(z, w), half_plane_distance(z, w), rel_tol=1e-14)
+
+    def test_half_plane_rejects_non_finite_points(self):
+        hp = UpperHalfPlane()
+        for p in (complex(0, math.nan), complex(math.nan, 1), complex(0, math.inf), complex(math.inf, 1)):
+            with pytest.raises(InvalidPointError):
+                hp.check_point(p)
+            with pytest.raises(InvalidPointError):
+                hp.distance(1j, p)
 
     def test_domain_errors(self):
         with pytest.raises(InvalidPointError):
