@@ -22,22 +22,8 @@ from .errors import (
     UnsupportedError,
 )
 from .functionals import BallFunctional, ZdLinear, check_rows, eval_functional
-from .groups import (
-    CayleyBall,
-    GeneratingSet,
-    GroupFamily,
-    Heisenberg,
-    Zd,
-    cayley_ball,
-    has_closed_form,
-    heisenberg_length,
-)
+from .groups import CayleyBall, GeneratingSet, GroupFamily, cayley_ball, has_closed_form
 from .metric import CHUNK, Scalar, numeric_arrays
-
-
-def _lengths(ball: CayleyBall, idx: np.ndarray) -> np.ndarray:
-    """Word lengths of ball elements by index, read off the sphere offsets."""
-    return np.searchsorted(ball.sphere_offsets, idx, side="right") - 1
 
 
 def _reach(family: GroupFamily, gens: GeneratingSet, r: int, R: int) -> int:
@@ -57,59 +43,23 @@ def _distance_blocks(ball: CayleyBall, n: int, lo: int, hi: int, dtype) -> Itera
     """Row blocks of the matrix of d(x, g) = |x^-1 g|, with one column per x
     in B(r) = elements[:n] and rows for the g in elements[lo:hi].
 
-    Z^d: l1 distance of ``ball.coords`` rows by broadcasting, one row per g.
-    Free groups: |x| + |g| - 2 lcp(x, g) on the ``ball.coords`` letter rows,
-    padded with 0, which is never a letter.  lcp(x, g) <= |x| <= r, so a row
-    depends only on |g| and the first r letters of g: g that share both give
-    one row, which leaves B(r) whole and cuts a sphere S(R) to its distinct
-    r-prefixes.  H3: ``heisenberg_length`` of x^-1 g, broadcast over the
-    (a, b, c) rows of ``ball.coords``, one row per g.  Non-standard
-    generators and finite groups: one row per g, the word length of each
-    x^-1 g looked up in ``ball.index``, which needs the ball to reach R + r.
+    Under ``has_closed_form`` the family's ``distance_rows`` gives the rows
+    and their kernel, run in chunks of about ``CHUNK`` values.  Otherwise
+    (non-standard generators, finite groups) one row per g: the word length
+    of each x^-1 g looked up in ``ball.index``, which needs the ball to
+    reach R + r.
     """
     fam = ball.family
     if has_closed_form(fam, ball.gens):
-        if isinstance(fam, Zd):
-            X = np.asarray(ball.coords[:n], dtype)
-            G = ball.coords[lo:hi]
-
-            def block(a, b):
-                return np.abs(np.asarray(G[a:b], dtype)[:, None, :] - X).sum(axis=2, dtype=dtype)
-
-        elif isinstance(fam, Heisenberg):
-            X = ball.coords[:n]
-            G = ball.coords[lo:hi]
-
-            def block(a, b):
-                # x^-1 g = (g_a - x_a, g_b - x_b, g_c - x_c - x_a (g_b - x_b))
-                da, db, dc = np.moveaxis(G[a:b, None, :] - X, 2, 0)
-                return heisenberg_length(da, db, dc - X[:, 0] * db).astype(dtype)
-
-        else:
-            width = int(_lengths(ball, n - 1))
-            X = ball.coords[:n, :width]
-            real = X != 0
-            xlen = _lengths(ball, np.arange(n)).astype(dtype)
-            G = ball.coords[lo:hi, :width]
-            glen = _lengths(ball, np.arange(lo, hi))
-            # Shortlex order puts g with the same length and prefix side by side.
-            first = np.ones(len(G), bool)
-            first[1:] = (G[1:] != G[:-1]).any(axis=1) | (glen[1:] != glen[:-1])
-            G, glen = G[first], glen[first].astype(dtype)
-
-            def block(a, b):
-                same = (G[a:b, None, :] == X) & real
-                lcp = np.logical_and.accumulate(same, axis=2).sum(axis=2, dtype=dtype)
-                return xlen + glen[a:b, None] - 2 * lcp
-
-        step = max(1, CHUNK // (n * max(1, X.shape[1])))
+        G, block = fam.distance_rows(ball, n, lo, hi, dtype)
+        step = max(1, CHUNK // (n * max(1, G.shape[1])))
         for a in range(0, len(G), step):
             yield block(a, a + step)
         return
     index = ball.index
     xinv = [fam._inv(x) for x in ball.elements[:n]]
     rows = [[index[fam._mul(x, g)] for x in xinv] for g in ball.elements[lo:hi]]
-    yield _lengths(ball, np.array(rows, np.intp).reshape(hi - lo, n)).astype(dtype)
+    yield ball.length_at(np.array(rows, np.intp).reshape(hi - lo, n)).astype(dtype)
 
 
 def _ball_functionals(r, points, labels, rows: np.ndarray, D: np.ndarray) -> list[BallFunctional]:
@@ -124,19 +74,17 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> list[BallFunctional
     """Deduplicated restrictions h_g|B(r) over all g with |g| = R.
 
     The |S(R)| x |B(r)| matrix of d(x, g) - R comes from one array kernel
-    (see ``_distance_blocks``): l1 broadcasting on Z^d,
-    |x| + |g| - 2 lcp(x, g) over the distinct r-prefixes of the sphere on
-    free groups and the closed-form word length of x^-1 g on H3, all read
-    from ``ball.coords`` and needing radius R only; x^-1 g looked up in the
-    ball's index under non-standard generators and on finite groups, which
-    needs radius R + r.  Values and the distance matrix D of B(r) are int16
-    (int64 once R + r leaves int16).  Temporaries
-    are chunked to about 256K elements, and each chunk is deduplicated as
-    it is made.  ``np.unique`` sorts the rows in value-tuple order; the
-    checker in ``metric`` then checks every row exactly against D in
-    chunked broadcasts: each row vanishes at the identity and is 1-Lipschitz
-    on every pair, which implies |h(x)| <= |x| <= r.  The first failing row
-    raises with the message ``BallFunctional.check`` gives.
+    (see ``_distance_blocks``): the family's ``distance_rows`` on
+    ``ball.coords`` under a closed form, needing radius R only; x^-1 g
+    looked up in the ball's index under non-standard generators and on
+    finite groups, which needs radius R + r.  Values and the distance
+    matrix D of B(r) are int16 (int64 once R + r leaves int16).
+    Temporaries are chunked to about 256K elements, and each chunk is
+    deduplicated as it is made.  ``np.unique`` sorts the rows in value-tuple
+    order; the checker in ``metric`` then checks every row exactly against
+    D in chunked broadcasts: each row vanishes at the identity and is
+    1-Lipschitz on every pair, which implies |h(x)| <= |x| <= r.  The first
+    failing row raises with the message ``BallFunctional.check`` gives.
     """
     if not 0 <= r <= R:
         raise PreconditionError(f"need 0 <= ball radius {r} <= sphere radius {R}")
@@ -299,7 +247,7 @@ def act_on_restriction(ball: CayleyBall, g, bf: BallFunctional, r: int) -> BallF
     i = ball.index.get(g)
     if i is None:
         raise PreconditionError(f"element {g!r} falls outside the ball; increase the ball radius")
-    glen = int(_lengths(ball, i))
+    glen = int(ball.length_at(i))
     if bf.radius < r + glen:
         raise PreconditionError(
             f"restriction radius {bf.radius} too small; need >= r + |g| = {r + glen}"

@@ -6,6 +6,7 @@ isometries, and the one-point compactification of distorted lines.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -44,7 +45,6 @@ class SelfMap:
         *,
         kind: str = "semi-contraction",
         inverse: Callable[[Point], Point] | None = None,
-        group_element=None,
         matrix: "MoebiusMap | None" = None,
     ):
         if kind not in ("semi-contraction", "isometry"):
@@ -53,7 +53,6 @@ class SelfMap:
         self.func = func
         self.kind = kind
         self.inverse_func = inverse
-        self.group_element = group_element
         self.matrix = matrix
 
     def apply(self, x: Point) -> Point:
@@ -84,7 +83,6 @@ def group_translation(space, g) -> SelfMap:
         lambda x: fam._mul(g, x),
         kind="isometry",
         inverse=lambda x: fam._mul(ginv, x),
-        group_element=g,
     )
 
 
@@ -147,7 +145,10 @@ class MoebiusMap:
 
     def apply_half_plane(self, z: complex) -> complex:
         a, b, c, d = self._floats
-        return (a * z + b) / (c * z + d)
+        w = (a * z + b) / (c * z + d)
+        if not cmath.isfinite(w):
+            raise InvalidParameterError(f"the image of the point {z!r} is outside the float range")
+        return w
 
     def apply_disk(self, w: complex) -> complex:
         return cayley_to_disk(self.apply_half_plane(cayley_to_half_plane(w)))
@@ -244,17 +245,6 @@ def _orbit_displacements(f: SelfMap, n: int) -> list:
     space = f.space
     if f.matrix is not None:
         return f.matrix.orbit_distances(n)
-    if f.group_element is not None:
-        fam = space.family
-        out = [0]
-        power = fam.identity()
-        g = f.group_element
-        step = space.distance(fam.identity(), g)
-        for k in range(1, n + 1):
-            power = fam._mul(power, g)
-            length = space.word_length_of(power, bound=k * step + 1)
-            out.append(length)
-        return out
     out = [0]
     base = x = space.base_point
     for _ in range(n):

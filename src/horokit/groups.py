@@ -14,8 +14,8 @@ import re
 from functools import cached_property
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from math import comb, isqrt
-from typing import Any, Iterable, Optional, Sequence
+from math import comb, inf, isqrt
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -78,12 +78,39 @@ class GroupFamily(ABC):
     def standard_generators(self) -> tuple[Element, ...]:
         ...
 
-    def closed_form_length(self, g: Element) -> Optional[int]:
-        """Exact word length w.r.t. the standard generators, if closed-form."""
-        return None
+
+class ClosedFormFamily(GroupFamily):
+    """A family whose word length under its standard generators has a
+    closed form, with all that it gives: ball sizes, the ball as one
+    coordinate array (``CayleyBall.coords``) and the distance kernel over
+    it.  Under ``has_closed_form`` nothing is searched, and no other module
+    reads the coordinate layout."""
+
+    @abstractmethod
+    def closed_form_length(self, g: Element) -> int:
+        """Exact word length w.r.t. the standard generators."""
+
+    @abstractmethod
+    def ball_size(self, r: int, cap: int) -> int:
+        """min(|B(r)|, cap + 1), computed without building the ball."""
+
+    @abstractmethod
+    def ball_coords(self, radius: int) -> tuple[np.ndarray, Sequence[int]]:
+        """B(radius) as coordinate rows in shortlex order, and its sphere sizes."""
+
+    def row_elements(self, rows: np.ndarray, r: int) -> Iterable[Element]:
+        """The element tuples of the coordinate rows of S(r), r >= 1."""
+        return zip(*rows.T.tolist())
+
+    @abstractmethod
+    def distance_rows(self, ball: CayleyBall, n: int, lo: int, hi: int, dtype) -> tuple[np.ndarray, Callable]:
+        """The matrix of d(x, g) = |x^-1 g| for x in B(r) = ``ball.elements[:n]``
+        and g in ``ball.elements[lo:hi]``, as row coordinates G and a kernel:
+        ``block(a, b)`` gives the rows for G[a:b] as a ``dtype`` array, one
+        column per x.  G has one row per g unless g with equal rows merge."""
 
 
-class Zd(GroupFamily):
+class Zd(ClosedFormFamily):
     """Free abelian group of rank d; elements are integer d-tuples."""
 
     def __init__(self, dim: int):
@@ -125,8 +152,44 @@ class Zd(GroupFamily):
     def closed_form_length(self, g):
         return sum(abs(a) for a in g)
 
+    def ball_size(self, r, cap):
+        d = self.dim
+        return min(sum(2**k * comb(d, k) * comb(r, k) for k in range(min(d, r) + 1)), cap + 1)
 
-class FreeGroup(GroupFamily):
+    def ball_coords(self, radius):
+        """Coordinate rows (int16, int64 once the radius leaves int16).
+
+        Z^1 is 0, -1, 1, -2, 2, ...  Then S_k(r) is the union over a = -r..r,
+        in that order, of {a} x S_(k-1)(r - |a|): one gather per dimension.
+        """
+        dtype = np.int16 if radius <= np.iinfo(np.int16).max else np.int64
+        rs = np.arange(radius + 1)
+        X = np.stack([-rs, rs], axis=1).reshape(-1, 1)[1:].astype(dtype)
+        sizes = np.where(rs > 0, 2, 1)
+        for _ in range(1, self.dim):
+            rr = np.repeat(rs, 2 * rs + 1)
+            aa = np.arange(len(rr)) - rr * rr - rr  # block (r, a) is number r^2 + r + a
+            offsets = np.concatenate([[0], np.cumsum(sizes)])
+            sub = rr - np.abs(aa)
+            count = sizes[sub]
+            ends = np.cumsum(count)
+            idx = np.arange(ends[-1]) + np.repeat(offsets[sub] - ends + count, count)
+            X = np.concatenate([np.repeat(aa.astype(dtype), count)[:, None], X[idx]], axis=1)
+            sizes = np.add.reduceat(count, rs * rs)
+        return X, sizes
+
+    def distance_rows(self, ball, n, lo, hi, dtype):
+        """l1 distance of coordinate rows by broadcasting, one row per g."""
+        X = np.asarray(ball.coords[:n], dtype)
+        G = ball.coords[lo:hi]
+
+        def block(a, b):
+            return np.abs(np.asarray(G[a:b], dtype)[:, None, :] - X).sum(axis=2, dtype=dtype)
+
+        return G, block
+
+
+class FreeGroup(ClosedFormFamily):
     """Free group of given rank; elements are reduced tuples of nonzero ints.
 
     Letter +i is the i-th generator, -i its inverse (1-based).
@@ -190,6 +253,60 @@ class FreeGroup(GroupFamily):
 
     def closed_form_length(self, g):
         return len(g)
+
+    def ball_size(self, r, cap):
+        if self.rank == 1:
+            return min(2 * r + 1, cap + 1)
+        if r > cap.bit_length():
+            return cap + 1  # |S(r)| >= 4 * 3^(r - 1) > 2^r > cap
+        q = 2 * self.rank - 1
+        return min(1 + (q + 1) * (q**r - 1) // (q - 1), cap + 1)
+
+    def ball_coords(self, radius):
+        """Letter rows padded with 0 to the radius (int8, int64 past rank 127).
+
+        Each word of S(r - 1) is followed by its non-cancelling letters in
+        key order a < a^-1 < b < ..., so every sphere comes out sorted.
+        """
+        dtype = np.int8 if self.rank <= np.iinfo(np.int8).max else np.int64
+        letters = np.array([x for i in range(1, self.rank + 1) for x in (i, -i)], dtype)
+        sizes = [1] + [2 * self.rank * (2 * self.rank - 1) ** (r - 1) for r in range(1, radius + 1)]
+        offsets = np.cumsum([0] + sizes)
+        coords = np.zeros((offsets[-1], radius), dtype)
+        for r in range(1, radius + 1):
+            a, b, c = offsets[r - 1 : r + 2]
+            last = coords[a:b, r - 2] if r > 1 else np.zeros(1, dtype)
+            allowed = letters != -last[:, None]
+            children = coords[b:c].reshape(b - a, -1, radius)
+            children[:, :, : r - 1] = coords[a:b, None, : r - 1]
+            children[:, :, r - 1] = np.broadcast_to(letters, allowed.shape)[allowed].reshape(b - a, -1)
+        return coords, sizes
+
+    def row_elements(self, rows, r):
+        return super().row_elements(rows[:, :r], r)
+
+    def distance_rows(self, ball, n, lo, hi, dtype):
+        """|x| + |g| - 2 lcp(x, g) on the letter rows, whose padding 0 is
+        never a letter.  lcp(x, g) <= |x| <= r, so a row depends only on |g|
+        and the first r letters of g: g that share both give one row, which
+        leaves B(r) whole and cuts a sphere S(R) to its distinct r-prefixes."""
+        width = int(ball.length_at(n - 1))
+        X = ball.coords[:n, :width]
+        real = X != 0
+        xlen = ball.length_at(np.arange(n)).astype(dtype)
+        G = ball.coords[lo:hi, :width]
+        glen = ball.length_at(np.arange(lo, hi))
+        # Shortlex order puts g with the same length and prefix side by side.
+        first = np.ones(len(G), bool)
+        first[1:] = (G[1:] != G[:-1]).any(axis=1) | (glen[1:] != glen[:-1])
+        G, glen = G[first], glen[first].astype(dtype)
+
+        def block(a, b):
+            same = (G[a:b, None, :] == X) & real
+            lcp = np.logical_and.accumulate(same, axis=2).sum(axis=2, dtype=dtype)
+            return xlen + glen[a:b, None] - 2 * lcp
+
+        return G, block
 
     def word(self, text: str) -> Element:
         """Parse a label like "abA" or "ax7X12" back into an element."""
@@ -260,7 +377,7 @@ def heisenberg_length(a, b, c):
     return ops.where((0 <= c) & (c <= ab), a + b, 2 * best - a - b)
 
 
-class Heisenberg(GroupFamily):
+class Heisenberg(ClosedFormFamily):
     """Discrete Heisenberg group as integer triples (a, b, c).
 
     (a, b, c) stands for the upper-triangular matrix [[1, a, c], [0, 1, b],
@@ -299,6 +416,61 @@ class Heisenberg(GroupFamily):
 
     def closed_form_length(self, g):
         return heisenberg_length(*g)
+
+    def ball_size(self, r, cap):
+        # B(r) holds (a, b, c) for a, b >= 0, a + b <= r and 0 <= c <= ab:
+        # more than the sum of ab, which is C(r + 2, 4).
+        if comb(r + 2, 4) > cap:
+            return cap + 1
+        lo, hi = self._columns(r)[2:]
+        return min(int((hi - lo + 1).sum()), cap + 1)
+
+    @staticmethod
+    def _columns(radius: int) -> tuple[np.ndarray, ...]:
+        """Every (a, b) with |a| + |b| <= radius, and the c-interval [lo, hi]
+        of its column in the ball B(radius).
+
+        With a, b >= 0 (see ``heisenberg_length``) the length is at most R
+        iff e <= E = max{PQ : P >= a, Q >= b, P + Q <= T}, T = (R + a + b) // 2.
+        E is taken at P = T // 2 clamped to [a, T - b], so c runs over
+        [ab - E, E].  Flipping c when the signs of a and b differ gives
+        [-E, E - ab].
+        """
+        av = np.arange(-radius, radius + 1)
+        span = radius - np.abs(av)
+        a = np.repeat(av, 2 * span + 1)
+        # b runs over -span..span; the run of av[i] ends at cumsum[i].
+        b = np.arange(len(a)) - np.repeat(np.cumsum(2 * span + 1) - span - 1, 2 * span + 1)
+        A, B = np.abs(a), np.abs(b)
+        T = (radius + A + B) // 2
+        P = np.clip(T // 2, A, T - B)
+        E, ab = P * (T - P), A * B
+        flip = (a < 0) ^ (b < 0)
+        return a, b, np.where(flip, -E, ab - E), np.where(flip, E - ab, E)
+
+    def ball_coords(self, radius):
+        """int64 (a, b, c) rows: every column interval, sorted by
+        (length, a, b, c)."""
+        a, b, lo, hi = self._columns(radius)
+        count = hi - lo + 1
+        c = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
+        a, b = np.repeat(a, count), np.repeat(b, count)
+        length = heisenberg_length(a, b, c)
+        order = np.lexsort((c, b, a, length))
+        return np.stack([a, b, c], axis=1)[order], np.bincount(length, minlength=radius + 1)
+
+    def distance_rows(self, ball, n, lo, hi, dtype):
+        """``heisenberg_length`` of x^-1 g, broadcast over the (a, b, c)
+        rows, one row per g."""
+        X = ball.coords[:n]
+        G = ball.coords[lo:hi]
+
+        def block(a, b):
+            # x^-1 g = (g_a - x_a, g_b - x_b, g_c - x_c - x_a (g_b - x_b))
+            da, db, dc = np.moveaxis(G[a:b, None, :] - X, 2, 0)
+            return heisenberg_length(da, db, dc - X[:, 0] * db).astype(dtype)
+
+        return G, block
 
     def central(self, n: int = 1) -> Element:
         return (0, 0, n)
@@ -402,14 +574,11 @@ class CayleyBall:
     """The radius-R ball of a Cayley graph, in canonical (shortlex) order.
 
     ``sphere_offsets[r]`` is the index where sphere S(r) starts: the one
-    record of word lengths.  On Z^d, free groups and H3 under standard
-    generators, ``coords`` is the same ball as one int array, row i for
-    element i: its coordinates on Z^d (int16, int64 once the radius leaves
-    int16), its letters padded with 0 to the ball radius on F_n (int8,
-    int64 past rank 127), or its (a, b, c) on H3 (int64).  It is None under
-    non-standard generators and on finite groups.  The tuple ``lengths``,
-    the dict ``index`` and the edge list (i, j, gen_index) are derived on
-    first use.
+    record of word lengths, read by ``length_at``.  Under
+    ``has_closed_form``, ``coords`` is the same ball as one int array from
+    the family's ``ball_coords``, row i for element i; it is None under
+    non-standard generators and on finite groups.  The tuple ``lengths``
+    and the dict ``index`` are derived on first use.
     """
 
     family: GroupFamily
@@ -426,6 +595,10 @@ class CayleyBall:
     @cached_property
     def index(self) -> dict:
         return {g: i for i, g in enumerate(self.elements)}
+
+    def length_at(self, idx):
+        """Word lengths of the elements at an index or index array."""
+        return np.searchsorted(self.sphere_offsets, idx, side="right") - 1
 
     def sphere(self, r: int) -> tuple[Element, ...]:
         if not 0 <= r <= self.radius:
@@ -444,111 +617,9 @@ class CayleyBall:
 
 
 def has_closed_form(family: GroupFamily, gens: GeneratingSet) -> bool:
-    """Z^d, a free group or H3 under standard generators: word lengths,
-    spheres and ball sizes have closed forms."""
-    return gens.is_standard and isinstance(family, (Zd, FreeGroup, Heisenberg))
-
-
-def _ball_size(family: GroupFamily, r: int, cap: int) -> int:
-    """min(|B(r)|, cap + 1) on Z^d, F_n or H3 under standard generators."""
-    if isinstance(family, Zd):
-        d = family.dim
-        size = sum(2**k * comb(d, k) * comb(r, k) for k in range(min(d, r) + 1))
-    elif isinstance(family, Heisenberg):
-        # B(r) holds (a, b, c) for a, b >= 0, a + b <= r and 0 <= c <= ab:
-        # more than the sum of ab, which is C(r + 2, 4).
-        if comb(r + 2, 4) > cap:
-            return cap + 1
-        lo, hi = _h3_columns(r)[2:]
-        size = int((hi - lo + 1).sum())
-    elif family.rank == 1:
-        size = 2 * r + 1
-    elif r > cap.bit_length():
-        return cap + 1  # |S(r)| >= 4 * 3^(r - 1) > 2^r > cap
-    else:
-        q = 2 * family.rank - 1
-        size = 1 + (q + 1) * (q**r - 1) // (q - 1)
-    return min(size, cap + 1)
-
-
-def _zd_coords(dim: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Z^dim ball as coordinate rows in shortlex order, and its sphere sizes.
-
-    Z^1 is 0, -1, 1, -2, 2, ...  Then S_k(r) is the union over a = -r..r, in
-    that order, of {a} x S_(k-1)(r - |a|): one gather per dimension.
-    """
-    dtype = np.int16 if radius <= np.iinfo(np.int16).max else np.int64
-    rs = np.arange(radius + 1)
-    X = np.stack([-rs, rs], axis=1).reshape(-1, 1)[1:].astype(dtype)
-    sizes = np.where(rs > 0, 2, 1)
-    for _ in range(1, dim):
-        rr = np.repeat(rs, 2 * rs + 1)
-        aa = np.arange(len(rr)) - rr * rr - rr  # block (r, a) is number r^2 + r + a
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        sub = rr - np.abs(aa)
-        count = sizes[sub]
-        ends = np.cumsum(count)
-        idx = np.arange(ends[-1]) + np.repeat(offsets[sub] - ends + count, count)
-        X = np.concatenate([np.repeat(aa.astype(dtype), count)[:, None], X[idx]], axis=1)
-        sizes = np.add.reduceat(count, rs * rs)
-    return X, sizes
-
-
-def _free_coords(rank: int, radius: int) -> tuple[np.ndarray, list[int]]:
-    """The F_rank ball as letter rows padded with 0, in shortlex order, and
-    its sphere sizes.
-
-    Each word of S(r - 1) is followed by its non-cancelling letters in key
-    order a < a^-1 < b < ..., so every sphere comes out sorted.
-    """
-    dtype = np.int8 if rank <= np.iinfo(np.int8).max else np.int64
-    letters = np.array([x for i in range(1, rank + 1) for x in (i, -i)], dtype)
-    sizes = [1] + [2 * rank * (2 * rank - 1) ** (r - 1) for r in range(1, radius + 1)]
-    offsets = np.cumsum([0] + sizes)
-    coords = np.zeros((offsets[-1], radius), dtype)
-    for r in range(1, radius + 1):
-        a, b, c = offsets[r - 1 : r + 2]
-        last = coords[a:b, r - 2] if r > 1 else np.zeros(1, dtype)
-        allowed = letters != -last[:, None]
-        children = coords[b:c].reshape(b - a, -1, radius)
-        children[:, :, : r - 1] = coords[a:b, None, : r - 1]
-        children[:, :, r - 1] = np.broadcast_to(letters, allowed.shape)[allowed].reshape(b - a, -1)
-    return coords, sizes
-
-
-def _h3_columns(radius: int) -> tuple[np.ndarray, ...]:
-    """Every (a, b) with |a| + |b| <= radius, and the c-interval [lo, hi] of
-    its column in the H3 ball B(radius).
-
-    With a, b >= 0 (see ``heisenberg_length``) the length is at most R iff
-    e <= E = max{PQ : P >= a, Q >= b, P + Q <= T}, T = (R + a + b) // 2.
-    E is taken at P = T // 2 clamped to [a, T - b], so c runs over
-    [ab - E, E].  Flipping c when the signs of a and b differ gives
-    [-E, E - ab].
-    """
-    av = np.arange(-radius, radius + 1)
-    span = radius - np.abs(av)
-    a = np.repeat(av, 2 * span + 1)
-    # b runs over -span..span; the run of av[i] ends at cumsum[i].
-    b = np.arange(len(a)) - np.repeat(np.cumsum(2 * span + 1) - span - 1, 2 * span + 1)
-    A, B = np.abs(a), np.abs(b)
-    T = (radius + A + B) // 2
-    P = np.clip(T // 2, A, T - B)
-    E, ab = P * (T - P), A * B
-    flip = (a < 0) ^ (b < 0)
-    return a, b, np.where(flip, -E, ab - E), np.where(flip, E - ab, E)
-
-
-def _h3_coords(radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """The H3 ball as int64 (a, b, c) rows in shortlex order, and its sphere
-    sizes: every column interval, sorted by (length, a, b, c)."""
-    a, b, lo, hi = _h3_columns(radius)
-    count = hi - lo + 1
-    c = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
-    a, b = np.repeat(a, count), np.repeat(b, count)
-    length = heisenberg_length(a, b, c)
-    order = np.lexsort((c, b, a, length))
-    return np.stack([a, b, c], axis=1)[order], np.bincount(length, minlength=radius + 1)
+    """A ``ClosedFormFamily`` under its standard generators: word lengths,
+    balls and distance rows come from closed forms, not from a search."""
+    return isinstance(family, ClosedFormFamily) and gens.is_standard
 
 
 def cayley_ball(
@@ -560,14 +631,13 @@ def cayley_ball(
 ) -> CayleyBall:
     """Ball around the identity with exact word lengths, in shortlex order.
 
-    On Z^d, free groups and H3 under standard generators
-    (``has_closed_form``) the closed-form ball size is checked against the
-    limit first, and then the ball is built as an int array (kept as
-    ``coords``) without a search.  Non-standard generators and finite
-    groups grow a ``WordLengthOracle`` to the radius and sort each of its
-    spheres by ``element_key``.  Either way a ball over the limit raises
-    ``ResourceLimitError("ball size exceeded limit N")`` with the last
-    radius that fits.
+    Under ``has_closed_form`` the family's ``ball_size`` is checked against
+    the limit first, and then the ball is built from its ``ball_coords``
+    (kept as ``coords``) without a search.  Non-standard generators and
+    finite groups grow a ``WordLengthOracle`` to the radius and sort each
+    of its spheres by ``element_key``.  Either way a ball over the limit
+    raises ``ResourceLimitError("ball size exceeded limit N")`` with the
+    last radius that fits.
     """
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
@@ -579,24 +649,14 @@ def cayley_ball(
         offsets = tuple(np.cumsum([0, *map(len, layers)]).tolist())
         return CayleyBall(family, gens, radius, elements, offsets)
     cap = ball_limit(limit)
-    if radius > 0 and _ball_size(family, radius, cap) > cap:
-        fits = bisect.bisect_right(
-            range(1, radius + 1), cap, key=lambda r: _ball_size(family, r, cap)
-        )
+    if radius > 0 and family.ball_size(radius, cap) > cap:
+        fits = bisect.bisect_right(range(1, radius + 1), cap, key=lambda r: family.ball_size(r, cap))
         raise ResourceLimitError(f"ball size exceeded limit {cap}", radius_reached=fits)
-    free = isinstance(family, FreeGroup)
-    if free:
-        coords, sizes = _free_coords(family.rank, radius)
-    elif isinstance(family, Zd):
-        coords, sizes = _zd_coords(family.dim, radius)
-    else:
-        coords, sizes = _h3_coords(radius)
-    # Tuples zipped from column lists; r = 0 has no columns on F_n.
+    coords, sizes = family.ball_coords(radius)
     offsets = np.cumsum([0, *sizes]).tolist()
-    elements = [family.identity()]
+    elements = [family.identity()]  # r = 0 has no columns on F_n
     for r in range(1, radius + 1):
-        block = coords[offsets[r] : offsets[r + 1], : r if free else None]
-        elements.extend(zip(*block.T.tolist()))
+        elements.extend(family.row_elements(coords[offsets[r] : offsets[r + 1]], r))
     return CayleyBall(family, gens, radius, tuple(elements), tuple(offsets), coords)
 
 
@@ -655,16 +715,15 @@ def word_length(
 ) -> Optional[int]:
     """Word length of ``g`` w.r.t. ``gens`` if <= bound, else None.
 
-    Uses the closed form for Z^d, free groups and H3 under their standard
-    generators (``heisenberg_length`` on H3), and the breadth-first
-    ``WordLengthOracle`` otherwise, finite groups included; an element the
-    generators do not reach has no length and gives None.
+    Uses the family's ``closed_form_length`` under ``has_closed_form``, and
+    the breadth-first ``WordLengthOracle`` otherwise, finite groups
+    included; an element the generators do not reach has no length and
+    gives None.
     """
     family.check_element(g)
-    if gens.is_standard:
+    if has_closed_form(family, gens):
         n = family.closed_form_length(g)
-        if n is not None:
-            return n if n <= bound else None
+        return n if n <= bound else None
     if oracle is None:
         oracle = WordLengthOracle(family, gens)
     return oracle.length(g, bound)
@@ -674,7 +733,7 @@ class CayleyGraphSpace(MetricSpace):
     """A group with a word metric, as a discrete exact metric space."""
 
     exact = True
-    distance_bound = 4096  # longest word length a distance query searches for
+    distance_bound = 4096  # longest word length a search looks for; closed forms have none
 
     def __init__(
         self,
@@ -688,10 +747,10 @@ class CayleyGraphSpace(MetricSpace):
         if self.gens.family is not family:
             raise InvalidParameterError("generating set belongs to a different family")
         self._oracle = WordLengthOracle(family, self.gens, limit=limit)
+        self._bound = inf if has_closed_form(family, self.gens) else self.distance_bound
 
     def distance(self, p: Element, q: Element) -> int:
-        g = self.family.multiply(self.family.inverse(p), q)
-        n = word_length(self.family, self.gens, g, self.distance_bound, oracle=self._oracle)
+        n = self.word_length_of(self.family.multiply(self.family.inverse(p), q))
         if n is None:
             raise ResourceLimitError(
                 f"word length exceeds distance bound {self.distance_bound}"
@@ -712,10 +771,7 @@ class CayleyGraphSpace(MetricSpace):
         return self.family.element_label(p)
 
     def point_key(self, p):
-        n = self.family.closed_form_length(p) if self.gens.is_standard else None
-        if n is None:
-            n = word_length(self.family, self.gens, p, self.distance_bound, oracle=self._oracle)
-        return (n, self.family.element_key(p))
+        return (self.word_length_of(p), self.family.element_key(p))
 
     def sample_points(self, rng: random.Random, count: int) -> list:
         out = []
@@ -727,11 +783,7 @@ class CayleyGraphSpace(MetricSpace):
             out.append(g)
         return out
 
-    def word_length_of(self, g: Element, bound: int | None = None) -> Optional[int]:
-        return word_length(
-            self.family,
-            self.gens,
-            g,
-            self.distance_bound if bound is None else bound,
-            oracle=self._oracle,
-        )
+    def word_length_of(self, g: Element) -> Optional[int]:
+        """|g|, exact at any length where a closed form applies; a search
+        gives None past ``distance_bound``."""
+        return word_length(self.family, self.gens, g, self._bound, oracle=self._oracle)

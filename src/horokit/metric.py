@@ -24,6 +24,7 @@ from typing import Any, Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import (
+    InvalidParameterError,
     InvalidSpaceError,
     PreconditionError,
     UnsupportedError,
@@ -36,13 +37,17 @@ DEFAULT_BALL_LIMIT = 10**6
 
 
 def ball_limit(override: int | None = None) -> int:
-    """Effective ball-size limit: explicit override, else HOROKIT_MAX_BALL, else default."""
+    """Effective ball-size limit: explicit override, else HOROKIT_MAX_BALL, else default.
+
+    The variable must be a positive integer in decimal digits."""
     if override is not None:
         return override
     env = os.environ.get("HOROKIT_MAX_BALL")
-    if env:
-        return int(env)
-    return DEFAULT_BALL_LIMIT
+    if not env:
+        return DEFAULT_BALL_LIMIT
+    if not (env.isascii() and env.isdigit() and int(env) > 0):
+        raise InvalidParameterError(f"HOROKIT_MAX_BALL must be a positive integer, got {env!r}")
+    return int(env)
 
 
 class MetricSpace(ABC):
@@ -382,9 +387,10 @@ def discrete_ball(
 ) -> list[tuple[Point, Scalar]]:
     """All points at distance <= r from the base point, with exact distances.
 
-    Cayley graphs, the only discrete spaces, return the BFS ball of
-    ``cayley_ball``; finite spaces are scanned directly.  Output is in
-    canonical order (distance first, then the space's point order).
+    Cayley graphs, the only discrete spaces, return the ball of
+    ``cayley_ball``, built from closed forms or by a search; finite spaces
+    are scanned directly.  Output is in canonical order (distance first,
+    then the space's point order).
     """
     if r < 0:
         raise PreconditionError("ball radius must be nonnegative")

@@ -63,18 +63,31 @@ def test_spectral_tau_closed_form(capsys):
     assert abs(data["result"]["bound"] - 2 * 0.6931471805599453) < 1e-9
 
 
-def test_spectral_displacement_at_the_edge_of_the_float_range(capsys):
-    # z -> 4z moves each i 2^k by log 4; from k = 511 on Im z Im 4z overflows
-    code, out, _ = run(capsys, "spectral", "displacement", "--matrix", "2,0,0,1/2", "--budget", "600")
+@pytest.mark.parametrize("budget", [600, 1022])
+def test_spectral_displacement_at_the_edge_of_the_float_range(capsys, budget):
+    # z -> 4z moves each i 2^k by log 4; from k = 511 on Im z Im 4z overflows,
+    # and k = 1021 is the last point whose image 4 i 2^k is a float
+    code, out, _ = run(capsys, "spectral", "displacement", "--matrix", "2,0,0,1/2", "--budget", str(budget))
     assert code == 0
     rep = json.loads(out)["result"]["displacement"]
-    assert len(rep["trace"]) == 600 and rep["bound"] == pytest.approx(math.log(4), rel=1e-15)
+    assert len(rep["trace"]) == budget and rep["bound"] == pytest.approx(math.log(4), rel=1e-15)
 
 
-def test_spectral_displacement_reads_every_point(capsys):
-    code, out, _ = run(capsys, "spectral", "displacement", "--map", "translation", "--budget", "12000")
+@pytest.mark.parametrize("vector", [(), ("--group", "z", "--vector", "5000")], ids=["default", "z5000"])
+def test_spectral_displacement_reads_every_point(capsys, vector):
+    # Closed-form lengths are exact past CayleyGraphSpace.distance_bound = 4096.
+    code, out, _ = run(capsys, "spectral", "displacement", "--map", "translation", *vector, "--budget", "12000")
     assert code == 0
     assert len(json.loads(out)["result"]["displacement"]["trace"]) == 12_000
+
+
+@pytest.mark.parametrize("budget", ["1023", "1024"])
+def test_spectral_displacement_image_past_the_float_range(capsys, budget):
+    # z -> 4z sends the visited point i 2^1022 to 4 i 2^1022, past the float range.
+    code, _, err = run(capsys, "spectral", "displacement", "--matrix", "2,0,0,1/2", "--budget", budget)
+    assert code == 2
+    assert json.loads(err)["error"] == "InvalidParameterError"
+    assert repr(complex(0.0, 2.0**1022)) in err
 
 
 def test_dynamics_parabolic_audit_failure_exit_code(capsys):
@@ -95,6 +108,15 @@ def test_budget_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "boundary", "--group", "free", "--r", "1", "--rmax", "8", "--window", "2")
     assert code == 3
     assert "ResourceLimitError" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "1e3", "-5", "0"])
+def test_malformed_ball_limit_exit_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("HOROKIT_MAX_BALL", value)
+    code, _, err = run(capsys, "boundary", "--group", "free", "--r", "1", "--rmax", "8", "--window", "2")
+    assert code == 2
+    assert json.loads(err)["error"] == "InvalidParameterError"
+    assert "HOROKIT_MAX_BALL" in err
 
 
 def test_extend_mcshane_inline_space(capsys):

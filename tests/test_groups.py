@@ -447,6 +447,39 @@ def test_word_length_custom_generators():
     assert word_length(z1, gens, (7,), 10) == 3  # 2 + 2 + 3
 
 
+def test_closed_form_distance_has_no_search_bound():
+    assert CayleyGraphSpace(Zd(1)).distance((0,), (5000,)) == 5000
+    h3 = CayleyGraphSpace(Heisenberg())
+    assert h3.distance((0, 0, 0), (0, 0, 20_000_000)) == heisenberg_length(0, 0, 20_000_000)
+
+
+def test_search_distance_stops_at_the_bound():
+    z1 = Zd(1)
+    space = CayleyGraphSpace(z1, GeneratingSet.create(z1, [(2,), (3,)]))
+    assert space.distance_bound == 4096
+    assert space.distance((0,), (12285,)) == 4095  # 3 * 4095
+    with pytest.raises(ResourceLimitError, match="distance bound 4096"):
+        space.distance((0,), (12300,))  # 3 * 4100
+
+
+# Every ClosedFormFamily; a new one joins this list to get its kernel checked.
+CLOSED_FORM_FAMILIES = [Zd(1), Zd(2), Zd(3), FreeGroup(1), FreeGroup(2), FreeGroup(3), Heisenberg()]
+
+
+@pytest.mark.parametrize("r,R", [(0, 3), (1, 1), (1, 4), (2, 5)])
+@pytest.mark.parametrize("fam", CLOSED_FORM_FAMILIES, ids=lambda f: f.name)
+def test_distance_rows_match_closed_form_lengths(fam, r, R):
+    # Compared as sets: a family may merge g with equal rows (F_n does).
+    ball = cayley_ball(fam, GeneratingSet.standard(fam), R)
+    n = ball.sphere_offsets[r + 1]
+    G, block = fam.distance_rows(ball, n, ball.sphere_offsets[R], ball.sphere_offsets[R + 1], np.int64)
+    got = {tuple(row) for row in block(0, len(G)).tolist()}
+    points = ball.ball(r)
+    want = {tuple(fam.closed_form_length(fam.multiply(fam.inverse(x), g)) for x in points)
+            for g in ball.sphere(R)}
+    assert got == want
+
+
 def test_word_length_oracle_on_nonstandard_generators():
     fam = Heisenberg()
     steps = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
