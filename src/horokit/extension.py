@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidParameterError, PreconditionError
 from .functionals import EvalOutcome, WitnessLimit
 from .metric import MetricSpace, Point, Scalar
-from .metric import first_lipschitz_violation, numeric_arrays, pair_distances
+from .metric import first_lipschitz_violation, numeric_arrays
 from .serialize import scalar_to_json
 from .spaces import HUB, SpokeRaySpace, StarTreeSpace, frac
 
@@ -52,16 +52,16 @@ class PartialFunctional:
         self.points = list(points)
         self.values = list(values)
         self.mesh = mesh  # spacing bound when the domain samples a larger set
-        D = pair_distances(space.distance, self.points)
-        # The checker wants 0 at index 0; a shift leaves every pair gap as is.
-        shifted = [[v - self.values[0] for v in self.values]]
-        tol = 0 if space.exact else 1e-12
-        hit = first_lipschitz_violation(*numeric_arrays(shifted, D, tol=tol))
+        D, den = space.distance_block(self.points)(self.points, np.arange(len(self.points)))
+        # The checker wants 0 at index 0, which a shift gives; times den is D's scale.
+        shifted = [[(v - self.values[0]) * den for v in self.values]]
+        hit = first_lipschitz_violation(*numeric_arrays(shifted, D, tol=0 if space.exact else 1e-12))
         if hit is not None:
             _, i, j = hit
+            d = D[i, j] if den == 1 else Fraction(int(D[i, j]), den)
             raise InvalidParameterError(
                 f"not 1-Lipschitz on pair ({points[i]!r}, {points[j]!r}): "
-                f"|{values[i]} - {values[j]}| > {D[i][j]}"
+                f"|{values[i]} - {values[j]}| > {d}"
             )
 
     def value_at(self, p: Point) -> Scalar:

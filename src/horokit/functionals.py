@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedError,
 )
 from .metric import MetricSpace, Point, Scalar
-from .metric import first_lipschitz_violation, numeric_arrays, pair_distances
+from .metric import first_lipschitz_violation, numeric_arrays
 from .serialize import scalar_to_json
 from .spaces import LpSpace, PoincareDisk, disk_gap, lp_norm, pad_pair
 
@@ -69,7 +69,9 @@ class BallFunctional:
         is 1-Lipschitz under ``dist``; |value| <= d(base, .) follows."""
         if len(self.points) != len(self.values):
             raise InvalidParameterError("domain and value lists differ in length")
-        V, D, _ = numeric_arrays([self.values], pair_distances(dist, self.points))
+        pts = self.points
+        D = [[dist(p, q) if i < j else 0 for j, q in enumerate(pts)] for i, p in enumerate(pts)]
+        V, D, _ = numeric_arrays([self.values], D)
         check_rows(self.labels, V, D)
 
     def value_at(self, point: Point) -> Scalar:

@@ -665,14 +665,15 @@ class WordLengthOracle:
     identity, grown sphere by sphere as callers need it.
 
     ``layers[r]`` is S(r) in discovery order, empty past the reach of a
-    finite group.  It serves every generating set without a closed form:
-    ``cayley_ball`` grows one to the radius, and one oracle answers all
-    word-length queries of a ``CayleyGraphSpace``.
+    finite group.  ``cayley_ball`` grows one to the radius, and one oracle
+    answers all word-length queries of a ``CayleyGraphSpace``, from the
+    closed form when ``closed`` (``has_closed_form``, decided once).
     """
 
     def __init__(self, family: GroupFamily, gens: GeneratingSet, *, limit: int | None = None):
         self.family = family
         self.gens = gens
+        self.closed = has_closed_form(family, gens)
         self.cap = ball_limit(limit)
         self._dist: dict[Element, int] = {family.identity(): 0}
         self.layers: list[list[Element]] = [[family.identity()]]
@@ -695,10 +696,12 @@ class WordLengthOracle:
             self.layers.append(nxt)
 
     def length(self, g: Element, bound: int) -> Optional[int]:
-        """Exact word length of ``g`` if <= bound, else None."""
+        """Exact word length of the unchecked ``g`` if <= bound, else None."""
         if bound < 0:
             raise PreconditionError("bound must be >= 0")
-        self.family.check_element(g)
+        if self.closed:
+            n = self.family.closed_form_length(g)
+            return n if n <= bound else None
         while g not in self._dist and len(self.layers) <= bound and self.layers[-1]:
             self.grow(len(self.layers))
         n = self._dist.get(g)
@@ -715,15 +718,10 @@ def word_length(
 ) -> Optional[int]:
     """Word length of ``g`` w.r.t. ``gens`` if <= bound, else None.
 
-    Uses the family's ``closed_form_length`` under ``has_closed_form``, and
-    the breadth-first ``WordLengthOracle`` otherwise, finite groups
-    included; an element the generators do not reach has no length and
-    gives None.
+    ``g`` is not checked (callers use ``family.check_element``).  The
+    ``oracle`` (a new one if None) uses the family's closed form or a
+    breadth-first search; an unreached element gives None.
     """
-    family.check_element(g)
-    if has_closed_form(family, gens):
-        n = family.closed_form_length(g)
-        return n if n <= bound else None
     if oracle is None:
         oracle = WordLengthOracle(family, gens)
     return oracle.length(g, bound)
@@ -747,14 +745,15 @@ class CayleyGraphSpace(MetricSpace):
         if self.gens.family is not family:
             raise InvalidParameterError("generating set belongs to a different family")
         self._oracle = WordLengthOracle(family, self.gens, limit=limit)
-        self._bound = inf if has_closed_form(family, self.gens) else self.distance_bound
+        self._bound = inf if self._oracle.closed else self.distance_bound
 
     def distance(self, p: Element, q: Element) -> int:
-        n = self.word_length_of(self.family.multiply(self.family.inverse(p), q))
+        fam = self.family
+        fam.check_element(p)
+        fam.check_element(q)
+        n = word_length(fam, self.gens, fam._mul(fam._inv(p), q), self._bound, oracle=self._oracle)
         if n is None:
-            raise ResourceLimitError(
-                f"word length exceeds distance bound {self.distance_bound}"
-            )
+            raise ResourceLimitError(f"word length exceeds distance bound {self.distance_bound}")
         return n
 
     @property
@@ -766,12 +765,16 @@ class CayleyGraphSpace(MetricSpace):
             self.family.check_element(p)
         except TypeError as exc:
             raise InvalidPointError(str(exc)) from exc
+        if isinstance(self.family, FiniteGroup) and self._oracle.length(p, self.family.n) is None:
+            raise InvalidPointError(f"{p!r} is not reached by the generators")
 
     def point_label(self, p) -> str:
         return self.family.element_label(p)
 
     def point_key(self, p):
-        return (self.word_length_of(p), self.family.element_key(p))
+        self.family.check_element(p)
+        n = word_length(self.family, self.gens, p, self._bound, oracle=self._oracle)
+        return (n, self.family.element_key(p))
 
     def sample_points(self, rng: random.Random, count: int) -> list:
         out = []
@@ -782,8 +785,3 @@ class CayleyGraphSpace(MetricSpace):
                 g = self.family.multiply(g, gens[rng.randrange(len(gens))])
             out.append(g)
         return out
-
-    def word_length_of(self, g: Element) -> Optional[int]:
-        """|g|, exact at any length where a closed form applies; a search
-        gives None past ``distance_bound``."""
-        return word_length(self.family, self.gens, g, self._bound, oracle=self._oracle)

@@ -12,7 +12,6 @@ the matrix, through their distance oracle or an array kernel, and call it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import random
@@ -25,6 +24,7 @@ import numpy as np
 
 from .errors import (
     InvalidParameterError,
+    InvalidPointError,
     InvalidSpaceError,
     PreconditionError,
     UnsupportedError,
@@ -83,21 +83,38 @@ class MetricSpace(ABC):
     def sample_points(self, rng: random.Random, count: int) -> list:
         raise UnsupportedError(f"{type(self).__name__} has no point sampler")
 
+    def distance_block(self, points: Sequence[Point]) -> Callable:
+        """Check the fixed ``points`` once, and return block(ys, idx) -> (M, den),
+        M[i, k] / den = d(ys[i], points[idx[k]]): exact integers as
+        :func:`exact_ints` holds them, or float64 with den 1.  This default
+        asks ``distance`` per entry; a subclass that overrides ``distance``
+        must override this too, as a closed-form block never reads it."""
+        for p in points:
+            self.check_point(p)
+
+        def block(ys: Sequence[Point], idx: np.ndarray) -> tuple[np.ndarray, int]:
+            M, den = numeric_arrays([[self.distance(y, points[i]) for i in idx.tolist()] for y in ys], tol=1)
+            return M, int(den)
+
+        return block
+
     def functional_rows(self, points: Sequence[Point], origin: Point) -> Callable:
-        """Prepare, once, the point functionals h_p(y) = d(y, p) - d(origin, p)
-        of the fixed ``points``: a function from (y, idx), idx an index
-        array, to (row, den) with row[k] / den = h_p(y) for p =
-        points[idx[k]].  Exact rows are integers as :func:`exact_ints` holds
-        them; float rows are float64 with den 1.  This default asks
-        ``distance`` once per indexed point."""
-        offsets = [self.distance(origin, p) for p in points]
+        """row(y, idx) -> (row, den), row[k] / den = h_p(y) = d(y, p) - d(origin, p)
+        for p = points[idx[k]], held as in ``distance_block``.  The offsets
+        d(origin, p) are read once and meet each row at the lcm of the two
+        denominators."""
+        block = self.distance_block(points)
+        (offsets,), oden = block([origin], np.arange(len(points)))
 
         def row(y: Point, idx: np.ndarray) -> tuple[np.ndarray, int]:
-            hs = [self.distance(y, points[i]) - offsets[i] for i in idx.tolist()]
-            if not self.exact:
-                return np.array(hs, dtype=float), 1
-            den = math.lcm(*(h.denominator for h in hs))
-            return exact_ints([h.numerator * (den // h.denominator) for h in hs]), den
+            nonlocal offsets, oden
+            (M,), den = block([y], idx)
+            lcm = math.lcm(den, oden)
+            if lcm != oden:
+                offsets, oden = exact_ints(offsets.astype(object) * (lcm // oden)), lcm
+            if lcm != den:
+                M = exact_ints(M.astype(object) * (lcm // den))
+            return M - offsets[idx], lcm
 
         return row
 
@@ -143,20 +160,14 @@ def numeric_arrays(*tables, tol: Scalar = 0) -> tuple:
     return (*(np.array(t, dtype=dtype) for t in out), scaled(tol))
 
 
-def pair_distances(dist: Callable[[Point, Point], Scalar], points: Sequence[Point]) -> list:
-    """The distance matrix of the points through the oracle, asked once for
-    each pair i < j in row-major order; the diagonal and lower triangle are 0."""
-    n = len(points)
-    return [[dist(points[i], points[j]) if i < j else 0 for j in range(n)] for i in range(n)]
-
-
-def first_axiom_violation(D: np.ndarray) -> Optional[tuple[str, int, int]]:
+def first_axiom_violation(D: np.ndarray, tol: Scalar = 0) -> Optional[tuple[str, int, int]]:
     """First (kind, i, j) where the square matrix D breaks a metric axiom, or
     None.  Rows are scanned in order; within row i the diagonal entry comes
-    first (kind "diagonal", j = i), then for each column j a negative entry
-    ("negative") before an asymmetric one ("asymmetric")."""
-    bad = (D < 0) | (D != D.T)
-    diagonal = np.diagonal(D) != 0
+    first (kind "diagonal", j = i, if |D[i, i]| > tol), then for each column
+    j a negative entry ("negative") before an asymmetric one ("asymmetric",
+    |D[i, j] - D[j, i]| > tol)."""
+    bad = (D < 0) | (abs(D - D.T) > tol)
+    diagonal = abs(np.diagonal(D)) > tol
     rows = np.flatnonzero(diagonal | bad.any(axis=1))
     if not rows.size:
         return None
@@ -223,12 +234,9 @@ class FiniteMetricSpace(MetricSpace):
 
     def __init__(self, matrix: Sequence[Sequence[Scalar]], base_index: int = 0):
         n = len(matrix)
-        rows = []
-        for row in matrix:
-            if len(row) != n:
-                raise InvalidSpaceError("distance matrix is not square")
-            rows.append(tuple(Fraction(v) for v in row))
-        self.matrix = tuple(rows)
+        if any(len(row) != n for row in matrix):
+            raise InvalidSpaceError("distance matrix is not square")
+        self.matrix = tuple(tuple(Fraction(v) for v in row) for row in matrix)
         self.n = n
         if not 0 <= base_index < n:
             raise InvalidSpaceError(f"base index {base_index} outside [0, {n})")
@@ -257,8 +265,6 @@ class FiniteMetricSpace(MetricSpace):
 
     def check_point(self, p) -> None:
         if not isinstance(p, int) or not 0 <= p < self.n:
-            from .errors import InvalidPointError
-
             raise InvalidPointError(f"{p!r} is not a point index in [0, {self.n})")
 
     def point_key(self, p: int):
@@ -311,15 +317,6 @@ class MetricReport:
         }
 
 
-def _checked_distance(space: MetricSpace, p: Point, q: Point) -> Scalar:
-    d = space.distance(p, q)
-    if d != d or d in (float("inf"), float("-inf")):  # NaN / infinite
-        raise InvalidSpaceError(f"non-finite distance for pair ({p!r}, {q!r})")
-    if d < 0:
-        raise InvalidSpaceError(f"negative distance for pair ({p!r}, {q!r})")
-    return d
-
-
 def validate_metric(
     space: MetricSpace,
     *,
@@ -329,12 +326,13 @@ def validate_metric(
 ) -> MetricReport:
     """Check symmetry, zero self-distance, and the triangle inequality.
 
-    Finite spaces (a ``FiniteMetricSpace``, or every element that the
-    generators of a finite group reach) are checked exhaustively over all
-    triples; otherwise the triangle inequality is checked on ``max_triples``
-    seeded random triples drawn from 48 points of the space's sampler.  The
-    first violation is reported in canonical order for exhaustive checks and
-    in draw order for sampled ones.
+    The matrix is one ``distance_block`` of the points.  Finite spaces (a
+    ``FiniteMetricSpace``, or every element that the generators of a finite
+    group reach) are checked exhaustively over all triples; otherwise the
+    triangle inequality is checked on ``max_triples`` seeded random triples
+    drawn from 48 points of the space's sampler.  The first violation is
+    reported in the row order of :func:`first_axiom_violation`, then in
+    canonical order for exhaustive checks and in draw order for sampled ones.
     """
     if tol is None:
         tol = Fraction(0) if space.exact else 1e-10
@@ -353,18 +351,21 @@ def validate_metric(
         pts = space.sample_points(random.Random(seed), 48)
 
     n = len(pts)
-    D = [[None] * n for _ in range(n)]
-    for a, p in enumerate(pts):
-        D[a][a] = d = _checked_distance(space, p, p)
-        if d > tol:
-            return MetricReport(False, n, 0, 0, tol, ("self_distance", p))
-    pairs = 0
-    for a, b in itertools.combinations(range(n), 2):
-        pairs += 1
-        D[a][b] = dpq = _checked_distance(space, pts[a], pts[b])
-        D[b][a] = dqp = _checked_distance(space, pts[b], pts[a])
-        if abs(dpq - dqp) > tol:
-            return MetricReport(False, n, pairs, 0, tol, ("symmetry", pts[a], pts[b]))
+    D, den = space.distance_block(pts)(pts, np.arange(n))
+    # Exact entries are integers over den, so D > x + tol*den iff D > x + floor(tol*den).
+    t = float(tol) if D.dtype == float else math.floor(Fraction(tol) * den)
+    if D.dtype == float and not np.isfinite(D).all():
+        i, j = divmod(int(np.argmin(np.isfinite(D))), n)
+        raise InvalidSpaceError(f"non-finite distance for pair ({pts[i]!r}, {pts[j]!r})")
+    hit = first_axiom_violation(D, t)
+    if hit is not None:
+        kind, i, j = hit
+        if D[i, j] < 0:
+            raise InvalidSpaceError(f"negative distance for pair ({pts[i]!r}, {pts[j]!r})")
+        if kind == "diagonal":
+            return MetricReport(False, n, 0, 0, tol, ("self_distance", pts[i]))
+        pairs = i * (2 * n - i - 1) // 2 + j - i  # pairs (a, b), a < b, up to (i, j)
+        return MetricReport(False, n, pairs, 0, tol, ("symmetry", pts[i], pts[j]))
 
     triples = None
     if not exhaustive:
@@ -372,11 +373,11 @@ def validate_metric(
         rng = random.Random(seed)
         draws = ([rng.randrange(n) for _ in range(3)] for _ in range(max_triples))
         triples = [(p, r, q) for p, q, r in draws]
-    pos = first_triangle_violation(*numeric_arrays(D, tol=tol), triples)
+    pos = first_triangle_violation(D, t, triples)
     if pos is None:
-        return MetricReport(True, n, pairs, n**3 if exhaustive else max_triples, tol)
+        return MetricReport(True, n, n * (n - 1) // 2, n**3 if exhaustive else max_triples, tol)
     p, r, q = np.unravel_index(pos, (n, n, n)) if exhaustive else triples[pos]
-    return MetricReport(False, n, pairs, pos + 1, tol, ("triangle", pts[p], pts[q], pts[r]))
+    return MetricReport(False, n, n * (n - 1) // 2, pos + 1, tol, ("triangle", pts[p], pts[q], pts[r]))
 
 
 def discrete_ball(

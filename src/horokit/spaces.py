@@ -38,32 +38,31 @@ class _CodedSpace(MetricSpace):
     """An exact space whose distance is a closed form of per-point codes:
     ``_codes(p)`` checks p and returns its rational codes, and
     ``_code_distances(y_codes, columns)`` adds at most three code
-    magnitudes per entry of the row from y to the columns."""
+    magnitudes per entry of the block from the ys to the columns."""
 
-    def functional_rows(self, points, origin):
+    def distance_block(self, points):
         """Each point is checked and encoded once, and the codes are scaled
-        to integers over one shared denominator; a y with a new denominator
-        rescales them.  A distance adds at most three codes, so codes that
-        :func:`exact_ints` keeps in int64 (below 2^61) keep distances and
-        their differences below 2^63."""
-        codes = [self._codes(p) for p in (origin, *points)]
+        to integers over one shared denominator; ys with a new denominator,
+        or too wide for int64 columns, rescale them for good.  A distance
+        adds at most three codes, so codes below 2^61 (int64 in
+        :func:`exact_ints`) keep distances and their differences below 2^63."""
+        codes = [self._codes(p) for p in points]
         den = math.lcm(*(v.denominator for c in codes for v in c))
-        cols = offsets = None
+        cols = None
 
-        def row(y, idx):
-            nonlocal den, cols, offsets
-            code = self._codes(y)
-            new = math.lcm(den, *(v.denominator for v in code))
-            ys = [v.numerator * (new // v.denominator) for v in code]
-            wide = cols is not None and cols.dtype != object and max(map(abs, ys)) >= INT64_SAFE
+        def block(ys, idx):
+            nonlocal den, cols
+            y_codes = [self._codes(y) for y in ys]
+            new = math.lcm(den, *(v.denominator for c in y_codes for v in c))
+            Y = [[v.numerator * (new // v.denominator) for v in c] for c in y_codes]
+            wide = cols is not None and cols.dtype != object and max(abs(v) for c in Y for v in c) >= INT64_SAFE
             if cols is None or new != den or wide:
                 den = new
-                table = exact_ints([[v.numerator * (den // v.denominator) for v in c]
-                                    for c in (code, *codes)]).T
-                cols, offsets = table[:, 2:], self._code_distances(table[:, 1], table[:, 2:])
-            return self._code_distances(ys, cols[:, idx]) - offsets[idx], den
+                scaled = ([v.numerator * (den // v.denominator) for v in c] for c in codes)
+                cols = exact_ints([*Y, *scaled]).T[:, len(ys) :]  # the ys' width decides the dtype too
+            return self._code_distances(np.array(Y, dtype=cols.dtype).T[:, :, None], cols[:, idx]), den
 
-        return row
+        return block
 
 
 # ---------------------------------------------------------------------------

@@ -550,18 +550,18 @@ def random_rational_metric(rng, n: int, *, integral: bool = False):
 # --- brute-force metric and Lipschitz checks ----------------------------------
 
 
-def first_axiom_violation(D):
-    """First (kind, i, j) where the matrix breaks a metric axiom: row by
-    row, the diagonal first, then per column a negative entry before an
-    asymmetric one."""
+def first_axiom_violation(D, tol=0):
+    """First (kind, i, j) where the matrix breaks a metric axiom beyond tol:
+    row by row, the diagonal first, then per column a negative entry before
+    an asymmetric one."""
     n = len(D)
     for i in range(n):
-        if D[i][i] != 0:
+        if abs(D[i][i]) > tol:
             return ("diagonal", i, i)
         for j in range(n):
             if D[i][j] < 0:
                 return ("negative", i, j)
-            if D[i][j] != D[j][i]:
+            if abs(D[i][j] - D[j][i]) > tol:
                 return ("asymmetric", i, j)
     return None
 

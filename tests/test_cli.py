@@ -103,6 +103,15 @@ def test_invalid_input_exit_code(capsys):
     assert "error" in err
 
 
+def test_unreached_finite_group_element_exit_2(capsys):
+    space = json.dumps({"type": "finite_group", "params": {
+        "table": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]], "generators": [1]}})
+    code, _, err = run(capsys, "extend", "mcshane", "--space", space, "--domain", "[0, 2]",
+                       "--values", '["0", "0"]')
+    assert code == 2
+    assert json.loads(err)["error"] == "InvalidPointError"
+
+
 def test_budget_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("HOROKIT_MAX_BALL", "10")
     code, _, err = run(capsys, "boundary", "--group", "free", "--r", "1", "--rmax", "8", "--window", "2")

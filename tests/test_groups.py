@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from horokit.errors import InvalidParameterError, ResourceLimitError
+from horokit.dynamics import group_translation, translation_number
+from horokit.errors import InvalidParameterError, InvalidPointError, ResourceLimitError
 from horokit.groups import (
     CayleyGraphSpace,
     FiniteGroup,
@@ -522,6 +523,39 @@ def test_finite_group_lengths():
     assert word_length(c12, gens, 11, 100) == 1
     with pytest.raises(InvalidParameterError):
         FiniteGroup([[0, 1], [1, 1]])  # not a permutation row
+
+
+KLEIN = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+
+
+def test_finite_group_points_are_the_elements_its_generators_reach():
+    space = CayleyGraphSpace(FiniteGroup(KLEIN, [1]))  # 1 generates {0, 1}
+    for g in (0, 1):
+        space.check_point(g)
+    for g in (2, 3):
+        with pytest.raises(InvalidPointError, match="not reached by the generators"):
+            space.check_point(g)
+    CayleyGraphSpace(FiniteGroup(KLEIN, [1, 2])).check_point(3)
+
+
+class _CountingH3(Heisenberg):
+    checks = 0
+
+    def check_element(self, g):
+        type(self).checks += 1
+        super().check_element(g)
+
+
+def test_cayley_distance_checks_each_point_once():
+    space = CayleyGraphSpace(_CountingH3())
+    _CountingH3.checks = 0
+    assert space.distance((1, 2, 3), (-4, 0, 7)) == heisenberg_length(-5, -2, 6)
+    assert _CountingH3.checks <= 2
+    steps = 40
+    f = group_translation(space, (1, 0, 2))
+    _CountingH3.checks = 0
+    translation_number(f, steps)
+    assert _CountingH3.checks <= 2 * steps
 
 
 def test_cayley_graph_space_distance():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -137,17 +138,72 @@ def test_discrete_ball_requires_discrete_space():
         discrete_ball(SpokeRaySpace(), 2)
 
 
-def test_bad_distance_oracle_reported():
-    class Broken(SpokeRaySpace):
-        def distance(self, p, q):
-            return Fraction(-1) if p != q else Fraction(0)
+class _Oracle(MetricSpace):
+    """A plain space on the integers 0..11 whose distance is the given
+    function: ``distance_block`` is the default, which reads ``distance``."""
 
+    def __init__(self, dist, exact=True):
+        self.dist, self.exact = dist, exact
+
+    @property
+    def base_point(self):
+        return 0
+
+    def distance(self, p, q):
+        return self.dist(p, q)
+
+    def sample_points(self, rng, count):
+        return [rng.randrange(12) for _ in range(count)]
+
+
+def test_bad_distance_oracle_reported():
+    # A plain subclass: a space that overrides ``distance`` over an inherited
+    # closed-form ``distance_block`` must override that block too.
+    broken = _Oracle(lambda p, q: Fraction(-1) if p != q else Fraction(0))
     report_error = None
     try:
-        validate_metric(Broken(), max_triples=50)
+        validate_metric(broken, max_triples=50)
     except InvalidSpaceError as exc:
         report_error = str(exc)
     assert report_error is not None and "negative" in report_error
+
+
+def test_nan_distance_reported():
+    space = _Oracle(lambda p, q: math.nan if {p, q} == {2, 9} else float(abs(p - q)), exact=False)
+    with pytest.raises(InvalidSpaceError, match="^non-finite distance for pair"):
+        validate_metric(space, max_triples=50)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_self_distance_failure_reports_no_pairs(seed):
+    space = _Oracle(lambda p, q: abs(p - q) + (p == q == 5))
+    pts = space.sample_points(random.Random(seed), 48)
+    report = validate_metric(space, max_triples=50, seed=seed)
+    assert not report.passed
+    assert report.failure == ("self_distance", 5) and 5 in pts
+    assert (report.pairs_checked, report.triples_checked) == (0, 0)
+
+
+@pytest.mark.parametrize("tol, passed", [(Fraction(1, 3), True), (Fraction(1, 4), False),
+                                         (Fraction(1, 3) - Fraction(1, 10**30), False)])
+def test_validate_metric_reads_exact_tolerances_exactly(tol, passed):
+    space = _Oracle(lambda p, q: abs(p - q) + Fraction((p, q) == (3, 7), 3))
+    assert {3, 7} <= set(space.sample_points(random.Random(0), 48))
+    report = validate_metric(space, max_triples=500, tol=tol)
+    assert report.passed == passed
+    assert passed or report.failure[0] == "symmetry"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_symmetry_failure_reports_the_pairs_up_to_it(seed):
+    space = _Oracle(lambda p, q: abs(p - q) + ((p, q) == (3, 7)))
+    pts = space.sample_points(random.Random(seed), 48)
+    pairs = itertools.combinations(range(48), 2)
+    count, (a, b) = next((c, (a, b)) for c, (a, b) in enumerate(pairs, 1) if {pts[a], pts[b]} == {3, 7})
+    report = validate_metric(space, max_triples=50, seed=seed)
+    assert not report.passed
+    assert report.failure == ("symmetry", pts[a], pts[b])
+    assert (report.pairs_checked, report.triples_checked) == (count, 0)
 
 
 def test_finite_space_ball_scan():
@@ -276,7 +332,8 @@ def test_numeric_arrays_scaling():
 def test_axiom_checker_matches_brute_force(seed, kind, n, count):
     rng = random.Random(seed)
     D = _corrupt(rng, kind, _metric(rng, kind, n), count)
-    assert first_axiom_violation(numeric_arrays(D)[0]) == oracles.first_axiom_violation(D)
+    tol = _tol(rng, kind)
+    assert first_axiom_violation(*numeric_arrays(D, tol=tol)) == oracles.first_axiom_violation(D, tol)
 
 
 @settings(max_examples=150, deadline=None)

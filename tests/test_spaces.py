@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from horokit.dynamics import MoebiusMap
 from horokit.errors import InvalidDistortionError, InvalidPointError
-from horokit.metric import validate_metric
+from horokit.groups import CayleyGraphSpace, FreeGroup, Heisenberg, Zd, cyclic_group
+from horokit.metric import FiniteMetricSpace, validate_metric
 from horokit.spaces import (
     DISTORTIONS,
     DistortedLine,
@@ -24,7 +25,13 @@ from horokit.spaces import (
     distorted_line_validate,
 )
 
-from oracles import disk_distance, half_plane_distance, spoke_ray_graph_distance, star_tree_distance
+from oracles import (
+    disk_distance,
+    half_plane_distance,
+    random_rational_metric,
+    spoke_ray_graph_distance,
+    star_tree_distance,
+)
 
 SR = SpokeRaySpace()
 ST = StarTreeSpace()
@@ -227,24 +234,78 @@ def test_functional_rows_stay_int64_up_to_the_bound():
         ]
 
 
+# Every space class, with points that the sampler does not give: mixed
+# denominators and codes or distances past 2^61.
+BLOCK_SPACES = {
+    "finite": (lambda rng: FiniteMetricSpace(random_rational_metric(rng, 7)), []),
+    "z3": (lambda rng: CayleyGraphSpace(Zd(3)), [(2**62, -1, 0), (-(2**62), 0, 5)]),
+    "f2": (lambda rng: CayleyGraphSpace(FreeGroup(2)), [(1, 2, -1, -2) * 5]),
+    "h3": (lambda rng: CayleyGraphSpace(Heisenberg()), [(0, 0, 2**62), (3, -2**40, 7)]),
+    "c12": (lambda rng: CayleyGraphSpace(cyclic_group(12, step=3)), [9]),
+    "spoke-ray": (lambda rng: SR, SR_EDGES),
+    "star-tree": (lambda rng: ST, ST_EDGES),
+    "sqrt-line": (lambda rng: DistortedLine("sqrt"), [0.0, 1e300, -2.5]),
+    "disk": (lambda rng: PoincareDisk(), [0j, 0.999999 + 0j, -0.3 + 0.9j]),
+    "half-plane": (lambda rng: UpperHalfPlane(), [1j, 3 + 1e-9j, -1e6 + 1e6j]),
+    "l3": (lambda rng: LpSpace(3, 4), [np.zeros(4), np.array([1e90, 0, -1, 2])]),
+}
+
+
+def _reads(space, value, den, want):
+    if space.exact:
+        return Fraction(int(value), den) == want
+    return den == 1 and float(value).hex() == float(want).hex()
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_SPACES))
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=12, deadline=None)
+def test_distance_block_and_rows_match_distance(name, seed):
+    rng = random.Random(seed)
+    make, edges = BLOCK_SPACES[name]
+    space = make(rng)
+
+    def draw(most):
+        return space.sample_points(rng, rng.randrange(1, most)) + rng.sample(edges, min(len(edges), rng.randrange(3)))
+
+    pts = draw(7)
+    origin = rng.choice(draw(3))
+    block, row = space.distance_block(pts), space.functional_rows(pts, origin)
+    for _ in range(3):  # each call sees the columns as the earlier ys left them
+        ys = draw(4)
+        idx = np.array(rng.choices(range(len(pts)), k=rng.randrange(1, len(pts) + 1)))
+        M, den = block(ys, idx)
+        assert M.shape == (len(ys), len(idx))
+        assert M.dtype in ((np.int64, object) if space.exact else (np.float64,))
+        for i, y in enumerate(ys):
+            h, hden = row(y, idx)
+            for k, j in enumerate(idx):
+                assert _reads(space, M[i, k], den, space.distance(y, pts[j]))
+                assert _reads(space, h[k], hden, space.distance(y, pts[j]) - space.distance(origin, pts[j]))
+
+
+# The half-plane stands for the default block, which checks its columns
+# when it is prepared.
 MALFORMED = {
-    "sr": [("bogus",), "hub", ("hub", 1), ("ray", Fraction(0)), ("ray", 1.5), ("head", 0),
-           ("head", Fraction(2)), ("spoke", 3, Fraction(10)), ("spoke", 3)],
-    "st": [("hub", 1), ("int", 3, Fraction(4)), ("int", 0, Fraction(1, 2)), ("int", 3, 1),
-           ("ray", Fraction(1))],
+    "sr": (SR, HUB, [("bogus",), "hub", ("hub", 1), ("ray", Fraction(0)), ("ray", 1.5),
+                     ("head", 0), ("head", Fraction(2)), ("spoke", 3, Fraction(10)), ("spoke", 3)]),
+    "st": (ST, HUB, [("hub", 1), ("int", 3, Fraction(4)), ("int", 0, Fraction(1, 2)),
+                     ("int", 3, 1), ("ray", Fraction(1))]),
+    "half-plane": (UpperHalfPlane(), 1j, [1 - 1j, 2.0, complex(0, math.nan), complex(math.inf, 1)]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_functional_rows_reject_malformed_points_like_distance(name):
-    space = SR if name == "sr" else ST
-    row = space.functional_rows([HUB], HUB)
-    for bad in MALFORMED[name]:
+    space, good, bads = MALFORMED[name]
+    row = space.functional_rows([good], good)
+    for bad in bads:
         with pytest.raises(InvalidPointError) as direct:
-            space.distance(bad, HUB)
+            space.distance(bad, good)
         for ask in (lambda: row(bad, np.arange(1)),
-                    lambda: space.functional_rows([HUB, bad], HUB),
-                    lambda: space.functional_rows([HUB], bad)):
+                    lambda: space.functional_rows([good, bad], good),
+                    lambda: space.functional_rows([good], bad),
+                    lambda: space.distance_block([good, bad])):
             with pytest.raises(InvalidPointError) as by_row:
                 ask()
             assert str(by_row.value) == str(direct.value)
