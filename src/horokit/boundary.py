@@ -22,44 +22,34 @@ from .errors import (
     UnsupportedError,
 )
 from .functionals import BallFunctional, ZdLinear, check_rows, eval_functional
-from .groups import CayleyBall, GeneratingSet, GroupFamily, cayley_ball, has_closed_form
+from .groups import CayleyBall, GeneratingSet, GroupFamily, cayley_ball
 from .metric import CHUNK, Scalar, numeric_arrays
 
 
-def _reach(family: GroupFamily, gens: GeneratingSet, r: int, R: int) -> int:
-    """The ball radius ``_distance_blocks`` needs for rows g with |g| <= R
-    over B(r): R where word lengths have a closed form, R + r where x^-1 g
-    is looked up in the ball's index."""
-    return R if has_closed_form(family, gens) else R + r
-
-
-def _check_reach(ball: CayleyBall, r: int, R: int) -> None:
-    needed = _reach(ball.family, ball.gens, r, R)
-    if ball.radius < needed:
-        raise PreconditionError(f"ball radius {ball.radius} is insufficient; need >= {needed}")
-
-
-def _distance_blocks(ball: CayleyBall, n: int, lo: int, hi: int, dtype) -> Iterator[np.ndarray]:
+def _distance_blocks(ball: CayleyBall, n: int, lo: int, hi: int, dtype, r=None) -> Iterator[np.ndarray]:
     """Row blocks of the matrix of d(x, g) = |x^-1 g|, with one column per x
-    in B(r) = elements[:n] and rows for the g in elements[lo:hi].
+    in B(r) = elements[:n], the identity first, and rows for the g in
+    elements[lo:hi].
 
-    Under ``has_closed_form`` the family's ``distance_rows`` gives the rows
-    and their kernel, run in chunks of about ``CHUNK`` values.  Otherwise
-    (non-standard generators, finite groups) one row per g: the word length
-    of each x^-1 g looked up in ``ball.index``, which needs the ball to
-    reach R + r.
+    Under ``has_closed_form`` the family's ``distance_rows`` runs on
+    ``ball.coords`` in chunks of about ``CHUNK`` values, on the rows cut to
+    its ``restriction_rows(G, r)`` when ``r`` is given.  Otherwise one row
+    per g: the length of each x^-1 g from the ball's ``WordLengthOracle``,
+    which searches past the ball as far as the lengths need.
     """
     fam = ball.family
-    if has_closed_form(fam, ball.gens):
-        G, block = fam.distance_rows(ball, n, lo, hi, dtype)
+    if ball.oracle.closed:
+        X, G = ball.coords[:n], ball.coords[lo:hi]
+        if r is not None:
+            G = fam.restriction_rows(G, r)
         step = max(1, CHUNK // (n * max(1, G.shape[1])))
         for a in range(0, len(G), step):
-            yield block(a, a + step)
+            yield fam.distance_rows(X, G[a : a + step], dtype)
         return
-    index = ball.index
     xinv = [fam._inv(x) for x in ball.elements[:n]]
-    rows = [[index[fam._mul(x, g)] for x in xinv] for g in ball.elements[lo:hi]]
-    yield ball.length_at(np.array(rows, np.intp).reshape(hi - lo, n)).astype(dtype)
+    bound = 2 * ball.radius  # |x^-1 g| <= |x| + |g|
+    rows = [[ball.oracle.length(fam._mul(x, g), bound) for x in xinv] for g in ball.elements[lo:hi]]
+    yield np.array(rows, dtype).reshape(hi - lo, n)
 
 
 def _ball_functionals(r, points, labels, rows: np.ndarray, D: np.ndarray) -> list[BallFunctional]:
@@ -73,33 +63,31 @@ def _ball_functionals(r, points, labels, rows: np.ndarray, D: np.ndarray) -> lis
 def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> list[BallFunctional]:
     """Deduplicated restrictions h_g|B(r) over all g with |g| = R.
 
-    The |S(R)| x |B(r)| matrix of d(x, g) - R comes from one array kernel
-    (see ``_distance_blocks``): the family's ``distance_rows`` on
-    ``ball.coords`` under a closed form, needing radius R only; x^-1 g
-    looked up in the ball's index under non-standard generators and on
-    finite groups, which needs radius R + r.  Values and the distance
-    matrix D of B(r) are int16 (int64 once R + r leaves int16).
-    Temporaries are chunked to about 256K elements, and each chunk is
-    deduplicated as it is made.  ``np.unique`` sorts the rows in value-tuple
-    order; the checker in ``metric`` then checks every row exactly against
-    D in chunked broadcasts: each row vanishes at the identity and is
-    1-Lipschitz on every pair, which implies |h(x)| <= |x| <= r.  The first
-    failing row raises with the message ``BallFunctional.check`` gives.
+    The |S(R)| x |B(r)| matrix of d(x, g) comes from ``_distance_blocks``,
+    which needs a ball of radius R.  Each row minus its identity column
+    d(e, g) is h_g, also on the rows a family's ``restriction_rows`` puts
+    in place of g.  Values and the distance matrix D of B(r) are int16
+    (int64 once R + r leaves int16).  Temporaries are chunked to about 256K
+    elements, and each chunk is deduplicated as it is made.  ``np.unique``
+    sorts the rows in value-tuple order; the checker in ``metric`` then
+    checks every row exactly against D in chunked broadcasts: each row
+    vanishes at the identity and is 1-Lipschitz on every pair, which
+    implies |h(x)| <= |x| <= r.  The first failing row raises with the
+    message ``BallFunctional.check`` gives.
     """
     if not 0 <= r <= R:
         raise PreconditionError(f"need 0 <= ball radius {r} <= sphere radius {R}")
-    _check_reach(ball, r, R)
+    if ball.radius < R:
+        raise PreconditionError(f"ball radius {ball.radius} is insufficient; need >= {R}")
     fam = ball.family
     n = ball.sphere_offsets[r + 1]
     points = ball.elements[:n]
     labels = tuple(fam.element_label(p) for p in points)
     dtype = np.int16 if R + r <= np.iinfo(np.int16).max else np.int64
-    blocks = _distance_blocks(ball, n, ball.sphere_offsets[R], ball.sphere_offsets[R + 1], dtype)
+    blocks = _distance_blocks(ball, n, ball.sphere_offsets[R], ball.sphere_offsets[R + 1], dtype, r)
     # Dedup block by block, so that a huge sphere is never held whole.
-    rows = np.unique(
-        np.concatenate([np.empty((0, n), dtype), *(np.unique(b, axis=0) for b in blocks)]), axis=0
-    )
-    rows -= R
+    parts = [np.unique(b - b[:, :1], axis=0) for b in blocks]
+    rows = np.unique(np.concatenate([np.empty((0, n), dtype), *parts]), axis=0)
     D = np.concatenate(list(_distance_blocks(ball, n, 0, n, dtype)))
     return _ball_functionals(r, points, labels, rows, D)
 
@@ -121,14 +109,12 @@ def restriction_table(
     r: int,
     radii: Sequence[int],
     *,
-    ball: CayleyBall | None = None,
     limit: int | None = None,
 ) -> RestrictionTable:
     radii = sorted(set(radii))
     if not radii:
         raise PreconditionError("need at least one sphere radius")
-    if ball is None:
-        ball = cayley_ball(family, gens, _reach(family, gens, r, max(radii)), limit=limit)
+    ball = cayley_ball(family, gens, max(radii), limit=limit)
     return RestrictionTable(r, {R: tuple(sphere_restrictions(ball, r, R)) for R in radii})
 
 
@@ -187,9 +173,8 @@ def limit_restrictions(
         raise PreconditionError("window must be >= 1")
     if r_max <= r + window:
         raise PreconditionError("need r_max > r + window")
-    ball = cayley_ball(family, gens, _reach(family, gens, r, r_max), limit=limit)
     lo_needed = max(r, r_max - 2 * window)
-    table = restriction_table(family, gens, r, range(lo_needed, r_max + 1), ball=ball)
+    table = restriction_table(family, gens, r, range(lo_needed, r_max + 1), limit=limit)
 
     def accepted(at_r_max: int) -> frozenset:
         lo = max(r, at_r_max - window)
@@ -244,15 +229,13 @@ def act_on_restriction(ball: CayleyBall, g, bf: BallFunctional, r: int) -> BallF
     """
     fam = ball.family
     ginv = fam.inverse(g)
-    i = ball.index.get(g)
-    if i is None:
+    glen = ball.oracle.length(g, ball.radius)
+    if glen is None:
         raise PreconditionError(f"element {g!r} falls outside the ball; increase the ball radius")
-    glen = int(ball.length_at(i))
     if bf.radius < r + glen:
         raise PreconditionError(
             f"restriction radius {bf.radius} too small; need >= r + |g| = {r + glen}"
         )
-    _check_reach(ball, r, r)
     offset = bf.value_at(ginv)
     points = ball.ball(r)
     labels = tuple(fam.element_label(p) for p in points)

@@ -82,9 +82,9 @@ class GroupFamily(ABC):
 class ClosedFormFamily(GroupFamily):
     """A family whose word length under its standard generators has a
     closed form, with all that it gives: ball sizes, the ball as one
-    coordinate array (``CayleyBall.coords``) and the distance kernel over
-    it.  Under ``has_closed_form`` nothing is searched, and no other module
-    reads the coordinate layout."""
+    coordinate array (``CayleyBall.coords``), ``coords`` of any elements and
+    the distance kernel on such rows.  Under ``has_closed_form`` nothing is
+    searched, and no other module reads the coordinate layout."""
 
     @abstractmethod
     def closed_form_length(self, g: Element) -> int:
@@ -102,12 +102,22 @@ class ClosedFormFamily(GroupFamily):
         """The element tuples of the coordinate rows of S(r), r >= 1."""
         return zip(*rows.T.tolist())
 
+    def coords(self, elements: Sequence[Element]) -> np.ndarray:
+        """Elements as int64 rows in the layout of ``ball_coords``: their
+        entries, padded with 0 to the longest (F_n words; 0 is no letter)."""
+        width = max(map(len, elements), default=len(self.identity()))
+        rows = [g + (0,) * (width - len(g)) for g in elements]
+        return np.array(rows, np.int64).reshape(len(rows), width)
+
+    def restriction_rows(self, G: np.ndarray, r: int) -> np.ndarray:
+        """Rows whose h-rows d(x, .) - d(e, .) over B(r) form G's set: here G."""
+        return G
+
     @abstractmethod
-    def distance_rows(self, ball: CayleyBall, n: int, lo: int, hi: int, dtype) -> tuple[np.ndarray, Callable]:
-        """The matrix of d(x, g) = |x^-1 g| for x in B(r) = ``ball.elements[:n]``
-        and g in ``ball.elements[lo:hi]``, as row coordinates G and a kernel:
-        ``block(a, b)`` gives the rows for G[a:b] as a ``dtype`` array, one
-        column per x.  G has one row per g unless g with equal rows merge."""
+    def distance_rows(self, X: np.ndarray, G: np.ndarray, dtype) -> np.ndarray:
+        """The |G| x |X| ``dtype`` array of d(x, g) = |x^-1 g|, for the
+        coordinate rows x of X and g of G, which may be narrower than
+        ``dtype`` but must keep every value in range."""
 
 
 class Zd(ClosedFormFamily):
@@ -178,15 +188,9 @@ class Zd(ClosedFormFamily):
             sizes = np.add.reduceat(count, rs * rs)
         return X, sizes
 
-    def distance_rows(self, ball, n, lo, hi, dtype):
-        """l1 distance of coordinate rows by broadcasting, one row per g."""
-        X = np.asarray(ball.coords[:n], dtype)
-        G = ball.coords[lo:hi]
-
-        def block(a, b):
-            return np.abs(np.asarray(G[a:b], dtype)[:, None, :] - X).sum(axis=2, dtype=dtype)
-
-        return G, block
+    def distance_rows(self, X, G, dtype):
+        """l1 distance of the coordinate rows, by broadcasting."""
+        return np.abs(np.asarray(G, dtype)[:, None, :] - np.asarray(X, dtype)).sum(axis=2, dtype=dtype)
 
 
 class FreeGroup(ClosedFormFamily):
@@ -285,28 +289,24 @@ class FreeGroup(ClosedFormFamily):
     def row_elements(self, rows, r):
         return super().row_elements(rows[:, :r], r)
 
-    def distance_rows(self, ball, n, lo, hi, dtype):
+    def restriction_rows(self, G, r):
+        """lcp(x, g) <= |x| <= r, so d(x, g) - |g| = |x| - 2 lcp(x, g) over
+        B(r) is also the row of the word that g's first r letters spell.
+        Equal prefixes side by side merge, and shortlex order puts them so:
+        a sphere S(R) comes down to at most |S(r)| rows whatever R is."""
+        P = G[:, :r]
+        first = np.ones(len(P), bool)
+        first[1:] = (P[1:] != P[:-1]).any(axis=1)
+        return P[first]
+
+    def distance_rows(self, X, G, dtype):
         """|x| + |g| - 2 lcp(x, g) on the letter rows, whose padding 0 is
-        never a letter.  lcp(x, g) <= |x| <= r, so a row depends only on |g|
-        and the first r letters of g: g that share both give one row, which
-        leaves B(r) whole and cuts a sphere S(R) to its distinct r-prefixes."""
-        width = int(ball.length_at(n - 1))
-        X = ball.coords[:n, :width]
+        never a letter; the lcp reads the columns that X and G share."""
+        w = min(X.shape[1], G.shape[1])
         real = X != 0
-        xlen = ball.length_at(np.arange(n)).astype(dtype)
-        G = ball.coords[lo:hi, :width]
-        glen = ball.length_at(np.arange(lo, hi))
-        # Shortlex order puts g with the same length and prefix side by side.
-        first = np.ones(len(G), bool)
-        first[1:] = (G[1:] != G[:-1]).any(axis=1) | (glen[1:] != glen[:-1])
-        G, glen = G[first], glen[first].astype(dtype)
-
-        def block(a, b):
-            same = (G[a:b, None, :] == X) & real
-            lcp = np.logical_and.accumulate(same, axis=2).sum(axis=2, dtype=dtype)
-            return xlen + glen[a:b, None] - 2 * lcp
-
-        return G, block
+        same = (G[:, None, :w] == X[:, :w]) & real[:, :w]
+        lcp = np.logical_and.accumulate(same, axis=2).sum(axis=2, dtype=dtype)
+        return real.sum(axis=1, dtype=dtype) + (G != 0).sum(axis=1, dtype=dtype)[:, None] - 2 * lcp
 
     def word(self, text: str) -> Element:
         """Parse a label like "abA" or "ax7X12" back into an element."""
@@ -459,18 +459,11 @@ class Heisenberg(ClosedFormFamily):
         order = np.lexsort((c, b, a, length))
         return np.stack([a, b, c], axis=1)[order], np.bincount(length, minlength=radius + 1)
 
-    def distance_rows(self, ball, n, lo, hi, dtype):
-        """``heisenberg_length`` of x^-1 g, broadcast over the (a, b, c)
-        rows, one row per g."""
-        X = ball.coords[:n]
-        G = ball.coords[lo:hi]
-
-        def block(a, b):
-            # x^-1 g = (g_a - x_a, g_b - x_b, g_c - x_c - x_a (g_b - x_b))
-            da, db, dc = np.moveaxis(G[a:b, None, :] - X, 2, 0)
-            return heisenberg_length(da, db, dc - X[:, 0] * db).astype(dtype)
-
-        return G, block
+    def distance_rows(self, X, G, dtype):
+        """``heisenberg_length`` of x^-1 g, broadcast over int64 (a, b, c) rows."""
+        # x^-1 g = (g_a - x_a, g_b - x_b, g_c - x_c - x_a (g_b - x_b))
+        da, db, dc = np.moveaxis(G[:, None, :] - X, 2, 0)
+        return heisenberg_length(da, db, dc - X[:, 0] * db).astype(dtype)
 
     def central(self, n: int = 1) -> Element:
         return (0, 0, n)
@@ -574,7 +567,8 @@ class CayleyBall:
     """The radius-R ball of a Cayley graph, in canonical (shortlex) order.
 
     ``sphere_offsets[r]`` is the index where sphere S(r) starts: the one
-    record of word lengths, read by ``length_at``.  Under
+    record of word lengths of the ball.  ``oracle``, the ball's
+    ``WordLengthOracle``, gives lengths inside the ball and past it.  Under
     ``has_closed_form``, ``coords`` is the same ball as one int array from
     the family's ``ball_coords``, row i for element i; it is None under
     non-standard generators and on finite groups.  The tuple ``lengths``
@@ -586,6 +580,7 @@ class CayleyBall:
     radius: int
     elements: tuple[Element, ...]
     sphere_offsets: tuple[int, ...]
+    oracle: WordLengthOracle = field(repr=False)
     coords: Optional[np.ndarray] = field(repr=False, default=None)
 
     @cached_property
@@ -595,10 +590,6 @@ class CayleyBall:
     @cached_property
     def index(self) -> dict:
         return {g: i for i, g in enumerate(self.elements)}
-
-    def length_at(self, idx):
-        """Word lengths of the elements at an index or index array."""
-        return np.searchsorted(self.sphere_offsets, idx, side="right") - 1
 
     def sphere(self, r: int) -> tuple[Element, ...]:
         if not 0 <= r <= self.radius:
@@ -635,20 +626,20 @@ def cayley_ball(
     the limit first, and then the ball is built from its ``ball_coords``
     (kept as ``coords``) without a search.  Non-standard generators and
     finite groups grow a ``WordLengthOracle`` to the radius and sort each
-    of its spheres by ``element_key``.  Either way a ball over the limit
-    raises ``ResourceLimitError("ball size exceeded limit N")`` with the
-    last radius that fits.
+    of its spheres by ``element_key``.  The ball keeps its oracle, and one
+    over the limit raises ``ResourceLimitError("ball size exceeded limit
+    N")`` with the last radius that fits.
     """
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
-    if not has_closed_form(family, gens):
-        oracle = WordLengthOracle(family, gens, limit=limit)
+    oracle = WordLengthOracle(family, gens, limit=limit)
+    if not oracle.closed:
         oracle.grow(radius)
         layers = [sorted(layer, key=family.element_key) for layer in oracle.layers]
         elements = tuple(g for layer in layers for g in layer)
         offsets = tuple(np.cumsum([0, *map(len, layers)]).tolist())
-        return CayleyBall(family, gens, radius, elements, offsets)
-    cap = ball_limit(limit)
+        return CayleyBall(family, gens, radius, elements, offsets, oracle)
+    cap = oracle.cap
     if radius > 0 and family.ball_size(radius, cap) > cap:
         fits = bisect.bisect_right(range(1, radius + 1), cap, key=lambda r: family.ball_size(r, cap))
         raise ResourceLimitError(f"ball size exceeded limit {cap}", radius_reached=fits)
@@ -657,7 +648,7 @@ def cayley_ball(
     elements = [family.identity()]  # r = 0 has no columns on F_n
     for r in range(1, radius + 1):
         elements.extend(family.row_elements(coords[offsets[r] : offsets[r + 1]], r))
-    return CayleyBall(family, gens, radius, tuple(elements), tuple(offsets), coords)
+    return CayleyBall(family, gens, radius, tuple(elements), tuple(offsets), oracle, coords)
 
 
 class WordLengthOracle:
@@ -732,6 +723,7 @@ class CayleyGraphSpace(MetricSpace):
 
     exact = True
     distance_bound = 4096  # longest word length a search looks for; closed forms have none
+    kernel_range = 1 << 20  # distance_block's kernels read element entries below this
 
     def __init__(
         self,
@@ -755,6 +747,31 @@ class CayleyGraphSpace(MetricSpace):
         if n is None:
             raise ResourceLimitError(f"word length exceeds distance bound {self.distance_bound}")
         return n
+
+    def distance_block(self, points: Sequence[Element]) -> Callable:
+        """Under a closed form, the family's ``distance_rows`` on its int64
+        ``coords``, while element entries stay below ``kernel_range``: far
+        inside the range where each kernel is exact (``heisenberg_length``:
+        |ab|, |c| < 2^61).  Past it, and on searches, the per-entry default.
+        Each y is checked as ``distance`` checks it."""
+        default = super().distance_block(points)
+
+        def fits(elements: Sequence[Element]) -> bool:
+            return all(-self.kernel_range < v < self.kernel_range for g in elements for v in g)
+
+        if not (self._oracle.closed and fits(points)):
+            return default
+        fam = self.family
+        X = fam.coords(points)
+
+        def block(ys: Sequence[Element], idx: np.ndarray) -> tuple[np.ndarray, int]:
+            for y in ys:
+                fam.check_element(y)
+            if not fits(ys):
+                return default(ys, idx)
+            return fam.distance_rows(X[idx], fam.coords(ys), np.int64), 1
+
+        return block
 
     @property
     def base_point(self) -> Element:

@@ -86,14 +86,18 @@ class MetricSpace(ABC):
     def distance_block(self, points: Sequence[Point]) -> Callable:
         """Check the fixed ``points`` once, and return block(ys, idx) -> (M, den),
         M[i, k] / den = d(ys[i], points[idx[k]]): exact integers as
-        :func:`exact_ints` holds them, or float64 with den 1.  This default
-        asks ``distance`` per entry; a subclass that overrides ``distance``
-        must override this too, as a closed-form block never reads it."""
+        :func:`exact_ints` holds them on an exact space, float64 with den 1
+        otherwise.  This default asks ``distance`` per entry; a subclass
+        that overrides ``distance`` must override this too, as a
+        closed-form block never reads it."""
         for p in points:
             self.check_point(p)
 
         def block(ys: Sequence[Point], idx: np.ndarray) -> tuple[np.ndarray, int]:
-            M, den = numeric_arrays([[self.distance(y, points[i]) for i in idx.tolist()] for y in ys], tol=1)
+            rows = [[self.distance(y, points[i]) for i in idx.tolist()] for y in ys]
+            if not self.exact:
+                return np.array(rows, dtype=float), 1
+            M, den = numeric_arrays(rows, tol=1)
             return M, int(den)
 
         return block
@@ -241,20 +245,37 @@ class FiniteMetricSpace(MetricSpace):
         if not 0 <= base_index < n:
             raise InvalidSpaceError(f"base index {base_index} outside [0, {n})")
         self.base_index = base_index
-        D, _ = numeric_arrays(self.matrix)
-        hit = first_axiom_violation(D)
+        # The matrix as exact integers over one denominator, which blocks slice.
+        self._D, self._den = numeric_arrays(self.matrix, tol=1)
+        hit = first_axiom_violation(self._D)
         if hit is not None:
             kind, i, j = hit
             if kind == "diagonal":
                 raise InvalidSpaceError(f"nonzero diagonal at point {i}")
             raise InvalidSpaceError(f"{kind} distance at pair ({i}, {j})")
-        pos = first_triangle_violation(D)
+        pos = first_triangle_violation(self._D)
         if pos is not None:
             i, j, k = (int(v) for v in np.unravel_index(pos, (self.n,) * 3))
             raise InvalidSpaceError(f"triangle inequality fails at triple ({i}, {j}, {k})")
 
     def distance(self, p: int, q: int) -> Fraction:
+        self.check_point(p)
+        self.check_point(q)
         return self.matrix[p][q]
+
+    def distance_block(self, points: Sequence[int]) -> Callable:
+        """Slices of the matrix that ``__init__`` scaled, with its one
+        denominator."""
+        for p in points:
+            self.check_point(p)
+        cols = np.array(points, np.intp)
+
+        def block(ys: Sequence[int], idx: np.ndarray) -> tuple[np.ndarray, int]:
+            for y in ys:
+                self.check_point(y)
+            return self._D[np.ix_(np.array(ys, np.intp), cols[idx])], self._den
+
+        return block
 
     @property
     def base_point(self) -> int:

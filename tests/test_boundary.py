@@ -79,16 +79,27 @@ def test_sphere_restriction_values_in_range_and_lipschitz():
         assert bf.values[0] == 0  # identity first in canonical order
 
 
+# Searched word lengths: the ball's oracle grows past the ball as x^-1 g needs.
+SEARCH_CASES = [
+    ("H3 skew", Heisenberg(), [(1, 0, 0), (0, 1, 0), (1, 1, 0)]),
+    ("Z^2{x,y,xy}", Zd(2), [(1, 0), (0, 1), (1, 1)]),
+    ("C12", cyclic_group(12), None),
+]
+
+
 def test_sphere_restrictions_preconditions():
     ball = cayley_ball(Z1, Z1_GENS, 4)
     with pytest.raises(PreconditionError):
         sphere_restrictions(ball, 3, 2)  # R < r
-    h3 = Heisenberg()
-    skew = GeneratingSet.create(h3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
-    hball = cayley_ball(h3, skew, 4)
-    with pytest.raises(PreconditionError):
-        sphere_restrictions(hball, 2, 3)  # needs radius >= 5 without closed form
+    # On a search a radius-R ball gives what a radius-(R + r) ball gives.
+    for _, fam, steps in SEARCH_CASES:
+        gens = GeneratingSet.create(fam, steps) if steps else GeneratingSet.standard(fam)
+        want = _values(sphere_restrictions(cayley_ball(fam, gens, 5), 2, 3))
+        assert _values(sphere_restrictions(cayley_ball(fam, gens, 3), 2, 3)) == want
+        with pytest.raises(PreconditionError, match="need >= 3"):
+            sphere_restrictions(cayley_ball(fam, gens, 2), 2, 3)
     # Under the standard generators H3 has a closed form: radius R suffices.
+    h3 = Heisenberg()
     assert sphere_restrictions(cayley_ball(h3, GeneratingSet.standard(h3), 3), 2, 3)
     with pytest.raises(PreconditionError):
         sphere_restrictions(cayley_ball(h3, GeneratingSet.standard(h3), 2), 2, 3)
@@ -400,14 +411,18 @@ def test_action_on_restrictions_translates_values(case):
             )
 
 
-def test_action_needs_room_for_the_table_walk():
-    z2 = Zd(2)
-    gens = GeneratingSet.create(z2, Z2_XY)
-    bf = sphere_restrictions(cayley_ball(z2, gens, 8), 3, 5)[0]
-    # the walk over B(2) needs a ball of radius 4
-    assert act_on_restriction(cayley_ball(z2, gens, 4), (1, 0), bf, 2).radius == 2
-    with pytest.raises(PreconditionError, match="need >= 4"):
-        act_on_restriction(cayley_ball(z2, gens, 3), (1, 0), bf, 2)
+@pytest.mark.parametrize("case", SEARCH_CASES, ids=lambda c: c[0])
+def test_action_needs_room_for_the_table_walk(case):
+    # The walk over B(2) needs a ball that holds B(2) and g, not B(2 + 2).
+    _, fam, steps = case
+    gens = GeneratingSet.create(fam, steps) if steps else GeneratingSet.standard(fam)
+    g = gens.elements[0]
+    bf = sphere_restrictions(cayley_ball(fam, gens, 5), 3, 5)[0]
+    wide = act_on_restriction(cayley_ball(fam, gens, 4), g, bf, 2)
+    acted = act_on_restriction(cayley_ball(fam, gens, 2), g, bf, 2)
+    assert (acted.points, acted.values) == (wide.points, wide.values)
+    with pytest.raises(PreconditionError, match="outside ball of radius 1"):
+        act_on_restriction(cayley_ball(fam, gens, 1), g, bf, 2)
 
 
 def test_action_fails_with_the_per_pair_message():

@@ -470,15 +470,42 @@ CLOSED_FORM_FAMILIES = [Zd(1), Zd(2), Zd(3), FreeGroup(1), FreeGroup(2), FreeGro
 @pytest.mark.parametrize("r,R", [(0, 3), (1, 1), (1, 4), (2, 5)])
 @pytest.mark.parametrize("fam", CLOSED_FORM_FAMILIES, ids=lambda f: f.name)
 def test_distance_rows_match_closed_form_lengths(fam, r, R):
-    # Compared as sets: a family may merge g with equal rows (F_n does).
     ball = cayley_ball(fam, GeneratingSet.standard(fam), R)
-    n = ball.sphere_offsets[r + 1]
-    G, block = fam.distance_rows(ball, n, ball.sphere_offsets[R], ball.sphere_offsets[R + 1], np.int64)
-    got = {tuple(row) for row in block(0, len(G)).tolist()}
+    n, lo, hi = ball.sphere_offsets[r + 1], ball.sphere_offsets[R], ball.sphere_offsets[R + 1]
+    points, sphere = ball.ball(r), ball.sphere(R)
+    want = [[fam.closed_form_length(fam.multiply(fam.inverse(x), g)) for x in points] for g in sphere]
+    # on the encoder's rows, and on the ball's own (narrower, padded) rows
+    assert fam.distance_rows(fam.coords(points), fam.coords(sphere), np.int64).tolist() == want
+    assert fam.distance_rows(ball.coords[:n], ball.coords[lo:hi], np.int64).tolist() == want
+
+
+@pytest.mark.parametrize("r,R", [(0, 3), (1, 1), (1, 4), (2, 5)])
+@pytest.mark.parametrize("fam", CLOSED_FORM_FAMILIES, ids=lambda f: f.name)
+def test_restriction_rows_keep_the_sphere_h_rows(fam, r, R):
+    ball = cayley_ball(fam, GeneratingSet.standard(fam), R)
+    n, lo, hi = ball.sphere_offsets[r + 1], ball.sphere_offsets[R], ball.sphere_offsets[R + 1]
+    G = fam.restriction_rows(ball.coords[lo:hi], r)
+    assert len(G) <= hi - lo
+    M = fam.distance_rows(ball.coords[:n], G, np.int64)
     points = ball.ball(r)
-    want = {tuple(fam.closed_form_length(fam.multiply(fam.inverse(x), g)) for x in points)
+    want = {tuple(fam.closed_form_length(fam.multiply(fam.inverse(x), g)) - R for x in points)
             for g in ball.sphere(R)}
-    assert got == want
+    assert {tuple(row) for row in (M - M[:, :1]).tolist()} == want
+
+
+@pytest.mark.parametrize("fam", CLOSED_FORM_FAMILIES, ids=lambda f: f.name)
+def test_closed_form_block_never_calls_distance(fam, monkeypatch):
+    space = CayleyGraphSpace(fam)
+    pts = space.sample_points(random.Random(3), 24)
+    want = [[space.distance(y, p) for p in pts] for y in pts]
+
+    def refuse(self, p, q):
+        raise AssertionError("the closed-form block called distance")
+
+    monkeypatch.setattr(CayleyGraphSpace, "distance", refuse)
+    M, den = space.distance_block(pts)(pts, np.arange(len(pts)))
+    assert (M.dtype, den) == (np.int64, 1)
+    assert M.tolist() == want
 
 
 def test_word_length_oracle_on_nonstandard_generators():

@@ -287,6 +287,7 @@ def test_distance_block_and_rows_match_distance(name, seed):
 # The half-plane stands for the default block, which checks its columns
 # when it is prepared.
 MALFORMED = {
+    "finite": (FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]]), 0, [-1, 3, 1.0, "1", None]),
     "sr": (SR, HUB, [("bogus",), "hub", ("hub", 1), ("ray", Fraction(0)), ("ray", 1.5),
                      ("head", 0), ("head", Fraction(2)), ("spoke", 3, Fraction(10)), ("spoke", 3)]),
     "st": (ST, HUB, [("hub", 1), ("int", 3, Fraction(4)), ("int", 0, Fraction(1, 2)),
