@@ -108,13 +108,11 @@ def restriction_table(
     gens: GeneratingSet,
     r: int,
     radii: Sequence[int],
-    *,
-    limit: int | None = None,
 ) -> RestrictionTable:
     radii = sorted(set(radii))
     if not radii:
         raise PreconditionError("need at least one sphere radius")
-    ball = cayley_ball(family, gens, max(radii), limit=limit)
+    ball = cayley_ball(family, gens, max(radii))
     return RestrictionTable(r, {R: tuple(sphere_restrictions(ball, r, R)) for R in radii})
 
 
@@ -160,8 +158,6 @@ def limit_restrictions(
     r: int,
     r_max: int,
     window: int,
-    *,
-    limit: int | None = None,
 ) -> LimitRestrictionSet:
     """Accept a restriction iff it appears at some sphere radius in the
     trailing window [r_max - window, r_max].
@@ -174,7 +170,7 @@ def limit_restrictions(
     if r_max <= r + window:
         raise PreconditionError("need r_max > r + window")
     lo_needed = max(r, r_max - 2 * window)
-    table = restriction_table(family, gens, r, range(lo_needed, r_max + 1), limit=limit)
+    table = restriction_table(family, gens, r, range(lo_needed, r_max + 1))
 
     def accepted(at_r_max: int) -> frozenset:
         lo = max(r, at_r_max - window)

@@ -571,8 +571,7 @@ class CayleyBall:
     ``WordLengthOracle``, gives lengths inside the ball and past it.  Under
     ``has_closed_form``, ``coords`` is the same ball as one int array from
     the family's ``ball_coords``, row i for element i; it is None under
-    non-standard generators and on finite groups.  The tuple ``lengths``
-    and the dict ``index`` are derived on first use.
+    non-standard generators and on finite groups.
     """
 
     family: GroupFamily
@@ -582,14 +581,6 @@ class CayleyBall:
     sphere_offsets: tuple[int, ...]
     oracle: WordLengthOracle = field(repr=False)
     coords: Optional[np.ndarray] = field(repr=False, default=None)
-
-    @cached_property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(r for r, size in enumerate(self.sphere_sizes()) for _ in range(size))
-
-    @cached_property
-    def index(self) -> dict:
-        return {g: i for i, g in enumerate(self.elements)}
 
     def sphere(self, r: int) -> tuple[Element, ...]:
         if not 0 <= r <= self.radius:
@@ -617,13 +608,11 @@ def cayley_ball(
     family: GroupFamily,
     gens: GeneratingSet,
     radius: int,
-    *,
-    limit: int | None = None,
 ) -> CayleyBall:
     """Ball around the identity with exact word lengths, in shortlex order.
 
     Under ``has_closed_form`` the family's ``ball_size`` is checked against
-    the limit first, and then the ball is built from its ``ball_coords``
+    the ball limit first, and then the ball is built from its ``ball_coords``
     (kept as ``coords``) without a search.  Non-standard generators and
     finite groups grow a ``WordLengthOracle`` to the radius and sort each
     of its spheres by ``element_key``.  The ball keeps its oracle, and one
@@ -632,7 +621,7 @@ def cayley_ball(
     """
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
-    oracle = WordLengthOracle(family, gens, limit=limit)
+    oracle = WordLengthOracle(family, gens)
     if not oracle.closed:
         oracle.grow(radius)
         layers = [sorted(layer, key=family.element_key) for layer in oracle.layers]
@@ -658,33 +647,38 @@ class WordLengthOracle:
     ``layers[r]`` is S(r) in discovery order, empty past the reach of a
     finite group.  ``cayley_ball`` grows one to the radius, and one oracle
     answers all word-length queries of a ``CayleyGraphSpace``, from the
-    closed form when ``closed`` (``has_closed_form``, decided once).
+    closed form when ``closed`` (``has_closed_form``, decided once).  Its
+    ``cap`` is the ``ball_limit`` when it is built.
     """
 
-    def __init__(self, family: GroupFamily, gens: GeneratingSet, *, limit: int | None = None):
+    def __init__(self, family: GroupFamily, gens: GeneratingSet):
         self.family = family
         self.gens = gens
         self.closed = has_closed_form(family, gens)
-        self.cap = ball_limit(limit)
+        self.cap = ball_limit()
         self._dist: dict[Element, int] = {family.identity(): 0}
         self.layers: list[list[Element]] = [[family.identity()]]
 
     def grow(self, radius: int) -> None:
-        """Grow the ball to ``radius``."""
+        """Grow the ball to ``radius``, one whole sphere at a time.
+
+        Each new sphere is collected apart and kept only once it fits under
+        the limit, so a grow that raises leaves the search as it was, and
+        every retry raises the same error."""
         while len(self.layers) <= radius:
             r = len(self.layers)
-            nxt = []
+            nxt: dict[Element, int] = {}  # S(r) in discovery order
             for g in self.layers[-1]:
                 for s in self.gens.elements:
                     h = self.family._mul(g, s)
-                    if h not in self._dist:
-                        self._dist[h] = r
-                        nxt.append(h)
-                        if len(self._dist) > self.cap:
+                    if h not in self._dist and h not in nxt:
+                        nxt[h] = r
+                        if len(self._dist) + len(nxt) > self.cap:
                             raise ResourceLimitError(
                                 f"ball size exceeded limit {self.cap}", radius_reached=r - 1
                             )
-            self.layers.append(nxt)
+            self._dist.update(nxt)
+            self.layers.append(list(nxt))
 
     def length(self, g: Element, bound: int) -> Optional[int]:
         """Exact word length of the unchecked ``g`` if <= bound, else None."""
@@ -729,20 +723,18 @@ class CayleyGraphSpace(MetricSpace):
         self,
         family: GroupFamily,
         gens: GeneratingSet | None = None,
-        *,
-        limit: int | None = None,
     ):
         self.family = family
         self.gens = gens if gens is not None else GeneratingSet.standard(family)
         if self.gens.family is not family:
             raise InvalidParameterError("generating set belongs to a different family")
-        self._oracle = WordLengthOracle(family, self.gens, limit=limit)
+        self._oracle = WordLengthOracle(family, self.gens)
         self._bound = inf if self._oracle.closed else self.distance_bound
 
     def distance(self, p: Element, q: Element) -> int:
+        self.check_point(p)
+        self.check_point(q)
         fam = self.family
-        fam.check_element(p)
-        fam.check_element(q)
         n = word_length(fam, self.gens, fam._mul(fam._inv(p), q), self._bound, oracle=self._oracle)
         if n is None:
             raise ResourceLimitError(f"word length exceeds distance bound {self.distance_bound}")
@@ -753,7 +745,7 @@ class CayleyGraphSpace(MetricSpace):
         ``coords``, while element entries stay below ``kernel_range``: far
         inside the range where each kernel is exact (``heisenberg_length``:
         |ab|, |c| < 2^61).  Past it, and on searches, the per-entry default.
-        Each y is checked as ``distance`` checks it."""
+        Each y is checked with ``check_point``, as ``distance`` checks it."""
         default = super().distance_block(points)
 
         def fits(elements: Sequence[Element]) -> bool:
@@ -766,7 +758,7 @@ class CayleyGraphSpace(MetricSpace):
 
         def block(ys: Sequence[Element], idx: np.ndarray) -> tuple[np.ndarray, int]:
             for y in ys:
-                fam.check_element(y)
+                self.check_point(y)
             if not fits(ys):
                 return default(ys, idx)
             return fam.distance_rows(X[idx], fam.coords(ys), np.int64), 1
@@ -789,7 +781,7 @@ class CayleyGraphSpace(MetricSpace):
         return self.family.element_label(p)
 
     def point_key(self, p):
-        self.family.check_element(p)
+        self.check_point(p)
         n = word_length(self.family, self.gens, p, self._bound, oracle=self._oracle)
         return (n, self.family.element_key(p))
 

@@ -36,12 +36,11 @@ Point = Any
 DEFAULT_BALL_LIMIT = 10**6
 
 
-def ball_limit(override: int | None = None) -> int:
-    """Effective ball-size limit: explicit override, else HOROKIT_MAX_BALL, else default.
+def ball_limit() -> int:
+    """The one ball-size limit of every Cayley ball and word-length search:
+    HOROKIT_MAX_BALL, else the default.
 
     The variable must be a positive integer in decimal digits."""
-    if override is not None:
-        return override
     env = os.environ.get("HOROKIT_MAX_BALL")
     if not env:
         return DEFAULT_BALL_LIMIT
@@ -404,8 +403,6 @@ def validate_metric(
 def discrete_ball(
     space: MetricSpace,
     r: Scalar,
-    *,
-    limit: int | None = None,
 ) -> list[tuple[Point, Scalar]]:
     """All points at distance <= r from the base point, with exact distances.
 
@@ -425,5 +422,5 @@ def discrete_ball(
 
     if not isinstance(space, CayleyGraphSpace):
         raise UnsupportedError("discrete_ball requires a discrete space")
-    ball = cayley_ball(space.family, space.gens, int(r), limit=limit)
-    return list(zip(ball.elements, ball.lengths))
+    ball = cayley_ball(space.family, space.gens, int(r))
+    return [(g, n) for n in range(ball.radius + 1) for g in ball.sphere(n)]

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from horokit.boundary import limit_restrictions
 from horokit.dynamics import group_translation, translation_number
 from horokit.errors import InvalidParameterError, InvalidPointError, ResourceLimitError
+from horokit.functionals import functional_norm_estimate
 from horokit.groups import (
     CayleyGraphSpace,
     FiniteGroup,
@@ -21,6 +23,7 @@ from horokit.groups import (
     heisenberg_length,
     word_length,
 )
+from horokit.metric import discrete_ball, validate_metric
 
 from oracles import (
     bfs_ball,
@@ -140,8 +143,9 @@ def test_heisenberg_ball_matches_plain_bfs():
     ball = cayley_ball(fam, GeneratingSet.standard(fam), 5)
     oracle = bfs_ball(fam.identity(), fam.standard_generators(), fam._mul, 5)
     assert len(ball.elements) == len(oracle)
-    for g, length in zip(ball.elements, ball.lengths):
-        assert oracle[g] == length
+    for r in range(ball.radius + 1):
+        for g in ball.sphere(r):
+            assert oracle[g] == r
 
 
 def test_ball_edges_shift_length_by_at_most_one():
@@ -150,18 +154,19 @@ def test_ball_edges_shift_length_by_at_most_one():
     # |r - r'| <= 1.
     fam = Heisenberg()
     ball = cayley_ball(fam, GeneratingSet.standard(fam), 4)
-    index = ball.index
-    for g, length in zip(ball.elements, ball.lengths):
+    lengths = {g: r for r in range(ball.radius + 1) for g in ball.sphere(r)}
+    for g, length in lengths.items():
         for s in ball.gens.elements:
-            j = index.get(fam._mul(g, s))
-            if j is not None:
-                assert abs(ball.lengths[j] - length) <= 1
+            h = fam._mul(g, s)
+            if h in lengths:
+                assert abs(lengths[h] - length) <= 1
 
 
-def test_ball_resource_limit_reports_radius():
+def test_ball_resource_limit_reports_radius(monkeypatch):
     f2 = FreeGroup(2)
+    monkeypatch.setenv("HOROKIT_MAX_BALL", "50")
     with pytest.raises(ResourceLimitError) as exc:
-        cayley_ball(f2, GeneratingSet.standard(f2), 10, limit=50)
+        cayley_ball(f2, GeneratingSet.standard(f2), 10)
     assert exc.value.radius_reached is not None
 
 
@@ -198,11 +203,13 @@ def test_closed_form_ball_matches_plain_bfs(fam, R):
     order = sorted(dist, key=lambda g: (dist[g], key(g)))
     ball = cayley_ball(fam, GeneratingSet.standard(fam), R)
     assert ball.elements == tuple(order)
-    assert ball.lengths == tuple(dist[g] for g in order)
+    assert [r for r, size in enumerate(ball.sphere_sizes()) for _ in range(size)] == [
+        dist[g] for g in order
+    ]
     assert ball.sphere_offsets == tuple(
         sum(1 for g in order if dist[g] < r) for r in range(R + 2)
     )
-    assert ball.index == {g: i for i, g in enumerate(order)}
+    assert {g: i for i, g in enumerate(ball.elements)} == {g: i for i, g in enumerate(order)}
     assert all(type(a) is int for g in ball.elements for a in g)
     # coords holds the same elements, letters padded with 0 on free groups
     width = R if isinstance(fam, FreeGroup) else len(ident)
@@ -220,24 +227,27 @@ def _sizes(fam, R):
 
 @pytest.mark.parametrize("fam", [Zd(1), Zd(2), Zd(3), FreeGroup(1), FreeGroup(2), FreeGroup(3),
                                  Heisenberg()], ids=lambda f: f.name)
-def test_closed_form_ball_limit_inside_a_sphere(fam):
+def test_closed_form_ball_limit_inside_a_sphere(fam, monkeypatch):
     gens = GeneratingSet.standard(fam)
     size = _sizes(fam, 4)
     # limits that fall inside S(3): B(2) fits, B(3) does not
     for limit in (size[2] + 1, size[3] - 1):
+        monkeypatch.setenv("HOROKIT_MAX_BALL", str(limit))
         with pytest.raises(ResourceLimitError, match=f"^ball size exceeded limit {limit}$") as exc:
-            cayley_ball(fam, gens, 4, limit=limit)
+            cayley_ball(fam, gens, 4)
         assert exc.value.radius_reached == 2
-    assert len(cayley_ball(fam, gens, 3, limit=size[3]).elements) == size[3]
+    monkeypatch.setenv("HOROKIT_MAX_BALL", str(size[3]))
+    assert len(cayley_ball(fam, gens, 3).elements) == size[3]
 
 
 @pytest.mark.parametrize("fam", [Zd(1), Zd(2), Zd(6), FreeGroup(1), FreeGroup(2), FreeGroup(200),
                                  Heisenberg()], ids=lambda f: f.name)
-def test_closed_form_ball_limit_checked_before_building(fam):
+def test_closed_form_ball_limit_checked_before_building(fam, monkeypatch):
     # B(10^9) would need far more than the memory of any machine.
     gens = GeneratingSet.standard(fam)
+    monkeypatch.setenv("HOROKIT_MAX_BALL", "1000")
     with pytest.raises(ResourceLimitError, match="^ball size exceeded limit 1000$") as exc:
-        cayley_ball(fam, gens, 10**9, limit=1000)
+        cayley_ball(fam, gens, 10**9)
     size = _sizes(fam, exc.value.radius_reached + 1)
     assert size[-2] <= 1000 < size[-1]
 
@@ -283,25 +293,29 @@ def test_search_ball_matches_plain_bfs(case, R):
     ball = cayley_ball(fam, GeneratingSet.create(fam, gens), R)
     assert ball.coords is None
     assert ball.elements == tuple(order)
-    assert ball.lengths == tuple(dist[g] for g in order)
+    assert [r for r, size in enumerate(ball.sphere_sizes()) for _ in range(size)] == [
+        dist[g] for g in order
+    ]
     assert ball.sphere_offsets == tuple(
         sum(1 for g in order if dist[g] < r) for r in range(R + 2)
     )
-    assert ball.index == {g: i for i, g in enumerate(order)}
+    assert {g: i for i, g in enumerate(ball.elements)} == {g: i for i, g in enumerate(order)}
 
 
 @pytest.mark.parametrize("case", SEARCH_CASES, ids=lambda c: c[0])
-def test_search_ball_limit_inside_a_sphere(case):
+def test_search_ball_limit_inside_a_sphere(case, monkeypatch):
     _, fam, ident, gens, mul = case
     dist = bfs_ball(ident, gens, mul, 3)
     size = [sum(1 for d in dist.values() if d <= r) for r in range(4)]
     gset = GeneratingSet.create(fam, gens)
     # every limit that B(2) fits and B(3) does not
     for limit in range(size[2], size[3]):
+        monkeypatch.setenv("HOROKIT_MAX_BALL", str(limit))
         with pytest.raises(ResourceLimitError, match=f"^ball size exceeded limit {limit}$") as exc:
-            cayley_ball(fam, gset, 4, limit=limit)
+            cayley_ball(fam, gset, 4)
         assert exc.value.radius_reached == 2
-    assert len(cayley_ball(fam, gset, 3, limit=size[3]).elements) == size[3]
+    monkeypatch.setenv("HOROKIT_MAX_BALL", str(size[3]))
+    assert len(cayley_ball(fam, gset, 3).elements) == size[3]
 
 
 @pytest.mark.parametrize("case", [c for c in SEARCH_CASES if isinstance(c[1], FiniteGroup)],
@@ -522,25 +536,84 @@ def test_word_length_oracle_on_nonstandard_generators():
 
 # every search case but the last has a sphere S(3)
 @pytest.mark.parametrize("case", SEARCH_CASES[:-1], ids=lambda c: c[0])
-def test_word_length_oracle_limit_inside_a_sphere(case):
+def test_word_length_oracle_limit_inside_a_sphere(case, monkeypatch):
     _, fam, ident, gens, mul = case
     dist = bfs_ball(ident, gens, mul, 3)
     size = [sum(1 for d in dist.values() if d <= r) for r in range(4)]
     near, far = (next(g for g, d in dist.items() if d == r) for r in (2, 3))
     for limit in range(size[2], size[3]):
-        oracle = WordLengthOracle(fam, GeneratingSet.create(fam, gens), limit=limit)
+        monkeypatch.setenv("HOROKIT_MAX_BALL", str(limit))
+        oracle = WordLengthOracle(fam, GeneratingSet.create(fam, gens))
         assert oracle.length(near, 8) == 2
         with pytest.raises(ResourceLimitError, match=f"^ball size exceeded limit {limit}$") as exc:
             oracle.length(far, 8)
         assert exc.value.radius_reached == 2
 
 
-def test_finite_group_distance_obeys_the_ball_limit():
-    space = CayleyGraphSpace(cyclic_group(12), limit=6)
+def test_finite_group_distance_obeys_the_ball_limit(monkeypatch):
+    monkeypatch.setenv("HOROKIT_MAX_BALL", "6")
+    space = CayleyGraphSpace(cyclic_group(12))
     assert space.distance(0, 2) == 2  # |B(2)| = 5
     with pytest.raises(ResourceLimitError, match="^ball size exceeded limit 6$") as exc:
         space.distance(0, 6)  # |B(3)| = 7
     assert exc.value.radius_reached == 2
+
+
+Z2 = Zd(2)
+Z2_XY = GeneratingSet.create(Z2, [(1, 0), (0, 1), (1, 1)])  # no closed form: a search
+
+
+# Each builder needs a ball of more than 50 elements.
+BALL_BUILDERS = {
+    "closed-form ball": lambda: cayley_ball(FreeGroup(2), GeneratingSet.standard(FreeGroup(2)), 10),
+    "search ball": lambda: cayley_ball(Z2, Z2_XY, 5),
+    "search oracle": lambda: WordLengthOracle(Z2, Z2_XY).length((5, 0), 10),
+    "search distance": lambda: CayleyGraphSpace(Z2, Z2_XY).distance((0, 0), (5, 0)),
+    "discrete_ball": lambda: discrete_ball(CayleyGraphSpace(FreeGroup(2)), 8),
+    "limit_restrictions": lambda: limit_restrictions(
+        FreeGroup(2), GeneratingSet.standard(FreeGroup(2)), 1, 8, 2),
+    "validate_metric": lambda: validate_metric(CayleyGraphSpace(cyclic_group(64))),
+    "functional_norm_estimate": lambda: functional_norm_estimate(
+        lambda g: 0, CayleyGraphSpace(FreeGroup(2)), [1, 2, 3, 4, 5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BALL_BUILDERS))
+def test_every_ball_builder_obeys_the_one_ball_limit(name, monkeypatch):
+    monkeypatch.setenv("HOROKIT_MAX_BALL", "50")
+    with pytest.raises(ResourceLimitError, match="^ball size exceeded limit 50$"):
+        BALL_BUILDERS[name]()
+
+
+@pytest.mark.parametrize("family,gens,ask,limit,reached", [
+    (Z2, Z2_XY, lambda s: s._oracle.length((3, 3), 10), "5", 0),  # |B(1)| = 7
+    (cyclic_group(12), None, lambda s: s.check_point(6), "6", 2),  # |B(3)| = 7
+], ids=["Z^2{x,y,xy}", "C12"])
+def test_a_search_over_the_limit_keeps_raising(family, gens, ask, limit, reached, monkeypatch):
+    # A sphere that does not fit is not kept: every retry raises the same
+    # error, and the search is left as it was.
+    monkeypatch.setenv("HOROKIT_MAX_BALL", limit)
+    space = CayleyGraphSpace(family, gens)
+    oracle = space._oracle
+    oracle.grow(reached)
+    before = (dict(oracle._dist), [list(layer) for layer in oracle.layers])
+    for _ in range(3):
+        with pytest.raises(ResourceLimitError, match=f"^ball size exceeded limit {limit}$") as exc:
+            ask(space)
+        assert exc.value.radius_reached == reached
+        assert (oracle._dist, oracle.layers) == before
+
+
+@pytest.mark.parametrize("space,bad", [
+    (CayleyGraphSpace(Zd(2)), (1,)),
+    (CayleyGraphSpace(cyclic_group(12, step=3)), 1),  # step 3 reaches only 0, 3, 6, 9
+], ids=["Z^2", "C12{3}"])
+def test_point_key_checks_its_point(space, bad):
+    with pytest.raises(InvalidPointError) as by_key:
+        space.point_key(bad)
+    with pytest.raises(InvalidPointError) as by_check:
+        space.check_point(bad)
+    assert str(by_key.value) == str(by_check.value)
 
 
 def test_finite_group_lengths():

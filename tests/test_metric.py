@@ -128,9 +128,10 @@ def test_discrete_ball_canonical_order_and_distances():
     assert [d for _, d in ball] == [0, 1, 1, 2, 2]
 
 
-def test_discrete_ball_limit():
+def test_discrete_ball_limit(monkeypatch):
+    monkeypatch.setenv("HOROKIT_MAX_BALL", "100")
     with pytest.raises(ResourceLimitError):
-        discrete_ball(CayleyGraphSpace(FreeGroup(2)), 8, limit=100)
+        discrete_ball(CayleyGraphSpace(FreeGroup(2)), 8)
 
 
 def test_discrete_ball_requires_discrete_space():
@@ -220,9 +221,10 @@ def test_discrete_ball_matches_independent_bfs():
         assert discrete_ball(CayleyGraphSpace(family), r) == expected
 
 
-def test_discrete_ball_limit_reports_radius_reached():
+def test_discrete_ball_limit_reports_radius_reached(monkeypatch):
+    monkeypatch.setenv("HOROKIT_MAX_BALL", "100")
     with pytest.raises(ResourceLimitError) as exc:
-        discrete_ball(CayleyGraphSpace(FreeGroup(2)), 8, limit=100)
+        discrete_ball(CayleyGraphSpace(FreeGroup(2)), 8)
     assert exc.value.radius_reached == 3  # |B(3)| = 53 <= 100 < |B(4)| = 161
 
 

@@ -293,6 +293,9 @@ MALFORMED = {
     "st": (ST, HUB, [("hub", 1), ("int", 3, Fraction(4)), ("int", 0, Fraction(1, 2)),
                      ("int", 3, 1), ("ray", Fraction(1))]),
     "half-plane": (UpperHalfPlane(), 1j, [1 - 1j, 2.0, complex(0, math.nan), complex(math.inf, 1)]),
+    "z2": (CayleyGraphSpace(Zd(2)), (0, 0), [(1,), (0, 0, 0), (1.0, 0), [0, 0], "a", None]),
+    # step 3 generates only {0, 3, 6, 9}
+    "c12{3}": (CayleyGraphSpace(cyclic_group(12, step=3)), 0, [1, 5, 12, -1, "1", None]),
 }
 
 
