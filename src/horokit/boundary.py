@@ -27,53 +27,34 @@ from .metric import CHUNK, Scalar, numeric_arrays
 
 
 def _distance_blocks(ball: CayleyBall, n: int, lo: int, hi: int, dtype, r=None) -> Iterator[np.ndarray]:
-    """Row blocks of the matrix of d(x, g) = |x^-1 g|, with one column per x
-    in B(r) = elements[:n], the identity first, and rows for the g in
-    elements[lo:hi].
-
-    Under ``has_closed_form`` the family's ``distance_rows`` runs on
+    """Row blocks of the matrix of d(x, g) = |x^-1 g| under a closed form,
+    with one column per x in B(r) = elements[:n], the identity first, and
+    rows for the g in elements[lo:hi]: the family's ``distance_rows`` on
     ``ball.coords`` in chunks of about ``CHUNK`` values, on the rows cut to
-    its ``restriction_rows(G, r)`` when ``r`` is given.  Otherwise one row
-    per g: the length of each x^-1 g from the ball's ``WordLengthOracle``,
-    which searches past the ball as far as the lengths need.
-    """
+    its ``restriction_rows(G, r)`` when ``r`` is given."""
     fam = ball.family
-    if ball.oracle.closed:
-        X, G = ball.coords[:n], ball.coords[lo:hi]
-        if r is not None:
-            G = fam.restriction_rows(G, r)
-        step = max(1, CHUNK // (n * max(1, G.shape[1])))
-        for a in range(0, len(G), step):
-            yield fam.distance_rows(X, G[a : a + step], dtype)
-        return
-    xinv = [fam._inv(x) for x in ball.elements[:n]]
-    bound = 2 * ball.radius  # |x^-1 g| <= |x| + |g|
-    rows = [[ball.oracle.length(fam._mul(x, g), bound) for x in xinv] for g in ball.elements[lo:hi]]
-    yield np.array(rows, dtype).reshape(hi - lo, n)
-
-
-def _ball_functionals(r, points, labels, rows: np.ndarray, D: np.ndarray) -> list[BallFunctional]:
-    """BallFunctionals for the sorted value rows, checked at once against the
-    exact distance matrix D of the points; the first failing row raises as
-    ``BallFunctional.check`` does."""
-    check_rows(labels, rows, D)
-    return [BallFunctional(r, labels, tuple(v), points) for v in rows.tolist()]
+    X, G = ball.coords[:n], ball.coords[lo:hi]
+    if r is not None:
+        G = fam.restriction_rows(G, r)
+    step = max(1, CHUNK // (n * max(1, G.shape[1])))
+    for a in range(0, len(G), step):
+        yield fam.distance_rows(X, G[a : a + step], dtype)
 
 
 def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> list[BallFunctional]:
     """Deduplicated restrictions h_g|B(r) over all g with |g| = R.
 
-    The |S(R)| x |B(r)| matrix of d(x, g) comes from ``_distance_blocks``,
-    which needs a ball of radius R.  Each row minus its identity column
-    d(e, g) is h_g, also on the rows a family's ``restriction_rows`` puts
-    in place of g.  Values and the distance matrix D of B(r) are int16
-    (int64 once R + r leaves int16).  Temporaries are chunked to about 256K
-    elements, and each chunk is deduplicated as it is made.  ``np.unique``
-    sorts the rows in value-tuple order; the checker in ``metric`` then
-    checks every row exactly against D in chunked broadcasts: each row
-    vanishes at the identity and is 1-Lipschitz on every pair, which
-    implies |h(x)| <= |x| <= r.  The first failing row raises with the
-    message ``BallFunctional.check`` gives.
+    The |S(R)| x |B(r)| matrix of d(x, g) needs a ball of radius R; it and
+    the distance matrix D of B(r) come from ``_distance_blocks`` under a
+    closed form, else from one ``distance_block`` of B(r) on ``ball.space``.
+    Each row minus its identity column d(e, g) is h_g, also on the rows a
+    family's ``restriction_rows`` puts in place of g.  Values and D are
+    int16 (int64 once R + r leaves int16).  Each chunk of about 256K
+    elements is deduplicated as it is made.  ``np.unique`` sorts the rows
+    in value-tuple order; ``check_rows`` then checks every row exactly
+    against D: each row vanishes at the identity and is 1-Lipschitz on
+    every pair, which implies |h(x)| <= |x| <= r.  The first failing row
+    raises with the message ``BallFunctional.check`` gives.
     """
     if not 0 <= r <= R:
         raise PreconditionError(f"need 0 <= ball radius {r} <= sphere radius {R}")
@@ -84,36 +65,18 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> list[BallFunctional
     points = ball.elements[:n]
     labels = tuple(fam.element_label(p) for p in points)
     dtype = np.int16 if R + r <= np.iinfo(np.int16).max else np.int64
-    blocks = _distance_blocks(ball, n, ball.sphere_offsets[R], ball.sphere_offsets[R + 1], dtype, r)
+    if ball.coords is None:
+        block = ball.space.distance_block(points)
+        blocks = [block(ball.sphere(R), np.arange(n))[0].astype(dtype)]
+        D = block(points, np.arange(n))[0].astype(dtype)
+    else:
+        blocks = _distance_blocks(ball, n, ball.sphere_offsets[R], ball.sphere_offsets[R + 1], dtype, r)
+        D = np.concatenate(list(_distance_blocks(ball, n, 0, n, dtype)))
     # Dedup block by block, so that a huge sphere is never held whole.
     parts = [np.unique(b - b[:, :1], axis=0) for b in blocks]
     rows = np.unique(np.concatenate([np.empty((0, n), dtype), *parts]), axis=0)
-    D = np.concatenate(list(_distance_blocks(ball, n, 0, n, dtype)))
-    return _ball_functionals(r, points, labels, rows, D)
-
-
-@dataclass(frozen=True)
-class RestrictionTable:
-    """Restrictions h_g|B(r) per sphere radius R, deduplicated."""
-
-    r: int
-    by_radius: dict
-
-    def radii(self) -> list[int]:
-        return sorted(self.by_radius)
-
-
-def restriction_table(
-    family: GroupFamily,
-    gens: GeneratingSet,
-    r: int,
-    radii: Sequence[int],
-) -> RestrictionTable:
-    radii = sorted(set(radii))
-    if not radii:
-        raise PreconditionError("need at least one sphere radius")
-    ball = cayley_ball(family, gens, max(radii))
-    return RestrictionTable(r, {R: tuple(sphere_restrictions(ball, r, R)) for R in radii})
+    check_rows(labels, rows, D)
+    return [BallFunctional(r, labels, tuple(v), points) for v in rows.tolist()]
 
 
 @dataclass(frozen=True)
@@ -141,7 +104,6 @@ class LimitRestrictionSet:
     r: int
     functionals: tuple[BallFunctional, ...]
     certificate: Certificate
-    table: RestrictionTable
 
     def as_dict(self) -> dict:
         return {
@@ -169,14 +131,15 @@ def limit_restrictions(
         raise PreconditionError("window must be >= 1")
     if r_max <= r + window:
         raise PreconditionError("need r_max > r + window")
-    lo_needed = max(r, r_max - 2 * window)
-    table = restriction_table(family, gens, r, range(lo_needed, r_max + 1))
+    ball = cayley_ball(family, gens, r_max)
+    radii = range(max(r, r_max - 2 * window), r_max + 1)
+    by_radius = {R: sphere_restrictions(ball, r, R) for R in radii}
 
     def accepted(at_r_max: int) -> frozenset:
         lo = max(r, at_r_max - window)
         out = set()
         for R in range(lo, at_r_max + 1):
-            out.update(table.by_radius[R])
+            out.update(by_radius[R])
         return frozenset(out)
 
     final = accepted(r_max)
@@ -188,7 +151,7 @@ def limit_restrictions(
         r_max,
     )
     ordered = tuple(sorted(final, key=lambda bf: bf.values))
-    return LimitRestrictionSet(r, ordered, cert, table)
+    return LimitRestrictionSet(r, ordered, cert)
 
 
 @dataclass
@@ -225,9 +188,7 @@ def act_on_restriction(ball: CayleyBall, g, bf: BallFunctional, r: int) -> BallF
     """
     fam = ball.family
     ginv = fam.inverse(g)
-    glen = ball.oracle.length(g, ball.radius)
-    if glen is None:
-        raise PreconditionError(f"element {g!r} falls outside the ball; increase the ball radius")
+    glen = ball.space.point_key(g)[0]
     if bf.radius < r + glen:
         raise PreconditionError(
             f"restriction radius {bf.radius} too small; need >= r + |g| = {r + glen}"
@@ -236,7 +197,7 @@ def act_on_restriction(ball: CayleyBall, g, bf: BallFunctional, r: int) -> BallF
     points = ball.ball(r)
     labels = tuple(fam.element_label(p) for p in points)
     values = tuple(bf.value_at(fam.multiply(ginv, x)) - offset for x in points)
-    D = np.concatenate(list(_distance_blocks(ball, len(points), 0, len(points), np.int64)))
+    D, _ = ball.space.distance_block(points)(points, np.arange(len(points)))
     V, D, _ = numeric_arrays([values], D)
     check_rows(labels, V, D)
     return BallFunctional(r, labels, values, points)

@@ -187,7 +187,9 @@ def _extend_mcshane(args) -> Outcome:
         vals = [Fraction(str(v)) if space.exact else float(v) for v in json.loads(args.values)]
     ext = mcshane_extend(PartialFunctional(space, pts, vals), args.mode)
     if args.eval == "all":
-        targets = space.points() if hasattr(space, "points") else pts
+        targets = space.points()
+        if targets is None:
+            raise InvalidParameterError("--eval all needs a space with finitely many points")
     else:
         with _parsing("--eval"):
             targets = [point_from_json(space, p) for p in json.loads(args.eval)]

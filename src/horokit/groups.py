@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .metric import MetricSpace, ball_limit
+from .metric import MetricSpace, ball_limit, exact_ints
 
 Element = Any
 
@@ -567,11 +567,11 @@ class CayleyBall:
     """The radius-R ball of a Cayley graph, in canonical (shortlex) order.
 
     ``sphere_offsets[r]`` is the index where sphere S(r) starts: the one
-    record of word lengths of the ball.  ``oracle``, the ball's
-    ``WordLengthOracle``, gives lengths inside the ball and past it.  Under
-    ``has_closed_form``, ``coords`` is the same ball as one int array from
-    the family's ``ball_coords``, row i for element i; it is None under
-    non-standard generators and on finite groups.
+    record of word lengths of the ball.  Under ``has_closed_form``,
+    ``coords`` is the same ball as one int array from the family's
+    ``ball_coords``, row i for element i; it is None under non-standard
+    generators and on finite groups, whose distances come from the search
+    of the ball's ``space``.
     """
 
     family: GroupFamily
@@ -579,7 +579,6 @@ class CayleyBall:
     radius: int
     elements: tuple[Element, ...]
     sphere_offsets: tuple[int, ...]
-    oracle: WordLengthOracle = field(repr=False)
     coords: Optional[np.ndarray] = field(repr=False, default=None)
 
     def sphere(self, r: int) -> tuple[Element, ...]:
@@ -596,6 +595,11 @@ class CayleyBall:
         return [
             self.sphere_offsets[r + 1] - self.sphere_offsets[r] for r in range(self.radius + 1)
         ]
+
+    @cached_property
+    def space(self) -> CayleyGraphSpace:
+        """The ball's group as a ``CayleyGraphSpace``: one search for all its distances."""
+        return CayleyGraphSpace(self.family, self.gens)
 
 
 def has_closed_form(family: GroupFamily, gens: GeneratingSet) -> bool:
@@ -615,9 +619,10 @@ def cayley_ball(
     the ball limit first, and then the ball is built from its ``ball_coords``
     (kept as ``coords``) without a search.  Non-standard generators and
     finite groups grow a ``WordLengthOracle`` to the radius and sort each
-    of its spheres by ``element_key``.  The ball keeps its oracle, and one
-    over the limit raises ``ResourceLimitError("ball size exceeded limit
-    N")`` with the last radius that fits.
+    of its spheres by ``element_key``; the ball keeps the elements, and its
+    ``space`` searches again on first use.  One over the limit raises
+    ``ResourceLimitError("ball size exceeded limit N")`` with the last
+    radius that fits.
     """
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
@@ -627,7 +632,7 @@ def cayley_ball(
         layers = [sorted(layer, key=family.element_key) for layer in oracle.layers]
         elements = tuple(g for layer in layers for g in layer)
         offsets = tuple(np.cumsum([0, *map(len, layers)]).tolist())
-        return CayleyBall(family, gens, radius, elements, offsets, oracle)
+        return CayleyBall(family, gens, radius, elements, offsets)
     cap = oracle.cap
     if radius > 0 and family.ball_size(radius, cap) > cap:
         fits = bisect.bisect_right(range(1, radius + 1), cap, key=lambda r: family.ball_size(r, cap))
@@ -637,7 +642,7 @@ def cayley_ball(
     elements = [family.identity()]  # r = 0 has no columns on F_n
     for r in range(1, radius + 1):
         elements.extend(family.row_elements(coords[offsets[r] : offsets[r + 1]], r))
-    return CayleyBall(family, gens, radius, tuple(elements), tuple(offsets), oracle, coords)
+    return CayleyBall(family, gens, radius, tuple(elements), tuple(offsets), coords)
 
 
 class WordLengthOracle:
@@ -731,37 +736,41 @@ class CayleyGraphSpace(MetricSpace):
         self._oracle = WordLengthOracle(family, self.gens)
         self._bound = inf if self._oracle.closed else self.distance_bound
 
-    def distance(self, p: Element, q: Element) -> int:
-        self.check_point(p)
-        self.check_point(q)
-        fam = self.family
-        n = word_length(fam, self.gens, fam._mul(fam._inv(p), q), self._bound, oracle=self._oracle)
+    def _length(self, g: Element) -> int:
+        n = word_length(self.family, self.gens, g, self._bound, oracle=self._oracle)
         if n is None:
             raise ResourceLimitError(f"word length exceeds distance bound {self.distance_bound}")
         return n
+
+    def distance(self, p: Element, q: Element) -> int:
+        self.check_point(p)
+        self.check_point(q)
+        return self._length(self.family._mul(self.family._inv(p), q))
 
     def distance_block(self, points: Sequence[Element]) -> Callable:
         """Under a closed form, the family's ``distance_rows`` on its int64
         ``coords``, while element entries stay below ``kernel_range``: far
         inside the range where each kernel is exact (``heisenberg_length``:
-        |ab|, |c| < 2^61).  Past it, and on searches, the per-entry default.
-        Each y is checked with ``check_point``, as ``distance`` checks it."""
-        default = super().distance_block(points)
+        |ab|, |c| < 2^61).  Past it, and on searches, each entry is one
+        |y^-1 x| from the space's one oracle.  Each point is checked with
+        ``check_point`` once, as ``distance`` checks it."""
+        for p in points:
+            self.check_point(p)
+        fam = self.family
 
         def fits(elements: Sequence[Element]) -> bool:
             return all(-self.kernel_range < v < self.kernel_range for g in elements for v in g)
 
-        if not (self._oracle.closed and fits(points)):
-            return default
-        fam = self.family
-        X = fam.coords(points)
+        X = fam.coords(points) if self._oracle.closed and fits(points) else None
 
         def block(ys: Sequence[Element], idx: np.ndarray) -> tuple[np.ndarray, int]:
             for y in ys:
                 self.check_point(y)
-            if not fits(ys):
-                return default(ys, idx)
-            return fam.distance_rows(X[idx], fam.coords(ys), np.int64), 1
+            if X is not None and fits(ys):
+                return fam.distance_rows(X[idx], fam.coords(ys), np.int64), 1
+            xs = [points[i] for i in idx.tolist()]
+            rows = [[self._length(fam._mul(yinv, x)) for x in xs] for yinv in map(fam._inv, ys)]
+            return exact_ints(rows).reshape(len(ys), len(xs)), 1
 
         return block
 
@@ -782,8 +791,13 @@ class CayleyGraphSpace(MetricSpace):
 
     def point_key(self, p):
         self.check_point(p)
-        n = word_length(self.family, self.gens, p, self._bound, oracle=self._oracle)
-        return (n, self.family.element_key(p))
+        return (self._length(p), self.family.element_key(p))
+
+    def points(self) -> Optional[list]:
+        """Every element a finite group's generators reach, in shortlex order."""
+        if not isinstance(self.family, FiniteGroup):
+            return None
+        return list(cayley_ball(self.family, self.gens, self.family.n).elements)
 
     def sample_points(self, rng: random.Random, count: int) -> list:
         out = []

@@ -76,8 +76,14 @@ class MetricSpace(ABC):
         return str(p)
 
     def point_key(self, p: Point):
-        """Sort key inducing the space's canonical total order on points."""
+        """Sort key inducing the space's canonical total order on points;
+        every override checks ``p`` first, as here."""
+        self.check_point(p)
         return self.point_label(p)
+
+    def points(self) -> Optional[list]:
+        """Every point in canonical order if the space is finite, else None."""
+        return None
 
     def sample_points(self, rng: random.Random, count: int) -> list:
         raise UnsupportedError(f"{type(self).__name__} has no point sampler")
@@ -288,6 +294,7 @@ class FiniteMetricSpace(MetricSpace):
             raise InvalidPointError(f"{p!r} is not a point index in [0, {self.n})")
 
     def point_key(self, p: int):
+        self.check_point(p)
         return p
 
     def sample_points(self, rng: random.Random, count: int) -> list[int]:
@@ -346,28 +353,22 @@ def validate_metric(
 ) -> MetricReport:
     """Check symmetry, zero self-distance, and the triangle inequality.
 
-    The matrix is one ``distance_block`` of the points.  Finite spaces (a
-    ``FiniteMetricSpace``, or every element that the generators of a finite
-    group reach) are checked exhaustively over all triples; otherwise the
-    triangle inequality is checked on ``max_triples`` seeded random triples
-    drawn from 48 points of the space's sampler.  The first violation is
-    reported in the row order of :func:`first_axiom_violation`, then in
-    canonical order for exhaustive checks and in draw order for sampled ones.
+    The matrix is one ``distance_block`` of the points.  A space whose
+    ``points()`` lists them all is checked exhaustively over all triples;
+    otherwise the triangle inequality is checked on ``max_triples`` seeded
+    random triples drawn from 48 points of the space's sampler.  The first
+    violation is reported in the row order of :func:`first_axiom_violation`,
+    then in canonical order for exhaustive checks and in draw order for
+    sampled ones.
     """
     if tol is None:
         tol = Fraction(0) if space.exact else 1e-10
     if max_triples < 0:
         raise PreconditionError(f"max_triples must be >= 0, got {max_triples}")
 
-    from .groups import CayleyGraphSpace, FiniteGroup
-
-    exhaustive = True
-    if isinstance(space, FiniteMetricSpace):
-        pts = space.points()
-    elif isinstance(space, CayleyGraphSpace) and isinstance(space.family, FiniteGroup):
-        pts = [g for g, _ in discrete_ball(space, space.family.n)]
-    else:
-        exhaustive = False
+    pts = space.points()
+    exhaustive = pts is not None
+    if not exhaustive:
         pts = space.sample_points(random.Random(seed), 48)
 
     n = len(pts)

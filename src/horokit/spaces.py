@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import random
 import sys
 from dataclasses import dataclass
@@ -185,6 +186,7 @@ class SpokeRaySpace(_CodedSpace):
         return f"spoke({p[1]},{p[2]})"
 
     def point_key(self, p):
+        self.check_point(p)
         tag = p[0]
         if tag == "hub":
             return (0, Fraction(0), Fraction(0))
@@ -275,6 +277,7 @@ class StarTreeSpace(_CodedSpace):
         return "hub" if p == HUB else f"int({p[1]},{p[2]})"
 
     def point_key(self, p):
+        self.check_point(p)
         return (0, 0, Fraction(0)) if p == HUB else (1, p[1], p[2])
 
     def sample_points(self, rng: random.Random, count: int) -> list:
@@ -353,16 +356,23 @@ class DistortedLine(MetricSpace):
         self.name = name or getattr(dfun, "__name__", "custom")
 
     def distance(self, p, q) -> float:
+        self.check_point(p)
+        self.check_point(q)
         return self.dfun(abs(float(p) - float(q)))
 
     @property
     def base_point(self):
         return 0.0
 
+    def check_point(self, p) -> None:
+        if not (isinstance(p, numbers.Real) and math.isfinite(p)):
+            raise InvalidPointError(f"{p!r} is not a finite real number")
+
     def point_label(self, p) -> str:
         return repr(float(p))
 
     def point_key(self, p):
+        self.check_point(p)
         return float(p)
 
     def sample_points(self, rng: random.Random, count: int) -> list:
@@ -426,6 +436,7 @@ class PoincareDisk(MetricSpace):
         return repr(complex(p))
 
     def point_key(self, p):
+        self.check_point(p)
         z = complex(p)
         return (z.real, z.imag)
 
@@ -478,6 +489,7 @@ class UpperHalfPlane(MetricSpace):
         return 2.0 * math.asinh(abs(z - w) / (2.0 * root))
 
     def point_key(self, p):
+        self.check_point(p)
         z = complex(p)
         return (z.real, z.imag)
 
@@ -536,6 +548,8 @@ class LpSpace(MetricSpace):
         return lp_norm(x, self.p)
 
     def distance(self, p, q) -> float:
+        self.check_point(p)
+        self.check_point(q)
         a, b = pad_pair(p, q)
         return self.norm(a - b)
 
@@ -543,10 +557,17 @@ class LpSpace(MetricSpace):
     def base_point(self):
         return np.zeros(self.dim)
 
+    def check_point(self, p) -> None:
+        # Shorter vectors are zero-padded, so any length is a point.
+        a = np.asarray(p)
+        if a.dtype.kind not in "iuf" or not np.isfinite(a).all():
+            raise InvalidPointError(f"{p!r} is not a vector of finite real numbers")
+
     def point_label(self, p) -> str:
         return "(" + ",".join(repr(float(v)) for v in np.asarray(p, dtype=float).ravel()) + ")"
 
     def point_key(self, p):
+        self.check_point(p)
         return tuple(float(v) for v in np.asarray(p, dtype=float).ravel())
 
     def sample_points(self, rng: random.Random, count: int) -> list[np.ndarray]:

@@ -5,14 +5,12 @@ import pytest
 
 from horokit.boundary import (
     DriftMeasure,
-    _ball_functionals,
     ZFunctional,
     act_on_restriction,
     drift_audit,
     limit_restrictions,
     reduced_classify_z,
     reduced_fixed_point_audit,
-    restriction_table,
     sphere_restrictions,
     unboundedness_check,
 )
@@ -22,7 +20,7 @@ from horokit.errors import (
     PreconditionError,
     UnsupportedError,
 )
-from horokit.functionals import BallFunctional, HalfPlaneBusemannInfinity, ZdLinear
+from horokit.functionals import BallFunctional, HalfPlaneBusemannInfinity, ZdLinear, check_rows
 from horokit.groups import (
     CayleyGraphSpace,
     FreeGroup,
@@ -79,7 +77,7 @@ def test_sphere_restriction_values_in_range_and_lipschitz():
         assert bf.values[0] == 0  # identity first in canonical order
 
 
-# Searched word lengths: the ball's oracle grows past the ball as x^-1 g needs.
+# Searched word lengths: the ball's space grows its search past the ball as x^-1 g needs.
 SEARCH_CASES = [
     ("H3 skew", Heisenberg(), [(1, 0, 0), (0, 1, 0), (1, 1, 0)]),
     ("Z^2{x,y,xy}", Zd(2), [(1, 0), (0, 1), (1, 1)]),
@@ -173,9 +171,50 @@ def test_limit_restrictions_precondition():
 
 
 def test_restriction_table_keys():
-    table = restriction_table(Z1, Z1_GENS, 1, [2, 3, 4])
-    assert table.radii() == [2, 3, 4]
-    assert all(len(table.by_radius[r]) == 2 for r in (2, 3, 4))
+    ball = cayley_ball(Z1, Z1_GENS, 4)
+    assert all(len(sphere_restrictions(ball, 1, R)) == 2 for R in (2, 3, 4))
+
+
+# Z under {+-2, +-3} and the skew H3 set take the search; the rest closed forms.
+GUARD_CASES = [
+    ("Z^2", Zd(2), None),
+    ("F_2", FreeGroup(2), None),
+    ("H3", Heisenberg(), None),
+    ("Z{2,3}", Z1, [(2,), (3,)]),
+    ("H3 skew", Heisenberg(), [(1, 0, 0), (0, 1, 0), (1, 1, 0)]),
+]
+
+
+@pytest.mark.parametrize("name, family, steps", GUARD_CASES, ids=[c[0] for c in GUARD_CASES])
+def test_limit_restrictions_match_their_definition(name, family, steps):
+    # The accepted set is the union of the sphere restrictions over the
+    # trailing window [r_max - window, r_max], and it is stabilized iff every
+    # end radius in that window gives the same union.
+    gens = GeneratingSet.create(family, steps) if steps else GeneratingSet.standard(family)
+    for r, window, r_max in ((1, 1, 3), (1, 2, 5), (2, 1, 5), (1, 3, 6)):
+        ball = cayley_ball(family, gens, r_max)
+        spheres = {R: set(sphere_restrictions(ball, r, R)) for R in range(r, r_max + 1)}
+
+        def union(end):
+            return set().union(*(spheres[R] for R in range(max(r, end - window), end + 1)))
+
+        final = union(r_max)
+        stable = all(union(end) == final for end in range(r_max - window, r_max + 1))
+        kind = "stabilized" if stable else "heuristic"
+        lrs = limit_restrictions(family, gens, r, r_max, window)
+        assert lrs.functionals == tuple(sorted(final, key=lambda bf: bf.values))
+        assert lrs.certificate.as_dict() == {
+            "kind": kind, "window_start": r_max - window, "window_length": window, "r_max": r_max,
+        }
+
+
+def test_a_finite_group_has_no_restrictions_past_its_diameter():
+    # C12 under {+-1} has diameter 6: every sphere past it is empty.
+    c12 = cyclic_group(12)
+    gens = GeneratingSet.standard(c12)
+    assert sphere_restrictions(cayley_ball(c12, gens, 8), 1, 7) == []
+    lrs = limit_restrictions(c12, gens, 1, 10, 3)
+    assert lrs.functionals == ()
 
 
 def test_unboundedness_violation_detected():
@@ -423,6 +462,10 @@ def test_action_needs_room_for_the_table_walk(case):
     assert (acted.points, acted.values) == (wide.points, wide.values)
     with pytest.raises(PreconditionError, match="outside ball of radius 1"):
         act_on_restriction(cayley_ball(fam, gens, 1), g, bf, 2)
+    # g itself may lie outside the ball: |g| comes from the ball's space.
+    g2 = fam.multiply(g, g)
+    far = act_on_restriction(cayley_ball(fam, gens, 1), g2, bf, 1)
+    assert far.values == act_on_restriction(cayley_ball(fam, gens, 4), g2, bf, 1).values
 
 
 def test_action_fails_with_the_per_pair_message():
@@ -465,6 +508,6 @@ def test_forged_row_fails_with_the_per_pair_message():
         BallFunctional.build(2, points, forged, l1, labels)
     rows = np.array([genuine[0].values, forged], dtype=np.int16)
     with pytest.raises(InvalidParameterError) as batch:
-        _ball_functionals(2, points, labels, rows, D)
+        check_rows(labels, rows, D)
     assert str(batch.value) == str(per_pair.value)
     assert "not 1-Lipschitz" in str(batch.value)

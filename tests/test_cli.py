@@ -140,6 +140,17 @@ def test_extend_mcshane_inline_space(capsys):
     assert out.strip().splitlines() == ["point,value", "0,0", "1,-1", "2,-2"]
 
 
+def test_extend_mcshane_eval_all_reads_every_group_element(capsys):
+    # S3 from its multiplication table, generated by two transpositions
+    space = json.dumps({"type": "finite_group", "params": {"generators": [1, 2], "table": [
+        [0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
+        [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]]}})
+    code, out, _ = run(capsys, "extend", "mcshane", "--space", space, "--domain", "[0, 5]",
+                       "--values", '["0", "3/2"]', "--format", "csv")
+    assert code == 0
+    assert [row.split(",")[0] for row in out.strip().splitlines()[1:]] == ["0", "1", "2", "3", "4", "5"]
+
+
 def test_extend_hahn_banach_fixture(capsys):
     code, out, _ = run(capsys, "extend", "hahn-banach", "--fixture", "spoke-ray", "--n", "12")
     assert code == 0
@@ -224,6 +235,14 @@ def test_internal_error_is_not_reported_as_invalid_input(monkeypatch):
          "--domain", "[[0, 0, 0]]", "--values", '["0"]'),
         ("extend", "mcshane", "--space", '{"type": "finite", "params": {"matrix": [[0]]}}',
          "--domain", "[3]", "--values", '["0"]'),
+        # An infinite space has no "every point" to evaluate at.
+        ("extend", "mcshane", "--space", '{"type": "zd", "params": {"dim": 2}}',
+         "--domain", "[[0, 0]]", "--values", '["0"]', "--eval", "all"),
+        # NaN passes every Lipschitz comparison, so it must be rejected as a point.
+        ("extend", "mcshane", "--space", '{"type": "distorted_line"}',
+         "--domain", "[0, NaN]", "--values", "[0, 0]", "--eval", "[1]"),
+        ("extend", "mcshane", "--space", '{"type": "lp"}',
+         "--domain", "[[0, 0], [NaN, 1]]", "--values", "[0, 0]", "--eval", "[[1, 1]]"),
         ("dynamics", "parabolic", "--fixture", "disk-parabolic", "--n", "-2"),
         ("boundary", "--r", "-1"),
         ("validate", "metric", "--triples", "-5"),

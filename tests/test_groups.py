@@ -475,6 +475,10 @@ def test_search_distance_stops_at_the_bound():
     assert space.distance((0,), (12285,)) == 4095  # 3 * 4095
     with pytest.raises(ResourceLimitError, match="distance bound 4096"):
         space.distance((0,), (12300,))  # 3 * 4100
+    block = space.distance_block([(0,)])  # the search block obeys the same bound
+    assert block([(12285,)], np.arange(1))[0].tolist() == [[4095]]
+    with pytest.raises(ResourceLimitError, match="distance bound 4096"):
+        block([(12300,)], np.arange(1))
 
 
 # Every ClosedFormFamily; a new one joins this list to get its kernel checked.

@@ -293,6 +293,9 @@ MALFORMED = {
     "st": (ST, HUB, [("hub", 1), ("int", 3, Fraction(4)), ("int", 0, Fraction(1, 2)),
                      ("int", 3, 1), ("ray", Fraction(1))]),
     "half-plane": (UpperHalfPlane(), 1j, [1 - 1j, 2.0, complex(0, math.nan), complex(math.inf, 1)]),
+    "disk": (PoincareDisk(), 0j, [2 + 0j, 1.0, -1j, complex(math.nan, 0)]),
+    "sqrt-line": (DistortedLine("sqrt"), 0.0, [math.nan, math.inf, -math.inf, "1", None, 1j]),
+    "lp": (LpSpace(2, 2), np.zeros(2), [[math.nan, 1], [0, math.inf], ["1", "2"], [1j, 0], None]),
     "z2": (CayleyGraphSpace(Zd(2)), (0, 0), [(1,), (0, 0, 0), (1.0, 0), [0, 0], "a", None]),
     # step 3 generates only {0, 3, 6, 9}
     "c12{3}": (CayleyGraphSpace(cyclic_group(12, step=3)), 0, [1, 5, 12, -1, "1", None]),
@@ -306,7 +309,8 @@ def test_functional_rows_reject_malformed_points_like_distance(name):
     for bad in bads:
         with pytest.raises(InvalidPointError) as direct:
             space.distance(bad, good)
-        for ask in (lambda: row(bad, np.arange(1)),
+        for ask in (lambda: space.point_key(bad),
+                    lambda: row(bad, np.arange(1)),
                     lambda: space.functional_rows([good, bad], good),
                     lambda: space.functional_rows([good], bad),
                     lambda: space.distance_block([good, bad])):
