@@ -88,14 +88,6 @@ class Certificate:
     window_length: int
     r_max: int
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "window_start": self.window_start,
-            "window_length": self.window_length,
-            "r_max": self.r_max,
-        }
-
 
 @dataclass(frozen=True)
 class LimitRestrictionSet:
@@ -109,7 +101,7 @@ class LimitRestrictionSet:
         return {
             "r": self.r,
             "count": len(self.functionals),
-            "certificate": self.certificate.as_dict(),
+            "certificate": self.certificate,
             "functionals": [bf.as_dict() for bf in self.functionals],
         }
 
@@ -159,13 +151,6 @@ class UnboundednessReport:
     passed: bool
     r: int
     violating: Optional[BallFunctional] = None
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "r": self.r,
-            "violating": None if self.violating is None else self.violating.as_dict(),
-        }
 
 
 def unboundedness_check(lrs: LimitRestrictionSet) -> UnboundednessReport:
@@ -259,14 +244,6 @@ class DriftAuditReport:
     additive_pairs: int
     lipschitz_points: int
     failure: Optional[tuple] = None
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "additive_pairs": self.additive_pairs,
-            "lipschitz_points": self.lipschitz_points,
-            "failure": None if self.failure is None else [str(v) for v in self.failure],
-        }
 
 
 def drift_audit(measure: DriftMeasure, elements: Sequence) -> DriftAuditReport:

@@ -21,7 +21,6 @@ from .errors import (
 )
 from .functionals import RealizedFunctional, eval_functional
 from .metric import MetricSpace, Point, Scalar
-from .serialize import scalar_to_json
 from .spaces import (
     DistortedLine,
     PoincareDisk,
@@ -403,14 +402,6 @@ class PrincipleReport:
     tau_bound: float
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "best_index": self.best_index,
-            "violations": [float(v) for v in self.violations],
-            "tau_bound": self.tau_bound,
-            "passed": self.passed,
-        }
-
 
 def spectral_principle_witness(
     f: SelfMap,
@@ -559,20 +550,6 @@ class OrbitFunctionalReport:
     cesaro_sup: float
     tau_bound: float
 
-    def as_dict(self) -> dict:
-        return {
-            "indices": self.indices,
-            "values": [scalar_to_json(v) for v in self.values],
-            "certificate": self.certificate,
-            "recurrences": self.recurrences,
-            "monotone_ok": self.monotone_ok,
-            "vanishing_sup": self.vanishing_sup,
-            "cesaro_indices": self.cesaro_indices,
-            "cesaro_values": [float(v) for v in self.cesaro_values],
-            "cesaro_sup": self.cesaro_sup,
-            "tau_bound": self.tau_bound,
-        }
-
 
 def parabolic_orbit_functional(
     orbit: OrbitSpace,
@@ -714,15 +691,6 @@ class CompactificationReport:
     sups: list
     crude_bounds: list  # D(|x| + r) - D(|x| - r)
     decreasing: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "anchors": [float(a) for a in self.anchors],
-            "sups": [float(s) for s in self.sups],
-            "crude_bounds": [float(b) for b in self.crude_bounds],
-            "decreasing": self.decreasing,
-        }
 
 
 def distorted_compactification_check(

@@ -245,15 +245,6 @@ class FailureWitness:
     limit_value: Scalar
     gap: Scalar
 
-    def as_dict(self) -> dict:
-        return {
-            "stage": scalar_to_json(self.stage),
-            "point": self.point,
-            "value_at_stage": scalar_to_json(self.value_at_stage),
-            "limit_value": scalar_to_json(self.limit_value),
-            "gap": scalar_to_json(self.gap),
-        }
-
 
 @dataclass
 class FailureReport:
@@ -266,7 +257,7 @@ class FailureReport:
         return {
             "space": self.space,
             "r": scalar_to_json(self.r),
-            "witnesses": [w.as_dict() for w in self.witnesses],
+            "witnesses": self.witnesses,
             "pointwise_stabilization": [
                 {"point": p, "stage": s} for p, s in self.pointwise_stabilization
             ],

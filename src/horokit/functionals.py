@@ -386,14 +386,6 @@ class CheckOutcome:
     worst: float
     witness: Optional[tuple] = None
 
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checked": self.checked,
-            "worst": float(self.worst),
-            "witness": None if self.witness is None else [str(w) for w in self.witness],
-        }
-
 
 def _ambient_for(f, dim: int) -> LpSpace:
     p = getattr(f, "ambient_p", None)
@@ -473,12 +465,6 @@ class NormEstimate:
     rows: list[tuple[float, float]]
     estimate: float
 
-    def as_dict(self) -> dict:
-        return {
-            "rows": [[float(r), float(v)] for r, v in self.rows],
-            "estimate": float(self.estimate),
-        }
-
 
 def functional_norm_estimate(
     f,
@@ -528,14 +514,6 @@ class RecoveryReport:
     supremum: float
     gap: float
     passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "distance": float(self.distance),
-            "supremum": float(self.supremum),
-            "gap": float(self.gap),
-            "passed": self.passed,
-        }
 
 
 def distance_recovery_check(space, x, *, tol: float = 1e-6, grid: int = 10_000) -> RecoveryReport:
@@ -588,13 +566,6 @@ class LimitConvergenceReport:
     deviations: list[float]
     threshold: Optional[int]
     tol: float
-
-    def as_dict(self) -> dict:
-        return {
-            "deviations": [float(v) for v in self.deviations],
-            "threshold": self.threshold,
-            "tol": self.tol,
-        }
 
 
 def lp_limit_convergence_check(

@@ -100,10 +100,11 @@ class MetricSpace(ABC):
 
         def block(ys: Sequence[Point], idx: np.ndarray) -> tuple[np.ndarray, int]:
             rows = [[self.distance(y, points[i]) for i in idx.tolist()] for y in ys]
-            if not self.exact:
-                return np.array(rows, dtype=float), 1
-            M, den = numeric_arrays(rows, tol=1)
-            return M, int(den)
+            if self.exact:
+                M, den = numeric_arrays(rows, tol=1)
+            else:
+                M, den = np.array(rows, dtype=float), 1
+            return M.reshape(len(ys), len(idx)), int(den)  # no ys: (0, len(idx)), not (0,)
 
         return block
 

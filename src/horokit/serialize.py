@@ -13,6 +13,7 @@ every ``BallFunctional`` of a sphere shares) reuses its text from a memo.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _str
@@ -168,6 +169,10 @@ def _default(o):
         return [o.real, o.imag]
     if hasattr(o, "as_dict"):
         return o.as_dict()
+    if dataclasses.is_dataclass(o) and not isinstance(o, type):
+        # One level deep: a nested dataclass is converted in its turn, by
+        # its own as_dict if it has one (dataclasses.asdict would not).
+        return {f.name: getattr(o, f.name) for f in dataclasses.fields(o)}
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 

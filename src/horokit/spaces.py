@@ -56,12 +56,14 @@ class _CodedSpace(MetricSpace):
             y_codes = [self._codes(y) for y in ys]
             new = math.lcm(den, *(v.denominator for c in y_codes for v in c))
             Y = [[v.numerator * (new // v.denominator) for v in c] for c in y_codes]
-            wide = cols is not None and cols.dtype != object and max(abs(v) for c in Y for v in c) >= INT64_SAFE
+            big = max((abs(v) for c in Y for v in c), default=0)
+            wide = cols is not None and cols.dtype != object and big >= INT64_SAFE
             if cols is None or new != den or wide:
                 den = new
                 scaled = ([v.numerator * (den // v.denominator) for v in c] for c in codes)
                 cols = exact_ints([*Y, *scaled]).T[:, len(ys) :]  # the ys' width decides the dtype too
-            return self._code_distances(np.array(Y, dtype=cols.dtype).T[:, :, None], cols[:, idx]), den
+            Y = np.array(Y, dtype=cols.dtype).reshape(len(ys), len(cols))  # no ys: (0, codes), not (0,)
+            return self._code_distances(Y.T[:, :, None], cols[:, idx]), den
 
         return block
 
@@ -393,12 +395,20 @@ def cayley_to_half_plane(w: complex) -> complex:
     return 1j * (1 + w) / (1 - w)
 
 
+def _complex_or_nan(p) -> complex:
+    """p as a complex number, or NaN (in neither model) if p is no number.
+    The exact-type test spares complex points the slower ABC check."""
+    if type(p) is complex or isinstance(p, numbers.Complex):
+        return complex(p)
+    return complex(math.nan)
+
+
 def disk_gap(p) -> float:
     """1 - |p|^2, correctly rounded; raises unless p is inside the unit disk,
     that is unless the gap is positive.  Each component is split into
     26-bit halves (Veltkamp), so its square is a sum of three exact
     products, and ``math.fsum`` rounds the exact total once."""
-    z = complex(p)
+    z = _complex_or_nan(p)
     terms = [1.0]
     for x in (z.real, z.imag):
         t = 134217729.0 * x  # 2^27 + 1
@@ -430,7 +440,8 @@ class PoincareDisk(MetricSpace):
         disk_gap(p)
 
     def distance(self, p, q) -> float:
-        return 2.0 * math.asinh(abs(complex(p) - complex(q)) / math.sqrt(disk_gap(p) * disk_gap(q)))
+        gaps = disk_gap(p) * disk_gap(q)  # checks both points before complex() reads them
+        return 2.0 * math.asinh(abs(complex(p) - complex(q)) / math.sqrt(gaps))
 
     def point_label(self, p) -> str:
         return repr(complex(p))
@@ -455,7 +466,7 @@ class PoincareDisk(MetricSpace):
 
 def _half_plane_point(p) -> complex:
     """p as a complex number; raises unless it is finite with Im p > 0."""
-    z = complex(p)
+    z = _complex_or_nan(p)
     if not (z.imag > 0 and cmath.isfinite(z)):
         raise InvalidPointError(f"{p!r} is not in the upper half-plane")
     return z

@@ -7,6 +7,7 @@ through the library code paths under test.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
 import json
@@ -604,6 +605,8 @@ def _json_default(o):
         return [o.real, o.imag]
     if hasattr(o, "as_dict"):
         return o.as_dict()
+    if dataclasses.is_dataclass(o) and not isinstance(o, type):
+        return {f.name: getattr(o, f.name) for f in dataclasses.fields(o)}
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 

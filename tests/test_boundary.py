@@ -203,7 +203,7 @@ def test_limit_restrictions_match_their_definition(name, family, steps):
         kind = "stabilized" if stable else "heuristic"
         lrs = limit_restrictions(family, gens, r, r_max, window)
         assert lrs.functionals == tuple(sorted(final, key=lambda bf: bf.values))
-        assert lrs.certificate.as_dict() == {
+        assert vars(lrs.certificate) == {
             "kind": kind, "window_start": r_max - window, "window_length": window, "r_max": r_max,
         }
 

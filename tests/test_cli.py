@@ -81,6 +81,19 @@ def test_spectral_displacement_reads_every_point(capsys, vector):
     assert len(json.loads(out)["result"]["displacement"]["trace"]) == 12_000
 
 
+@pytest.mark.parametrize("args", [
+    ("--map", "translation", "--group", "heisenberg", "--vector", "1,0,2", "--n", "16"),
+    ("--map", "mobius", "--matrix", "1,1,0,1"),  # z -> z + 1, exact tau 0
+], ids=["heisenberg", "parabolic"])
+def test_spectral_displacement_fails_only_against_an_exact_tau(capsys, args):
+    # The tau bound exceeds the displacement bound on both, but both are
+    # upper bounds on tau, so together they prove nothing.
+    code, out, _ = run(capsys, "spectral", "displacement", *args)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["tau_bound"] > result["displacement"]["bound"]
+
+
 @pytest.mark.parametrize("budget", ["1023", "1024"])
 def test_spectral_displacement_image_past_the_float_range(capsys, budget):
     # z -> 4z sends the visited point i 2^1022 to 4 i 2^1022, past the float range.

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import os
@@ -226,6 +227,15 @@ class _Reported:
         return self.body
 
 
+@dataclasses.dataclass
+class _Fields:
+    """A dataclass with no ``as_dict`` is written as its fields, one level deep."""
+
+    name: str
+    value: Fraction
+    inner: object = None
+
+
 FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 TEXT = st.text(max_size=6) | st.sampled_from(["", '"', "\\", "\n\t\x00\x1f\x7f", "é", "☃", "\U0001d11e", "\ud800"])
 SCALARS = st.one_of(
@@ -261,6 +271,7 @@ def _containers(children):
         st.dictionaries(st.integers() | FLOATS | st.booleans(), children, max_size=4),
         st.dictionaries(st.none(), children, max_size=1),
         children.map(_Reported),
+        children.map(lambda c: _Fields("x", Fraction(1, 3), c)),
     )
 
 
@@ -298,6 +309,29 @@ def test_emit_json_converts_only_non_json_values(monkeypatch):
     assert seen == []
     assert emit_json([np.int64(3), Fraction(1, 2)]) == json_report([np.int64(3), Fraction(1, 2)])
     assert len(seen) == 2
+
+
+def test_emit_json_writes_a_dataclass_as_its_fields():
+    plain = _Fields("a", Fraction(1, 2), [1, 2])
+    assert emit_json(plain) == json_report(plain)
+    assert json.loads(emit_json(plain)) == {"name": "a", "value": "1/2", "inner": [1, 2]}
+
+
+def test_emit_json_writes_a_nested_as_dict_object_by_its_as_dict():
+    labels, points = ("e", "a"), ((0,), (1,))
+    nested = _Fields("outer", Fraction(3), BallFunctional(1, labels, (0, Fraction(-1, 3)), points))
+    assert emit_json(nested) == json_report(nested)
+    assert json.loads(emit_json(nested))["inner"] == {"radius": 1, "order": ["e", "a"], "values": [0, "-1/3"]}
+    deeper = _Fields("outer", Fraction(0), _Fields("inner", Fraction(2), None))
+    assert emit_json(deeper) == json_report(deeper)
+    assert json.loads(emit_json(deeper))["inner"] == {"name": "inner", "value": "2", "inner": None}
+
+
+def test_emit_json_does_not_write_a_dataclass_class():
+    with pytest.raises(TypeError):
+        json_report({"kind": _Fields})
+    with pytest.raises(TypeError):
+        emit_json({"kind": _Fields})
 
 
 def test_h3_boundary_report_matches_stdlib_oracle(capsys):

@@ -292,8 +292,8 @@ MALFORMED = {
                      ("head", 0), ("head", Fraction(2)), ("spoke", 3, Fraction(10)), ("spoke", 3)]),
     "st": (ST, HUB, [("hub", 1), ("int", 3, Fraction(4)), ("int", 0, Fraction(1, 2)),
                      ("int", 3, 1), ("ray", Fraction(1))]),
-    "half-plane": (UpperHalfPlane(), 1j, [1 - 1j, 2.0, complex(0, math.nan), complex(math.inf, 1)]),
-    "disk": (PoincareDisk(), 0j, [2 + 0j, 1.0, -1j, complex(math.nan, 0)]),
+    "half-plane": (UpperHalfPlane(), 1j, [1 - 1j, 2.0, complex(0, math.nan), complex(math.inf, 1), "x", None]),
+    "disk": (PoincareDisk(), 0j, [2 + 0j, 1.0, -1j, complex(math.nan, 0), "x", None]),
     "sqrt-line": (DistortedLine("sqrt"), 0.0, [math.nan, math.inf, -math.inf, "1", None, 1j]),
     "lp": (LpSpace(2, 2), np.zeros(2), [[math.nan, 1], [0, math.inf], ["1", "2"], [1j, 0], None]),
     "z2": (CayleyGraphSpace(Zd(2)), (0, 0), [(1,), (0, 0, 0), (1.0, 0), [0, 0], "a", None]),
@@ -317,6 +317,15 @@ def test_functional_rows_reject_malformed_points_like_distance(name):
             with pytest.raises(InvalidPointError) as by_row:
                 ask()
             assert str(by_row.value) == str(direct.value)
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_an_empty_block_has_one_column_per_index(name):
+    space, good, _ = MALFORMED[name]
+    block = space.distance_block([good])
+    assert block([], np.arange(1))[0].shape == (0, 1)
+    block([good], np.arange(1))  # a coded space's block keeps its columns from the first call on
+    assert block([], np.arange(1))[0].shape == (0, 1)
 
 
 class TestDistortedLine:
