@@ -28,10 +28,10 @@ from .metric import CHUNK, Scalar, numeric_arrays
 
 def _distance_blocks(ball: CayleyBall, n: int, lo: int, hi: int, dtype, r=None) -> Iterator[np.ndarray]:
     """Row blocks of the matrix of d(x, g) = |x^-1 g| under a closed form,
-    with one column per x in B(r) = elements[:n], the identity first, and
-    rows for the g in elements[lo:hi]: the family's ``distance_rows`` on
-    ``ball.coords`` in chunks of about ``CHUNK`` values, on the rows cut to
-    its ``restriction_rows(G, r)`` when ``r`` is given."""
+    with one column per x in B(r), rows :n of ``ball.coords`` with the
+    identity first, and one row per g in its rows lo:hi: the family's
+    ``distance_rows`` in chunks of about ``CHUNK`` values, on the rows cut
+    to its ``restriction_rows(G, r)`` when ``r`` is given."""
     fam = ball.family
     X, G = ball.coords[:n], ball.coords[lo:hi]
     if r is not None:
@@ -62,7 +62,7 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> list[BallFunctional
         raise PreconditionError(f"ball radius {ball.radius} is insufficient; need >= {R}")
     fam = ball.family
     n = ball.sphere_offsets[r + 1]
-    points = ball.elements[:n]
+    points = ball.ball(r)
     labels = tuple(fam.element_label(p) for p in points)
     dtype = np.int16 if R + r <= np.iinfo(np.int16).max else np.int64
     if ball.coords is None:

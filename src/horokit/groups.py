@@ -99,8 +99,8 @@ class ClosedFormFamily(GroupFamily):
         """B(radius) as coordinate rows in shortlex order, and its sphere sizes."""
 
     def row_elements(self, rows: np.ndarray, r: int) -> Iterable[Element]:
-        """The element tuples of the coordinate rows of S(r), r >= 1."""
-        return zip(*rows.T.tolist())
+        """The element tuples of the coordinate rows of S(r)."""
+        return map(tuple, rows.tolist())
 
     def coords(self, elements: Sequence[Element]) -> np.ndarray:
         """Elements as int64 rows in the layout of ``ball_coords``: their
@@ -567,29 +567,39 @@ class CayleyBall:
     """The radius-R ball of a Cayley graph, in canonical (shortlex) order.
 
     ``sphere_offsets[r]`` is the index where sphere S(r) starts: the one
-    record of word lengths of the ball.  Under ``has_closed_form``,
-    ``coords`` is the same ball as one int array from the family's
-    ``ball_coords``, row i for element i; it is None under non-standard
-    generators and on finite groups, whose distances come from the search
-    of the ball's ``space``.
+    record of word lengths of the ball.  Under ``has_closed_form`` the ball
+    is ``coords``, one int array from the family's ``ball_coords`` (row i
+    for element i), and ``sphere``, ``ball`` and ``elements`` decode rows on
+    demand.  Searched balls (non-standard generators, finite groups) keep
+    their ``elements``, ``coords`` is None, and ``space`` searches distances.
     """
 
     family: GroupFamily
     gens: GeneratingSet
     radius: int
-    elements: tuple[Element, ...]
     sphere_offsets: tuple[int, ...]
     coords: Optional[np.ndarray] = field(repr=False, default=None)
 
+    @cached_property
+    def elements(self) -> tuple[Element, ...]:
+        """The whole ball, decoded from ``coords`` when first read."""
+        return self.ball(self.radius)
+
     def sphere(self, r: int) -> tuple[Element, ...]:
-        if not 0 <= r <= self.radius:
-            raise PreconditionError(f"sphere radius {r} outside ball of radius {self.radius}")
-        return self.elements[self.sphere_offsets[r] : self.sphere_offsets[r + 1]]
+        return self._decode(r, r, "sphere")
 
     def ball(self, r: int) -> tuple[Element, ...]:
-        if not 0 <= r <= self.radius:
-            raise PreconditionError(f"ball radius {r} outside ball of radius {self.radius}")
-        return self.elements[: self.sphere_offsets[r + 1]]
+        return self._decode(0, r, "ball")
+
+    def _decode(self, lo: int, hi: int, what: str) -> tuple[Element, ...]:
+        """S(lo) to S(hi), from a search's ``elements`` or decoded from ``coords``."""
+        if not 0 <= hi <= self.radius:
+            raise PreconditionError(f"{what} radius {hi} outside ball of radius {self.radius}")
+        at = self.sphere_offsets
+        if self.coords is None:
+            return self.elements[at[lo] : at[hi + 1]]
+        decode, coords = self.family.row_elements, self.coords
+        return tuple(g for r in range(lo, hi + 1) for g in decode(coords[at[r] : at[r + 1]], r))
 
     def sphere_sizes(self) -> list[int]:
         return [
@@ -616,9 +626,9 @@ def cayley_ball(
     """Ball around the identity with exact word lengths, in shortlex order.
 
     Under ``has_closed_form`` the family's ``ball_size`` is checked against
-    the ball limit first, and then the ball is built from its ``ball_coords``
-    (kept as ``coords``) without a search.  Non-standard generators and
-    finite groups grow a ``WordLengthOracle`` to the radius and sort each
+    the ball limit first, and then the ball is its ``ball_coords`` (kept as
+    ``coords``, no row decoded) without a search.  Non-standard generators
+    and finite groups grow a ``WordLengthOracle`` to the radius and sort each
     of its spheres by ``element_key``; the ball keeps the elements, and its
     ``space`` searches again on first use.  One over the limit raises
     ``ResourceLimitError("ball size exceeded limit N")`` with the last
@@ -630,19 +640,17 @@ def cayley_ball(
     if not oracle.closed:
         oracle.grow(radius)
         layers = [sorted(layer, key=family.element_key) for layer in oracle.layers]
-        elements = tuple(g for layer in layers for g in layer)
         offsets = tuple(np.cumsum([0, *map(len, layers)]).tolist())
-        return CayleyBall(family, gens, radius, elements, offsets)
+        ball = CayleyBall(family, gens, radius, offsets)
+        ball.elements = tuple(g for layer in layers for g in layer)
+        return ball
     cap = oracle.cap
     if radius > 0 and family.ball_size(radius, cap) > cap:
         fits = bisect.bisect_right(range(1, radius + 1), cap, key=lambda r: family.ball_size(r, cap))
         raise ResourceLimitError(f"ball size exceeded limit {cap}", radius_reached=fits)
     coords, sizes = family.ball_coords(radius)
-    offsets = np.cumsum([0, *sizes]).tolist()
-    elements = [family.identity()]  # r = 0 has no columns on F_n
-    for r in range(1, radius + 1):
-        elements.extend(family.row_elements(coords[offsets[r] : offsets[r + 1]], r))
-    return CayleyBall(family, gens, radius, tuple(elements), tuple(offsets), coords)
+    offsets = tuple(np.cumsum([0, *sizes]).tolist())
+    return CayleyBall(family, gens, radius, offsets, coords)
 
 
 class WordLengthOracle:

@@ -492,6 +492,15 @@ def test_sphere_restrictions_beyond_int16():
     assert _values(sphere_restrictions(ball, 1, 32_799)) == [(0, -1, 1), (0, 1, -1)]
 
 
+@pytest.mark.parametrize("fam", [Zd(2), FreeGroup(2), Heisenberg()], ids=lambda f: f.name)
+def test_sphere_restrictions_decode_only_the_small_ball(fam):
+    # A closed-form ball is its coords; the boundary decodes B(r), not B(R).
+    ball = cayley_ball(fam, GeneratingSet.standard(fam), 6)
+    out = sphere_restrictions(ball, 2, 6)
+    assert "elements" not in vars(ball)
+    assert out[0].points == ball.ball(2)
+
+
 def test_forged_row_fails_with_the_per_pair_message():
     z2 = Zd(2)
     ball = cayley_ball(z2, GeneratingSet.standard(z2), 6)

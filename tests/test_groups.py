@@ -202,6 +202,7 @@ def test_closed_form_ball_matches_plain_bfs(fam, R):
     dist = bfs_ball(ident, gens, mul, R)
     order = sorted(dist, key=lambda g: (dist[g], key(g)))
     ball = cayley_ball(fam, GeneratingSet.standard(fam), R)
+    assert "elements" not in vars(ball)  # the ball is its coords until read
     assert ball.elements == tuple(order)
     assert [r for r, size in enumerate(ball.sphere_sizes()) for _ in range(size)] == [
         dist[g] for g in order
@@ -211,6 +212,12 @@ def test_closed_form_ball_matches_plain_bfs(fam, R):
     )
     assert {g: i for i, g in enumerate(ball.elements)} == {g: i for i, g in enumerate(order)}
     assert all(type(a) is int for g in ball.elements for a in g)
+    # sphere and ball decode their own rows; S(0) is (ident,), () on F_n
+    for r in range(R + 1):
+        inside = [g for g in order if dist[g] <= r]
+        assert ball.sphere(r) == tuple(g for g in inside if dist[g] == r)
+        assert ball.ball(r) == tuple(inside)
+    assert ball.sphere(0) == (ident,)
     # coords holds the same elements, letters padded with 0 on free groups
     width = R if isinstance(fam, FreeGroup) else len(ident)
     assert ball.coords.tolist() == [list(g) + [0] * (width - len(g)) for g in order]
