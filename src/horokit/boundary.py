@@ -41,6 +41,36 @@ def _distance_blocks(ball: CayleyBall, n: int, lo: int, hi: int, dtype, r=None) 
         yield fam.distance_rows(X, G[a : a + step], dtype)
 
 
+def _unique_rows(V: np.ndarray) -> np.ndarray:
+    """The distinct rows of the integer block V in lexicographic order, as
+    ``np.unique`` gives them along axis 0, with V's dtype.
+
+    Each value less the block's minimum takes the bits of the block's
+    max - min, column 0 most significant, and a row packs into uint64
+    words in row order: one word sorts as a 1-D key, several by
+    ``np.lexsort``.  The block's own range sets offset and width, so no
+    two distinct rows share a key."""
+    if len(V) == 0:
+        return V
+    U = V.astype(np.uint64)
+    U -= V.min().astype(np.uint64)  # modulo 2^64: the true offset in [0, 2^64)
+    width = max(1, int(U.max()).bit_length())
+    per = 64 // width
+    shifts = np.arange(per - 1, -1, -1, dtype=np.uint64) * np.uint64(width)
+    words = []
+    for a in range(0, V.shape[1], per):
+        cols = U[:, a : a + per]
+        words.append(np.bitwise_or.reduce(cols << shifts[: cols.shape[1]], axis=1))
+    if len(words) == 1:
+        _, first = np.unique(words[0], return_index=True)
+        return V[first]
+    order = np.lexsort(words[::-1])
+    K = np.stack(words, axis=1)[order]
+    keep = np.ones(len(K), dtype=bool)
+    keep[1:] = (K[1:] != K[:-1]).any(axis=1)
+    return V[order[keep]]
+
+
 def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> list[BallFunctional]:
     """Deduplicated restrictions h_g|B(r) over all g with |g| = R.
 
@@ -50,11 +80,11 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> list[BallFunctional
     Each row minus its identity column d(e, g) is h_g, also on the rows a
     family's ``restriction_rows`` puts in place of g.  Values and D are
     int16 (int64 once R + r leaves int16).  Each chunk of about 256K
-    elements is deduplicated as it is made.  ``np.unique`` sorts the rows
-    in value-tuple order; ``check_rows`` then checks every row exactly
-    against D: each row vanishes at the identity and is 1-Lipschitz on
-    every pair, which implies |h(x)| <= |x| <= r.  The first failing row
-    raises with the message ``BallFunctional.check`` gives.
+    elements, then their union, is deduplicated on packed keys in value-tuple
+    order (``_unique_rows``); ``check_rows`` checks each distinct row, even
+    one outside [-r, r], exactly against D: it vanishes at the identity and
+    is 1-Lipschitz on every pair, so |h(x)| <= |x| <= r.  The first failing
+    row raises with the message ``BallFunctional.check`` gives.
     """
     if not 0 <= r <= R:
         raise PreconditionError(f"need 0 <= ball radius {r} <= sphere radius {R}")
@@ -73,8 +103,8 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> list[BallFunctional
         blocks = _distance_blocks(ball, n, ball.sphere_offsets[R], ball.sphere_offsets[R + 1], dtype, r)
         D = np.concatenate(list(_distance_blocks(ball, n, 0, n, dtype)))
     # Dedup block by block, so that a huge sphere is never held whole.
-    parts = [np.unique(b - b[:, :1], axis=0) for b in blocks]
-    rows = np.unique(np.concatenate([np.empty((0, n), dtype), *parts]), axis=0)
+    parts = [_unique_rows(b - b[:, :1]) for b in blocks]
+    rows = _unique_rows(np.concatenate([np.empty((0, n), dtype), *parts]))
     check_rows(labels, rows, D)
     return [BallFunctional(r, labels, tuple(v), points) for v in rows.tolist()]
 
@@ -125,24 +155,25 @@ def limit_restrictions(
         raise PreconditionError("need r_max > r + window")
     ball = cayley_ball(family, gens, r_max)
     radii = range(max(r, r_max - 2 * window), r_max + 1)
-    by_radius = {R: sphere_restrictions(ball, r, R) for R in radii}
+    # Every restriction here shares r and B(r)'s labels: its values identify it.
+    by_radius = {R: {bf.values: bf for bf in sphere_restrictions(ball, r, R)} for R in radii}
 
-    def accepted(at_r_max: int) -> frozenset:
+    def accepted(at_r_max: int) -> dict:
         lo = max(r, at_r_max - window)
-        out = set()
+        out = {}
         for R in range(lo, at_r_max + 1):
             out.update(by_radius[R])
-        return frozenset(out)
+        return out
 
     final = accepted(r_max)
-    stabilized = all(accepted(R) == final for R in range(r_max - window, r_max + 1))
+    stabilized = all(accepted(R).keys() == final.keys() for R in range(r_max - window, r_max + 1))
     cert = Certificate(
         "stabilized" if stabilized else "heuristic",
         r_max - window,
         window,
         r_max,
     )
-    ordered = tuple(sorted(final, key=lambda bf: bf.values))
+    ordered = tuple(final[v] for v in sorted(final))
     return LimitRestrictionSet(r, ordered, cert)
 
 

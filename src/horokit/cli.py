@@ -165,11 +165,12 @@ def _selftest_boundary() -> list[tuple[str, bool]]:
         ("z_stabilized", lrs.certificate.kind == "stabilized"),
         ("z_unbounded", unboundedness_check(lrs).passed),
     ]
-    # One run per closed-form distance kernel: the restriction count and its certificate.
-    for name, family, rmax, count in (("free_count", FreeGroup(2), 6, 4),
-                                      ("z2_sign_patterns", Zd(2), 8, 3**2 - 1),
-                                      ("h3_count", Heisenberg(), 8, 13)):
-        lrs = limit_restrictions(family, GeneratingSet.standard(family), 1, rmax, 2)
+    # One run per closed-form distance kernel: the count and certificate (F_3's rows span 9 words).
+    for name, family, r, rmax, count in (("free_count", FreeGroup(2), 1, 6, 4),
+                                         ("z2_sign_patterns", Zd(2), 1, 8, 3**2 - 1),
+                                         ("h3_count", Heisenberg(), 1, 8, 13),
+                                         ("f3_prefixes", FreeGroup(3), 3, 7, 2 * 3 * 5**2)):
+        lrs = limit_restrictions(family, GeneratingSet.standard(family), r, rmax, 2)
         checks.append((name, len(lrs.functionals) == count and lrs.certificate.kind == "stabilized"))
     return checks
 

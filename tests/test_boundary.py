@@ -2,10 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from horokit import boundary
 from horokit.boundary import (
     DriftMeasure,
     ZFunctional,
+    _unique_rows,
     act_on_restriction,
     drift_audit,
     limit_restrictions,
@@ -405,6 +410,101 @@ def test_free_sphere_restrictions_far_out_match_reduction_oracle(rank, r, R):
     fam = FreeGroup(rank)
     ball = cayley_ball(fam, GeneratingSet.standard(fam), R)
     assert _values(sphere_restrictions(ball, r, R)) == free_restrictions(rank, r, R)
+
+
+@st.composite
+def integer_blocks(draw):
+    """Int16 or int64 blocks of values within a span of 2^bits - 1, with
+    repeated rows, and often 64 // bits columns (one full word) or more."""
+    dtype = draw(st.sampled_from([np.int16, np.int64]))
+    info = np.iinfo(dtype)
+    bits = draw(st.integers(0, 16 if dtype is np.int16 else 40))
+    span = (1 << bits) - 1
+    lo = draw(st.integers(int(info.min), int(info.max) - span))
+    per = 64 // max(1, bits)
+    n = draw(st.one_of(st.integers(1, 12), st.sampled_from([per, per + 1, 3 * per])))
+    pool = draw(hnp.arrays(dtype, (draw(st.integers(1, 6)), n), elements=st.integers(lo, lo + span)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=24))
+    return pool[np.array(picks, dtype=np.intp)]
+
+
+TWO_BIT_ROW = [-1, 0, 1, 2] * 8  # 32 columns of 2 bits: exactly one 64-bit word
+
+
+@settings(max_examples=300, deadline=None)
+@given(V=integer_blocks())
+@example(V=np.zeros((3, 1), np.int16))  # r = 0: the identity column alone
+@example(V=np.array([[0], [-1], [0], [1]], np.int16))
+@example(V=np.empty((0, 7), np.int16))
+@example(V=np.empty((0, 7), np.int64))
+@example(V=np.array([TWO_BIT_ROW, TWO_BIT_ROW[::-1], TWO_BIT_ROW], np.int16))
+@example(V=np.array([TWO_BIT_ROW + [0], TWO_BIT_ROW[::-1] + [2], TWO_BIT_ROW + [0]], np.int16))
+@example(V=np.array([[-40_000, 0, 40_000], [40_000, 0, -40_000], [-40_000, 0, 40_000]], np.int64))
+@example(V=np.array([[np.iinfo(np.int64).min, 3], [np.iinfo(np.int64).max, -3], [0, 0]], np.int64))
+def test_unique_rows_matches_np_unique(V):
+    got = _unique_rows(V)
+    want = np.unique(V, axis=0)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert (got == want).all()
+
+
+def test_spheres_over_several_blocks_match_the_oracles(monkeypatch, h3_ball):
+    # A small chunk splits each sphere into many blocks, so the per-block
+    # dedup and the merge of their rows both run.
+    monkeypatch.setattr(boundary, "CHUNK", 1 << 9)
+    real, counts = boundary._distance_blocks, []
+
+    def counted(*args, **kwargs):
+        blocks = list(real(*args, **kwargs))
+        counts.append(len(blocks))
+        return iter(blocks)
+
+    monkeypatch.setattr(boundary, "_distance_blocks", counted)
+    z3, f2 = Zd(3), FreeGroup(2)
+    z3_ball = cayley_ball(z3, GeneratingSet.standard(z3), 5)
+    f2_ball = cayley_ball(f2, GeneratingSet.standard(f2), 6)
+    for R in range(2, 6):
+        assert _values(sphere_restrictions(z3_ball, 2, R)) == l1_restrictions(3, 2, R), R
+    for R in range(2, 7):
+        assert _values(sphere_restrictions(f2_ball, 2, R)) == free_restrictions(2, 2, R), R
+    oracle = h3_restrictions(2, range(2, 9))
+    for R in range(2, 9):
+        assert _values(sphere_restrictions(h3_ball, 2, R)) == oracle[R], R
+    assert max(counts) > 1
+
+
+@pytest.mark.parametrize("low, high", [(-1, 4), (0, 8), (0, -9)])
+def test_a_row_out_of_range_is_not_merged_away(monkeypatch, low, high):
+    # On Z^2, r = 1, R = 4, the columns are (0,0), (-1,0), (0,-1), (0,1),
+    # (1,0), and g = (3,-1) shares its row [0, 1, -1, 1, -1] with g = (2,-2)
+    # earlier in S(4).  Adding (low, high) to its last two values puts 3, 7
+    # or -10 outside [-r, r].  Packed at 2 bits per value offset by r, the
+    # first two forged rows would share (2,-2)'s key (by a carry if the fields
+    # were added, by overlapping bits if OR-ed) and vanish.  The row must reach
+    # check_rows and raise what np.unique(axis=0) and check_rows give.
+    z2 = Zd(2)
+    r, R = 1, 4
+    ball = cayley_ball(z2, GeneratingSet.standard(z2), R)
+    real = z2.distance_rows
+
+    def forged(X, G, dtype):
+        out = real(X, G, dtype)
+        hit = np.flatnonzero((G == (3, -1)).all(axis=1))
+        out[hit, -2:] += np.array([low, high], dtype)
+        return out
+
+    n = ball.sphere_offsets[r + 1]
+    X, S = ball.coords[:n], ball.coords[ball.sphere_offsets[R] : ball.sphere_offsets[R + 1]]
+    D = real(X, X, np.int64)
+    labels = tuple(z2.element_label(p) for p in ball.ball(r))
+    V = forged(X, S, np.int64)
+    with pytest.raises(InvalidParameterError) as want:
+        check_rows(labels, np.unique(V - V[:, :1], axis=0), D)
+    monkeypatch.setattr(z2, "distance_rows", forged)
+    with pytest.raises(InvalidParameterError) as got:
+        sphere_restrictions(ball, r, R)
+    assert str(got.value) == str(want.value)
 
 
 def test_table_walk_on_nonstandard_generators_matches_bfs_oracle():
