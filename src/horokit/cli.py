@@ -108,7 +108,7 @@ def _parsing(flag: str):
     exception types raised anywhere else are internal errors."""
     try:
         yield
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, ZeroDivisionError) as exc:
         raise InvalidParameterError(f"malformed {flag}: {exc}") from exc
 
 

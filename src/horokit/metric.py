@@ -235,9 +235,10 @@ def first_lipschitz_violation(V: np.ndarray, D: np.ndarray, tol: Scalar = 0) -> 
 class FiniteMetricSpace(MetricSpace):
     """An explicit n-point space with exact rational distances.
 
-    The matrix is validated exhaustively at construction: symmetry, zero
-    diagonal, nonnegativity, and the triangle inequality over all n^3
-    triples.
+    Entries other than ints and Fractions are read by ``Fraction(v)``.  Only
+    the matrix scaled to exact integers over one denominator is kept, and
+    validated exhaustively at construction: symmetry, zero diagonal,
+    nonnegativity, and the triangle inequality over all n^3 triples.
     """
 
     exact = True
@@ -246,13 +247,14 @@ class FiniteMetricSpace(MetricSpace):
         n = len(matrix)
         if any(len(row) != n for row in matrix):
             raise InvalidSpaceError("distance matrix is not square")
-        self.matrix = tuple(tuple(Fraction(v) for v in row) for row in matrix)
+        rows = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row] for row in matrix]
         self.n = n
         if not 0 <= base_index < n:
             raise InvalidSpaceError(f"base index {base_index} outside [0, {n})")
         self.base_index = base_index
-        # The matrix as exact integers over one denominator, which blocks slice.
-        self._D, self._den = numeric_arrays(self.matrix, tol=1)
+        den = self._den = math.lcm(*{v.denominator for row in rows for v in row})
+        scaled = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
+        self._D = exact_ints(scaled) if den < INT64_SAFE else np.array(scaled, dtype=object)
         hit = first_axiom_violation(self._D)
         if hit is not None:
             kind, i, j = hit
@@ -267,7 +269,7 @@ class FiniteMetricSpace(MetricSpace):
     def distance(self, p: int, q: int) -> Fraction:
         self.check_point(p)
         self.check_point(q)
-        return self.matrix[p][q]
+        return Fraction(int(self._D[p, q]), self._den)
 
     def distance_block(self, points: Sequence[int]) -> Callable:
         """Slices of the matrix that ``__init__`` scaled, with its one
@@ -300,6 +302,22 @@ class FiniteMetricSpace(MetricSpace):
 
     def sample_points(self, rng: random.Random, count: int) -> list[int]:
         return [rng.randrange(self.n) for _ in range(count)]
+
+
+def draw_indices(rng: random.Random, n: int, m: int) -> np.ndarray:
+    """``[rng.randrange(n) for _ in range(m)]`` as an intp array, leaving rng in
+    the same state: for 0 < n < 2^32 randrange keeps the top n.bit_length() bits
+    of the next 32-bit word if below n, and one getrandbits call gives the words."""
+    if not 0 < n < 1 << 32:
+        return np.array([rng.randrange(n) for _ in range(m)], dtype=np.intp)
+    out, need = np.empty(m, dtype=np.intp), m
+    while need:
+        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"), "<u4")
+        vals = words >> np.uint32(32 - n.bit_length())
+        vals = vals[vals < n]
+        out[m - need : m - need + len(vals)] = vals
+        need -= len(vals)
+    return out
 
 
 @dataclass(frozen=True)
@@ -357,10 +375,10 @@ def validate_metric(
     The matrix is one ``distance_block`` of the points.  A space whose
     ``points()`` lists them all is checked exhaustively over all triples;
     otherwise the triangle inequality is checked on ``max_triples`` seeded
-    random triples drawn from 48 points of the space's sampler.  The first
-    violation is reported in the row order of :func:`first_axiom_violation`,
-    then in canonical order for exhaustive checks and in draw order for
-    sampled ones.
+    random triples of 48 points of the space's sampler, drawn in one block by
+    :func:`draw_indices`.  The first violation is reported in the row order
+    of :func:`first_axiom_violation`, then in canonical order for exhaustive
+    checks and in draw order for sampled ones.
     """
     if tol is None:
         tol = Fraction(0) if space.exact else 1e-10
@@ -392,9 +410,7 @@ def validate_metric(
     triples = None
     if not exhaustive:
         # A drawn (p, q, r) has q in the middle: the checker's (i, j, k) is (p, r, q).
-        rng = random.Random(seed)
-        draws = ([rng.randrange(n) for _ in range(3)] for _ in range(max_triples))
-        triples = [(p, r, q) for p, q, r in draws]
+        triples = draw_indices(random.Random(seed), n, 3 * max_triples).reshape(-1, 3)[:, [0, 2, 1]]
     pos = first_triangle_violation(D, t, triples)
     if pos is None:
         return MetricReport(True, n, n * (n - 1) // 2, n**3 if exhaustive else max_triples, tol)

@@ -473,6 +473,15 @@ def _half_plane_point(p) -> complex:
     return z
 
 
+def _half_plane_distance(z: complex, w: complex) -> float:
+    s = z.imag * w.imag
+    if sys.float_info.min <= s < math.inf:
+        root = math.sqrt(s)
+    else:
+        root = math.sqrt(z.imag) * math.sqrt(w.imag)
+    return 2.0 * math.asinh(abs(z - w) / (2.0 * root))
+
+
 class UpperHalfPlane(MetricSpace):
     """Upper half-plane model; base point i.
 
@@ -492,13 +501,19 @@ class UpperHalfPlane(MetricSpace):
         _half_plane_point(p)
 
     def distance(self, p, q) -> float:
-        z, w = _half_plane_point(p), _half_plane_point(q)
-        s = z.imag * w.imag
-        if sys.float_info.min <= s < math.inf:
-            root = math.sqrt(s)
-        else:
-            root = math.sqrt(z.imag) * math.sqrt(w.imag)
-        return 2.0 * math.asinh(abs(z - w) / (2.0 * root))
+        return _half_plane_distance(_half_plane_point(p), _half_plane_point(q))
+
+    def distance_block(self, points):
+        """Each point is checked once; each entry is ``distance``'s scalar formula,
+        as NumPy's asinh and complex abs may differ from ``math`` in the last bit."""
+        zs = [_half_plane_point(p) for p in points]
+
+        def block(ys, idx):
+            cols = [zs[i] for i in idx.tolist()]
+            rows = [[_half_plane_distance(w, z) for z in cols] for w in map(_half_plane_point, ys)]
+            return np.array(rows, dtype=float).reshape(len(ys), len(cols)), 1
+
+        return block
 
     def point_key(self, p):
         self.check_point(p)

@@ -240,6 +240,11 @@ def test_internal_error_is_not_reported_as_invalid_input(monkeypatch):
         ("dynamics", "parabolic", "--fixture", "heisenberg-z", "--eval-hi", "-1"),
         ("validate", "metric", "--space", "{not json"),
         ("validate", "metric", "--space", '{"type": "finite", "params": {}}'),
+        # A zero denominator is malformed input, in each flag that reads rationals.
+        ("validate", "metric", "--space", '{"type": "finite", "params": {"matrix": [["1/0"]]}}'),
+        ("extend", "mcshane", "--space", '{"type": "finite", "params": {"matrix": [[0]]}}',
+         "--domain", "[0]", "--values", '["1/0"]'),
+        ("spectral", "tau", "--map", "mobius", "--matrix", "1,0,0,1/0"),
         ("extend", "mcshane", "--space", '{"type": "free", "params": {"rank": 2}}',
          "--domain", '["a?"]', "--values", '["0"]'),
         ("extend", "mcshane", "--space", '{"type": "zd", "params": {"dim": 2}}',

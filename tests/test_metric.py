@@ -59,6 +59,35 @@ def test_z2_ball_matrix_is_a_metric():
     assert validate_metric(space).passed
 
 
+def test_finite_space_reads_every_entry_type_exactly():
+    # Off-diagonal entries in [1/2, 1] make a metric; a denominator of 2^63
+    # puts the matrix past int64, into Python ints.
+    for wide in (0.75, Fraction(2**62 + 1, 2**63)):
+        entries = [[0, 0.5, "2/3", Fraction(5, 7)], [0.5, 0, "1/2", 1],
+                   ["2/3", "1/2", 0, wide], [Fraction(5, 7), 1, wide, 0]]
+        space = FiniteMetricSpace(entries)
+        for i, row in enumerate(entries):
+            for j, v in enumerate(row):
+                d = space.distance(i, j)
+                assert type(d) is Fraction and d == Fraction(v)
+    assert space._D.dtype == object
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_draw_indices_matches_randrange(seed):
+    assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
+    ns = [*range(1, 71), *(2**k + e for k in range(1, 32) for e in (-1, 0, 1)), 2**40 + 3]
+    for n in ns:
+        for m in (0, 1, 3, 40):
+            rng, ref = random.Random(f"{seed}/{n}/{m}"), random.Random(f"{seed}/{n}/{m}")
+            got = metric.draw_indices(rng, n, m)
+            assert got.dtype == np.intp and got.tolist() == [ref.randrange(n) for _ in range(m)]
+            assert rng.getstate() == ref.getstate()
+    assert metric.draw_indices(random.Random(seed), 0, 0).tolist() == []
+    with pytest.raises(ValueError):
+        metric.draw_indices(random.Random(seed), 0, 1)
+
+
 def test_asymmetric_matrix_rejected():
     with pytest.raises(InvalidSpaceError, match="asymmetric"):
         FiniteMetricSpace([[0, 1], [2, 0]])
@@ -394,7 +423,8 @@ def test_finite_space_reports_the_first_violation(seed, kind, n, count):
     hit = oracles.first_axiom_violation(D)
     pos = oracles.first_triangle_violation(D) if hit is None else None
     if hit is None and pos is None:
-        assert FiniteMetricSpace(D).matrix == tuple(tuple(row) for row in D)
+        space = FiniteMetricSpace(D)
+        assert [[space.distance(i, j) for j in range(n)] for i in range(n)] == D
         return
     if hit is None:
         i, j, k = pos // (n * n), pos // n % n, pos % n

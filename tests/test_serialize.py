@@ -78,6 +78,33 @@ def test_space_descriptors():
         space_from_descriptor([1, 2])
 
 
+# Entries as JSON text: strings of every form Fraction reads or rejects,
+# JSON ints, JSON floats, and values that are no number at all.
+MATRIX_ENTRIES = [
+    '"2/4"', '"007/010"', '"0/5"', '" 3 "', '"+1"', '"1_0"', '"\u0661"', '"\u00b2"', '"0.5"', '"1e3"',
+    '"-1/2"', '"-3"', '"1/0"', '"0/0"', '"x"', '""', '"1/"', '"/2"', '"1/2/3"', '"nan"',
+    "0", "7", "-3", str(10**30), "0.5", "2.0", "1e-300", "1e300", "NaN", "true", "null", "[1]",
+]
+
+
+def _outcome(make):
+    try:
+        return make()
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("text", MATRIX_ENTRIES)
+def test_finite_descriptor_reads_entries_as_fraction_of_str(text):
+    """Each entry gives the distance that a Fraction(str(v)) entry gives, or
+    the same exception class."""
+    v = json.loads(text)
+    desc = {"type": "finite", "params": {"matrix": [[0, v], [v, 0]]}}
+    got = _outcome(lambda: space_from_descriptor(desc).distance(0, 1))
+    want = _outcome(lambda: FiniteMetricSpace([[0, Fraction(str(v))], [Fraction(str(v)), 0]]).distance(0, 1))
+    assert got == want and type(got) is type(want)
+
+
 def test_point_round_trips():
     sr = SpokeRaySpace()
     for p in (sr.base_point, sr.ray_point(Fraction(7, 2)), sr.spoke_head(3), sr.spoke_interior(4, 1)):

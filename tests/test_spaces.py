@@ -284,8 +284,8 @@ def test_distance_block_and_rows_match_distance(name, seed):
                 assert _reads(space, h[k], hden, space.distance(y, pts[j]) - space.distance(origin, pts[j]))
 
 
-# The half-plane stands for the default block, which checks its columns
-# when it is prepared.
+# The disk stands for the default block, which checks its columns when it
+# is prepared.
 MALFORMED = {
     "finite": (FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]]), 0, [-1, 3, 1.0, "1", None]),
     "sr": (SR, HUB, [("bogus",), "hub", ("hub", 1), ("ray", Fraction(0)), ("ray", 1.5),
@@ -405,6 +405,31 @@ class TestHyperbolic:
             z = complex(y * rng.uniform(-3, 3), y * 10 ** rng.uniform(-1, 1))
             w = complex(y * rng.uniform(-3, 3), y * 10 ** rng.uniform(-1, 1))
             assert math.isclose(hp.distance(z, w), half_plane_distance(z, w), rel_tol=1e-14)
+
+    def test_half_plane_block_is_distance_bit_for_bit(self):
+        hp = UpperHalfPlane()
+        # Im z Im w falls below the least normal float for the first pair of
+        # points, and overflows for the second.
+        edge = [1e-170j, 4e-170j + 3e-170, 2.0**511 * 1j, 2.0**513 * 1j - 1e154]
+        rng = random.Random(3)
+        pts = edge + hp.sample_points(rng, 12)
+        ys = hp.sample_points(rng, 8) + edge
+        idx = np.array([*range(len(pts)), 3, 0, 3])
+        M, den = hp.distance_block(pts)(ys, idx)
+        assert den == 1 and M.shape == (len(ys), len(idx))
+        for i, y in enumerate(ys):
+            for k, j in enumerate(idx):
+                assert M[i, k].hex() == hp.distance(y, pts[j]).hex()
+
+    def test_half_plane_block_checks_every_point(self):
+        hp = UpperHalfPlane()
+        for bad in (complex(0, math.nan), complex(1, 0), complex(1, -2), 2.0, "x", None):
+            with pytest.raises(InvalidPointError):
+                hp.distance_block([1j, bad])
+            block = hp.distance_block([1j, 2j])
+            for idx in (np.arange(2), np.arange(0)):
+                with pytest.raises(InvalidPointError):
+                    block([3j, bad], idx)
 
     def test_half_plane_rejects_non_finite_points(self):
         hp = UpperHalfPlane()
