@@ -71,8 +71,10 @@ def _unique_rows(V: np.ndarray) -> np.ndarray:
     return V[order[keep]]
 
 
-def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> list[BallFunctional]:
-    """Deduplicated restrictions h_g|B(r) over all g with |g| = R.
+def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> np.ndarray:
+    """Deduplicated restrictions h_g|B(r) over all g with |g| = R, as the
+    (k, |B(r)|) matrix of their distinct value rows in lexicographic
+    (value-tuple) order, one column per point of ``ball.ball(r)``.
 
     The |S(R)| x |B(r)| matrix of d(x, g) needs a ball of radius R; it and
     the distance matrix D of B(r) come from ``_distance_blocks`` under a
@@ -106,7 +108,7 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> list[BallFunctional
     parts = [_unique_rows(b - b[:, :1]) for b in blocks]
     rows = _unique_rows(np.concatenate([np.empty((0, n), dtype), *parts]))
     check_rows(labels, rows, D)
-    return [BallFunctional(r, labels, tuple(v), points) for v in rows.tolist()]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -119,20 +121,24 @@ class Certificate:
     r_max: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LimitRestrictionSet:
-    """Ball restrictions accepted as boundary restrictions at radius r."""
+    """Ball restrictions accepted as boundary restrictions at radius r: the
+    distinct int64 rows of ``values`` in lexicographic (value-tuple) order,
+    one column per label of B(r).  Sets compare by identity."""
 
     r: int
-    functionals: tuple[BallFunctional, ...]
+    labels: tuple[str, ...]
+    values: np.ndarray
     certificate: Certificate
 
     def as_dict(self) -> dict:
+        # Every row hands emit_json the one labels tuple, whose text it memoizes.
         return {
             "r": self.r,
-            "count": len(self.functionals),
+            "count": len(self.values),
             "certificate": self.certificate,
-            "functionals": [bf.as_dict() for bf in self.functionals],
+            "functionals": [{"radius": self.r, "order": self.labels, "values": v} for v in self.values.tolist()],
         }
 
 
@@ -154,27 +160,19 @@ def limit_restrictions(
     if r_max <= r + window:
         raise PreconditionError("need r_max > r + window")
     ball = cayley_ball(family, gens, r_max)
-    radii = range(max(r, r_max - 2 * window), r_max + 1)
-    # Every restriction here shares r and B(r)'s labels: its values identify it.
-    by_radius = {R: {bf.values: bf for bf in sphere_restrictions(ball, r, R)} for R in radii}
+    labels = tuple(family.element_label(p) for p in ball.ball(r))
+    by_radius = {R: sphere_restrictions(ball, r, R) for R in range(max(r, r_max - 2 * window), r_max + 1)}
 
-    def accepted(at_r_max: int) -> dict:
-        lo = max(r, at_r_max - window)
-        out = {}
-        for R in range(lo, at_r_max + 1):
-            out.update(by_radius[R])
-        return out
+    def accepted(end: int) -> np.ndarray:
+        # A window straddling the int16 -> int64 switch stacks as int64; the
+        # set is int64 either way, but an int16 window stacks in a quarter of the memory.
+        rows = [by_radius[R] for R in range(max(r, end - window), end + 1)]
+        return _unique_rows(np.concatenate(rows)).astype(np.int64, copy=False)
 
     final = accepted(r_max)
-    stabilized = all(accepted(R).keys() == final.keys() for R in range(r_max - window, r_max + 1))
-    cert = Certificate(
-        "stabilized" if stabilized else "heuristic",
-        r_max - window,
-        window,
-        r_max,
-    )
-    ordered = tuple(final[v] for v in sorted(final))
-    return LimitRestrictionSet(r, ordered, cert)
+    stabilized = all(np.array_equal(accepted(end), final) for end in range(r_max - window, r_max))
+    cert = Certificate("stabilized" if stabilized else "heuristic", r_max - window, window, r_max)
+    return LimitRestrictionSet(r, labels, final, cert)
 
 
 @dataclass
@@ -187,11 +185,12 @@ class UnboundednessReport:
 def unboundedness_check(lrs: LimitRestrictionSet) -> UnboundednessReport:
     """Every accepted restriction must attain -r somewhere on the sphere S(r):
     the testable trace of metric functionals being unbounded."""
-    if not lrs.functionals:
+    if not len(lrs.values):
         raise PreconditionError("accepted set is empty")
-    for bf in lrs.functionals:
-        if bf.min_value() != -lrs.r:
-            return UnboundednessReport(False, lrs.r, bf)
+    bad = np.flatnonzero(lrs.values.min(axis=1) != -lrs.r)
+    if len(bad):
+        row = tuple(lrs.values[bad[0]].tolist())
+        return UnboundednessReport(False, lrs.r, BallFunctional(lrs.r, lrs.labels, row))
     return UnboundednessReport(True, lrs.r)
 
 

@@ -147,11 +147,10 @@ def _boundary(args) -> Outcome:
     config = {k: getattr(args, k) for k in ("group", "dim", "rank", "r", "rmax", "window")}
 
     def rows():
-        yield [f"# certificate={lrs.certificate.kind} count={len(lrs.functionals)}"]
-        if lrs.functionals:
-            yield lrs.functionals[0].labels
-        for bf in lrs.functionals:
-            yield [scalar_to_json(v) for v in bf.values]
+        yield [f"# certificate={lrs.certificate.kind} count={len(lrs.values)}"]
+        if len(lrs.values):
+            yield lrs.labels
+        yield from lrs.values.tolist()
 
     result = {"restrictions": lrs, "unboundedness": audit}
     return Outcome("boundary", config, result, audit.passed, rows)
@@ -161,7 +160,7 @@ def _selftest_boundary() -> list[tuple[str, bool]]:
     z1 = Zd(1)
     lrs = limit_restrictions(z1, GeneratingSet.standard(z1), 2, 12, 3)
     checks = [
-        ("z_two_points", len(lrs.functionals) == 2),
+        ("z_two_points", len(lrs.values) == 2),
         ("z_stabilized", lrs.certificate.kind == "stabilized"),
         ("z_unbounded", unboundedness_check(lrs).passed),
     ]
@@ -171,7 +170,7 @@ def _selftest_boundary() -> list[tuple[str, bool]]:
                                          ("h3_count", Heisenberg(), 1, 8, 13),
                                          ("f3_prefixes", FreeGroup(3), 3, 7, 2 * 3 * 5**2)):
         lrs = limit_restrictions(family, GeneratingSet.standard(family), r, rmax, 2)
-        checks.append((name, len(lrs.functionals) == count and lrs.certificate.kind == "stabilized"))
+        checks.append((name, len(lrs.values) == count and lrs.certificate.kind == "stabilized"))
     return checks
 
 

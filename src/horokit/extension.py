@@ -64,12 +64,6 @@ class PartialFunctional:
                 f"|{values[i]} - {values[j]}| > {d}"
             )
 
-    def value_at(self, p: Point) -> Scalar:
-        for q, v in zip(self.points, self.values):
-            if q == p:
-                return v
-        raise InvalidParameterError(f"{p!r} is not in the domain")
-
 
 @dataclass
 class McShaneExtension:

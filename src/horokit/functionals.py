@@ -80,9 +80,6 @@ class BallFunctional:
                 return v
         raise InvalidPointError(f"{point!r} is outside this ball restriction")
 
-    def min_value(self) -> Scalar:
-        return min(self.values)
-
     def evaluate(self, y: Point) -> Scalar:
         return self.value_at(y)
 

@@ -8,7 +8,8 @@ follow {"type": ..., "params": {...}, "base": ...}.
 sort_keys=True, indent=2)`` without the stdlib's per-value generators:
 a list or tuple of only exact ints, or only exact strs, is one ``join``,
 and a str sequence met again at one indent in one call (the ``labels``
-every ``BallFunctional`` of a sphere shares) reuses its text from a memo.
+``LimitRestrictionSet.as_dict`` writes with every row) reuses its text from
+a memo.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -53,7 +54,7 @@ Z1_GENS = GeneratingSet.standard(Z1)
 def test_z_sphere_restrictions_two_patterns():
     ball = cayley_ball(Z1, Z1_GENS, 6)
     out = sphere_restrictions(ball, 1, 5)
-    assert [bf.values for bf in out] == [(0, -1, 1), (0, 1, -1)]
+    assert out.tolist() == [[0, -1, 1], [0, 1, -1]]
 
 
 def test_f2_first_letter_patterns():
@@ -69,17 +70,17 @@ def test_z2_restrictions_match_l1_oracle():
     gens = GeneratingSet.standard(z2)
     ball = cayley_ball(z2, gens, 5)
     out = sphere_restrictions(ball, 1, 4)
-    assert sorted(bf.values for bf in out) == l1_restrictions(2, 1, 4)
-    assert len(out) == 8
+    assert _values(out) == l1_restrictions(2, 1, 4)
+    assert out.shape == (8, 5)
 
 
 def test_sphere_restriction_values_in_range_and_lipschitz():
     h3 = Heisenberg()
     gens = GeneratingSet.standard(h3)
     ball = cayley_ball(h3, gens, 6)
-    for bf in sphere_restrictions(ball, 2, 4):
-        assert all(-2 <= v <= 2 for v in bf.values)
-        assert bf.values[0] == 0  # identity first in canonical order
+    out = sphere_restrictions(ball, 2, 4)
+    assert ((-2 <= out) & (out <= 2)).all()
+    assert (out[:, 0] == 0).all()  # identity first in canonical order
 
 
 # Searched word lengths: the ball's space grows its search past the ball as x^-1 g needs.
@@ -103,14 +104,15 @@ def test_sphere_restrictions_preconditions():
             sphere_restrictions(cayley_ball(fam, gens, 2), 2, 3)
     # Under the standard generators H3 has a closed form: radius R suffices.
     h3 = Heisenberg()
-    assert sphere_restrictions(cayley_ball(h3, GeneratingSet.standard(h3), 3), 2, 3)
+    assert len(sphere_restrictions(cayley_ball(h3, GeneratingSet.standard(h3), 3), 2, 3))
     with pytest.raises(PreconditionError):
         sphere_restrictions(cayley_ball(h3, GeneratingSet.standard(h3), 2), 2, 3)
 
 
 def test_limit_restrictions_z():
     lrs = limit_restrictions(Z1, Z1_GENS, 2, 20, 5)
-    assert len(lrs.functionals) == 2
+    assert lrs.labels == ("(0)", "(-1)", "(1)", "(-2)", "(2)")
+    assert lrs.values.tolist() == [[0, -1, 1, -2, 2], [0, 1, -1, 2, -2]]
     assert lrs.certificate.kind == "stabilized"
     assert unboundedness_check(lrs).passed
 
@@ -118,12 +120,11 @@ def test_limit_restrictions_z():
 def test_limit_restrictions_f2_matches_tree_end_oracle():
     f2 = FreeGroup(2)
     lrs = limit_restrictions(f2, GeneratingSet.standard(f2), 2, 8, 3)
-    assert len(lrs.functionals) == 12
+    assert lrs.values.shape == (12, 17)
     assert lrs.certificate.kind == "stabilized"
-    assert sorted(bf.values for bf in lrs.functionals) == free_end_restrictions(2, 2)
+    assert _values(lrs.values) == free_end_restrictions(2, 2)
     # each functional attains -2 at exactly one sphere point
-    for bf in lrs.functionals:
-        assert sum(1 for v in bf.values if v == -2) == 1
+    assert ((lrs.values == -2).sum(axis=1) == 1).all()
 
 
 def test_limit_restrictions_window_invariance_zd():
@@ -135,7 +136,7 @@ def test_limit_restrictions_window_invariance_zd():
         for window in (3, 4, 5):
             lrs = limit_restrictions(family, gens, r, r_max, window)
             assert lrs.certificate.kind == "stabilized"
-            sets.append(frozenset(bf.values for bf in lrs.functionals))
+            sets.append(_values(lrs.values))
         assert sets[0] == sets[1] == sets[2]
 
 
@@ -147,16 +148,13 @@ def test_limit_restrictions_window_invariance_free():
     gens = GeneratingSet.standard(f2)
     for r in (1, 2):
         ball = cayley_ball(f2, gens, r + 6)
-        tables = [
-            frozenset(bf.values for bf in sphere_restrictions(ball, r, R))
-            for R in range(r, r + 7)
-        ]
+        tables = [_values(sphere_restrictions(ball, r, R)) for R in range(r, r + 7)]
         assert all(t == tables[0] for t in tables)
         sets = []
         for window in (3, 4):
             lrs = limit_restrictions(f2, gens, r, r + window + 2, window)
             assert lrs.certificate.kind == "stabilized"
-            sets.append(frozenset(bf.values for bf in lrs.functionals))
+            sets.append(_values(lrs.values))
         assert sets[0] == sets[1] == tables[0]
 
 
@@ -166,7 +164,7 @@ def test_limit_restrictions_window_invariance_free():
 def test_at_least_two_limit_restrictions(family):
     gens = GeneratingSet.standard(family)
     lrs = limit_restrictions(family, gens, 1, 8, 3)
-    assert len(lrs.functionals) >= 2
+    assert len(lrs.values) >= 2
     assert unboundedness_check(lrs).passed
 
 
@@ -194,11 +192,12 @@ GUARD_CASES = [
 def test_limit_restrictions_match_their_definition(name, family, steps):
     # The accepted set is the union of the sphere restrictions over the
     # trailing window [r_max - window, r_max], and it is stabilized iff every
-    # end radius in that window gives the same union.
+    # end radius in that window gives the same union.  Python sets of value
+    # tuples stand in for the dedup of stacked matrices.
     gens = GeneratingSet.create(family, steps) if steps else GeneratingSet.standard(family)
     for r, window, r_max in ((1, 1, 3), (1, 2, 5), (2, 1, 5), (1, 3, 6)):
         ball = cayley_ball(family, gens, r_max)
-        spheres = {R: set(sphere_restrictions(ball, r, R)) for R in range(r, r_max + 1)}
+        spheres = {R: set(map(tuple, sphere_restrictions(ball, r, R).tolist())) for R in range(r, r_max + 1)}
 
         def union(end):
             return set().union(*(spheres[R] for R in range(max(r, end - window), end + 1)))
@@ -207,7 +206,10 @@ def test_limit_restrictions_match_their_definition(name, family, steps):
         stable = all(union(end) == final for end in range(r_max - window, r_max + 1))
         kind = "stabilized" if stable else "heuristic"
         lrs = limit_restrictions(family, gens, r, r_max, window)
-        assert lrs.functionals == tuple(sorted(final, key=lambda bf: bf.values))
+        assert lrs.labels == tuple(family.element_label(p) for p in ball.ball(r))
+        assert lrs.values.dtype == np.int64
+        assert lrs.values.shape == (len(final), len(lrs.labels))
+        assert _values(lrs.values) == sorted(final)
         assert vars(lrs.certificate) == {
             "kind": kind, "window_start": r_max - window, "window_length": window, "r_max": r_max,
         }
@@ -217,28 +219,30 @@ def test_a_finite_group_has_no_restrictions_past_its_diameter():
     # C12 under {+-1} has diameter 6: every sphere past it is empty.
     c12 = cyclic_group(12)
     gens = GeneratingSet.standard(c12)
-    assert sphere_restrictions(cayley_ball(c12, gens, 8), 1, 7) == []
+    assert sphere_restrictions(cayley_ball(c12, gens, 8), 1, 7).shape == (0, 3)
     lrs = limit_restrictions(c12, gens, 1, 10, 3)
-    assert lrs.functionals == ()
+    assert lrs.values.shape == (0, 3)
+    with pytest.raises(PreconditionError, match="accepted set is empty"):
+        unboundedness_check(lrs)
 
 
 def test_unboundedness_violation_detected():
+    # The first row whose minimum is not -r is reported, as a BallFunctional
+    # over the set's labels whose values are plain ints.
     lrs = limit_restrictions(Z1, Z1_GENS, 2, 16, 4)
-    from horokit.functionals import BallFunctional
-
-    fake = BallFunctional(2, lrs.functionals[0].labels, (0, 1, -1, 1, 1), lrs.functionals[0].points)
-    import dataclasses
-
-    broken = dataclasses.replace(lrs, functionals=(fake,))
+    fakes = [[0, 1, -1, 1, 1], [0, 1, 1, 1, 1]]
+    broken = dataclasses.replace(lrs, values=np.array([lrs.values[0], *fakes, lrs.values[1]]))
     rep = unboundedness_check(broken)
     assert not rep.passed
-    assert rep.violating is fake
+    assert rep.violating == BallFunctional(2, lrs.labels, (0, 1, -1, 1, 1))
+    assert rep.violating.as_dict() == {"radius": 2, "order": lrs.labels, "values": (0, 1, -1, 1, 1)}
+    assert all(type(v) is int for v in rep.violating.values)
 
 
 def test_translation_action_on_restrictions():
     # Translating the +end restriction of Z by a generator leaves it fixed.
     ball = cayley_ball(Z1, Z1_GENS, 8)
-    big = sphere_restrictions(ball, 4, 8)
+    big = [_functional(ball, 4, row) for row in sphere_restrictions(ball, 4, 8)]
     minus_id = next(bf for bf in big if bf.value_at((1,)) == -1)
     acted = act_on_restriction(ball, (1,), minus_id, 3)
     assert acted.values == tuple(minus_id.value_at(p) for p in acted.points)
@@ -246,7 +250,7 @@ def test_translation_action_on_restrictions():
 
 def test_action_requires_room():
     ball = cayley_ball(Z1, Z1_GENS, 8)
-    small = sphere_restrictions(ball, 2, 6)[0]
+    small = _functional(ball, 2, sphere_restrictions(ball, 2, 6)[0])
     with pytest.raises(PreconditionError):
         act_on_restriction(ball, (1,), small, 2)
 
@@ -367,10 +371,18 @@ def test_fixed_point_audit_parabolic_exact_invariance():
 # ---------------------------------------------------------------------------
 
 
-def _values(out):
-    values = [bf.values for bf in out]
+def _values(rows):
+    """A restriction matrix as its list of value tuples, of plain ints."""
+    values = list(map(tuple, rows.tolist()))
     assert all(type(v) is int for row in values for v in row)
     return values
+
+
+def _functional(ball, r, row):
+    """A row of a restriction matrix over B(r) as a BallFunctional."""
+    points = ball.ball(r)
+    labels = tuple(ball.family.element_label(p) for p in points)
+    return BallFunctional(r, labels, tuple(row.tolist()), points)
 
 
 @pytest.fixture(scope="module")
@@ -540,7 +552,8 @@ def test_action_on_restrictions_translates_values(case):
     _, fam, steps = case
     gens = GeneratingSet.create(fam, steps) if steps else GeneratingSet.standard(fam)
     ball = cayley_ball(fam, gens, 6)
-    for bf in sphere_restrictions(ball, 2, 4):
+    for row in sphere_restrictions(ball, 2, 4):
+        bf = _functional(ball, 2, row)
         for g in gens.elements:
             acted = act_on_restriction(ball, g, bf, 1)
             ginv = fam.inverse(g)
@@ -556,7 +569,8 @@ def test_action_needs_room_for_the_table_walk(case):
     _, fam, steps = case
     gens = GeneratingSet.create(fam, steps) if steps else GeneratingSet.standard(fam)
     g = gens.elements[0]
-    bf = sphere_restrictions(cayley_ball(fam, gens, 5), 3, 5)[0]
+    ball = cayley_ball(fam, gens, 5)
+    bf = _functional(ball, 3, sphere_restrictions(ball, 3, 5)[0])
     wide = act_on_restriction(cayley_ball(fam, gens, 4), g, bf, 2)
     acted = act_on_restriction(cayley_ball(fam, gens, 2), g, bf, 2)
     assert (acted.points, acted.values) == (wide.points, wide.values)
@@ -572,7 +586,7 @@ def test_action_fails_with_the_per_pair_message():
     z2 = Zd(2)
     ball = cayley_ball(z2, GeneratingSet.create(z2, Z2_XY), 6)
     dist = bfs_ball((0, 0), Z2_XY, lambda p, q: (p[0] + q[0], p[1] + q[1]), 4)
-    bf = sphere_restrictions(ball, 2, 4)[0]
+    bf = _functional(ball, 2, sphere_restrictions(ball, 2, 4)[0])
     forged = BallFunctional(2, bf.labels, (3, *bf.values[1:]), bf.points)  # h(e) = 3
     points = ball.ball(1)
     labels = tuple(z2.element_label(p) for p in points)
@@ -589,7 +603,21 @@ def test_action_fails_with_the_per_pair_message():
 def test_sphere_restrictions_beyond_int16():
     # R + r leaves int16, so values and distances switch to a wider type.
     ball = cayley_ball(Z1, Z1_GENS, 32_800)
-    assert _values(sphere_restrictions(ball, 1, 32_799)) == [(0, -1, 1), (0, 1, -1)]
+    out = sphere_restrictions(ball, 1, 32_799)
+    assert out.dtype == np.int64
+    assert _values(out) == [(0, -1, 1), (0, 1, -1)]
+
+
+def test_a_window_straddling_int16_and_int64_spheres():
+    # With r = 1, spheres up to R = 32_766 are int16 and later ones int64;
+    # every window ending in [32_767, 32_770] holds both kinds.
+    ball = cayley_ball(Z1, Z1_GENS, 32_770)
+    assert sphere_restrictions(ball, 1, 32_766).dtype == np.int16
+    assert sphere_restrictions(ball, 1, 32_767).dtype == np.int64
+    lrs = limit_restrictions(Z1, Z1_GENS, 1, 32_770, 3)
+    assert lrs.values.dtype == np.int64
+    assert lrs.values.tolist() == [[0, -1, 1], [0, 1, -1]]
+    assert lrs.certificate.kind == "stabilized"
 
 
 @pytest.mark.parametrize("fam", [Zd(2), FreeGroup(2), Heisenberg()], ids=lambda f: f.name)
@@ -598,24 +626,25 @@ def test_sphere_restrictions_decode_only_the_small_ball(fam):
     ball = cayley_ball(fam, GeneratingSet.standard(fam), 6)
     out = sphere_restrictions(ball, 2, 6)
     assert "elements" not in vars(ball)
-    assert out[0].points == ball.ball(2)
+    assert out.shape[1] == len(ball.ball(2))
 
 
 def test_forged_row_fails_with_the_per_pair_message():
     z2 = Zd(2)
     ball = cayley_ball(z2, GeneratingSet.standard(z2), 6)
     genuine = sphere_restrictions(ball, 2, 6)
-    points, labels = genuine[0].points, genuine[0].labels
+    points = ball.ball(2)
+    labels = tuple(z2.element_label(p) for p in points)
 
     def l1(p, q):
         return sum(abs(a - b) for a, b in zip(p, q))
 
     D = np.array([[l1(p, q) for q in points] for p in points], dtype=np.int16)
-    forged = list(genuine[0].values)
+    forged = genuine[0].tolist()
     forged[points.index((1, 0))], forged[points.index((2, 0))] = 1, -1  # gap 2 at distance 1
     with pytest.raises(InvalidParameterError) as per_pair:
         BallFunctional.build(2, points, forged, l1, labels)
-    rows = np.array([genuine[0].values, forged], dtype=np.int16)
+    rows = np.array([genuine[0], forged], dtype=np.int16)
     with pytest.raises(InvalidParameterError) as batch:
         check_rows(labels, rows, D)
     assert str(batch.value) == str(per_pair.value)

@@ -63,7 +63,7 @@ def test_ball_functional_lipschitz_violation_detected():
     pts = [(0,), (-1,), (1,), (2,)]
     dist = lambda p, q: abs(p[0] - q[0])
     ok = BallFunctional.build(2, pts, [0, 1, -1, -2], dist)
-    assert ok.min_value() == -2
+    assert ok.values == (0, 1, -1, -2)
     with pytest.raises(InvalidParameterError, match="Lipschitz"):
         BallFunctional.build(2, pts, [0, 1, -1, 2], dist)  # |2 - (-1)| = 3 > d = 1
 

@@ -367,7 +367,7 @@ def test_h3_boundary_report_matches_stdlib_oracle(capsys):
     assert main(["boundary", "--group", "heisenberg", "--r", "3", "--rmax", "8", "--window", "3"]) == 0
     family = Heisenberg()
     lrs = limit_restrictions(family, GeneratingSet.standard(family), 3, 8, 3)
-    assert len(lrs.functionals) == 1110
+    assert lrs.values.shape[0] == 1110
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "boundary",
