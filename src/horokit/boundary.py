@@ -24,6 +24,7 @@ from .errors import (
 from .functionals import BallFunctional, ZdLinear, check_rows, eval_functional
 from .groups import CayleyBall, GeneratingSet, GroupFamily, cayley_ball
 from .metric import CHUNK, Scalar, numeric_arrays
+from .serialize import RowTable
 
 
 def _distance_blocks(ball: CayleyBall, n: int, lo: int, hi: int, dtype, r=None) -> Iterator[np.ndarray]:
@@ -133,12 +134,13 @@ class LimitRestrictionSet:
     certificate: Certificate
 
     def as_dict(self) -> dict:
-        # Every row hands emit_json the one labels tuple, whose text it memoizes.
+        # One {"radius", "order", "values"} dict per row, as a RowTable:
+        # emit_json writes all rows in one formatting pass over the matrix.
         return {
             "r": self.r,
             "count": len(self.values),
             "certificate": self.certificate,
-            "functionals": [{"radius": self.r, "order": self.labels, "values": v} for v in self.values.tolist()],
+            "functionals": RowTable({"radius": self.r, "order": self.labels}, "values", self.values),
         }
 
 

@@ -193,7 +193,7 @@ def _extend_mcshane(args) -> Outcome:
     else:
         with _parsing("--eval"):
             targets = [point_from_json(space, p) for p in json.loads(args.eval)]
-    values = [(space.point_label(p), scalar_to_json(ext.evaluate(p))) for p in targets]
+    values = [(space.point_label(p), scalar_to_json(v)) for p, v in zip(targets, ext.evaluate_many(targets))]
     result = {"mode": args.mode, "values": [{"point": p, "value": v} for p, v in values]}
     return Outcome("extend.mcshane", {"mode": args.mode}, result, True,
                    lambda: [("point", "value"), *values])
@@ -639,16 +639,16 @@ def main(argv=None) -> int:
         sys.stderr.write(emit_json({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2
     if args.format == "csv":
-        text = "".join(",".join(str(cell) for cell in row) + "\n" for row in outcome.rows())
+        text, end = "".join(",".join(str(cell) for cell in row) + "\n" for row in outcome.rows()), ""
     else:
         report = {"schema_version": SCHEMA_VERSION, "command": outcome.command,
                   "config": outcome.config, "result": outcome.result}
-        text = emit_json(report) + "\n"
+        text, end = emit_json(report), "\n"  # written apart: no copy of the report
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            print(text, end=end, file=fh)
     else:
-        sys.stdout.write(text)
+        print(text, end=end)
     return 0 if outcome.ok else 1
 
 

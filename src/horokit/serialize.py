@@ -5,11 +5,11 @@ floats serialize as their shortest round-trip decimals.  Space descriptors
 follow {"type": ..., "params": {...}, "base": ...}.
 
 ``emit_json`` returns exactly the text of ``json.dumps(obj, default=...,
-sort_keys=True, indent=2)`` without the stdlib's per-value generators:
-a list or tuple of only exact ints, or only exact strs, is one ``join``,
-and a str sequence met again at one indent in one call (the ``labels``
-``LimitRestrictionSet.as_dict`` writes with every row) reuses its text from
-a memo.
+sort_keys=True, indent=2)`` without the stdlib's per-value generators, as
+one list of pieces joined once: a list or tuple of only exact ints, or only
+exact strs, is one ``join``, and a ``RowTable`` (the restrictions
+``LimitRestrictionSet.as_dict`` writes) is one %-format of one row's text
+over its whole matrix.
 """
 
 from __future__ import annotations
@@ -201,34 +201,69 @@ def _literal(o) -> str | None:
     return None
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class RowTable:
+    """The list of dicts, given by ``as_dict``, that share ``fields`` and
+    whose ``column`` in dict i is row i of the integer matrix ``values``.
+    Tables compare by identity, as an array has no single truth value."""
+
+    fields: dict
+    column: str
+    values: np.ndarray
+
+    def as_dict(self) -> list[dict]:
+        return [{**self.fields, self.column: v} for v in self.values.tolist()]
+
+
 def emit_json(obj) -> str:
     """Deterministic JSON: sorted keys, two-space indent, ASCII only."""
-    labels: dict[tuple, str] = {}
+    out: list[str] = []
 
-    def text(o, level: int) -> str:
+    def write(o, level: int) -> None:
         scalar = _str(o) if isinstance(o, str) else _literal(o)
         if scalar is not None:
-            return scalar
-        if isinstance(o, (list, tuple, dict)) and not o:
-            return "{}" if isinstance(o, dict) else "[]"
-        inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
-        if isinstance(o, dict):
-            items = []
-            for k, v in sorted(o.items()):
-                key = k if isinstance(k, str) else _literal(k)
-                if key is None:
-                    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-                items.append(_str(key) + ": " + text(v, level + 1))
-            return "{" + inner + ("," + inner).join(items) + outer + "}"
-        if isinstance(o, (list, tuple)):
-            kinds = set(map(type, o))
-            if kinds == {str}:
-                key = (tuple(o), level)
-                if key not in labels:
-                    labels[key] = "[" + inner + ("," + inner).join(map(_str, o)) + outer + "]"
-                return labels[key]
-            item = repr if kinds == {int} else lambda v: text(v, level + 1)  # repr is int.__repr__ here
-            return "[" + inner + ("," + inner).join(map(item, o)) + outer + "]"
-        return text(_default(o), level)
+            out.append(scalar)
+        elif isinstance(o, RowTable) and len(o.values):
+            table(o, level)
+        elif not isinstance(o, (list, tuple, dict)):
+            write(_default(o), level)
+        elif not o:
+            out.append("{}" if isinstance(o, dict) else "[]")
+        else:
+            inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
+            if isinstance(o, dict):
+                for i, (k, v) in enumerate(sorted(o.items())):
+                    key = k if isinstance(k, str) else _literal(k)
+                    if key is None:
+                        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+                    out.append(("," if i else "{") + inner + _str(key) + ": ")
+                    write(v, level + 1)
+                out.append(outer + "}")
+            elif (kinds := set(map(type, o))) in ({str}, {int}):  # repr is int.__repr__ here
+                out.append("[" + inner + ("," + inner).join(map(_str if str in kinds else repr, o)) + outer + "]")
+            else:
+                for i, v in enumerate(o):
+                    out.append(("," if i else "[") + inner)
+                    write(v, level + 1)
+                out.append(outer + "]")
 
-    return text(obj, 0)
+    def table(t: RowTable, level: int) -> None:
+        # One row's text, with a %d slot per value and every other % doubled,
+        # formats all rows at once: no Python work per row.
+        m, n = t.values.shape
+        pad = ["\n" + "  " * (level + i) for i in range(4)]
+        items = []
+        for k, v in sorted({**t.fields, t.column: None}.items()):
+            if k == t.column:
+                body = "[" + pad[3] + ("," + pad[3]).join(["%d"] * n) + pad[2] + "]" if n else "[]"
+            else:
+                start = len(out)
+                write(v, level + 2)
+                body = "".join(out[start:]).replace("%", "%%")
+                del out[start:]
+            items.append(_str(k).replace("%", "%%") + ": " + body)
+        row = "{" + pad[2] + ("," + pad[2]).join(items) + pad[1] + "}"
+        out.extend(("[", pad[1], ("," + pad[1]).join([row] * m) % tuple(t.values.ravel().tolist()), pad[0], "]"))
+
+    write(obj, 0)
+    return "".join(out)

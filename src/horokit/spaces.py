@@ -422,6 +422,30 @@ def disk_gap(p) -> float:
     return gap
 
 
+def _scalar_block(prepare: Callable, distance: Callable, points) -> Callable:
+    """A float ``distance_block`` that checks and converts each point once,
+    by ``prepare``, and computes each entry by ``distance``'s scalar formula
+    on two prepared points: NumPy's asinh and complex abs may differ from
+    ``math`` in the last bit."""
+    cols = [prepare(p) for p in points]
+
+    def block(ys, idx):
+        xs = [cols[i] for i in idx.tolist()]
+        rows = [[distance(w, z) for z in xs] for w in map(prepare, ys)]
+        return np.array(rows, dtype=float).reshape(len(ys), len(xs)), 1
+
+    return block
+
+
+def _disk_point(p) -> tuple[float, complex]:
+    return disk_gap(p), complex(p)  # checks p before complex() reads it
+
+
+def _disk_distance(a: tuple[float, complex], b: tuple[float, complex]) -> float:
+    """The distance of two ``_disk_point`` pairs (1 - |z|^2, z)."""
+    return 2.0 * math.asinh(abs(a[1] - b[1]) / math.sqrt(a[0] * b[0]))
+
+
 class PoincareDisk(MetricSpace):
     """Open unit disk with the conformal metric of curvature -1; base 0.
 
@@ -441,8 +465,10 @@ class PoincareDisk(MetricSpace):
         disk_gap(p)
 
     def distance(self, p, q) -> float:
-        gaps = disk_gap(p) * disk_gap(q)  # checks both points before complex() reads them
-        return 2.0 * math.asinh(abs(complex(p) - complex(q)) / math.sqrt(gaps))
+        return _disk_distance(_disk_point(p), _disk_point(q))
+
+    def distance_block(self, points):
+        return _scalar_block(_disk_point, _disk_distance, points)
 
     def point_label(self, p) -> str:
         return repr(complex(p))
@@ -504,16 +530,7 @@ class UpperHalfPlane(MetricSpace):
         return _half_plane_distance(_half_plane_point(p), _half_plane_point(q))
 
     def distance_block(self, points):
-        """Each point is checked once; each entry is ``distance``'s scalar formula,
-        as NumPy's asinh and complex abs may differ from ``math`` in the last bit."""
-        zs = [_half_plane_point(p) for p in points]
-
-        def block(ys, idx):
-            cols = [zs[i] for i in idx.tolist()]
-            rows = [[_half_plane_distance(w, z) for z in cols] for w in map(_half_plane_point, ys)]
-            return np.array(rows, dtype=float).reshape(len(ys), len(cols)), 1
-
-        return block
+        return _scalar_block(_half_plane_point, _half_plane_distance, points)
 
     def point_key(self, p):
         self.check_point(p)

@@ -35,6 +35,8 @@ CONFIGS = [
     ("boundary", "--group", "zd", "--dim", "2", "--r", "1", "--rmax", "8", "--window", "2"),
     ("boundary", "--group", "free", "--rank", "2", "--r", "1", "--rmax", "6", "--window", "2"),
     ("boundary", "--group", "heisenberg", "--r", "1", "--rmax", "8", "--window", "2"),
+    # 1,110 rows of 53 values: the largest report the writer's row table writes
+    ("boundary", "--group", "heisenberg", "--r", "3", "--rmax", "8", "--window", "3"),
     ("extend", "mcshane", "--space", FINITE, "--domain", "[0]", "--values", '["0"]', "--mode", "sup"),
     ("extend", "mcshane", "--space", FINITE, "--domain", "[0, 2]", "--values", '["0", "1/2"]',
      "--mode", "inf", "--eval", "[1]"),

@@ -25,6 +25,7 @@ from horokit.groups import (
 from horokit.metric import FiniteMetricSpace
 from horokit.serialize import (
     SCHEMA_VERSION,
+    RowTable,
     emit_json,
     point_from_json,
     point_to_json,
@@ -359,6 +360,45 @@ def test_emit_json_does_not_write_a_dataclass_class():
         json_report({"kind": _Fields})
     with pytest.raises(TypeError):
         emit_json({"kind": _Fields})
+
+
+LABELS = st.lists(TEXT | st.sampled_from(["%", "%d", "%%s", "100%", '"%"', "\\%", "\u00e9%"]), min_size=1, max_size=8)
+
+
+@st.composite
+def _row_tables(draw):
+    """A row table over an int16 or int64 matrix with negative values, 0 rows
+    and 1 column included, with labels that carry %, quotes, backslashes and
+    non-ASCII text."""
+    labels = draw(LABELS)
+    dtype = draw(st.sampled_from([np.int16, np.int64]))
+    info = np.iinfo(dtype)
+    rows = draw(st.integers(0, 5))
+    cells = st.integers(int(info.min), int(info.max)) | st.integers(-3, 3)
+    values = np.array(draw(st.lists(cells, min_size=rows * len(labels), max_size=rows * len(labels))), dtype=dtype)
+    key = draw(st.sampled_from(["values", "%d", "a", "zz"]))
+    fields = {"radius": draw(st.integers(-2, 9)), "order": tuple(labels), "%": draw(TEXT)}
+    fields.pop(key, None)
+    return RowTable(fields, key, values.reshape(rows, len(labels)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_tables(), st.integers(0, 3))
+def test_row_table_matches_stdlib_oracle(table, depth):
+    """At the top and nested at other indents, alone and beside other values."""
+    obj = table
+    for _ in range(depth):
+        obj = {"functionals": obj, "count": len(table.values), "rest": [table.fields]}
+    assert emit_json(obj) == json_report(obj)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (0, 1), (4, 1), (1, 1), (3, 0), (2, 3)])
+def test_row_table_edge_shapes(shape):
+    values = np.arange(-6, -6 + shape[0] * shape[1], dtype=np.int64).reshape(shape)
+    table = RowTable({"radius": 0, "order": ("e%", "\u00e9", '"\\')[: shape[1]]}, "values", values)
+    for obj in (table, [table, table], {"r": {"functionals": table}}):
+        assert emit_json(obj) == json_report(obj)
+    assert (emit_json(table) == "[]") == (shape[0] == 0)
 
 
 def test_h3_boundary_report_matches_stdlib_oracle(capsys):

@@ -284,8 +284,8 @@ def test_distance_block_and_rows_match_distance(name, seed):
                 assert _reads(space, h[k], hden, space.distance(y, pts[j]) - space.distance(origin, pts[j]))
 
 
-# The disk stands for the default block, which checks its columns when it
-# is prepared.
+# The distorted line and l^p stand for the default block, which checks its
+# columns when it is prepared.
 MALFORMED = {
     "finite": (FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]]), 0, [-1, 3, 1.0, "1", None]),
     "sr": (SR, HUB, [("bogus",), "hub", ("hub", 1), ("ray", Fraction(0)), ("ray", 1.5),
@@ -430,6 +430,35 @@ class TestHyperbolic:
             for idx in (np.arange(2), np.arange(0)):
                 with pytest.raises(InvalidPointError):
                     block([3j, bad], idx)
+
+    def test_disk_block_is_distance_bit_for_bit(self):
+        disk = PoincareDisk()
+        # 1 - |z|^2 is as small as 1e-15 on the first points, and the last
+        # pair lies within 1e-12 of each other near the circle.
+        edge = [1 - 5e-16 + 0j, -0.999999 + 1e-7j, 0.6 - 0.79999999j, 0.999999 + 0j, 0.9999995 + 1e-12j]
+        rng = random.Random(4)
+        pts = edge + disk.sample_points(rng, 12)
+        ys = disk.sample_points(rng, 8) + edge
+        idx = np.array([*range(len(pts)), 4, 0, 4])
+        M, den = disk.distance_block(pts)(ys, idx)
+        assert den == 1 and M.dtype == np.float64 and M.shape == (len(ys), len(idx))
+        for i, y in enumerate(ys):
+            for k, j in enumerate(idx):
+                assert M[i, k].hex() == disk.distance(y, pts[j]).hex()
+        assert disk.distance_block(pts)([], idx)[0].shape == (0, len(idx))
+
+    def test_disk_block_checks_every_point(self):
+        disk = PoincareDisk()
+        for bad in (1 + 0j, 0.6 + 0.8j, 2.0, complex(math.nan, 0), "x", None):
+            with pytest.raises(InvalidPointError) as direct:
+                disk.distance(bad, 0j)
+            with pytest.raises(InvalidPointError) as fixed:
+                disk.distance_block([0j, bad])
+            block = disk.distance_block([0j, 0.5j])
+            for idx in (np.arange(2), np.arange(0)):
+                with pytest.raises(InvalidPointError) as moving:
+                    block([0.1j, bad], idx)
+                assert str(moving.value) == str(fixed.value) == str(direct.value)
 
     def test_half_plane_rejects_non_finite_points(self):
         hp = UpperHalfPlane()
