@@ -140,7 +140,7 @@ class LimitRestrictionSet:
             "r": self.r,
             "count": len(self.values),
             "certificate": self.certificate,
-            "functionals": RowTable({"radius": self.r, "order": self.labels}, "values", self.values),
+            "functionals": RowTable({"radius": self.r, "order": self.labels}, self.values),
         }
 
 

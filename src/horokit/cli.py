@@ -193,7 +193,7 @@ def _extend_mcshane(args) -> Outcome:
     else:
         with _parsing("--eval"):
             targets = [point_from_json(space, p) for p in json.loads(args.eval)]
-    values = [(space.point_label(p), scalar_to_json(v)) for p, v in zip(targets, ext.evaluate_many(targets))]
+    values = [(space.point_label(p), scalar_to_json(ext.evaluate(p))) for p in targets]
     result = {"mode": args.mode, "values": [{"point": p, "value": v} for p, v in values]}
     return Outcome("extend.mcshane", {"mode": args.mode}, result, True,
                    lambda: [("point", "value"), *values])

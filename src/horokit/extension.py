@@ -92,20 +92,6 @@ class McShaneExtension:
             v + space.distance(a, b) for a, v in zip(self.partial.points, self.partial.values)
         )
 
-    def evaluate_many(self, targets: Sequence[Point]) -> list[Scalar]:
-        """``evaluate`` at each target, from one ``distance_block`` of the
-        domain, which checks the domain once; Fractions on an exact space."""
-        pf, sup = self.partial, self.mode == "sup"
-        M, den = pf.space.distance_block(pf.points)(targets, np.arange(len(pf.points)))
-        if not pf.space.exact:
-            return [(max if sup else min)(v - d if sup else v + d for v, d in zip(pf.values, row)) for row in M.tolist()]
-        # tol 1/den comes back as S/den, S the common denominator of den and the values.
-        (V,), k = numeric_arrays([pf.values], tol=Fraction(1, den))
-        if V.dtype.kind == "f":  # float values on an exact space: evaluate's float arithmetic
-            return [self.evaluate(b) for b in targets]
-        V, M = V.astype(object), M.astype(object) * k
-        return [Fraction(int(v), k * den) for v in ((V - M).max(axis=1) if sup else (V + M).min(axis=1)).tolist()]
-
     @property
     def error_bound(self) -> Scalar:
         return 0 if self.partial.mesh is None else 2 * self.partial.mesh

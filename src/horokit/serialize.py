@@ -204,27 +204,36 @@ def _literal(o) -> str | None:
 @dataclasses.dataclass(frozen=True, eq=False)
 class RowTable:
     """The list of dicts, given by ``as_dict``, that share ``fields`` and
-    whose ``column`` in dict i is row i of the integer matrix ``values``.
+    whose "values" in dict i is row i of the integer matrix ``values``.
     Tables compare by identity, as an array has no single truth value."""
 
     fields: dict
-    column: str
     values: np.ndarray
 
     def as_dict(self) -> list[dict]:
-        return [{**self.fields, self.column: v} for v in self.values.tolist()]
+        return [{**self.fields, "values": v} for v in self.values.tolist()]
+
+
+_SLOT = object()  # a RowTable value's place in its row's text
 
 
 def emit_json(obj) -> str:
     """Deterministic JSON: sorted keys, two-space indent, ASCII only."""
-    out: list[str] = []
+    out: list = []
 
     def write(o, level: int) -> None:
         scalar = _str(o) if isinstance(o, str) else _literal(o)
-        if scalar is not None:
-            out.append(scalar)
+        if scalar is not None or o is _SLOT:
+            out.append(o if o is _SLOT else scalar)
         elif isinstance(o, RowTable) and len(o.values):
-            table(o, level)
+            # One row's text, with a %d slot per value and every other % doubled,
+            # formats all rows at once: no Python work per row.
+            start = len(out)
+            write({**o.fields, "values": [_SLOT] * o.values.shape[1]}, level + 1)
+            row = "".join("%d" if p is _SLOT else p.replace("%", "%%") for p in out[start:])
+            sep = ",\n" + "  " * (level + 1)
+            out[start:] = ["[", sep[1:], sep.join([row] * len(o.values)) % tuple(o.values.ravel().tolist()),
+                           "\n" + "  " * level + "]"]
         elif not isinstance(o, (list, tuple, dict)):
             write(_default(o), level)
         elif not o:
@@ -246,24 +255,6 @@ def emit_json(obj) -> str:
                     out.append(("," if i else "[") + inner)
                     write(v, level + 1)
                 out.append(outer + "]")
-
-    def table(t: RowTable, level: int) -> None:
-        # One row's text, with a %d slot per value and every other % doubled,
-        # formats all rows at once: no Python work per row.
-        m, n = t.values.shape
-        pad = ["\n" + "  " * (level + i) for i in range(4)]
-        items = []
-        for k, v in sorted({**t.fields, t.column: None}.items()):
-            if k == t.column:
-                body = "[" + pad[3] + ("," + pad[3]).join(["%d"] * n) + pad[2] + "]" if n else "[]"
-            else:
-                start = len(out)
-                write(v, level + 2)
-                body = "".join(out[start:]).replace("%", "%%")
-                del out[start:]
-            items.append(_str(k).replace("%", "%%") + ": " + body)
-        row = "{" + pad[2] + ("," + pad[2]).join(items) + pad[1] + "}"
-        out.extend(("[", pad[1], ("," + pad[1]).join([row] * m) % tuple(t.values.ravel().tolist()), pad[0], "]"))
 
     write(obj, 0)
     return "".join(out)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horokit.errors import BudgetError, InvalidParameterError, InvalidPointError, PreconditionError
+from horokit.errors import BudgetError, InvalidParameterError, PreconditionError
 from horokit.cli import main
 from horokit.extension import (
     PartialFunctional,
@@ -19,10 +19,8 @@ from horokit.extension import (
     star_tree_failure_witness,
 )
 from horokit.functionals import RealizedFunctional, eval_functional, lipschitz_check
-from horokit.groups import CayleyGraphSpace, Heisenberg
 from horokit.metric import FiniteMetricSpace
-from horokit.serialize import scalar_to_json
-from horokit.spaces import DistortedLine, HUB, LpSpace, PoincareDisk, SpokeRaySpace, StarTreeSpace, UpperHalfPlane
+from horokit.spaces import DistortedLine, HUB, LpSpace, SpokeRaySpace, StarTreeSpace
 
 from oracles import integer_grid_extensions, pigeonhole_reference, random_rational_metric
 
@@ -123,57 +121,6 @@ def test_mcshane_mesh_error_bound():
     pf = PartialFunctional(space, pts, [Fraction(-t) for t in range(0, 12)], mesh=Fraction(1, 2))
     ext = mcshane_extend(pf, "sup")
     assert ext.error_bound == 1
-
-
-# Each space with a point that none of its distances accepts.
-EVAL_SPACES = {
-    "finite": (lambda rng: FiniteMetricSpace(random_rational_metric(rng, 9)), 9),
-    "h3": (lambda rng: CayleyGraphSpace(Heisenberg()), (1, 2)),
-    "half-plane": (lambda rng: UpperHalfPlane(), 1 - 1j),
-    "disk": (lambda rng: PoincareDisk(), 1 + 0j),
-    "spoke-ray": (lambda rng: SR, ("head", 0)),
-}
-
-
-@pytest.mark.parametrize("mode", ["sup", "inf"])
-@pytest.mark.parametrize("name", sorted(EVAL_SPACES))
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=10, deadline=None)
-def test_evaluate_many_is_the_per_pair_formula(name, mode, seed):
-    """One block of the domain gives each target the value, and on an exact
-    space the report text, of max_a f(a) - d(a, b) (sup) or min_a f(a) + d(a, b) (inf)."""
-    rng = random.Random(seed)
-    make, bad = EVAL_SPACES[name]
-    space = make(rng)
-    cast = Fraction if space.exact else float
-    domain = space.points()[: rng.randrange(1, 6)] if name == "finite" else space.sample_points(rng, rng.randrange(1, 6))
-    # the sup formula over random values makes the domain values 1-Lipschitz
-    raw = [cast(rng.randrange(-40, 40)) / 8 for _ in domain]
-    values = [max(v - space.distance(a, b) for a, v in zip(domain, raw)) for b in domain]
-    ext = mcshane_extend(PartialFunctional(space, domain, values), mode)
-    targets = (space.points() or space.sample_points(rng, 6)) + domain
-    got = ext.evaluate_many(targets)
-    for b, v in zip(targets, got):
-        ds = [space.distance(a, b) for a in domain]
-        want = max(f - d for f, d in zip(values, ds)) if mode == "sup" else min(f + d for f, d in zip(values, ds))
-        if space.exact:
-            assert type(v) is Fraction and v == want and scalar_to_json(v) == scalar_to_json(want)
-        else:
-            assert type(v) is float and v.hex() == want.hex()
-    assert ext.evaluate_many([]) == []
-    with pytest.raises(InvalidPointError) as direct:
-        ext.evaluate(bad)
-    with pytest.raises(InvalidPointError) as many:
-        ext.evaluate_many([*targets, bad])
-    assert str(many.value) == str(direct.value)
-
-
-def test_evaluate_many_keeps_float_values_float_on_an_exact_space():
-    space = FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-    for mode in ("sup", "inf"):
-        ext = mcshane_extend(PartialFunctional(space, [0, 2], [0.25, 1.0]), mode)
-        got = ext.evaluate_many([0, 1, 2])
-        assert got == [ext.evaluate(b) for b in range(3)] and {type(v) for v in got} == {float}
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,7 @@ import json
 from pathlib import Path
 
 import horokit.cli
-from horokit.extension import PartialFunctional, mcshane_extend
 from horokit.functionals import BallFunctional
-from horokit.metric import FiniteMetricSpace
 
 _spec = importlib.util.spec_from_file_location(
     "layertrace", Path(__file__).parents[1] / "perfbench" / "layertrace.py"
@@ -42,8 +40,6 @@ def test_every_traced_layer_records_a_span(capsys):
         assert horokit.cli.main is not original
         codes = [horokit.cli.main(list(argv)) for argv in ARGVS]
         BallFunctional.build(1, [0, 1], [0, 1], lambda p, q: abs(p - q))
-        # The CLI evaluates a McShane extension by evaluate_many, not per point.
-        mcshane_extend(PartialFunctional(FiniteMetricSpace([[0]]), [0], [0]), "sup").evaluate(0)
     finally:
         tracer.uninstall()
     capsys.readouterr()

@@ -376,10 +376,8 @@ def _row_tables(draw):
     rows = draw(st.integers(0, 5))
     cells = st.integers(int(info.min), int(info.max)) | st.integers(-3, 3)
     values = np.array(draw(st.lists(cells, min_size=rows * len(labels), max_size=rows * len(labels))), dtype=dtype)
-    key = draw(st.sampled_from(["values", "%d", "a", "zz"]))
     fields = {"radius": draw(st.integers(-2, 9)), "order": tuple(labels), "%": draw(TEXT)}
-    fields.pop(key, None)
-    return RowTable(fields, key, values.reshape(rows, len(labels)))
+    return RowTable(fields, values.reshape(rows, len(labels)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -395,7 +393,7 @@ def test_row_table_matches_stdlib_oracle(table, depth):
 @pytest.mark.parametrize("shape", [(0, 3), (0, 1), (4, 1), (1, 1), (3, 0), (2, 3)])
 def test_row_table_edge_shapes(shape):
     values = np.arange(-6, -6 + shape[0] * shape[1], dtype=np.int64).reshape(shape)
-    table = RowTable({"radius": 0, "order": ("e%", "\u00e9", '"\\')[: shape[1]]}, "values", values)
+    table = RowTable({"radius": 0, "order": ("e%", "\u00e9", '"\\')[: shape[1]]}, values)
     for obj in (table, [table, table], {"r": {"functionals": table}}):
         assert emit_json(obj) == json_report(obj)
     assert (emit_json(table) == "[]") == (shape[0] == 0)
