@@ -27,17 +27,11 @@ from .metric import CHUNK, Scalar, numeric_arrays
 from .serialize import RowTable
 
 
-def _distance_blocks(ball: CayleyBall, n: int, lo: int, hi: int, dtype, r=None) -> Iterator[np.ndarray]:
-    """Row blocks of the matrix of d(x, g) = |x^-1 g| under a closed form,
-    with one column per x in B(r), rows :n of ``ball.coords`` with the
-    identity first, and one row per g in its rows lo:hi: the family's
-    ``distance_rows`` in chunks of about ``CHUNK`` values, on the rows cut
-    to its ``restriction_rows(G, r)`` when ``r`` is given."""
-    fam = ball.family
-    X, G = ball.coords[:n], ball.coords[lo:hi]
-    if r is not None:
-        G = fam.restriction_rows(G, r)
-    step = max(1, CHUNK // (n * max(1, G.shape[1])))
+def _distance_blocks(fam, X: np.ndarray, G: np.ndarray, dtype) -> Iterator[np.ndarray]:
+    """Row blocks of the |G| x |X| matrix of d(x, g) = |x^-1 g| for the
+    coordinate rows x of X and g of G: the family's ``distance_rows`` in
+    chunks of about ``CHUNK`` values."""
+    step = max(1, CHUNK // (len(X) * max(1, G.shape[1])))
     for a in range(0, len(G), step):
         yield fam.distance_rows(X, G[a : a + step], dtype)
 
@@ -77,12 +71,14 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> np.ndarray:
     (k, |B(r)|) matrix of their distinct value rows in lexicographic
     (value-tuple) order, one column per point of ``ball.ball(r)``.
 
-    The |S(R)| x |B(r)| matrix of d(x, g) needs a ball of radius R; it and
-    the distance matrix D of B(r) come from ``_distance_blocks`` under a
-    closed form, else from one ``distance_block`` of B(r) on ``ball.space``.
-    Each row minus its identity column d(e, g) is h_g, also on the rows a
-    family's ``restriction_rows`` puts in place of g.  Values and D are
-    int16 (int64 once R + r leaves int16).  Each chunk of about 256K
+    Under a closed form, X = ``ball.rows(r)`` is B(r), built once per ball,
+    and the family's ``sphere_rows(X, r, R)`` gives rows with the same set
+    of h-rows as S(R) (Z^d: its clipped keys; F_n: S(r)), or None, and then
+    S(R) is read from ``ball.coords``.  ``_distance_blocks`` gives d(x, g)
+    on those rows and the distance matrix D of B(r); a searched ball gives
+    both from one ``distance_block`` of B(r) on ``ball.space``.  Each row
+    minus its identity column d(e, g) is h_g.  Values and D are int16
+    (int64 once R + r leaves int16).  Each chunk of about 256K
     elements, then their union, is deduplicated on packed keys in value-tuple
     order (``_unique_rows``); ``check_rows`` checks each distinct row, even
     one outside [-r, r], exactly against D: it vanishes at the identity and
@@ -98,16 +94,20 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> np.ndarray:
     points = ball.ball(r)
     labels = tuple(fam.element_label(p) for p in points)
     dtype = np.int16 if R + r <= np.iinfo(np.int16).max else np.int64
-    if ball.coords is None:
+    X = ball.rows(r)
+    if X is None:
         block = ball.space.distance_block(points)
         blocks = [block(ball.sphere(R), np.arange(n))[0].astype(dtype)]
         D = block(points, np.arange(n))[0].astype(dtype)
     else:
-        blocks = _distance_blocks(ball, n, ball.sphere_offsets[R], ball.sphere_offsets[R + 1], dtype, r)
-        D = np.concatenate(list(_distance_blocks(ball, n, 0, n, dtype)))
+        G = fam.sphere_rows(X, r, R)
+        if G is None:
+            G = ball.coords[ball.sphere_offsets[R] : ball.sphere_offsets[R + 1]]
+        blocks = _distance_blocks(fam, X, G, dtype)
+        D = np.concatenate(list(_distance_blocks(fam, X, X, dtype)))
     # Dedup block by block, so that a huge sphere is never held whole.
     parts = [_unique_rows(b - b[:, :1]) for b in blocks]
-    rows = _unique_rows(np.concatenate([np.empty((0, n), dtype), *parts]))
+    rows = parts[0] if len(parts) == 1 else _unique_rows(np.concatenate([np.empty((0, n), dtype), *parts]))
     check_rows(labels, rows, D)
     return rows
 

@@ -82,8 +82,9 @@ class GroupFamily(ABC):
 class ClosedFormFamily(GroupFamily):
     """A family whose word length under its standard generators has a
     closed form, with all that it gives: ball sizes, the ball as one
-    coordinate array (``CayleyBall.coords``), ``coords`` of any elements and
-    the distance kernel on such rows.  Under ``has_closed_form`` nothing is
+    coordinate array (``CayleyBall.coords``), ``coords`` of any elements,
+    the distance kernel on such rows and, where known, a sphere's
+    restriction rows (``sphere_rows``).  Under ``has_closed_form`` nothing is
     searched, and no other module reads the coordinate layout."""
 
     @abstractmethod
@@ -109,9 +110,11 @@ class ClosedFormFamily(GroupFamily):
         rows = [g + (0,) * (width - len(g)) for g in elements]
         return np.array(rows, np.int64).reshape(len(rows), width)
 
-    def restriction_rows(self, G: np.ndarray, r: int) -> np.ndarray:
-        """Rows whose h-rows d(x, .) - d(e, .) over B(r) form G's set: here G."""
-        return G
+    def sphere_rows(self, X: np.ndarray, r: int, R: int) -> Optional[np.ndarray]:
+        """Coordinate rows whose h-rows d(x, .) - d(e, .) over the rows X of
+        B(r) form exactly the set of S(R), R >= r, built without S(R); None
+        where no such set is known, and S(R) is read whole."""
+        return None
 
     @abstractmethod
     def distance_rows(self, X: np.ndarray, G: np.ndarray, dtype) -> np.ndarray:
@@ -163,8 +166,12 @@ class Zd(ClosedFormFamily):
         return sum(abs(a) for a in g)
 
     def ball_size(self, r, cap):
-        d = self.dim
-        return min(sum(2**k * comb(d, k) * comb(r, k) for k in range(min(d, r) + 1)), cap + 1)
+        # The sum of 2^k C(d, k) C(r, k), each term from the one before.
+        total = term = 1
+        for k in range(1, min(self.dim, r) + 1):
+            term = term * 2 * (self.dim - k + 1) * (r - k + 1) // (k * k)
+            total += term
+        return min(total, cap + 1)
 
     def ball_coords(self, radius):
         """Coordinate rows (int16, int64 once the radius leaves int16).
@@ -187,6 +194,24 @@ class Zd(ClosedFormFamily):
             X = np.concatenate([np.repeat(aa.astype(dtype), count)[:, None], X[idx]], axis=1)
             sizes = np.add.reduceat(count, rs * rs)
         return X, sizes
+
+    def sphere_rows(self, X, r, R):
+        """The keys k = clip(g, -r, r) of S(R), at most (2r + 1)^d whatever R is.
+
+        For |x_i| <= r, |x_i - g_i| - |g_i| is -sign(g_i) x_i once |g_i| >= r,
+        so h_g = h_k on B(r).  The g with key k have |g| = sum |k_i| plus any
+        amount on the coordinates with |k_i| = r, so k occurs on S(R) iff
+        sum |k_i| = R, or sum |k_i| < R and some |k_i| = r.  Keys grow one
+        coordinate at a time; each prefix with sum <= R extends to a key.
+        """
+        K, size, edge = np.zeros((1, 0), X.dtype), np.zeros(1, np.int64), np.zeros(1, bool)
+        for _ in range(self.dim):
+            m = np.minimum(r, R - size)  # a prefix of sum s takes a = -m..m
+            idx = np.repeat(np.arange(len(K)), 2 * m + 1)
+            a = np.arange(len(idx)) - np.repeat(np.cumsum(2 * m + 1) - m - 1, 2 * m + 1)
+            K = np.concatenate([K[idx], a[:, None].astype(X.dtype)], axis=1)
+            size, edge = size[idx] + np.abs(a), edge[idx] | (np.abs(a) == r)
+        return K[(size == R) | ((size < R) & edge)]
 
     def distance_rows(self, X, G, dtype):
         """l1 distance of the coordinate rows, by broadcasting."""
@@ -289,15 +314,12 @@ class FreeGroup(ClosedFormFamily):
     def row_elements(self, rows, r):
         return super().row_elements(rows[:, :r], r)
 
-    def restriction_rows(self, G, r):
-        """lcp(x, g) <= |x| <= r, so d(x, g) - |g| = |x| - 2 lcp(x, g) over
-        B(r) is also the row of the word that g's first r letters spell.
-        Equal prefixes side by side merge, and shortlex order puts them so:
-        a sphere S(R) comes down to at most |S(r)| rows whatever R is."""
-        P = G[:, :r]
-        first = np.ones(len(P), bool)
-        first[1:] = (P[1:] != P[:-1]).any(axis=1)
-        return P[first]
+    def sphere_rows(self, X, r, R):
+        """S(r), the last rows of X.  lcp(x, g) <= |x| <= r, so d(x, g) - |g|
+        = |x| - 2 lcp(x, g) over B(r) is also the row of g's first r letters,
+        and every word of S(r) begins some word of S(R) (repeat its last
+        letter): |S(r)| rows whatever R is."""
+        return X if r == 0 else X[X[:, r - 1] != 0]
 
     def distance_rows(self, X, G, dtype):
         """|x| + |g| - 2 lcp(x, g) on the letter rows, whose padding 0 is
@@ -569,16 +591,32 @@ class CayleyBall:
     ``sphere_offsets[r]`` is the index where sphere S(r) starts: the one
     record of word lengths of the ball.  Under ``has_closed_form`` the ball
     is ``coords``, one int array from the family's ``ball_coords`` (row i
-    for element i), and ``sphere``, ``ball`` and ``elements`` decode rows on
-    demand.  Searched balls (non-standard generators, finite groups) keep
-    their ``elements``, ``coords`` is None, and ``space`` searches distances.
+    for element i), built only when first read; ``rows(r)`` is its prefix
+    B(r), and ``sphere``, ``ball`` and ``elements`` decode rows on demand.
+    Searched balls (non-standard generators, finite groups) keep their
+    ``elements``, ``coords`` is None, and ``space`` searches distances.
     """
 
     family: GroupFamily
     gens: GeneratingSet
     radius: int
     sphere_offsets: tuple[int, ...]
-    coords: Optional[np.ndarray] = field(repr=False, default=None)
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def coords(self) -> Optional[np.ndarray]:
+        """B(radius) as the family's ``ball_coords`` rows, built when first
+        read; None on a searched ball."""
+        return self.family.ball_coords(self.radius)[0] if has_closed_form(self.family, self.gens) else None
+
+    def rows(self, r: int) -> Optional[np.ndarray]:
+        """B(r) as coordinate rows, the shortlex prefix of ``coords``: sliced
+        from it once it is built, else ``ball_coords(r)``, built once per r."""
+        if r < self.radius and "coords" not in vars(self) and has_closed_form(self.family, self.gens):
+            if r not in self._rows:
+                self._rows[r] = self.family.ball_coords(r)[0]
+            return self._rows[r]
+        return None if self.coords is None else self.coords[: self.sphere_offsets[r + 1]]
 
     @cached_property
     def elements(self) -> tuple[Element, ...]:
@@ -592,14 +630,16 @@ class CayleyBall:
         return self._decode(0, r, "ball")
 
     def _decode(self, lo: int, hi: int, what: str) -> tuple[Element, ...]:
-        """S(lo) to S(hi), from a search's ``elements`` or decoded from ``coords``."""
+        """S(lo) to S(hi), from a search's ``elements`` or decoded from
+        ``rows(hi)`` (a ball) or ``coords`` (a sphere)."""
         if not 0 <= hi <= self.radius:
             raise PreconditionError(f"{what} radius {hi} outside ball of radius {self.radius}")
         at = self.sphere_offsets
-        if self.coords is None:
+        rows = self.rows(hi) if lo == 0 else self.coords
+        if rows is None:
             return self.elements[at[lo] : at[hi + 1]]
-        decode, coords = self.family.row_elements, self.coords
-        return tuple(g for r in range(lo, hi + 1) for g in decode(coords[at[r] : at[r + 1]], r))
+        decode = self.family.row_elements
+        return tuple(g for r in range(lo, hi + 1) for g in decode(rows[at[r] : at[r + 1]], r))
 
     def sphere_sizes(self) -> list[int]:
         return [
@@ -626,8 +666,8 @@ def cayley_ball(
     """Ball around the identity with exact word lengths, in shortlex order.
 
     Under ``has_closed_form`` the family's ``ball_size`` is checked against
-    the ball limit first, and then the ball is its ``ball_coords`` (kept as
-    ``coords``, no row decoded) without a search.  Non-standard generators
+    the ball limit first, and gives ``sphere_offsets`` without a search; the
+    ball's ``coords`` are built only when read.  Non-standard generators
     and finite groups grow a ``WordLengthOracle`` to the radius and sort each
     of its spheres by ``element_key``; the ball keeps the elements, and its
     ``space`` searches again on first use.  One over the limit raises
@@ -648,9 +688,7 @@ def cayley_ball(
     if radius > 0 and family.ball_size(radius, cap) > cap:
         fits = bisect.bisect_right(range(1, radius + 1), cap, key=lambda r: family.ball_size(r, cap))
         raise ResourceLimitError(f"ball size exceeded limit {cap}", radius_reached=fits)
-    coords, sizes = family.ball_coords(radius)
-    offsets = tuple(np.cumsum([0, *sizes]).tolist())
-    return CayleyBall(family, gens, radius, offsets, coords)
+    return CayleyBall(family, gens, radius, (0, *(family.ball_size(r, cap) for r in range(radius + 1))))
 
 
 class WordLengthOracle:

@@ -141,38 +141,6 @@ def _parse_point(space: MetricSpace, obj) -> Any:
     raise UnsupportedError(f"no point parser for {type(space).__name__}")
 
 
-def point_to_json(space: MetricSpace, p) -> Any:
-    if isinstance(space, (FiniteMetricSpace,)):
-        return int(p)
-    if isinstance(space, CayleyGraphSpace):
-        if isinstance(space.family, FiniteGroup):
-            return int(p)
-        if isinstance(space.family, FreeGroup):
-            return space.family.element_label(p)
-        return list(p)
-    if isinstance(space, SpokeRaySpace):
-        tag = p[0]
-        if tag == "hub":
-            return {"kind": "hub"}
-        if tag == "ray":
-            return {"kind": "ray", "t": scalar_to_json(p[1])}
-        if tag == "head":
-            return {"kind": "head", "n": p[1]}
-        return {"kind": "spoke", "n": p[1], "s": scalar_to_json(p[2])}
-    if isinstance(space, StarTreeSpace):
-        if p == space.base_point:
-            return {"kind": "hub"}
-        return {"kind": "int", "n": p[1], "s": scalar_to_json(p[2])}
-    if isinstance(space, DistortedLine):
-        return float(p)
-    if isinstance(space, (PoincareDisk, UpperHalfPlane)):
-        z = complex(p)
-        return [z.real, z.imag]
-    if isinstance(space, LpSpace):
-        return [float(v) for v in np.asarray(p, dtype=float).ravel()]
-    raise UnsupportedError(f"no point serializer for {type(space).__name__}")
-
-
 def _default(o):
     """Convert a value JSON has no literal for; the result is written in its place."""
     if isinstance(o, (Fraction, np.integer, np.floating)):

@@ -398,16 +398,23 @@ def test_h3_sphere_restrictions_match_matrix_oracle(h3_ball, r):
         assert _values(sphere_restrictions(h3_ball, r, R)) == oracle[R], R
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
-@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3])
 def test_zd_sphere_restrictions_match_l1_oracle(d, r):
+    # R = r..r + 6 reaches R0 = d r, where the corner keys appear, on every
+    # case but d = 4, r = 3: the oracle walks the (2R + 1)^d box, so it stops
+    # at 100,000 points.
     zd = Zd(d)
-    ball = cayley_ball(zd, GeneratingSet.standard(zd), 5)
-    for R in range(r, 6):
+    radii = [R for R in range(r, r + 7) if (2 * R + 1) ** d <= 100_000]
+    ball = cayley_ball(zd, GeneratingSet.standard(zd), radii[-1])
+    for R in radii:
         assert _values(sphere_restrictions(ball, r, R)) == l1_restrictions(d, r, R), R
 
 
-@pytest.mark.parametrize("rank,r,r_max", [(2, 1, 6), (2, 2, 6), (2, 3, 5), (3, 1, 5), (3, 2, 4)])
+@pytest.mark.parametrize(
+    "rank,r,r_max",
+    [(1, 1, 8), (1, 3, 9), (2, 1, 6), (2, 2, 6), (2, 3, 5), (3, 1, 5), (3, 2, 4), (4, 1, 4), (4, 2, 4)],
+)
 def test_free_sphere_restrictions_match_reduction_oracle(rank, r, r_max):
     fam = FreeGroup(rank)
     ball = cayley_ball(fam, GeneratingSet.standard(fam), r_max)
@@ -488,32 +495,34 @@ def test_spheres_over_several_blocks_match_the_oracles(monkeypatch, h3_ball):
 
 @pytest.mark.parametrize("low, high", [(-1, 4), (0, 8), (0, -9)])
 def test_a_row_out_of_range_is_not_merged_away(monkeypatch, low, high):
-    # On Z^2, r = 1, R = 4, the columns are (0,0), (-1,0), (0,-1), (0,1),
-    # (1,0), and g = (3,-1) shares its row [0, 1, -1, 1, -1] with g = (2,-2)
-    # earlier in S(4).  Adding (low, high) to its last two values puts 3, 7
-    # or -10 outside [-r, r].  Packed at 2 bits per value offset by r, the
-    # first two forged rows would share (2,-2)'s key (by a carry if the fields
-    # were added, by overlapping bits if OR-ed) and vanish.  The row must reach
-    # check_rows and raise what np.unique(axis=0) and check_rows give.
-    z2 = Zd(2)
+    # H3 reads S(R) whole.  On r = 1, R = 4, the columns are (0,0,0),
+    # (-1,0,0), (0,-1,0), (0,1,0), (1,0,0), and g = (2,0,1) shares its row
+    # [0, 1, -1, 1, -1] with g = (-1,-1,-1) earlier in S(4).  Adding
+    # (low, high) to its last two values puts 3, 7 or -10 outside [-r, r].
+    # Packed at 2 bits per value offset by r, the first two forged rows would
+    # share (-1,-1,-1)'s key (by a carry if the fields were added, by
+    # overlapping bits if OR-ed) and vanish.  The row must reach check_rows
+    # and raise what np.unique(axis=0) and check_rows give.
+    h3 = Heisenberg()
     r, R = 1, 4
-    ball = cayley_ball(z2, GeneratingSet.standard(z2), R)
-    real = z2.distance_rows
+    ball = cayley_ball(h3, GeneratingSet.standard(h3), R)
+    real = h3.distance_rows
 
     def forged(X, G, dtype):
         out = real(X, G, dtype)
-        hit = np.flatnonzero((G == (3, -1)).all(axis=1))
+        hit = np.flatnonzero((G == (2, 0, 1)).all(axis=1))
         out[hit, -2:] += np.array([low, high], dtype)
         return out
 
     n = ball.sphere_offsets[r + 1]
     X, S = ball.coords[:n], ball.coords[ball.sphere_offsets[R] : ball.sphere_offsets[R + 1]]
     D = real(X, X, np.int64)
-    labels = tuple(z2.element_label(p) for p in ball.ball(r))
+    labels = tuple(h3.element_label(p) for p in ball.ball(r))
     V = forged(X, S, np.int64)
+    assert (V - V[:, :1])[(S == (-1, -1, -1)).all(axis=1)].tolist() == [[0, 1, -1, 1, -1]]
     with pytest.raises(InvalidParameterError) as want:
         check_rows(labels, np.unique(V - V[:, :1], axis=0), D)
-    monkeypatch.setattr(z2, "distance_rows", forged)
+    monkeypatch.setattr(h3, "distance_rows", forged)
     with pytest.raises(InvalidParameterError) as got:
         sphere_restrictions(ball, r, R)
     assert str(got.value) == str(want.value)
@@ -618,6 +627,26 @@ def test_a_window_straddling_int16_and_int64_spheres():
     assert lrs.values.dtype == np.int64
     assert lrs.values.tolist() == [[0, -1, 1], [0, 1, -1]]
     assert lrs.certificate.kind == "stabilized"
+
+
+@pytest.mark.parametrize("fam", [Zd(2), Zd(3), FreeGroup(2), FreeGroup(3), Heisenberg()], ids=lambda f: f.name)
+def test_limit_restrictions_build_the_big_ball_only_on_h3(fam, monkeypatch):
+    # Z^d and F_n read B(r) alone, once per ball, whatever r_max is; H3 reads
+    # its spheres from B(r_max).
+    radii, real = [], type(fam).ball_coords
+
+    def recording(self, radius):
+        radii.append(radius)
+        return real(self, radius)
+
+    monkeypatch.setattr(type(fam), "ball_coords", recording)
+    r, r_max = 2, 8
+    lrs = limit_restrictions(fam, GeneratingSet.standard(fam), r, r_max, 3)
+    assert len(lrs.values) > 1
+    if isinstance(fam, Heisenberg):
+        assert radii.count(r_max) == 1
+    else:
+        assert radii == [r]
 
 
 @pytest.mark.parametrize("fam", [Zd(2), FreeGroup(2), Heisenberg()], ids=lambda f: f.name)

@@ -504,18 +504,33 @@ def test_distance_rows_match_closed_form_lengths(fam, r, R):
     assert fam.distance_rows(ball.coords[:n], ball.coords[lo:hi], np.int64).tolist() == want
 
 
-@pytest.mark.parametrize("r,R", [(0, 3), (1, 1), (1, 4), (2, 5)])
-@pytest.mark.parametrize("fam", CLOSED_FORM_FAMILIES, ids=lambda f: f.name)
-def test_restriction_rows_keep_the_sphere_h_rows(fam, r, R):
+def _assert_sphere_rows_keep_the_sphere_h_rows(fam, r, R):
     ball = cayley_ball(fam, GeneratingSet.standard(fam), R)
-    n, lo, hi = ball.sphere_offsets[r + 1], ball.sphere_offsets[R], ball.sphere_offsets[R + 1]
-    G = fam.restriction_rows(ball.coords[lo:hi], r)
-    assert len(G) <= hi - lo
-    M = fam.distance_rows(ball.coords[:n], G, np.int64)
+    X = fam.ball_coords(r)[0]
+    G = fam.sphere_rows(X, r, R)
+    if G is None:  # no known set: the sphere is read whole
+        assert isinstance(fam, Heisenberg)
+        G = ball.coords[ball.sphere_offsets[R] : ball.sphere_offsets[R + 1]]
+    assert len(G) <= ball.sphere_offsets[R + 1] - ball.sphere_offsets[R]
+    M = fam.distance_rows(X, G, np.int64)
     points = ball.ball(r)
     want = {tuple(fam.closed_form_length(fam.multiply(fam.inverse(x), g)) - R for x in points)
             for g in ball.sphere(R)}
     assert {tuple(row) for row in (M - M[:, :1]).tolist()} == want
+
+
+@pytest.mark.parametrize("r,R", [(0, 3), (1, 1), (1, 4), (2, 5)])
+@pytest.mark.parametrize("fam", CLOSED_FORM_FAMILIES, ids=lambda f: f.name)
+def test_sphere_rows_keep_the_sphere_h_rows(fam, r, R):
+    _assert_sphere_rows_keep_the_sphere_h_rows(fam, r, R)
+
+
+# Both sides of R0 = d r, the first sphere that holds the 2^d corner keys.
+@pytest.mark.parametrize("d,r,R", [(2, 2, R) for R in range(2, 7)] + [(3, 1, R) for R in range(1, 6)])
+def test_zd_sphere_rows_around_the_corner_radius(d, r, R):
+    _assert_sphere_rows_keep_the_sphere_h_rows(Zd(d), r, R)
+    keys = {tuple(k) for k in Zd(d).sphere_rows(Zd(d).ball_coords(r)[0], r, R).tolist()}
+    assert all((c in keys) == (R >= d * r) for c in itertools.product([-r, r], repeat=d))
 
 
 @pytest.mark.parametrize("fam", CLOSED_FORM_FAMILIES, ids=lambda f: f.name)
