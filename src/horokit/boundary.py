@@ -23,7 +23,7 @@ from .errors import (
 )
 from .functionals import BallFunctional, ZdLinear, check_rows, eval_functional
 from .groups import CayleyBall, GeneratingSet, GroupFamily, cayley_ball
-from .metric import CHUNK, Scalar, numeric_arrays
+from .metric import CHUNK, Scalar
 from .serialize import RowTable
 
 
@@ -71,19 +71,20 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> np.ndarray:
     (k, |B(r)|) matrix of their distinct value rows in lexicographic
     (value-tuple) order, one column per point of ``ball.ball(r)``.
 
-    Under a closed form, X = ``ball.rows(r)`` is B(r), built once per ball,
-    and the family's ``sphere_rows(X, r, R)`` gives rows with the same set
-    of h-rows as S(R) (Z^d: its clipped keys; F_n: S(r)), or None, and then
-    S(R) is read from ``ball.coords``.  ``_distance_blocks`` gives d(x, g)
-    on those rows and the distance matrix D of B(r); a searched ball gives
-    both from one ``distance_block`` of B(r) on ``ball.space``.  Each row
-    minus its identity column d(e, g) is h_g.  Values and D are int16
-    (int64 once R + r leaves int16).  Each chunk of about 256K
-    elements, then their union, is deduplicated on packed keys in value-tuple
-    order (``_unique_rows``); ``check_rows`` checks each distinct row, even
-    one outside [-r, r], exactly against D: it vanishes at the identity and
-    is 1-Lipschitz on every pair, so |h(x)| <= |x| <= r.  The first failing
-    row raises with the message ``BallFunctional.check`` gives.
+    Under a closed form, X = ``ball.rows(r)`` is B(r), built once per ball
+    like ``ball.labels(r)``, and the family's ``sphere_rows(X, r, R)`` gives
+    rows with the same set of h-rows as S(R) (Z^d: its clipped keys; F_n:
+    S(r)), or None, and then S(R) is read from ``ball.coords``.
+    ``_distance_blocks`` gives d(x, g) on those rows and the distance matrix
+    D of B(r); a searched ball gives both from one ``distance_block`` of
+    B(r) on ``ball.space``.  Each row minus its identity column d(e, g) is
+    h_g.  Values and D are int16 (int64 once R + r leaves int16).  Each
+    chunk of about 256K elements, then their union, is deduplicated on
+    packed keys in value-tuple order (``_unique_rows``); ``check_rows``
+    checks each distinct row, even one outside [-r, r], exactly against D:
+    it vanishes at the identity and is 1-Lipschitz on every pair, so |h(x)|
+    <= |x| <= r.  The first failing row raises with the message
+    ``BallFunctional.check`` gives.
     """
     if not 0 <= r <= R:
         raise PreconditionError(f"need 0 <= ball radius {r} <= sphere radius {R}")
@@ -91,11 +92,10 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> np.ndarray:
         raise PreconditionError(f"ball radius {ball.radius} is insufficient; need >= {R}")
     fam = ball.family
     n = ball.sphere_offsets[r + 1]
-    points = ball.ball(r)
-    labels = tuple(fam.element_label(p) for p in points)
     dtype = np.int16 if R + r <= np.iinfo(np.int16).max else np.int64
     X = ball.rows(r)
     if X is None:
+        points = ball.ball(r)
         block = ball.space.distance_block(points)
         blocks = [block(ball.sphere(R), np.arange(n))[0].astype(dtype)]
         D = block(points, np.arange(n))[0].astype(dtype)
@@ -108,7 +108,7 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> np.ndarray:
     # Dedup block by block, so that a huge sphere is never held whole.
     parts = [_unique_rows(b - b[:, :1]) for b in blocks]
     rows = parts[0] if len(parts) == 1 else _unique_rows(np.concatenate([np.empty((0, n), dtype), *parts]))
-    check_rows(labels, rows, D)
+    check_rows(ball.labels(r), rows, D)
     return rows
 
 
@@ -162,7 +162,6 @@ def limit_restrictions(
     if r_max <= r + window:
         raise PreconditionError("need r_max > r + window")
     ball = cayley_ball(family, gens, r_max)
-    labels = tuple(family.element_label(p) for p in ball.ball(r))
     by_radius = {R: sphere_restrictions(ball, r, R) for R in range(max(r, r_max - 2 * window), r_max + 1)}
 
     def accepted(end: int) -> np.ndarray:
@@ -174,7 +173,7 @@ def limit_restrictions(
     final = accepted(r_max)
     stabilized = all(np.array_equal(accepted(end), final) for end in range(r_max - window, r_max))
     cert = Certificate("stabilized" if stabilized else "heuristic", r_max - window, window, r_max)
-    return LimitRestrictionSet(r, labels, final, cert)
+    return LimitRestrictionSet(r, ball.labels(r), final, cert)
 
 
 @dataclass
@@ -196,28 +195,25 @@ def unboundedness_check(lrs: LimitRestrictionSet) -> UnboundednessReport:
     return UnboundednessReport(True, lrs.r)
 
 
-def act_on_restriction(ball: CayleyBall, g, bf: BallFunctional, r: int) -> BallFunctional:
-    """Translate a restriction by g: (g.h)(x) = h(g^-1 x) - h(g^-1 e).
+def act_on_rows(ball: CayleyBall, g, V: np.ndarray, r: int) -> np.ndarray:
+    """Translate restriction rows by g: (g.h)(x) = h(g^-1 x) - h(g^-1) on B(r).
 
-    ``bf`` must be a restriction on a ball of radius >= r + |g| so that all
-    shifted arguments stay inside its domain.  The result is checked like
-    the rows of ``sphere_restrictions``.
+    V's columns are B(R) of ``ball`` in ball order, R read from
+    ``sphere_offsets`` (past a finite group's diameter, the largest R of that
+    size).  R >= r + |g|, |g| from the ball's ``space``, keeps every g^-1 x
+    in B(R).  The rows are checked like those of ``sphere_restrictions``.
     """
-    fam = ball.family
+    R = max((R for R, n in enumerate(ball.sphere_offsets[1:]) if n == V.shape[1]), default=None)
+    need = r + ball.space.point_key(g)[0]
+    if R is None or R < need:
+        raise PreconditionError(f"rows over {V.shape[1]} points are no B(R) with R >= r + |g| = {need}")
+    fam, points = ball.family, ball.ball(r)
+    pos = {p: i for i, p in enumerate(ball.ball(R))}
     ginv = fam.inverse(g)
-    glen = ball.space.point_key(g)[0]
-    if bf.radius < r + glen:
-        raise PreconditionError(
-            f"restriction radius {bf.radius} too small; need >= r + |g| = {r + glen}"
-        )
-    offset = bf.value_at(ginv)
-    points = ball.ball(r)
-    labels = tuple(fam.element_label(p) for p in points)
-    values = tuple(bf.value_at(fam.multiply(ginv, x)) - offset for x in points)
+    out = V[:, [pos[fam.multiply(ginv, x)] for x in points]] - V[:, [pos[ginv]]]
     D, _ = ball.space.distance_block(points)(points, np.arange(len(points)))
-    V, D, _ = numeric_arrays([values], D)
-    check_rows(labels, V, D)
-    return BallFunctional(r, labels, values, points)
+    check_rows(ball.labels(r), out, D)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,8 @@ from .spaces import LpSpace, PoincareDisk, disk_gap, lp_norm, pad_pair
 
 @dataclass(frozen=True)
 class BallFunctional:
-    """Exact restriction of a metric functional to a finite ball.
+    """Exact restriction of a metric functional to a finite ball, as one
+    reported row: the boundary keeps restrictions as integer matrices.
 
     The domain is the canonical-ordered point list of B(x0, r) with the
     base point first; identity of a restriction is its value tuple over
@@ -48,22 +49,6 @@ class BallFunctional:
     values: tuple[Any, ...]
     points: tuple = field(compare=False, repr=False, default=())
 
-    @classmethod
-    def build(
-        cls,
-        radius,
-        points: Sequence[Point],
-        values: Sequence[Scalar],
-        dist: Callable[[Point, Point], Scalar],
-        labels: Sequence[str] | None = None,
-    ) -> "BallFunctional":
-        pts = tuple(points)
-        if labels is None:
-            labels = tuple(str(p) for p in pts)
-        bf = cls(radius, tuple(labels), tuple(values), pts)
-        bf.check(dist)
-        return bf
-
     def check(self, dist: Callable[[Point, Point], Scalar]) -> None:
         """Check the value at the base point (points[0]) is 0 and every pair
         is 1-Lipschitz under ``dist``; |value| <= d(base, .) follows."""
@@ -73,15 +58,6 @@ class BallFunctional:
         D = [[dist(p, q) if i < j else 0 for j, q in enumerate(pts)] for i, p in enumerate(pts)]
         V, D, _ = numeric_arrays([self.values], D)
         check_rows(self.labels, V, D)
-
-    def value_at(self, point: Point) -> Scalar:
-        for p, v in zip(self.points, self.values):
-            if p == point:
-                return v
-        raise InvalidPointError(f"{point!r} is outside this ball restriction")
-
-    def evaluate(self, y: Point) -> Scalar:
-        return self.value_at(y)
 
     def as_dict(self) -> dict:
         values = self.values
@@ -261,9 +237,8 @@ class ZdLinear:
 def eval_functional(f, y) -> Scalar:
     """Evaluate any functional-like object at a point.
 
-    Accepts model functionals, ball restrictions, witness limits (whose
-    stabilized value is returned, raising BudgetError otherwise), and plain
-    callables.
+    Accepts model functionals, witness limits (whose stabilized value is
+    returned, raising BudgetError otherwise), and plain callables.
     """
     if isinstance(f, WitnessLimit):
         return f.value(y)

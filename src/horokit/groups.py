@@ -81,8 +81,8 @@ class GroupFamily(ABC):
 
 class ClosedFormFamily(GroupFamily):
     """A family whose word length under its standard generators has a
-    closed form, with all that it gives: ball sizes, the ball as one
-    coordinate array (``CayleyBall.coords``), ``coords`` of any elements,
+    closed form, with all that it gives: ball sizes, each B(r) as one
+    coordinate array (``CayleyBall.rows``), ``coords`` of any elements,
     the distance kernel on such rows and, where known, a sphere's
     restriction rows (``sphere_rows``).  Under ``has_closed_form`` nothing is
     searched, and no other module reads the coordinate layout."""
@@ -96,8 +96,8 @@ class ClosedFormFamily(GroupFamily):
         """min(|B(r)|, cap + 1), computed without building the ball."""
 
     @abstractmethod
-    def ball_coords(self, radius: int) -> tuple[np.ndarray, Sequence[int]]:
-        """B(radius) as coordinate rows in shortlex order, and its sphere sizes."""
+    def ball_coords(self, radius: int) -> np.ndarray:
+        """B(radius) as coordinate rows in shortlex order."""
 
     def row_elements(self, rows: np.ndarray, r: int) -> Iterable[Element]:
         """The element tuples of the coordinate rows of S(r)."""
@@ -193,7 +193,7 @@ class Zd(ClosedFormFamily):
             idx = np.arange(ends[-1]) + np.repeat(offsets[sub] - ends + count, count)
             X = np.concatenate([np.repeat(aa.astype(dtype), count)[:, None], X[idx]], axis=1)
             sizes = np.add.reduceat(count, rs * rs)
-        return X, sizes
+        return X
 
     def sphere_rows(self, X, r, R):
         """The keys k = clip(g, -r, r) of S(R), at most (2r + 1)^d whatever R is.
@@ -309,7 +309,7 @@ class FreeGroup(ClosedFormFamily):
             children = coords[b:c].reshape(b - a, -1, radius)
             children[:, :, : r - 1] = coords[a:b, None, : r - 1]
             children[:, :, r - 1] = np.broadcast_to(letters, allowed.shape)[allowed].reshape(b - a, -1)
-        return coords, sizes
+        return coords
 
     def row_elements(self, rows, r):
         return super().row_elements(rows[:, :r], r)
@@ -477,9 +477,8 @@ class Heisenberg(ClosedFormFamily):
         count = hi - lo + 1
         c = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
         a, b = np.repeat(a, count), np.repeat(b, count)
-        length = heisenberg_length(a, b, c)
-        order = np.lexsort((c, b, a, length))
-        return np.stack([a, b, c], axis=1)[order], np.bincount(length, minlength=radius + 1)
+        order = np.lexsort((c, b, a, heisenberg_length(a, b, c)))
+        return np.stack([a, b, c], axis=1)[order]
 
     def distance_rows(self, X, G, dtype):
         """``heisenberg_length`` of x^-1 g, broadcast over int64 (a, b, c) rows."""
@@ -589,11 +588,12 @@ class CayleyBall:
     """The radius-R ball of a Cayley graph, in canonical (shortlex) order.
 
     ``sphere_offsets[r]`` is the index where sphere S(r) starts: the one
-    record of word lengths of the ball.  Under ``has_closed_form`` the ball
-    is ``coords``, one int array from the family's ``ball_coords`` (row i
-    for element i), built only when first read; ``rows(r)`` is its prefix
-    B(r), and ``sphere``, ``ball`` and ``elements`` decode rows on demand.
-    Searched balls (non-standard generators, finite groups) keep their
+    record of word lengths of the ball.  Under ``has_closed_form`` each B(r)
+    is ``rows(r)``, the family's ``ball_coords(r)`` (row i for element i),
+    and ``coords`` is ``rows(radius)``; ``sphere``, ``ball`` and
+    ``elements`` decode rows on demand.  ``rows``, ``ball`` and ``labels``
+    build each B(r) once per ball, and only for r <= radius.  Searched
+    balls (non-standard generators, finite groups) keep their
     ``elements``, ``coords`` is None, and ``space`` searches distances.
     """
 
@@ -601,22 +601,25 @@ class CayleyBall:
     gens: GeneratingSet
     radius: int
     sphere_offsets: tuple[int, ...]
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @cached_property
-    def coords(self) -> Optional[np.ndarray]:
-        """B(radius) as the family's ``ball_coords`` rows, built when first
-        read; None on a searched ball."""
-        return self.family.ball_coords(self.radius)[0] if has_closed_form(self.family, self.gens) else None
+    def _once(self, what: str, r: int, build: Callable[[], Any]):
+        """``build()``, kept under (what, r); r past the radius raises first."""
+        if not 0 <= r <= self.radius:
+            raise PreconditionError(f"ball radius {r} outside ball of radius {self.radius}")
+        if (what, r) not in self._memo:
+            self._memo[what, r] = build()
+        return self._memo[what, r]
 
     def rows(self, r: int) -> Optional[np.ndarray]:
-        """B(r) as coordinate rows, the shortlex prefix of ``coords``: sliced
-        from it once it is built, else ``ball_coords(r)``, built once per r."""
-        if r < self.radius and "coords" not in vars(self) and has_closed_form(self.family, self.gens):
-            if r not in self._rows:
-                self._rows[r] = self.family.ball_coords(r)[0]
-            return self._rows[r]
-        return None if self.coords is None else self.coords[: self.sphere_offsets[r + 1]]
+        """B(r) as the family's ``ball_coords(r)`` rows; None on a searched ball."""
+        closed = has_closed_form(self.family, self.gens)
+        return self._once("rows", r, lambda: self.family.ball_coords(r) if closed else None)
+
+    @property
+    def coords(self) -> Optional[np.ndarray]:
+        """B(radius) as ``rows(radius)``, built when first read."""
+        return self.rows(self.radius)
 
     @cached_property
     def elements(self) -> tuple[Element, ...]:
@@ -624,16 +627,20 @@ class CayleyBall:
         return self.ball(self.radius)
 
     def sphere(self, r: int) -> tuple[Element, ...]:
-        return self._decode(r, r, "sphere")
+        if not 0 <= r <= self.radius:
+            raise PreconditionError(f"sphere radius {r} outside ball of radius {self.radius}")
+        return self._decode(r, r)
 
     def ball(self, r: int) -> tuple[Element, ...]:
-        return self._decode(0, r, "ball")
+        return self._once("ball", r, lambda: self._decode(0, r))
 
-    def _decode(self, lo: int, hi: int, what: str) -> tuple[Element, ...]:
+    def labels(self, r: int) -> tuple[str, ...]:
+        """The ``element_label`` of each point of ``ball(r)``."""
+        return self._once("labels", r, lambda: tuple(map(self.family.element_label, self.ball(r))))
+
+    def _decode(self, lo: int, hi: int) -> tuple[Element, ...]:
         """S(lo) to S(hi), from a search's ``elements`` or decoded from
         ``rows(hi)`` (a ball) or ``coords`` (a sphere)."""
-        if not 0 <= hi <= self.radius:
-            raise PreconditionError(f"{what} radius {hi} outside ball of radius {self.radius}")
         at = self.sphere_offsets
         rows = self.rows(hi) if lo == 0 else self.coords
         if rows is None:

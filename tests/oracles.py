@@ -206,6 +206,17 @@ def h3_restrictions(ball_r, radii):
     )
 
 
+def translated_rows(big, rows, small, g, mul, inv):
+    """[(g.h)(x) = h(g^-1 x) - h(g^-1) for x in small] for each value row h
+    over the points big, read through one {point: value} dict per row."""
+    ginv = inv(g)
+    out = []
+    for row in rows:
+        h = dict(zip(big, row))
+        out.append(tuple(h[mul(ginv, x)] - h[ginv] for x in small))
+    return out
+
+
 # --- Spoke-ray space as a discretized weighted graph -------------------------
 
 

@@ -12,7 +12,7 @@ from horokit.boundary import (
     DriftMeasure,
     ZFunctional,
     _unique_rows,
-    act_on_restriction,
+    act_on_rows,
     drift_audit,
     limit_restrictions,
     reduced_classify_z,
@@ -42,9 +42,12 @@ from oracles import (
     bfs_ball,
     bfs_restrictions,
     free_end_restrictions,
+    free_reduce,
     free_restrictions,
     h3_restrictions,
+    heis_mul,
     l1_restrictions,
+    translated_rows,
 )
 
 Z1 = Zd(1)
@@ -242,17 +245,17 @@ def test_unboundedness_violation_detected():
 def test_translation_action_on_restrictions():
     # Translating the +end restriction of Z by a generator leaves it fixed.
     ball = cayley_ball(Z1, Z1_GENS, 8)
-    big = [_functional(ball, 4, row) for row in sphere_restrictions(ball, 4, 8)]
-    minus_id = next(bf for bf in big if bf.value_at((1,)) == -1)
-    acted = act_on_restriction(ball, (1,), minus_id, 3)
-    assert acted.values == tuple(minus_id.value_at(p) for p in acted.points)
+    big = sphere_restrictions(ball, 4, 8)
+    plus_end = big[big[:, ball.ball(4).index((1,))] == -1]
+    assert _values(plus_end) == [tuple(-x for (x,) in ball.ball(4))]  # h(x) = -x
+    acted = act_on_rows(ball, (1,), plus_end, 3)
+    assert _values(acted) == [tuple(-x for (x,) in ball.ball(3))]
 
 
 def test_action_requires_room():
     ball = cayley_ball(Z1, Z1_GENS, 8)
-    small = _functional(ball, 2, sphere_restrictions(ball, 2, 6)[0])
-    with pytest.raises(PreconditionError):
-        act_on_restriction(ball, (1,), small, 2)
+    with pytest.raises(PreconditionError, match=r"R >= r \+ \|g\| = 3"):
+        act_on_rows(ball, (1,), sphere_restrictions(ball, 2, 6), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +379,6 @@ def _values(rows):
     values = list(map(tuple, rows.tolist()))
     assert all(type(v) is int for row in values for v in row)
     return values
-
-
-def _functional(ball, r, row):
-    """A row of a restriction matrix over B(r) as a BallFunctional."""
-    points = ball.ball(r)
-    labels = tuple(ball.family.element_label(p) for p in points)
-    return BallFunctional(r, labels, tuple(row.tolist()), points)
 
 
 @pytest.fixture(scope="module")
@@ -547,6 +543,23 @@ def test_table_walk_on_nonstandard_generators_matches_bfs_oracle():
 
 
 Z2_XY = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
+
+
+def _z2_add(p, q):
+    return (p[0] + q[0], p[1] + q[1])
+
+
+def _z2_neg(p):
+    return (-p[0], -p[1])
+
+
+# The oracles' own group arithmetic, (mul, inv) by family name.
+ARITHMETIC = {
+    "Z^2": (_z2_add, _z2_neg),
+    "F_2": (lambda g, h: free_reduce(g + h), lambda g: tuple(-x for x in reversed(g))),
+    "H3": (heis_mul, lambda g: (-g[0], -g[1], g[0] * g[1] - g[2])),
+    "finite(12)": (lambda g, h: (g + h) % 12, lambda g: -g % 12),
+}
 ACTION_CASES = [
     ("Z^2", Zd(2), None),
     ("F_2", FreeGroup(2), None),
@@ -561,50 +574,56 @@ def test_action_on_restrictions_translates_values(case):
     _, fam, steps = case
     gens = GeneratingSet.create(fam, steps) if steps else GeneratingSet.standard(fam)
     ball = cayley_ball(fam, gens, 6)
-    for row in sphere_restrictions(ball, 2, 4):
-        bf = _functional(ball, 2, row)
-        for g in gens.elements:
-            acted = act_on_restriction(ball, g, bf, 1)
-            ginv = fam.inverse(g)
-            assert acted.points == ball.ball(1)
-            assert acted.values == tuple(
-                bf.value_at(fam.multiply(ginv, x)) - bf.value_at(ginv) for x in ball.ball(1)
-            )
+    V = sphere_restrictions(ball, 2, 4)
+    for g in gens.elements:
+        want = translated_rows(ball.ball(2), V.tolist(), ball.ball(1), g, *ARITHMETIC[fam.name])
+        assert _values(act_on_rows(ball, g, V, 1)) == want
 
 
 @pytest.mark.parametrize("case", SEARCH_CASES, ids=lambda c: c[0])
 def test_action_needs_room_for_the_table_walk(case):
-    # The walk over B(2) needs a ball that holds B(2) and g, not B(2 + 2).
+    # Rows over B(r + |g|) suffice and rows over B(r + |g| - 1) do not, for
+    # g and for g.g; |g| comes from the ball's space.
     _, fam, steps = case
     gens = GeneratingSet.create(fam, steps) if steps else GeneratingSet.standard(fam)
+    ball = cayley_ball(fam, gens, 4)
     g = gens.elements[0]
-    ball = cayley_ball(fam, gens, 5)
-    bf = _functional(ball, 3, sphere_restrictions(ball, 3, 5)[0])
-    wide = act_on_restriction(cayley_ball(fam, gens, 4), g, bf, 2)
-    acted = act_on_restriction(cayley_ball(fam, gens, 2), g, bf, 2)
-    assert (acted.points, acted.values) == (wide.points, wide.values)
-    with pytest.raises(PreconditionError, match="outside ball of radius 1"):
-        act_on_restriction(cayley_ball(fam, gens, 1), g, bf, 2)
-    # g itself may lie outside the ball: |g| comes from the ball's space.
-    g2 = fam.multiply(g, g)
-    far = act_on_restriction(cayley_ball(fam, gens, 1), g2, bf, 1)
-    assert far.values == act_on_restriction(cayley_ball(fam, gens, 4), g2, bf, 1).values
+    for h in (g, fam.multiply(g, g)):
+        need = 2 + ball.space.point_key(h)[0]
+        V = sphere_restrictions(ball, need, 4)
+        want = translated_rows(ball.ball(need), V.tolist(), ball.ball(2), h, *ARITHMETIC[fam.name])
+        assert _values(act_on_rows(ball, h, V, 2)) == want
+        with pytest.raises(PreconditionError, match=f"= {need}$"):
+            act_on_rows(ball, h, sphere_restrictions(ball, need - 1, 4), 2)
+
+
+def test_action_past_a_finite_groups_diameter():
+    # Every B(R) with R >= 6 is all of C12; rows over it are read as B(9),
+    # the largest, which holds g^-1 x for every x in B(6) and |g| <= 3.
+    c12 = cyclic_group(12)
+    ball = cayley_ball(c12, GeneratingSet.standard(c12), 9)
+    V = sphere_restrictions(ball, 6, 6)
+    for g in (1, 3):
+        want = translated_rows(ball.ball(9), V.tolist(), ball.ball(6), g, *ARITHMETIC["finite(12)"])
+        assert _values(act_on_rows(ball, g, V, 6)) == want
+    with pytest.raises(PreconditionError, match="= 10$"):
+        act_on_rows(ball, 4, V, 6)
 
 
 def test_action_fails_with_the_per_pair_message():
     z2 = Zd(2)
     ball = cayley_ball(z2, GeneratingSet.create(z2, Z2_XY), 6)
-    dist = bfs_ball((0, 0), Z2_XY, lambda p, q: (p[0] + q[0], p[1] + q[1]), 4)
-    bf = _functional(ball, 2, sphere_restrictions(ball, 2, 4)[0])
-    forged = BallFunctional(2, bf.labels, (3, *bf.values[1:]), bf.points)  # h(e) = 3
+    dist = bfs_ball((0, 0), Z2_XY, _z2_add, 4)
+    forged = sphere_restrictions(ball, 2, 4)[:1].copy()
+    forged[0, 0] = 3  # h(e) = 3
     points = ball.ball(1)
     labels = tuple(z2.element_label(p) for p in points)
     # translation by g = (1, 0): x -> h(x - g) - h(-g)
-    values = [forged.value_at((x[0] - 1, x[1])) - forged.value_at((-1, 0)) for x in points]
+    (values,) = translated_rows(ball.ball(2), forged.tolist(), points, (1, 0), _z2_add, _z2_neg)
     with pytest.raises(InvalidParameterError) as per_pair:
-        BallFunctional.build(1, points, values, lambda p, q: dist[q[0] - p[0], q[1] - p[1]], labels)
+        BallFunctional(1, labels, values, points).check(lambda p, q: dist[q[0] - p[0], q[1] - p[1]])
     with pytest.raises(InvalidParameterError) as acted:
-        act_on_restriction(ball, (1, 0), forged, 1)
+        act_on_rows(ball, (1, 0), forged, 1)
     assert str(acted.value) == str(per_pair.value)
     assert "not 1-Lipschitz" in str(acted.value)
 
@@ -649,6 +668,28 @@ def test_limit_restrictions_build_the_big_ball_only_on_h3(fam, monkeypatch):
         assert radii == [r]
 
 
+def test_limit_restrictions_decode_and_label_the_small_ball_once(monkeypatch):
+    # Every sphere reads B(r) and its labels from the ball: F_3's B(2) is
+    # 1 + 6 + 30 points, decoded and labelled once over seven spheres.
+    f3 = FreeGroup(3)
+    decoded, labelled = [], []
+    row_elements, element_label = FreeGroup.row_elements, FreeGroup.element_label
+
+    def decode(self, rows, r):
+        decoded.append(len(rows))
+        return row_elements(self, rows, r)
+
+    def label(self, g):
+        labelled.append(g)
+        return element_label(self, g)
+
+    monkeypatch.setattr(FreeGroup, "row_elements", decode)
+    monkeypatch.setattr(FreeGroup, "element_label", label)
+    lrs = limit_restrictions(f3, GeneratingSet.standard(f3), 2, 6, 3)
+    assert sum(decoded) == len(labelled) == len(lrs.labels) == 37
+    assert len(set(labelled)) == 37
+
+
 @pytest.mark.parametrize("fam", [Zd(2), FreeGroup(2), Heisenberg()], ids=lambda f: f.name)
 def test_sphere_restrictions_decode_only_the_small_ball(fam):
     # A closed-form ball is its coords; the boundary decodes B(r), not B(R).
@@ -672,7 +713,7 @@ def test_forged_row_fails_with_the_per_pair_message():
     forged = genuine[0].tolist()
     forged[points.index((1, 0))], forged[points.index((2, 0))] = 1, -1  # gap 2 at distance 1
     with pytest.raises(InvalidParameterError) as per_pair:
-        BallFunctional.build(2, points, forged, l1, labels)
+        BallFunctional(2, labels, tuple(forged), points).check(l1)
     rows = np.array([genuine[0], forged], dtype=np.int16)
     with pytest.raises(InvalidParameterError) as batch:
         check_rows(labels, rows, D)

@@ -44,15 +44,15 @@ Z1 = CayleyGraphSpace(Zd(1))
 
 
 def z_ball_functional(values):
-    pts = [(0,), (-1,), (1,)]
-    return BallFunctional.build(
-        1, pts, values, lambda p, q: abs(p[0] - q[0]), [Z1.point_label(p) for p in pts]
-    )
+    pts = ((0,), (-1,), (1,))
+    bf = BallFunctional(1, tuple(Z1.point_label(p) for p in pts), tuple(values), pts)
+    bf.check(lambda p, q: abs(p[0] - q[0]))
+    return bf
 
 
 def test_ball_functional_invariants_enforced():
     bf = z_ball_functional([0, 1, -1])
-    assert bf.value_at((1,)) == -1
+    assert dict(zip(bf.points, bf.values))[(1,)] == -1
     with pytest.raises(InvalidParameterError):
         z_ball_functional([1, 0, -1])  # nonzero at base
     with pytest.raises(InvalidParameterError):
@@ -60,18 +60,14 @@ def test_ball_functional_invariants_enforced():
 
 
 def test_ball_functional_lipschitz_violation_detected():
-    pts = [(0,), (-1,), (1,), (2,)]
+    pts = ((0,), (-1,), (1,), (2,))
+    labels = tuple(map(str, pts))
     dist = lambda p, q: abs(p[0] - q[0])
-    ok = BallFunctional.build(2, pts, [0, 1, -1, -2], dist)
+    ok = BallFunctional(2, labels, (0, 1, -1, -2), pts)
+    ok.check(dist)
     assert ok.values == (0, 1, -1, -2)
     with pytest.raises(InvalidParameterError, match="Lipschitz"):
-        BallFunctional.build(2, pts, [0, 1, -1, 2], dist)  # |2 - (-1)| = 3 > d = 1
-
-
-def test_ball_functional_outside_domain():
-    bf = z_ball_functional([0, 1, -1])
-    with pytest.raises(InvalidPointError):
-        bf.value_at((5,))
+        BallFunctional(2, labels, (0, 1, -1, 2), pts).check(dist)  # |2 - (-1)| = 3 > d = 1
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from horokit.boundary import limit_restrictions
 from horokit.dynamics import group_translation, translation_number
-from horokit.errors import InvalidParameterError, InvalidPointError, ResourceLimitError
+from horokit.errors import InvalidParameterError, InvalidPointError, PreconditionError, ResourceLimitError
 from horokit.functionals import functional_norm_estimate
 from horokit.groups import (
     CayleyGraphSpace,
@@ -221,6 +221,28 @@ def test_closed_form_ball_matches_plain_bfs(fam, R):
     # coords holds the same elements, letters padded with 0 on free groups
     width = R if isinstance(fam, FreeGroup) else len(ident)
     assert ball.coords.tolist() == [list(g) + [0] * (width - len(g)) for g in order]
+
+
+@pytest.mark.parametrize("fam", [Zd(2), FreeGroup(2), Heisenberg()], ids=lambda f: f.name)
+def test_rows_are_built_once_per_radius_and_prefix_coords(fam, monkeypatch):
+    # rows(r) is the family's ball_coords(r): the shortlex prefix B(r) of
+    # coords, narrower on F_n by the zero padding past r letters.
+    R = 5
+    ball = cayley_ball(fam, GeneratingSet.standard(fam), R)
+    for r in range(R + 1):
+        X, n = ball.rows(r), ball.sphere_offsets[r + 1]
+        assert ball.rows(r) is X
+        assert X.dtype == ball.coords.dtype
+        assert np.array_equal(X, ball.coords[:n, : X.shape[1]])
+        assert not ball.coords[:n, X.shape[1] :].any()
+        assert ball.labels(r) == tuple(fam.element_label(g) for g in ball.ball(r))
+    built = []
+    monkeypatch.setattr(type(fam), "ball_coords", lambda self, radius: built.append(radius))
+    with pytest.raises(PreconditionError, match="outside ball of radius 5"):
+        ball.rows(R + 1)
+    with pytest.raises(PreconditionError, match="outside ball of radius 5"):
+        cayley_ball(fam, GeneratingSet.standard(fam), R).rows(R + 1)
+    assert built == []
 
 
 def _sizes(fam, R):
@@ -506,7 +528,7 @@ def test_distance_rows_match_closed_form_lengths(fam, r, R):
 
 def _assert_sphere_rows_keep_the_sphere_h_rows(fam, r, R):
     ball = cayley_ball(fam, GeneratingSet.standard(fam), R)
-    X = fam.ball_coords(r)[0]
+    X = fam.ball_coords(r)
     G = fam.sphere_rows(X, r, R)
     if G is None:  # no known set: the sphere is read whole
         assert isinstance(fam, Heisenberg)
@@ -529,7 +551,7 @@ def test_sphere_rows_keep_the_sphere_h_rows(fam, r, R):
 @pytest.mark.parametrize("d,r,R", [(2, 2, R) for R in range(2, 7)] + [(3, 1, R) for R in range(1, 6)])
 def test_zd_sphere_rows_around_the_corner_radius(d, r, R):
     _assert_sphere_rows_keep_the_sphere_h_rows(Zd(d), r, R)
-    keys = {tuple(k) for k in Zd(d).sphere_rows(Zd(d).ball_coords(r)[0], r, R).tolist()}
+    keys = {tuple(k) for k in Zd(d).sphere_rows(Zd(d).ball_coords(r), r, R).tolist()}
     assert all((c in keys) == (R >= d * r) for c in itertools.product([-r, r], repeat=d))
 
 

@@ -39,7 +39,7 @@ def test_every_traced_layer_records_a_span(capsys):
     try:
         assert horokit.cli.main is not original
         codes = [horokit.cli.main(list(argv)) for argv in ARGVS]
-        BallFunctional.build(1, [0, 1], [0, 1], lambda p, q: abs(p - q))
+        BallFunctional(1, ("0", "1"), (0, 1), (0, 1)).check(lambda p, q: abs(p - q))
     finally:
         tracer.uninstall()
     capsys.readouterr()
