@@ -73,18 +73,20 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> np.ndarray:
 
     Under a closed form, X = ``ball.rows(r)`` is B(r), built once per ball
     like ``ball.labels(r)``, and the family's ``sphere_rows(X, r, R)`` gives
-    rows with the same set of h-rows as S(R) (Z^d: its clipped keys; F_n:
-    S(r)), or None, and then S(R) is read from ``ball.coords``.
-    ``_distance_blocks`` gives d(x, g) on those rows and the distance matrix
-    D of B(r); a searched ball gives both from one ``distance_block`` of
-    B(r) on ``ball.space``.  Each row minus its identity column d(e, g) is
-    h_g.  Values and D are int16 (int64 once R + r leaves int16).  Each
-    chunk of about 256K elements, then their union, is deduplicated on
-    packed keys in value-tuple order (``_unique_rows``); ``check_rows``
-    checks each distinct row, even one outside [-r, r], exactly against D:
-    it vanishes at the identity and is 1-Lipschitz on every pair, so |h(x)|
-    <= |x| <= r.  The first failing row raises with the message
-    ``BallFunctional.check`` gives.
+    rows with the set of h-rows of S(R) up to ``automorphisms(X)`` (Z^d:
+    its clipped keys; F_n: S(r); H3: S(R) on one sector of its 8
+    automorphisms).  ``_distance_blocks`` gives d(x, g) on those rows and
+    the distance matrix D of B(r); a searched ball gives both from one
+    ``distance_block`` of B(r) on ``ball.space``.  Each row minus its
+    identity column d(e, g) is h_g.  Values and D are int16 (int64 once
+    R + r leaves int16).  Each chunk of about 256K elements is deduplicated
+    on packed keys in value-tuple order (``_unique_rows``); its rows with
+    their columns permuted by each automorphism's index array, then the
+    union, are deduplicated again.  ``check_rows`` checks each distinct row,
+    even one outside [-r, r], exactly against D: it vanishes at the
+    identity and is 1-Lipschitz on every pair, so |h(x)| <= |x| <= r.  The
+    first failing row raises with the message ``BallFunctional.check``
+    gives.
     """
     if not 0 <= r <= R:
         raise PreconditionError(f"need 0 <= ball radius {r} <= sphere radius {R}")
@@ -99,14 +101,14 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> np.ndarray:
         block = ball.space.distance_block(points)
         blocks = [block(ball.sphere(R), np.arange(n))[0].astype(dtype)]
         D = block(points, np.arange(n))[0].astype(dtype)
+        perms = np.arange(n)[None]
     else:
-        G = fam.sphere_rows(X, r, R)
-        if G is None:
-            G = ball.coords[ball.sphere_offsets[R] : ball.sphere_offsets[R + 1]]
-        blocks = _distance_blocks(fam, X, G, dtype)
+        blocks = _distance_blocks(fam, X, fam.sphere_rows(X, r, R), dtype)
         D = np.concatenate(list(_distance_blocks(fam, X, X, dtype)))
-    # Dedup block by block, so that a huge sphere is never held whole.
-    parts = [_unique_rows(b - b[:, :1]) for b in blocks]
+        perms = fam.automorphisms(X)
+    # Dedup block by block, so that a huge sphere is never held whole, then
+    # close each block's rows under the automorphisms.
+    parts = [u[:, p] for u in (_unique_rows(b - b[:, :1]) for b in blocks) for p in perms]
     rows = parts[0] if len(parts) == 1 else _unique_rows(np.concatenate([np.empty((0, n), dtype), *parts]))
     check_rows(ball.labels(r), rows, D)
     return rows

@@ -83,17 +83,18 @@ class ClosedFormFamily(GroupFamily):
     """A family whose word length under its standard generators has a
     closed form, with all that it gives: ball sizes, each B(r) as one
     coordinate array (``CayleyBall.rows``), ``coords`` of any elements,
-    the distance kernel on such rows and, where known, a sphere's
-    restriction rows (``sphere_rows``).  Under ``has_closed_form`` nothing is
-    searched, and no other module reads the coordinate layout."""
+    the distance kernel on such rows, and the restriction rows of a sphere
+    (``sphere_rows``) up to the automorphisms that permute the generators
+    (``automorphisms``).  Under ``has_closed_form`` nothing is searched, and
+    no other module reads the coordinate layout."""
 
     @abstractmethod
     def closed_form_length(self, g: Element) -> int:
         """Exact word length w.r.t. the standard generators."""
 
     @abstractmethod
-    def ball_size(self, r: int, cap: int) -> int:
-        """min(|B(r)|, cap + 1), computed without building the ball."""
+    def ball_sizes(self, radius: int, cap: int) -> np.ndarray:
+        """min(|B(r)|, cap + 1) for r = 0..radius, without building a ball."""
 
     @abstractmethod
     def ball_coords(self, radius: int) -> np.ndarray:
@@ -110,11 +111,18 @@ class ClosedFormFamily(GroupFamily):
         rows = [g + (0,) * (width - len(g)) for g in elements]
         return np.array(rows, np.int64).reshape(len(rows), width)
 
-    def sphere_rows(self, X: np.ndarray, r: int, R: int) -> Optional[np.ndarray]:
-        """Coordinate rows whose h-rows d(x, .) - d(e, .) over the rows X of
-        B(r) form exactly the set of S(R), R >= r, built without S(R); None
-        where no such set is known, and S(R) is read whole."""
-        return None
+    @abstractmethod
+    def sphere_rows(self, X: np.ndarray, r: int, R: int) -> np.ndarray:
+        """Coordinate rows, built without S(R), whose h-rows d(x, .) - d(e, .)
+        over the rows X of B(r), R >= r, give exactly the set of S(R) up to
+        ``automorphisms``: taken with their columns permuted by each p."""
+
+    def automorphisms(self, X: np.ndarray) -> np.ndarray:
+        """Index arrays p, one row per automorphism s that permutes the
+        generators, the identity first, with X[p] = s(X) on the rows X of
+        B(r): s maps B(r) onto itself and h_sg(x) = h_g(s^-1 x), so the rows
+        of S(R) are closed under p.  By default the identity alone."""
+        return np.arange(len(X))[None]
 
     @abstractmethod
     def distance_rows(self, X: np.ndarray, G: np.ndarray, dtype) -> np.ndarray:
@@ -152,26 +160,21 @@ class Zd(ClosedFormFamily):
         return "(" + ",".join(str(a) for a in g) + ")"
 
     def standard_generators(self):
-        gens = []
-        for i in range(self.dim):
-            e = [0] * self.dim
-            e[i] = 1
-            gens.append(tuple(e))
-            e2 = [0] * self.dim
-            e2[i] = -1
-            gens.append(tuple(e2))
-        return tuple(gens)
+        return tuple(tuple(s * (i == k) for k in range(self.dim)) for i in range(self.dim) for s in (1, -1))
 
     def closed_form_length(self, g):
         return sum(abs(a) for a in g)
 
-    def ball_size(self, r, cap):
-        # The sum of 2^k C(d, k) C(r, k), each term from the one before.
-        total = term = 1
-        for k in range(1, min(self.dim, r) + 1):
-            term = term * 2 * (self.dim - k + 1) * (r - k + 1) // (k * k)
-            total += term
-        return min(total, cap + 1)
+    def ball_sizes(self, radius, cap):
+        # The sums of 2^k C(d, k) C(r, k) over k, each term from the one before,
+        # in Python ints where cap or a product (below (2r + 1)^d 2d(r + 1)) could pass int64.
+        wide = max(cap, (2 * radius + 1) ** self.dim * 2 * self.dim * (radius + 1)) >> 62
+        rs = np.arange(radius + 1).astype(object if wide else np.int64)
+        total = term = np.ones_like(rs)
+        for k in range(1, min(self.dim, radius) + 1):
+            term = term * 2 * (self.dim - k + 1) * (rs - k + 1) // (k * k)
+            total = total + term
+        return np.minimum(total, cap + 1)
 
     def ball_coords(self, radius):
         """Coordinate rows (int16, int64 once the radius leaves int16).
@@ -274,22 +277,17 @@ class FreeGroup(ClosedFormFamily):
         return name if x > 0 else name.upper()
 
     def standard_generators(self):
-        gens = []
-        for i in range(1, self.rank + 1):
-            gens.append((i,))
-            gens.append((-i,))
-        return tuple(gens)
+        return tuple((x,) for i in range(1, self.rank + 1) for x in (i, -i))
 
     def closed_form_length(self, g):
         return len(g)
 
-    def ball_size(self, r, cap):
+    def ball_sizes(self, radius, cap):
         if self.rank == 1:
-            return min(2 * r + 1, cap + 1)
-        if r > cap.bit_length():
-            return cap + 1  # |S(r)| >= 4 * 3^(r - 1) > 2^r > cap
-        q = 2 * self.rank - 1
-        return min(1 + (q + 1) * (q**r - 1) // (q - 1), cap + 1)
+            return Zd(1).ball_sizes(radius, cap)  # F_1 is Z
+        q, top = 2 * self.rank - 1, min(radius, cap.bit_length())  # past top, |S(r)| > 2^r > cap
+        sizes = [min(1 + (q + 1) * (q**r - 1) // (q - 1), cap + 1) for r in range(top + 1)]
+        return np.array(sizes + [cap + 1] * (radius - top))
 
     def ball_coords(self, radius):
         """Letter rows padded with 0 to the radius (int8, int64 past rank 127).
@@ -439,46 +437,81 @@ class Heisenberg(ClosedFormFamily):
     def closed_form_length(self, g):
         return heisenberg_length(*g)
 
-    def ball_size(self, r, cap):
+    def ball_sizes(self, radius, cap):
         # B(r) holds (a, b, c) for a, b >= 0, a + b <= r and 0 <= c <= ab:
-        # more than the sum of ab, which is C(r + 2, 4).
-        if comb(r + 2, 4) > cap:
-            return cap + 1
-        lo, hi = self._columns(r)[2:]
-        return min(int((hi - lo + 1).sum()), cap + 1)
+        # more than the sum of ab, which is C(r + 2, 4).  Radii below top are
+        # counted in one broadcast over the columns with a, b >= 0, each of
+        # which stands for 1, 2 or 4 columns of the same length.
+        top = next((r for r in range(radius + 1) if comb(r + 2, 4) > cap), radius + 1)
+        a, b = self._columns(top - 1)[:2]
+        a, b, rs = a[(a >= 0) & (b >= 0)], b[(a >= 0) & (b >= 0)], np.arange(top)[:, None]
+        count = np.where(a + b <= rs, 2 * self._reach(a, b, rs) - a * b + 1, 0)
+        sizes = (count * ((a > 0) + 1) * ((b > 0) + 1)).sum(axis=1).tolist()
+        return np.array([min(n, cap + 1) for n in sizes] + [cap + 1] * (radius + 1 - top))
+
+    @staticmethod
+    def _reach(a, b, radius):
+        """For a, b >= 0, the length of (a, b, c) is at most radius iff e <= E
+        = max{PQ : P >= a, Q >= b, P + Q <= T}, T = (radius + a + b) // 2 (see
+        ``heisenberg_length``), so c runs over [ab - E, E] while a + b <= radius.
+        E is taken at P = T // 2 clamped to [a, T - b]."""
+        T = (radius + a + b) // 2
+        P = np.clip(T // 2, a, T - b)
+        return P * (T - P)
 
     @staticmethod
     def _columns(radius: int) -> tuple[np.ndarray, ...]:
         """Every (a, b) with |a| + |b| <= radius, and the c-interval [lo, hi]
-        of its column in the ball B(radius).
-
-        With a, b >= 0 (see ``heisenberg_length``) the length is at most R
-        iff e <= E = max{PQ : P >= a, Q >= b, P + Q <= T}, T = (R + a + b) // 2.
-        E is taken at P = T // 2 clamped to [a, T - b], so c runs over
-        [ab - E, E].  Flipping c when the signs of a and b differ gives
-        [-E, E - ab].
-        """
+        of its column in the ball B(radius): [ab - E, E] for |a| and |b|
+        (``_reach``), or [-E, E - ab] when the signs of a and b differ."""
         av = np.arange(-radius, radius + 1)
         span = radius - np.abs(av)
         a = np.repeat(av, 2 * span + 1)
         # b runs over -span..span; the run of av[i] ends at cumsum[i].
         b = np.arange(len(a)) - np.repeat(np.cumsum(2 * span + 1) - span - 1, 2 * span + 1)
         A, B = np.abs(a), np.abs(b)
-        T = (radius + A + B) // 2
-        P = np.clip(T // 2, A, T - B)
-        E, ab = P * (T - P), A * B
+        E, ab = Heisenberg._reach(A, B, radius), A * B
         flip = (a < 0) ^ (b < 0)
         return a, b, np.where(flip, -E, ab - E), np.where(flip, E - ab, E)
+
+    @staticmethod
+    def _runs(a, b, lo, hi) -> np.ndarray:
+        """The int64 rows (a, b, c), c = lo..hi, of each column run in turn."""
+        count = np.maximum(hi - lo + 1, 0)
+        c = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
+        return np.stack([np.repeat(a, count), np.repeat(b, count), c], axis=1)
 
     def ball_coords(self, radius):
         """int64 (a, b, c) rows: every column interval, sorted by
         (length, a, b, c)."""
-        a, b, lo, hi = self._columns(radius)
-        count = hi - lo + 1
-        c = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
-        a, b = np.repeat(a, count), np.repeat(b, count)
-        order = np.lexsort((c, b, a, heisenberg_length(a, b, c)))
-        return np.stack([a, b, c], axis=1)[order]
+        rows = self._runs(*self._columns(radius))
+        return rows[np.lexsort((*rows.T[::-1], heisenberg_length(*rows.T)))]
+
+    def sphere_rows(self, X, r, R):
+        """S(R) on the sector 0 <= a <= b, which meets every orbit of
+        ``automorphisms``.  In each column S(R) is B(R)'s c-interval [ab - E,
+        E] less B(R - 1)'s [ab - E', E'], none where a + b = R: two runs."""
+        a, b = self._columns(R)[:2]
+        a, b = a[(0 <= a) & (a <= b)], b[(0 <= a) & (a <= b)]
+        E, E1 = self._reach(a, b, R), self._reach(a, b, R - 1)
+        cut = np.where(a + b < R, a * b - E1, E + 1)  # where B(R - 1) starts, if anywhere
+        lo, hi = np.concatenate([a * b - E, np.maximum(E1 + 1, cut)]), np.concatenate([cut - 1, E])
+        return self._runs(np.tile(a, 2), np.tile(b, 2), lo, hi)
+
+    def automorphisms(self, X):
+        """The 8 automorphisms that permute x^+-1, y^+-1: (a, b, c) -> (s a,
+        t b, s t c), s, t = +-1, after (a, b, c) -> (b, a, ab - c) or not
+        (``heisenberg_length`` uses the first kind).  Rows are found by
+        their packed (a, b, c), each entry offset by the largest |entry| m;
+        one image per row of keys, the identity first."""
+        a, b, c = X.T
+        m = int(np.abs(X).max(initial=0))
+        s, t = np.array([[1, 1, -1, -1] * 2, [1, -1, 1, -1] * 2])[..., None]
+        swap = np.arange(8)[:, None] >= 4
+        u, v, w = np.where(swap, b, a) * s, np.where(swap, a, b) * t, np.where(swap, a * b - c, c) * s * t
+        keys = ((u + m) * (2 * m + 1) + v + m) * (2 * m + 1) + w + m
+        order = np.argsort(keys[0])
+        return order[np.searchsorted(keys[0], keys, sorter=order)]
 
     def distance_rows(self, X, G, dtype):
         """``heisenberg_length`` of x^-1 g, broadcast over int64 (a, b, c) rows."""
@@ -592,7 +625,9 @@ class CayleyBall:
     is ``rows(r)``, the family's ``ball_coords(r)`` (row i for element i),
     and ``coords`` is ``rows(radius)``; ``sphere``, ``ball`` and
     ``elements`` decode rows on demand.  ``rows``, ``ball`` and ``labels``
-    build each B(r) once per ball, and only for r <= radius.  Searched
+    build each B(r) once per ball, and only for r <= radius.  The boundary
+    reads B(r) alone: each family's ``sphere_rows`` stands in for S(R), so
+    no boundary computation builds ``coords`` or ``elements``.  Searched
     balls (non-standard generators, finite groups) keep their
     ``elements``, ``coords`` is None, and ``space`` searches distances.
     """
@@ -672,8 +707,8 @@ def cayley_ball(
 ) -> CayleyBall:
     """Ball around the identity with exact word lengths, in shortlex order.
 
-    Under ``has_closed_form`` the family's ``ball_size`` is checked against
-    the ball limit first, and gives ``sphere_offsets`` without a search; the
+    Under ``has_closed_form`` the family's ``ball_sizes`` are checked against
+    the ball limit first, and give ``sphere_offsets`` without a search; the
     ball's ``coords`` are built only when read.  Non-standard generators
     and finite groups grow a ``WordLengthOracle`` to the radius and sort each
     of its spheres by ``element_key``; the ball keeps the elements, and its
@@ -692,10 +727,11 @@ def cayley_ball(
         ball.elements = tuple(g for layer in layers for g in layer)
         return ball
     cap = oracle.cap
-    if radius > 0 and family.ball_size(radius, cap) > cap:
-        fits = bisect.bisect_right(range(1, radius + 1), cap, key=lambda r: family.ball_size(r, cap))
+    sizes = family.ball_sizes(min(radius, cap), cap).tolist()  # |B(r)| > r: B(cap) is over
+    if sizes[-1] > cap:
+        fits = bisect.bisect_right(sizes, cap) - 1
         raise ResourceLimitError(f"ball size exceeded limit {cap}", radius_reached=fits)
-    return CayleyBall(family, gens, radius, (0, *(family.ball_size(r, cap) for r in range(radius + 1))))
+    return CayleyBall(family, gens, radius, (0, *sizes))
 
 
 class WordLengthOracle:

@@ -384,13 +384,16 @@ def _values(rows):
 @pytest.fixture(scope="module")
 def h3_ball():
     h3 = Heisenberg()
-    return cayley_ball(h3, GeneratingSet.standard(h3), 10)
+    return cayley_ball(h3, GeneratingSet.standard(h3), 12)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_h3_sphere_restrictions_match_matrix_oracle(h3_ball, r):
-    oracle = h3_restrictions(r, range(r, 9))
-    for R in range(r, 9):
+    # r = 1 reads spheres far past r, and r = 3 the largest B(r); each closes
+    # the sector 0 <= a <= b under the 8 automorphisms.
+    r_max = {1: 12, 2: 8, 3: 9}[r]
+    oracle = h3_restrictions(r, range(r, r_max + 1))
+    for R in range(r, r_max + 1):
         assert _values(sphere_restrictions(h3_ball, r, R)) == oracle[R], R
 
 
@@ -491,14 +494,15 @@ def test_spheres_over_several_blocks_match_the_oracles(monkeypatch, h3_ball):
 
 @pytest.mark.parametrize("low, high", [(-1, 4), (0, 8), (0, -9)])
 def test_a_row_out_of_range_is_not_merged_away(monkeypatch, low, high):
-    # H3 reads S(R) whole.  On r = 1, R = 4, the columns are (0,0,0),
-    # (-1,0,0), (0,-1,0), (0,1,0), (1,0,0), and g = (2,0,1) shares its row
-    # [0, 1, -1, 1, -1] with g = (-1,-1,-1) earlier in S(4).  Adding
-    # (low, high) to its last two values puts 3, 7 or -10 outside [-r, r].
-    # Packed at 2 bits per value offset by r, the first two forged rows would
-    # share (-1,-1,-1)'s key (by a carry if the fields were added, by
+    # H3 reads S(R) on the sector 0 <= a <= b.  On r = 1, R = 4, the columns
+    # are (0,0,0), (-1,0,0), (0,-1,0), (0,1,0), (1,0,0), and g = (2,2,3)
+    # shares its row [0, 1, 1, 1, -1] with g = (1,3,3) earlier in the sector.
+    # Adding (low, high) to its last two values puts 3, 7 or -10 outside
+    # [-r, r].  Packed at 2 bits per value offset by r, the first two forged
+    # rows would share (1,3,3)'s key (by a carry if the fields were added, by
     # overlapping bits if OR-ed) and vanish.  The row must reach check_rows
-    # and raise what np.unique(axis=0) and check_rows give.
+    # and raise what np.unique(axis=0) and check_rows give on the sector's
+    # rows closed under the automorphisms.
     h3 = Heisenberg()
     r, R = 1, 4
     ball = cayley_ball(h3, GeneratingSet.standard(h3), R)
@@ -506,18 +510,22 @@ def test_a_row_out_of_range_is_not_merged_away(monkeypatch, low, high):
 
     def forged(X, G, dtype):
         out = real(X, G, dtype)
-        hit = np.flatnonzero((G == (2, 0, 1)).all(axis=1))
+        hit = np.flatnonzero((G == (2, 2, 3)).all(axis=1))
         out[hit, -2:] += np.array([low, high], dtype)
         return out
 
-    n = ball.sphere_offsets[r + 1]
-    X, S = ball.coords[:n], ball.coords[ball.sphere_offsets[R] : ball.sphere_offsets[R + 1]]
+    X = ball.rows(r)
+    G = h3.sphere_rows(X, r, R)
     D = real(X, X, np.int64)
     labels = tuple(h3.element_label(p) for p in ball.ball(r))
-    V = forged(X, S, np.int64)
-    assert (V - V[:, :1])[(S == (-1, -1, -1)).all(axis=1)].tolist() == [[0, 1, -1, 1, -1]]
+    V = forged(X, G, np.int64)
+    H = V - V[:, :1]
+    earlier, forged_at = (np.flatnonzero((G == g).all(axis=1)).tolist() for g in ((1, 3, 3), (2, 2, 3)))
+    assert len(earlier) == len(forged_at) == 1 and earlier < forged_at
+    assert (real(X, G, np.int64)[forged_at] - R).tolist() == H[earlier].tolist() == [[0, 1, 1, 1, -1]]
+    closed = np.concatenate([H[:, p] for p in h3.automorphisms(X)])
     with pytest.raises(InvalidParameterError) as want:
-        check_rows(labels, np.unique(V - V[:, :1], axis=0), D)
+        check_rows(labels, np.unique(closed, axis=0), D)
     monkeypatch.setattr(h3, "distance_rows", forged)
     with pytest.raises(InvalidParameterError) as got:
         sphere_restrictions(ball, r, R)
@@ -649,9 +657,9 @@ def test_a_window_straddling_int16_and_int64_spheres():
 
 
 @pytest.mark.parametrize("fam", [Zd(2), Zd(3), FreeGroup(2), FreeGroup(3), Heisenberg()], ids=lambda f: f.name)
-def test_limit_restrictions_build_the_big_ball_only_on_h3(fam, monkeypatch):
-    # Z^d and F_n read B(r) alone, once per ball, whatever r_max is; H3 reads
-    # its spheres from B(r_max).
+def test_limit_restrictions_build_only_the_small_ball(fam, monkeypatch):
+    # Every closed-form family reads B(r) alone, once per ball, whatever
+    # r_max is: its sphere_rows stand in for S(R).
     radii, real = [], type(fam).ball_coords
 
     def recording(self, radius):
@@ -662,10 +670,7 @@ def test_limit_restrictions_build_the_big_ball_only_on_h3(fam, monkeypatch):
     r, r_max = 2, 8
     lrs = limit_restrictions(fam, GeneratingSet.standard(fam), r, r_max, 3)
     assert len(lrs.values) > 1
-    if isinstance(fam, Heisenberg):
-        assert radii.count(r_max) == 1
-    else:
-        assert radii == [r]
+    assert radii == [r]
 
 
 def test_limit_restrictions_decode_and_label_the_small_ball_once(monkeypatch):

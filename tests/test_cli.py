@@ -4,6 +4,8 @@ import math
 import pytest
 
 from horokit.cli import main
+from horokit.errors import ResourceLimitError
+from horokit.groups import GeneratingSet, Heisenberg, cayley_ball
 
 from oracles import h3_lengths_by_area, heis_matmul, heis_matrix, heis_triple
 
@@ -130,6 +132,20 @@ def test_budget_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "boundary", "--group", "free", "--r", "1", "--rmax", "8", "--window", "2")
     assert code == 3
     assert "ResourceLimitError" in err
+
+
+def test_h3_ball_limit_is_still_checked_on_the_big_ball(capsys, monkeypatch):
+    # No H3 boundary job builds B(rmax) any more, but the default limit of
+    # 10^6 is still checked on |B(rmax)|: |B(39)| = 987,293 fits and
+    # |B(40)| = 1,092,681 does not.  Moving the limit changes exits and pins.
+    monkeypatch.delenv("HOROKIT_MAX_BALL", raising=False)
+    code, out, err = run(capsys, "boundary", "--group", "heisenberg", "--r", "1", "--rmax", "40",
+                         "--window", "2")
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "ResourceLimitError", "message": "ball size exceeded limit 1000000"}
+    with pytest.raises(ResourceLimitError) as exc:
+        cayley_ball(Heisenberg(), GeneratingSet.standard(Heisenberg()), 40)
+    assert exc.value.radius_reached == 39
 
 
 @pytest.mark.parametrize("value", ["abc", "1e3", "-5", "0"])

@@ -527,18 +527,20 @@ def test_distance_rows_match_closed_form_lengths(fam, r, R):
 
 
 def _assert_sphere_rows_keep_the_sphere_h_rows(fam, r, R):
+    # The rows of sphere_rows, closed under automorphisms (the identity
+    # alone on Z^d and F_n), against the decoded S(R) under closed_form_length.
     ball = cayley_ball(fam, GeneratingSet.standard(fam), R)
     X = fam.ball_coords(r)
     G = fam.sphere_rows(X, r, R)
-    if G is None:  # no known set: the sphere is read whole
-        assert isinstance(fam, Heisenberg)
-        G = ball.coords[ball.sphere_offsets[R] : ball.sphere_offsets[R + 1]]
     assert len(G) <= ball.sphere_offsets[R + 1] - ball.sphere_offsets[R]
     M = fam.distance_rows(X, G, np.int64)
+    H = M - M[:, :1]
     points = ball.ball(r)
     want = {tuple(fam.closed_form_length(fam.multiply(fam.inverse(x), g)) - R for x in points)
             for g in ball.sphere(R)}
-    assert {tuple(row) for row in (M - M[:, :1]).tolist()} == want
+    perms = fam.automorphisms(X)
+    assert len(perms) == (8 if isinstance(fam, Heisenberg) else 1)
+    assert {tuple(row) for p in perms for row in H[:, p].tolist()} == want
 
 
 @pytest.mark.parametrize("r,R", [(0, 3), (1, 1), (1, 4), (2, 5)])
@@ -553,6 +555,66 @@ def test_zd_sphere_rows_around_the_corner_radius(d, r, R):
     _assert_sphere_rows_keep_the_sphere_h_rows(Zd(d), r, R)
     keys = {tuple(k) for k in Zd(d).sphere_rows(Zd(d).ball_coords(r), r, R).tolist()}
     assert all((c in keys) == (R >= d * r) for c in itertools.product([-r, r], repeat=d))
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+@pytest.mark.parametrize("fam", CLOSED_FORM_FAMILIES, ids=lambda f: f.name)
+def test_automorphisms_fix_the_identity_and_keep_distances(fam, r):
+    X = fam.ball_coords(r)
+    D = fam.distance_rows(X, X, np.int64)
+    for p in fam.automorphisms(X):
+        assert p[0] == 0
+        assert sorted(p.tolist()) == list(range(len(X)))
+        assert (D[p][:, p] == D).all()
+
+
+def test_h3_automorphisms_agree_with_matrix_arithmetic():
+    # Eight distinct index arrays on B(4); each maps the generators onto the
+    # generators and, on B(2) x B(2), products to products under heis_matmul.
+    fam = Heisenberg()
+    X = fam.ball_coords(4)
+    rows = list(map(tuple, X.tolist()))
+    perms = fam.automorphisms(X)
+    assert perms.shape == (8, len(X)) and len({tuple(p) for p in perms.tolist()}) == 8
+    small = rows[: len(fam.ball_coords(2))]
+    for p in perms.tolist():
+        image = {g: rows[i] for g, i in zip(rows, p)}
+        assert sorted(image[g] for g in H3_GENS) == sorted(H3_GENS)
+        for x, y in itertools.product(small, repeat=2):
+            xy = heis_triple(heis_matmul(heis_matrix(*x), heis_matrix(*y)))  # in B(4)
+            want = heis_triple(heis_matmul(heis_matrix(*image[x]), heis_matrix(*image[y])))
+            assert image[xy] == want, (x, y)
+
+
+def test_h3_sphere_rows_are_the_sector_of_the_sphere(h3_matrix_lengths):
+    # S(R) on 0 <= a <= b, each element once, against BFS on the matrices.
+    fam = Heisenberg()
+    for R in range(13):
+        got = list(map(tuple, fam.sphere_rows(fam.ball_coords(1), 1, R).tolist()))
+        want = {g for g, d in h3_matrix_lengths.items() if d == R and 0 <= g[0] <= g[1]}
+        assert len(got) == len(want) and set(got) == want, R
+
+
+@pytest.mark.parametrize("fam,R", [(Zd(1), 30), (Zd(3), 8), (FreeGroup(1), 30), (FreeGroup(2), 6),
+                                   (FreeGroup(3), 4), (Heisenberg(), 12)],
+                         ids=lambda c: getattr(c, "name", c))
+def test_ball_sizes_match_per_radius_counts_and_bfs(fam, R):
+    ident, gens, mul, _ = _oracle(fam)
+    dist = bfs_ball(ident, gens, mul, R)
+    bfs = [sum(d <= r for d in dist.values()) for r in range(R + 1)]
+    assert fam.ball_sizes(R, 10**9).tolist() == bfs == [len(fam.ball_coords(r)) for r in range(R + 1)]
+    for cap in sorted({1, 2**70, *bfs, *(n - 1 for n in bfs[1:]), *(n + 1 for n in bfs)}):
+        assert fam.ball_sizes(R, cap).tolist() == [min(n, cap + 1) for n in bfs], cap
+
+
+@pytest.mark.parametrize("fam", [Zd(1), Zd(6), Zd(40), FreeGroup(1), FreeGroup(2), FreeGroup(200)],
+                         ids=lambda f: f.name)
+@pytest.mark.parametrize("cap", [10**6, 2**62, 2**70])
+def test_ball_sizes_stay_exact_past_int64(fam, cap):
+    # Sizes, and the cap itself, may pass int64; each entry is an exact int.
+    sizes = fam.ball_sizes(60, cap).tolist()
+    assert sizes == [min(n, cap + 1) for n in _sizes(fam, 60)]
+    assert all(type(n) is int for n in sizes)
 
 
 @pytest.mark.parametrize("fam", CLOSED_FORM_FAMILIES, ids=lambda f: f.name)
