@@ -10,7 +10,7 @@ limit: no general bound on the stabilization radius exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -66,6 +66,24 @@ def _unique_rows(V: np.ndarray) -> np.ndarray:
     return V[order[keep]]
 
 
+def _ball_facts(ball: CayleyBall, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distance matrix D of B(r), int16 unless 2r leaves int16, and the
+    column permutations of B(r) by its automorphisms, built once per ball:
+    under a closed form from ``ball.rows(r)``, on a searched ball from one
+    ``distance_block`` of B(r), with the identity alone."""
+
+    def build():
+        dtype = np.int16 if 2 * r <= np.iinfo(np.int16).max else np.int64
+        X = ball.rows(r)
+        if X is not None:
+            return np.concatenate(list(_distance_blocks(ball.family, X, X, dtype))), ball.family.automorphisms(X)
+        points = ball.ball(r)
+        D = ball.space.distance_block(points)(points, np.arange(len(points)))[0]
+        return D.astype(dtype), np.arange(len(points))[None]
+
+    return ball.once("facts", r, build)
+
+
 def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> np.ndarray:
     """Deduplicated restrictions h_g|B(r) over all g with |g| = R, as the
     (k, |B(r)|) matrix of their distinct value rows in lexicographic
@@ -75,37 +93,31 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> np.ndarray:
     like ``ball.labels(r)``, and the family's ``sphere_rows(X, r, R)`` gives
     rows with the set of h-rows of S(R) up to ``automorphisms(X)`` (Z^d:
     its clipped keys; F_n: S(r); H3: S(R) on one sector of its 8
-    automorphisms).  ``_distance_blocks`` gives d(x, g) on those rows and
-    the distance matrix D of B(r); a searched ball gives both from one
-    ``distance_block`` of B(r) on ``ball.space``.  Each row minus its
-    identity column d(e, g) is h_g.  Values and D are int16 (int64 once
-    R + r leaves int16).  Each chunk of about 256K elements is deduplicated
-    on packed keys in value-tuple order (``_unique_rows``); its rows with
-    their columns permuted by each automorphism's index array, then the
-    union, are deduplicated again.  ``check_rows`` checks each distinct row,
-    even one outside [-r, r], exactly against D: it vanishes at the
-    identity and is 1-Lipschitz on every pair, so |h(x)| <= |x| <= r.  The
-    first failing row raises with the message ``BallFunctional.check``
-    gives.
+    automorphisms).  ``_distance_blocks`` gives d(x, g) on those rows; a
+    searched ball gives them from one ``distance_block`` of B(r) on
+    ``ball.space``.  D and the automorphisms are ``_ball_facts(ball, r)``,
+    shared by every sphere.  Each row minus its identity column d(e, g) is
+    h_g.  Values are int16 (int64 once R + r leaves int16).  Each chunk of
+    about 256K elements is deduplicated on packed keys in value-tuple order
+    (``_unique_rows``); its rows with their columns permuted by each
+    automorphism's index array, then the union, are deduplicated again.
+    ``check_rows`` checks each distinct row, even one outside [-r, r],
+    exactly against D: it vanishes at the identity and is 1-Lipschitz on
+    every pair, so |h(x)| <= |x| <= r.  The first failing row raises with
+    the message ``BallFunctional.check`` gives.
     """
     if not 0 <= r <= R:
         raise PreconditionError(f"need 0 <= ball radius {r} <= sphere radius {R}")
     if ball.radius < R:
         raise PreconditionError(f"ball radius {ball.radius} is insufficient; need >= {R}")
-    fam = ball.family
-    n = ball.sphere_offsets[r + 1]
+    fam, n = ball.family, ball.sphere_offsets[r + 1]
     dtype = np.int16 if R + r <= np.iinfo(np.int16).max else np.int64
-    X = ball.rows(r)
+    X, (D, perms) = ball.rows(r), _ball_facts(ball, r)
     if X is None:
         points = ball.ball(r)
-        block = ball.space.distance_block(points)
-        blocks = [block(ball.sphere(R), np.arange(n))[0].astype(dtype)]
-        D = block(points, np.arange(n))[0].astype(dtype)
-        perms = np.arange(n)[None]
+        blocks = [ball.space.distance_block(points)(ball.sphere(R), np.arange(n))[0].astype(dtype)]
     else:
         blocks = _distance_blocks(fam, X, fam.sphere_rows(X, r, R), dtype)
-        D = np.concatenate(list(_distance_blocks(fam, X, X, dtype)))
-        perms = fam.automorphisms(X)
     # Dedup block by block, so that a huge sphere is never held whole, then
     # close each block's rows under the automorphisms.
     parts = [u[:, p] for u in (_unique_rows(b - b[:, :1]) for b in blocks) for p in perms]
@@ -213,8 +225,7 @@ def act_on_rows(ball: CayleyBall, g, V: np.ndarray, r: int) -> np.ndarray:
     pos = {p: i for i, p in enumerate(ball.ball(R))}
     ginv = fam.inverse(g)
     out = V[:, [pos[fam.multiply(ginv, x)] for x in points]] - V[:, [pos[ginv]]]
-    D, _ = ball.space.distance_block(points)(points, np.arange(len(points)))
-    check_rows(ball.labels(r), out, D)
+    check_rows(ball.labels(r), out, _ball_facts(ball, r)[0])
     return out
 
 
@@ -355,19 +366,10 @@ def reduced_classify_z(functionals: Sequence[ZFunctional]) -> list[list[ZFunctio
 @dataclass
 class FixedPointAuditReport:
     passed: bool
-    bound: Scalar
-    worst: Scalar
+    bound: Scalar = field(metadata={"json": float})
+    worst: Scalar = field(metadata={"json": float})
     checked: int
-    violating: Optional[object] = None
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "bound": float(self.bound),
-            "worst": float(self.worst),
-            "checked": self.checked,
-            "violating": None if self.violating is None else str(self.violating),
-        }
+    violating: Optional[object] = field(default=None, metadata={"json": str})
 
 
 def reduced_fixed_point_audit(

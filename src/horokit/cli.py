@@ -199,18 +199,24 @@ def _extend_mcshane(args) -> Outcome:
                    lambda: [("point", "value"), *values])
 
 
+def _spoke_ray_hahn_banach(n_max: int):
+    """h = -t on the ray of the spoke-ray space, extended from the
+    witnesses gamma(1..n_max + 15) and evaluated at head(1..n_max)."""
+    space = SpokeRaySpace()
+    return hahn_banach_extend(
+        space,
+        lambda y: Fraction(0) if y == HUB else -y[1],
+        (space.gamma(k) for k in range(1, n_max + 16)),
+        eval_points=[space.spoke_head(n) for n in range(1, n_max + 1)],
+        audit_points=[HUB] + [space.gamma(s) for s in range(1, min(n_max, 12))],
+    )
+
+
 def _extend_hahn_banach(args) -> Outcome:
     # spoke-ray at n = 0 would evaluate no point
     n_max = _count("--n", args.n, 1 if args.fixture == "spoke-ray" else 0)
     if args.fixture == "spoke-ray":
-        space = SpokeRaySpace()
-        res = hahn_banach_extend(
-            space,
-            lambda y: Fraction(0) if y == HUB else -y[1],
-            (space.gamma(k) for k in range(1, n_max + 16)),
-            eval_points=[space.spoke_head(n) for n in range(1, n_max + 1)],
-            audit_points=[HUB] + [space.gamma(s) for s in range(1, min(n_max, 12))],
-        )
+        res = _spoke_ray_hahn_banach(n_max)
         values = {k: scalar_to_json(v.value) for k, v in res.table.items()}
         ok = res.audit.passed and all(v.stabilized for v in res.table.values())
     elif args.fixture == "plane-axis":
@@ -252,15 +258,8 @@ def _selftest_extend() -> list[tuple[str, bool]]:
         ("single_point_inf", [inf.evaluate(i) for i in range(3)] == [0, 1, 2]),
         ("ordering", all(sup.evaluate(i) <= inf.evaluate(i) for i in range(3))),
     ]
-    sr = SpokeRaySpace()
-    res = hahn_banach_extend(
-        sr,
-        lambda y: Fraction(0) if y == HUB else -y[1],
-        (sr.gamma(k) for k in range(1, 24)),
-        eval_points=[sr.spoke_head(3)],
-        audit_points=[sr.gamma(2)],
-    )
-    checks.append(("spoke_ray_half", list(res.table.values())[0].value == Fraction(-1, 2)))
+    # n = 8: the witnesses gamma(1..23), head(3) among the evaluated points
+    checks.append(("spoke_ray_half", _spoke_ray_hahn_banach(8).table["head(3)"].value == Fraction(-1, 2)))
     return checks
 
 
@@ -458,10 +457,15 @@ def _reduced_classify_z(args) -> Outcome:
                    lambda: [("class", "members"), *((i, ";".join(cls)) for i, cls in enumerate(classes))])
 
 
+def _z_shift_audit():
+    """The shift by 1 on Z moves the linear functional h(k) = k boundedly."""
+    g = group_translation(CayleyGraphSpace(Zd(1)), (1,))
+    return reduced_fixed_point_audit(g, ZdLinear([1]), [(k,) for k in range(-20, 21)])
+
+
 def _reduced_fixed_point(args) -> Outcome:
     if args.fixture == "z-shift":
-        g = group_translation(CayleyGraphSpace(Zd(1)), (1,))
-        rep = reduced_fixed_point_audit(g, ZdLinear([1]), [(k,) for k in range(-20, 21)])
+        rep = _z_shift_audit()
     elif args.fixture == "halfplane-parabolic":
         space = UpperHalfPlane()
         g = half_plane_translation(1.0).as_selfmap(space)
@@ -479,13 +483,7 @@ def _reduced_fixed_point(args) -> Outcome:
 
 def _selftest_reduced() -> list[tuple[str, bool]]:
     fs = [ZFunctional.point(0), ZFunctional.point(5), ZFunctional.plus_end(), ZFunctional.minus_end()]
-    checks = [("three_classes", len(reduced_classify_z(fs)) == 3)]
-    space = CayleyGraphSpace(Zd(1))
-    rep = reduced_fixed_point_audit(
-        group_translation(space, (1,)), ZdLinear([1]), [(k,) for k in range(-10, 11)]
-    )
-    checks.append(("z_shift_audit", rep.passed))
-    return checks
+    return [("three_classes", len(reduced_classify_z(fs)) == 3), ("z_shift_audit", _z_shift_audit().passed)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -221,20 +221,11 @@ class TauReport:
     min_{n<=N} a_n/n for the translation number."""
 
     n: int
-    displacements: list
-    estimate: float
-    bound: float
-    bound_trace: list
-    closed_form: Optional[float] = None
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "estimate": float(self.estimate),
-            "bound": float(self.bound),
-            "bound_trace": [float(v) for v in self.bound_trace],
-            "closed_form": None if self.closed_form is None else float(self.closed_form),
-        }
+    displacements: list = field(metadata={"skip": True})
+    estimate: float = field(metadata={"json": float})
+    bound: float = field(metadata={"json": float})
+    bound_trace: list = field(metadata={"each": float})
+    closed_form: Optional[float] = field(default=None, metadata={"json": float})
 
 
 def _orbit_displacements(f: SelfMap, n: int) -> list:
@@ -273,16 +264,9 @@ def translation_number(f: SelfMap, n: int) -> TauReport:
 
 @dataclass
 class DisplacementReport:
-    bound: Scalar
-    argmin: Point
-    trace: list
-
-    def as_dict(self) -> dict:
-        return {
-            "bound": float(self.bound),
-            "argmin": str(self.argmin),
-            "trace": [float(v) for v in self.trace],
-        }
+    bound: Scalar = field(metadata={"json": float})
+    argmin: Point = field(metadata={"json": str})
+    trace: list = field(metadata={"each": float})
 
 
 def minimal_displacement(f: SelfMap, points: Iterable[Point]) -> DisplacementReport:
@@ -343,19 +327,7 @@ class TracialReport:
     estimate_gap: float
     proof_bound: float
     passed: bool
-    closed_form_gap: Optional[Fraction] = None
-
-    def as_dict(self) -> dict:
-        return {
-            "estimate_fg": self.estimate_fg,
-            "estimate_gf": self.estimate_gf,
-            "estimate_gap": self.estimate_gap,
-            "proof_bound": self.proof_bound,
-            "passed": self.passed,
-            "closed_form_gap": None
-            if self.closed_form_gap is None
-            else float(self.closed_form_gap),
-        }
+    closed_form_gap: Optional[Fraction] = field(default=None, metadata={"json": float})
 
 
 def tracial_check(f: SelfMap, g: SelfMap, n: int) -> TracialReport:
@@ -431,21 +403,12 @@ def spectral_principle_witness(
 
 @dataclass
 class AlmostFixedReport:
-    functional: RealizedFunctional
-    displacement_bound: Scalar
+    functional: RealizedFunctional = field(metadata={"skip": True})
+    displacement_bound: Scalar = field(metadata={"json": float})
     audit_passed: bool
     audit_worst: float
     audit_checked: int
     equality_mode: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "displacement_bound": float(self.displacement_bound),
-            "audit_passed": self.audit_passed,
-            "audit_worst": self.audit_worst,
-            "audit_checked": self.audit_checked,
-            "equality_mode": self.equality_mode,
-        }
 
 
 def almost_fixed_invariant_functional(

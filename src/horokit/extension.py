@@ -9,7 +9,7 @@ evaluation tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -19,7 +19,6 @@ from .errors import InvalidParameterError, PreconditionError
 from .functionals import EvalOutcome, WitnessLimit
 from .metric import MetricSpace, Point, Scalar
 from .metric import first_lipschitz_violation, numeric_arrays
-from .serialize import scalar_to_json
 from .spaces import HUB, SpokeRaySpace, StarTreeSpace, frac
 
 
@@ -167,16 +166,8 @@ class PigeonholeLimit(WitnessLimit):
 class RestrictionAudit:
     passed: bool
     checked: int
-    worst: Scalar
-    failure: Optional[tuple] = None
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checked": self.checked,
-            "worst": float(self.worst),
-            "failure": None if self.failure is None else [str(v) for v in self.failure],
-        }
+    worst: Scalar = field(metadata={"json": float})
+    failure: Optional[tuple] = field(default=None, metadata={"each": str})
 
 
 @dataclass
@@ -245,17 +236,8 @@ class FailureReport:
     space: str
     r: Scalar
     witnesses: list[FailureWitness]
-    pointwise_stabilization: list[tuple[str, int]]  # (point, stage index where exact)
-
-    def as_dict(self) -> dict:
-        return {
-            "space": self.space,
-            "r": scalar_to_json(self.r),
-            "witnesses": self.witnesses,
-            "pointwise_stabilization": [
-                {"point": p, "stage": s} for p, s in self.pointwise_stabilization
-            ],
-        }
+    # (point, stage index where exact), each written as {"point", "stage"}
+    pointwise_stabilization: list[tuple] = field(metadata={"each": lambda p: {"point": p[0], "stage": p[1]}})
 
 
 def spoke_ray_failure_witness(r, stages: Sequence) -> FailureReport:
@@ -325,19 +307,11 @@ class ZeroObstructionReport:
     anchor z, so no anchor sequence can take both values to 0."""
 
     passed: bool
-    grid_size: int
+    grid_size: int = field(metadata={"key": "grid"})
     min_of_max: Scalar
-    outside_identity_ok: bool  # |h_z(1)| = 1 exactly for all |z| >= 1
-    inside_identity_ok: bool  # h_z(1) + h_z(-1) = 2(1 - |z|) for |z| <= 1
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "grid": self.grid_size,
-            "min_of_max": scalar_to_json(self.min_of_max),
-            "outside_identity": self.outside_identity_ok,
-            "inside_identity": self.inside_identity_ok,
-        }
+    # |h_z(1)| = 1 exactly for all |z| >= 1; h_z(1) + h_z(-1) = 2(1 - |z|) for |z| <= 1
+    outside_identity_ok: bool = field(metadata={"key": "outside_identity"})
+    inside_identity_ok: bool = field(metadata={"key": "inside_identity"})
 
 
 def euclidean_zero_nonmembership_check(grid: Sequence) -> ZeroObstructionReport:

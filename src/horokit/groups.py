@@ -638,8 +638,9 @@ class CayleyBall:
     sphere_offsets: tuple[int, ...]
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _once(self, what: str, r: int, build: Callable[[], Any]):
-        """``build()``, kept under (what, r); r past the radius raises first."""
+    def once(self, what: str, r: int, build: Callable[[], Any]):
+        """``build()``, kept under (what, r): the ball's per-radius memo; r
+        past the radius raises first."""
         if not 0 <= r <= self.radius:
             raise PreconditionError(f"ball radius {r} outside ball of radius {self.radius}")
         if (what, r) not in self._memo:
@@ -649,7 +650,7 @@ class CayleyBall:
     def rows(self, r: int) -> Optional[np.ndarray]:
         """B(r) as the family's ``ball_coords(r)`` rows; None on a searched ball."""
         closed = has_closed_form(self.family, self.gens)
-        return self._once("rows", r, lambda: self.family.ball_coords(r) if closed else None)
+        return self.once("rows", r, lambda: self.family.ball_coords(r) if closed else None)
 
     @property
     def coords(self) -> Optional[np.ndarray]:
@@ -667,11 +668,11 @@ class CayleyBall:
         return self._decode(r, r)
 
     def ball(self, r: int) -> tuple[Element, ...]:
-        return self._once("ball", r, lambda: self._decode(0, r))
+        return self.once("ball", r, lambda: self._decode(0, r))
 
     def labels(self, r: int) -> tuple[str, ...]:
         """The ``element_label`` of each point of ``ball(r)``."""
-        return self._once("labels", r, lambda: tuple(map(self.family.element_label, self.ball(r))))
+        return self.once("labels", r, lambda: tuple(map(self.family.element_label, self.ball(r))))
 
     def _decode(self, lo: int, hi: int) -> tuple[Element, ...]:
         """S(lo) to S(hi), from a search's ``elements`` or decoded from

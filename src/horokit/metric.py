@@ -16,7 +16,7 @@ import math
 import os
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence, Union
 
@@ -345,22 +345,11 @@ class MetricReport:
     """Outcome of a metric-axiom validation run."""
 
     passed: bool
-    points_checked: int
-    pairs_checked: int
-    triples_checked: int
-    tolerance: Scalar
-    failure: Optional[tuple] = None  # (kind, points...) for the first violation
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "points": self.points_checked,
-            "pairs": self.pairs_checked,
-            "triples": self.triples_checked,
-            "failure": None
-            if self.failure is None
-            else [self.failure[0]] + [str(p) for p in self.failure[1:]],
-        }
+    points_checked: int = field(metadata={"key": "points"})
+    pairs_checked: int = field(metadata={"key": "pairs"})
+    triples_checked: int = field(metadata={"key": "triples"})
+    tolerance: Scalar = field(metadata={"skip": True})
+    failure: Optional[tuple] = field(default=None, metadata={"each": str})  # (kind, points...), first violation
 
 
 def validate_metric(

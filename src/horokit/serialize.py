@@ -10,6 +10,11 @@ one list of pieces joined once: a list or tuple of only exact ints, or only
 exact strs, is one ``join``, and a ``RowTable`` (the restrictions
 ``LimitRestrictionSet.as_dict`` writes) is one %-format of one row's text
 over its whole matrix.
+
+A report is a dataclass written as its fields: ``skip`` in a field's
+metadata leaves it out, ``key`` writes it under another name, and ``json``
+converts a value that is not None, ``each`` each item of one.  An object
+with ``as_dict`` is written as what that returns.
 """
 
 from __future__ import annotations
@@ -154,7 +159,16 @@ def _default(o):
     if dataclasses.is_dataclass(o) and not isinstance(o, type):
         # One level deep: a nested dataclass is converted in its turn, by
         # its own as_dict if it has one (dataclasses.asdict would not).
-        return {f.name: getattr(o, f.name) for f in dataclasses.fields(o)}
+        out = {}
+        for f in dataclasses.fields(o):
+            m, v = f.metadata, getattr(o, f.name)
+            if not m.get("skip"):
+                if v is not None and "json" in m:
+                    v = m["json"](v)
+                elif v is not None and "each" in m:
+                    v = list(map(m["each"], v))
+                out[m.get("key", f.name)] = v
+        return out
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 

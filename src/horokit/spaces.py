@@ -12,7 +12,7 @@ import math
 import numbers
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -306,15 +306,8 @@ DISTORTIONS: dict[str, Callable[[float], float]] = {
 @dataclass
 class DistortionReport:
     passed: bool
-    grid_size: int
-    failure: Optional[tuple] = None  # (kind, values...)
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "grid": self.grid_size,
-            "failure": None if self.failure is None else [str(v) for v in self.failure],
-        }
+    grid_size: int = field(metadata={"key": "grid"})
+    failure: Optional[tuple] = field(default=None, metadata={"each": str})  # (kind, values...)
 
 
 def distorted_line_validate(

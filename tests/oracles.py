@@ -617,7 +617,19 @@ def _json_default(o):
     if hasattr(o, "as_dict"):
         return o.as_dict()
     if dataclasses.is_dataclass(o) and not isinstance(o, type):
-        return {f.name: getattr(o, f.name) for f in dataclasses.fields(o)}
+        # A field's metadata may leave it out ("skip"), rename it ("key"),
+        # or convert a value that is not None whole ("json") or item by item ("each").
+        out = {}
+        for f in dataclasses.fields(o):
+            if f.metadata.get("skip"):
+                continue
+            value = getattr(o, f.name)
+            if value is not None and "json" in f.metadata:
+                value = f.metadata["json"](value)
+            elif value is not None and "each" in f.metadata:
+                value = [f.metadata["each"](item) for item in value]
+            out[f.metadata.get("key", f.name)] = value
+        return out
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 

@@ -641,7 +641,28 @@ def test_sphere_restrictions_beyond_int16():
     ball = cayley_ball(Z1, Z1_GENS, 32_800)
     out = sphere_restrictions(ball, 1, 32_799)
     assert out.dtype == np.int64
+    assert boundary._ball_facts(ball, 1)[0].dtype == np.int16  # D's entries are at most 2r
     assert _values(out) == [(0, -1, 1), (0, 1, -1)]
+
+
+def test_ball_distances_and_automorphisms_are_built_once_per_ball(monkeypatch):
+    # Every sphere and every action on B(r) reads one D of B(r) and one set
+    # of automorphisms, kept by the ball; D is int16, its entries at most 2r.
+    h3, calls = Heisenberg(), []
+    real = Heisenberg.automorphisms
+    monkeypatch.setattr(Heisenberg, "automorphisms", lambda self, X: calls.append(len(X)) or real(self, X))
+    ball = cayley_ball(h3, GeneratingSet.standard(h3), 6)
+    V = sphere_restrictions(ball, 3, 6)
+    monkeypatch.setattr(type(ball.space), "distance_block", None)  # the action builds no block
+    for R in range(2, 7):
+        assert _values(sphere_restrictions(ball, 2, R)) == h3_restrictions(2, [R])[R]
+    for g in ball.sphere(1):
+        act_on_rows(ball, g, V, 2)
+    assert calls == [len(ball.ball(3)), len(ball.ball(2))]
+    D, perms = boundary._ball_facts(ball, 2)
+    assert D.dtype == np.int16 and len(perms) == 8
+    dist = bfs_ball((0, 0, 0), [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)], heis_mul, 4)
+    assert D.tolist() == [[dist[heis_mul(h3.inverse(x), y)] for y in ball.ball(2)] for x in ball.ball(2)]
 
 
 def test_a_window_straddling_int16_and_int64_spheres():

@@ -44,6 +44,13 @@ CONFIGS = [
      "--domain", "[[0, 0], [3, 4]]", "--values", "[0, 1]", "--eval", "[[1, 1]]"),
     ("extend", "mcshane", "--space", S3, "--domain", "[0, 5]", "--values", '["0", "3/2"]',
      "--eval", "[1, 2, 3, 4, 5]"),
+    ("extend", "mcshane", "--space", '{"type": "star_tree"}', "--domain", '[{"kind": "hub"}, {"n": 2, "s": "1"}]',
+     "--values", '["0", "1/2"]', "--eval", '[{"n": 3, "s": "1/2"}, {"kind": "hub"}]'),
+    ("extend", "mcshane", "--space", '{"type": "half_plane"}', "--domain", "[[0, 1], [1, 2]]",
+     "--values", "[0, 0.5]", "--mode", "inf", "--eval", "[[0, 3], [-1, 1]]"),
+    # the hub and a spoke's interior, labelled
+    ("extend", "mcshane", "--space", '{"type": "spoke_ray"}', "--domain", '[{"kind": "hub"}, {"kind": "ray", "t": "2"}]',
+     "--values", '["0", "-2"]', "--eval", '[{"kind": "hub"}, {"kind": "spoke", "n": 2, "s": "1/2"}, {"kind": "head", "n": 3}]'),
     ("extend", "hahn-banach", "--fixture", "spoke-ray", "--n", "4"),
     ("extend", "hahn-banach", "--fixture", "plane-axis"),
     ("extend", "hahn-banach", "--fixture", "star-tree", "--n", "3"),

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horokit import serialize
-from horokit.boundary import limit_restrictions, unboundedness_check
+from horokit.boundary import FixedPointAuditReport, limit_restrictions, unboundedness_check
+from horokit.dynamics import AlmostFixedReport, DisplacementReport, TauReport, TracialReport
 from horokit.cli import main
 from horokit.errors import InvalidParameterError
+from horokit.extension import FailureReport, FailureWitness, RestrictionAudit, ZeroObstructionReport
 from horokit.functionals import BallFunctional
 from horokit.groups import (
     CayleyGraphSpace,
@@ -22,7 +24,7 @@ from horokit.groups import (
     Zd,
     cyclic_group,
 )
-from horokit.metric import FiniteMetricSpace
+from horokit.metric import FiniteMetricSpace, MetricReport
 from horokit.serialize import (
     SCHEMA_VERSION,
     RowTable,
@@ -34,6 +36,7 @@ from horokit.serialize import (
 from horokit.spaces import (
     HUB,
     DistortedLine,
+    DistortionReport,
     LpSpace,
     PoincareDisk,
     SpokeRaySpace,
@@ -70,6 +73,8 @@ def test_space_descriptors():
     assert isinstance(space_from_descriptor({"type": "zd", "params": {"dim": 3}}), CayleyGraphSpace)
     assert isinstance(space_from_descriptor({"type": "spoke_ray"}), SpokeRaySpace)
     assert isinstance(space_from_descriptor({"type": "poincare_disk"}), PoincareDisk)
+    assert isinstance(space_from_descriptor({"type": "star_tree"}), StarTreeSpace)
+    assert isinstance(space_from_descriptor({"type": "half_plane"}), UpperHalfPlane)
     lp = space_from_descriptor({"type": "lp", "params": {"p": 3, "dim": 4}})
     assert isinstance(lp, LpSpace) and lp.p == 3.0
     with pytest.raises(InvalidParameterError):
@@ -281,6 +286,16 @@ class _Fields:
     inner: object = None
 
 
+@dataclasses.dataclass
+class _Keyed:
+    """A dataclass whose fields use each metadata key of the writer."""
+
+    hidden: object = dataclasses.field(metadata={"skip": True})
+    renamed: object = dataclasses.field(metadata={"key": "name"})
+    whole: object = dataclasses.field(default=None, metadata={"json": lambda v: {"was": v}})
+    items: object = dataclasses.field(default=None, metadata={"each": lambda v: [v, Fraction(-1, 3)]})
+
+
 FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 TEXT = st.text(max_size=6) | st.sampled_from(["", '"', "\\", "\n\t\x00\x1f\x7f", "é", "☃", "\U0001d11e", "\ud800"])
 SCALARS = st.one_of(
@@ -317,6 +332,7 @@ def _containers(children):
         st.dictionaries(st.none(), children, max_size=1),
         children.map(_Reported),
         children.map(lambda c: _Fields("x", Fraction(1, 3), c)),
+        children.map(lambda c: _Keyed(object(), c, c, (c, None))),
     )
 
 
@@ -370,6 +386,14 @@ def test_emit_json_writes_a_nested_as_dict_object_by_its_as_dict():
     deeper = _Fields("outer", Fraction(0), _Fields("inner", Fraction(2), None))
     assert emit_json(deeper) == json_report(deeper)
     assert json.loads(emit_json(deeper))["inner"] == {"name": "inner", "value": "2", "inner": None}
+
+
+def test_emit_json_writes_a_dataclass_by_its_field_metadata():
+    keyed = _Keyed(object(), Fraction(1, 2), np.int64(3), [1, None])
+    assert emit_json(keyed) == json_report(keyed)
+    assert json.loads(emit_json(keyed)) == {"name": "1/2", "whole": {"was": 3}, "items": [[1, "-1/3"], [None, "-1/3"]]}
+    bare = _Keyed(object(), None)
+    assert json.loads(emit_json(bare)) == {"name": None, "whole": None, "items": None}
 
 
 def test_emit_json_does_not_write_a_dataclass_class():
@@ -433,3 +457,81 @@ def test_h3_boundary_report_matches_stdlib_oracle(capsys):
     if out != expected:  # no bare assert: pytest's diff of two 2.4 MB texts takes minutes
         at = len(os.path.commonprefix([out, expected]))
         pytest.fail(f"report differs from the oracle at line {out.count(chr(10), 0, at) + 1}")
+
+
+# ---------------------------------------------------------------------------
+# Report classes: each as the literal dict its fields are written as
+# ---------------------------------------------------------------------------
+
+_MISMATCH = ("restriction_mismatch", (1,), Fraction(1, 2), 0)
+_WITNESS = FailureWitness(Fraction(3), "head(2)", Fraction(1, 2), 0, Fraction(1, 2))
+_WITNESS_DICT = {"stage": "3", "point": "head(2)", "value_at_stage": "1/2", "limit_value": 0, "gap": "1/2"}
+REPORTS = [
+    (
+        FixedPointAuditReport(False, Fraction(3, 2), Fraction(5, 2), 7, (1, 2)),
+        {"passed": False, "bound": 1.5, "worst": 2.5, "checked": 7, "violating": "(1, 2)"},
+    ),
+    (FixedPointAuditReport(True, 2, 0, 4), {"passed": True, "bound": 2.0, "worst": 0.0, "checked": 4, "violating": None}),
+    (
+        TauReport(3, [0, 2, 3, 3], 1, Fraction(2, 3), [2, Fraction(3, 2), 1], Fraction(1, 4)),
+        {"n": 3, "estimate": 1.0, "bound": 0.6666666666666666, "bound_trace": [2.0, 1.5, 1.0], "closed_form": 0.25},
+    ),
+    (TauReport(1, [0, 1], 1.0, 1.0, [1.0]), {"n": 1, "estimate": 1.0, "bound": 1.0, "bound_trace": [1.0], "closed_form": None}),
+    (
+        DisplacementReport(Fraction(1, 2), (1, -1), [1, Fraction(1, 2)]),
+        {"bound": 0.5, "argmin": "(1, -1)", "trace": [1.0, 0.5]},
+    ),
+    (DisplacementReport(0, "e", []), {"bound": 0.0, "argmin": "e", "trace": []}),
+    (
+        TracialReport(0.5, 0.25, 0.25, 1.0, True, Fraction(1, 8)),
+        {"estimate_fg": 0.5, "estimate_gf": 0.25, "estimate_gap": 0.25, "proof_bound": 1.0, "passed": True,
+         "closed_form_gap": 0.125},
+    ),
+    (
+        TracialReport(0.5, 0.5, 0.0, 1.0, True),
+        {"estimate_fg": 0.5, "estimate_gf": 0.5, "estimate_gap": 0.0, "proof_bound": 1.0, "passed": True,
+         "closed_form_gap": None},
+    ),
+    (
+        AlmostFixedReport(object(), Fraction(1, 4), False, 0.5, 9, True),
+        {"displacement_bound": 0.25, "audit_passed": False, "audit_worst": 0.5, "audit_checked": 9, "equality_mode": True},
+    ),
+    (
+        RestrictionAudit(False, 3, Fraction(1, 3), _MISMATCH),
+        {"passed": False, "checked": 3, "worst": 0.3333333333333333,
+         "failure": ["restriction_mismatch", "(1,)", "1/2", "0"]},
+    ),
+    (RestrictionAudit(True, 5, 0), {"passed": True, "checked": 5, "worst": 0.0, "failure": None}),
+    (
+        FailureReport("spoke_ray", Fraction(3, 2), [_WITNESS], [("hub", 0), ("head(2)", 3)]),
+        {"space": "spoke_ray", "r": "3/2", "witnesses": [_WITNESS_DICT],
+         "pointwise_stabilization": [{"point": "hub", "stage": 0}, {"point": "head(2)", "stage": 3}]},
+    ),
+    (FailureReport("star_tree", 2, [], []), {"space": "star_tree", "r": 2, "witnesses": [], "pointwise_stabilization": []}),
+    (
+        ZeroObstructionReport(True, 5, Fraction(1), True, False),
+        {"passed": True, "grid": 5, "min_of_max": "1", "outside_identity": True, "inside_identity": False},
+    ),
+    (
+        ZeroObstructionReport(False, 0, 0.5, False, True),
+        {"passed": False, "grid": 0, "min_of_max": 0.5, "outside_identity": False, "inside_identity": True},
+    ),
+    (
+        MetricReport(False, 3, 3, 27, Fraction(1, 2), ("triangle", (0, 1), Fraction(1, 2), 2)),
+        {"passed": False, "points": 3, "pairs": 3, "triples": 27, "failure": ["triangle", "(0, 1)", "1/2", "2"]},
+    ),
+    (MetricReport(True, 2, 1, 8, 0), {"passed": True, "points": 2, "pairs": 1, "triples": 8, "failure": None}),
+    (
+        DistortionReport(False, 4, ("ratio_increasing", 0.5, 1.0)),
+        {"passed": False, "grid": 4, "failure": ["ratio_increasing", "0.5", "1.0"]},
+    ),
+    (DistortionReport(True, 4), {"passed": True, "grid": 4, "failure": None}),
+]
+
+
+@pytest.mark.parametrize("report, literal", REPORTS, ids=lambda v: type(v).__name__ if not isinstance(v, dict) else "")
+def test_report_is_written_as_its_literal_dict(report, literal):
+    text = emit_json(report)
+    assert text == json_report(literal)
+    assert text == json_report(report)
+    assert emit_json({"result": [report]}) == json_report({"result": [literal]})

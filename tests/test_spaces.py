@@ -388,6 +388,14 @@ class TestHyperbolic:
                 continue
             assert math.isclose(disk.distance(z, w), disk_distance(z, w), rel_tol=1e-14)
 
+    def test_disk_points_key_by_coordinates_and_label_by_repr(self):
+        disk = PoincareDisk()
+        assert disk.point_key(0.5) == (0.5, 0.0) and disk.point_key(0.25 - 0.5j) == (0.25, -0.5)
+        assert sorted([0.5j, -0.5, 0j, -0.5j], key=disk.point_key) == [-0.5, -0.5j, 0j, 0.5j]
+        assert [disk.point_label(p) for p in (0, 0.5, 0.25 - 0.5j)] == ["0j", "(0.5+0j)", "(0.25-0.5j)"]
+        with pytest.raises(InvalidPointError):
+            disk.point_key(1.0)
+
     def test_half_plane_closed_form(self):
         hp = UpperHalfPlane()
         assert abs(hp.distance(1j, 1 + 1j) - math.acosh(1.5)) < 1e-12
