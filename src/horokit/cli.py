@@ -305,13 +305,9 @@ def _spectral_displacement(args) -> Outcome:
 def _spectral_tracial(args) -> Outcome:
     rng = random.Random(args.seed)
     space = UpperHalfPlane()
-    pairs = []
-    ok = True
-    for _ in range(_count("--count", args.count, 1)):
-        fm, gm = random_hyperbolic_pair(rng)
-        rep = tracial_check(fm.as_selfmap(space), gm.as_selfmap(space), args.n)
-        ok = ok and rep.passed and rep.closed_form_gap == 0
-        pairs.append(rep)
+    drawn = [random_hyperbolic_pair(rng) for _ in range(_count("--count", args.count, 1))]
+    pairs = tracial_check([(fm.as_selfmap(space), gm.as_selfmap(space)) for fm, gm in drawn], args.n)
+    ok = all(p.passed and p.closed_form_gap == 0 for p in pairs)
     return Outcome("spectral.tracial", {"count": args.count, "n": args.n}, {"pairs": pairs}, ok,
                    lambda: [("estimate_gap", "proof_bound"),
                             *((p.estimate_gap, p.proof_bound) for p in pairs)])
@@ -330,11 +326,9 @@ def _selftest_spectral() -> list[tuple[str, bool]]:
     rep = translation_number(m.as_selfmap(space), 64)
     checks = [("tau_closed_form", abs(rep.bound - math.log(4)) < 1e-9)]
     fm, gm = random_hyperbolic_pair(random.Random(0))
-    tr = tracial_check(fm.as_selfmap(space), gm.as_selfmap(space), 100)
+    tr, td = tracial_check([(fm.as_selfmap(s), gm.as_selfmap(s)) for s in (space, PoincareDisk())], 100)
     checks.append(("tracial_exact", tr.closed_form_gap == 0))
     checks.append(("tracial_bound", tr.passed))
-    disk = PoincareDisk()
-    td = tracial_check(fm.as_selfmap(disk), gm.as_selfmap(disk), 100)
     same = (td.estimate_fg, td.estimate_gf) == (tr.estimate_fg, tr.estimate_gf)
     checks.append(("tracial_disk", td.passed and same))
     z1 = CayleyGraphSpace(Zd(1))

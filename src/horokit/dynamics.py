@@ -11,7 +11,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     InvalidParameterError,
@@ -139,8 +142,8 @@ class MoebiusMap:
     def translation_length(self) -> float:
         """Closed-form translation number: 2*arccosh(|tr|/2) when
         hyperbolic, 0 for parabolic and elliptic maps."""
-        t = abs(float(self.trace()))
-        return 2.0 * math.acosh(t / 2.0) if t > 2.0 else 0.0
+        t = float(abs(self.trace()) / 2)  # halving is exact, and keeps t in range
+        return 2.0 * math.acosh(t) if t > 1.0 else 0.0
 
     def apply_half_plane(self, z: complex) -> complex:
         a, b, c, d = self._floats
@@ -162,32 +165,41 @@ class MoebiusMap:
             raise UnsupportedError("Moebius maps act on the hyperbolic models only")
         return SelfMap(space, func, kind="isometry", inverse=inverse, matrix=self)
 
-    def orbit_distances(self, n_max: int) -> list[float]:
-        """d(i, M^n i) for n = 0..n_max via scale-tracked matrix powers.
 
-        With determinant one, d(i, M i) = arccosh(||M||_F^2 / 2); powers are
-        kept as a max-normalized matrix plus a log scale so hyperbolic
-        growth never overflows.  Each product entry is two separately
-        rounded products and one sum, so the result does not depend on
-        whether a linear-algebra kernel would fuse them.
-        """
-        a, b, c, d = self._floats
-        ua, ub, uc, ud = 1.0, 0.0, 0.0, 1.0
-        logscale = 0.0
-        out = [0.0]
-        for _ in range(n_max):
-            ua, ub, uc, ud = ua * a + ub * c, ua * b + ub * d, uc * a + ud * c, uc * b + ud * d
-            m = max(abs(ua), abs(ub), abs(uc), abs(ud))
-            ua, ub, uc, ud = ua / m, ub / m, uc / m, ud / m
-            logscale += math.log(m)
-            # log of ||M^n||_F^2 = 2*logscale + log(||u||_F^2)
-            log_t = 2.0 * logscale + math.log(ua * ua + ub * ub + uc * uc + ud * ud)
-            if log_t > 50.0:
-                out.append(log_t)  # arccosh(T/2) = log T + O(1/T^2)
-            else:
-                t = math.exp(log_t)
-                out.append(math.acosh(max(1.0, t / 2.0)))
-        return out
+def orbit_distances(maps: Sequence[MoebiusMap], n: int, *, last_only: bool = False) -> list[list[float]]:
+    """Per map M, [d(i, M^k i) for k = 0..n], or [d(i, M^n i)] alone when
+    ``last_only``: d(i, M i) = arccosh(||M||_F^2 / 2) at determinant one.
+
+    The maps' powers are stepped together as one (2, 2, k) array, kept
+    max-normalized beside a log scale per map, so hyperbolic growth never
+    overflows.  Products, sums, abs, max and division are elementwise
+    ufuncs, correctly rounded and never fused, so each lane repeats the
+    scalar recurrence bit for bit whatever its neighbours; logs, exps and
+    arccosh are ``math`` calls, as NumPy's may round differently.  A step
+    whose scale is not finite and positive raises InvalidParameterError.
+    """
+    a, b, c, d = np.array([m._floats for m in maps]).reshape(-1, 4).T
+    top, bottom = np.array([[a, b]]), np.array([[c, d]])  # the rows of each M, (1, 2, k)
+    power, logscale = np.eye(2)[:, :, None] * np.ones_like(a), np.zeros_like(a)
+    out = [[] if last_only else [0.0] for _ in maps]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            power = power[:, :1] * top + power[:, 1:] * bottom
+            m = np.abs(power).max(axis=(0, 1))
+            if not ((m > 0.0) & (m < math.inf)).all():
+                raise InvalidParameterError(f"a matrix power leaves the float range at step {k}")
+            power /= m
+            logscale += list(map(math.log, m.tolist()))
+            if last_only and k < n:
+                continue
+            # log of ||M^k||_F^2 = 2*logscale + log(||u||_F^2), u the normalized power
+            sq = power * power
+            norm = sq[0, 0] + sq[0, 1] + sq[1, 0] + sq[1, 1]
+            for lane, s, v in zip(out, logscale.tolist(), norm.tolist()):
+                log_t = 2.0 * s + math.log(v)
+                # arccosh(T/2) = log T + O(1/T^2)
+                lane.append(log_t if log_t > 50.0 else math.acosh(max(1.0, math.exp(log_t) / 2.0)))
+    return out
 
 
 def random_hyperbolic_pair(rng: random.Random) -> tuple[MoebiusMap, MoebiusMap]:
@@ -230,11 +242,11 @@ class TauReport:
 
 def _orbit_displacements(f: SelfMap, n: int) -> list:
     """a_k = d(x0, f^k(x0)) for k = 0..n from the base point x0, exact where
-    the space is.  A Moebius map reads them from its matrix powers on either
-    model: the Cayley transform sends the disk's base point 0 to i."""
+    the space is.  A Moebius map reads them from ``orbit_distances`` on
+    either model: the Cayley transform sends the disk's base point 0 to i."""
     space = f.space
     if f.matrix is not None:
-        return f.matrix.orbit_distances(n)
+        return orbit_distances([f.matrix], n)[0]
     out = [0]
     base = x = space.base_point
     for _ in range(n):
@@ -252,14 +264,9 @@ def translation_number(f: SelfMap, n: int) -> TauReport:
     if n < 1:
         raise PreconditionError("need n >= 1")
     a = _orbit_displacements(f, n)
-    bound_trace = []
-    bound = None
-    for k in range(1, n + 1):
-        v = a[k] / k
-        bound = v if bound is None else min(bound, v)
-        bound_trace.append(bound)
+    bound_trace = list(accumulate((a[k] / k for k in range(1, n + 1)), min))
     closed = f.matrix.translation_length() if f.matrix is not None else None
-    return TauReport(n, a, float(a[n] / n), float(bound), bound_trace, closed)
+    return TauReport(n, a, float(a[n] / n), float(bound_trace[-1]), bound_trace, closed)
 
 
 @dataclass
@@ -330,38 +337,39 @@ class TracialReport:
     closed_form_gap: Optional[Fraction] = field(default=None, metadata={"json": float})
 
 
-def tracial_check(f: SelfMap, g: SelfMap, n: int) -> TracialReport:
-    """Compare translation numbers of fg and gf.
+def tracial_check(pairs: Sequence[tuple[SelfMap, SelfMap]], n: int) -> list[TracialReport]:
+    """One report per pair (f, g), in order, comparing the translation
+    numbers of fg and gf.
 
-    For Moebius pairs the closed-form gap is the exact trace difference,
-    zero because tr(AB) = tr(BA); the subadditive estimates agree within
-    the additive bound regardless of the map kind.
+    The exact products fg and gf of every Moebius pair go through one
+    ``orbit_distances`` call that keeps only a_n (estimate a_n/n); their
+    closed-form gap is the exact trace difference, zero as tr(AB) = tr(BA).
+    Other pairs run ``translation_number`` on the composed maps.  The
+    estimates agree within the additive bound either way.  n and the spaces
+    are checked before any orbit is stepped.
     """
-    if f.space is not g.space:
+    if n < 1:
+        raise PreconditionError("need n >= 1")
+    if any(f.space is not g.space for f, g in pairs):
         raise PreconditionError("maps must act on the same space")
-    space = f.space
-    if f.matrix is not None and g.matrix is not None:
-        fg_m = f.matrix.compose(g.matrix)
-        gf_m = g.matrix.compose(f.matrix)
-        fg, gf = fg_m.as_selfmap(space), gf_m.as_selfmap(space)
-        # the closed forms 2 arccosh(|tr|/2) agree iff the traces do
-        closed_gap = abs(fg_m.trace() - gf_m.trace())
-    else:
-        fg = SelfMap(space, lambda x: f.apply(g.apply(x)), kind="semi-contraction")
-        gf = SelfMap(space, lambda x: g.apply(f.apply(x)), kind="semi-contraction")
-        closed_gap = None
-    x0 = space.base_point
-    t_fg = translation_number(fg, n)
-    t_gf = translation_number(gf, n)
-    bound = (
-        2.0
-        * (float(space.distance(x0, f.apply(x0))) + float(space.distance(x0, g.apply(x0))))
-        / n
-    )
-    gap = abs(t_fg.estimate - t_gf.estimate)
-    return TracialReport(
-        t_fg.estimate, t_gf.estimate, gap, bound, gap <= bound + 1e-9, closed_gap
-    )
+    products = [(f.matrix.compose(g.matrix), g.matrix.compose(f.matrix))
+                for f, g in pairs if f.matrix is not None and g.matrix is not None]
+    ests = iter([a_n / n for (a_n,) in orbit_distances([m for p in products for m in p], n, last_only=True)])
+    # the closed forms 2 arccosh(|tr|/2) agree iff the traces do
+    gaps = iter([abs(fg.trace() - gf.trace()) for fg, gf in products])
+    out = []
+    for f, g in pairs:
+        space, x0 = f.space, f.space.base_point
+        if f.matrix is not None and g.matrix is not None:
+            est_fg, est_gf, closed_gap = next(ests), next(ests), next(gaps)
+        else:
+            est_fg = translation_number(SelfMap(space, lambda x: f.apply(g.apply(x))), n).estimate
+            est_gf = translation_number(SelfMap(space, lambda x: g.apply(f.apply(x))), n).estimate
+            closed_gap = None
+        bound = 2.0 * (float(space.distance(x0, f.apply(x0))) + float(space.distance(x0, g.apply(x0)))) / n
+        gap = abs(est_fg - est_gf)
+        out.append(TracialReport(est_fg, est_gf, gap, bound, gap <= bound + 1e-9, closed_gap))
+    return out
 
 
 @dataclass
@@ -388,10 +396,7 @@ def spectral_principle_witness(
         raise InvalidParameterError("candidate list is empty")
     tau = translation_number(f, n).bound
     orbit = f.orbit(n)
-    worst = []
-    for h in candidates:
-        v = max(float(eval_functional(h, orbit[k])) + tau * k for k in range(1, n + 1))
-        worst.append(v)
+    worst = [max(float(eval_functional(h, orbit[k])) + tau * k for k in range(1, n + 1)) for h in candidates]
     best = min(range(len(candidates)), key=lambda i: worst[i])
     return PrincipleReport(best, worst, float(tau), worst[best] <= tol)
 

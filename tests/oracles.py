@@ -11,6 +11,7 @@ import dataclasses
 import heapq
 import itertools
 import json
+import math
 from fractions import Fraction
 from math import comb
 
@@ -99,6 +100,32 @@ def moebius_orbit_distances(entries, n_max: int) -> list[float]:
             t = sum(v * v for v in power)
             out.append(float(mpmath.acosh(mpmath.mpf(t.numerator) / t.denominator / 2)))
             power = _matmul2(power, m)
+    return out
+
+
+def moebius_orbit_scalar(floats, n_max: int) -> list[float]:
+    """d(i, M^n i) for n = 0..n_max by the scalar float recurrence the
+    library's orbit kernel must repeat bit for bit: four Python floats per
+    power, each new entry two separately rounded products and one sum,
+    renormalized by the largest absolute entry into a log scale.  The
+    entries are read in order (a, b, c, d).  A step whose scale is zero,
+    infinite or NaN raises ValueError."""
+    a, b, c, d = floats
+    ua, ub, uc, ud = 1.0, 0.0, 0.0, 1.0
+    logscale = 0.0
+    out = [0.0]
+    for _ in range(n_max):
+        ua, ub, uc, ud = ua * a + ub * c, ua * b + ub * d, uc * a + ud * c, uc * b + ud * d
+        m = max(abs(ua), abs(ub), abs(uc), abs(ud))
+        if not 0.0 < m < float("inf"):
+            raise ValueError(f"scale {m!r} is not finite and positive")
+        ua, ub, uc, ud = ua / m, ub / m, uc / m, ud / m
+        logscale += math.log(m)
+        log_t = 2.0 * logscale + math.log(ua * ua + ub * ub + uc * uc + ud * ud)
+        if log_t > 50.0:
+            out.append(log_t)
+        else:
+            out.append(math.acosh(max(1.0, math.exp(log_t) / 2.0)))
     return out
 
 

@@ -221,11 +221,9 @@ def test_acceptance_07_tracial_property():
     t0 = time.perf_counter()
     rng = random.Random(0)
     hp = UpperHalfPlane()
-    ok = True
-    for _ in range(50):
-        f, g = random_hyperbolic_pair(rng)
-        ok = ok and f.compose(g).trace() == g.compose(f).trace()  # exact
-        rep = tracial_check(f.as_selfmap(hp), g.as_selfmap(hp), 200)
+    pairs = [random_hyperbolic_pair(rng) for _ in range(50)]
+    ok = all(f.compose(g).trace() == g.compose(f).trace() for f, g in pairs)  # exact
+    for rep in tracial_check([(f.as_selfmap(hp), g.as_selfmap(hp)) for f, g in pairs], 200):
         ok = ok and rep.closed_form_gap == 0 and rep.estimate_gap <= rep.proof_bound + 1e-9
     _report(7, "tracial property: 50 pairs, exact trace identity + bounded estimates", t0, 10.0, ok)
 

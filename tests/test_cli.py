@@ -105,6 +105,23 @@ def test_spectral_displacement_image_past_the_float_range(capsys, budget):
     assert repr(complex(0.0, 2.0**1022)) in err
 
 
+# With N = 2^1023, the power M^2 of the first matrix cancels to 0 in floats
+# and that of the second overflows; the second's trace 2N + 1/N is past
+# the float range as well.
+_N = 2**1023
+_CANCELLING = f"{_N},{-_N},{_N},{1 - _N * _N}/{_N}"
+_OVERFLOWING = f"{_N},{_N},{_N},{_N * _N + 1}/{_N}"
+
+
+@pytest.mark.parametrize("command", ["tau", "principle"])
+@pytest.mark.parametrize("matrix", [_CANCELLING, _OVERFLOWING], ids=["cancels", "overflows"])
+def test_spectral_orbit_past_the_float_range(capsys, command, matrix):
+    code, _, err = run(capsys, "spectral", command, "--matrix", matrix, "--n", "4")
+    assert code == 2
+    assert json.loads(err)["error"] == "InvalidParameterError"
+    assert "float range at step 2" in err
+
+
 def test_dynamics_parabolic_audit_failure_exit_code(capsys):
     code, out, _ = run(
         capsys, "dynamics", "parabolic", "--fixture", "disk-parabolic", "--n", "50", "--tol", "1e-30"

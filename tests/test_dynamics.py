@@ -19,6 +19,7 @@ from horokit.dynamics import (
     group_translation,
     half_plane_translation,
     minimal_displacement,
+    orbit_distances,
     parabolic_orbit_functional,
     random_hyperbolic_pair,
     spectral_principle_witness,
@@ -35,9 +36,15 @@ from horokit.groups import CayleyGraphSpace, Heisenberg, Zd, cyclic_group
 from horokit.metric import FiniteMetricSpace
 from horokit.spaces import DistortedLine, LpSpace, PoincareDisk, UpperHalfPlane
 
-from oracles import hyperbolic_pair_reference, moebius_orbit_distances
+from oracles import hyperbolic_pair_reference, moebius_orbit_distances, moebius_orbit_scalar
 
 HP = UpperHalfPlane()
+
+# Entries at the top of the float range: the first matrix's second power
+# cancels to 0, the second's overflows; both have determinant exactly 1.
+N = 2**1023
+CANCELLING = (N, -N, N, Fraction(1 - N * N, N))
+OVERFLOWING = (N, N, N, Fraction(N * N + 1, N))
 
 # Frozen by tests/test_groups.py against the matrix-representation BFS.
 HEISENBERG_CENTRAL_LENGTHS = [0, 4, 6, 8, 8, 10, 10, 12, 12, 12, 14, 14, 14, 16, 16, 16, 16]
@@ -64,6 +71,18 @@ def test_moebius_translation_length():
     m = MoebiusMap(2, 0, 0, Fraction(1, 2))
     assert m.translation_length() == pytest.approx(math.log(4))
     assert MoebiusMap(1, 1, 0, 1).translation_length() == 0.0
+    # halving the exact trace before rounding keeps every bit of the float form
+    for m in _products(range(40)) + SPECIAL:
+        t = abs(float(m.trace()))
+        assert m.translation_length() == (2.0 * math.acosh(t / 2.0) if t > 2.0 else 0.0)
+
+
+def test_moebius_translation_length_past_the_float_range():
+    m = MoebiusMap(*OVERFLOWING)  # |tr| = 2N + 1/N rounds past the float range
+    with pytest.raises(OverflowError):
+        float(m.trace())
+    assert m.translation_length() == 2.0 * math.acosh(float(N))
+    assert MoebiusMap(*CANCELLING).translation_length() == 0.0
 
 
 def test_moebius_composition_and_inverse():
@@ -77,8 +96,7 @@ def test_moebius_composition_and_inverse():
 
 def test_orbit_distances_match_direct_evaluation():
     m = MoebiusMap(1, 1, 1, 2)  # det 1, trace 3, hyperbolic
-    dists = m.orbit_distances(12)
-    z = 1j
+    [dists] = orbit_distances([m], 12)
     for n in range(1, 13):
         z_n = 1j
         for _ in range(n):
@@ -88,11 +106,93 @@ def test_orbit_distances_match_direct_evaluation():
 
 def test_orbit_distances_no_overflow_at_large_n():
     m = MoebiusMap(8, 3, 5, 2)  # trace 10
-    dists = m.orbit_distances(800)
+    [dists] = orbit_distances([m], 800)
     tau = m.translation_length()
     # d(i, g^n i) = n tau + 2 d(i, axis) + o(1): increments converge to tau
     assert dists[800] - dists[400] == pytest.approx(400 * tau, abs=1e-6)
     assert dists[400] / 400 == pytest.approx(tau, abs=1e-3)
+
+
+def _products(seeds):
+    """fg and gf of the seeded hyperbolic pair of each seed."""
+    out = []
+    for seed in seeds:
+        f, g = random_hyperbolic_pair(random.Random(seed))
+        out += [f.compose(g), g.compose(f)]
+    return out
+
+
+def _scalar_hex(m, n):
+    return [float.hex(v) for v in moebius_orbit_scalar([float(v) for v in m.entries()], n)]
+
+
+def _hex(rows):
+    return [[float.hex(v) for v in row] for row in rows]
+
+
+SPECIAL = [MoebiusMap(0, -1, 1, 0), MoebiusMap(1, 1, 0, 1), MoebiusMap(1, 0, 0, 1)]
+
+
+def test_orbit_kernel_matches_scalar_loop_bit_for_bit():
+    # fg and gf of seeds 0..199, then elliptic, parabolic and the identity.
+    maps = _products(range(200)) + SPECIAL
+    got = _hex(orbit_distances(maps, 200))
+    assert got == [_scalar_hex(m, 200) for m in maps]
+    assert _hex(orbit_distances(maps, 200, last_only=True)) == [[row[-1]] for row in got]
+
+
+def test_orbit_kernel_far_branch_bit_for_bit():
+    m = MoebiusMap(8, 3, 5, 2)
+    [row] = orbit_distances([m], 800)
+    assert max(row) > 50.0  # past 50, log T stands for arccosh(T / 2)
+    assert _hex([row]) == [_scalar_hex(m, 800)]
+
+
+@pytest.mark.parametrize("size", [1, 2, 60])
+def test_orbit_kernel_batches(size):
+    maps = (_products(range(size)) + SPECIAL)[:size]
+    assert _hex(orbit_distances(maps, 150)) == [_scalar_hex(m, 150) for m in maps]
+
+
+def test_orbit_kernel_rows_do_not_depend_on_neighbours():
+    maps = _products(range(30)) + SPECIAL + [MoebiusMap(8, 3, 5, 2)]
+    order = list(range(len(maps)))
+    random.Random(5).shuffle(order)
+    whole = _hex(orbit_distances(maps, 120))
+    shuffled = _hex(orbit_distances([maps[i] for i in order], 120))
+    assert shuffled == [whole[i] for i in order]
+    assert whole == [_hex(orbit_distances([m], 120))[0] for m in maps]
+    assert orbit_distances([], 10) == []
+
+
+@pytest.mark.parametrize("entries", [CANCELLING, OVERFLOWING], ids=["cancels", "overflows"])
+def test_orbit_kernel_rejects_a_power_past_the_float_range(entries):
+    m = MoebiusMap(*entries)
+    with pytest.raises(ValueError):
+        moebius_orbit_scalar([float(v) for v in entries], 4)
+    for batch in ([m], [MoebiusMap(1, 1, 1, 2), m, MoebiusMap(1, 1, 0, 1)]):
+        for last_only in (False, True):
+            with pytest.raises(InvalidParameterError, match="step 2"):
+                orbit_distances(batch, 4, last_only=last_only)
+    with pytest.raises(InvalidParameterError):
+        translation_number(m.as_selfmap(HP), 4)
+    [first] = orbit_distances([m], 1)
+    assert first[0] == 0.0 and math.isfinite(first[1])
+
+
+def test_orbit_distances_match_exact_powers():
+    # Hyperbolic products: relative 1e-13 (measured worst 9.1e-15).  Elliptic
+    # and parabolic products keep the orbit near arccosh(1), where the float
+    # norm's rounding is amplified: absolute 1.5e-6 (measured 1.06e-6).
+    maps = _products(range(40))
+    for m, got in zip(maps, orbit_distances(maps, 200)):
+        ref = moebius_orbit_distances(m.entries(), 200)
+        if m.classify() == "hyperbolic":
+            assert got == pytest.approx(ref, rel=1e-13, abs=0)
+        else:
+            assert got == pytest.approx(ref, rel=0, abs=1.5e-6)
+    m = MoebiusMap(8, 3, 5, 2)
+    assert orbit_distances([m], 800)[0] == pytest.approx(moebius_orbit_distances(m.entries(), 800), rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -130,22 +230,6 @@ def test_random_hyperbolic_pair_matches_reference():
         for m, r in zip(pair, ref):
             assert m.entries() == r
             assert all(type(v) is Fraction for v in m.entries())
-
-
-def test_orbit_distances_match_exact_powers():
-    # Hyperbolic products: relative 1e-13 (measured worst 9.1e-15).  Elliptic
-    # and parabolic products keep the orbit near arccosh(1), where the float
-    # norm's rounding is amplified: absolute 1.5e-6 (measured 1.06e-6).
-    for seed in range(40):
-        f, g = random_hyperbolic_pair(random.Random(seed))
-        for m in (f.compose(g), g.compose(f)):
-            got, ref = m.orbit_distances(200), moebius_orbit_distances(m.entries(), 200)
-            if m.classify() == "hyperbolic":
-                assert got == pytest.approx(ref, rel=1e-13, abs=0)
-            else:
-                assert got == pytest.approx(ref, rel=0, abs=1.5e-6)
-    m = MoebiusMap(8, 3, 5, 2)
-    assert m.orbit_distances(800) == pytest.approx(moebius_orbit_distances(m.entries(), 800), rel=1e-13, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +346,18 @@ def test_tracial_exact_trace_identity_seeded_pairs():
 def test_tracial_estimates_within_proof_bound(space):
     # On the disk, 33 of these 40 pairs had orbits that, stepped point by
     # point in floats, rounded onto the unit circle.
-    for seed in range(40):
-        f, g = random_hyperbolic_pair(random.Random(seed))
-        rep = tracial_check(f.as_selfmap(space), g.as_selfmap(space), 200)
+    pairs = [random_hyperbolic_pair(random.Random(seed)) for seed in range(40)]
+    reps = tracial_check([(f.as_selfmap(space), g.as_selfmap(space)) for f, g in pairs], 200)
+    refs = tracial_check([(f.as_selfmap(HP), g.as_selfmap(HP)) for f, g in pairs], 200)
+    assert len(reps) == 40
+    for (f, g), rep, ref in zip(pairs, reps, refs):
         assert rep.closed_form_gap == 0
         assert rep.passed
         assert rep.estimate_gap <= rep.proof_bound + 1e-9
-        ref = tracial_check(f.as_selfmap(HP), g.as_selfmap(HP), 200)
         assert (rep.estimate_fg, rep.estimate_gf) == (ref.estimate_fg, ref.estimate_gf)
+        # a_200 / 200 of the exact products, by the scalar recurrence
+        for est, m in ((rep.estimate_fg, f.compose(g)), (rep.estimate_gf, g.compose(f))):
+            assert float.hex(est) == float.hex(float.fromhex(_scalar_hex(m, 200)[-1]) / 200)
 
 
 def test_tracial_commuting_translations():
@@ -279,7 +367,7 @@ def test_tracial_commuting_translations():
     fg = SelfMap(space, lambda x: f.apply(g.apply(x)), kind="isometry")
     rep_fg = translation_number(fg, 20)
     assert rep_fg.bound == 2.0
-    rep = tracial_check(f, g, 50)
+    [rep] = tracial_check([(f, g)], 50)
     assert rep.passed
     assert rep.estimate_fg == rep.estimate_gf == 2.0
 
@@ -287,9 +375,42 @@ def test_tracial_commuting_translations():
 def test_tracial_with_identity():
     space = CayleyGraphSpace(Zd(1))
     f = group_translation(space, (4,))
-    e = group_translation(space, (0,)) if False else SelfMap(space, lambda x: x, kind="isometry")
-    rep = tracial_check(f, e, 30)
+    e = SelfMap(space, lambda x: x, kind="isometry")
+    [rep] = tracial_check([(f, e)], 30)
     assert rep.estimate_gap == 0.0
+
+
+def test_tracial_mixed_batch_equals_pair_by_pair():
+    disk, z2 = PoincareDisk(), CayleyGraphSpace(Zd(2))
+    pairs = []
+    for seed in range(12):
+        f, g = random_hyperbolic_pair(random.Random(seed))
+        space = (HP, disk)[seed % 2]
+        pairs.append((f.as_selfmap(space), g.as_selfmap(space)))
+        if seed % 3 == 0:
+            pairs.append((group_translation(z2, (seed, 1)), group_translation(z2, (-1, seed % 4))))
+    reps = tracial_check(pairs, 60)
+    assert reps == [tracial_check([p], 60)[0] for p in pairs]
+    assert [r.closed_form_gap for r in reps].count(None) == 4
+
+
+def test_tracial_checks_arguments_before_stepping():
+    space = CayleyGraphSpace(Zd(1))
+    calls = []
+
+    def shift(x):
+        calls.append(x)
+        return (x[0] + 1,)
+
+    f = SelfMap(space, shift)
+    g = group_translation(space, (2,))
+    m = MoebiusMap(1, 1, 1, 2)
+    with pytest.raises(PreconditionError, match="n >= 1"):
+        tracial_check([(f, g)], 0)
+    with pytest.raises(PreconditionError, match="same space"):
+        tracial_check([(f, g), (m.as_selfmap(HP), m.as_selfmap(PoincareDisk()))], 10)
+    assert calls == []
+    assert tracial_check([], 10) == []
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ ARGVS = [
     ("dynamics", "almost-fixed", "--grid", "4", "--seed", "2", "--tol", "1e-6"),
     ("dynamics", "parabolic", "--fixture", "heisenberg-z", "--n", "40", "--eval-hi", "4", "--averaging", "4"),
     ("spectral", "tracial", "--count", "1", "--n", "10"),
+    # tracial batches its Moebius pairs past translation_number
+    ("spectral", "tau", "--map", "mobius", "--matrix", "2,0,0,1/2", "--n", "8"),
     ("validate", "metric", "--space", FINITE, "--triples", "20"),
 ]
 
