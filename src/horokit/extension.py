@@ -189,11 +189,13 @@ def hahn_banach_extend(
 
     ``witnesses`` is a sequence of subset points realizing h pointwise on
     the subset; the extension is the pigeonhole limit of their point
-    functionals computed in the ambient space.  The audit re-evaluates the
+    functionals computed in the ambient space, with the rows of every
+    evaluated point read in one block.  The audit re-evaluates the
     extension on subset points and compares with h (exactly on exact
     spaces, within the limit's tol otherwise).
     """
     H = PigeonholeLimit(space, witnesses)
+    H.preload([*eval_points, *audit_points])
     table = {space.point_label(p): H.evaluate(p) for p in sorted(eval_points, key=space.point_key)}
     worst: Scalar = 0
     checked = 0

@@ -274,8 +274,10 @@ class WitnessLimit:
     ``space.functional_rows`` prepares the witnesses once; at a new point y
     the subclass's ``_limit`` reads h_k(y) over the active witnesses as one
     row (integers over one denominator on exact spaces, floats otherwise)
-    and returns its EvalOutcome.  Outcomes are cached per point, and one
-    that did not stabilize is reported, never a silent value.
+    and returns its EvalOutcome.  ``preload`` reads the rows of points to
+    come in one block, and ``evaluate`` takes a preloaded row at the
+    active witnesses instead of reading its own.  Outcomes are cached per
+    point, and one that did not stabilize is reported, never a silent value.
     """
 
     def __init__(self, space: MetricSpace, witnesses: Iterable[Point], budget: int, tol: float):
@@ -284,15 +286,41 @@ class WitnessLimit:
         self.points: list[Point] = list(itertools.islice(witnesses, max(budget, 1)))
         if not self.points:
             raise PreconditionError("witness sequence is empty")
-        self._row = space.functional_rows(self.points, space.base_point)
+        self._rows = space.functional_rows(self.points, space.base_point)
         self.active = np.arange(len(self.points))
         self._cache: dict[Any, EvalOutcome] = {}
+        self._preloaded: dict[Any, tuple[np.ndarray, int]] = {}
+
+    def preload(self, ys: Iterable[Point]) -> None:
+        """Read the rows of the distinct ys not yet evaluated or preloaded,
+        over every witness, in one ``rows`` call; each row waits, with its
+        denominator, until its point is evaluated.  A y whose key cannot be
+        read is skipped, and a block that cannot be read is dropped: either
+        error is raised again by ``evaluate`` at that point, if the caller gets there."""
+        new: dict[Any, Point] = {}
+        for y in ys:
+            try:
+                key = self.space.point_key(y)
+            except Exception:
+                continue
+            if key not in self._cache and key not in self._preloaded:
+                new.setdefault(key, y)
+        try:
+            M, den = self._rows(list(new.values()), np.arange(len(self.points)))
+        except Exception:
+            return
+        self._preloaded.update((key, (row, den)) for key, row in zip(new, M))
 
     def evaluate(self, y: Point) -> EvalOutcome:
         key = self.space.point_key(y)
         hit = self._cache.get(key)
         if hit is None:
-            hit = self._cache[key] = self._limit(*self._row(y, self.active))
+            row = self._preloaded.pop(key, None)
+            if row is None:
+                (vals,), den = self._rows([y], self.active)
+            else:
+                vals, den = row[0][self.active], row[1]
+            hit = self._cache[key] = self._limit(vals, den)
         return hit
 
     def value(self, y: Point) -> Scalar:

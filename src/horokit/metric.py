@@ -109,16 +109,17 @@ class MetricSpace(ABC):
         return block
 
     def functional_rows(self, points: Sequence[Point], origin: Point) -> Callable:
-        """row(y, idx) -> (row, den), row[k] / den = h_p(y) = d(y, p) - d(origin, p)
-        for p = points[idx[k]], held as in ``distance_block``.  The offsets
-        d(origin, p) are read once and meet each row at the lcm of the two
+        """rows(ys, idx) -> (M, den), M[i, k] / den = h_p(ys[i]) = d(ys[i], p) - d(origin, p)
+        for p = points[idx[k]], held as in ``distance_block``: one block call
+        per batch of ys, all of its rows over one denominator.  The offsets
+        d(origin, p) are read once and meet each batch at the lcm of the two
         denominators."""
         block = self.distance_block(points)
         (offsets,), oden = block([origin], np.arange(len(points)))
 
-        def row(y: Point, idx: np.ndarray) -> tuple[np.ndarray, int]:
+        def rows(ys: Sequence[Point], idx: np.ndarray) -> tuple[np.ndarray, int]:
             nonlocal offsets, oden
-            (M,), den = block([y], idx)
+            M, den = block(ys, idx)
             lcm = math.lcm(den, oden)
             if lcm != oden:
                 offsets, oden = exact_ints(offsets.astype(object) * (lcm // oden)), lcm
@@ -126,7 +127,7 @@ class MetricSpace(ABC):
                 M = exact_ints(M.astype(object) * (lcm // den))
             return M - offsets[idx], lcm
 
-        return row
+        return rows
 
 
 # ---------------------------------------------------------------------------

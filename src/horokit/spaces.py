@@ -415,19 +415,16 @@ def disk_gap(p) -> float:
     return gap
 
 
-def _scalar_block(prepare: Callable, distance: Callable, points) -> Callable:
-    """A float ``distance_block`` that checks and converts each point once,
-    by ``prepare``, and computes each entry by ``distance``'s scalar formula
-    on two prepared points: NumPy's asinh and complex abs may differ from
-    ``math`` in the last bit."""
-    cols = [prepare(p) for p in points]
-
-    def block(ys, idx):
-        xs = [cols[i] for i in idx.tolist()]
-        rows = [[distance(w, z) for z in xs] for w in map(prepare, ys)]
-        return np.array(rows, dtype=float).reshape(len(ys), len(xs)), 1
-
-    return block
+def _twice_asinh(diff: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """2*asinh(|diff| / scale) entrywise, as the scalar distances round it:
+    the division and products are ufuncs, correctly rounded like Python's
+    float operators, while each complex abs and asinh is the builtin
+    ``abs`` or ``math.asinh`` over ``tolist()``, as NumPy's need not round
+    like them."""
+    size = np.fromiter(map(abs, diff.ravel().tolist()), float, diff.size).reshape(diff.shape)
+    with np.errstate(over="ignore"):  # a quotient past the float range is inf, as in Python
+        q = (size / scale).ravel().tolist()
+    return 2.0 * np.fromiter(map(math.asinh, q), float, len(q)).reshape(diff.shape)
 
 
 def _disk_point(p) -> tuple[float, complex]:
@@ -437,6 +434,12 @@ def _disk_point(p) -> tuple[float, complex]:
 def _disk_distance(a: tuple[float, complex], b: tuple[float, complex]) -> float:
     """The distance of two ``_disk_point`` pairs (1 - |z|^2, z)."""
     return 2.0 * math.asinh(abs(a[1] - b[1]) / math.sqrt(a[0] * b[0]))
+
+
+def _disk_columns(points) -> tuple[np.ndarray, np.ndarray]:
+    """The gaps and coordinates of checked disk points, as two arrays."""
+    pairs = [_disk_point(p) for p in points]
+    return np.array([g for g, _ in pairs], float), np.array([z for _, z in pairs], complex)
 
 
 class PoincareDisk(MetricSpace):
@@ -461,7 +464,15 @@ class PoincareDisk(MetricSpace):
         return _disk_distance(_disk_point(p), _disk_point(q))
 
     def distance_block(self, points):
-        return _scalar_block(_disk_point, _disk_distance, points)
+        """``distance``'s formula over whole rows, bit for bit (see
+        :func:`_twice_asinh`)."""
+        gaps, zs = _disk_columns(points)
+
+        def block(ys, idx):
+            g, w = _disk_columns(ys)
+            return _twice_asinh(w[:, None] - zs[idx], np.sqrt(g[:, None] * gaps[idx])), 1
+
+        return block
 
     def point_label(self, p) -> str:
         return repr(complex(p))
@@ -523,7 +534,20 @@ class UpperHalfPlane(MetricSpace):
         return _half_plane_distance(_half_plane_point(p), _half_plane_point(q))
 
     def distance_block(self, points):
-        return _scalar_block(_half_plane_point, _half_plane_distance, points)
+        """``distance``'s formula over whole rows, bit for bit (see
+        :func:`_twice_asinh`), its two root forms picked per entry."""
+        cols = np.array([_half_plane_point(p) for p in points], complex)
+
+        def block(ys, idx):
+            y = np.array([_half_plane_point(p) for p in ys], complex)[:, None]
+            x = cols[idx]
+            with np.errstate(over="ignore"):  # the product form is not taken where it overflows
+                s = y.imag * x.imag
+                normal = (sys.float_info.min <= s) & (s < math.inf)
+                root = np.where(normal, np.sqrt(s), np.sqrt(y.imag) * np.sqrt(x.imag))
+                return _twice_asinh(y - x, 2.0 * root), 1
+
+        return block
 
     def point_key(self, p):
         self.check_point(p)

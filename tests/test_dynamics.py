@@ -94,6 +94,26 @@ def test_moebius_composition_and_inverse():
     assert ident.entries() == (1, 0, 0, 1)
 
 
+def test_the_inverse_is_built_when_first_applied(monkeypatch):
+    m, ref = MoebiusMap(2, 1, 3, 2), MoebiusMap(2, -1, -3, 2)
+    built = []
+    init = MoebiusMap.__init__
+
+    def counting(self, *entries):
+        built.append(entries)
+        init(self, *entries)
+
+    monkeypatch.setattr(MoebiusMap, "__init__", counting)
+    hp, disk = UpperHalfPlane(), PoincareDisk()
+    maps = ((m.as_selfmap(hp), ref.apply_half_plane, hp), (m.as_selfmap(disk), ref.apply_disk, disk))
+    assert built == []
+    for f, apply_ref, space in maps:
+        for x in space.sample_points(random.Random(2), 6):
+            assert f.apply_inverse(x) == apply_ref(x)
+    assert len(built) == 1 and m.inverse().entries() == ref.entries()
+    assert all(type(v) is Fraction for v in m.inverse().entries())
+
+
 def test_orbit_distances_match_direct_evaluation():
     m = MoebiusMap(1, 1, 1, 2)  # det 1, trace 3, hyperbolic
     [dists] = orbit_distances([m], 12)

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horokit.dynamics import SelfMap, almost_fixed_invariant_functional
 from horokit.errors import (
     BudgetError,
     InvalidParameterError,
     InvalidPointError,
+    ResourceLimitError,
     UnsupportedError,
 )
+from horokit.extension import PigeonholeLimit
 from horokit.functionals import (
     BallFunctional,
     DiskBusemann,
@@ -30,10 +33,10 @@ from horokit.functionals import (
     lp_limit_convergence_check,
     midpoint_convexity_check,
 )
-from horokit.groups import CayleyGraphSpace, Zd
+from horokit.groups import CayleyGraphSpace, GeneratingSet, Zd
 from horokit.spaces import LpSpace, PoincareDisk, SpokeRaySpace, StarTreeSpace, UpperHalfPlane
 
-from oracles import disk_busemann, realized_reference
+from oracles import disk_busemann, pigeonhole_reference, realized_reference
 
 Z1 = CayleyGraphSpace(Zd(1))
 
@@ -367,6 +370,129 @@ def test_realized_matches_per_witness_loop(case, seed, budget, stable_window, to
         expected = realized_reference(space, iter(witnesses), y, budget=budget, tol=tol,
                                       stable_window=stable_window)
         assert (out.value, out.stabilized, out.index, out.residual, out.used) == expected
+
+
+def preload_case(case, rng):
+    """``realized_case``, plus the plane l^2 for a float pigeonhole."""
+    if case != "plane":
+        return realized_case(case, rng)
+    space = LpSpace(2, 2)
+    schedule = [np.array([2.0**k, 0.0]) for k in range(1, 48)]
+    pool = [np.array([1.0, 2.0])] + space.sample_points(rng, 3)
+    witnesses = schedule[: rng.randrange(1, len(schedule) + 1)]
+    for _ in range(rng.randrange(0, 4)):
+        witnesses.insert(rng.randrange(len(witnesses) + 1), rng.choice(pool))
+    ys = space.sample_points(rng, 5) + pool[:1] + witnesses[-1:]
+    return space, witnesses, ys
+
+
+def outcome_fields(out):
+    return (out.value, type(out.value), out.stabilized, out.index, out.residual, out.used)
+
+
+@pytest.mark.parametrize("case", ["spoke-ray", "star-tree", "cayley", "half-plane", "plane"])
+@given(st.integers(0, 2**32), st.sampled_from([1e-9, 1e-3]))
+@settings(max_examples=30, deadline=None)
+def test_preloading_changes_no_outcome(case, seed, tol):
+    # Shuffled and duplicated preloads, points preloaded but never evaluated,
+    # and a second preload after some evaluations, against limits that read
+    # each point alone and against the per-witness loops.
+    rng = random.Random(seed)
+    space, witnesses, ys = preload_case(case, rng)
+    ys = ys + ys[:2]
+    never = space.sample_points(rng, 2)
+    cut = rng.randrange(len(ys) + 1)
+    first = rng.sample(ys, rng.randrange(len(ys) + 1)) + never
+    first += rng.sample(first, len(first) // 2)
+    rng.shuffle(first)
+    second = ys[cut:] + never + ys[:cut]
+    rng.shuffle(second)
+    pigeonhole = pigeonhole_reference(space, witnesses, ys, tol=tol)
+    for limit in (RealizedFunctional, PigeonholeLimit):
+        alone, batched = limit(space, witnesses, tol=tol), limit(space, witnesses, tol=tol)
+        batched.preload(first)
+        for i, y in enumerate(ys):
+            if i == cut:
+                batched.preload(second)
+            out = batched.evaluate(y)
+            assert outcome_fields(out) == outcome_fields(alone.evaluate(y))
+            assert list(batched.active) == list(alone.active)
+            if limit is RealizedFunctional:
+                expected = realized_reference(space, iter(witnesses), y, tol=tol)
+            else:
+                expected, active = pigeonhole[i]
+                assert list(batched.active) == active
+            assert (out.value, out.stabilized, out.index, out.residual, out.used) == expected
+
+
+SR_WITNESSES = [SpokeRaySpace.ray_point(k) for k in range(1, 20)]
+HP_WITNESSES = [complex(0, 2.0**k) for k in range(0, 40)]
+
+
+@pytest.mark.parametrize("limit", [RealizedFunctional, PigeonholeLimit])
+@pytest.mark.parametrize(
+    "space, witnesses, good, bad",
+    [
+        (SpokeRaySpace(), SR_WITNESSES, [("hub",), ("head", 3)], ("ray", 1.5)),
+        (SpokeRaySpace(), SR_WITNESSES, [("hub",), ("head", 3)], "hub"),
+        (UpperHalfPlane(), HP_WITNESSES, [1j, 2 + 3j], 1 - 1j),
+        (UpperHalfPlane(), HP_WITNESSES, [1j, 2 + 3j], "x"),
+    ],
+)
+def test_a_malformed_point_in_a_preload_raises_only_when_evaluated(limit, space, witnesses, good, bad):
+    alone, batched = limit(space, witnesses), limit(space, witnesses)
+    with pytest.raises(InvalidPointError) as direct:
+        alone.evaluate(bad)
+    batched.preload([good[0], bad, good[1], bad])
+    for y in good:
+        assert outcome_fields(batched.evaluate(y)) == outcome_fields(alone.evaluate(y))
+    with pytest.raises(InvalidPointError) as late:
+        batched.evaluate(bad)
+    assert str(late.value) == str(direct.value)
+
+
+def test_a_failing_audit_stops_before_a_malformed_grid_point():
+    # z -> z + 1 near the witnesses, z -> 2z below them: the audit fails at
+    # 0.1i, before it reaches the malformed points after it; f applied to "x"
+    # raises, so its image and every later one are left to the audit.
+    hp = UpperHalfPlane()
+
+    def func(z):
+        return z + 1 if z.imag > 0.5 else 2 * z
+
+    f = SelfMap(hp, func, kind="isometry")
+    grid = [2j, 0.1j, 1 - 1j, "x", 3j]
+    rep = almost_fixed_invariant_functional(f, HP_WITNESSES, [2.0**-j for j in range(31)], grid)
+    assert (rep.audit_passed, rep.audit_checked) == (False, 2)
+    alone = RealizedFunctional(hp, rep.functional.points)
+    gaps = [abs(alone.evaluate(func(x)).value - alone.evaluate(x).value) for x in grid[:2]]
+    assert rep.audit_worst == max(gaps) and gaps[1] > 1e-9
+    for x in grid[:2]:
+        assert outcome_fields(rep.functional.evaluate(x)) == outcome_fields(alone.evaluate(x))
+    with pytest.raises(InvalidPointError):
+        rep.functional.evaluate("x")
+
+
+def test_a_block_past_the_ball_limit_is_read_point_by_point(monkeypatch):
+    # Z^2 under {x, y, xy} is a search: |(5, 0)| = 5 fits under the limit,
+    # but d((-5, 0), (5, 0)) = 10 needs a ball past it.  The preload drops
+    # its block; the near point reads its own row, and the far one raises
+    # the search's error when it is evaluated.
+    monkeypatch.setenv("HOROKIT_MAX_BALL", "200")
+    z2 = Zd(2)
+    space = CayleyGraphSpace(z2, GeneratingSet.create(z2, [(1, 0), (0, 1), (1, 1)]))
+    witnesses = [(5, 0), (5, 0), (4, 0)]
+    near, far = (4, 1), (-5, 0)
+    with pytest.raises(ResourceLimitError) as direct:
+        PigeonholeLimit(space, witnesses).evaluate(far)
+    batched = PigeonholeLimit(space, witnesses)
+    batched.preload([near, far])
+    alone = PigeonholeLimit(space, witnesses).evaluate(near)
+    assert outcome_fields(batched.evaluate(near)) == outcome_fields(alone)
+    assert alone.value == -3  # |(1, -1)| - |(5, 0)|
+    with pytest.raises(ResourceLimitError) as late:
+        batched.evaluate(far)
+    assert str(late.value) == str(direct.value)
 
 
 def test_realized_cache_and_eval_functional():

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -178,11 +179,11 @@ def test_functional_rows_against_oracles(seed, sampled, queries):
         pts = space.sample_points(rng, sampled) + rng.sample(edges, rng.randrange(1, 6))
         rng.shuffle(pts)
         origin = rng.choice([*pts, *edges])
-        row = space.functional_rows(pts, origin)
+        rows = space.functional_rows(pts, origin)
         ys = space.sample_points(rng, queries) + rng.sample(edges, 2)
         for y in ys:
             idx = np.array(sorted(rng.sample(range(len(pts)), rng.randrange(1, len(pts) + 1))))
-            r, den = row(y, idx)
+            (r,), den = rows([y], idx)
             assert len(r) == len(idx)
             for k, i in enumerate(idx):
                 h = Fraction(int(r[k]), den)
@@ -210,12 +211,12 @@ def test_functional_rows_against_oracles(seed, sampled, queries):
     ],
 )
 def test_functional_rows_past_int64_hold_python_ints(space, origin, columns, ys):
-    row = space.functional_rows(columns, origin)
+    rows = space.functional_rows(columns, origin)
     idx = np.arange(len(columns))
     if origin == HUB and columns[-1][-1] < 2**32:  # narrow codes, asked from one of them
-        assert row(columns[-1], idx)[0].dtype == np.int64
+        assert rows([columns[-1]], idx)[0].dtype == np.int64
     for y in ys:
-        r, den = row(y, idx)
+        (r,), den = rows([y], idx)
         assert r.dtype == object
         assert [Fraction(v, den) for v in r] == [
             space.distance(y, p) - space.distance(origin, p) for p in columns
@@ -225,9 +226,9 @@ def test_functional_rows_past_int64_hold_python_ints(space, origin, columns, ys)
 def test_functional_rows_stay_int64_up_to_the_bound():
     # scaled codes just below 2^61, so that route sums reach about 3 * 2^61
     columns = [HUB, SR.ray_point(2**60 - 1), SR.spoke_head(2**60 - 1)]
-    row = SR.functional_rows(columns, HUB)
+    rows = SR.functional_rows(columns, HUB)
     for y in columns:
-        r, den = row(y, np.arange(3))
+        (r,), den = rows([y], np.arange(3))
         assert r.dtype == np.int64
         assert [Fraction(int(v), den) for v in r] == [
             SR.distance(y, p) - SR.distance(HUB, p) for p in columns
@@ -270,7 +271,7 @@ def test_distance_block_and_rows_match_distance(name, seed):
 
     pts = draw(7)
     origin = rng.choice(draw(3))
-    block, row = space.distance_block(pts), space.functional_rows(pts, origin)
+    block, rows = space.distance_block(pts), space.functional_rows(pts, origin)
     for _ in range(3):  # each call sees the columns as the earlier ys left them
         ys = draw(4)
         idx = np.array(rng.choices(range(len(pts)), k=rng.randrange(1, len(pts) + 1)))
@@ -278,10 +279,38 @@ def test_distance_block_and_rows_match_distance(name, seed):
         assert M.shape == (len(ys), len(idx))
         assert M.dtype in ((np.int64, object) if space.exact else (np.float64,))
         for i, y in enumerate(ys):
-            h, hden = row(y, idx)
+            (h,), hden = rows([y], idx)
             for k, j in enumerate(idx):
                 assert _reads(space, M[i, k], den, space.distance(y, pts[j]))
                 assert _reads(space, h[k], hden, space.distance(y, pts[j]) - space.distance(origin, pts[j]))
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_SPACES))
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=12, deadline=None)
+def test_rows_of_many_ys_equal_the_rows_of_each(name, seed):
+    # The per-y rows come from a second rows function, whose columns see one
+    # y at a time, so that the two may hold their values over different
+    # denominators.
+    rng = random.Random(seed)
+    make, edges = BLOCK_SPACES[name]
+    space = make(rng)
+
+    def draw(most):
+        return space.sample_points(rng, rng.randrange(1, most)) + rng.sample(edges, min(len(edges), rng.randrange(3)))
+
+    pts, origin, ys = draw(7), rng.choice(draw(3)), draw(8)
+    idx = np.array(rng.choices(range(len(pts)), k=rng.randrange(1, len(pts) + 1)))
+    many, den = space.functional_rows(pts, origin)(ys, idx)
+    assert many.shape == (len(ys), len(idx))
+    each = space.functional_rows(pts, origin)
+
+    def value(v, d):
+        return Fraction(int(v), d) if space.exact else float(v).hex()
+
+    for y, row in zip(ys, many):
+        (alone,), aden = each([y], idx)
+        assert [value(v, den) for v in row] == [value(v, aden) for v in alone]
 
 
 # The distorted line and l^p stand for the default block, which checks its
@@ -305,12 +334,12 @@ MALFORMED = {
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_functional_rows_reject_malformed_points_like_distance(name):
     space, good, bads = MALFORMED[name]
-    row = space.functional_rows([good], good)
+    rows = space.functional_rows([good], good)
     for bad in bads:
         with pytest.raises(InvalidPointError) as direct:
             space.distance(bad, good)
         for ask in (lambda: space.point_key(bad),
-                    lambda: row(bad, np.arange(1)),
+                    lambda: rows([bad], np.arange(1)),
                     lambda: space.functional_rows([good, bad], good),
                     lambda: space.functional_rows([good], bad),
                     lambda: space.distance_block([good, bad])):
@@ -428,6 +457,37 @@ class TestHyperbolic:
         for i, y in enumerate(ys):
             for k, j in enumerate(idx):
                 assert M[i, k].hex() == hp.distance(y, pts[j]).hex()
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_array_blocks_are_distance_bit_for_bit_across_the_float_range(self, seed):
+        # Im z from subnormal to 1e300 on the half-plane, and 1 - |z| down to
+        # 1e-12 on the disk; no entry may warn, not even where Im z Im w
+        # overflows or underflows and the other root form is taken.
+        rng = random.Random(seed)
+        hp, disk = UpperHalfPlane(), PoincareDisk()
+
+        def half_plane_point():
+            y = 10.0 ** rng.uniform(-323, 300)
+            return complex(y * rng.uniform(-3, 3), y * 10 ** rng.uniform(-1, 1) or 5e-324)
+
+        def disk_point():
+            r, t = 1 - 10 ** rng.uniform(-12, 0), rng.uniform(0, 2 * math.pi)
+            return r * complex(math.cos(t), math.sin(t))
+
+        hp_edge = [5e-324j, 1e-320j, 1e-310 + 1e-310j, 1e-308j, 2.3e-308j, 1e300j, -1e300 + 1e300j, 1e150j]
+        disk_edge = [1 - 1e-12 + 0j, -(1 - 1e-12) * 1j, 0.6 * (1 - 1e-12) - 0.8j * (1 - 1e-12), 0.999999 + 0j]
+        for space, draw, edge in ((hp, half_plane_point, hp_edge), (disk, disk_point, disk_edge)):
+            pts = [draw() for _ in range(rng.randrange(1, 12))] + rng.sample(edge, rng.randrange(len(edge)))
+            ys = [draw() for _ in range(rng.randrange(0, 8))] + rng.sample(edge, rng.randrange(len(edge)))
+            idx = np.array(rng.choices(range(len(pts)), k=rng.randrange(0, 2 * len(pts))), dtype=np.intp)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                M, den = space.distance_block(pts)(ys, idx)
+            assert den == 1 and M.dtype == np.float64 and M.shape == (len(ys), len(idx))
+            for i, y in enumerate(ys):
+                for k, j in enumerate(idx):
+                    assert M[i, k].hex() == space.distance(y, pts[j]).hex()
 
     def test_half_plane_block_checks_every_point(self):
         hp = UpperHalfPlane()
