@@ -22,7 +22,7 @@ from .errors import (
     PreconditionError,
     UnsupportedError,
 )
-from .functionals import RealizedFunctional, eval_functional
+from .functionals import DiskBusemann, RealizedFunctional, eval_functional
 from .metric import MetricSpace, Point, Scalar
 from .spaces import (
     DistortedLine,
@@ -647,8 +647,6 @@ def disk_parabolic_orbit(n_lo: int, n_hi: int) -> list[complex]:
 def disk_parabolic_horocycle_audit(n_lo: int, n_hi: int) -> tuple[float, list[float]]:
     """Values of the boundary functional at 1 along the parabolic orbit of
     0; exactly zero in exact arithmetic, tiny float drift in practice."""
-    from .functionals import DiskBusemann
-
     if n_lo > n_hi:
         raise PreconditionError(f"empty orbit range [{n_lo}, {n_hi}]")
     h = DiskBusemann(1)

@@ -365,13 +365,11 @@ class RealizedFunctional(WitnessLimit):
             changes = np.flatnonzero(vals[1:] != vals[:-1])
             start = int(changes[-1]) + 1 if changes.size else 0
             return EvalOutcome(Fraction(int(vals[-1]), den), n - start >= self.stable_window, start, None, n)
-        steps = np.abs(np.diff(vals))  # steps[i] = |v_(i+1) - v_i|
-        small = steps < self.tol / 10.0
-        hits = np.flatnonzero(small[1:] & small[:-1])
-        if hits.size:
-            k = int(hits[0]) + 2
-            return EvalOutcome(float(vals[k]), True, k, float(steps[k - 1]), k + 1)
-        return EvalOutcome(float(vals[-1]), False, n - 1, float(steps[-1]) if n > 1 else None, n)
+        v, small = vals.tolist(), self.tol / 10.0  # rows are short: a scalar loop beats array calls
+        for k in range(2, n):
+            if abs(v[k - 1] - v[k - 2]) < small and abs(v[k] - v[k - 1]) < small:
+                return EvalOutcome(v[k], True, k, abs(v[k] - v[k - 1]), k + 1)
+        return EvalOutcome(v[-1], False, n - 1, abs(v[-1] - v[-2]) if n > 1 else None, n)
 
 
 # ---------------------------------------------------------------------------

@@ -182,25 +182,34 @@ def test_restriction_table_keys():
 
 
 # Z under {+-2, +-3} and the skew H3 set take the search; the rest closed forms.
+# Each case scans the default (r, window, r_max) triples or its own: the
+# heuristic Z^4 and H3 scans, a Z scan straddling int16 and int64 spheres,
+# and C12 past its diameter, where the later spheres are empty.
+RADII = ((1, 1, 3), (1, 2, 5), (2, 1, 5), (1, 3, 6))
 GUARD_CASES = [
-    ("Z^2", Zd(2), None),
-    ("F_2", FreeGroup(2), None),
-    ("H3", Heisenberg(), None),
-    ("Z{2,3}", Z1, [(2,), (3,)]),
-    ("H3 skew", Heisenberg(), [(1, 0, 0), (0, 1, 0), (1, 1, 0)]),
+    ("Z^2", Zd(2), None, RADII),
+    ("F_2", FreeGroup(2), None, RADII),
+    ("H3", Heisenberg(), None, RADII),
+    ("Z{2,3}", Z1, [(2,), (3,)], RADII),
+    ("H3 skew", Heisenberg(), [(1, 0, 0), (0, 1, 0), (1, 1, 0)], RADII),
+    ("Z^4 r=2 R=7", Zd(4), None, ((2, 3, 7),)),
+    ("H3 r=2 R=10", Heisenberg(), None, ((2, 3, 10),)),
+    ("Z R=32770", Z1, None, ((1, 3, 32_770),)),
+    ("C12 r=1 R=10", cyclic_group(12), None, ((1, 3, 10),)),
 ]
 
 
-@pytest.mark.parametrize("name, family, steps", GUARD_CASES, ids=[c[0] for c in GUARD_CASES])
-def test_limit_restrictions_match_their_definition(name, family, steps):
+@pytest.mark.parametrize("name, family, steps, radii", GUARD_CASES, ids=[c[0] for c in GUARD_CASES])
+def test_limit_restrictions_match_their_definition(name, family, steps, radii):
     # The accepted set is the union of the sphere restrictions over the
     # trailing window [r_max - window, r_max], and it is stabilized iff every
     # end radius in that window gives the same union.  Python sets of value
-    # tuples stand in for the dedup of stacked matrices.
+    # tuples stand in for the presence table over the scanned spheres.
     gens = GeneratingSet.create(family, steps) if steps else GeneratingSet.standard(family)
-    for r, window, r_max in ((1, 1, 3), (1, 2, 5), (2, 1, 5), (1, 3, 6)):
+    for r, window, r_max in radii:
         ball = cayley_ball(family, gens, r_max)
-        spheres = {R: set(map(tuple, sphere_restrictions(ball, r, R).tolist())) for R in range(r, r_max + 1)}
+        lo = max(r, r_max - 2 * window)
+        spheres = {R: set(map(tuple, sphere_restrictions(ball, r, R).tolist())) for R in range(lo, r_max + 1)}
 
         def union(end):
             return set().union(*(spheres[R] for R in range(max(r, end - window), end + 1)))
@@ -216,6 +225,32 @@ def test_limit_restrictions_match_their_definition(name, family, steps):
         assert vars(lrs.certificate) == {
             "kind": kind, "window_start": r_max - window, "window_length": window, "r_max": r_max,
         }
+
+
+@pytest.mark.parametrize("fam", [Zd(2), FreeGroup(2), Heisenberg()], ids=lambda f: f.name)
+def test_limit_restrictions_dedup_the_scan_once(fam, monkeypatch):
+    # Each sphere dedups its own rows; the scan then dedups their union once,
+    # not once per window end.
+    depth, outside = [0], []
+    unique_rows, spheres = boundary._unique_rows, boundary.sphere_restrictions
+
+    def counting(V):
+        if not depth[0]:
+            outside.append(len(V))
+        return unique_rows(V)
+
+    def sphere(*args):
+        depth[0] += 1
+        try:
+            return spheres(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(boundary, "_unique_rows", counting)
+    monkeypatch.setattr(boundary, "sphere_restrictions", sphere)
+    lrs = limit_restrictions(fam, GeneratingSet.standard(fam), 2, 9, 3)
+    assert len(lrs.values) > 1
+    assert len(outside) == 1
 
 
 def test_a_finite_group_has_no_restrictions_past_its_diameter():
@@ -460,11 +495,14 @@ TWO_BIT_ROW = [-1, 0, 1, 2] * 8  # 32 columns of 2 bits: exactly one 64-bit word
 @example(V=np.array([[-40_000, 0, 40_000], [40_000, 0, -40_000], [-40_000, 0, 40_000]], np.int64))
 @example(V=np.array([[np.iinfo(np.int64).min, 3], [np.iinfo(np.int64).max, -3], [0, 0]], np.int64))
 def test_unique_rows_matches_np_unique(V):
-    got = _unique_rows(V)
-    want = np.unique(V, axis=0)
+    got, inverse = _unique_rows(V)
+    want, want_inverse = np.unique(V, axis=0, return_inverse=True)
     assert got.dtype == want.dtype
     assert got.shape == want.shape
     assert (got == want).all()
+    assert inverse.shape == (len(V),)
+    assert inverse.tolist() == want_inverse.reshape(-1).tolist()
+    assert (got[inverse] == V).all()
 
 
 def test_spheres_over_several_blocks_match_the_oracles(monkeypatch, h3_ball):

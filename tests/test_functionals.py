@@ -386,6 +386,27 @@ def preload_case(case, rng):
     return space, witnesses, ys
 
 
+@pytest.mark.parametrize("case", ["half-plane", "plane"])
+@given(st.integers(0, 2**32), st.integers(1, 60), st.sampled_from([1e-9, 1e-3, 0.5, 4.0]))
+@settings(max_examples=60, deadline=None)
+def test_realized_float_outcomes_equal_the_reference_bit_for_bit(case, seed, budget, tol):
+    # The float rule stops at the first two successive steps below tol/10;
+    # value and residual equal the per-witness loop's by float.hex.
+    space, witnesses, ys = preload_case(case, random.Random(seed))
+    rf = RealizedFunctional(space, iter(witnesses), budget=budget, tol=tol)
+
+    def bits(x):
+        return None if x is None else float(x).hex()
+
+    for y in ys:
+        out = rf.evaluate(y)
+        value, stabilized, index, residual, used = realized_reference(space, iter(witnesses), y, budget=budget, tol=tol)
+        assert type(out.value) is float
+        assert (bits(out.value), out.stabilized, out.index, bits(out.residual), out.used) == (
+            bits(value), stabilized, index, bits(residual), used,
+        )
+
+
 def outcome_fields(out):
     return (out.value, type(out.value), out.stabilized, out.index, out.residual, out.used)
 
