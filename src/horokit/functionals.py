@@ -90,8 +90,26 @@ def _vec(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=float)).ravel()
 
 
-class LpZC:
-    """Curved l^p functional with parameters (z, c), c >= ||z||_p.
+def _padded(X, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows X and the vector v as floats, zero-padded to the wider of
+    the two, as LpSpace pads its points."""
+    X = np.asarray(X, dtype=float)
+    n = max(X.shape[1], v.size)
+    W, u = np.zeros((len(X), n)), np.zeros(n)
+    W[:, : X.shape[1]], u[: v.size] = X, v
+    return W, u
+
+
+class _LpModel:
+    """A closed-form l^p model: ``evaluate_batch`` states its formula once,
+    over rows of points, and ``evaluate`` reads its first row."""
+
+    def evaluate(self, x) -> float:
+        return float(self.evaluate_batch([_vec(x)])[0])
+
+
+class LpZC(_LpModel):
+    """Curved l^p functional with parameters (z, c), c >= ||z||_p, p finite.
 
     h(x) = (||x - z||_p^p + c^p - ||z||_p^p)^(1/p) - c; the limit of point
     functionals anchored at z + (c^p - ||z||_p^p)^(1/p) e_j along fresh
@@ -101,84 +119,56 @@ class LpZC:
     def __init__(self, z, c: float, p: float):
         self.z = _vec(z)
         self.c = float(c)
-        self.p = float(p)
-        if self.p < 1:
-            raise InvalidParameterError("p must be >= 1")
+        self.p = self.ambient_p = float(p)
+        if not 1 <= self.p < math.inf:
+            raise InvalidParameterError("p must be >= 1 and finite")
         self.znorm = lp_norm(self.z, self.p)
         if self.c < self.znorm - 1e-12:
             raise InvalidParameterError(
                 f"c = {self.c} must be >= ||z||_p = {self.znorm}"
             )
-        self.ambient_p = self.p
+        # c^p - ||z||_p^p, which rounding may take below 0 where c = ||z||_p
+        self._tail_p = max(self.c**self.p - self.znorm**self.p, 0.0)
 
-    def evaluate(self, x) -> float:
-        xv, zv = pad_pair(x, self.z)
-        return (
-            lp_norm(xv - zv, self.p) ** self.p + self.c**self.p - self.znorm**self.p
-        ) ** (1.0 / self.p) - self.c
-
-    def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
-        Z = np.zeros(X.shape[1])
-        Z[: self.z.size] = self.z
-        diff = np.abs(X - Z) ** self.p
-        return (diff.sum(axis=1) + self.c**self.p - self.znorm**self.p) ** (
-            1.0 / self.p
-        ) - self.c
+    def evaluate_batch(self, X) -> np.ndarray:
+        X, z = _padded(X, self.z)
+        return ((np.abs(X - z) ** self.p).sum(axis=1) + self._tail_p) ** (1.0 / self.p) - self.c
 
 
-class LpMu:
-    """Linear-type l^p functional h(x) = -sum mu_j x_j with ||mu||_q <= 1."""
+class LpMu(_LpModel):
+    """Linear-type l^p functional h(x) = -sum mu_j x_j with ||mu||_q <= 1,
+    1 < p < inf and q its conjugate exponent."""
 
     def __init__(self, mu, p: float):
         self.mu = _vec(mu)
-        self.p = float(p)
-        if self.p <= 1:
-            raise InvalidParameterError("p must be > 1 for the conjugate exponent")
+        self.p = self.ambient_p = float(p)
+        if not 1 < self.p < math.inf:
+            raise InvalidParameterError("p must be > 1 and finite for the conjugate exponent")
         self.q = self.p / (self.p - 1.0)
         if lp_norm(self.mu, self.q) > 1 + 1e-12:
             raise InvalidParameterError("||mu||_q must be <= 1")
-        self.ambient_p = self.p
 
-    def evaluate(self, x) -> float:
-        xv, mv = pad_pair(x, self.mu)
-        return float(-(xv * mv).sum())
-
-    def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
-        M = np.zeros(X.shape[1])
-        M[: self.mu.size] = self.mu
-        return -(X * M).sum(axis=1)
+    def evaluate_batch(self, X) -> np.ndarray:
+        X, mu = _padded(X, self.mu)
+        return -(X * mu).sum(axis=1)
 
 
-class Linear:
-    """Euclidean linear functional h(x) = -<x, v> with ||v||_2 <= 1."""
-
-    ambient_p = 2.0
+class Linear(LpMu):
+    """Euclidean linear functional h(x) = -<x, v> with ||v||_2 <= 1: the
+    model LpMu(v, 2), whatever the norm of the space it is checked in."""
 
     def __init__(self, v):
-        self.v = _vec(v)
-        if np.linalg.norm(self.v) > 1 + 1e-12:
-            raise InvalidParameterError("||v|| must be <= 1")
-
-    def evaluate(self, x) -> float:
-        xv, vv = pad_pair(x, self.v)
-        return float(-(xv * vv).sum())
-
-    def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
-        V = np.zeros(X.shape[1])
-        V[: self.v.size] = self.v
-        return -(X * V).sum(axis=1)
+        super().__init__(v, 2.0)
+        self.v = self.mu
 
 
-class Zero:
+class Zero(_LpModel):
     """The identically-zero functional."""
 
     ambient_p = 2.0
 
-    def evaluate(self, x) -> float:
-        return 0.0
-
-    def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.zeros(X.shape[0])
+    def evaluate_batch(self, X) -> np.ndarray:
+        return np.zeros(len(X))
 
 
 class DiskBusemann:
@@ -271,13 +261,14 @@ class WitnessLimit:
     """Pointwise limit of h_k = d(., x_k) - d(x0, x_k) along at most
     ``budget`` witness points x_k.
 
-    ``space.functional_rows`` prepares the witnesses once; at a new point y
+    ``space.functional_rows`` checks the witnesses once; at a new point y
     the subclass's ``_limit`` reads h_k(y) over the active witnesses as one
     row (integers over one denominator on exact spaces, floats otherwise)
-    and returns its EvalOutcome.  ``preload`` reads the rows of points to
-    come in one block, and ``evaluate`` takes a preloaded row at the
-    active witnesses instead of reading its own.  Outcomes are cached per
-    point, and one that did not stabilize is reported, never a silent value.
+    and returns its EvalOutcome.  Each read is one block, with the base
+    point's row: ``preload`` reads the rows of points to come in one, and
+    ``evaluate`` takes a preloaded row at the active witnesses instead of
+    reading its own.  Outcomes are cached per point, and one that did not
+    stabilize is reported, never a silent value.
     """
 
     def __init__(self, space: MetricSpace, witnesses: Iterable[Point], budget: int, tol: float):
@@ -438,6 +429,8 @@ def midpoint_convexity_check(
     """Verify f((x+y)/2) <= (f(x) + f(y))/2 + tol over seeded pairs in the
     functional's normed ambient space."""
     _ambient_for(f, dim)  # raises UnsupportedError for non-normed ambients
+    if pairs < 1:
+        raise PreconditionError("need at least one sample pair")
     nprng = np.random.default_rng(seed)
     X = nprng.normal(0.0, 3.0, size=(pairs, dim))
     Y = nprng.normal(0.0, 3.0, size=(pairs, dim))
@@ -478,6 +471,8 @@ def functional_norm_estimate(
         raise PreconditionError("radius schedule must be nonempty")
     if any(b <= a for a, b in zip(radius_schedule, radius_schedule[1:])):
         raise PreconditionError("radius schedule must be increasing")
+    if per_radius < 1:
+        raise PreconditionError("need at least one sample per radius")
     rng = random.Random(seed)
     rows: list[tuple[float, float]] = []
     best = 0.0
@@ -590,7 +585,7 @@ def lp_limit_convergence_check(
     scales = [2.0 * k * k for k in range(1, k_range + 1)]
     if isinstance(target, LpZC):
         p = target.p
-        t = (target.c**target.p - target.znorm**target.p) ** (1.0 / target.p)
+        t = target._tail_p ** (1.0 / p)
         anchors = [(target.z, t)] * k_range
     elif isinstance(target, Linear):
         p = 2.0

@@ -110,22 +110,15 @@ class MetricSpace(ABC):
 
     def functional_rows(self, points: Sequence[Point], origin: Point) -> Callable:
         """rows(ys, idx) -> (M, den), M[i, k] / den = h_p(ys[i]) = d(ys[i], p) - d(origin, p)
-        for p = points[idx[k]], held as in ``distance_block``: one block call
-        per batch of ys, all of its rows over one denominator.  The offsets
-        d(origin, p) are read once and meet each batch at the lcm of the two
-        denominators."""
+        for p = points[idx[k]], held as in ``distance_block``.  The origin is
+        checked here; each batch is one block over the ys and the origin, its
+        last row subtracted from the others, so they share one denominator."""
         block = self.distance_block(points)
-        (offsets,), oden = block([origin], np.arange(len(points)))
+        self.check_point(origin)
 
         def rows(ys: Sequence[Point], idx: np.ndarray) -> tuple[np.ndarray, int]:
-            nonlocal offsets, oden
-            M, den = block(ys, idx)
-            lcm = math.lcm(den, oden)
-            if lcm != oden:
-                offsets, oden = exact_ints(offsets.astype(object) * (lcm // oden)), lcm
-            if lcm != den:
-                M = exact_ints(M.astype(object) * (lcm // den))
-            return M - offsets[idx], lcm
+            M, den = block([*ys, origin], idx)
+            return M[:-1] - M[-1], den
 
         return rows
 

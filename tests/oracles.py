@@ -456,6 +456,23 @@ def realized_reference(space, witnesses, y, *, budget=100_000, tol=1e-9, stable_
 # --- l1 sphere restriction patterns ------------------------------------------
 
 
+def lp_zc_value(z, c, p, x) -> float:
+    """The (z, c) metric functional of l^p, c >= ||z||_p (Gutierrez, Canad.
+    Math. Bull. 2019): (||x - z||_p^p + c^p - ||z||_p^p)^(1/p) - c, in plain
+    floats, with x and z zero-padded to one length.  c^p - ||z||_p^p >= 0,
+    so it is clamped there where rounding takes it below."""
+    n = max(len(x), len(z))
+    xs, zs = [*map(float, x), *[0.0] * (n - len(x))], [*map(float, z), *[0.0] * (n - len(z))]
+    tail = max(c**p - math.fsum(abs(b) ** p for b in zs), 0.0)
+    return (math.fsum(abs(a - b) ** p for a, b in zip(xs, zs)) + tail) ** (1.0 / p) - c
+
+
+def lp_mu_value(mu, x) -> float:
+    """The mu functional of l^p, -sum mu_j x_j; a coordinate that one of
+    mu and x lacks is 0, so its term is too."""
+    return -math.fsum(m * a for m, a in zip(mu, x))
+
+
 def l1_sphere(d: int, r: int):
     """All integer vectors with l1 norm exactly r."""
     out = []

@@ -12,6 +12,7 @@ from horokit.errors import (
     BudgetError,
     InvalidParameterError,
     InvalidPointError,
+    PreconditionError,
     ResourceLimitError,
     UnsupportedError,
 )
@@ -34,9 +35,10 @@ from horokit.functionals import (
     midpoint_convexity_check,
 )
 from horokit.groups import CayleyGraphSpace, GeneratingSet, Zd
+from horokit.metric import FiniteMetricSpace
 from horokit.spaces import LpSpace, PoincareDisk, SpokeRaySpace, StarTreeSpace, UpperHalfPlane
 
-from oracles import disk_busemann, pigeonhole_reference, realized_reference
+from oracles import disk_busemann, lp_mu_value, lp_zc_value, pigeonhole_reference, realized_reference
 
 Z1 = CayleyGraphSpace(Zd(1))
 
@@ -120,6 +122,80 @@ def test_lp_mu_values():
     assert h.evaluate([1.0, 1.0]) == pytest.approx(-1.0)
     with pytest.raises(InvalidParameterError):
         LpMu([1.0, 1.0], 2.0)  # ||mu||_2 > 1
+
+
+def test_lp_models_reject_p_infinite():
+    # At p = inf, LpMu's conjugate exponent is nan, so ||mu||_q <= 1 never
+    # failed; LpZC read inf^0 = 1 for a zero coordinate of x - z.
+    with pytest.raises(InvalidParameterError):
+        LpMu([0.9, 0.9], math.inf)
+    with pytest.raises(InvalidParameterError):
+        LpZC([1.0], 2.0, math.inf)
+
+
+def test_linear_is_lp_mu_at_p_2():
+    # Its p stays 2 in a sup-norm space (test_linear_lipschitz_sup_norm).
+    h = Linear([0.6, 0.8])
+    assert isinstance(h, LpMu) and h.p == h.ambient_p == 2.0
+    assert h.v.tolist() == h.mu.tolist() == [0.6, 0.8]
+
+
+def test_lp_models_pad_rows_narrower_than_their_parameter():
+    # Rows are zero-padded to the parameter's width, as LpSpace pads points.
+    for f in (LpZC([1.0, 2.0, 3.0], 4.0, 2.0), LpMu([0.3, -0.4, 0.5], 2.0), Linear([0.6, 0.0, 0.8])):
+        assert f.evaluate_batch(np.zeros((2, 2))) == pytest.approx([0.0, 0.0], abs=1e-12)
+        assert f.evaluate_batch(np.array([[1.0, 0.0]]))[0] == f.evaluate([1.0, 0.0])
+        assert f.evaluate([1.0, 0.0]) == f.evaluate([1.0, 0.0, 0.0])
+        assert lipschitz_check(f, LpSpace(2, 2), pairs=2000, tol=1e-12).passed
+        assert midpoint_convexity_check(f, 2, pairs=2000, tol=1e-12).passed
+    assert LpZC([1.0, 2.0, 3.0], 4.0, 2.0).evaluate([1.0, 0.0]) == pytest.approx(
+        lp_zc_value([1.0, 2.0, 3.0], 4.0, 2.0, [1.0, 0.0]), rel=1e-12)
+
+
+def test_lp_zc_at_c_equal_to_the_norm_of_z_is_real():
+    # c a hair below ||z||_p is accepted (tolerance 1e-12); c^p - ||z||_p^p
+    # then rounds below 0, which once made the value at x = z complex and
+    # the witness check raise TypeError.
+    f = LpZC([3.0, 4.0], 5.0 - 1e-13, 2.0)
+    assert f.evaluate([3.0, 4.0]) == pytest.approx(-5.0)
+    assert lp_limit_convergence_check(f, [[3.0, 4.0], [0.0, 1.0]], k_range=4).threshold == 1
+
+
+COORD = st.floats(-4.0, 4.0)
+
+
+@given(st.data(), st.floats(1.0, 6.0), st.integers(1, 5), st.floats(0.0, 4.0), st.floats(0.0, 1.0))
+@settings(max_examples=150, deadline=None)
+def test_lp_models_match_the_independent_oracle(data, p, n, margin, shrink):
+    # x shorter than, as long as and longer than the parameter, with
+    # c = ||z||_p + margin and ||mu||_q = shrink * (at most 1).
+    param = data.draw(st.lists(COORD, min_size=n, max_size=n))
+    xs = [data.draw(st.lists(COORD, min_size=m, max_size=m)) for m in (n - 1, n, n + 2)]
+    c = math.fsum(abs(v) ** p for v in param) ** (1.0 / p) + margin
+    models = [(LpZC(param, c, p), lambda x: lp_zc_value(param, c, p, x))]
+    if p > 1:
+        q = p / (p - 1.0)
+        mu = [v / 4.0 for v in param]  # |mu_j| <= 1, so |mu_j|^q cannot overflow
+        qnorm = math.fsum(abs(v) ** q for v in mu) ** (1.0 / q)
+        mu = [shrink * v / max(qnorm, 1.0) for v in mu]
+        models.append((LpMu(mu, p), lambda x: lp_mu_value(mu, x)))
+
+    def close(f, got, want, x):
+        if isinstance(f, LpMu):  # to 1e-12 of the sum of its terms' magnitudes
+            return abs(got - want) <= 1e-12 * math.fsum(abs(m * a) for m, a in zip(mu, x))
+        # Compared under the root: the base ||x - z||_p^p + c^p - ||z||_p^p is
+        # well conditioned, while its p-th root is not near x = z, c = ||z||_p.
+        base = (want + c) ** p
+        return abs((got + c) ** p - base) <= 1e-12 * (base + c**p)
+
+    for x in xs:
+        X = np.array([x, [2.0 * v for v in x], [-v for v in x]]).reshape(3, len(x))
+        for f, oracle in models:
+            rows = f.evaluate_batch(X)
+            assert f.evaluate(x) == f.evaluate_batch([x])[0]
+            assert close(f, f.evaluate(x), oracle(x), x)
+            assert all(close(f, got, oracle(row), row) for got, row in zip(rows.tolist(), X.tolist()))
+        assert Zero().evaluate(x) == Zero().evaluate_batch(X).tolist()[0] == 0.0
 
 
 def test_half_plane_busemann():
@@ -249,6 +325,13 @@ def test_zero_norm_estimate():
 def test_norm_estimate_needs_increasing_schedule():
     with pytest.raises(Exception):
         functional_norm_estimate(Zero(), LpSpace(2, 2), [2, 1])
+
+
+def test_sample_counts_below_one_are_precondition_errors():
+    with pytest.raises(PreconditionError):
+        midpoint_convexity_check(LpZC([1.0], 2.0, 2.0), 2, pairs=0)
+    with pytest.raises(PreconditionError):
+        functional_norm_estimate(Linear([0.5, 0.0]), LpSpace(2, 2), [1, 2], per_radius=0)
 
 
 def test_distance_recovery_z():
@@ -444,6 +527,40 @@ def test_preloading_changes_no_outcome(case, seed, tol):
                 expected, active = pigeonhole[i]
                 assert list(batched.active) == active
             assert (out.value, out.stabilized, out.index, out.residual, out.used) == expected
+
+
+class CountingFiniteSpace(FiniteMetricSpace):
+    """A finite space that counts the distance blocks its rows read."""
+
+    blocks = 0
+
+    def distance_block(self, points):
+        inner = super().distance_block(points)
+
+        def block(ys, idx):
+            self.blocks += 1
+            return inner(ys, idx)
+
+        return block
+
+
+def test_each_rows_call_reads_one_block_with_the_origin():
+    space = CountingFiniteSpace([[abs(i - j) for j in range(6)] for i in range(6)])
+    rows = space.functional_rows([5, 4, 3], 0)
+    assert space.blocks == 0
+    M, den = rows([1, 2], np.arange(3))
+    assert space.blocks == 1
+    assert (M.tolist(), den) == ([[-1, -1, -1], [-2, -2, -2]], 1)
+    rows([], np.arange(1))
+    assert space.blocks == 2
+    # A preloaded limit reads its points in one block in all, and evaluates
+    # them without reading another.
+    space.blocks = 0
+    limit = PigeonholeLimit(space, [5, 4, 3, 5, 4])
+    limit.preload([1, 2, 3, 1])
+    assert space.blocks == 1
+    assert [limit.value(y) for y in (1, 2, 3)] == [-1, -2, -3]
+    assert space.blocks == 1
 
 
 SR_WITNESSES = [SpokeRaySpace.ray_point(k) for k in range(1, 20)]
