@@ -443,8 +443,8 @@ def almost_fixed_invariant_functional(
         raise PreconditionError(
             f"displacement bound {disp.bound} does not reach min epsilon {min(eps_schedule)}"
         )
-    levels = displacement_sublevels(f, witness_points, eps_schedule)
-    chosen = [level.witnesses[0] for level in levels]
+    # Each level's first member: the first witness where the running minimum reaches eps.
+    chosen = [witness_points[next(i for i, d in enumerate(disp.trace) if d <= eps)] for eps in eps_schedule]
     if not f.space.exact:
         # a repeated witness would satisfy the successive-difference
         # criterion vacuously; exact spaces keep repeats (constant runs are

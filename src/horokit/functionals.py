@@ -109,7 +109,8 @@ class _LpModel:
 
 
 class LpZC(_LpModel):
-    """Curved l^p functional with parameters (z, c), c >= ||z||_p, p finite.
+    """Curved l^p functional with parameters (z, c), c >= ||z||_p to a
+    relative 1e-12, p finite.
 
     h(x) = (||x - z||_p^p + c^p - ||z||_p^p)^(1/p) - c; the limit of point
     functionals anchored at z + (c^p - ||z||_p^p)^(1/p) e_j along fresh
@@ -123,7 +124,7 @@ class LpZC(_LpModel):
         if not 1 <= self.p < math.inf:
             raise InvalidParameterError("p must be >= 1 and finite")
         self.znorm = lp_norm(self.z, self.p)
-        if self.c < self.znorm - 1e-12:
+        if self.c < self.znorm * (1 - 1e-12):
             raise InvalidParameterError(
                 f"c = {self.c} must be >= ||z||_p = {self.znorm}"
             )

@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .metric import MetricSpace, ball_limit, exact_ints
+from .metric import MetricSpace, ball_limit, exact_table
 
 Element = Any
 
@@ -860,7 +860,7 @@ class CayleyGraphSpace(MetricSpace):
                 return fam.distance_rows(X[idx], fam.coords(ys), np.int64), 1
             xs = [points[i] for i in idx.tolist()]
             rows = [[self._length(fam._mul(yinv, x)) for x in xs] for yinv in map(fam._inv, ys)]
-            return exact_ints(rows).reshape(len(ys), len(xs)), 1
+            return exact_table(rows)[0].reshape(len(ys), len(xs)), 1
 
         return block
 

@@ -90,21 +90,17 @@ class MetricSpace(ABC):
 
     def distance_block(self, points: Sequence[Point]) -> Callable:
         """Check the fixed ``points`` once, and return block(ys, idx) -> (M, den),
-        M[i, k] / den = d(ys[i], points[idx[k]]): exact integers as
-        :func:`exact_ints` holds them on an exact space, float64 with den 1
-        otherwise.  This default asks ``distance`` per entry; a subclass
-        that overrides ``distance`` must override this too, as a
-        closed-form block never reads it."""
+        M[i, k] / den = d(ys[i], points[idx[k]]): an :func:`exact_table` on
+        an exact space, float64 with den 1 otherwise.  This default asks
+        ``distance`` per entry; a subclass that overrides ``distance`` must
+        override this too, as a closed-form block never reads it."""
         for p in points:
             self.check_point(p)
 
         def block(ys: Sequence[Point], idx: np.ndarray) -> tuple[np.ndarray, int]:
             rows = [[self.distance(y, points[i]) for i in idx.tolist()] for y in ys]
-            if self.exact:
-                M, den = numeric_arrays(rows, tol=1)
-            else:
-                M, den = np.array(rows, dtype=float), 1
-            return M.reshape(len(ys), len(idx)), int(den)  # no ys: (0, len(idx)), not (0,)
+            M, den = exact_table(rows) if self.exact else (np.array(rows, dtype=float), 1)
+            return M.reshape(len(ys), len(idx)), den  # no ys: (0, len(idx)), not (0,)
 
         return block
 
@@ -135,33 +131,30 @@ CHUNK = 1 << 18
 INT64_SAFE = 1 << 61
 
 
-def exact_ints(values) -> np.ndarray:
-    """Integers as an int64 array while all are below INT64_SAFE in
-    magnitude, else as Python ints in an object array."""
-    a = np.array(values, dtype=object)
-    return a.astype(np.int64) if np.abs(a).max(initial=0) < INT64_SAFE else a
+def exact_table(rows) -> tuple[np.ndarray, int]:
+    """The 2-D table ``rows`` of Python ints and Fractions as integers over
+    their least common denominator: (M, den) with M / den = rows.  M is
+    int64 while its entries and den are below INT64_SAFE in magnitude, and
+    holds Python ints in an object array beyond."""
+    den = math.lcm(*{v.denominator for row in rows for v in row})
+    M = np.array([[v.numerator * (den // v.denominator) for v in row] for row in rows], dtype=object)
+    return (M.astype(np.int64) if np.abs(M).max(initial=den) < INT64_SAFE else M), den
 
 
 def numeric_arrays(*tables, tol: Scalar = 0) -> tuple:
     """The 2-D tables as arrays for the checks below, followed by tol.
 
-    Ints and Fractions are scaled by one common denominator to exact
-    integers: int64 while sums of three fit, Python ints in object arrays
-    beyond.  If any entry or tol is a float, everything becomes float64.
+    If all entries and tol are ints or Fractions, they are read as one
+    :func:`exact_table`, NumPy ints as Python ints so that scaling cannot
+    overflow; if any is a float, everything becomes float64.
     """
-    flat = [v for t in tables for row in t for v in row]
-    flat.append(tol)
-    if not all(isinstance(v, (int, Fraction, np.integer)) for v in flat):
+    tables = [t.tolist() if isinstance(t, np.ndarray) else t for t in tables]
+    flat = [v for t in tables for row in t for v in row] + [tol]
+    flat = [v.item() if isinstance(v, np.generic) else v for v in flat]
+    if not all(isinstance(v, (int, Fraction)) for v in flat):
         return (*(np.array(t, dtype=float) for t in tables), float(tol))
-    scale = math.lcm(*(v.denominator for v in flat if isinstance(v, Fraction)))
-
-    def scaled(v) -> int:
-        return int(v.numerator) * (scale // int(v.denominator))
-
-    out = [[[scaled(v) for v in row] for row in t] for t in tables]
-    big = max((abs(v) for t in out for row in t for v in row), default=0)
-    dtype = np.int64 if max(big, abs(scaled(tol))) < INT64_SAFE else object
-    return (*(np.array(t, dtype=dtype) for t in out), scaled(tol))
+    parts = np.split(exact_table([flat])[0][0], np.cumsum([sum(map(len, t)) for t in tables]))
+    return (*(p.reshape(len(t), -1) if t else p for p, t in zip(parts, tables)), int(parts[-1][0]))
 
 
 def first_axiom_violation(D: np.ndarray, tol: Scalar = 0) -> Optional[tuple[str, int, int]]:
@@ -246,9 +239,7 @@ class FiniteMetricSpace(MetricSpace):
         if not 0 <= base_index < n:
             raise InvalidSpaceError(f"base index {base_index} outside [0, {n})")
         self.base_index = base_index
-        den = self._den = math.lcm(*{v.denominator for row in rows for v in row})
-        scaled = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
-        self._D = exact_ints(scaled) if den < INT64_SAFE else np.array(scaled, dtype=object)
+        self._D, self._den = exact_table(rows)
         hit = first_axiom_violation(self._D)
         if hit is not None:
             kind, i, j = hit

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidDistortionError, InvalidPointError, InvalidParameterError
-from .metric import INT64_SAFE, MetricSpace, exact_ints
+from .metric import MetricSpace, exact_table
 
 
 def frac(x) -> Fraction:
@@ -39,31 +39,22 @@ class _CodedSpace(MetricSpace):
     """An exact space whose distance is a closed form of per-point codes:
     ``_codes(p)`` checks p and returns its rational codes, and
     ``_code_distances(y_codes, columns)`` adds at most three code
-    magnitudes per entry of the block from the ys to the columns."""
+    magnitudes per entry of the block from the ys to the columns.  Codes
+    below 2^61 (int64 in :func:`exact_table`) thus keep distances and their
+    differences below 2^63."""
+
+    def distance(self, p, q) -> Fraction:
+        return self._code_distances(self._codes(p), self._codes(q)).item()
 
     def distance_block(self, points):
-        """Each point is checked and encoded once, and the codes are scaled
-        to integers over one shared denominator; ys with a new denominator,
-        or too wide for int64 columns, rescale them for good.  A distance
-        adds at most three codes, so codes below 2^61 (int64 in
-        :func:`exact_ints`) keep distances and their differences below 2^63."""
+        """Each point is checked and encoded once; each call scales the codes
+        of its ys and of the points together, as one :func:`exact_table`."""
         codes = [self._codes(p) for p in points]
-        den = math.lcm(*(v.denominator for c in codes for v in c))
-        cols = None
 
         def block(ys, idx):
-            nonlocal den, cols
-            y_codes = [self._codes(y) for y in ys]
-            new = math.lcm(den, *(v.denominator for c in y_codes for v in c))
-            Y = [[v.numerator * (new // v.denominator) for v in c] for c in y_codes]
-            big = max((abs(v) for c in Y for v in c), default=0)
-            wide = cols is not None and cols.dtype != object and big >= INT64_SAFE
-            if cols is None or new != den or wide:
-                den = new
-                scaled = ([v.numerator * (den // v.denominator) for v in c] for c in codes)
-                cols = exact_ints([*Y, *scaled]).T[:, len(ys) :]  # the ys' width decides the dtype too
-            Y = np.array(Y, dtype=cols.dtype).reshape(len(ys), len(cols))  # no ys: (0, codes), not (0,)
-            return self._code_distances(Y.T[:, :, None], cols[:, idx]), den
+            C, den = exact_table([*map(self._codes, ys), *codes])
+            C = C.T  # one row per code
+            return self._code_distances(C[:, : len(ys), None], C[:, len(ys) + idx]), den
 
         return block
 
@@ -170,12 +161,7 @@ class SpokeRaySpace(_CodedSpace):
         )
         return np.where((spoke == y_spoke) & (spoke != 0), abs(pos - y_pos), routes)
 
-    def distance(self, p, q) -> Fraction:
-        a, b = self._codes(p), self._codes(q)
-        if a[0] and a[0] == b[0]:  # same spoke: direct travel along it
-            return abs(a[1] - b[1])
-        return min(a[2] + b[2], a[2] + b[3] + b[4], a[4] + a[3] + b[2],
-                   a[4] + abs(a[3] - b[3]) + b[4])
+    distance = _CodedSpace.distance  # an entry of its own, which the layer tracer wraps per class
 
     def point_label(self, p) -> str:
         tag = p[0]
@@ -261,9 +247,7 @@ class StarTreeSpace(_CodedSpace):
         ):
             raise InvalidPointError(f"{p!r} is not a point of the interval star")
 
-    def distance(self, p, q) -> Fraction:
-        (m, s), (n, t) = self._codes(p), self._codes(q)
-        return abs(s - t) if m == n else s + t
+    distance = _CodedSpace.distance
 
     def _codes(self, p) -> tuple:
         """(branch, depth) of a checked point; the hub is on branch 0."""

@@ -186,6 +186,17 @@ def test_extend_mcshane_inline_space(capsys):
     assert out.strip().splitlines() == ["point,value", "0,0", "1,-1", "2,-2"]
 
 
+def test_extend_mcshane_scales_int64_distances_past_int64(capsys):
+    # d = 2^60 is int64 in the distance block; over the values' denominator 8
+    # it is 2^63, which the Lipschitz check must hold as a Python int.
+    big = str(2**60)
+    space = json.dumps({"type": "finite", "params": {"matrix": [["0", big], [big, "0"]]}})
+    code, out, err = run(capsys, "extend", "mcshane", "--space", space, "--domain", "[0, 1]",
+                         "--values", '["0", "1/8"]', "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.strip().splitlines() == ["point,value", "0,0", "1,1/8"]
+
+
 def test_extend_mcshane_eval_all_reads_every_group_element(capsys):
     # S3 from its multiplication table, generated by two transpositions
     space = json.dumps({"type": "finite_group", "params": {"generators": [1, 2], "table": [

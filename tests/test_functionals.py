@@ -153,12 +153,25 @@ def test_lp_models_pad_rows_narrower_than_their_parameter():
 
 
 def test_lp_zc_at_c_equal_to_the_norm_of_z_is_real():
-    # c a hair below ||z||_p is accepted (tolerance 1e-12); c^p - ||z||_p^p
+    # c a hair below ||z||_p is accepted (relative tolerance 1e-12); c^p - ||z||_p^p
     # then rounds below 0, which once made the value at x = z complex and
     # the witness check raise TypeError.
     f = LpZC([3.0, 4.0], 5.0 - 1e-13, 2.0)
     assert f.evaluate([3.0, 4.0]) == pytest.approx(-5.0)
     assert lp_limit_convergence_check(f, [[3.0, 4.0], [0.0, 1.0]], k_range=4).threshold == 1
+
+
+def test_lp_zc_accepts_c_equal_to_a_large_norm_of_z():
+    # c = ||z||_p summed another way differs from ||z||_p by rounding, which
+    # grows with ||z||_p: an absolute margin of 1e-12 refused some of these.
+    rng = random.Random(7)
+    for _ in range(2000):
+        z = [rng.uniform(-1e5, 1e5) for _ in range(5)]
+        p = rng.choice([1.5, 2.0, 3.0])
+        f = LpZC(z, math.fsum(abs(v) ** p for v in z) ** (1 / p), p)
+        assert -f.c <= f.evaluate(z) < 0
+    with pytest.raises(InvalidParameterError):
+        LpZC([3e5, 4e5], 5e5 * (1 - 1e-9), 2.0)
 
 
 COORD = st.floats(-4.0, 4.0)

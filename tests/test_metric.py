@@ -26,7 +26,7 @@ from horokit.metric import (
     MetricSpace,
     PointFunctional,
     discrete_ball,
-    exact_ints,
+    exact_table,
     first_axiom_violation,
     first_lipschitz_violation,
     first_triangle_violation,
@@ -348,9 +348,24 @@ def test_numeric_arrays_scaling():
     assert D.dtype == object and D.tolist() == [[0, 2**70]]
     D, tol = numeric_arrays([[0, Fraction(1, 2)]], tol=1e-12)
     assert D.dtype == np.float64 and tol == 1e-12
-    assert exact_ints([1 - 2**61, 3]).dtype == np.int64
-    wide = exact_ints([-(2**61), 3])
-    assert wide.dtype == object and wide.tolist() == [-(2**61), 3]
+    M, den = exact_table([[1 - 2**61, 3]])
+    assert M.dtype == np.int64 and M.tolist() == [[1 - 2**61, 3]] and den == 1
+    wide, den = exact_table([[-(2**61), 3]])
+    assert wide.dtype == object and wide.tolist() == [[-(2**61), 3]] and den == 1
+    # the denominator reaches 2^61 too, though the integers stay small
+    M, den = exact_table([[0, Fraction(1, 2**61)]])
+    assert M.dtype == object and M.tolist() == [[0, 1]] and den == 2**61
+    M, den = exact_table([[0, Fraction(1, 2**61 - 1)], [Fraction(2, 3), 1]])
+    assert M.dtype == object and den == 3 * (2**61 - 1)  # two denominators below 2^61, their lcm above
+    M, den = exact_table([[Fraction(1, 2), 3], [Fraction(-5, 6), 0]])
+    assert M.dtype == np.int64 and M.tolist() == [[3, 18], [-5, 0]] and den == 6
+    assert exact_table([])[0].shape == (0,)
+    # NumPy ints are read as Python ints: an int64 2^60 scaled by 8 would wrap.
+    V, D, tol = numeric_arrays([[0, Fraction(1, 8)]], np.array([[0, 2**60], [2**60, 0]]))
+    assert D.dtype == object and D.tolist() == [[0, 2**63], [2**63, 0]]
+    assert V.tolist() == [[0, 1]] and tol == 0
+    V, D, tol = numeric_arrays([[np.int64(0), np.int64(1)]], [[0, 1], [1, 0]], tol=np.int64(1))
+    assert V.dtype == D.dtype == np.int64 and tol == 1 and type(tol) is int
 
 
 @settings(max_examples=150, deadline=None)

@@ -168,6 +168,20 @@ def in_graph_oracle_range(p):
     return p[0] == "hub" or p[1] <= 14
 
 
+def test_coded_distance_against_oracles():
+    # Scalar distance reads the block's code formula; the oracles do not.
+    pts = ST_EDGES + ST.sample_points(random.Random(3), 30)
+    for p in pts:
+        for q in pts:
+            d = ST.distance(p, q)
+            assert type(d) is Fraction and d == star_tree_distance(p, q)
+    pts = [p for p in SR_EDGES if in_graph_oracle_range(p)]
+    for i, p in enumerate(pts):
+        for q in pts[i:]:
+            d = SR.distance(p, q)
+            assert type(d) is Fraction and d == spoke_ray_graph_distance(p, q) == SR.distance(q, p)
+
+
 @given(st.integers(0, 2**32), st.integers(0, 6), st.integers(1, 4))
 @settings(max_examples=25, deadline=None)
 def test_functional_rows_against_oracles(seed, sampled, queries):
@@ -192,22 +206,25 @@ def test_functional_rows_against_oracles(seed, sampled, queries):
                     assert h == oracle(y, pts[i]) - oracle(origin, pts[i])
 
 
+# Each call scales its own ys, origin and columns: a call's rows are Python
+# ints exactly when one of their codes, or their denominator, reaches 2^61,
+# whatever an earlier call held.
 @pytest.mark.parametrize(
     "space, origin, columns, ys",
     [
-        # a y with a new, large denominator rescales the columns past int64
+        # a y with a new, large denominator, then a y without it
         (SR, HUB, [HUB, SR.ray_point(3 + Fraction(1, 2**54))],
-         [SR.spoke_interior(5, Fraction(1, BIG)), SR.spoke_head(3)]),
+         [(SR.spoke_interior(5, Fraction(1, BIG)), object), (SR.spoke_head(3), np.int64)]),
         (ST, HUB, [HUB, ST.interval_point(4, Fraction(1, 2**55))],
-         [ST.interval_point(5, Fraction(1, BIG)), ST.endpoint(3)]),
+         [(ST.interval_point(5, Fraction(1, BIG)), object), (ST.endpoint(3), np.int64)]),
         # integer codes too wide for int64 sums: in a column, then only in y
-        (SR, HUB, [HUB, SR.spoke_head(2**61 - 1)], [HUB, SR.ray_point(5)]),
-        (SR, HUB, [HUB, SR.ray_point(5)], [SR.spoke_head(2**61 - 1), HUB]),
-        (ST, HUB, [HUB, ST.endpoint(2**62 + 1)], [ST.endpoint(2**62), HUB]),
-        (ST, HUB, [HUB, ST.endpoint(5)], [ST.endpoint(2**62 + 1), HUB]),
+        (SR, HUB, [HUB, SR.spoke_head(2**61 - 1)], [(HUB, object), (SR.ray_point(5), object)]),
+        (SR, HUB, [HUB, SR.ray_point(5)], [(SR.spoke_head(2**61 - 1), object), (HUB, np.int64)]),
+        (ST, HUB, [HUB, ST.endpoint(2**62 + 1)], [(ST.endpoint(2**62), object), (HUB, object)]),
+        (ST, HUB, [HUB, ST.endpoint(5)], [(ST.endpoint(2**62 + 1), object), (HUB, np.int64)]),
         # ... or only in the origin
-        (SR, SR.ray_point(2**62), [HUB, SR.ray_point(5)], [SR.spoke_head(3), HUB]),
-        (ST, ST.endpoint(2**62), [HUB, ST.endpoint(5)], [ST.endpoint(3), HUB]),
+        (SR, SR.ray_point(2**62), [HUB, SR.ray_point(5)], [(SR.spoke_head(3), object), (HUB, object)]),
+        (ST, ST.endpoint(2**62), [HUB, ST.endpoint(5)], [(ST.endpoint(3), object), (HUB, object)]),
     ],
 )
 def test_functional_rows_past_int64_hold_python_ints(space, origin, columns, ys):
@@ -215,10 +232,10 @@ def test_functional_rows_past_int64_hold_python_ints(space, origin, columns, ys)
     idx = np.arange(len(columns))
     if origin == HUB and columns[-1][-1] < 2**32:  # narrow codes, asked from one of them
         assert rows([columns[-1]], idx)[0].dtype == np.int64
-    for y in ys:
+    for y, dtype in ys:
         (r,), den = rows([y], idx)
-        assert r.dtype == object
-        assert [Fraction(v, den) for v in r] == [
+        assert r.dtype == dtype
+        assert [Fraction(int(v), den) for v in r] == [
             space.distance(y, p) - space.distance(origin, p) for p in columns
         ]
 
@@ -272,7 +289,7 @@ def test_distance_block_and_rows_match_distance(name, seed):
     pts = draw(7)
     origin = rng.choice(draw(3))
     block, rows = space.distance_block(pts), space.functional_rows(pts, origin)
-    for _ in range(3):  # each call sees the columns as the earlier ys left them
+    for _ in range(3):  # each call scales its own ys with the points
         ys = draw(4)
         idx = np.array(rng.choices(range(len(pts)), k=rng.randrange(1, len(pts) + 1)))
         M, den = block(ys, idx)
@@ -353,7 +370,7 @@ def test_an_empty_block_has_one_column_per_index(name):
     space, good, _ = MALFORMED[name]
     block = space.distance_block([good])
     assert block([], np.arange(1))[0].shape == (0, 1)
-    block([good], np.arange(1))  # a coded space's block keeps its columns from the first call on
+    block([good], np.arange(1))  # an earlier call leaves no state behind
     assert block([], np.arange(1))[0].shape == (0, 1)
 
 
