@@ -36,37 +36,47 @@ def _distance_blocks(fam, X: np.ndarray, G: np.ndarray, dtype) -> Iterator[np.nd
         yield fam.distance_rows(X, G[a : a + step], dtype)
 
 
-def _unique_rows(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of the integer block V in lexicographic order, as
-    ``np.unique`` gives them along axis 0, with V's dtype, and the inverse
-    index: ``inverse[i]`` is the position of V[i] among them.
+def _sorted_rows(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, first) for the integer block V: V[order] holds V's rows in
+    lexicographic order, and first[k] marks the first of each run of equal
+    rows there.
 
-    Each value less the block's minimum takes the bits of the block's
-    max - min, column 0 most significant, and a row packs into uint64
+    Each value less m = min(0, the block's minimum) takes the bits of the
+    block's max - m, column 0 most significant, and a row packs into uint64
     words in row order: one word sorts as a 1-D key, several by
     ``np.lexsort``.  The block's own range sets offset and width, so no
     two distinct rows share a key."""
-    if len(V) == 0:
-        return V, np.empty(0, np.intp)
     U = V.astype(np.uint64)
-    U -= V.min().astype(np.uint64)  # modulo 2^64: the true offset in [0, 2^64)
-    width = max(1, int(U.max()).bit_length())
+    U -= V.min(initial=0).astype(np.uint64)  # modulo 2^64: the true offset in [0, 2^64)
+    width = max(1, int(U.max(initial=0)).bit_length())
     per = 64 // width
     shifts = np.arange(per - 1, -1, -1, dtype=np.uint64) * np.uint64(width)
     words = []
     for a in range(0, V.shape[1], per):
         cols = U[:, a : a + per]
         words.append(np.bitwise_or.reduce(cols << shifts[: cols.shape[1]], axis=1))
-    if len(words) == 1:
-        _, first, inverse = np.unique(words[0], return_index=True, return_inverse=True)
-        return V[first], inverse
-    order = np.lexsort(words[::-1])
-    K = np.stack(words, axis=1)[order]
-    keep = np.ones(len(K), dtype=bool)
-    keep[1:] = (K[1:] != K[:-1]).any(axis=1)
+    order = np.argsort(words[0], kind="stable") if len(words) == 1 else np.lexsort(words[::-1])
+    first = np.arange(len(V)) == 0
+    for w in words:
+        w = w[order]
+        first[1:] |= w[1:] != w[:-1]
+    return order, first
+
+
+def _distinct_rows(V: np.ndarray) -> np.ndarray:
+    """The distinct rows of the integer block V in lexicographic order, as
+    ``np.unique`` gives them along axis 0, with V's dtype."""
+    order, first = _sorted_rows(V)
+    return V[order[first]]
+
+
+def _unique_rows(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_distinct_rows(V)`` and the inverse index: ``inverse[i]`` is the
+    position of V[i] among them."""
+    order, first = _sorted_rows(V)
     inverse = np.empty(len(V), np.intp)
-    inverse[order] = np.cumsum(keep) - 1
-    return V[order[keep]], inverse
+    inverse[order] = np.cumsum(first) - 1
+    return V[order[first]], inverse
 
 
 def _ball_facts(ball: CayleyBall, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -87,6 +97,41 @@ def _ball_facts(ball: CayleyBall, r: int) -> tuple[np.ndarray, np.ndarray]:
     return ball.once("facts", r, build)
 
 
+def _kept_pairs(D: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs i < j that ``_check_rows`` compares on the integer distance
+    matrix D, and their bounds D[i, j]: those at distance 1, and those where
+    neither point has a neighbour (a point at distance 1) one step closer
+    to the other.  If i has a neighbour k with D[k, j] = D[i, j] - 1, a row
+    1-Lipschitz on {i, k} and {k, j} is so on {i, j}; so, by induction on
+    D[i, j], a row 1-Lipschitz on the kept pairs is so on all.  Each row
+    chunk gathers D's rows at each point's neighbours, padded with itself."""
+    n = len(D)
+    x, z = np.nonzero(D == 1)
+    nbr = np.repeat(np.arange(n)[:, None], max(1, np.bincount(x, minlength=n).max(initial=0)), axis=1)
+    nbr[x, np.arange(len(x)) - np.searchsorted(x, x)] = z
+    closer = np.empty((n, n), dtype=bool)
+    step = max(1, CHUNK // (n * nbr.shape[1]))
+    for a in range(0, n, step):
+        closer[a : a + step] = D[nbr[a : a + step]].min(axis=1) == D[a : a + step] - 1
+    i, j = np.nonzero(np.triu((D == 1) | ~(closer | closer.T), 1))
+    return i, j, D[i, j]
+
+
+def _check_rows(ball: CayleyBall, r: int, V: np.ndarray) -> None:
+    """``check_rows(ball.labels(r), V, D)`` with D of B(r), in chunks of
+    rows that compare the base column and the ``_kept_pairs`` of D alone,
+    built once per ball.  A row fails there exactly when it fails on all
+    pairs; the first failing row goes to ``check_rows`` for its message."""
+    D = _ball_facts(ball, r)[0]
+    i, j, bound = ball.once("pairs", r, lambda: _kept_pairs(D))
+    step = max(1, CHUNK // max(1, len(i)))
+    for a in range(0, len(V), step):
+        rows = V[a : a + step]
+        bad = (rows[:, 0] != 0) | (np.abs(rows[:, i] - rows[:, j]) > bound).any(axis=1)
+        if bad.any():
+            check_rows(ball.labels(r), rows[[np.argmax(bad)]], D)
+
+
 def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> np.ndarray:
     """Deduplicated restrictions h_g|B(r) over all g with |g| = R, as the
     (k, |B(r)|) matrix of their distinct value rows in lexicographic
@@ -102,12 +147,11 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> np.ndarray:
     shared by every sphere.  Each row minus its identity column d(e, g) is
     h_g.  Values are int16 (int64 once R + r leaves int16).  Each chunk of
     about 256K elements is deduplicated on packed keys in value-tuple order
-    (``_unique_rows``); its rows with their columns permuted by each
+    (``_distinct_rows``); its rows with their columns permuted by each
     automorphism's index array, then the union, are deduplicated again.
-    ``check_rows`` checks each distinct row, even one outside [-r, r],
-    exactly against D: it vanishes at the identity and is 1-Lipschitz on
-    every pair, so |h(x)| <= |x| <= r.  The first failing row raises with
-    the message ``BallFunctional.check`` gives.
+    ``_check_rows`` checks each distinct row, even one outside [-r, r],
+    exactly: it vanishes at the identity and is 1-Lipschitz on every pair
+    of B(r), so |h(x)| <= |x| <= r.
     """
     if not 0 <= r <= R:
         raise PreconditionError(f"need 0 <= ball radius {r} <= sphere radius {R}")
@@ -115,7 +159,7 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> np.ndarray:
         raise PreconditionError(f"ball radius {ball.radius} is insufficient; need >= {R}")
     fam, n = ball.family, ball.sphere_offsets[r + 1]
     dtype = np.int16 if R + r <= np.iinfo(np.int16).max else np.int64
-    X, (D, perms) = ball.rows(r), _ball_facts(ball, r)
+    X, perms = ball.rows(r), _ball_facts(ball, r)[1]
     if X is None:
         points = ball.ball(r)
         blocks = [ball.space.distance_block(points)(ball.sphere(R), np.arange(n))[0].astype(dtype)]
@@ -123,9 +167,9 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> np.ndarray:
         blocks = _distance_blocks(fam, X, fam.sphere_rows(X, r, R), dtype)
     # Dedup block by block, so that a huge sphere is never held whole, then
     # close each block's rows under the automorphisms.
-    parts = [u[:, p] for u in (_unique_rows(b - b[:, :1])[0] for b in blocks) for p in perms]
-    rows = parts[0] if len(parts) == 1 else _unique_rows(np.concatenate([np.empty((0, n), dtype), *parts]))[0]
-    check_rows(ball.labels(r), rows, D)
+    parts = [u[:, p] for u in (_distinct_rows(b - b[:, :1]) for b in blocks) for p in perms]
+    rows = parts[0] if len(parts) == 1 else _distinct_rows(np.concatenate([np.empty((0, n), dtype), *parts]))
+    _check_rows(ball, r, rows)
     return rows
 
 
@@ -229,7 +273,7 @@ def act_on_rows(ball: CayleyBall, g, V: np.ndarray, r: int) -> np.ndarray:
     pos = {p: i for i, p in enumerate(ball.ball(R))}
     ginv = fam.inverse(g)
     out = V[:, [pos[fam.multiply(ginv, x)] for x in points]] - V[:, [pos[ginv]]]
-    check_rows(ball.labels(r), out, _ball_facts(ball, r)[0])
+    _check_rows(ball, r, out)
     return out
 
 

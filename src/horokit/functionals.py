@@ -128,8 +128,11 @@ class LpZC(_LpModel):
             raise InvalidParameterError(
                 f"c = {self.c} must be >= ||z||_p = {self.znorm}"
             )
-        # c^p - ||z||_p^p, which rounding may take below 0 where c = ||z||_p
-        self._tail_p = max(self.c**self.p - self.znorm**self.p, 0.0)
+        # c^p - ||z||_p^p, near c = ||z||_p as c^p (1 - (||z||_p / c)^p) from
+        # c - ||z||_p, so that it does not cancel; 0 where rounding takes c
+        # below ||z||_p.
+        n, c, p = self.znorm, self.c, self.p
+        self._tail_p = max(-(c**p) * math.expm1(p * math.log1p((n - c) / c)) if 2 * n > c else c**p - n**p, 0.0)
 
     def evaluate_batch(self, X) -> np.ndarray:
         X, z = _padded(X, self.z)

@@ -647,6 +647,20 @@ def first_lipschitz_violation(V, D, tol=0):
     return None
 
 
+def kept_pairs(D):
+    """The pairs (x, y), x < y, that an exact 1-Lipschitz check of rows
+    vanishing at index 0 needs on the integer distance matrix D: those with
+    D[x][y] = 1, and those where neither point has a neighbour z (a point
+    at distance 1 from it) with D[z][other point] = D[x][y] - 1."""
+    n = len(D)
+
+    def closer(x, y):
+        return any(D[x][z] == 1 and D[z][y] == D[x][y] - 1 for z in range(n))
+
+    return [(x, y) for x in range(n) for y in range(x + 1, n)
+            if D[x][y] == 1 or not (closer(x, y) or closer(y, x))]
+
+
 def _json_default(o):
     if isinstance(o, Fraction):
         return str(o)  # "p/q", or "p" when integral

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +31,7 @@ from horokit.errors import (
 from horokit.functionals import BallFunctional, HalfPlaneBusemannInfinity, ZdLinear, check_rows
 from horokit.groups import (
     CayleyGraphSpace,
+    FiniteGroup,
     FreeGroup,
     cyclic_group,
     GeneratingSet,
@@ -38,6 +41,7 @@ from horokit.groups import (
 )
 from horokit.spaces import PoincareDisk, UpperHalfPlane
 
+import oracles
 from oracles import (
     bfs_ball,
     bfs_restrictions,
@@ -783,3 +787,112 @@ def test_forged_row_fails_with_the_per_pair_message():
         check_rows(labels, rows, D)
     assert str(batch.value) == str(per_pair.value)
     assert "not 1-Lipschitz" in str(batch.value)
+
+
+# ---------------------------------------------------------------------------
+# The row check on the kept pairs of B(r)
+# ---------------------------------------------------------------------------
+
+
+def _symmetric_group(n):
+    """S_n as a multiplication table of its permutations, under a
+    transposition and an n-cycle: finite, non-abelian, with cycles of
+    every parity in its Cayley graph."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[k] for k in q)] for q in perms] for p in perms]
+    return FiniteGroup(table, generators=[index[(1, 0, *range(2, n))], index[(*range(1, n), 0)]])
+
+
+# (family, generator steps or None for the standard ones, r, R)
+CHECK_CASES = {
+    "Z^2 r=3": (Zd(2), None, 3, 6),
+    "Z^3 r=2": (Zd(3), None, 2, 5),
+    "F_2 r=3": (FreeGroup(2), None, 3, 6),
+    "F_3 r=2": (FreeGroup(3), None, 2, 5),
+    "H3 r=1": (Heisenberg(), None, 1, 5),
+    "H3 r=2": (Heisenberg(), None, 2, 6),
+    "H3 r=3": (Heisenberg(), None, 3, 7),
+    "Z^2{x,y,xy} r=2": (Zd(2), [(1, 0), (0, 1), (1, 1)], 2, 5),
+    "S4 r=3": (_symmetric_group(4), None, 3, 4),
+}
+
+
+def _edge_path_rows(D):
+    """Row p is x -> P[p, x] - P[p, 0], P the path metric of the graph on
+    B(r) with the pairs at distance 1 as edges: 1-Lipschitz on every edge,
+    and not on a pair that no path inside B(r) joins at its distance."""
+    n = len(D)
+    P = np.where(D == 1, 1, n)
+    np.fill_diagonal(P, 0)
+    for k in range(n):
+        P = np.minimum(P, P[:, k : k + 1] + P[k])
+    return P - P[:, :1]
+
+
+@functools.lru_cache(maxsize=None)
+def _check_case(name):
+    """The ball of a case, its r, the distance matrix D of B(r) and a pool
+    of rows that vanish at e: the genuine restriction rows of S(R), then
+    the ``_edge_path_rows`` of D."""
+    fam, steps, r, R = CHECK_CASES[name]
+    gens = GeneratingSet.create(fam, steps) if steps else GeneratingSet.standard(fam)
+    ball = cayley_ball(fam, gens, R)
+    genuine = sphere_restrictions(ball, r, R)
+    D = boundary._ball_facts(ball, r)[0]
+    return ball, r, D, np.concatenate([genuine, _edge_path_rows(D).astype(genuine.dtype)])
+
+
+def _message(check, *args):
+    try:
+        check(*args)
+    except InvalidParameterError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+@pytest.mark.parametrize("case", sorted(CHECK_CASES))
+def test_kept_pairs_match_their_definition(case, chunk, monkeypatch):
+    if chunk:
+        monkeypatch.setattr(boundary, "CHUNK", chunk)  # one gather per few rows of D
+    _, _, D, _ = _check_case(case)
+    i, j, bound = boundary._kept_pairs(D)
+    assert list(zip(i.tolist(), j.tolist())) == oracles.kept_pairs(D.tolist())
+    assert bound.dtype == D.dtype and bound.tolist() == D[i, j].tolist()
+
+
+@pytest.mark.parametrize("fam, r", [(Zd(1), 4), (Zd(2), 3), (Zd(3), 2), (Zd(4), 2), (FreeGroup(2), 3), (FreeGroup(3), 2)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_kept_pairs_on_zd_and_free_groups_are_the_edges(fam, r):
+    # Balls of Z^d and F_n are geodesically convex: every pair at distance
+    # d > 1 has a neighbour one step closer inside B(r).
+    ball = cayley_ball(fam, GeneratingSet.standard(fam), r)
+    D = boundary._ball_facts(ball, r)[0]
+    i, j, _ = boundary._kept_pairs(D)
+    edges = np.argwhere(np.triu(D == 1, 1))
+    assert np.column_stack([i, j]).tolist() == edges.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), case=st.sampled_from(sorted(CHECK_CASES)))
+def test_the_kept_pairs_check_flags_the_rows_the_full_check_flags(data, case):
+    # Pointwise max and min of genuine rows vanish at e and are 1-Lipschitz;
+    # those of edge path rows are so on the edges.  A few bumps of up to 2
+    # then break some of them, at the base point too.
+    ball, r, D, pool = _check_case(case)
+    n, k = D.shape[1], len(pool)
+    bump = st.tuples(st.integers(0, n - 1), st.integers(-2, 2))
+    picks = data.draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.booleans(),
+                                         st.lists(bump, max_size=3)), min_size=1, max_size=6))
+    rows = []
+    for a, b, lower, bumps in picks:
+        v = (np.minimum if lower else np.maximum)(pool[a], pool[b])
+        for col, step in bumps:
+            v[col] += step
+        rows.append(v)
+    V = np.array(rows, dtype=pool.dtype)
+    want = [oracles.first_lipschitz_violation([v], D.tolist()) is not None for v in V.tolist()]
+    got = [_message(boundary._check_rows, ball, r, v[None]) is not None for v in V]
+    assert got == want
+    assert _message(boundary._check_rows, ball, r, V) == _message(check_rows, ball.labels(r), V, D)

@@ -174,6 +174,24 @@ def test_lp_zc_accepts_c_equal_to_a_large_norm_of_z():
         LpZC([3e5, 4e5], 5e5 * (1 - 1e-9), 2.0)
 
 
+def test_lp_zc_tail_does_not_cancel():
+    # Near c = ||z||_p, c^p - ||z||_p^p is a small difference of two large
+    # p-th powers.  The reference is exact: Fractions over the same floats,
+    # with ||z||_p the float the model holds (near 1e5, one ulp more of c
+    # moves h(z) by about 1, so no float ||z||_p makes h(z) = -c exactly).
+    # As a difference of p-th powers the tail was off by up to 0.1 in h.
+    rng = random.Random(7)
+    for _ in range(1000):
+        z = [rng.uniform(-1e5, 1e5) for _ in range(5)]
+        p = rng.choice([2, 3])
+        c = math.fsum(abs(v) ** p for v in z) ** (1 / p) * (1 + rng.choice([0, 1, 8, 1e3, 1e6]) * 2.0**-52)
+        f = LpZC(z, c, p)
+        tail = max(Fraction(f.c) ** p - Fraction(f.znorm) ** p, 0)
+        for x in (z, [v + rng.choice([1e-3, 1.0]) for v in z]):
+            base = tail + sum(abs(Fraction(a) - Fraction(b)) ** p for a, b in zip(x, z))
+            assert f.evaluate(x) == pytest.approx(float(base) ** (1 / p) - c, rel=0, abs=1e-9 * c)
+
+
 COORD = st.floats(-4.0, 4.0)
 
 
