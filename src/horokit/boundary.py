@@ -23,7 +23,7 @@ from .errors import (
 )
 from .functionals import BallFunctional, ZdLinear, check_rows, eval_functional
 from .groups import CayleyBall, GeneratingSet, GroupFamily, cayley_ball
-from .metric import CHUNK, Scalar
+from .metric import CHUNK, Scalar, unwrapped
 from .serialize import RowTable
 
 
@@ -126,7 +126,7 @@ def _check_rows(ball: CayleyBall, r: int, V: np.ndarray) -> None:
     i, j, bound = ball.once("pairs", r, lambda: _kept_pairs(D))
     step = max(1, CHUNK // max(1, len(i)))
     for a in range(0, len(V), step):
-        rows = V[a : a + step]
+        rows = unwrapped(V[a : a + step])
         bad = (rows[:, 0] != 0) | (np.abs(rows[:, i] - rows[:, j]) > bound).any(axis=1)
         if bad.any():
             check_rows(ball.labels(r), rows[[np.argmax(bad)]], D)

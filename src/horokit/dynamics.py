@@ -97,37 +97,52 @@ class MoebiusMap:
     """A real 2x2 determinant-one matrix acting on the half-plane, with the
     disk action obtained by conjugating with the Cayley transform.
 
-    Every entry is an exact ``Fraction``: ints, Fractions and strings such
-    as ``"1/2"`` are read exactly, and floats at their exact binary value.
-    The determinant must be exactly one, so a float matrix whose rounded
-    entries miss it (a float rotation, say) is rejected, and traces of
-    products compare exactly.  The actions on points and the orbit
-    distances read the entries rounded to floats, so each must lie in the
-    float range.
+    The entries are held exactly, as four integers over one positive
+    denominator in lowest terms, and read back as ``Fraction``s.  Ints,
+    Fractions and strings such as ``"1/2"`` are read exactly, and floats at
+    their exact binary value.  The determinant must be exactly one, so a
+    float matrix whose rounded entries miss it (a float rotation, say) is
+    rejected, and traces of products compare exactly.  The actions on
+    points and the orbit distances read the entries rounded to floats, so
+    each must lie in the float range.
     """
 
     def __init__(self, a, b, c, d):
         try:
-            entries = [Fraction(v) for v in (a, b, c, d)]
-            self._floats = tuple(float(v) for v in entries)
+            ratios = [(v, 1) if type(v) is int else Fraction(v).as_integer_ratio() for v in (a, b, c, d)]
         except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise InvalidParameterError(f"matrix entries must be numbers in the float range: {exc}") from exc
-        det = entries[0] * entries[3] - entries[1] * entries[2]
-        if det != 1:
-            raise InvalidParameterError(f"determinant must be 1, got {det}")
-        self.a, self.b, self.c, self.d = entries
+        den = math.lcm(*(q for _, q in ratios))
+        self._hold([p * (den // q) for p, q in ratios], den)
+
+    def _hold(self, nums, den: int) -> None:
+        """Keep the entries nums / den, den > 0, reduced by their one gcd; int
+        division rounds each float correctly, as ``float(Fraction)`` does."""
+        g = math.gcd(*nums, den)
+        self._nums, self._den = tuple(v // g for v in nums), den // g
+        try:
+            self._floats = tuple(v / self._den for v in self._nums)
+        except OverflowError as exc:
+            raise InvalidParameterError(f"matrix entries must be numbers in the float range: {exc}") from exc
+        a, b, c, d = self._nums
+        if a * d - b * c != self._den**2:
+            raise InvalidParameterError(f"determinant must be 1, got {Fraction(a * d - b * c, self._den**2)}")
         self._inverse: Optional[MoebiusMap] = None
+
+    a, b, c, d = (property(lambda self, k=k: Fraction(self._nums[k], self._den)) for k in range(4))
 
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c, self.d)
 
     def trace(self) -> Fraction:
-        return self.a + self.d
+        return Fraction(self._nums[0] + self._nums[3], self._den)
 
     def compose(self, other: "MoebiusMap") -> "MoebiusMap":
-        a, b, c, d = self.entries()
-        e, f, g, h = other.entries()
-        return MoebiusMap(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        """The product, multiplied on the integers over den * other's den."""
+        (a, b, c, d), (e, f, g, h) = self._nums, other._nums
+        out = MoebiusMap.__new__(MoebiusMap)
+        out._hold((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h), self._den * other._den)
+        return out
 
     def inverse(self) -> "MoebiusMap":
         """The inverse map, built on the first call."""
@@ -146,7 +161,7 @@ class MoebiusMap:
     def translation_length(self) -> float:
         """Closed-form translation number: 2*arccosh(|tr|/2) when
         hyperbolic, 0 for parabolic and elliptic maps."""
-        t = float(abs(self.trace()) / 2)  # halving is exact, and keeps t in range
+        t = abs(self._nums[0] + self._nums[3]) / (2 * self._den)  # |tr| / 2, rounded once: t stays in range
         return 2.0 * math.acosh(t) if t > 1.0 else 0.0
 
     def apply_half_plane(self, z: complex) -> complex:
@@ -293,39 +308,6 @@ def minimal_displacement(f: SelfMap, points: Iterable[Point]) -> DisplacementRep
     if best is None:
         raise PreconditionError("point generator yielded nothing")
     return DisplacementReport(best, arg, trace)
-
-
-@dataclass(frozen=True)
-class DisplacementSublevel:
-    """Points moved at most eps by the map; sublevels nest as eps shrinks."""
-
-    eps: Scalar
-    witnesses: tuple
-
-    def __len__(self) -> int:
-        return len(self.witnesses)
-
-
-def displacement_sublevels(
-    f: SelfMap, points: Sequence[Point], eps_schedule: Sequence
-) -> list[DisplacementSublevel]:
-    """Sublevel sets N_eps over the searched points, one per epsilon.
-
-    Nesting (smaller eps, smaller set) holds by construction and is
-    asserted; an empty sublevel is a precondition failure since callers
-    need a witness inside every scheduled level.
-    """
-    disp = [(x, f.space.distance(x, f.apply(x))) for x in points]
-    out = []
-    prev_size = None
-    for eps in sorted(eps_schedule, reverse=True):
-        members = tuple(x for x, d in disp if d <= eps)
-        if not members:
-            raise PreconditionError(f"no witness with displacement <= {eps}")
-        assert prev_size is None or len(members) <= prev_size
-        prev_size = len(members)
-        out.append(DisplacementSublevel(eps, members))
-    return out
 
 
 @dataclass

@@ -9,6 +9,7 @@ evaluation tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -325,18 +326,14 @@ def euclidean_zero_nonmembership_check(grid: Sequence) -> ZeroObstructionReport:
     anchors = [frac(z) for z in grid]
     if not anchors:
         raise PreconditionError("anchor grid must be nonempty")
-    min_of_max: Optional[Fraction] = None
-    outside_ok = True
-    inside_ok = True
-    for z in anchors:
-        h1 = abs(1 - z) - abs(z)
-        hm1 = abs(-1 - z) - abs(z)
-        m = max(abs(h1), abs(hm1))
-        if min_of_max is None or m < min_of_max:
-            min_of_max = m
-        if abs(z) >= 1 and abs(h1) != 1:
-            outside_ok = False
-        if abs(z) <= 1 and h1 + hm1 != 2 * (1 - abs(z)):
-            inside_ok = False
+    # Over the anchors' common denominator q, z = p / q, q h_z(1) = |q - p| - |p|
+    # and q h_z(-1) = |q + p| - |p|: each identity is checked on the integers.
+    q = math.lcm(*{z.denominator for z in anchors})
+    ps = [z.numerator * (q // z.denominator) for z in anchors]
+    h1 = [abs(q - p) - abs(p) for p in ps]
+    hm1 = [abs(q + p) - abs(p) for p in ps]
+    min_of_max = Fraction(min(map(max, map(abs, h1), map(abs, hm1))), q)
+    outside_ok = all(abs(h) == q for p, h in zip(ps, h1) if abs(p) >= q)
+    inside_ok = all(a + b == 2 * (q - abs(p)) for p, a, b in zip(ps, h1, hm1) if abs(p) <= q)
     passed = min_of_max >= 1 and outside_ok and inside_ok
     return ZeroObstructionReport(passed, len(anchors), min_of_max, outside_ok, inside_ok)

@@ -13,11 +13,13 @@ the matrix, through their distance oracle or an array kernel, and call it.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -132,13 +134,33 @@ INT64_SAFE = 1 << 61
 
 
 def exact_table(rows) -> tuple[np.ndarray, int]:
-    """The 2-D table ``rows`` of Python ints and Fractions as integers over
-    their least common denominator: (M, den) with M / den = rows.  M is
-    int64 while its entries and den are below INT64_SAFE in magnitude, and
-    holds Python ints in an object array beyond."""
-    den = math.lcm(*{v.denominator for row in rows for v in row})
-    M = np.array([[v.numerator * (den // v.denominator) for v in row] for row in rows], dtype=object)
-    return (M.astype(np.int64) if np.abs(M).max(initial=den) < INT64_SAFE else M), den
+    """The 2-D table ``rows`` of exact scalars as integers over their least
+    common denominator: (M, den) with M / den = rows.  Ints and Fractions
+    are read as they are, and strings "p" and "p/q" in ASCII digits as the
+    ints p and q, so none of them builds a Fraction; any other entry is read
+    by ``Fraction(v)``, with its value or its exception.  An unreduced "p/q"
+    can only enlarge the lcm of the q, so one gcd of the whole table brings
+    den to the least.  M is int64 while its entries and den are below
+    INT64_SAFE in magnitude, and holds Python ints in an object array beyond."""
+    ps, qs = [], []
+    for v in chain.from_iterable(rows):
+        if type(v) is str and v.isascii():
+            p, slash, q = v.partition("/")
+            if p.isdigit() and (q.isdigit() or not slash):
+                p, q = int(p), int(q or 1)
+                if q:  # else Fraction(v) raises for the zero denominator
+                    ps.append(p)
+                    qs.append(q)
+                    continue
+        v = v if isinstance(v, (int, Fraction)) else Fraction(v)
+        ps.append(v.numerator)
+        qs.append(v.denominator)
+    den = math.lcm(*set(qs))
+    M = list(map(operator.mul, ps, map(den.__floordiv__, qs)))
+    if (g := math.gcd(den, *M)) > 1:
+        den, M = den // g, [m // g for m in M]
+    M = np.array(M, dtype=object if max(den, max(map(abs, M), default=0)) >= INT64_SAFE else np.int64)
+    return (M.reshape(len(rows), -1) if len(rows) else M), den
 
 
 def numeric_arrays(*tables, tol: Scalar = 0) -> tuple:
@@ -197,16 +219,29 @@ def first_triangle_violation(D: np.ndarray, tol: Scalar = 0, triples=None) -> Op
     return None
 
 
+def unwrapped(X: np.ndarray) -> np.ndarray:
+    """X in a dtype where no difference of two entries wraps: X itself,
+    unless X holds integers whose range its dtype cannot hold, then int64,
+    or Python ints past that."""
+    if X.dtype.kind not in "iu" or not X.size:
+        return X
+    lo, hi = int(X.min()), int(X.max())
+    if X.dtype.kind == "i" and hi - lo <= np.iinfo(X.dtype).max:
+        return X
+    return X.astype(np.int64 if hi - lo < 1 << 63 and hi < 1 << 63 else object)
+
+
 def first_lipschitz_violation(V: np.ndarray, D: np.ndarray, tol: Scalar = 0) -> Optional[tuple]:
     """First (row, i, j) where a value row of V fails against the distance
     matrix D, or None.  Within a row, a nonzero value at the base point,
     index 0, comes first (i = j = 0); then the first pair i < j in
-    row-major order with |V[row, i] - V[row, j]| > D[i, j] + tol."""
+    row-major order with |V[row, i] - V[row, j]| > D[i, j] + tol, the
+    difference taken in a dtype that cannot wrap."""
     i, j = np.triu_indices(D.shape[0], 1)
     bound = D[i, j] + tol
     step = max(1, CHUNK // max(1, len(i)))
     for a in range(0, len(V), step):
-        chunk = V[a : a + step]
+        chunk = unwrapped(V[a : a + step])
         bad = np.abs(chunk[:, i] - chunk[:, j]) > bound
         based = chunk[:, 0] != 0
         rows = np.flatnonzero(based | bad.any(axis=1))
@@ -222,24 +257,25 @@ def first_lipschitz_violation(V: np.ndarray, D: np.ndarray, tol: Scalar = 0) -> 
 class FiniteMetricSpace(MetricSpace):
     """An explicit n-point space with exact rational distances.
 
-    Entries other than ints and Fractions are read by ``Fraction(v)``.  Only
-    the matrix scaled to exact integers over one denominator is kept, and
-    validated exhaustively at construction: symmetry, zero diagonal,
-    nonnegativity, and the triangle inequality over all n^3 triples.
+    Entries are read as :func:`exact_table` reads them: ints, Fractions and
+    "p/q" strings without a Fraction each, any other entry by
+    ``Fraction(v)``.  Only the matrix scaled to exact integers over one
+    denominator is kept, and validated exhaustively at construction:
+    symmetry, zero diagonal, nonnegativity, and the triangle inequality over
+    all n^3 triples.
     """
 
     exact = True
 
-    def __init__(self, matrix: Sequence[Sequence[Scalar]], base_index: int = 0):
+    def __init__(self, matrix: Sequence[Sequence[Scalar | str]], base_index: int = 0):
         n = len(matrix)
         if any(len(row) != n for row in matrix):
             raise InvalidSpaceError("distance matrix is not square")
-        rows = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row] for row in matrix]
+        self._D, self._den = exact_table(matrix)
         self.n = n
         if not 0 <= base_index < n:
             raise InvalidSpaceError(f"base index {base_index} outside [0, {n})")
         self.base_index = base_index
-        self._D, self._den = exact_table(rows)
         hit = first_axiom_violation(self._D)
         if hit is not None:
             kind, i, j = hit

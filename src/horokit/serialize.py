@@ -55,19 +55,6 @@ def scalar_to_json(v) -> Any:
     raise UnsupportedError(f"cannot serialize scalar {v!r}")
 
 
-def _rational(v) -> int | Fraction:
-    """A matrix entry as ``Fraction(str(v))`` reads it, with the same value
-    or exception: JSON ints as they are, "p" and "p/q" in ASCII digits by
-    ``int``, every other form by ``Fraction``."""
-    if type(v) is int:
-        return v
-    if type(v) is str and v.isascii():
-        p, slash, q = v.partition("/")
-        if p.isdigit() and (not slash or q.isdigit()):
-            return Fraction(int(p), int(q)) if slash else int(p)
-    return Fraction(str(v))
-
-
 def space_from_descriptor(desc: dict) -> MetricSpace:
     """Build a metric space from a JSON descriptor."""
     if not isinstance(desc, dict) or "type" not in desc:
@@ -75,7 +62,9 @@ def space_from_descriptor(desc: dict) -> MetricSpace:
     kind = desc["type"]
     params = desc.get("params", {})
     if kind == "finite":
-        matrix = [[_rational(v) for v in row] for row in params["matrix"]]
+        # Entries read as Fraction(str(v)) reads them: a JSON int as it is, and
+        # any other value as its text, which FiniteMetricSpace reads exactly.
+        matrix = [[v if type(v) is int else str(v) for v in row] for row in params["matrix"]]
         return FiniteMetricSpace(matrix, base_index=int(desc.get("base", 0)))
     if kind == "zd":
         family = Zd(int(params.get("dim", 1)))

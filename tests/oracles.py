@@ -62,7 +62,8 @@ def half_plane_distance(z: complex, w: complex) -> float:
         return float(2 * mpmath.asinh(abs(z - w) / (2 * mpmath.sqrt(z.imag * w.imag))))
 
 
-def _matmul2(m, n):
+def matmul2(m, n):
+    """The product m n of 2x2 matrices given as tuples (a, b, c, d)."""
     a, b, c, d = m
     e, f, g, h = n
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
@@ -79,9 +80,9 @@ def hyperbolic_pair_reference(rng):
             for _ in range(rng.randrange(2, 5)):
                 p = Fraction(rng.randrange(-2, 3))
                 if rng.randrange(2):
-                    m = _matmul2(m, (Fraction(1), p, Fraction(0), Fraction(1)))
+                    m = matmul2(m, (Fraction(1), p, Fraction(0), Fraction(1)))
                 else:
-                    m = _matmul2(m, (Fraction(1), Fraction(0), p, Fraction(1)))
+                    m = matmul2(m, (Fraction(1), Fraction(0), p, Fraction(1)))
             if 2 < abs(m[0] + m[3]) <= 12:
                 return m
 
@@ -99,7 +100,7 @@ def moebius_orbit_distances(entries, n_max: int) -> list[float]:
         for n in range(n_max + 1):
             t = sum(v * v for v in power)
             out.append(float(mpmath.acosh(mpmath.mpf(t.numerator) / t.denominator / 2)))
-            power = _matmul2(power, m)
+            power = matmul2(power, m)
     return out
 
 
@@ -604,6 +605,13 @@ def random_rational_metric(rng, n: int, *, integral: bool = False):
 
 
 # --- brute-force metric and Lipschitz checks ----------------------------------
+
+
+def descriptor_rows(matrix):
+    """A finite descriptor's matrix as Fraction(str(v)) reads each entry, in
+    row-major order: (rows of Fractions, their least common denominator)."""
+    rows = [[Fraction(str(v)) for v in row] for row in matrix]
+    return rows, math.lcm(*(v.denominator for row in rows for v in row))
 
 
 def first_axiom_violation(D, tol=0):

@@ -789,6 +789,18 @@ def test_forged_row_fails_with_the_per_pair_message():
     assert "not 1-Lipschitz" in str(batch.value)
 
 
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+def test_a_row_at_the_int16_edge_fails_both_row_checks(dtype):
+    # In int16, 0 - (-32768) wraps to -32768; the row must fail as in int64.
+    z = Zd(1)
+    ball = cayley_ball(z, GeneratingSet.standard(z), 1)
+    D = boundary._ball_facts(ball, 1)[0]
+    V = np.array([[0, -32768, -32768]], dtype)
+    want = "restriction is not 1-Lipschitz on pair ((0), (-1))"
+    assert _message(check_rows, ball.labels(1), V, D) == want
+    assert _message(boundary._check_rows, ball, 1, V) == want
+
+
 # ---------------------------------------------------------------------------
 # The row check on the kept pairs of B(r)
 # ---------------------------------------------------------------------------

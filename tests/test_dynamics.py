@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horokit.dynamics import (
-    DisplacementSublevel,
     MoebiusMap,
-    displacement_sublevels,
     OrbitSpace,
     SelfMap,
     almost_fixed_invariant_functional,
@@ -36,7 +36,7 @@ from horokit.groups import CayleyGraphSpace, Heisenberg, Zd, cyclic_group
 from horokit.metric import FiniteMetricSpace
 from horokit.spaces import DistortedLine, LpSpace, PoincareDisk, UpperHalfPlane
 
-from oracles import hyperbolic_pair_reference, moebius_orbit_distances, moebius_orbit_scalar
+from oracles import hyperbolic_pair_reference, matmul2, moebius_orbit_distances, moebius_orbit_scalar
 
 HP = UpperHalfPlane()
 
@@ -92,6 +92,40 @@ def test_moebius_composition_and_inverse():
     assert all(type(v) is Fraction for v in fg.entries())
     ident = fg.compose(fg.inverse())
     assert ident.entries() == (1, 0, 0, 1)
+
+
+# Determinant-one factors, most with entries that are not integers.
+MOEBIUS_FACTORS = [
+    ("1", "1/2", "0", "1"),
+    ("1", "0", "-3/7", "1"),
+    ("2", "0", "0", "1/2"),
+    ("3/2", "0", "0", "2/3"),
+    ("3/5", "-4/5", "4/5", "3/5"),  # the 3-4-5 rotation
+    ("1", "-2", "0", "1"),
+    ("0", "-1", "1", "0"),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(MOEBIUS_FACTORS), min_size=1, max_size=6),
+       st.lists(st.sampled_from(MOEBIUS_FACTORS), min_size=1, max_size=6))
+def test_compose_and_inverse_equal_the_fraction_product(left, right):
+    def build(factors):
+        m, ref = MoebiusMap(1, 0, 0, 1), (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+        for f in factors:
+            m, ref = m.compose(MoebiusMap(*f)), matmul2(ref, tuple(map(Fraction, f)))
+        return m, ref
+
+    (f, f_ref), (g, g_ref) = build(left), build(right)
+    fg, ref = f.compose(g), matmul2(f_ref, g_ref)
+    assert fg.entries() == ref and all(type(v) is Fraction for v in fg.entries())
+    assert (fg.a, fg.b, fg.c, fg.d) == ref and fg.trace() == ref[0] + ref[3]
+    assert fg._floats == tuple(float(v) for v in ref)  # each rounded once, as float(Fraction)
+    a, b, c, d = f_ref
+    assert f.inverse().entries() == (d, -b, -c, a)
+    assert f.compose(f.inverse()).entries() == (1, 0, 0, 1)
+    t = float(abs(ref[0] + ref[3]) / 2)
+    assert fg.translation_length() == (2.0 * math.acosh(t) if t > 1.0 else 0.0)
 
 
 def test_the_inverse_is_built_when_first_applied(monkeypatch):
@@ -518,18 +552,6 @@ def test_almost_fixed_finite_space_fixed_point():
     )
     assert rep.audit_passed
     assert rep.functional.evaluate(2).value == 2
-
-
-def test_displacement_sublevels_nested():
-    f = half_plane_translation(1.0).as_selfmap(HP)
-    pts = [complex(0.0, 2.0**k) for k in range(0, 12)]
-    levels = displacement_sublevels(f, pts, [1.0, 0.5, 0.125, 0.01])
-    sizes = [len(lv) for lv in levels]
-    assert sizes == sorted(sizes, reverse=True)
-    for big, small in zip(levels, levels[1:]):
-        assert set(small.witnesses) <= set(big.witnesses)
-    with pytest.raises(PreconditionError):
-        displacement_sublevels(f, pts[:2], [1e-9])
 
 
 def test_almost_fixed_requires_displacement_cert():

@@ -43,6 +43,13 @@ def test_triangle_violation_reported():
         FiniteMetricSpace([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
 
 
+def test_finite_space_reads_an_array_matrix():
+    D = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    for matrix in (np.array(D), np.array(D, dtype=float) / 2):
+        space = FiniteMetricSpace(matrix)
+        assert [[space.distance(i, j) for j in range(3)] for i in range(3)] == matrix.tolist()
+
+
 def test_single_point_space_passes():
     space = FiniteMetricSpace([[0]])
     assert validate_metric(space).passed
@@ -423,6 +430,43 @@ def test_lipschitz_checker_matches_brute_force(seed, kind, n, rows, count, chunk
     Vn, Dn, t = numeric_arrays(V, D, tol=tol)
     with chunk_size(chunk):
         assert first_lipschitz_violation(Vn, Dn, t) == oracles.first_lipschitz_violation(V, D, tol)
+
+
+def test_lipschitz_check_does_not_wrap_in_int16():
+    # 0 - (-32768) wraps to -32768 in int16, and np.abs leaves it negative.
+    V = np.array([[0, -32768]], np.int16)
+    assert first_lipschitz_violation(V, np.array([[0, 1], [1, 0]])) == (0, 0, 1)
+    assert first_lipschitz_violation(V, np.array([[0, 1], [1, 0]], np.int16)) == (0, 0, 1)
+
+
+def _extremes(dtype):
+    info = np.iinfo(dtype)
+    edges = [info.min, info.min + 1, -2, -1, 0, 1, 2, info.max - 1, info.max]
+    return st.sampled_from(edges) | st.integers(int(info.min), int(info.max))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    vtype=st.sampled_from([np.int8, np.int16, np.int32, np.int64]),
+    dtype=st.sampled_from([np.int8, np.int16, np.int32, np.int64]),
+    n=st.integers(1, 5),
+    rows=st.integers(1, 6),
+    chunk=CHUNKS,
+)
+def test_lipschitz_check_at_extreme_values_matches_brute_force(data, vtype, dtype, n, rows, chunk):
+    # Values and distances at the ends of each integer type; the oracle
+    # subtracts Python ints, so no difference wraps there.
+    draw_row = st.lists(_extremes(vtype), min_size=n - 1, max_size=n - 1)
+    V = [[data.draw(st.sampled_from([0, 0, 0, 1, -1]))] + data.draw(draw_row) for _ in range(rows)]
+    upper = data.draw(st.lists(_extremes(dtype).map(abs).filter(lambda v: v <= np.iinfo(dtype).max),
+                               min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    D = [[0] * n for _ in range(n)]
+    for (i, j), v in zip(itertools.combinations(range(n), 2), upper):
+        D[i][j] = D[j][i] = v
+    with chunk_size(chunk):
+        got = first_lipschitz_violation(np.array(V, vtype), np.array(D, dtype))
+    assert got == oracles.first_lipschitz_violation(V, D)
 
 
 @settings(max_examples=100, deadline=None)

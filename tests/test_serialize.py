@@ -13,7 +13,7 @@ from horokit import serialize
 from horokit.boundary import FixedPointAuditReport, limit_restrictions, unboundedness_check
 from horokit.dynamics import AlmostFixedReport, DisplacementReport, TauReport, TracialReport
 from horokit.cli import main
-from horokit.errors import InvalidParameterError
+from horokit.errors import InvalidParameterError, InvalidSpaceError
 from horokit.extension import FailureReport, FailureWitness, RestrictionAudit, ZeroObstructionReport
 from horokit.functionals import BallFunctional
 from horokit.groups import (
@@ -43,6 +43,7 @@ from horokit.spaces import (
     StarTreeSpace,
     UpperHalfPlane,
 )
+import oracles
 from oracles import json_report
 
 
@@ -108,6 +109,71 @@ def test_finite_descriptor_reads_entries_as_fraction_of_str(text):
     got = _outcome(lambda: space_from_descriptor(desc).distance(0, 1))
     want = _outcome(lambda: FiniteMetricSpace([[0, Fraction(str(v))], [Fraction(str(v)), 0]]).distance(0, 1))
     assert got == want and type(got) is type(want)
+
+
+# Denominators of points on a line; the last two have an lcm past 2^61.
+LINE_DENOMINATORS = [1, 2, 3, 4, 2**31 - 1, 2**32 - 5]
+# Entries that Fraction(str(v)) rejects, reads oddly, or that break an axiom.
+ODD_ENTRIES = ["x", "", "1/0", "0/0", "1/", "/2", "1/2/3", True, None, [1], "-1/2", "nan", "1e3",
+               " 3 ", "+1", 0.5, "\u0661/\u0662"]
+
+
+def _text_of(x: Fraction):
+    """A distance x >= 0 in one of the forms a descriptor may give it."""
+    p, q = x.numerator, x.denominator
+    arabic = "".join(chr(0x660 + int(c)) for c in str(p))  # non-ASCII digits
+    forms = [f"{p}/{q}", f"{2 * p}/{2 * q}", f"{arabic}/{q}"]
+    if q == 1:
+        forms += [p, str(p), f"{p}.0"]
+    if q == 2:
+        forms.append(f"{p // 2}.5")
+    return st.sampled_from(forms)
+
+
+def _raised(make):
+    """What make() returns, or the class and text of what it raises."""
+    try:
+        return make()
+    except Exception as exc:
+        return RAISED, type(exc), str(exc)
+
+
+RAISED = object()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5), faults=st.integers(0, 2))
+def test_finite_descriptor_table_matches_fraction_of_str(data, n, faults):
+    """Whole matrices of mixed entry forms give the table and denominator of
+    Fraction(str(v)), or its exception, or the first axiom failure."""
+    dens = data.draw(st.lists(st.sampled_from(LINE_DENOMINATORS), min_size=n, max_size=n))
+    line = [Fraction(data.draw(st.integers(-40, 40)), q) for q in dens]
+    matrix = [[data.draw(_text_of(abs(x - y))) for y in line] for x in line]
+    for _ in range(faults):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        matrix[i][j] = data.draw(st.sampled_from(ODD_ENTRIES))
+    matrix = json.loads(json.dumps(matrix))
+    got = _raised(lambda: space_from_descriptor({"type": "finite", "params": {"matrix": matrix}}))
+    want = _raised(lambda: oracles.descriptor_rows(matrix))
+    if want[0] is RAISED:
+        assert got == want
+        return
+    rows, den = want
+    hit = oracles.first_axiom_violation(rows)
+    pos = oracles.first_triangle_violation(rows) if hit is None else None
+    if hit is not None or pos is not None:
+        if hit is None:
+            expected = f"triangle inequality fails at triple ({pos // (n * n)}, {pos // n % n}, {pos % n})"
+        elif hit[0] == "diagonal":
+            expected = f"nonzero diagonal at point {hit[1]}"
+        else:
+            expected = f"{hit[0]} distance at pair ({hit[1]}, {hit[2]})"
+        assert got == (RAISED, InvalidSpaceError, expected)
+        return
+    M, d = got.distance_block(got.points())(got.points(), np.arange(n))
+    table = [[int(v * den) for v in row] for row in rows]
+    assert d == den and M.tolist() == table
+    assert M.dtype == (object if max(den, *map(abs, sum(table, []))) >= 2**61 else np.int64)
 
 
 def test_points_parse_from_literal_json():
