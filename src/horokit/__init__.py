@@ -85,8 +85,6 @@ from .groups import (
 from .metric import (
     FiniteMetricSpace,
     MetricSpace,
-    PointFunctional,
-    discrete_ball,
     validate_metric,
 )
 from .spaces import (

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .functionals import BallFunctional, ZdLinear, check_rows, eval_functional
 from .groups import CayleyBall, GeneratingSet, GroupFamily, cayley_ball
-from .metric import CHUNK, Scalar, unwrapped
+from .metric import CHUNK, Scalar, first_lipschitz_violation
 from .serialize import RowTable
 
 
@@ -97,11 +97,11 @@ def _ball_facts(ball: CayleyBall, r: int) -> tuple[np.ndarray, np.ndarray]:
     return ball.once("facts", r, build)
 
 
-def _kept_pairs(D: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pairs i < j that ``_check_rows`` compares on the integer distance
-    matrix D, and their bounds D[i, j]: those at distance 1, and those where
-    neither point has a neighbour (a point at distance 1) one step closer
-    to the other.  If i has a neighbour k with D[k, j] = D[i, j] - 1, a row
+def _kept_pairs(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j), i < j, that ``_check_rows`` compares on the integer
+    distance matrix D: those at distance 1, and those where neither point
+    has a neighbour (a point at distance 1) one step closer to the other.
+    If i has a neighbour k with D[k, j] = D[i, j] - 1, a row
     1-Lipschitz on {i, k} and {k, j} is so on {i, j}; so, by induction on
     D[i, j], a row 1-Lipschitz on the kept pairs is so on all.  Each row
     chunk gathers D's rows at each point's neighbours, padded with itself."""
@@ -113,23 +113,18 @@ def _kept_pairs(D: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     step = max(1, CHUNK // (n * nbr.shape[1]))
     for a in range(0, n, step):
         closer[a : a + step] = D[nbr[a : a + step]].min(axis=1) == D[a : a + step] - 1
-    i, j = np.nonzero(np.triu((D == 1) | ~(closer | closer.T), 1))
-    return i, j, D[i, j]
+    return np.nonzero(np.triu((D == 1) | ~(closer | closer.T), 1))
 
 
 def _check_rows(ball: CayleyBall, r: int, V: np.ndarray) -> None:
-    """``check_rows(ball.labels(r), V, D)`` with D of B(r), in chunks of
-    rows that compare the base column and the ``_kept_pairs`` of D alone,
-    built once per ball.  A row fails there exactly when it fails on all
-    pairs; the first failing row goes to ``check_rows`` for its message."""
+    """``check_rows(ball.labels(r), V, D)`` with D of B(r), on the base
+    column and the ``_kept_pairs`` of D alone, built once per ball.  A row
+    fails there exactly when it fails on all pairs; the first failing row
+    goes to ``check_rows`` for its message."""
     D = _ball_facts(ball, r)[0]
-    i, j, bound = ball.once("pairs", r, lambda: _kept_pairs(D))
-    step = max(1, CHUNK // max(1, len(i)))
-    for a in range(0, len(V), step):
-        rows = unwrapped(V[a : a + step])
-        bad = (rows[:, 0] != 0) | (np.abs(rows[:, i] - rows[:, j]) > bound).any(axis=1)
-        if bad.any():
-            check_rows(ball.labels(r), rows[[np.argmax(bad)]], D)
+    hit = first_lipschitz_violation(V, D, pairs=ball.once("pairs", r, lambda: _kept_pairs(D)))
+    if hit is not None:
+        check_rows(ball.labels(r), V[[hit[0]]], D)
 
 
 def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> np.ndarray:

@@ -665,6 +665,8 @@ def distorted_compactification_check(
     if r < 0:
         raise PreconditionError("r must be >= 0")
     anchors = [abs(float(a)) for a in anchors]
+    if not all(map(math.isfinite, [r, *anchors, r + max(anchors, default=0.0)])):
+        raise PreconditionError("r, the anchors and r + each anchor must be finite")
     if any(a <= r for a in anchors):
         raise PreconditionError("anchors must exceed r")
     if any(b <= a for a, b in zip(anchors, anchors[1:])):

@@ -41,8 +41,6 @@ class PartialFunctional:
         space: MetricSpace,
         points: Sequence[Point],
         values: Sequence[Scalar],
-        *,
-        mesh: Scalar | None = None,
     ):
         if len(points) != len(values):
             raise InvalidParameterError("domain and value lists differ in length")
@@ -51,7 +49,6 @@ class PartialFunctional:
         self.space = space
         self.points = list(points)
         self.values = list(values)
-        self.mesh = mesh  # spacing bound when the domain samples a larger set
         D, den = space.distance_block(self.points)(self.points, np.arange(len(self.points)))
         # The checker wants 0 at index 0, which a shift gives; times den is D's scale.
         shifted = [[(v - self.values[0]) * den for v in self.values]]
@@ -71,8 +68,6 @@ class McShaneExtension:
 
     sup mode: F(b) = max_a (f(a) - d(a, b)) is the least 1-Lipschitz
     extension; inf mode: F(b) = min_a (f(a) + d(a, b)) is the greatest.
-    When the domain is a mesh-sample of a larger set, ``error_bound`` is
-    the sup-norm gap to the true extension (2 * mesh).
     """
 
     partial: PartialFunctional
@@ -91,10 +86,6 @@ class McShaneExtension:
         return min(
             v + space.distance(a, b) for a, v in zip(self.partial.points, self.partial.values)
         )
-
-    @property
-    def error_bound(self) -> Scalar:
-        return 0 if self.partial.mesh is None else 2 * self.partial.mesh
 
 
 def mcshane_extend(f: PartialFunctional, mode: str) -> McShaneExtension:

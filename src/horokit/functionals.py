@@ -90,16 +90,6 @@ def _vec(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=float)).ravel()
 
 
-def _padded(X, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows X and the vector v as floats, zero-padded to the wider of
-    the two, as LpSpace pads its points."""
-    X = np.asarray(X, dtype=float)
-    n = max(X.shape[1], v.size)
-    W, u = np.zeros((len(X), n)), np.zeros(n)
-    W[:, : X.shape[1]], u[: v.size] = X, v
-    return W, u
-
-
 class _LpModel:
     """A closed-form l^p model: ``evaluate_batch`` states its formula once,
     over rows of points, and ``evaluate`` reads its first row."""
@@ -135,7 +125,7 @@ class LpZC(_LpModel):
         self._tail_p = max(-(c**p) * math.expm1(p * math.log1p((n - c) / c)) if 2 * n > c else c**p - n**p, 0.0)
 
     def evaluate_batch(self, X) -> np.ndarray:
-        X, z = _padded(X, self.z)
+        X, z = pad_pair(X, self.z)
         return ((np.abs(X - z) ** self.p).sum(axis=1) + self._tail_p) ** (1.0 / self.p) - self.c
 
 
@@ -153,7 +143,7 @@ class LpMu(_LpModel):
             raise InvalidParameterError("||mu||_q must be <= 1")
 
     def evaluate_batch(self, X) -> np.ndarray:
-        X, mu = _padded(X, self.mu)
+        X, mu = pad_pair(X, self.mu)
         return -(X * mu).sum(axis=1)
 
 

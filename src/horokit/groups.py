@@ -622,14 +622,14 @@ class CayleyBall:
 
     ``sphere_offsets[r]`` is the index where sphere S(r) starts: the one
     record of word lengths of the ball.  Under ``has_closed_form`` each B(r)
-    is ``rows(r)``, the family's ``ball_coords(r)`` (row i for element i),
-    and ``coords`` is ``rows(radius)``; ``sphere``, ``ball`` and
-    ``elements`` decode rows on demand.  ``rows``, ``ball`` and ``labels``
-    build each B(r) once per ball, and only for r <= radius.  The boundary
-    reads B(r) alone: each family's ``sphere_rows`` stands in for S(R), so
-    no boundary computation builds ``coords`` or ``elements``.  Searched
-    balls (non-standard generators, finite groups) keep their
-    ``elements``, ``coords`` is None, and ``space`` searches distances.
+    is ``rows(r)``, the family's ``ball_coords(r)`` (row i for element i);
+    ``sphere``, ``ball`` and ``elements`` decode rows on demand.  ``rows``,
+    ``ball`` and ``labels`` build each B(r) once per ball, and only for
+    r <= radius.  The boundary reads B(r) alone: each family's
+    ``sphere_rows`` stands in for S(R), so no boundary computation builds
+    ``rows(radius)`` or ``elements``.  Searched balls (non-standard
+    generators, finite groups) keep their ``elements``, ``rows`` is None,
+    and ``space`` searches distances.
     """
 
     family: GroupFamily
@@ -652,14 +652,9 @@ class CayleyBall:
         closed = has_closed_form(self.family, self.gens)
         return self.once("rows", r, lambda: self.family.ball_coords(r) if closed else None)
 
-    @property
-    def coords(self) -> Optional[np.ndarray]:
-        """B(radius) as ``rows(radius)``, built when first read."""
-        return self.rows(self.radius)
-
     @cached_property
     def elements(self) -> tuple[Element, ...]:
-        """The whole ball, decoded from ``coords`` when first read."""
+        """The whole ball, decoded from ``rows(radius)`` when first read."""
         return self.ball(self.radius)
 
     def sphere(self, r: int) -> tuple[Element, ...]:
@@ -676,18 +671,13 @@ class CayleyBall:
 
     def _decode(self, lo: int, hi: int) -> tuple[Element, ...]:
         """S(lo) to S(hi), from a search's ``elements`` or decoded from
-        ``rows(hi)`` (a ball) or ``coords`` (a sphere)."""
+        ``rows(hi)`` (a ball) or ``rows(radius)`` (a sphere)."""
         at = self.sphere_offsets
-        rows = self.rows(hi) if lo == 0 else self.coords
+        rows = self.rows(hi if lo == 0 else self.radius)
         if rows is None:
             return self.elements[at[lo] : at[hi + 1]]
         decode = self.family.row_elements
         return tuple(g for r in range(lo, hi + 1) for g in decode(rows[at[r] : at[r + 1]], r))
-
-    def sphere_sizes(self) -> list[int]:
-        return [
-            self.sphere_offsets[r + 1] - self.sphere_offsets[r] for r in range(self.radius + 1)
-        ]
 
     @cached_property
     def space(self) -> CayleyGraphSpace:
@@ -710,7 +700,7 @@ def cayley_ball(
 
     Under ``has_closed_form`` the family's ``ball_sizes`` are checked against
     the ball limit first, and give ``sphere_offsets`` without a search; the
-    ball's ``coords`` are built only when read.  Non-standard generators
+    ball's ``rows`` are built only when read.  Non-standard generators
     and finite groups grow a ``WordLengthOracle`` to the radius and sort each
     of its spheres by ``element_key``; the ball keeps the elements, and its
     ``space`` searches again on first use.  One over the limit raises

@@ -231,13 +231,14 @@ def unwrapped(X: np.ndarray) -> np.ndarray:
     return X.astype(np.int64 if hi - lo < 1 << 63 and hi < 1 << 63 else object)
 
 
-def first_lipschitz_violation(V: np.ndarray, D: np.ndarray, tol: Scalar = 0) -> Optional[tuple]:
+def first_lipschitz_violation(V: np.ndarray, D: np.ndarray, tol: Scalar = 0, pairs=None) -> Optional[tuple]:
     """First (row, i, j) where a value row of V fails against the distance
     matrix D, or None.  Within a row, a nonzero value at the base point,
-    index 0, comes first (i = j = 0); then the first pair i < j in
-    row-major order with |V[row, i] - V[row, j]| > D[i, j] + tol, the
-    difference taken in a dtype that cannot wrap."""
-    i, j = np.triu_indices(D.shape[0], 1)
+    index 0, comes first (i = j = 0); then the first pair with
+    |V[row, i] - V[row, j]| > D[i, j] + tol, the difference taken in a dtype
+    that cannot wrap: over all i < j in row-major order, or over the index
+    arrays ``pairs = (i, j)`` in their order."""
+    i, j = np.triu_indices(D.shape[0], 1) if pairs is None else pairs
     bound = D[i, j] + tol
     step = max(1, CHUNK // max(1, len(i)))
     for a in range(0, len(V), step):
@@ -341,26 +342,6 @@ def draw_indices(rng: random.Random, n: int, m: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PointFunctional:
-    """The function d(., x) - d(x0, x) anchored at a point x.
-
-    Vanishes at the base point and equals -d(x0, x) at the anchor.
-    """
-
-    space: MetricSpace
-    anchor: Point
-    base_offset: Scalar
-
-    @classmethod
-    def at(cls, space: MetricSpace, x: Point) -> "PointFunctional":
-        space.check_point(x)
-        return cls(space, x, space.distance(space.base_point, x))
-
-    def evaluate(self, y: Point) -> Scalar:
-        return self.space.distance(y, self.anchor) - self.base_offset
-
-
 @dataclass
 class MetricReport:
     """Outcome of a metric-axiom validation run."""
@@ -426,29 +407,3 @@ def validate_metric(
         return MetricReport(True, n, n * (n - 1) // 2, n**3 if exhaustive else max_triples, tol)
     p, r, q = np.unravel_index(pos, (n, n, n)) if exhaustive else triples[pos]
     return MetricReport(False, n, n * (n - 1) // 2, pos + 1, tol, ("triangle", pts[p], pts[q], pts[r]))
-
-
-def discrete_ball(
-    space: MetricSpace,
-    r: Scalar,
-) -> list[tuple[Point, Scalar]]:
-    """All points at distance <= r from the base point, with exact distances.
-
-    Cayley graphs, the only discrete spaces, return the ball of
-    ``cayley_ball``, built from closed forms or by a search; finite spaces
-    are scanned directly.  Output is in canonical order (distance first,
-    then the space's point order).
-    """
-    if r < 0:
-        raise PreconditionError("ball radius must be nonnegative")
-    if isinstance(space, FiniteMetricSpace):
-        x0 = space.base_point
-        out = [(p, space.distance(x0, p)) for p in space.points() if space.distance(x0, p) <= r]
-        out.sort(key=lambda t: (t[1], space.point_key(t[0])))
-        return out
-    from .groups import CayleyGraphSpace, cayley_ball
-
-    if not isinstance(space, CayleyGraphSpace):
-        raise UnsupportedError("discrete_ball requires a discrete space")
-    ball = cayley_ball(space.family, space.gens, int(r))
-    return [(g, n) for n in range(ball.radius + 1) for g in ball.sphere(n)]

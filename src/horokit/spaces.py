@@ -569,13 +569,17 @@ def lp_norm(x, p: float, axis=None):
 
 
 def pad_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Two vectors as float arrays, the shorter zero-padded to the longer."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.size == b.size:
+    """a and the vector b as floats, zero-padded to the wider of the two
+    along a's last axis.  A vector a (a point of LpSpace) comes back as it
+    is when the widths match; the 2-D rows of a batch (the l^p models) are
+    always copied, so that row sums run over one C-ordered array."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float).ravel()
+    if a.ndim == 1 and a.size == b.size:
         return a, b
-    n = max(a.size, b.size)
-    return np.pad(a, (0, n - a.size)), np.pad(b, (0, n - b.size))
+    n = max(a.shape[-1], b.size)
+    W, u = np.zeros((*a.shape[:-1], n)), np.zeros(n)
+    W[..., : a.shape[-1]], u[: b.size] = a, b
+    return W, u
 
 
 class LpSpace(MetricSpace):
@@ -584,7 +588,7 @@ class LpSpace(MetricSpace):
     exact = False
 
     def __init__(self, p: float, dim: int):
-        if p < 1:
+        if not p >= 1:  # NaN too
             raise InvalidParameterError("p must be >= 1")
         if dim < 1:
             raise InvalidParameterError("dimension must be >= 1")
@@ -597,7 +601,7 @@ class LpSpace(MetricSpace):
     def distance(self, p, q) -> float:
         self.check_point(p)
         self.check_point(q)
-        a, b = pad_pair(p, q)
+        a, b = pad_pair(np.asarray(p, dtype=float).ravel(), q)
         return self.norm(a - b)
 
     @property

@@ -641,17 +641,17 @@ def first_triangle_violation(D, tol=0, triples=None):
     return None
 
 
-def first_lipschitz_violation(V, D, tol=0):
+def first_lipschitz_violation(V, D, tol=0, pairs=None):
     """First (row, i, j) where a value row fails: a nonzero value at index 0
-    (reported as i = j = 0), else the first pair i < j in row-major order
-    with |v_i - v_j| > D[i][j] + tol."""
+    (reported as i = j = 0), else the first pair with |v_i - v_j| >
+    D[i][j] + tol, over all i < j in row-major order or over the list
+    ``pairs`` of (i, j) in its order."""
     for row, v in enumerate(V):
         if v[0] != 0:
             return (row, 0, 0)
-        for i in range(len(v)):
-            for j in range(i + 1, len(v)):
-                if abs(v[i] - v[j]) > D[i][j] + tol:
-                    return (row, i, j)
+        for i, j in itertools.combinations(range(len(v)), 2) if pairs is None else pairs:
+            if abs(v[i] - v[j]) > D[i][j] + tol:
+                return (row, i, j)
     return None
 
 

@@ -345,6 +345,27 @@ def test_malformed_flags_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        # NaN passes both r < 0 and a <= r, and an infinite anchor, or r + anchor
+        # past the float range, gives D(inf): each once wrote NaN or Infinity
+        # tokens, which are not JSON, and exited 1 or 0.
+        (("dynamics", "distorted-line", "--r", "nan"), "must be finite"),
+        (("dynamics", "distorted-line", "--anchors", "nan,1e4"), "must be finite"),
+        (("dynamics", "distorted-line", "--anchors", "100,inf"), "must be finite"),
+        (("dynamics", "distorted-line", "--r", "1e308", "--anchors", "1.5e308"), "must be finite"),
+        # p < 1 is false for NaN; the space failed later, on a non-finite distance.
+        (("validate", "metric", "--space", '{"type": "lp", "params": {"p": "nan"}}'), "p must be >= 1"),
+    ],
+    ids=lambda a: " ".join(a[2:])[:40] if isinstance(a, tuple) else None,
+)
+def test_non_finite_inputs_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("boundary", "--seed", "1"),

@@ -692,6 +692,14 @@ def test_distorted_line_anchor_validation():
         distorted_compactification_check(line, 1.0, [100.0, 50.0])
 
 
+@pytest.mark.parametrize("r, anchors", [(math.nan, [1e2, 1e4]), (math.inf, [1e2]), (10.0, [math.nan, 1e4]),
+                                        (10.0, [1e2, math.inf]), (10.0, [-math.inf]),
+                                        (1e308, [1.5e308])])  # D(x + r) = D(inf)
+def test_distorted_line_rejects_non_finite_inputs(r, anchors):
+    with pytest.raises(PreconditionError, match="finite"):
+        distorted_compactification_check(DistortedLine("log1p"), r, anchors)
+
+
 # ---------------------------------------------------------------------------
 # Isometries: d(f x, f y) = d(x, y) on sampled pairs
 # ---------------------------------------------------------------------------

@@ -114,15 +114,6 @@ def test_mcshane_sandwich_against_brute_force():
                 assert sup.evaluate(i) <= ext[i] <= inf.evaluate(i)
 
 
-def test_mcshane_mesh_error_bound():
-    space = SR
-    # sample the ray at integer points as a cover with mesh 1/2
-    pts = [SR.ray_point(t) for t in range(0, 12)]
-    pf = PartialFunctional(space, pts, [Fraction(-t) for t in range(0, 12)], mesh=Fraction(1, 2))
-    ext = mcshane_extend(pf, "sup")
-    assert ext.error_bound == 1
-
-
 # ---------------------------------------------------------------------------
 # Subset-to-space extension
 # ---------------------------------------------------------------------------

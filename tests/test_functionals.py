@@ -276,10 +276,15 @@ def test_disk_busemann_lipschitz():
 
 
 def test_point_functional_lipschitz_exact_space():
-    from horokit.metric import PointFunctional
+    # h_x(y) = d(y, x) - d(x0, x) for x = 4, as functional_rows reads it
+    rows = Z1.functional_rows([(4,)], Z1.base_point)
 
-    f = PointFunctional.at(Z1, (4,))
-    assert lipschitz_check(f, Z1, pairs=300, tol=0).passed
+    def h(y):
+        M, den = rows([y], np.arange(1))
+        return Fraction(int(M[0, 0]), den)
+
+    assert [h((y,)) for y in (0, 4, 7)] == [0, -4, -1]
+    assert lipschitz_check(h, Z1, pairs=300, tol=0).passed
 
 
 def test_corrupted_restriction_reports_violating_pair():

@@ -23,7 +23,7 @@ from horokit.groups import (
     heisenberg_length,
     word_length,
 )
-from horokit.metric import discrete_ball, validate_metric
+from horokit.metric import validate_metric
 
 from oracles import (
     bfs_ball,
@@ -108,18 +108,23 @@ def test_generating_set_closes_inverses():
     assert gens.elements == ((-1,), (1,))
 
 
+def _sphere_sizes(ball):
+    return np.diff(ball.sphere_offsets).tolist()
+
+
 def test_cayley_ball_sphere_sizes():
     z1 = Zd(1)
-    assert cayley_ball(z1, GeneratingSet.standard(z1), 3).sphere_sizes() == [1, 2, 2, 2]
+    assert _sphere_sizes(cayley_ball(z1, GeneratingSet.standard(z1), 3)) == [1, 2, 2, 2]
     f2 = FreeGroup(2)
-    assert cayley_ball(f2, GeneratingSet.standard(f2), 2).sphere_sizes() == [1, 4, 12]
+    ball = cayley_ball(f2, GeneratingSet.standard(f2), 2)
+    assert _sphere_sizes(ball) == [len(ball.sphere(r)) for r in range(3)] == [1, 4, 12]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_zd_sphere_sizes_match_closed_form(d):
     fam = Zd(d)
     ball = cayley_ball(fam, GeneratingSet.standard(fam), 10)
-    for r, size in enumerate(ball.sphere_sizes()):
+    for r, size in enumerate(_sphere_sizes(ball)):
         assert size == zd_sphere_count(d, r)
 
 
@@ -127,7 +132,7 @@ def test_zd_sphere_sizes_match_closed_form(d):
 def test_free_sphere_sizes_match_closed_form(rank):
     fam = FreeGroup(rank)
     ball = cayley_ball(fam, GeneratingSet.standard(fam), 8 if rank == 2 else 6)
-    for r, size in enumerate(ball.sphere_sizes()):
+    for r, size in enumerate(_sphere_sizes(ball)):
         assert size == free_sphere_count(rank, r)
 
 
@@ -135,7 +140,7 @@ def test_heisenberg_sphere_sizes_regression():
     # frozen from the BFS oracle
     fam = Heisenberg()
     ball = cayley_ball(fam, GeneratingSet.standard(fam), 5)
-    assert ball.sphere_sizes() == [1, 4, 12, 36, 82, 164]
+    assert _sphere_sizes(ball) == [1, 4, 12, 36, 82, 164]
 
 
 def test_heisenberg_ball_matches_plain_bfs():
@@ -202,9 +207,9 @@ def test_closed_form_ball_matches_plain_bfs(fam, R):
     dist = bfs_ball(ident, gens, mul, R)
     order = sorted(dist, key=lambda g: (dist[g], key(g)))
     ball = cayley_ball(fam, GeneratingSet.standard(fam), R)
-    assert "elements" not in vars(ball)  # the ball is its coords until read
+    assert "elements" not in vars(ball)  # the ball is its rows until read
     assert ball.elements == tuple(order)
-    assert [r for r, size in enumerate(ball.sphere_sizes()) for _ in range(size)] == [
+    assert [r for r, size in enumerate(_sphere_sizes(ball)) for _ in range(size)] == [
         dist[g] for g in order
     ]
     assert ball.sphere_offsets == tuple(
@@ -218,23 +223,23 @@ def test_closed_form_ball_matches_plain_bfs(fam, R):
         assert ball.sphere(r) == tuple(g for g in inside if dist[g] == r)
         assert ball.ball(r) == tuple(inside)
     assert ball.sphere(0) == (ident,)
-    # coords holds the same elements, letters padded with 0 on free groups
+    # rows(R) holds the same elements, letters padded with 0 on free groups
     width = R if isinstance(fam, FreeGroup) else len(ident)
-    assert ball.coords.tolist() == [list(g) + [0] * (width - len(g)) for g in order]
+    assert ball.rows(R).tolist() == [list(g) + [0] * (width - len(g)) for g in order]
 
 
 @pytest.mark.parametrize("fam", [Zd(2), FreeGroup(2), Heisenberg()], ids=lambda f: f.name)
 def test_rows_are_built_once_per_radius_and_prefix_coords(fam, monkeypatch):
     # rows(r) is the family's ball_coords(r): the shortlex prefix B(r) of
-    # coords, narrower on F_n by the zero padding past r letters.
+    # rows(R), narrower on F_n by the zero padding past r letters.
     R = 5
     ball = cayley_ball(fam, GeneratingSet.standard(fam), R)
     for r in range(R + 1):
-        X, n = ball.rows(r), ball.sphere_offsets[r + 1]
+        X, n, full = ball.rows(r), ball.sphere_offsets[r + 1], ball.rows(R)
         assert ball.rows(r) is X
-        assert X.dtype == ball.coords.dtype
-        assert np.array_equal(X, ball.coords[:n, : X.shape[1]])
-        assert not ball.coords[:n, X.shape[1] :].any()
+        assert X.dtype == full.dtype
+        assert np.array_equal(X, full[:n, : X.shape[1]])
+        assert not full[:n, X.shape[1] :].any()
         assert ball.labels(r) == tuple(fam.element_label(g) for g in ball.ball(r))
     built = []
     monkeypatch.setattr(type(fam), "ball_coords", lambda self, radius: built.append(radius))
@@ -320,9 +325,9 @@ def test_search_ball_matches_plain_bfs(case, R):
     dist = bfs_ball(ident, gens, mul, R)
     order = sorted(dist, key=lambda g: (dist[g], g))
     ball = cayley_ball(fam, GeneratingSet.create(fam, gens), R)
-    assert ball.coords is None
+    assert ball.rows(R) is None
     assert ball.elements == tuple(order)
-    assert [r for r, size in enumerate(ball.sphere_sizes()) for _ in range(size)] == [
+    assert [r for r, size in enumerate(_sphere_sizes(ball)) for _ in range(size)] == [
         dist[g] for g in order
     ]
     assert ball.sphere_offsets == tuple(
@@ -523,7 +528,8 @@ def test_distance_rows_match_closed_form_lengths(fam, r, R):
     want = [[fam.closed_form_length(fam.multiply(fam.inverse(x), g)) for x in points] for g in sphere]
     # on the encoder's rows, and on the ball's own (narrower, padded) rows
     assert fam.distance_rows(fam.coords(points), fam.coords(sphere), np.int64).tolist() == want
-    assert fam.distance_rows(ball.coords[:n], ball.coords[lo:hi], np.int64).tolist() == want
+    X = ball.rows(R)
+    assert fam.distance_rows(X[:n], X[lo:hi], np.int64).tolist() == want
 
 
 def _assert_sphere_rows_keep_the_sphere_h_rows(fam, r, R):
@@ -679,7 +685,6 @@ BALL_BUILDERS = {
     "search ball": lambda: cayley_ball(Z2, Z2_XY, 5),
     "search oracle": lambda: WordLengthOracle(Z2, Z2_XY).length((5, 0), 10),
     "search distance": lambda: CayleyGraphSpace(Z2, Z2_XY).distance((0, 0), (5, 0)),
-    "discrete_ball": lambda: discrete_ball(CayleyGraphSpace(FreeGroup(2)), 8),
     "limit_restrictions": lambda: limit_restrictions(
         FreeGroup(2), GeneratingSet.standard(FreeGroup(2)), 1, 8, 2),
     "validate_metric": lambda: validate_metric(CayleyGraphSpace(cyclic_group(64))),

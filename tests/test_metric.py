@@ -16,16 +16,13 @@ from horokit.errors import (
     InvalidSpaceError,
     PreconditionError,
     ResourceLimitError,
-    UnsupportedError,
 )
 from horokit.extension import PartialFunctional
 from horokit.functionals import BallFunctional
-from horokit.groups import CayleyGraphSpace, FiniteGroup, FreeGroup, Heisenberg, Zd, cyclic_group
+from horokit.groups import CayleyGraphSpace, FiniteGroup, FreeGroup, GeneratingSet, Heisenberg, Zd, cayley_ball, cyclic_group
 from horokit.metric import (
     FiniteMetricSpace,
     MetricSpace,
-    PointFunctional,
-    discrete_ball,
     exact_table,
     first_axiom_violation,
     first_lipschitz_violation,
@@ -105,18 +102,29 @@ def test_negative_distance_rejected():
         FiniteMetricSpace([[0, -1], [-1, 0]])
 
 
+def _point_functional(space, x):
+    """h_x(y) = d(y, x) - d(x0, x) as ``functional_rows`` reads it."""
+    rows = space.functional_rows([x], space.base_point)
+
+    def h(y):
+        M, den = rows([y], np.arange(1))
+        return Fraction(int(M[0, 0]), den) if space.exact else float(M[0, 0])
+
+    return h
+
+
 def test_point_functional_values():
-    space = CayleyGraphSpace(Zd(1))
-    f = PointFunctional.at(space, (5,))
-    assert f.evaluate((0,)) == 0  # vanishes at the base point
-    assert f.evaluate((5,)) == -5  # equals -d(x0, x) at the anchor
-    assert f.evaluate((3,)) == -3
+    h = _point_functional(CayleyGraphSpace(Zd(1)), (5,))
+    assert h((0,)) == 0  # vanishes at the base point
+    assert h((5,)) == -5  # equals -d(x0, x) at the anchor
+    assert h((3,)) == -3
 
 
 def test_point_functional_bounds_on_disk():
     disk = PoincareDisk()
     x, y = 0.9, 0.5j
-    val = PointFunctional.at(disk, x).evaluate(y)
+    val = _point_functional(disk, x)(y)
+    assert val == disk.distance(y, x) - disk.distance(0j, x)
     assert abs(val) <= disk.distance(0j, y) + 1e-12
 
 
@@ -126,11 +134,11 @@ def test_point_functional_lipschitz_samples():
         pts = space.sample_points(rng, 12)
         tol = 0 if space.exact else 1e-12
         for x in pts[:4]:
-            f = PointFunctional.at(space, x)
+            h = _point_functional(space, x)
             for y in pts:
                 for z in pts:
-                    assert abs(f.evaluate(y) - f.evaluate(z)) <= space.distance(y, z) + tol
-                assert abs(f.evaluate(y)) <= space.distance(space.base_point, y) + tol
+                    assert abs(h(y) - h(z)) <= space.distance(y, z) + tol
+                assert abs(h(y)) <= space.distance(space.base_point, y) + tol
 
 
 @pytest.mark.parametrize(
@@ -152,27 +160,26 @@ def test_builtin_spaces_validate(space):
     assert report.passed, report.failure
 
 
-def test_discrete_ball_sizes():
-    assert len(discrete_ball(CayleyGraphSpace(Zd(1)), 3)) == 7
-    assert len(discrete_ball(CayleyGraphSpace(FreeGroup(2)), 2)) == 17
-    assert len(discrete_ball(CayleyGraphSpace(Zd(2)), 2)) == 13
+def _standard_ball(family, r):
+    return cayley_ball(family, GeneratingSet.standard(family), r)
 
 
-def test_discrete_ball_canonical_order_and_distances():
-    ball = discrete_ball(CayleyGraphSpace(Zd(1)), 2)
-    assert [p for p, _ in ball] == [(0,), (-1,), (1,), (-2,), (2,)]
-    assert [d for _, d in ball] == [0, 1, 1, 2, 2]
+def test_ball_sizes():
+    for family, r, size in ((Zd(1), 3, 7), (FreeGroup(2), 2, 17), (Zd(2), 2, 13)):
+        ball = _standard_ball(family, r)
+        assert ball.sphere_offsets[-1] == sum(len(ball.sphere(n)) for n in range(r + 1)) == size
 
 
-def test_discrete_ball_limit(monkeypatch):
+def test_ball_canonical_order_and_distances():
+    ball = _standard_ball(Zd(1), 2)
+    assert [g for n in range(3) for g in ball.sphere(n)] == [(0,), (-1,), (1,), (-2,), (2,)]
+    assert np.repeat(np.arange(3), np.diff(ball.sphere_offsets)).tolist() == [0, 1, 1, 2, 2]
+
+
+def test_ball_limit(monkeypatch):
     monkeypatch.setenv("HOROKIT_MAX_BALL", "100")
     with pytest.raises(ResourceLimitError):
-        discrete_ball(CayleyGraphSpace(FreeGroup(2)), 8)
-
-
-def test_discrete_ball_requires_discrete_space():
-    with pytest.raises(UnsupportedError):
-        discrete_ball(SpokeRaySpace(), 2)
+        _standard_ball(FreeGroup(2), 8)
 
 
 class _Oracle(MetricSpace):
@@ -244,23 +251,25 @@ def test_symmetry_failure_reports_the_pairs_up_to_it(seed):
 
 
 def test_finite_space_ball_scan():
+    # The points within 1 of the base point, read off its row of one block.
     space = FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-    ball = discrete_ball(space, 1)
-    assert [p for p, _ in ball] == [0, 1]
+    D, den = space.distance_block(space.points())([space.base_point], np.arange(3))
+    assert np.flatnonzero(D[0] <= den).tolist() == [0, 1]
 
 
-def test_discrete_ball_matches_independent_bfs():
+def test_ball_spheres_match_independent_bfs():
     for family, r in ((Zd(2), 3), (FreeGroup(2), 3), (Heisenberg(), 2)):
         gens = CayleyGraphSpace(family).gens.elements
         dist = bfs_ball(family.identity(), gens, family._mul, r)
         expected = sorted(dist.items(), key=lambda t: (t[1], family.element_key(t[0])))
-        assert discrete_ball(CayleyGraphSpace(family), r) == expected
+        ball = _standard_ball(family, r)
+        assert [(g, n) for n in range(r + 1) for g in ball.sphere(n)] == expected
 
 
-def test_discrete_ball_limit_reports_radius_reached(monkeypatch):
+def test_ball_limit_reports_radius_reached(monkeypatch):
     monkeypatch.setenv("HOROKIT_MAX_BALL", "100")
     with pytest.raises(ResourceLimitError) as exc:
-        discrete_ball(CayleyGraphSpace(FreeGroup(2)), 8)
+        _standard_ball(FreeGroup(2), 8)
     assert exc.value.radius_reached == 3  # |B(3)| = 53 <= 100 < |B(4)| = 161
 
 
@@ -457,6 +466,15 @@ def _extremes(dtype):
 def test_lipschitz_check_at_extreme_values_matches_brute_force(data, vtype, dtype, n, rows, chunk):
     # Values and distances at the ends of each integer type; the oracle
     # subtracts Python ints, so no difference wraps there.
+    V, D = _extreme_rows(data, vtype, dtype, n, rows)
+    with chunk_size(chunk):
+        got = first_lipschitz_violation(np.array(V, vtype), np.array(D, dtype))
+    assert got == oracles.first_lipschitz_violation(V, D)
+
+
+def _extreme_rows(data, vtype, dtype, n, rows):
+    """Value rows of vtype and a symmetric distance matrix of dtype, both
+    drawn with the ends of their types."""
     draw_row = st.lists(_extremes(vtype), min_size=n - 1, max_size=n - 1)
     V = [[data.draw(st.sampled_from([0, 0, 0, 1, -1]))] + data.draw(draw_row) for _ in range(rows)]
     upper = data.draw(st.lists(_extremes(dtype).map(abs).filter(lambda v: v <= np.iinfo(dtype).max),
@@ -464,9 +482,29 @@ def test_lipschitz_check_at_extreme_values_matches_brute_force(data, vtype, dtyp
     D = [[0] * n for _ in range(n)]
     for (i, j), v in zip(itertools.combinations(range(n), 2), upper):
         D[i][j] = D[j][i] = v
+    return V, D
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    vtype=st.sampled_from([np.int8, np.int16, np.int32, np.int64]),
+    dtype=st.sampled_from([np.int8, np.int16, np.int32, np.int64]),
+    n=st.integers(1, 6),
+    rows=st.integers(1, 6),
+    chunk=CHUNKS,
+)
+def test_lipschitz_check_on_a_pair_set_matches_brute_force(data, vtype, dtype, n, rows, chunk):
+    # A random sorted subset of the pairs i < j, compared in its order, as
+    # the boundary compares the kept pairs of B(r).
+    V, D = _extreme_rows(data, vtype, dtype, n, rows)
+    every = list(itertools.combinations(range(n), 2))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(every), max_size=len(every)))
+    pairs = [p for p, k in zip(every, keep) if k]
     with chunk_size(chunk):
-        got = first_lipschitz_violation(np.array(V, vtype), np.array(D, dtype))
-    assert got == oracles.first_lipschitz_violation(V, D)
+        got = first_lipschitz_violation(np.array(V, vtype), np.array(D, dtype),
+                                        pairs=tuple(np.array(pairs, np.intp).reshape(-1, 2).T))
+    assert got == oracles.first_lipschitz_violation(V, D, pairs=pairs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -530,7 +568,7 @@ def _l1(p, q):
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 2))
 def test_ball_functional_check_reports_the_first_failure(seed, count):
     rng = random.Random(seed)
-    points = [p for p, _ in discrete_ball(CayleyGraphSpace(Zd(2)), 2)]
+    points = list(_standard_ball(Zd(2), 2).ball(2))
     labels = [str(p) for p in points]
     anchor = (rng.randrange(-6, 7), rng.randrange(-6, 7))
     values = [_l1(p, anchor) - _l1(points[0], anchor) for p in points]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horokit.dynamics import MoebiusMap
-from horokit.errors import InvalidDistortionError, InvalidPointError
+from horokit.errors import InvalidDistortionError, InvalidParameterError, InvalidPointError
 from horokit.groups import CayleyGraphSpace, FreeGroup, Heisenberg, Zd, cyclic_group
 from horokit.metric import FiniteMetricSpace, validate_metric
 from horokit.spaces import (
@@ -606,6 +606,11 @@ class TestLp:
             y = list(x)
             y[i] = 0.0
             assert space.norm(y) <= space.norm(x)
+
+    @pytest.mark.parametrize("p", [math.nan, 0.5, -math.inf])
+    def test_p_below_one_or_nan_rejected(self, p):
+        with pytest.raises(InvalidParameterError, match="^p must be >= 1$"):
+            LpSpace(p, 2)
 
     def test_padding(self):
         space = LpSpace(2, 3)
