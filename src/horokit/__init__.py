@@ -76,7 +76,6 @@ from .groups import (
     FreeGroup,
     GeneratingSet,
     Heisenberg,
-    WordLengthOracle,
     Zd,
     cayley_ball,
     cyclic_group,

@@ -89,7 +89,8 @@ def _ball_facts(ball: CayleyBall, r: int) -> tuple[np.ndarray, np.ndarray]:
         dtype = np.int16 if 2 * r <= np.iinfo(np.int16).max else np.int64
         X = ball.rows(r)
         if X is not None:
-            return np.concatenate(list(_distance_blocks(ball.family, X, X, dtype))), ball.family.automorphisms(X)
+            fam = ball.space.family
+            return np.concatenate(list(_distance_blocks(fam, X, X, dtype))), fam.automorphisms(X)
         points = ball.ball(r)
         D = ball.space.distance_block(points)(points, np.arange(len(points)))[0]
         return D.astype(dtype), np.arange(len(points))[None]
@@ -152,7 +153,7 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> np.ndarray:
         raise PreconditionError(f"need 0 <= ball radius {r} <= sphere radius {R}")
     if ball.radius < R:
         raise PreconditionError(f"ball radius {ball.radius} is insufficient; need >= {R}")
-    fam, n = ball.family, ball.sphere_offsets[r + 1]
+    fam, n = ball.space.family, ball.sphere_offsets[r + 1]
     dtype = np.int16 if R + r <= np.iinfo(np.int16).max else np.int64
     X, perms = ball.rows(r), _ball_facts(ball, r)[1]
     if X is None:
@@ -264,7 +265,7 @@ def act_on_rows(ball: CayleyBall, g, V: np.ndarray, r: int) -> np.ndarray:
     need = r + ball.space.point_key(g)[0]
     if R is None or R < need:
         raise PreconditionError(f"rows over {V.shape[1]} points are no B(R) with R >= r + |g| = {need}")
-    fam, points = ball.family, ball.ball(r)
+    fam, points = ball.space.family, ball.ball(r)
     pos = {p: i for i, p in enumerate(ball.ball(R))}
     ginv = fam.inverse(g)
     out = V[:, [pos[fam.multiply(ginv, x)] for x in points]] - V[:, [pos[ginv]]]

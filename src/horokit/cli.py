@@ -66,7 +66,6 @@ from .serialize import (
     SCHEMA_VERSION,
     emit_json,
     point_from_json,
-    scalar_to_json,
     space_from_descriptor,
 )
 from .spaces import (
@@ -193,7 +192,7 @@ def _extend_mcshane(args) -> Outcome:
     else:
         with _parsing("--eval"):
             targets = [point_from_json(space, p) for p in json.loads(args.eval)]
-    values = [(space.point_label(p), scalar_to_json(ext.evaluate(p))) for p in targets]
+    values = [(space.point_label(p), ext.evaluate(p)) for p in targets]
     result = {"mode": args.mode, "values": [{"point": p, "value": v} for p, v in values]}
     return Outcome("extend.mcshane", {"mode": args.mode}, result, True,
                    lambda: [("point", "value"), *values])
@@ -217,7 +216,6 @@ def _extend_hahn_banach(args) -> Outcome:
     n_max = _count("--n", args.n, 1 if args.fixture == "spoke-ray" else 0)
     if args.fixture == "spoke-ray":
         res = _spoke_ray_hahn_banach(n_max)
-        values = {k: scalar_to_json(v.value) for k, v in res.table.items()}
         ok = res.audit.passed and all(v.stabilized for v in res.table.values())
     elif args.fixture == "plane-axis":
         space = LpSpace(2, 2)
@@ -228,7 +226,6 @@ def _extend_hahn_banach(args) -> Outcome:
             eval_points=[np.array([3.0, 4.0]), np.array([-1.0, 2.0])],
             audit_points=[np.array([s, 0.0]) for s in (0.0, 1.0, 5.0, 20.0)],
         )
-        values = {k: v.value for k, v in res.table.items()}
         ok = res.audit.passed
     else:  # star-tree
         space = StarTreeSpace()
@@ -239,8 +236,8 @@ def _extend_hahn_banach(args) -> Outcome:
             eval_points=[space.interval_point(m, Fraction(1, 2)) for m in range(1, 9)],
             audit_points=[space.endpoint(m) for m in range(1, 9)],
         )
-        values = {k: scalar_to_json(v.value) for k, v in res.table.items()}
         ok = res.audit.passed
+    values = {k: v.value for k, v in res.table.items()}
     result = {"fixture": args.fixture, "values": values, "audit": res.audit}
     return Outcome("extend.hahn_banach", {"fixture": args.fixture, "n": args.n}, result, ok,
                    lambda: [("point", "value"), *values.items()])
@@ -375,7 +372,7 @@ def _dynamics_parabolic(args) -> Outcome:
     rep = parabolic_orbit_functional(orbit, eval_hi=args.eval_hi, averaging=args.averaging)
     return Outcome("dynamics.parabolic.heisenberg", {"n": args.n},
                    {**vars(rep), "displacements": orbit.D}, rep.monotone_ok,
-                   lambda: [("m", "value"), *((m, scalar_to_json(v)) for m, v in zip(rep.indices, rep.values))])
+                   lambda: [("m", "value"), *zip(rep.indices, rep.values)])
 
 
 def _dynamics_distorted_line(args) -> Outcome:
@@ -407,7 +404,7 @@ def _failure_witness(args, piece: str, witness, gap_ok) -> Outcome:
     rep = witness(args.r, stages)
     return Outcome(f"gallery.{piece}", {"r": args.r}, rep, all(gap_ok(w) for w in rep.witnesses),
                    lambda: [("stage", "point", "gap"),
-                            *((scalar_to_json(w.stage), w.point, scalar_to_json(w.gap)) for w in rep.witnesses)])
+                            *((w.stage, w.point, w.gap) for w in rep.witnesses)])
 
 
 def _gallery_spoke_ray(args) -> Outcome:
@@ -423,7 +420,7 @@ def _gallery_euclidean_zero(args) -> Outcome:
     count = _count("--count", args.count, 1)
     rep = euclidean_zero_nonmembership_check([Fraction(k, 4) for k in range(-4 * count, 4 * count + 1)])
     return Outcome("gallery.euclidean_zero", {"count": args.count}, rep, rep.passed,
-                   lambda: [("min_of_max", scalar_to_json(rep.min_of_max))])
+                   lambda: [("min_of_max", rep.min_of_max)])
 
 
 def _selftest_gallery() -> list[tuple[str, bool]]:

@@ -476,9 +476,7 @@ def functional_norm_estimate(
         elif isinstance(space, LpSpace):
             pts = space.sphere_points(float(radius), per_radius, rng)
         elif hasattr(space, "family"):  # word metric: sample the sphere via BFS order
-            from .groups import cayley_ball
-
-            ball = cayley_ball(space.family, space.gens, int(radius))
+            ball = space.ball(int(radius))
             pts = list(ball.sphere(int(radius)))
             if len(pts) > per_radius:
                 pts = [pts[rng.randrange(len(pts))] for _ in range(per_radius)]

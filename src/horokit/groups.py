@@ -66,9 +66,10 @@ class GroupFamily(ABC):
     def check_element(self, g: Element) -> None:
         """Raise TypeError if ``g`` does not belong to this family."""
 
-    @abstractmethod
     def element_key(self, g: Element):
-        """Tie-break key within a sphere; shortlex order is (length, key)."""
+        """Tie-break key within a sphere; shortlex order is (length, key).
+        By default the element itself."""
+        return g
 
     @abstractmethod
     def element_label(self, g: Element) -> str:
@@ -99,6 +100,10 @@ class ClosedFormFamily(GroupFamily):
     @abstractmethod
     def ball_coords(self, radius: int) -> np.ndarray:
         """B(radius) as coordinate rows in shortlex order."""
+
+    def element_label(self, g: Element) -> str:
+        """Elements are integer tuples unless a family says otherwise: "(a,b,c)"."""
+        return "(" + ",".join(map(str, g)) + ")"
 
     def row_elements(self, rows: np.ndarray, r: int) -> Iterable[Element]:
         """The element tuples of the coordinate rows of S(r)."""
@@ -152,12 +157,6 @@ class Zd(ClosedFormFamily):
     def check_element(self, g):
         if not (isinstance(g, tuple) and len(g) == self.dim and all(isinstance(a, int) for a in g)):
             raise TypeError(f"{g!r} is not an element of {self.name}")
-
-    def element_key(self, g):
-        return g
-
-    def element_label(self, g):
-        return "(" + ",".join(str(a) for a in g) + ")"
 
     def standard_generators(self):
         return tuple(tuple(s * (i == k) for k in range(self.dim)) for i in range(self.dim) for s in (1, -1))
@@ -332,17 +331,9 @@ class FreeGroup(ClosedFormFamily):
         """Parse a label like "abA" or "ax7X12" back into an element."""
         if not _WORD.fullmatch(text):
             raise InvalidPointError(f"{text!r} is not a free group word")
-        out: list[int] = []
-        for tok in _TOKEN.findall(text):
-            if tok == "e":
-                continue
-            idx = _LETTERS.index(tok.lower()) + 1 if len(tok) == 1 else int(tok[1:])
-            x = idx if tok[0].islower() else -idx
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-        return tuple(out)
+        letters = [(_LETTERS.index(tok.lower()) + 1 if len(tok) == 1 else int(tok[1:])) * (1 if tok[0].islower() else -1)
+                   for tok in _TOKEN.findall(text) if tok != "e"]
+        return self._mul((), letters)
 
 
 class _IntOps:
@@ -422,12 +413,6 @@ class Heisenberg(ClosedFormFamily):
     def check_element(self, g):
         if not (isinstance(g, tuple) and len(g) == 3 and all(isinstance(v, int) for v in g)):
             raise TypeError(f"{g!r} is not a Heisenberg element")
-
-    def element_key(self, g):
-        return g
-
-    def element_label(self, g):
-        return "(" + ",".join(str(v) for v in g) + ")"
 
     def standard_generators(self):
         # x = (1,0,0), y = (0,1,0) and inverses; the commutator [x, y] is
@@ -534,11 +519,7 @@ class FiniteGroup(GroupFamily):
         for i, row in enumerate(self.table):
             if len(row) != n or sorted(row) != list(range(n)):
                 raise InvalidParameterError(f"row {i} is not a permutation of 0..{n - 1}")
-        ident = None
-        for e in range(n):
-            if all(self.table[e][j] == j and self.table[j][e] == j for j in range(n)):
-                ident = e
-                break
+        ident = next((e for e in range(n) if all(self.table[e][j] == j == self.table[j][e] for j in range(n))), None)
         if ident is None:
             raise InvalidParameterError("table has no identity element")
         self._identity = ident
@@ -562,9 +543,6 @@ class FiniteGroup(GroupFamily):
     def check_element(self, g):
         if not isinstance(g, int) or not 0 <= g < self.n:
             raise TypeError(f"{g!r} is not an index into a {self.n}-element group")
-
-    def element_key(self, g):
-        return g
 
     def element_label(self, g):
         return str(g)
@@ -620,20 +598,20 @@ class GeneratingSet:
 class CayleyBall:
     """The radius-R ball of a Cayley graph, in canonical (shortlex) order.
 
+    ``space`` is the ``CayleyGraphSpace`` that built the ball: its distances,
+    ``points()`` and ``check_point`` continue the same search.
     ``sphere_offsets[r]`` is the index where sphere S(r) starts: the one
-    record of word lengths of the ball.  Under ``has_closed_form`` each B(r)
-    is ``rows(r)``, the family's ``ball_coords(r)`` (row i for element i);
-    ``sphere``, ``ball`` and ``elements`` decode rows on demand.  ``rows``,
-    ``ball`` and ``labels`` build each B(r) once per ball, and only for
-    r <= radius.  The boundary reads B(r) alone: each family's
+    record of word lengths of the ball.  Under the space's ``closed`` form
+    each B(r) is ``rows(r)``, the family's ``ball_coords(r)`` (row i for
+    element i); ``sphere``, ``ball`` and ``elements`` decode rows on demand.
+    ``rows``, ``ball`` and ``labels`` build each B(r) once per ball, and only
+    for r <= radius.  The boundary reads B(r) alone: each family's
     ``sphere_rows`` stands in for S(R), so no boundary computation builds
     ``rows(radius)`` or ``elements``.  Searched balls (non-standard
-    generators, finite groups) keep their ``elements``, ``rows`` is None,
-    and ``space`` searches distances.
+    generators, finite groups) keep their ``elements``, and ``rows`` is None.
     """
 
-    family: GroupFamily
-    gens: GeneratingSet
+    space: CayleyGraphSpace
     radius: int
     sphere_offsets: tuple[int, ...]
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -649,8 +627,7 @@ class CayleyBall:
 
     def rows(self, r: int) -> Optional[np.ndarray]:
         """B(r) as the family's ``ball_coords(r)`` rows; None on a searched ball."""
-        closed = has_closed_form(self.family, self.gens)
-        return self.once("rows", r, lambda: self.family.ball_coords(r) if closed else None)
+        return self.once("rows", r, lambda: self.space.family.ball_coords(r) if self.space.closed else None)
 
     @cached_property
     def elements(self) -> tuple[Element, ...]:
@@ -667,7 +644,7 @@ class CayleyBall:
 
     def labels(self, r: int) -> tuple[str, ...]:
         """The ``element_label`` of each point of ``ball(r)``."""
-        return self.once("labels", r, lambda: tuple(map(self.family.element_label, self.ball(r))))
+        return self.once("labels", r, lambda: tuple(map(self.space.family.element_label, self.ball(r))))
 
     def _decode(self, lo: int, hi: int) -> tuple[Element, ...]:
         """S(lo) to S(hi), from a search's ``elements`` or decoded from
@@ -676,13 +653,8 @@ class CayleyBall:
         rows = self.rows(hi if lo == 0 else self.radius)
         if rows is None:
             return self.elements[at[lo] : at[hi + 1]]
-        decode = self.family.row_elements
+        decode = self.space.family.row_elements
         return tuple(g for r in range(lo, hi + 1) for g in decode(rows[at[r] : at[r + 1]], r))
-
-    @cached_property
-    def space(self) -> CayleyGraphSpace:
-        """The ball's group as a ``CayleyGraphSpace``: one search for all its distances."""
-        return CayleyGraphSpace(self.family, self.gens)
 
 
 def has_closed_form(family: GroupFamily, gens: GeneratingSet) -> bool:
@@ -696,56 +668,63 @@ def cayley_ball(
     gens: GeneratingSet,
     radius: int,
 ) -> CayleyBall:
-    """Ball around the identity with exact word lengths, in shortlex order.
+    """``CayleyGraphSpace(gens.family, gens).ball(radius)``: ``family`` is
+    that of ``gens``, or another instance of the same group, and the ball
+    keeps the new space as its ``space``."""
+    return CayleyGraphSpace(gens.family, gens).ball(radius)
 
-    Under ``has_closed_form`` the family's ``ball_sizes`` are checked against
-    the ball limit first, and give ``sphere_offsets`` without a search; the
-    ball's ``rows`` are built only when read.  Non-standard generators
-    and finite groups grow a ``WordLengthOracle`` to the radius and sort each
-    of its spheres by ``element_key``; the ball keeps the elements, and its
-    ``space`` searches again on first use.  One over the limit raises
-    ``ResourceLimitError("ball size exceeded limit N")`` with the last
-    radius that fits.
+
+def word_length(
+    family: GroupFamily,
+    gens: GeneratingSet,
+    g: Element,
+    bound: int,
+    *,
+    space: CayleyGraphSpace | None = None,
+) -> Optional[int]:
+    """Word length of ``g`` w.r.t. ``gens`` if <= bound, else None.
+
+    ``g`` is not checked (callers use ``family.check_element``), and
+    ``family`` is that of ``gens`` or another instance of it.  ``space`` (a
+    new ``CayleyGraphSpace`` of ``gens`` if None) answers from the family's
+    closed form or its search; an unreached element gives None.
     """
-    if radius < 0:
-        raise PreconditionError("radius must be >= 0")
-    oracle = WordLengthOracle(family, gens)
-    if not oracle.closed:
-        oracle.grow(radius)
-        layers = [sorted(layer, key=family.element_key) for layer in oracle.layers]
-        offsets = tuple(np.cumsum([0, *map(len, layers)]).tolist())
-        ball = CayleyBall(family, gens, radius, offsets)
-        ball.elements = tuple(g for layer in layers for g in layer)
-        return ball
-    cap = oracle.cap
-    sizes = family.ball_sizes(min(radius, cap), cap).tolist()  # |B(r)| > r: B(cap) is over
-    if sizes[-1] > cap:
-        fits = bisect.bisect_right(sizes, cap) - 1
-        raise ResourceLimitError(f"ball size exceeded limit {cap}", radius_reached=fits)
-    return CayleyBall(family, gens, radius, (0, *sizes))
+    if space is None:
+        space = CayleyGraphSpace(gens.family, gens)
+    return space.length(g, bound)
 
 
-class WordLengthOracle:
-    """The one breadth-first search of the package: the ball around the
-    identity, grown sphere by sphere as callers need it.
+class CayleyGraphSpace(MetricSpace):
+    """A group with a word metric, as a discrete exact metric space, and the
+    one breadth-first search of the package: the ball around the identity,
+    grown sphere by sphere as callers need it.
 
     ``layers[r]`` is S(r) in discovery order, empty past the reach of a
-    finite group.  ``cayley_ball`` grows one to the radius, and one oracle
-    answers all word-length queries of a ``CayleyGraphSpace``, from the
-    closed form when ``closed`` (``has_closed_form``, decided once).  Its
-    ``cap`` is the ``ball_limit`` when it is built.
+    finite group.  ``ball`` grows the search to a radius, and the same search
+    answers every word-length query, from the closed form when ``closed``
+    (``has_closed_form``, decided once).  ``cap`` is the ``ball_limit`` when
+    the space is built.
     """
 
-    def __init__(self, family: GroupFamily, gens: GeneratingSet):
+    distance_bound = 4096  # longest word length a search looks for; closed forms have none
+    kernel_range = 1 << 20  # distance_block's kernels read element entries below this
+
+    def __init__(
+        self,
+        family: GroupFamily,
+        gens: GeneratingSet | None = None,
+    ):
         self.family = family
-        self.gens = gens
-        self.closed = has_closed_form(family, gens)
+        self.gens = gens if gens is not None else GeneratingSet.standard(family)
+        if self.gens.family is not family:
+            raise InvalidParameterError("generating set belongs to a different family")
+        self.closed = has_closed_form(family, self.gens)
         self.cap = ball_limit()
         self._dist: dict[Element, int] = {family.identity(): 0}
         self.layers: list[list[Element]] = [[family.identity()]]
 
     def grow(self, radius: int) -> None:
-        """Grow the ball to ``radius``, one whole sphere at a time.
+        """Grow the search to ``radius``, one whole sphere at a time.
 
         Each new sphere is collected apart and kept only once it fits under
         the limit, so a grow that raises leaves the search as it was, and
@@ -771,53 +750,41 @@ class WordLengthOracle:
             raise PreconditionError("bound must be >= 0")
         if self.closed:
             n = self.family.closed_form_length(g)
-            return n if n <= bound else None
-        while g not in self._dist and len(self.layers) <= bound and self.layers[-1]:
-            self.grow(len(self.layers))
-        n = self._dist.get(g)
+        else:
+            while g not in self._dist and len(self.layers) <= bound and self.layers[-1]:
+                self.grow(len(self.layers))
+            n = self._dist.get(g)
         return n if n is not None and n <= bound else None
 
+    def ball(self, radius: int) -> CayleyBall:
+        """B(radius) with exact word lengths, in shortlex order, keeping this
+        space as its ``space``.
 
-def word_length(
-    family: GroupFamily,
-    gens: GeneratingSet,
-    g: Element,
-    bound: int,
-    *,
-    oracle: WordLengthOracle | None = None,
-) -> Optional[int]:
-    """Word length of ``g`` w.r.t. ``gens`` if <= bound, else None.
-
-    ``g`` is not checked (callers use ``family.check_element``).  The
-    ``oracle`` (a new one if None) uses the family's closed form or a
-    breadth-first search; an unreached element gives None.
-    """
-    if oracle is None:
-        oracle = WordLengthOracle(family, gens)
-    return oracle.length(g, bound)
-
-
-class CayleyGraphSpace(MetricSpace):
-    """A group with a word metric, as a discrete exact metric space."""
-
-    exact = True
-    distance_bound = 4096  # longest word length a search looks for; closed forms have none
-    kernel_range = 1 << 20  # distance_block's kernels read element entries below this
-
-    def __init__(
-        self,
-        family: GroupFamily,
-        gens: GeneratingSet | None = None,
-    ):
-        self.family = family
-        self.gens = gens if gens is not None else GeneratingSet.standard(family)
-        if self.gens.family is not family:
-            raise InvalidParameterError("generating set belongs to a different family")
-        self._oracle = WordLengthOracle(family, self.gens)
-        self._bound = inf if self._oracle.closed else self.distance_bound
+        Under ``closed`` the family's ``ball_sizes`` are checked against the
+        ball limit first, and give ``sphere_offsets`` without a search; the
+        ball's ``rows`` are built only when read.  Otherwise the search grows
+        to the radius (it may already reach further), and each of its
+        spheres up to the radius is sorted by ``element_key``; the ball keeps
+        the elements.  One over the limit raises
+        ``ResourceLimitError("ball size exceeded limit N")`` with the last
+        radius that fits.
+        """
+        if radius < 0:
+            raise PreconditionError("radius must be >= 0")
+        if not self.closed:
+            self.grow(radius)
+            layers = [sorted(layer, key=self.family.element_key) for layer in self.layers[: radius + 1]]
+            ball = CayleyBall(self, radius, tuple(np.cumsum([0, *map(len, layers)]).tolist()))
+            ball.elements = tuple(g for layer in layers for g in layer)
+            return ball
+        sizes = self.family.ball_sizes(min(radius, self.cap), self.cap).tolist()  # |B(r)| > r: B(cap) is over
+        if sizes[-1] > self.cap:
+            fits = bisect.bisect_right(sizes, self.cap) - 1
+            raise ResourceLimitError(f"ball size exceeded limit {self.cap}", radius_reached=fits)
+        return CayleyBall(self, radius, (0, *sizes))
 
     def _length(self, g: Element) -> int:
-        n = word_length(self.family, self.gens, g, self._bound, oracle=self._oracle)
+        n = word_length(self.family, self.gens, g, inf if self.closed else self.distance_bound, space=self)
         if n is None:
             raise ResourceLimitError(f"word length exceeds distance bound {self.distance_bound}")
         return n
@@ -832,7 +799,7 @@ class CayleyGraphSpace(MetricSpace):
         ``coords``, while element entries stay below ``kernel_range``: far
         inside the range where each kernel is exact (``heisenberg_length``:
         |ab|, |c| < 2^61).  Past it, and on searches, each entry is one
-        |y^-1 x| from the space's one oracle.  Each point is checked with
+        |y^-1 x| from the space's one search.  Each point is checked with
         ``check_point`` once, as ``distance`` checks it."""
         for p in points:
             self.check_point(p)
@@ -841,7 +808,7 @@ class CayleyGraphSpace(MetricSpace):
         def fits(elements: Sequence[Element]) -> bool:
             return all(-self.kernel_range < v < self.kernel_range for g in elements for v in g)
 
-        X = fam.coords(points) if self._oracle.closed and fits(points) else None
+        X = fam.coords(points) if self.closed and fits(points) else None
 
         def block(ys: Sequence[Element], idx: np.ndarray) -> tuple[np.ndarray, int]:
             for y in ys:
@@ -863,7 +830,7 @@ class CayleyGraphSpace(MetricSpace):
             self.family.check_element(p)
         except TypeError as exc:
             raise InvalidPointError(str(exc)) from exc
-        if isinstance(self.family, FiniteGroup) and self._oracle.length(p, self.family.n) is None:
+        if isinstance(self.family, FiniteGroup) and self.length(p, self.family.n) is None:
             raise InvalidPointError(f"{p!r} is not reached by the generators")
 
     def point_label(self, p) -> str:
@@ -874,10 +841,11 @@ class CayleyGraphSpace(MetricSpace):
         return (self._length(p), self.family.element_key(p))
 
     def points(self) -> Optional[list]:
-        """Every element a finite group's generators reach, in shortlex order."""
+        """Every element a finite group's generators reach, in shortlex
+        order, from the space's own search."""
         if not isinstance(self.family, FiniteGroup):
             return None
-        return list(cayley_ball(self.family, self.gens, self.family.n).elements)
+        return list(self.ball(self.family.n).elements)
 
     def sample_points(self, rng: random.Random, count: int) -> list:
         out = []

@@ -55,9 +55,9 @@ class MetricSpace(ABC):
     """A point universe with a distance oracle and a base point.
 
     Subclasses are immutable after construction, except for caches that a
-    distance oracle grows as it is queried (``CayleyGraphSpace`` grows an
-    unlocked ``WordLengthOracle``), so distance oracles are not safe for
-    concurrent evaluation.
+    distance oracle grows as it is queried (``CayleyGraphSpace`` grows its
+    one unlocked search), so distance oracles are not safe for concurrent
+    evaluation.
     """
 
     exact: bool = True
@@ -265,8 +265,6 @@ class FiniteMetricSpace(MetricSpace):
     symmetry, zero diagonal, nonnegativity, and the triangle inequality over
     all n^3 triples.
     """
-
-    exact = True
 
     def __init__(self, matrix: Sequence[Sequence[Scalar | str]], base_index: int = 0):
         n = len(matrix)

@@ -23,15 +23,13 @@ from .metric import MetricSpace, exact_table
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, strings like "7/2", and Fractions to Fraction."""
+    """Coerce ints, strings like "7/2", Fractions and floats to Fraction.  A
+    float is read as the decimal text Python prints for it, as ``--values``
+    reads it: 1e-13 is 1/10^13, and NaN and infinities raise ValueError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
+    if isinstance(x, (str, int, float)):
+        return Fraction(str(x) if isinstance(x, float) else x)
     raise InvalidParameterError(f"cannot coerce {x!r} to an exact rational")
 
 
@@ -80,8 +78,6 @@ class SpokeRaySpace(_CodedSpace):
     point contributes its exit costs onto the hub/ray skeleton and the
     minimum route wins.
     """
-
-    exact = True
 
     @property
     def base_point(self):
@@ -213,8 +209,6 @@ class StarTreeSpace(_CodedSpace):
     Unbounded, but contains no infinite geodesic ray: every branch is a
     dead end of finite length n with endpoint x_n.
     """
-
-    exact = True
 
     @property
     def base_point(self):
@@ -555,16 +549,30 @@ class UpperHalfPlane(MetricSpace):
 
 def lp_norm(x, p: float, axis=None):
     """The l^p norm, p in [1, inf]: of x flattened, as a float, or of each
-    slice of x along ``axis``, as an array."""
+    slice of x along ``axis``, as an array.  A slice whose plain sum
+    overflows to inf or underflows to 0 is divided by m = max|x_j| first,
+    and its norm multiplied by m after, where m is finite and positive;
+    every other slice keeps the plain value."""
     v = np.asarray(x, dtype=float)
     if axis is None:
         v = v.ravel()
-    if p == 2.0:
-        n = np.linalg.norm(v, axis=axis)
-    elif math.isinf(p):
-        n = np.max(np.abs(v), axis=axis)
-    else:
-        n = np.sum(np.abs(v) ** p, axis=axis) ** (1.0 / p)
+
+    def plain(v):
+        if p == 2.0:
+            return np.linalg.norm(v, axis=axis)
+        if math.isinf(p):
+            return np.max(np.abs(v), axis=axis)
+        return np.sum(np.abs(v) ** p, axis=axis) ** (1.0 / p)
+
+    with np.errstate(over="ignore", under="ignore"):
+        n = plain(v)
+        if axis is None and 0 < n < math.inf:
+            return float(n)
+        bad = ~((0 < n) & (n < math.inf))  # 0, inf or NaN
+        if bad.any():
+            m = np.max(np.abs(v), axis=axis, initial=0.0)
+            m = np.where(bad & (0 < m) & (m < math.inf), m, 1.0)  # 1: the plain value again
+            n = np.where(bad, m * plain(v / (m if axis is None else np.expand_dims(m, axis))), n)
     return float(n) if axis is None else n
 
 

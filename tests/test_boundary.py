@@ -660,6 +660,23 @@ def test_action_past_a_finite_groups_diameter():
         act_on_rows(ball, 4, V, 6)
 
 
+def test_h3_xyz_boundary_runs_one_search(monkeypatch):
+    # H3 under {x, y, z}: the ball's search grows to r_max = 14, and the
+    # sphere distances continue the same search to R + r = 16.  A second
+    # search from the identity would take 30 sphere steps in all.
+    steps, grow = [], CayleyGraphSpace.grow
+
+    def counted(self, radius):
+        n = len(self.layers)
+        grow(self, radius)
+        steps.append(len(self.layers) - n)
+
+    monkeypatch.setattr(CayleyGraphSpace, "grow", counted)
+    h3 = Heisenberg()
+    lrs = limit_restrictions(h3, GeneratingSet.create(h3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]), 2, 14, 3)
+    assert (len(lrs.values), lrs.certificate.kind, sum(steps)) == (1602, "heuristic", 16)
+
+
 def test_action_fails_with_the_per_pair_message():
     z2 = Zd(2)
     ball = cayley_ball(z2, GeneratingSet.create(z2, Z2_XY), 6)

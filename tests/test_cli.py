@@ -197,6 +197,29 @@ def test_extend_mcshane_scales_int64_distances_past_int64(capsys):
     assert out.strip().splitlines() == ["point,value", "0,0", "1,1/8"]
 
 
+def test_extend_mcshane_reads_float_ray_parameters_as_printed(capsys):
+    # t = 1e-13 is a ray point, not the hub, and 0.3333333333333 is not 1/3;
+    # an infinite t is invalid input.
+    argv = ("extend", "mcshane", "--space", '{"type": "spoke_ray"}', "--domain", '[{"kind": "hub"}]',
+            "--values", '["0"]', "--format", "csv", "--eval")
+    code, out, err = run(capsys, *argv, '[{"kind": "ray", "t": 1e-13}, {"kind": "ray", "t": 0.3333333333333}]')
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["point,value", "ray(1/10000000000000),-1/10000000000000",
+                                "ray(3333333333333/10000000000000),-3333333333333/10000000000000"]
+    code, out, err = run(capsys, *argv, '[{"kind": "ray", "t": Infinity}]')
+    assert (code, out, json.loads(err)["error"]) == (2, "", "InvalidParameterError")
+
+
+def test_extend_mcshane_on_lp_past_the_float_square(capsys):
+    # |(1e308, 1e308)|_2 = 1.41e308 is finite, though its square is not.
+    code, out, err = run(capsys, "extend", "mcshane", "--space", '{"type": "lp"}', "--domain", "[[0, 0], [1, 0]]",
+                         "--values", "[0, 1]", "--eval", "[[1e308, 1e308]]")
+    assert (code, err) == (0, "")
+    assert "Infinity" not in out
+    (row,) = json.loads(out)["result"]["values"]
+    assert row["value"] == pytest.approx(-2**0.5 * 1e308, rel=1e-12)
+
+
 def test_extend_mcshane_eval_all_reads_every_group_element(capsys):
     # S3 from its multiplication table, generated by two transpositions
     space = json.dumps({"type": "finite_group", "params": {"generators": [1, 2], "table": [

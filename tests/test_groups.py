@@ -16,7 +16,6 @@ from horokit.groups import (
     FreeGroup,
     GeneratingSet,
     Heisenberg,
-    WordLengthOracle,
     Zd,
     cayley_ball,
     cyclic_group,
@@ -161,7 +160,7 @@ def test_ball_edges_shift_length_by_at_most_one():
     ball = cayley_ball(fam, GeneratingSet.standard(fam), 4)
     lengths = {g: r for r in range(ball.radius + 1) for g in ball.sphere(r)}
     for g, length in lengths.items():
-        for s in ball.gens.elements:
+        for s in ball.space.gens.elements:
             h = fam._mul(g, s)
             if h in lengths:
                 assert abs(lengths[h] - length) <= 1
@@ -459,19 +458,19 @@ def test_word_length_closed_forms():
 def test_word_length_inverse_symmetric():
     fam = Heisenberg()
     gens = GeneratingSet.standard(fam)
-    oracle = WordLengthOracle(fam, gens)
+    space = CayleyGraphSpace(fam, gens)
     rng = random.Random(1)
     for _ in range(20):
         g = (rng.randrange(-3, 4), rng.randrange(-3, 4), rng.randrange(-5, 6))
-        n = oracle.length(g, 64)
-        assert n == oracle.length(fam.inverse(g), 64)
+        n = space.length(g, 64)
+        assert n == space.length(fam.inverse(g), 64)
 
 
 def test_heisenberg_central_lengths_fixture():
     fam = Heisenberg()
     gens = GeneratingSet.standard(fam)
-    oracle = WordLengthOracle(fam, gens)
-    got = [oracle.length(fam.central(k), 64) for k in range(17)]
+    space = CayleyGraphSpace(fam, gens)
+    got = [space.length(fam.central(k), 64) for k in range(17)]
     assert got == HEISENBERG_CENTRAL_LENGTHS
     assert [fam.closed_form_length(fam.central(k)) for k in range(17)] == got
     # sublinear: consistent with sqrt-type growth
@@ -638,31 +637,31 @@ def test_closed_form_block_never_calls_distance(fam, monkeypatch):
     assert M.tolist() == want
 
 
-def test_word_length_oracle_on_nonstandard_generators():
+def test_search_lengths_on_nonstandard_generators():
     fam = Heisenberg()
     steps = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
     dist = bfs_ball((0, 0, 0), steps + [(-1, 0, 0), (0, -1, 0), (-1, -1, 1)], heis_mul, 6)
-    oracle = WordLengthOracle(fam, GeneratingSet.create(fam, steps))
+    space = CayleyGraphSpace(fam, GeneratingSet.create(fam, steps))
     rng = random.Random(6)
     for g in rng.sample(sorted(dist), 300):
-        assert oracle.length(g, dist[g]) == dist[g], g
+        assert space.length(g, dist[g]) == dist[g], g
         if dist[g]:
-            assert oracle.length(g, dist[g] - 1) is None, g
+            assert space.length(g, dist[g] - 1) is None, g
 
 
 # every search case but the last has a sphere S(3)
 @pytest.mark.parametrize("case", SEARCH_CASES[:-1], ids=lambda c: c[0])
-def test_word_length_oracle_limit_inside_a_sphere(case, monkeypatch):
+def test_search_limit_inside_a_sphere(case, monkeypatch):
     _, fam, ident, gens, mul = case
     dist = bfs_ball(ident, gens, mul, 3)
     size = [sum(1 for d in dist.values() if d <= r) for r in range(4)]
     near, far = (next(g for g, d in dist.items() if d == r) for r in (2, 3))
     for limit in range(size[2], size[3]):
         monkeypatch.setenv("HOROKIT_MAX_BALL", str(limit))
-        oracle = WordLengthOracle(fam, GeneratingSet.create(fam, gens))
-        assert oracle.length(near, 8) == 2
+        space = CayleyGraphSpace(fam, GeneratingSet.create(fam, gens))
+        assert space.length(near, 8) == 2
         with pytest.raises(ResourceLimitError, match=f"^ball size exceeded limit {limit}$") as exc:
-            oracle.length(far, 8)
+            space.length(far, 8)
         assert exc.value.radius_reached == 2
 
 
@@ -683,7 +682,7 @@ Z2_XY = GeneratingSet.create(Z2, [(1, 0), (0, 1), (1, 1)])  # no closed form: a 
 BALL_BUILDERS = {
     "closed-form ball": lambda: cayley_ball(FreeGroup(2), GeneratingSet.standard(FreeGroup(2)), 10),
     "search ball": lambda: cayley_ball(Z2, Z2_XY, 5),
-    "search oracle": lambda: WordLengthOracle(Z2, Z2_XY).length((5, 0), 10),
+    "search length": lambda: CayleyGraphSpace(Z2, Z2_XY).length((5, 0), 10),
     "search distance": lambda: CayleyGraphSpace(Z2, Z2_XY).distance((0, 0), (5, 0)),
     "limit_restrictions": lambda: limit_restrictions(
         FreeGroup(2), GeneratingSet.standard(FreeGroup(2)), 1, 8, 2),
@@ -701,22 +700,59 @@ def test_every_ball_builder_obeys_the_one_ball_limit(name, monkeypatch):
 
 
 @pytest.mark.parametrize("family,gens,ask,limit,reached", [
-    (Z2, Z2_XY, lambda s: s._oracle.length((3, 3), 10), "5", 0),  # |B(1)| = 7
+    (Z2, Z2_XY, lambda s: s.length((3, 3), 10), "5", 0),  # |B(1)| = 7
+    (Z2, Z2_XY, lambda s: s.ball(1), "5", 0),
     (cyclic_group(12), None, lambda s: s.check_point(6), "6", 2),  # |B(3)| = 7
-], ids=["Z^2{x,y,xy}", "C12"])
+], ids=["Z^2{x,y,xy}", "Z^2{x,y,xy} ball", "C12"])
 def test_a_search_over_the_limit_keeps_raising(family, gens, ask, limit, reached, monkeypatch):
     # A sphere that does not fit is not kept: every retry raises the same
     # error, and the search is left as it was.
     monkeypatch.setenv("HOROKIT_MAX_BALL", limit)
     space = CayleyGraphSpace(family, gens)
-    oracle = space._oracle
-    oracle.grow(reached)
-    before = (dict(oracle._dist), [list(layer) for layer in oracle.layers])
+    space.grow(reached)
+    before = (dict(space._dist), [list(layer) for layer in space.layers])
     for _ in range(3):
         with pytest.raises(ResourceLimitError, match=f"^ball size exceeded limit {limit}$") as exc:
             ask(space)
         assert exc.value.radius_reached == reached
-        assert (oracle._dist, oracle.layers) == before
+        assert (space._dist, space.layers) == before
+
+
+def test_a_searched_ball_keeps_the_search_that_built_it():
+    # The ball's space is the search grown to R: distances inside B(R) read
+    # it without growing it, and a ball of the same space at a smaller
+    # radius slices the spheres that the search already holds.
+    R = 6
+    ball = cayley_ball(Z2, Z2_XY, R)
+    space = ball.space
+    assert (space.family, space.gens, len(space.layers)) == (Z2, Z2_XY, R + 1)
+    dist = bfs_ball((0, 0), list(Z2_XY.elements), lambda g, s: (g[0] + s[0], g[1] + s[1]), R)
+    pts = ball.ball(3)
+    for p in pts:
+        for q in pts:
+            assert space.distance(p, q) == dist[q[0] - p[0], q[1] - p[1]]
+    assert [ball.space.point_key(g)[0] for g in ball.elements] == [dist[g] for g in ball.elements]
+    assert len(space.layers) == R + 1
+    small = space.ball(2)
+    assert small.space is space and len(space.layers) == R + 1
+    assert (small.elements, small.sphere_offsets) == (ball.ball(2), ball.sphere_offsets[:4])
+    assert small.elements == cayley_ball(Z2, Z2_XY, 2).elements
+
+
+def test_finite_points_share_the_space_search(monkeypatch):
+    # S3 under two transpositions: points() grows the space's own search to
+    # the group's order, and validation then reads every distance from it.
+    space = CayleyGraphSpace(FiniteGroup(S3_TABLE, [1, 2]))
+    assert space.points() == [0, 1, 2, 3, 4, 5]
+    assert len(space.layers) == 7 and [len(layer) for layer in space.layers[:4]] == [1, 2, 2, 1]
+
+    def grow(radius, grow=space.grow):
+        assert radius < len(space.layers), "the search grew again"
+        grow(radius)
+
+    monkeypatch.setattr(space, "grow", grow)
+    rep = validate_metric(space)
+    assert rep.passed and rep.triples_checked == 6**3
 
 
 @pytest.mark.parametrize("space,bad", [

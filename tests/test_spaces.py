@@ -24,6 +24,8 @@ from horokit.spaces import (
     cayley_to_disk,
     cayley_to_half_plane,
     distorted_line_validate,
+    frac,
+    lp_norm,
 )
 
 from oracles import (
@@ -36,6 +38,26 @@ from oracles import (
 
 SR = SpokeRaySpace()
 ST = StarTreeSpace()
+
+
+@pytest.mark.parametrize("x,want", [
+    (1e-13, Fraction(1, 10**13)),
+    (0.3333333333333, Fraction(3333333333333, 10**13)),
+    (0.1, Fraction(1, 10)),
+    (2.5, Fraction(5, 2)),
+    (1e22, Fraction(10**22)),
+])
+def test_frac_reads_a_float_as_its_printed_decimal(x, want):
+    # As --values reads a float: Fraction(str(x)), not a nearby fraction of
+    # small denominator (1e-13 used to become 0, the hub).
+    assert frac(x) == want
+    assert SR.point_label(SR.ray_point(x)) == f"ray({want})"
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_frac_rejects_non_finite_floats(x):
+    with pytest.raises(ValueError):
+        frac(x)
 
 
 class TestSpokeRay:
@@ -611,6 +633,43 @@ class TestLp:
     def test_p_below_one_or_nan_rejected(self, p):
         with pytest.raises(InvalidParameterError, match="^p must be >= 1$"):
             LpSpace(p, 2)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("scale", [1e308, 1e-200, 5e-324])
+    def test_norm_neither_overflows_nor_underflows(self, p, scale):
+        # The plain sums overflow to inf or underflow to 0; scaled by
+        # max|x_j| first, the norm is scale * 2^(1/p), with or without axis.
+        # (1e-200 at p = 1.5 is not rescaled: its sum 2e-300 is a normal
+        # float, and s^(1/p) with 1/p rounded is off by about |ln s| ulps.)
+        want = scale * 2 ** (1 / p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isclose(lp_norm([scale, -scale], p), want, rel_tol=1e-12)
+            rows = np.array([[scale, -scale], [3.0, 4.0], [0.0, 0.0], [math.inf, 1.0], [math.nan, 1.0]])
+            by_row = lp_norm(rows, p, axis=1)
+            by_col = lp_norm(rows.T, p, axis=0)
+        for got in (by_row, by_col):
+            assert math.isclose(got[0], want, rel_tol=1e-12)
+            assert got[1] == lp_norm([3.0, 4.0], p) and got[2] == 0.0
+            assert got[3] == math.inf and math.isnan(got[4])
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    def test_norm_keeps_its_bits_in_range(self, p):
+        # Only slices whose plain value is 0 or not finite are rescaled; the
+        # rest keep the bits of the unscaled formula.
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(50, 7)) * 10.0 ** rng.integers(-90, 90, size=(50, 1))
+
+        def plain(v, axis):
+            if p == 2.0:
+                return np.linalg.norm(v, axis=axis)
+            if math.isinf(p):
+                return np.max(np.abs(v), axis=axis)
+            return np.sum(np.abs(v) ** p, axis=axis) ** (1.0 / p)
+
+        assert lp_norm(X, p, axis=1).tolist() == plain(X, 1).tolist()
+        assert lp_norm(X.T, p, axis=0).tolist() == plain(X.T, 0).tolist()
+        assert [lp_norm(x, p) for x in X] == [float(plain(x, None)) for x in X]
 
     def test_padding(self):
         space = LpSpace(2, 3)
