@@ -48,7 +48,6 @@ from .extension import (
     PigeonholeLimit,
     euclidean_zero_nonmembership_check,
     hahn_banach_extend,
-    mcshane_extend,
     spoke_ray_failure_witness,
     star_tree_failure_witness,
 )

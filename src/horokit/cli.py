@@ -52,10 +52,10 @@ from .errors import (
     ResourceLimitError,
 )
 from .extension import (
+    McShaneExtension,
     PartialFunctional,
     euclidean_zero_nonmembership_check,
     hahn_banach_extend,
-    mcshane_extend,
     spoke_ray_failure_witness,
     star_tree_failure_witness,
 )
@@ -184,7 +184,7 @@ def _extend_mcshane(args) -> Outcome:
         pts = [point_from_json(space, p) for p in json.loads(args.domain)]
     with _parsing("--values"):
         vals = [Fraction(str(v)) if space.exact else float(v) for v in json.loads(args.values)]
-    ext = mcshane_extend(PartialFunctional(space, pts, vals), args.mode)
+    ext = McShaneExtension(PartialFunctional(space, pts, vals), args.mode)
     if args.eval == "all":
         targets = space.points()
         if targets is None:
@@ -216,7 +216,6 @@ def _extend_hahn_banach(args) -> Outcome:
     n_max = _count("--n", args.n, 1 if args.fixture == "spoke-ray" else 0)
     if args.fixture == "spoke-ray":
         res = _spoke_ray_hahn_banach(n_max)
-        ok = res.audit.passed and all(v.stabilized for v in res.table.values())
     elif args.fixture == "plane-axis":
         space = LpSpace(2, 2)
         res = hahn_banach_extend(
@@ -226,7 +225,6 @@ def _extend_hahn_banach(args) -> Outcome:
             eval_points=[np.array([3.0, 4.0]), np.array([-1.0, 2.0])],
             audit_points=[np.array([s, 0.0]) for s in (0.0, 1.0, 5.0, 20.0)],
         )
-        ok = res.audit.passed
     else:  # star-tree
         space = StarTreeSpace()
         res = hahn_banach_extend(
@@ -236,7 +234,8 @@ def _extend_hahn_banach(args) -> Outcome:
             eval_points=[space.interval_point(m, Fraction(1, 2)) for m in range(1, 9)],
             audit_points=[space.endpoint(m) for m in range(1, 9)],
         )
-        ok = res.audit.passed
+    # an evaluated point whose limit did not stabilize is no silent value
+    ok = res.audit.passed and all(v.stabilized for v in res.table.values())
     values = {k: v.value for k, v in res.table.items()}
     result = {"fixture": args.fixture, "values": values, "audit": res.audit}
     return Outcome("extend.hahn_banach", {"fixture": args.fixture, "n": args.n}, result, ok,
@@ -248,8 +247,8 @@ def _selftest_extend() -> list[tuple[str, bool]]:
 
     space = FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     pf = PartialFunctional(space, [0], [Fraction(0)])
-    sup = mcshane_extend(pf, "sup")
-    inf = mcshane_extend(pf, "inf")
+    sup = McShaneExtension(pf, "sup")
+    inf = McShaneExtension(pf, "inf")
     checks = [
         ("single_point_sup", [sup.evaluate(i) for i in range(3)] == [0, -1, -2]),
         ("single_point_inf", [inf.evaluate(i) for i in range(3)] == [0, 1, 2]),

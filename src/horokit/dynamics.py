@@ -263,15 +263,10 @@ def _orbit_displacements(f: SelfMap, n: int) -> list:
     """a_k = d(x0, f^k(x0)) for k = 0..n from the base point x0, exact where
     the space is.  A Moebius map reads them from ``orbit_distances`` on
     either model: the Cayley transform sends the disk's base point 0 to i."""
-    space = f.space
     if f.matrix is not None:
         return orbit_distances([f.matrix], n)[0]
-    out = [0]
-    base = x = space.base_point
-    for _ in range(n):
-        x = f.apply(x)
-        out.append(space.distance(base, x))
-    return out
+    base, *rest = f.orbit(n)
+    return [0, *(f.space.distance(base, x) for x in rest)]
 
 
 def translation_number(f: SelfMap, n: int) -> TauReport:

@@ -88,10 +88,6 @@ class McShaneExtension:
         )
 
 
-def mcshane_extend(f: PartialFunctional, mode: str) -> McShaneExtension:
-    return McShaneExtension(f, mode)
-
-
 # ---------------------------------------------------------------------------
 # Pigeonhole limits along witness sequences
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .metric import MetricSpace, Point, Scalar
 from .metric import first_lipschitz_violation, numeric_arrays
-from .serialize import scalar_to_json
 from .spaces import LpSpace, PoincareDisk, disk_gap, lp_norm, pad_pair
 
 
@@ -45,9 +44,9 @@ class BallFunctional:
     """
 
     radius: Any
-    labels: tuple[str, ...]
+    labels: tuple[str, ...] = field(metadata={"key": "order"})
     values: tuple[Any, ...]
-    points: tuple = field(compare=False, repr=False, default=())
+    points: tuple = field(compare=False, repr=False, default=(), metadata={"skip": True})
 
     def check(self, dist: Callable[[Point, Point], Scalar]) -> None:
         """Check the value at the base point (points[0]) is 0 and every pair
@@ -58,12 +57,6 @@ class BallFunctional:
         D = [[dist(p, q) if i < j else 0 for j, q in enumerate(pts)] for i, p in enumerate(pts)]
         V, D, _ = numeric_arrays([self.values], D)
         check_rows(self.labels, V, D)
-
-    def as_dict(self) -> dict:
-        values = self.values
-        if set(map(type, values)) != {int}:
-            values = [scalar_to_json(v) for v in values]
-        return {"radius": scalar_to_json(self.radius), "order": self.labels, "values": values}
 
 
 def check_rows(labels: Sequence[str], V: np.ndarray, D: np.ndarray) -> None:

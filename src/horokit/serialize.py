@@ -55,6 +55,19 @@ def scalar_to_json(v) -> Any:
     raise UnsupportedError(f"cannot serialize scalar {v!r}")
 
 
+def _integer(v, name: str) -> int:
+    """An integer field of JSON input, read by ``int()`` where that keeps its
+    value (an int, an integral float, an int's text); a fraction, an
+    infinity, NaN or any other value raises an error naming the field."""
+    try:
+        n = int(v)
+        if n == v or isinstance(v, str):
+            return n
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidParameterError(f"{name} must be an integer, got {v!r}")
+
+
 def space_from_descriptor(desc: dict) -> MetricSpace:
     """Build a metric space from a JSON descriptor."""
     if not isinstance(desc, dict) or "type" not in desc:
@@ -65,12 +78,12 @@ def space_from_descriptor(desc: dict) -> MetricSpace:
         # Entries read as Fraction(str(v)) reads them: a JSON int as it is, and
         # any other value as its text, which FiniteMetricSpace reads exactly.
         matrix = [[v if type(v) is int else str(v) for v in row] for row in params["matrix"]]
-        return FiniteMetricSpace(matrix, base_index=int(desc.get("base", 0)))
+        return FiniteMetricSpace(matrix, base_index=_integer(desc.get("base", 0), "base"))
     if kind == "zd":
-        family = Zd(int(params.get("dim", 1)))
+        family = Zd(_integer(params.get("dim", 1), "dim"))
         return CayleyGraphSpace(family)
     if kind == "free":
-        family = FreeGroup(int(params.get("rank", 2)))
+        family = FreeGroup(_integer(params.get("rank", 2), "rank"))
         return CayleyGraphSpace(family)
     if kind == "heisenberg":
         return CayleyGraphSpace(Heisenberg())
@@ -90,7 +103,7 @@ def space_from_descriptor(desc: dict) -> MetricSpace:
     if kind == "half_plane":
         return UpperHalfPlane()
     if kind == "lp":
-        return LpSpace(float(params.get("p", 2)), int(params.get("dim", 2)))
+        return LpSpace(float(params.get("p", 2)), _integer(params.get("dim", 2), "dim"))
     raise InvalidParameterError(f"unknown space type {kind!r}")
 
 
@@ -104,13 +117,13 @@ def point_from_json(space: MetricSpace, obj) -> Any:
 
 def _parse_point(space: MetricSpace, obj) -> Any:
     if isinstance(space, FiniteMetricSpace):
-        return int(obj)
+        return _integer(obj, "point")
     if isinstance(space, CayleyGraphSpace):
         if isinstance(space.family, FiniteGroup):
-            return int(obj)
+            return _integer(obj, "element")
         if isinstance(space.family, FreeGroup):
             return space.family.word(str(obj))
-        return tuple(int(v) for v in obj)
+        return tuple(_integer(v, "coordinate") for v in obj)
     if isinstance(space, SpokeRaySpace):
         kind = obj.get("kind")
         if kind == "hub":
@@ -118,14 +131,14 @@ def _parse_point(space: MetricSpace, obj) -> Any:
         if kind == "ray":
             return space.ray_point(frac(obj["t"]))
         if kind == "head":
-            return space.spoke_head(int(obj["n"]))
+            return space.spoke_head(_integer(obj["n"], "n"))
         if kind == "spoke":
-            return space.spoke_interior(int(obj["n"]), frac(obj["s"]))
+            return space.spoke_interior(_integer(obj["n"], "n"), frac(obj["s"]))
         raise InvalidParameterError(f"unknown tagged point {obj!r}")
     if isinstance(space, StarTreeSpace):
         if obj.get("kind") == "hub":
             return space.base_point
-        return space.interval_point(int(obj["n"]), frac(obj["s"]))
+        return space.interval_point(_integer(obj["n"], "n"), frac(obj["s"]))
     if isinstance(space, DistortedLine):
         return float(obj)
     if isinstance(space, (PoincareDisk, UpperHalfPlane)):

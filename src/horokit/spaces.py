@@ -39,7 +39,11 @@ class _CodedSpace(MetricSpace):
     ``_code_distances(y_codes, columns)`` adds at most three code
     magnitudes per entry of the block from the ys to the columns.  Codes
     below 2^61 (int64 in :func:`exact_table`) thus keep distances and their
-    differences below 2^63."""
+    differences below 2^63.
+
+    A point is a tuple (tag, field, ...) with a tag from ``kinds``: its
+    label is "tag(field,...)", or the bare tag, and its key is the tag's
+    position in ``kinds`` followed by its fields, padded with 0 to two."""
 
     def distance(self, p, q) -> Fraction:
         return self._code_distances(self._codes(p), self._codes(q)).item()
@@ -55,6 +59,13 @@ class _CodedSpace(MetricSpace):
             return self._code_distances(C[:, : len(ys), None], C[:, len(ys) + idx]), den
 
         return block
+
+    def point_label(self, p) -> str:
+        return p[0] + (f"({','.join(map(str, p[1:]))})" if len(p) > 1 else "")
+
+    def point_key(self, p):
+        self.check_point(p)
+        return (self.kinds.index(p[0]), *p[1:], 0, 0)[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +89,8 @@ class SpokeRaySpace(_CodedSpace):
     point contributes its exit costs onto the hub/ray skeleton and the
     minimum route wins.
     """
+
+    kinds = ("hub", "ray", "head", "spoke")
 
     @property
     def base_point(self):
@@ -159,27 +172,6 @@ class SpokeRaySpace(_CodedSpace):
 
     distance = _CodedSpace.distance  # an entry of its own, which the layer tracer wraps per class
 
-    def point_label(self, p) -> str:
-        tag = p[0]
-        if tag == "hub":
-            return "hub"
-        if tag == "ray":
-            return f"ray({p[1]})"
-        if tag == "head":
-            return f"head({p[1]})"
-        return f"spoke({p[1]},{p[2]})"
-
-    def point_key(self, p):
-        self.check_point(p)
-        tag = p[0]
-        if tag == "hub":
-            return (0, Fraction(0), Fraction(0))
-        if tag == "ray":
-            return (1, p[1], Fraction(0))
-        if tag == "head":
-            return (2, Fraction(p[1]), Fraction(0))
-        return (3, Fraction(p[1]), p[2])
-
     def sample_points(self, rng: random.Random, count: int) -> list:
         out = []
         for _ in range(count):
@@ -209,6 +201,8 @@ class StarTreeSpace(_CodedSpace):
     Unbounded, but contains no infinite geodesic ray: every branch is a
     dead end of finite length n with endpoint x_n.
     """
+
+    kinds = ("hub", "int")
 
     @property
     def base_point(self):
@@ -252,13 +246,6 @@ class StarTreeSpace(_CodedSpace):
     def _code_distances(y, cols):
         branch, depth = cols
         return np.where(branch == y[0], abs(depth - y[1]), depth + y[1])
-
-    def point_label(self, p) -> str:
-        return "hub" if p == HUB else f"int({p[1]},{p[2]})"
-
-    def point_key(self, p):
-        self.check_point(p)
-        return (0, 0, Fraction(0)) if p == HUB else (1, p[1], p[2])
 
     def sample_points(self, rng: random.Random, count: int) -> list:
         out = []
@@ -315,18 +302,15 @@ def distorted_line_validate(
 
 
 class DistortedLine(MetricSpace):
-    """The real line with distance D(|x - y|) for a sublinear distortion D."""
+    """The real line with distance D(|x - y|) for a sublinear distortion D,
+    named by its key in ``DISTORTIONS``."""
 
     exact = False
 
-    def __init__(self, dfun: Callable[[float], float] | str, name: str | None = None):
-        if isinstance(dfun, str):
-            if dfun not in DISTORTIONS:
-                raise InvalidParameterError(f"unknown distortion {dfun!r}")
-            name = dfun
-            dfun = DISTORTIONS[dfun]
-        self.dfun = dfun
-        self.name = name or getattr(dfun, "__name__", "custom")
+    def __init__(self, distortion: str):
+        if distortion not in DISTORTIONS:
+            raise InvalidParameterError(f"unknown distortion {distortion!r}")
+        self.dfun = DISTORTIONS[distortion]
 
     def distance(self, p, q) -> float:
         self.check_point(p)
@@ -405,50 +389,42 @@ def _twice_asinh(diff: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return 2.0 * np.fromiter(map(math.asinh, q), float, len(q)).reshape(diff.shape)
 
 
-def _disk_point(p) -> tuple[float, complex]:
-    return disk_gap(p), complex(p)  # checks p before complex() reads it
-
-
-def _disk_distance(a: tuple[float, complex], b: tuple[float, complex]) -> float:
-    """The distance of two ``_disk_point`` pairs (1 - |z|^2, z)."""
-    return 2.0 * math.asinh(abs(a[1] - b[1]) / math.sqrt(a[0] * b[0]))
-
-
-def _disk_columns(points) -> tuple[np.ndarray, np.ndarray]:
-    """The gaps and coordinates of checked disk points, as two arrays."""
-    pairs = [_disk_point(p) for p in points]
-    return np.array([g for g, _ in pairs], float), np.array([z for _, z in pairs], complex)
-
-
-class PoincareDisk(MetricSpace):
-    """Open unit disk with the conformal metric of curvature -1; base 0.
-
-    Every formula reads 1 - |z|^2 from :func:`disk_gap`, which is exact up
-    to one rounding and positive exactly inside the disk.  The distance
-    2*asinh(|z-w| / sqrt((1-|z|^2)(1-|w|^2))) is accurate to a few ulps up
-    to the boundary circle.
-    """
+class _HyperbolicModel(MetricSpace):
+    """A model of the hyperbolic plane whose distance is
+    2*asinh(|z-w| / (scale*sqrt(f(z) f(w)))), where ``_point(p)`` checks p
+    and returns (f(p), p as a complex number).  While f(z) f(w) is a normal
+    float the square root is taken of the product; past either end of the
+    float range it would overflow or underflow, so the two square roots are
+    taken apart."""
 
     exact = False
 
-    @property
-    def base_point(self) -> complex:
-        return 0j
-
     def check_point(self, p) -> None:
-        disk_gap(p)
+        self._point(p)
 
     def distance(self, p, q) -> float:
-        return _disk_distance(_disk_point(p), _disk_point(q))
+        (f, z), (g, w) = self._point(p), self._point(q)
+        s = f * g
+        root = math.sqrt(s) if sys.float_info.min <= s < math.inf else math.sqrt(f) * math.sqrt(g)
+        return 2.0 * math.asinh(abs(z - w) / (self.scale * root))
+
+    def _columns(self, points) -> tuple[np.ndarray, np.ndarray]:
+        pairs = [self._point(p) for p in points]
+        return np.array([f for f, _ in pairs], float), np.array([z for _, z in pairs], complex)
 
     def distance_block(self, points):
         """``distance``'s formula over whole rows, bit for bit (see
-        :func:`_twice_asinh`)."""
-        gaps, zs = _disk_columns(points)
+        :func:`_twice_asinh`), its two root forms picked per entry."""
+        fs, zs = self._columns(points)
 
         def block(ys, idx):
-            g, w = _disk_columns(ys)
-            return _twice_asinh(w[:, None] - zs[idx], np.sqrt(g[:, None] * gaps[idx])), 1
+            g, w = self._columns(ys)
+            g, f = g[:, None], fs[idx]
+            with np.errstate(over="ignore"):  # the product form is not taken where it overflows
+                s = g * f
+                normal = (sys.float_info.min <= s) & (s < math.inf)
+                root = np.where(normal, np.sqrt(s), np.sqrt(g) * np.sqrt(f))
+                return _twice_asinh(w[:, None] - zs[idx], self.scale * root), 1
 
         return block
 
@@ -456,9 +432,29 @@ class PoincareDisk(MetricSpace):
         return repr(complex(p))
 
     def point_key(self, p):
-        self.check_point(p)
-        z = complex(p)
+        z = self._point(p)[1]
         return (z.real, z.imag)
+
+
+class PoincareDisk(_HyperbolicModel):
+    """Open unit disk with the conformal metric of curvature -1; base 0.
+
+    f(z) = 1 - |z|^2 from :func:`disk_gap`, which is exact up to one
+    rounding and positive exactly inside the disk, and scale 1: the
+    distance is accurate to a few ulps up to the boundary circle.
+    """
+
+    scale = 1.0
+
+    @property
+    def base_point(self) -> complex:
+        return 0j
+
+    @staticmethod
+    def _point(p) -> tuple[float, complex]:
+        return disk_gap(p), complex(p)  # checks p before complex() reads it
+
+    distance = _HyperbolicModel.distance  # an entry of its own, which the layer tracer wraps per class
 
     def sample_points(self, rng: random.Random, count: int) -> list[complex]:
         out = []
@@ -473,67 +469,25 @@ class PoincareDisk(MetricSpace):
         return [r * cmath.exp(2j * math.pi * k / count) for k in range(count)]
 
 
-def _half_plane_point(p) -> complex:
-    """p as a complex number; raises unless it is finite with Im p > 0."""
-    z = _complex_or_nan(p)
-    if not (z.imag > 0 and cmath.isfinite(z)):
-        raise InvalidPointError(f"{p!r} is not in the upper half-plane")
-    return z
+class UpperHalfPlane(_HyperbolicModel):
+    """Upper half-plane model; base point i.  f(z) = Im z and scale 2, which
+    is stable for nearby points."""
 
-
-def _half_plane_distance(z: complex, w: complex) -> float:
-    s = z.imag * w.imag
-    if sys.float_info.min <= s < math.inf:
-        root = math.sqrt(s)
-    else:
-        root = math.sqrt(z.imag) * math.sqrt(w.imag)
-    return 2.0 * math.asinh(abs(z - w) / (2.0 * root))
-
-
-class UpperHalfPlane(MetricSpace):
-    """Upper half-plane model; base point i.
-
-    Distance uses 2*asinh(|z-w| / (2*sqrt(Im z Im w))), which is stable for
-    nearby points.  While Im z Im w is a normal float the square root is
-    taken of the product; past either end of the float range it would
-    overflow or underflow, so the two square roots are taken apart.
-    """
-
-    exact = False
+    scale = 2.0
 
     @property
     def base_point(self) -> complex:
         return 1j
 
-    def check_point(self, p) -> None:
-        _half_plane_point(p)
+    @staticmethod
+    def _point(p) -> tuple[float, complex]:
+        """(Im p, p); raises unless p is finite with Im p > 0."""
+        z = _complex_or_nan(p)
+        if not (z.imag > 0 and cmath.isfinite(z)):
+            raise InvalidPointError(f"{p!r} is not in the upper half-plane")
+        return z.imag, z
 
-    def distance(self, p, q) -> float:
-        return _half_plane_distance(_half_plane_point(p), _half_plane_point(q))
-
-    def distance_block(self, points):
-        """``distance``'s formula over whole rows, bit for bit (see
-        :func:`_twice_asinh`), its two root forms picked per entry."""
-        cols = np.array([_half_plane_point(p) for p in points], complex)
-
-        def block(ys, idx):
-            y = np.array([_half_plane_point(p) for p in ys], complex)[:, None]
-            x = cols[idx]
-            with np.errstate(over="ignore"):  # the product form is not taken where it overflows
-                s = y.imag * x.imag
-                normal = (sys.float_info.min <= s) & (s < math.inf)
-                root = np.where(normal, np.sqrt(s), np.sqrt(y.imag) * np.sqrt(x.imag))
-                return _twice_asinh(y - x, 2.0 * root), 1
-
-        return block
-
-    def point_key(self, p):
-        self.check_point(p)
-        z = complex(p)
-        return (z.real, z.imag)
-
-    def point_label(self, p) -> str:
-        return repr(complex(p))
+    distance = _HyperbolicModel.distance
 
     def sample_points(self, rng: random.Random, count: int) -> list[complex]:
         return [

@@ -31,9 +31,9 @@ from horokit.dynamics import (
     tracial_check,
 )
 from horokit.extension import (
+    McShaneExtension,
     PartialFunctional,
     hahn_banach_extend,
-    mcshane_extend,
     spoke_ray_failure_witness,
     star_tree_failure_witness,
 )
@@ -161,8 +161,8 @@ def test_acceptance_05_mcshane_suite():
             for i in range(k)
         ]
         pf = PartialFunctional(space, domain, values)
-        sup = mcshane_extend(pf, "sup")
-        inf = mcshane_extend(pf, "inf")
+        sup = McShaneExtension(pf, "sup")
+        inf = McShaneExtension(pf, "inf")
         sup_vals = [sup.evaluate(i) for i in range(n)]
         inf_vals = [inf.evaluate(i) for i in range(n)]
         for i, p in enumerate(domain):
@@ -180,8 +180,8 @@ def test_acceptance_05_mcshane_suite():
         domain = [0, n - 1]
         values = [Fraction(0), Fraction(min(1, matrix[0][n - 1]))]
         pf = PartialFunctional(space, domain, values)
-        sup = mcshane_extend(pf, "sup")
-        inf = mcshane_extend(pf, "inf")
+        sup = McShaneExtension(pf, "sup")
+        inf = McShaneExtension(pf, "inf")
         free = [i for i in range(n) if i not in domain]
         span = int(max(max(row) for row in matrix)) + 1
         for ext in integer_grid_extensions(matrix, domain, values, free, range(-span, span + 1)):

@@ -39,6 +39,7 @@ from horokit.groups import (
     Zd,
     cayley_ball,
 )
+from horokit.serialize import emit_json
 from horokit.spaces import PoincareDisk, UpperHalfPlane
 
 import oracles
@@ -277,7 +278,8 @@ def test_unboundedness_violation_detected():
     rep = unboundedness_check(broken)
     assert not rep.passed
     assert rep.violating == BallFunctional(2, lrs.labels, (0, 1, -1, 1, 1))
-    assert rep.violating.as_dict() == {"radius": 2, "order": lrs.labels, "values": (0, 1, -1, 1, 1)}
+    want = {"radius": 2, "order": list(lrs.labels), "values": [0, 1, -1, 1, 1]}
+    assert emit_json(rep.violating) == oracles.json_report(want)
     assert all(type(v) is int for v in rep.violating.values)
 
 

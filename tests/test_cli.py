@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -388,6 +389,41 @@ def test_non_finite_inputs_exit_2(capsys, argv, message):
     assert message in json.loads(err)["message"]
 
 
+S3 = {"generators": [1, 2], "table": [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
+                                      [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "space, points, field",
+    [
+        # int() read 0.5 as point 0, 1.5 as coordinate 1 and as head 1, and
+        # raised OverflowError (a traceback, exit 1) on inf, which is how JSON
+        # reads 1e400.
+        ({"type": "finite", "params": {"matrix": [[0, 1], [1, 0]]}}, [0.5], "point"),
+        ({"type": "finite_group", "params": S3}, [1.5], "element"),
+        ({"type": "zd", "params": {"dim": 2}}, [[1.5, 0]], "coordinate"),
+        ({"type": "zd", "params": {"dim": 2}}, [[1e400, 0]], "coordinate"),
+        ({"type": "heisenberg"}, [[0, 0, math.nan]], "coordinate"),
+        ({"type": "spoke_ray"}, [{"kind": "head", "n": 1.5}], "n"),
+        ({"type": "spoke_ray"}, [{"kind": "spoke", "n": 1e400, "s": 1}], "n"),
+        ({"type": "star_tree"}, [{"n": 1e400, "s": 1}], "n"),
+        ({"type": "star_tree"}, [{"n": 2.5, "s": 1}], "n"),
+        # and the descriptor's own integer fields
+        ({"type": "zd", "params": {"dim": 2.5}}, [[0, 0]], "dim"),
+        ({"type": "free", "params": {"rank": 1e400}}, ["a"], "rank"),
+        ({"type": "finite", "params": {"matrix": [[0, 1], [1, 0]]}, "base": 0.5}, [0], "base"),
+        ({"type": "lp", "params": {"dim": 1.5}}, [[0, 0]], "dim"),
+    ],
+    ids=lambda a: json.dumps(a)[:40] if not isinstance(a, str) else a,
+)
+def test_non_integer_json_fields_exit_2(capsys, space, points, field):
+    text = json.dumps(points)
+    code, out, err = run(capsys, "extend", "mcshane", "--space", json.dumps(space), "--domain", text,
+                         "--values", json.dumps(["0"] * len(points)), "--eval", text)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"].startswith(f"{field} must be an integer, got ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -436,6 +472,24 @@ def test_hahn_banach_star_tree_keeps_n_zero(capsys):
     code, out, _ = run(capsys, "extend", "hahn-banach", "--fixture", "star-tree", "--n", "0")
     assert code == 0
     assert len(json.loads(out)["result"]["values"]) == 8
+
+
+@pytest.mark.parametrize("fixture", ["spoke-ray", "plane-axis", "star-tree"])
+def test_hahn_banach_fails_on_an_unstabilized_value(capsys, monkeypatch, fixture):
+    # An evaluated point whose limit did not stabilize fails the command,
+    # whichever fixture, even when the audit passes.
+    import horokit.cli as cli
+    from horokit.extension import HahnBanachResult, RestrictionAudit
+    from horokit.functionals import EvalOutcome
+
+    def unstable(*args, **kwargs):
+        return HahnBanachResult(None, {"p": EvalOutcome(Fraction(0), False, 0, None, 1)},
+                                RestrictionAudit(True, 1, 0))
+
+    monkeypatch.setattr(cli, "hahn_banach_extend", unstable)
+    code, out, _ = run(capsys, "extend", "hahn-banach", "--fixture", fixture, "--n", "3")
+    assert code == 1
+    assert json.loads(out)["result"]["audit"]["passed"] is True
 
 
 def test_heisenberg_translation_far_out(capsys, monkeypatch):

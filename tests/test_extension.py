@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from horokit.errors import BudgetError, InvalidParameterError, PreconditionError
 from horokit.cli import main
 from horokit.extension import (
+    McShaneExtension,
     PartialFunctional,
     PigeonholeLimit,
     euclidean_zero_nonmembership_check,
     hahn_banach_extend,
-    mcshane_extend,
     spoke_ray_failure_witness,
     star_tree_failure_witness,
 )
@@ -36,8 +36,8 @@ ST = StarTreeSpace()
 def test_single_point_extensions_are_signed_distance():
     space = FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     pf = PartialFunctional(space, [0], [Fraction(0)])
-    sup = mcshane_extend(pf, "sup")
-    inf = mcshane_extend(pf, "inf")
+    sup = McShaneExtension(pf, "sup")
+    inf = McShaneExtension(pf, "inf")
     assert [sup.evaluate(i) for i in range(3)] == [0, -1, -2]
     assert [inf.evaluate(i) for i in range(3)] == [0, 1, 2]
 
@@ -47,7 +47,7 @@ def test_full_domain_reproduces_function():
     vals = [Fraction(0), Fraction(2), Fraction(3)]
     pf = PartialFunctional(space, [0, 1, 2], vals)
     for mode in ("sup", "inf"):
-        ext = mcshane_extend(pf, mode)
+        ext = McShaneExtension(pf, mode)
         assert [ext.evaluate(i) for i in range(3)] == vals
 
 
@@ -61,7 +61,7 @@ def test_bad_mode_rejected():
     space = FiniteMetricSpace([[0]])
     pf = PartialFunctional(space, [0], [Fraction(0)])
     with pytest.raises(InvalidParameterError):
-        mcshane_extend(pf, "mid")
+        McShaneExtension(pf, "mid")
 
 
 def test_mcshane_random_spaces_exact_properties():
@@ -80,8 +80,8 @@ def test_mcshane_random_spaces_exact_properties():
             for i in range(k)
         ]
         pf = PartialFunctional(space, domain, values)
-        sup = mcshane_extend(pf, "sup")
-        inf = mcshane_extend(pf, "inf")
+        sup = McShaneExtension(pf, "sup")
+        inf = McShaneExtension(pf, "inf")
         sup_vals = [sup.evaluate(i) for i in range(n)]
         inf_vals = [inf.evaluate(i) for i in range(n)]
         for i, p in enumerate(domain):
@@ -102,8 +102,8 @@ def test_mcshane_sandwich_against_brute_force():
         domain = [0, 2]
         values = [Fraction(0), Fraction(min(2, matrix[0][2]))]
         pf = PartialFunctional(space, domain, values)
-        sup = mcshane_extend(pf, "sup")
-        inf = mcshane_extend(pf, "inf")
+        sup = McShaneExtension(pf, "sup")
+        inf = McShaneExtension(pf, "inf")
         free = [i for i in range(n) if i not in domain]
         span = int(max(max(row) for row in matrix)) + 2
         grid = range(-span, span + 1)

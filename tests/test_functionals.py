@@ -202,7 +202,9 @@ def test_lp_models_match_the_independent_oracle(data, p, n, margin, shrink):
     # c = ||z||_p + margin and ||mu||_q = shrink * (at most 1).
     param = data.draw(st.lists(COORD, min_size=n, max_size=n))
     xs = [data.draw(st.lists(COORD, min_size=m, max_size=m)) for m in (n - 1, n, n + 2)]
-    c = math.fsum(abs(v) ** p for v in param) ** (1.0 / p) + margin
+    # ||z||_p scaled by max|z_j|, so that a tiny z does not underflow to c = 0
+    top = max(map(abs, param))
+    c = (top * math.fsum((abs(v) / top) ** p for v in param) ** (1.0 / p) if top else 0.0) + margin
     models = [(LpZC(param, c, p), lambda x: lp_zc_value(param, c, p, x))]
     if p > 1:
         q = p / (p - 1.0)

@@ -55,13 +55,15 @@ def test_scalar_round_trip():
     assert type(scalar_to_json(np.int64(-3))) is int and scalar_to_json(True) == 1
 
 
-def test_ball_functional_as_dict_converts_only_non_int_values():
+def test_ball_functional_is_written_as_radius_order_and_values():
+    # Its labels are written as "order", its points not at all, and a value
+    # that is not an int as its scalar, as a Fraction or a NumPy int is anywhere.
     labels, points = ("e", "a", "A"), ((0,), (1,), (-1,))
     exact = BallFunctional(1, labels, (0, 1, -1), points)
-    assert exact.as_dict()["order"] is labels
     assert emit_json(exact) == json_report({"radius": 1, "order": list(labels), "values": [0, 1, -1]})
-    mixed = BallFunctional(1, labels, (0, Fraction(1, 2), np.int64(-1)), points)
-    assert mixed.as_dict()["values"] == [0, "1/2", -1]
+    mixed = BallFunctional(Fraction(3, 2), labels, (0, Fraction(1, 2), np.int64(-1)), points)
+    want = {"radius": "3/2", "order": list(labels), "values": [0, "1/2", -1]}
+    assert emit_json(mixed) == json_report(mixed) == json_report(want)
 
 
 def test_space_descriptors():
@@ -189,6 +191,34 @@ def test_points_parse_from_literal_json():
     f2 = CayleyGraphSpace(FreeGroup(2))
     assert point_from_json(f2, "abA") == f2.family.word("abA") == (1, 2, -1)
     assert point_from_json(PoincareDisk(), [0.3, 0.2]) == 0.3 + 0.2j
+
+
+def test_integer_fields_read_integral_values_and_name_the_rest():
+    # An integral float reads as its int, as before; a fraction of one, an
+    # infinity, NaN or a value of no number type names its field.
+    sr, st, z2 = SpokeRaySpace(), StarTreeSpace(), CayleyGraphSpace(Zd(2))
+    assert point_from_json(sr, {"kind": "head", "n": 3.0}) == ("head", 3)
+    assert point_from_json(st, {"n": 2.0, "s": 1}) == ("int", 2, Fraction(1))
+    assert point_from_json(z2, [2.0, -1]) == (2, -1)
+    assert space_from_descriptor({"type": "zd", "params": {"dim": 3.0}}).family.dim == 3
+    assert space_from_descriptor({"type": "lp", "params": {"dim": 4.0}}).dim == 4
+    bad = [
+        (lambda v: point_from_json(sr, {"kind": "head", "n": v}), "n"),
+        (lambda v: point_from_json(sr, {"kind": "spoke", "n": v, "s": "1/2"}), "n"),
+        (lambda v: point_from_json(st, {"n": v, "s": 1}), "n"),
+        (lambda v: point_from_json(z2, [0, v]), "coordinate"),
+        (lambda v: point_from_json(CayleyGraphSpace(Heisenberg()), [0, v, 0]), "coordinate"),
+        (lambda v: point_from_json(FiniteMetricSpace([[0, 1], [1, 0]]), v), "point"),
+        (lambda v: point_from_json(CayleyGraphSpace(cyclic_group(4)), v), "element"),
+        (lambda v: space_from_descriptor({"type": "zd", "params": {"dim": v}}), "dim"),
+        (lambda v: space_from_descriptor({"type": "free", "params": {"rank": v}}), "rank"),
+        (lambda v: space_from_descriptor({"type": "lp", "params": {"dim": v}}), "dim"),
+        (lambda v: space_from_descriptor({"type": "finite", "params": {"matrix": [[0]]}, "base": v}), "base"),
+    ]
+    for read, field in bad:
+        for v in (1.5, float("inf"), float("nan"), "1/2", None, [1]):
+            with pytest.raises(InvalidParameterError, match=f"^{field} must be an integer, got "):
+                read(v)
 
 
 def test_emit_json_deterministic_and_typed():
@@ -445,10 +475,11 @@ def test_emit_json_writes_a_dataclass_as_its_fields():
 
 
 def test_emit_json_writes_a_nested_as_dict_object_by_its_as_dict():
-    labels, points = ("e", "a"), ((0,), (1,))
-    nested = _Fields("outer", Fraction(3), BallFunctional(1, labels, (0, Fraction(-1, 3)), points))
+    table = RowTable({"radius": Fraction(1, 2), "order": ["e", "a"]}, np.array([[0, -1], [0, 1]]))
+    nested = _Fields("outer", Fraction(3), table)
     assert emit_json(nested) == json_report(nested)
-    assert json.loads(emit_json(nested))["inner"] == {"radius": 1, "order": ["e", "a"], "values": [0, "-1/3"]}
+    assert json.loads(emit_json(nested))["inner"] == [{"radius": "1/2", "order": ["e", "a"], "values": [0, -1]},
+                                                      {"radius": "1/2", "order": ["e", "a"], "values": [0, 1]}]
     deeper = _Fields("outer", Fraction(0), _Fields("inner", Fraction(2), None))
     assert emit_json(deeper) == json_report(deeper)
     assert json.loads(emit_json(deeper))["inner"] == {"name": "inner", "value": "2", "inner": None}
