@@ -10,6 +10,7 @@ import cmath
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -111,15 +112,34 @@ class LpZC(_LpModel):
             raise InvalidParameterError(
                 f"c = {self.c} must be >= ||z||_p = {self.znorm}"
             )
-        # c^p - ||z||_p^p, near c = ||z||_p as c^p (1 - (||z||_p / c)^p) from
-        # c - ||z||_p, so that it does not cancel; 0 where rounding takes c
-        # below ||z||_p.
-        n, c, p = self.znorm, self.c, self.p
-        self._tail_p = max(-(c**p) * math.expm1(p * math.log1p((n - c) / c)) if 2 * n > c else c**p - n**p, 0.0)
+        p = self.p
+
+        def tail(n, c):
+            # c^p - n^p, near c = n as c^p (1 - (n / c)^p) from c - n, so that
+            # it does not cancel; 0 where rounding takes c below n.
+            return max(-(c**p) * math.expm1(p * math.log1p((n - c) / c)) if 2 * n > c else c**p - n**p, 0.0)
+
+        try:
+            self._tail_p = tail(self.znorm, self.c)
+        except OverflowError:  # c^p past the float range: every row is rescaled
+            self._tail_p = math.inf
+        self._tail_1 = tail(self.znorm / self.c, 1.0) if self.c else 0.0  # the tail over c^p
 
     def evaluate_batch(self, X) -> np.ndarray:
         X, z = pad_pair(X, self.z)
-        return ((np.abs(X - z) ** self.p).sum(axis=1) + self._tail_p) ** (1.0 / self.p) - self.c
+        D, p = np.abs(X - z), self.p
+        with np.errstate(over="ignore", under="ignore"):
+            s = (D**p).sum(axis=1) + self._tail_p
+            # A sum below the normal floats (0, or a subnormal that has lost
+            # digits) or past them is taken over m = max(max_j |x_j - z_j|, c)
+            # first, as lp_norm does; every other row keeps the plain value.
+            m = np.maximum(D.max(axis=1, initial=0.0), self.c)
+            bad = ~((sys.float_info.min <= s) & (s < math.inf)) & (0 < m) & (m < math.inf)
+            if not bad.any():
+                return s ** (1.0 / p) - self.c
+            m = np.where(bad, m, 1.0)
+            s = np.where(bad, ((D / m[:, None]) ** p).sum(axis=1) + (self.c / m) ** p * self._tail_1, s)
+            return m * s ** (1.0 / p) - self.c
 
 
 class LpMu(_LpModel):

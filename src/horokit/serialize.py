@@ -8,8 +8,9 @@ follow {"type": ..., "params": {...}, "base": ...}.
 sort_keys=True, indent=2)`` without the stdlib's per-value generators, as
 one list of pieces joined once: a list or tuple of only exact ints, or only
 exact strs, is one ``join``, and a ``RowTable`` (the restrictions
-``LimitRestrictionSet.as_dict`` writes) is one %-format of one row's text
-over its whole matrix.
+``LimitRestrictionSet.as_dict`` writes) is one row's text cut at its values
+into a head, a separator and a tail: the text of each distinct value is
+made once, each row is one join of those texts and all rows one join.
 
 A report is a dataclass written as its fields: ``skip`` in a field's
 metadata leaves it out, ``key`` writes it under another name, and ``json``
@@ -124,6 +125,8 @@ def _parse_point(space: MetricSpace, obj) -> Any:
         if isinstance(space.family, FreeGroup):
             return space.family.word(str(obj))
         return tuple(_integer(v, "coordinate") for v in obj)
+    if isinstance(space, (SpokeRaySpace, StarTreeSpace)) and not isinstance(obj, dict):
+        raise InvalidParameterError(f"a tagged point must be a JSON object, got {obj!r}")
     if isinstance(space, SpokeRaySpace):
         kind = obj.get("kind")
         if kind == "hub":
@@ -142,7 +145,12 @@ def _parse_point(space: MetricSpace, obj) -> Any:
     if isinstance(space, DistortedLine):
         return float(obj)
     if isinstance(space, (PoincareDisk, UpperHalfPlane)):
-        return complex(obj[0], obj[1])
+        try:
+            if isinstance(obj, (list, tuple)) and len(obj) == 2 and bool not in map(type, obj):
+                return complex(*obj)
+        except (TypeError, OverflowError):  # a str or a container; an int past the float range
+            pass
+        raise InvalidParameterError(f"a hyperbolic point must be a pair of numbers, got {obj!r}")
     if isinstance(space, LpSpace):
         return np.asarray(obj, dtype=float)
     raise UnsupportedError(f"no point parser for {type(space).__name__}")
@@ -201,6 +209,18 @@ class RowTable:
 _SLOT = object()  # a RowTable value's place in its row's text
 
 
+def _value_texts(V: np.ndarray) -> np.ndarray:
+    """The decimal text of each entry of the non-empty integer matrix V, as
+    an object array of V's shape, made once per distinct value: from the
+    texts of every integer from min to max when they are no more than V's
+    entries, else from np.unique, so that memory is O(V.size) at any span."""
+    lo, hi = int(V.min()), int(V.max())
+    if hi - lo < V.size:
+        return np.array(list(map(str, range(lo, hi + 1))), dtype=object)[np.subtract(V, lo, dtype=np.intp)]
+    distinct, at = np.unique(V, return_inverse=True)
+    return np.array(list(map(str, distinct.tolist())), dtype=object)[at.reshape(V.shape)]
+
+
 def emit_json(obj) -> str:
     """Deterministic JSON: sorted keys, two-space indent, ASCII only."""
     out: list = []
@@ -209,15 +229,16 @@ def emit_json(obj) -> str:
         scalar = _str(o) if isinstance(o, str) else _literal(o)
         if scalar is not None or o is _SLOT:
             out.append(o if o is _SLOT else scalar)
-        elif isinstance(o, RowTable) and len(o.values):
-            # One row's text, with a %d slot per value and every other % doubled,
-            # formats all rows at once: no Python work per row.
-            start = len(out)
+        elif isinstance(o, RowTable) and o.values.size:
+            # One row's text, cut at its values ("\0" marks them: a JSON string
+            # escapes it) into a head, the separator between values and a
+            # tail, and each distinct value's text made once: every row is
+            # one join of texts, and all rows one join of rows.
+            start, sep = len(out), ",\n" + "  " * (level + 1)
             write({**o.fields, "values": [_SLOT] * o.values.shape[1]}, level + 1)
-            row = "".join("%d" if p is _SLOT else p.replace("%", "%%") for p in out[start:])
-            sep = ",\n" + "  " * (level + 1)
-            out[start:] = ["[", sep[1:], sep.join([row] * len(o.values)) % tuple(o.values.ravel().tolist()),
-                           "\n" + "  " * level + "]"]
+            head, *inner, tail = "".join("\0" if p is _SLOT else p for p in out[start:]).split("\0")
+            rows = map((inner or [""])[0].join, _value_texts(o.values).tolist())
+            out[start:] = ["[", sep[1:], head, (tail + sep + head).join(rows), tail, "\n" + "  " * level + "]"]
         elif not isinstance(o, (list, tuple, dict)):
             write(_default(o), level)
         elif not o:

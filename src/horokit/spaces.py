@@ -503,8 +503,9 @@ class UpperHalfPlane(_HyperbolicModel):
 
 def lp_norm(x, p: float, axis=None):
     """The l^p norm, p in [1, inf]: of x flattened, as a float, or of each
-    slice of x along ``axis``, as an array.  A slice whose plain sum
-    overflows to inf or underflows to 0 is divided by m = max|x_j| first,
+    slice of x along ``axis``, as an array.  A slice whose plain sum of
+    p-th powers overflows to inf or falls below the normal floats (to 0, or
+    to a subnormal that has lost digits) is divided by m = max|x_j| first,
     and its norm multiplied by m after, where m is finite and positive;
     every other slice keeps the plain value."""
     v = np.asarray(x, dtype=float)
@@ -518,11 +519,12 @@ def lp_norm(x, p: float, axis=None):
             return np.max(np.abs(v), axis=axis)
         return np.sum(np.abs(v) ** p, axis=axis) ** (1.0 / p)
 
+    low = sys.float_info.min ** (1.0 / p) if p < math.inf else 0.0  # the norm of a sum at the least normal
     with np.errstate(over="ignore", under="ignore"):
         n = plain(v)
-        if axis is None and 0 < n < math.inf:
+        if axis is None and low < n < math.inf:
             return float(n)
-        bad = ~((0 < n) & (n < math.inf))  # 0, inf or NaN
+        bad = ~((low < n) & (n < math.inf))  # below the normal sums, inf or NaN
         if bad.any():
             m = np.max(np.abs(v), axis=axis, initial=0.0)
             m = np.where(bad & (0 < m) & (m < math.inf), m, 1.0)  # 1: the plain value again

@@ -425,6 +425,32 @@ def test_non_integer_json_fields_exit_2(capsys, space, points, field):
 
 
 @pytest.mark.parametrize(
+    "space, point, hub, message",
+    [
+        # A tagged point that is not an object ended in AttributeError ('int'
+        # object has no attribute 'get'), a hyperbolic point of one number in
+        # IndexError and one past the float range in OverflowError: exit 1.
+        ("spoke_ray", 1, {"kind": "hub"}, "a tagged point must be a JSON object, got 1"),
+        ("spoke_ray", ["hub"], {"kind": "hub"}, "a tagged point must be a JSON object, got ['hub']"),
+        ("star_tree", "hub", {"kind": "hub"}, "a tagged point must be a JSON object, got 'hub'"),
+        ("half_plane", [0], [0, 1], "a hyperbolic point must be a pair of numbers, got [0]"),
+        ("half_plane", [0, 1, 2], [0, 1], "a hyperbolic point must be a pair of numbers, got [0, 1, 2]"),
+        ("half_plane", [0, 10**400], [0, 1], "a hyperbolic point must be a pair of numbers, got [0, 1000"),
+        ("poincare_disk", [0.5], [0, 0], "a hyperbolic point must be a pair of numbers, got [0.5]"),
+        ("poincare_disk", [True, 0], [0, 0], "a hyperbolic point must be a pair of numbers, got [True, 0]"),
+        ("poincare_disk", {"x": 0, "y": 0}, [0, 0], "a hyperbolic point must be a pair of numbers, got {"),
+    ],
+    ids=lambda a: json.dumps(a)[:30],
+)
+def test_malformed_points_exit_2(capsys, space, point, hub, message):
+    for domain, target in (([point], hub), ([hub], point)):  # as a domain point, then as an --eval point
+        code, out, err = run(capsys, "extend", "mcshane", "--space", json.dumps({"type": space}),
+                             "--domain", json.dumps(domain), "--values", '["0"]', "--eval", json.dumps([target]))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"].startswith(message)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("boundary", "--seed", "1"),

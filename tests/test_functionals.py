@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +37,7 @@ from horokit.functionals import (
 )
 from horokit.groups import CayleyGraphSpace, GeneratingSet, Zd
 from horokit.metric import FiniteMetricSpace
-from horokit.spaces import LpSpace, PoincareDisk, SpokeRaySpace, StarTreeSpace, UpperHalfPlane
+from horokit.spaces import LpSpace, PoincareDisk, SpokeRaySpace, StarTreeSpace, UpperHalfPlane, lp_norm
 
 from oracles import disk_busemann, lp_mu_value, lp_zc_value, pigeonhole_reference, realized_reference
 
@@ -190,6 +191,40 @@ def test_lp_zc_tail_does_not_cancel():
         for x in (z, [v + rng.choice([1e-3, 1.0]) for v in z]):
             base = tail + sum(abs(Fraction(a) - Fraction(b)) ** p for a, b in zip(x, z))
             assert f.evaluate(x) == pytest.approx(float(base) ** (1 / p) - c, rel=0, abs=1e-9 * c)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("scale", [1e-160, 1.76e-193, 1e-300, 1e200, 1e300])
+def test_lp_zc_neither_underflows_nor_overflows(p, scale):
+    # The plain sums of p-th powers, c^p among them, underflow to 0, fall
+    # below the normal floats or overflow to inf: h(0) = ||z||_p - c read -c,
+    # -5.6e-6 c (1e-160 at p = 2) or inf for c = ||z||_p.
+    # Taken over m = max(max_j |x_j - z_j|, c) first, h is 0 at x = 0 and
+    # x = 2z, c at x = -z and c (2^(1/p) - 1) at x = c e_2.
+    f = LpZC([scale], scale, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = f.evaluate_batch([[0.0, 0.0], [2 * scale, 0.0], [-scale, 0.0], [0.0, scale]])
+        at_zero = f.evaluate([0.0])
+    want = [0.0, 0.0, scale, scale * (2 ** (1 / p) - 1)]
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
+    assert at_zero == pytest.approx(0.0, abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_lp_zc_keeps_its_bits_in_range(p):
+    # Only rows whose plain sum is 0 or not finite are rescaled; the rest
+    # keep the bits of the unscaled formula, tail included.
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        z = rng.normal(size=4) * 10.0 ** rng.integers(-60, 60)
+        c = lp_norm(z, p) * (1 + rng.choice([0.0, 1e-9, 1.0]))
+        X = rng.normal(size=(30, 4)) * 10.0 ** rng.integers(-60, 60, size=(30, 1))
+        f = LpZC(z, c, p)
+        n = f.znorm
+        tail = max(-(c**p) * math.expm1(p * math.log1p((n - c) / c)) if 2 * n > c else c**p - n**p, 0.0)
+        plain = ((np.abs(X - z) ** p).sum(axis=1) + tail) ** (1.0 / p) - c
+        assert f.evaluate_batch(X).tolist() == plain.tolist()
 
 
 COORD = st.floats(-4.0, 4.0)

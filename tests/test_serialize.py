@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -535,6 +536,47 @@ def test_row_table_edge_shapes(shape):
     for obj in (table, [table, table], {"r": {"functionals": table}}):
         assert emit_json(obj) == json_report(obj)
     assert (emit_json(table) == "[]") == (shape[0] == 0)
+
+
+def test_row_table_memory_does_not_follow_the_span_of_its_values():
+    # Four entries spanning 2^64 integers: a table of the text of every
+    # integer from min to max would not fit in memory.
+    values = np.array([[0, 10**6], [-(2**63), 2**63 - 1]], dtype=np.int64)
+    table = RowTable({"radius": 1, "order": ("e", "a")}, values)
+    tracemalloc.start()
+    try:
+        text = emit_json(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == json_report(table)
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize(
+    "dtype, lo, n, cols",
+    [
+        (np.int16, -3, 12, 4),
+        (np.int64, -3, 12, 4),
+        (np.int16, int(np.iinfo(np.int16).min), 2**16 - 1, 5),
+        (np.int64, -(2**63), 12, 4),
+        (np.int64, 2**63 - 13, 12, 4),
+    ],
+)
+def test_row_table_writes_values_by_offset_or_by_unique(monkeypatch, extra, dtype, lo, n, cols):
+    # n entries spanning n integers are written from the texts of every
+    # integer in the span, and n entries spanning n + 1 (one inner value
+    # left out) from np.unique.  On int16's ends the offsets leave int16.
+    values = list(range(lo, lo + n + extra))
+    if extra:
+        del values[n // 2]
+    values = np.random.default_rng(n).permutation(np.array(values, dtype=dtype)).reshape(-1, cols)
+    unique, calls = np.unique, []
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
+    table = RowTable({"radius": 0, "order": tuple("eabcd"[:cols])}, values)
+    assert emit_json(table) == json_report(table)
+    assert len(calls) == extra
 
 
 def test_h3_boundary_report_matches_stdlib_oracle(capsys):

@@ -635,9 +635,10 @@ class TestLp:
             LpSpace(p, 2)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-    @pytest.mark.parametrize("scale", [1e308, 1e-200, 5e-324])
+    @pytest.mark.parametrize("scale", [1e308, 1e-160, 1e-200, 5e-324])
     def test_norm_neither_overflows_nor_underflows(self, p, scale):
-        # The plain sums overflow to inf or underflow to 0; scaled by
+        # The plain sums overflow to inf, underflow to 0 or fall below the
+        # normal floats (2e-320 at p = 2, 5.6e-6 off in the norm); scaled by
         # max|x_j| first, the norm is scale * 2^(1/p), with or without axis.
         # (1e-200 at p = 1.5 is not rescaled: its sum 2e-300 is a normal
         # float, and s^(1/p) with 1/p rounded is off by about |ln s| ulps.)
