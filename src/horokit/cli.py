@@ -66,6 +66,7 @@ from .serialize import (
     SCHEMA_VERSION,
     emit_json,
     point_from_json,
+    real_field,
     space_from_descriptor,
 )
 from .spaces import (
@@ -183,7 +184,7 @@ def _extend_mcshane(args) -> Outcome:
     with _parsing("--domain"):
         pts = [point_from_json(space, p) for p in json.loads(args.domain)]
     with _parsing("--values"):
-        vals = [Fraction(str(v)) if space.exact else float(v) for v in json.loads(args.values)]
+        vals = [Fraction(str(v)) if space.exact else real_field(v, "value") for v in json.loads(args.values)]
     ext = McShaneExtension(PartialFunctional(space, pts, vals), args.mode)
     if args.eval == "all":
         targets = space.points()

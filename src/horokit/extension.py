@@ -119,8 +119,13 @@ class PigeonholeLimit(WitnessLimit):
 
     evaluate = WitnessLimit.evaluate  # its own entry, so the layer tracer times it apart
 
-    def _limit(self, vals: np.ndarray, den: int) -> EvalOutcome:
+    def _batch(self, M: np.ndarray, den: int) -> list[tuple]:
+        return [(row, den) for row in M]  # each row waits for the active witnesses at its evaluation
+
+    def _limit(self, y: Point, kept: Optional[tuple]) -> EvalOutcome:
         active = self.active
+        # A preloaded row is over every witness, a point read alone over the active ones.
+        (vals,), den = self._rows([y], active) if kept is None else ([kept[0][active]], kept[1])
         j, width = self._choose(vals, active)
         k = -1 if j is None else j  # unstabilized: report the last witness
         exact = self.space.exact
@@ -131,16 +136,19 @@ class PigeonholeLimit(WitnessLimit):
 
     def _choose(self, vals: np.ndarray, active: np.ndarray) -> tuple:
         """(position in ``vals`` of the chosen value, cluster width), or
-        (None, None) when no value recurs.  Exact: the least recurring value
-        at its first witness.  Float: the least cluster of sorted values
-        with gaps at most tol/10, at its member from the deepest witness."""
-        if self.space.exact:
-            _, first, counts = np.unique(vals, return_index=True, return_counts=True)
-            hits = np.flatnonzero(counts >= self.recur_min)
-            return (int(first[hits[0]]), None) if hits.size else (None, None)
-        order = np.argsort(vals)
+        (None, None) when no value recurs, from one stable sort of the row.
+        Exact: the least value in a run of at least ``recur_min``, at its
+        first witness.  Float: the least cluster of sorted values with gaps
+        at most tol/10, at its member from the deepest witness."""
+        order = vals.argsort(kind="stable")
         ordered = vals[order]
-        starts = np.flatnonzero(np.r_[True, ~(np.diff(ordered) <= self.tol / 10.0)])
+        if self.space.exact:
+            # The first i with ordered[i] == ordered[i + recur_min - 1] starts the least long run.
+            tail = ordered[self.recur_min - 1 :]
+            same = tail == ordered[: len(tail)]
+            return (int(order[same.argmax()]), None) if same.any() else (None, None)
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, a break as no gap is
+            starts = np.flatnonzero(np.r_[True, ~(np.diff(ordered) <= self.tol / 10.0)])
         ends = np.r_[starts[1:], len(vals)]
         hits = np.flatnonzero(ends - starts >= self.recur_min)
         if not hits.size:

@@ -268,14 +268,14 @@ class WitnessLimit:
     """Pointwise limit of h_k = d(., x_k) - d(x0, x_k) along at most
     ``budget`` witness points x_k.
 
-    ``space.functional_rows`` checks the witnesses once; at a new point y
-    the subclass's ``_limit`` reads h_k(y) over the active witnesses as one
-    row (integers over one denominator on exact spaces, floats otherwise)
-    and returns its EvalOutcome.  Each read is one block, with the base
-    point's row: ``preload`` reads the rows of points to come in one, and
-    ``evaluate`` takes a preloaded row at the active witnesses instead of
-    reading its own.  Outcomes are cached per point, and one that did not
-    stabilize is reported, never a silent value.
+    ``space.functional_rows`` checks the witnesses once and reads h_k at
+    points as rows (integers over one denominator on exact spaces, floats
+    otherwise), each read one block with the base point's row.  ``preload``
+    reads the rows of the points to come in one, over every witness, and
+    keeps the subclass's ``_batch`` of them; ``_limit(y, kept)`` returns the
+    EvalOutcome at y from what was kept for it, or from a read of its own.
+    Outcomes are cached per point, and one that did not stabilize is
+    reported, never a silent value.
     """
 
     def __init__(self, space: MetricSpace, witnesses: Iterable[Point], budget: int, tol: float):
@@ -287,14 +287,14 @@ class WitnessLimit:
         self._rows = space.functional_rows(self.points, space.base_point)
         self.active = np.arange(len(self.points))
         self._cache: dict[Any, EvalOutcome] = {}
-        self._preloaded: dict[Any, tuple[np.ndarray, int]] = {}
+        self._preloaded: dict[Any, Any] = {}
 
     def preload(self, ys: Iterable[Point]) -> None:
         """Read the rows of the distinct ys not yet evaluated or preloaded,
-        over every witness, in one ``rows`` call; each row waits, with its
-        denominator, until its point is evaluated.  A y whose key cannot be
-        read is skipped, and a block that cannot be read is dropped: either
-        error is raised again by ``evaluate`` at that point, if the caller gets there."""
+        over every witness, in one ``rows`` call, and keep ``_batch`` of
+        them until each point is evaluated.  A y whose key cannot be read is
+        skipped, and a block that cannot be read is dropped: either error is
+        raised again by ``evaluate`` at that point, if the caller gets there."""
         new: dict[Any, Point] = {}
         for y in ys:
             try:
@@ -307,18 +307,13 @@ class WitnessLimit:
             M, den = self._rows(list(new.values()), np.arange(len(self.points)))
         except Exception:
             return
-        self._preloaded.update((key, (row, den)) for key, row in zip(new, M))
+        self._preloaded.update(zip(new, self._batch(M, den)))
 
     def evaluate(self, y: Point) -> EvalOutcome:
         key = self.space.point_key(y)
         hit = self._cache.get(key)
         if hit is None:
-            row = self._preloaded.pop(key, None)
-            if row is None:
-                (vals,), den = self._rows([y], self.active)
-            else:
-                vals, den = row[0][self.active], row[1]
-            hit = self._cache[key] = self._limit(vals, den)
+            hit = self._cache[key] = self._limit(y, self._preloaded.pop(key, None))
         return hit
 
     def value(self, y: Point) -> Scalar:
@@ -341,6 +336,9 @@ class RealizedFunctional(WitnessLimit):
     transient value.  Float spaces stop at the first witness where two
     successive changes are both below tol/10, which guards against a single
     accidental coincidence of values.
+
+    Every witness stays active, so ``_batch`` is the limit over a matrix of
+    rows: ``preload`` keeps outcomes, and a point read alone is one row.
     """
 
     def __init__(
@@ -357,17 +355,24 @@ class RealizedFunctional(WitnessLimit):
 
     evaluate = WitnessLimit.evaluate  # its own entry, so the layer tracer times it apart
 
-    def _limit(self, vals: np.ndarray, den: int) -> EvalOutcome:
-        n = len(vals)
-        if self.space.exact:
-            changes = np.flatnonzero(vals[1:] != vals[:-1])
-            start = int(changes[-1]) + 1 if changes.size else 0
-            return EvalOutcome(Fraction(int(vals[-1]), den), n - start >= self.stable_window, start, None, n)
-        v, small = vals.tolist(), self.tol / 10.0  # rows are short: a scalar loop beats array calls
-        for k in range(2, n):
-            if abs(v[k - 1] - v[k - 2]) < small and abs(v[k] - v[k - 1]) < small:
-                return EvalOutcome(v[k], True, k, abs(v[k] - v[k - 1]), k + 1)
-        return EvalOutcome(v[-1], False, n - 1, abs(v[-1] - v[-2]) if n > 1 else None, n)
+    def _limit(self, y: Point, kept: Optional[EvalOutcome]) -> EvalOutcome:
+        return self._batch(*self._rows([y], self.active))[0] if kept is None else kept
+
+    def _batch(self, M: np.ndarray, den: int) -> list[EvalOutcome]:
+        m, n = M.shape
+        if self.space.exact:  # the trailing run starts at the last k where M[:, k] != M[:, k - 1], or 0
+            starts = ((M[:, 1:] != M[:, :-1]) * np.arange(1, n)).max(axis=1, initial=0)
+            return [EvalOutcome(Fraction(int(v), den), n - k >= self.stable_window, k, None, n)
+                    for v, k in zip(M[:, -1].tolist(), starts.tolist())]
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf steps, as in Python: not small
+            steps = np.abs(np.diff(M, axis=1))
+        small = steps < self.tol / 10.0
+        # The first k >= 2 whose last two steps are small, else n: unstabilized, at witness n - 1.
+        ks = np.where(small[:, :-1] & small[:, 1:], np.arange(2, n), n).min(axis=1, initial=n)
+        at, rows = np.minimum(ks, n - 1), np.arange(m)
+        residuals = steps[rows, at - 1].tolist() if n > 1 else [None] * m
+        return [EvalOutcome(v, k < n, i, r, i + 1)
+                for v, k, i, r in zip(M[rows, at].tolist(), ks.tolist(), at.tolist(), residuals)]
 
 
 # ---------------------------------------------------------------------------

@@ -134,14 +134,11 @@ INT64_SAFE = 1 << 61
 
 
 def exact_table(rows) -> tuple[np.ndarray, int]:
-    """The 2-D table ``rows`` of exact scalars as integers over their least
-    common denominator: (M, den) with M / den = rows.  Ints and Fractions
-    are read as they are, and strings "p" and "p/q" in ASCII digits as the
-    ints p and q, so none of them builds a Fraction; any other entry is read
-    by ``Fraction(v)``, with its value or its exception.  An unreduced "p/q"
-    can only enlarge the lcm of the q, so one gcd of the whole table brings
-    den to the least.  M is int64 while its entries and den are below
-    INT64_SAFE in magnitude, and holds Python ints in an object array beyond."""
+    """The 2-D table ``rows`` of exact scalars as (M, den) with M / den = rows,
+    by :func:`over_one_denominator`.  Ints and Fractions are read as they
+    are, and strings "p" and "p/q" in ASCII digits as the ints p and q, so
+    none of them builds a Fraction; any other entry is read by
+    ``Fraction(v)``, with its value or its exception."""
     ps, qs = [], []
     for v in chain.from_iterable(rows):
         if type(v) is str and v.isascii():
@@ -155,12 +152,24 @@ def exact_table(rows) -> tuple[np.ndarray, int]:
         v = v if isinstance(v, (int, Fraction)) else Fraction(v)
         ps.append(v.numerator)
         qs.append(v.denominator)
+    M, den = over_one_denominator(ps, qs)
+    return (M.reshape(len(rows), -1) if len(rows) else M), den
+
+
+def over_one_denominator(ps: list[int], qs: list[int]) -> tuple[np.ndarray, int]:
+    """The rationals ps[i] / qs[i] (ints over positive ints) as a flat array
+    M / den, den least: the lcm of the qs, which an unreduced p/q can only
+    enlarge, over one gcd of M and den.  M's dtype is :func:`int_dtype`'s."""
     den = math.lcm(*set(qs))
     M = list(map(operator.mul, ps, map(den.__floordiv__, qs)))
     if (g := math.gcd(den, *M)) > 1:
         den, M = den // g, [m // g for m in M]
-    M = np.array(M, dtype=object if max(den, max(map(abs, M), default=0)) >= INT64_SAFE else np.int64)
-    return (M.reshape(len(rows), -1) if len(rows) else M), den
+    return np.array(M, dtype=int_dtype(den, M)), den
+
+
+def int_dtype(den: int, M: list[int]):
+    """int64 while den and the ints M are below INT64_SAFE in magnitude, else object (Python ints)."""
+    return object if max(den, max(map(abs, M), default=0)) >= INT64_SAFE else np.int64
 
 
 def numeric_arrays(*tables, tol: Scalar = 0) -> tuple:

@@ -69,6 +69,15 @@ def _integer(v, name: str) -> int:
     raise InvalidParameterError(f"{name} must be an integer, got {v!r}")
 
 
+def real_field(v, name: str, read=float):
+    """``read(v)`` (float, or a reader of float arrays) of a real field of
+    JSON input; a number past the float range is an error naming the field."""
+    try:
+        return read(v)
+    except OverflowError:
+        raise InvalidParameterError(f"{name} must be a real number in the float range, got {v!r}") from None
+
+
 def space_from_descriptor(desc: dict) -> MetricSpace:
     """Build a metric space from a JSON descriptor."""
     if not isinstance(desc, dict) or "type" not in desc:
@@ -104,7 +113,7 @@ def space_from_descriptor(desc: dict) -> MetricSpace:
     if kind == "half_plane":
         return UpperHalfPlane()
     if kind == "lp":
-        return LpSpace(float(params.get("p", 2)), _integer(params.get("dim", 2), "dim"))
+        return LpSpace(real_field(params.get("p", 2), "p"), _integer(params.get("dim", 2), "dim"))
     raise InvalidParameterError(f"unknown space type {kind!r}")
 
 
@@ -143,7 +152,7 @@ def _parse_point(space: MetricSpace, obj) -> Any:
             return space.base_point
         return space.interval_point(_integer(obj["n"], "n"), frac(obj["s"]))
     if isinstance(space, DistortedLine):
-        return float(obj)
+        return real_field(obj, "point")
     if isinstance(space, (PoincareDisk, UpperHalfPlane)):
         try:
             if isinstance(obj, (list, tuple)) and len(obj) == 2 and bool not in map(type, obj):
@@ -152,7 +161,7 @@ def _parse_point(space: MetricSpace, obj) -> Any:
             pass
         raise InvalidParameterError(f"a hyperbolic point must be a pair of numbers, got {obj!r}")
     if isinstance(space, LpSpace):
-        return np.asarray(obj, dtype=float)
+        return real_field(obj, "point", lambda v: np.asarray(v, dtype=float))
     raise UnsupportedError(f"no point parser for {type(space).__name__}")
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidDistortionError, InvalidPointError, InvalidParameterError
-from .metric import MetricSpace, exact_table
+from .metric import MetricSpace, int_dtype, over_one_denominator
 
 
 def frac(x) -> Fraction:
@@ -35,27 +35,34 @@ def frac(x) -> Fraction:
 
 class _CodedSpace(MetricSpace):
     """An exact space whose distance is a closed form of per-point codes:
-    ``_codes(p)`` checks p and returns its rational codes, and
-    ``_code_distances(y_codes, columns)`` adds at most three code
-    magnitudes per entry of the block from the ys to the columns.  Codes
-    below 2^61 (int64 in :func:`exact_table`) thus keep distances and their
-    differences below 2^63.
+    ``_codes(p)`` checks p and returns (codes, q), its integer codes over its
+    own denominator q, and ``_code_distances(y_codes, columns)`` adds at most
+    three code magnitudes per entry of the block from the ys to the columns.
+    Codes scaled to the points' lcm are int64 while below 2^61
+    (:func:`int_dtype`), keeping distances and differences below 2^63.
 
     A point is a tuple (tag, field, ...) with a tag from ``kinds``: its
     label is "tag(field,...)", or the bare tag, and its key is the tag's
     position in ``kinds`` followed by its fields, padded with 0 to two."""
 
     def distance(self, p, q) -> Fraction:
-        return self._code_distances(self._codes(p), self._codes(q)).item()
+        (a, m), (b, n) = self._codes(p), self._codes(q)
+        den = m * n // math.gcd(m, n)
+        y, cols = [v * (den // m) for v in a], [v * (den // n) for v in b]
+        if int_dtype(den, y + cols) is object:  # NumPy would wrap such ints: hold them in arrays
+            y, cols = np.array(y, dtype=object)[:, None], np.array(cols, dtype=object)[:, None]
+        return Fraction(self._code_distances(y, cols).item(), den)
 
     def distance_block(self, points):
         """Each point is checked and encoded once; each call scales the codes
-        of its ys and of the points together, as one :func:`exact_table`."""
+        of its ys and of the points together to one denominator, by
+        :func:`over_one_denominator`."""
         codes = [self._codes(p) for p in points]
 
         def block(ys, idx):
-            C, den = exact_table([*map(self._codes, ys), *codes])
-            C = C.T  # one row per code
+            coded = [*map(self._codes, ys), *codes]
+            C, den = over_one_denominator([v for c, _ in coded for v in c], [q for c, q in coded for _ in c])
+            C = C.reshape(len(coded), -1).T  # one row per code
             return self._code_distances(C[:, : len(ys), None], C[:, len(ys) + idx]), den
 
         return block
@@ -73,7 +80,6 @@ class _CodedSpace(MetricSpace):
 # ---------------------------------------------------------------------------
 
 HUB = ("hub",)
-ZERO = Fraction(0)
 
 
 class SpokeRaySpace(_CodedSpace):
@@ -130,33 +136,34 @@ class SpokeRaySpace(_CodedSpace):
 
     def _codes(self, p) -> tuple:
         """(spoke, position, hub cost, ray anchor, ray cost) of a point,
-        checked: spoke index (0 off the spokes) and position along it, then
-        the costs of its exits onto the skeleton, the half-line of ray
-        parameters with the hub at 0."""
+        checked, over its denominator (2q at a/q on a spoke): spoke index (0
+        off the spokes) and position along it, then the costs of its exits
+        onto the skeleton, the half-line of ray parameters with the hub at 0."""
         if not isinstance(p, tuple) or not p:
             raise InvalidPointError(f"{p!r} is not a tagged point")
         tag = p[0]
         if tag == "hub":
             if p != HUB:
                 raise InvalidPointError(f"malformed hub point {p!r}")
-            return (0, ZERO, ZERO, ZERO, ZERO)
+            return (0, 0, 0, 0, 0), 1
         if tag == "ray":
-            if len(p) != 2 or not isinstance(p[1], Fraction) or p[1] <= 0:
+            if len(p) != 2 or not isinstance(p[1], Fraction) or p[1].numerator <= 0:
                 raise InvalidPointError(f"malformed ray point {p!r}")
-            return (0, ZERO, p[1], p[1], ZERO)
+            return (0, 0, p[1].numerator, p[1].numerator, 0), p[1].denominator
         if tag == "head":
             if len(p) != 2 or not isinstance(p[1], int) or p[1] < 1:
                 raise InvalidPointError(f"malformed spoke head {p!r}")
-            n, s = p[1], ZERO
+            n, s, q = p[1], 0, 1
         elif tag == "spoke":
             if len(p) != 3 or not isinstance(p[1], int) or p[1] < 1:
                 raise InvalidPointError(f"malformed spoke point {p!r}")
             n, s = p[1], p[2]
-            if not isinstance(s, Fraction) or not 0 < s < Fraction(2 * n - 1, 2):
+            if not isinstance(s, Fraction) or not 0 < 2 * s.numerator < (2 * n - 1) * s.denominator:
                 raise InvalidPointError(f"spoke position out of range in {p!r}")
+            s, q = s.numerator, s.denominator
         else:
             raise InvalidPointError(f"unknown point tag {tag!r}")
-        return (n, s, 1 + s, n, Fraction(2 * n - 1, 2) - s)
+        return (2 * q * n, 2 * s, 2 * (q + s), 2 * q * n, (2 * n - 1) * q - 2 * s), 2 * q
 
     @staticmethod
     def _code_distances(y, cols):
@@ -238,9 +245,10 @@ class StarTreeSpace(_CodedSpace):
     distance = _CodedSpace.distance
 
     def _codes(self, p) -> tuple:
-        """(branch, depth) of a checked point; the hub is on branch 0."""
+        """(branch, depth) of a checked point over the depth's denominator;
+        the hub is on branch 0."""
         self.check_point(p)
-        return (0, ZERO) if p == HUB else (p[1], p[2])
+        return ((0, 0), 1) if p == HUB else ((p[1] * p[2].denominator, p[2].numerator), p[2].denominator)
 
     @staticmethod
     def _code_distances(y, cols):

@@ -451,6 +451,25 @@ def test_malformed_points_exit_2(capsys, space, point, hub, message):
 
 
 @pytest.mark.parametrize(
+    "space, domain, values, target, message",
+    [
+        # float() of 10^400 raised OverflowError, a traceback and exit 1: as a
+        # distorted-line point, an l^p coordinate, or a float space's value.
+        ({"type": "distorted_line"}, [0], ["0"], 10**400, "point must be a real number in the float range, got 1000"),
+        ({"type": "lp"}, [[0, 0]], [0], [1, 10**400], "point must be a real number in the float range, got [1, 1000"),
+        ({"type": "lp"}, [[0, 0], [1, 0]], [0, 10**400], [1, 1], "value must be a real number in the float range, got 1000"),
+        ({"type": "lp", "params": {"p": 10**400}}, [[0, 0]], [0], [1, 1], "p must be a real number in the float range, got 1000"),
+    ],
+    ids=["distorted-line point", "lp coordinate", "float value", "lp exponent"],
+)
+def test_numbers_past_the_float_range_exit_2(capsys, space, domain, values, target, message):
+    code, out, err = run(capsys, "extend", "mcshane", "--space", json.dumps(space), "--domain",
+                         json.dumps(domain), "--values", json.dumps(values), "--eval", json.dumps([target]))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"].startswith(message)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("boundary", "--seed", "1"),

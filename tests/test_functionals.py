@@ -36,7 +36,7 @@ from horokit.functionals import (
     midpoint_convexity_check,
 )
 from horokit.groups import CayleyGraphSpace, GeneratingSet, Zd
-from horokit.metric import FiniteMetricSpace
+from horokit.metric import FiniteMetricSpace, MetricSpace
 from horokit.spaces import LpSpace, PoincareDisk, SpokeRaySpace, StarTreeSpace, UpperHalfPlane, lp_norm
 
 from oracles import disk_busemann, lp_mu_value, lp_zc_value, pigeonhole_reference, realized_reference
@@ -600,6 +600,71 @@ def test_preloading_changes_no_outcome(case, seed, tol):
                 expected, active = pigeonhole[i]
                 assert list(batched.active) == active
             assert (out.value, out.stabilized, out.index, out.residual, out.used) == expected
+
+
+class RowSpace(MetricSpace):
+    """Prescribed rows for the witness-limit kernels: witness ("w", k) is at
+    distance 0 from the base point "o", and ("y", i) at distance rows[i][k]
+    from it, so h_k(("y", i)) = rows[i][k].  The default block reads these
+    distances one by one; no metric axiom is asked of them."""
+
+    base_point = "o"
+
+    def __init__(self, rows, exact: bool):
+        self.rows, self.exact = rows, exact
+
+    def distance(self, p, q):
+        if p[0] == "y" and q[0] == "w":
+            return self.rows[p[1]][q[1]]
+        return Fraction(0) if self.exact else 0.0
+
+
+# Two primes below 2^32: values over both are held as Python ints, as their
+# lcm passes 2^61.
+P, Q = 2147483647, 4294967291
+INF, NAN = math.inf, math.nan
+
+# Rows of 1, 2, 5 and 6 witnesses, with runs, all distinct, and non-finite.
+# Python's sort leaves a NaN where it finds it and NumPy's puts it last, so
+# a NaN is first or last in its row, where the reference clusters agree.
+KERNEL_ROWS = {
+    "one witness": (False, [[0.5], [INF], [NAN]]),
+    "one witness, Python ints": (True, [[Fraction(1, P)], [Fraction(1, Q)]]),
+    "two witnesses": (False, [[1.0, 1.0], [2.0, 1.0], [1.0, 2.0]]),
+    "two witnesses, Python ints": (True, [[Fraction(1, P), Fraction(1, P)], [Fraction(1, Q), Fraction(1, P)]]),
+    "all distinct": (False, [[5.0, 4.0, 3.0, 2.0, 1.0], [1.0, 2.0, 3.0, 4.0, 5.0]]),
+    "all distinct, Python ints": (True, [[Fraction(k, P) for k in (5, 4, 3, 2, 1)], [Fraction(k, Q) for k in range(5)]]),
+    "runs, Python ints": (True, [[Fraction(3, Q), 1, 1, Fraction(1, P), Fraction(1, P), Fraction(1, P)],
+                                 [2**62, 2**62, 1, 1, 2**63, 2**63]]),
+    "non-finite": (False, [[INF, 1.0, INF, 1.0, 1.0, NAN], [-INF, -INF, 2.0, 2.0, 2.0, 2.0],
+                           [NAN, 1.0, 1.0 + 1e-12, 1.0, 1.0, 1.0], [INF, INF, INF, INF, INF, INF]]),
+}
+
+
+def float_bits(outcome):
+    """An outcome tuple with each float as its hex text, so that NaN equals NaN."""
+    return tuple(x.hex() if type(x) is float else (x, type(x)) for x in outcome)
+
+
+@pytest.mark.parametrize("exact, rows", KERNEL_ROWS.values(), ids=KERNEL_ROWS)
+@pytest.mark.parametrize("k", [2, 3, 7])  # recur_min and stable_window; 7 is past every row
+def test_witness_limit_kernels_match_the_per_witness_loops(exact, rows, k):
+    space = RowSpace(rows, exact)
+    witnesses = [("w", j) for j in range(len(rows[0]))]
+    ys = [("y", i) for i in range(len(rows))]
+    if exact:
+        assert space.functional_rows(witnesses, "o")(ys, np.arange(len(witnesses)))[0].dtype == object
+    pigeonhole = pigeonhole_reference(space, witnesses, ys, recur_min=k)
+    realized = [realized_reference(space, iter(witnesses), y, stable_window=k) for y in ys]
+    for limit, options in ((PigeonholeLimit, {"recur_min": k}), (RealizedFunctional, {"stable_window": k})):
+        alone, batched = limit(space, witnesses, **options), limit(space, witnesses, **options)
+        batched.preload(ys)
+        for i, y in enumerate(ys):
+            expected = pigeonhole[i][0] if limit is PigeonholeLimit else realized[i]
+            for out in (alone.evaluate(y), batched.evaluate(y)):
+                assert float_bits((out.value, out.stabilized, out.index, out.residual, out.used)) == float_bits(expected)
+            if limit is PigeonholeLimit:
+                assert list(alone.active) == list(batched.active) == pigeonhole[i][1]
 
 
 class CountingFiniteSpace(FiniteMetricSpace):

@@ -204,6 +204,33 @@ def test_coded_distance_against_oracles():
             assert type(d) is Fraction and d == spoke_ray_graph_distance(p, q) == SR.distance(q, p)
 
 
+# Two primes below 2^32: each denominator alone keeps the codes in int64,
+# and the lcm of both passes 2^61, so a block or a pair over both holds
+# Python ints.
+P, Q = 2147483647, 4294967291
+
+
+@pytest.mark.parametrize(
+    "space, pts, oracle",
+    [
+        (SR, [HUB, SR.ray_point(Fraction(3, P)), SR.spoke_interior(2, Fraction(1, Q)),
+              SR.spoke_interior(2, Fraction(2, P)), SR.spoke_head(4), SR.ray_point(Fraction(21, 2))],
+         spoke_ray_graph_distance),
+        (ST, [HUB, ST.interval_point(3, Fraction(1, P)), ST.interval_point(3, Fraction(2, Q)),
+              ST.interval_point(5, 5 - Fraction(1, Q)), ST.endpoint(4)],
+         star_tree_distance),
+    ],
+    ids=["spoke-ray", "star-tree"],
+)
+def test_coded_block_and_distance_past_int64_by_the_lcm(space, pts, oracle):
+    M, den = space.distance_block(pts)(pts, np.arange(len(pts)))
+    assert M.dtype == object and den >= 2**61
+    for i, p in enumerate(pts):
+        for j, q in enumerate(pts):
+            d = space.distance(p, q)
+            assert type(d) is Fraction and d == Fraction(int(M[i, j]), den) == oracle(p, q)
+
+
 @given(st.integers(0, 2**32), st.integers(0, 6), st.integers(1, 4))
 @settings(max_examples=25, deadline=None)
 def test_functional_rows_against_oracles(seed, sampled, queries):
