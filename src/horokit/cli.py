@@ -61,12 +61,11 @@ from .extension import (
 )
 from .functionals import HalfPlaneBusemannInfinity, ZdLinear
 from .groups import CayleyGraphSpace, FreeGroup, GeneratingSet, Heisenberg, Zd
-from .metric import validate_metric
+from .metric import real_field, validate_metric
 from .serialize import (
     SCHEMA_VERSION,
     emit_json,
     point_from_json,
-    real_field,
     space_from_descriptor,
 )
 from .spaces import (

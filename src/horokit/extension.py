@@ -139,7 +139,8 @@ class PigeonholeLimit(WitnessLimit):
         (None, None) when no value recurs, from one stable sort of the row.
         Exact: the least value in a run of at least ``recur_min``, at its
         first witness.  Float: the least cluster of sorted values with gaps
-        at most tol/10, at its member from the deepest witness."""
+        at most tol/10, at its member from the deepest witness; a NaN sorts
+        last, and is a cluster of its own."""
         order = vals.argsort(kind="stable")
         ordered = vals[order]
         if self.space.exact:

@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .metric import MetricSpace, ball_limit, exact_table
+from .metric import MetricSpace, ball_limit, exact_table, integer_field
 
 Element = Any
 
@@ -139,7 +139,8 @@ class ClosedFormFamily(GroupFamily):
 class Zd(ClosedFormFamily):
     """Free abelian group of rank d; elements are integer d-tuples."""
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int = 1):
+        dim = integer_field(dim, "dim")
         if dim < 1:
             raise InvalidParameterError("dimension must be >= 1")
         self.dim = dim
@@ -226,7 +227,8 @@ class FreeGroup(ClosedFormFamily):
     Letter +i is the i-th generator, -i its inverse (1-based).
     """
 
-    def __init__(self, rank: int):
+    def __init__(self, rank: int = 2):
+        rank = integer_field(rank, "rank")
         if rank < 1:
             raise InvalidParameterError("rank must be >= 1")
         self.rank = rank
@@ -513,7 +515,7 @@ class FiniteGroup(GroupFamily):
 
     def __init__(self, table: Sequence[Sequence[int]], generators: Sequence[int] | None = None):
         n = len(table)
-        self.table = tuple(tuple(row) for row in table)
+        self.table = tuple(tuple(integer_field(v, "table entry") for v in row) for row in table)
         self.n = n
         self.name = f"finite({n})"
         for i, row in enumerate(self.table):
@@ -523,13 +525,11 @@ class FiniteGroup(GroupFamily):
         if ident is None:
             raise InvalidParameterError("table has no identity element")
         self._identity = ident
-        self._inverses = [0] * n
-        for g in range(n):
-            inv = next((h for h in range(n) if self.table[g][h] == ident), None)
-            if inv is None:
-                raise InvalidParameterError(f"element {g} has no inverse")
-            self._inverses[g] = inv
-        self._default_gens = tuple(generators) if generators else None
+        self._inverses = [row.index(ident) for row in self.table]  # each row is a permutation
+        self._default_gens = tuple(integer_field(g, "generator") for g in generators or ())
+        for g in self._default_gens:
+            if not 0 <= g < n:
+                raise InvalidParameterError(f"generator {g} is not an index into a {n}-element group")
 
     def identity(self):
         return self._identity
@@ -548,7 +548,7 @@ class FiniteGroup(GroupFamily):
         return str(g)
 
     def standard_generators(self):
-        if self._default_gens is None:
+        if not self._default_gens:
             raise InvalidParameterError("finite group was built without generators")
         closed = set(self._default_gens) | {self._inverses[g] for g in self._default_gens}
         return tuple(sorted(closed))

@@ -51,6 +51,28 @@ def ball_limit() -> int:
     return int(env)
 
 
+def integer_field(v, name: str) -> int:
+    """An integer field of input, read by ``int()`` where that keeps its
+    value (an int, an integral float, an int's text); a fraction, an
+    infinity, NaN or any other value raises an error naming the field."""
+    try:
+        n = int(v)
+        if n == v or isinstance(v, str):
+            return n
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidParameterError(f"{name} must be an integer, got {v!r}")
+
+
+def real_field(v, name: str, read=float):
+    """``read(v)`` (float, or a reader of float arrays) of a real field of
+    input; a number past the float range is an error naming the field."""
+    try:
+        return read(v)
+    except OverflowError:
+        raise InvalidParameterError(f"{name} must be a real number in the float range, got {v!r}") from None
+
+
 class MetricSpace(ABC):
     """A point universe with a distance oracle and a base point.
 

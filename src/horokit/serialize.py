@@ -1,8 +1,24 @@
 """JSON descriptors for spaces, points, and reports.
 
 Exact rationals serialize as "p/q" strings (plain "p" when integral);
-floats serialize as their shortest round-trip decimals.  Space descriptors
-follow {"type": ..., "params": {...}, "base": ...}.
+floats serialize as their shortest round-trip decimals.
+
+A space descriptor {"type": t, "params": {...}} builds t's constructor with
+the params as its keyword arguments (a group as its Cayley graph); "finite"
+also takes "base" (0), and any other key is invalid input.
+
+  type            constructor                         point
+  finite          FiniteMetricSpace(matrix)           index
+  zd              Zd(dim=1)                           [int, ...]
+  free            FreeGroup(rank=2)                   word, as "abA"
+  heisenberg      Heisenberg()                        [a, b, c]
+  finite_group    FiniteGroup(table, generators)      index
+  spoke_ray       SpokeRaySpace()                     {"kind": "hub"|"ray"|"head"|"spoke", "t"|"n"[, "s"]}
+  star_tree       StarTreeSpace()                     {"kind": "hub"|"int", "n", "s"}, "int" by default
+  distorted_line  DistortedLine(distortion="sqrt")    number
+  poincare_disk   PoincareDisk()                      [x, y]
+  half_plane      UpperHalfPlane()                    [x, y]
+  lp              LpSpace(p=2, dim=2)                 [x, ...]
 
 ``emit_json`` returns exactly the text of ``json.dumps(obj, default=...,
 sort_keys=True, indent=2)`` without the stdlib's per-value generators, as
@@ -29,17 +45,9 @@ from typing import Any
 import numpy as np
 
 from .errors import InvalidParameterError, UnsupportedError
-from .groups import CayleyGraphSpace, FiniteGroup, FreeGroup, Heisenberg, Zd
-from .metric import FiniteMetricSpace, MetricSpace
-from .spaces import (
-    DistortedLine,
-    LpSpace,
-    PoincareDisk,
-    SpokeRaySpace,
-    StarTreeSpace,
-    UpperHalfPlane,
-    frac,
-)
+from .groups import CayleyGraphSpace, FiniteGroup, FreeGroup, GroupFamily, Heisenberg, Zd
+from .metric import FiniteMetricSpace, MetricSpace, integer_field, real_field
+from .spaces import DistortedLine, LpSpace, PoincareDisk, SpokeRaySpace, StarTreeSpace, UpperHalfPlane, frac
 
 SCHEMA_VERSION = "1"
 
@@ -56,65 +64,39 @@ def scalar_to_json(v) -> Any:
     raise UnsupportedError(f"cannot serialize scalar {v!r}")
 
 
-def _integer(v, name: str) -> int:
-    """An integer field of JSON input, read by ``int()`` where that keeps its
-    value (an int, an integral float, an int's text); a fraction, an
-    infinity, NaN or any other value raises an error naming the field."""
-    try:
-        n = int(v)
-        if n == v or isinstance(v, str):
-            return n
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InvalidParameterError(f"{name} must be an integer, got {v!r}")
-
-
-def real_field(v, name: str, read=float):
-    """``read(v)`` (float, or a reader of float arrays) of a real field of
-    JSON input; a number past the float range is an error naming the field."""
-    try:
-        return read(v)
-    except OverflowError:
-        raise InvalidParameterError(f"{name} must be a real number in the float range, got {v!r}") from None
+SPACE_TYPES = {"zd": Zd, "free": FreeGroup, "heisenberg": Heisenberg, "finite_group": FiniteGroup,
+               "spoke_ray": SpokeRaySpace, "star_tree": StarTreeSpace, "distorted_line": DistortedLine,
+               "poincare_disk": PoincareDisk, "half_plane": UpperHalfPlane, "lp": LpSpace}
 
 
 def space_from_descriptor(desc: dict) -> MetricSpace:
-    """Build a metric space from a JSON descriptor."""
+    """Build a metric space from a JSON descriptor: its ``params`` are the
+    keyword arguments of its type's constructor, and any other key is an
+    error that names it."""
     if not isinstance(desc, dict) or "type" not in desc:
         raise InvalidParameterError("space descriptor must be a dict with a 'type'")
-    kind = desc["type"]
-    params = desc.get("params", {})
+    kind, params = desc["type"], desc.get("params", {})
     if kind == "finite":
+        ctor, top, names = None, ("type", "params", "base"), ("matrix",)
+    else:
+        ctor = SPACE_TYPES.get(kind) if isinstance(kind, str) else None
+        if ctor is None:
+            raise InvalidParameterError(f"unknown space type {kind!r}")
+        code = getattr(ctor.__init__, "__code__", None)  # a class without its own __init__ takes none
+        top, names = ("type", "params"), code.co_varnames[1 : code.co_argcount] if code else ()
+    if not isinstance(params, dict):
+        raise InvalidParameterError(f"params must be a JSON object, got {params!r}")
+    for where, keys, known in (("descriptor", desc, top), ("params", params, names)):
+        bad = next((k for k in keys if k not in known), None)
+        if bad is not None:
+            raise InvalidParameterError(f"unknown {where} key {bad!r} for space type {kind!r}")
+    if ctor is None:
         # Entries read as Fraction(str(v)) reads them: a JSON int as it is, and
         # any other value as its text, which FiniteMetricSpace reads exactly.
         matrix = [[v if type(v) is int else str(v) for v in row] for row in params["matrix"]]
-        return FiniteMetricSpace(matrix, base_index=_integer(desc.get("base", 0), "base"))
-    if kind == "zd":
-        family = Zd(_integer(params.get("dim", 1), "dim"))
-        return CayleyGraphSpace(family)
-    if kind == "free":
-        family = FreeGroup(_integer(params.get("rank", 2), "rank"))
-        return CayleyGraphSpace(family)
-    if kind == "heisenberg":
-        return CayleyGraphSpace(Heisenberg())
-    if kind == "finite_group":
-        table = params["table"]
-        gens = params.get("generators")
-        family = FiniteGroup(table, generators=gens)
-        return CayleyGraphSpace(family)
-    if kind == "spoke_ray":
-        return SpokeRaySpace()
-    if kind == "star_tree":
-        return StarTreeSpace()
-    if kind == "distorted_line":
-        return DistortedLine(params.get("distortion", "sqrt"))
-    if kind == "poincare_disk":
-        return PoincareDisk()
-    if kind == "half_plane":
-        return UpperHalfPlane()
-    if kind == "lp":
-        return LpSpace(real_field(params.get("p", 2), "p"), _integer(params.get("dim", 2), "dim"))
-    raise InvalidParameterError(f"unknown space type {kind!r}")
+        return FiniteMetricSpace(matrix, base_index=integer_field(desc.get("base", 0), "base"))
+    space = ctor(**params)
+    return CayleyGraphSpace(space) if isinstance(space, GroupFamily) else space
 
 
 def point_from_json(space: MetricSpace, obj) -> Any:
@@ -127,30 +109,27 @@ def point_from_json(space: MetricSpace, obj) -> Any:
 
 def _parse_point(space: MetricSpace, obj) -> Any:
     if isinstance(space, FiniteMetricSpace):
-        return _integer(obj, "point")
+        return integer_field(obj, "point")
     if isinstance(space, CayleyGraphSpace):
         if isinstance(space.family, FiniteGroup):
-            return _integer(obj, "element")
+            return integer_field(obj, "element")
         if isinstance(space.family, FreeGroup):
             return space.family.word(str(obj))
-        return tuple(_integer(v, "coordinate") for v in obj)
-    if isinstance(space, (SpokeRaySpace, StarTreeSpace)) and not isinstance(obj, dict):
-        raise InvalidParameterError(f"a tagged point must be a JSON object, got {obj!r}")
-    if isinstance(space, SpokeRaySpace):
-        kind = obj.get("kind")
+        return tuple(integer_field(v, "coordinate") for v in obj)
+    if isinstance(space, (SpokeRaySpace, StarTreeSpace)):
+        if not isinstance(obj, dict):
+            raise InvalidParameterError(f"a tagged point must be a JSON object, got {obj!r}")
+        kind = obj.get("kind", "int")  # a star-tree interval point may leave its kind out
+        if kind not in space.kinds:
+            raise InvalidParameterError(f"unknown tagged point {obj!r}")
         if kind == "hub":
             return space.base_point
         if kind == "ray":
             return space.ray_point(frac(obj["t"]))
+        n = integer_field(obj["n"], "n")
         if kind == "head":
-            return space.spoke_head(_integer(obj["n"], "n"))
-        if kind == "spoke":
-            return space.spoke_interior(_integer(obj["n"], "n"), frac(obj["s"]))
-        raise InvalidParameterError(f"unknown tagged point {obj!r}")
-    if isinstance(space, StarTreeSpace):
-        if obj.get("kind") == "hub":
-            return space.base_point
-        return space.interval_point(_integer(obj["n"], "n"), frac(obj["s"]))
+            return space.spoke_head(n)
+        return (space.spoke_interior if kind == "spoke" else space.interval_point)(n, frac(obj["s"]))
     if isinstance(space, DistortedLine):
         return real_field(obj, "point")
     if isinstance(space, (PoincareDisk, UpperHalfPlane)):

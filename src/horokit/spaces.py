@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidDistortionError, InvalidPointError, InvalidParameterError
-from .metric import MetricSpace, int_dtype, over_one_denominator
+from .metric import MetricSpace, int_dtype, integer_field, over_one_denominator, real_field
 
 
 def frac(x) -> Fraction:
@@ -315,7 +315,7 @@ class DistortedLine(MetricSpace):
 
     exact = False
 
-    def __init__(self, distortion: str):
+    def __init__(self, distortion: str = "sqrt"):
         if distortion not in DISTORTIONS:
             raise InvalidParameterError(f"unknown distortion {distortion!r}")
         self.dfun = DISTORTIONS[distortion]
@@ -559,13 +559,12 @@ class LpSpace(MetricSpace):
 
     exact = False
 
-    def __init__(self, p: float, dim: int):
-        if not p >= 1:  # NaN too
+    def __init__(self, p: float = 2, dim: int = 2):
+        self.p, self.dim = real_field(p, "p"), integer_field(dim, "dim")
+        if not self.p >= 1:  # NaN too
             raise InvalidParameterError("p must be >= 1")
-        if dim < 1:
+        if self.dim < 1:
             raise InvalidParameterError("dimension must be >= 1")
-        self.p = float(p)
-        self.dim = dim
 
     def norm(self, x) -> float:
         return lp_norm(x, self.p)

@@ -381,7 +381,8 @@ def pigeonhole_reference(space, witnesses, ys, *, budget=4096, tol=1e-9, recur_m
             first = next(i for v, i in vals if v == chosen)
             return (chosen, True, first, None, used)
         # Float: cluster sorted values, breaking at gaps larger than tol/10.
-        ordered = sorted(vals)
+        # A NaN sorts last, as in NumPy; Python's sort would leave it in place.
+        ordered = sorted(vals, key=lambda t: (t[0] != t[0], t))
         clusters = [[ordered[0]]]
         for v, i in ordered[1:]:
             if v - clusters[-1][-1][0] <= tol / 10.0:

@@ -469,6 +469,59 @@ def test_numbers_past_the_float_range_exit_2(capsys, space, domain, values, targ
     assert json.loads(err)["message"].startswith(message)
 
 
+C2 = {"table": [[0, 1], [1, 0]], "generators": [1]}
+
+
+@pytest.mark.parametrize(
+    "space, message",
+    [
+        # A generator outside the group ended in IndexError, and one that is
+        # no integer in TypeError, when the generating set was formed: exit 1.
+        ({"type": "finite_group", "params": {**C2, "generators": [5]}},
+         "generator 5 is not an index into a 2-element group"),
+        ({"type": "finite_group", "params": {**C2, "generators": [0.5]}}, "generator must be an integer, got 0.5"),
+        ({"type": "finite_group", "params": {**C2, "table": [[0, 1], [1, 0.5]]}},
+         "table entry must be an integer, got 0.5"),
+        # params that are no JSON object ended in AttributeError: exit 1.
+        ({"type": "zd", "params": [1]}, "params must be a JSON object, got [1]"),
+        ({"type": "zd", "params": None}, "params must be a JSON object, got None"),
+        # A key that the type does not read was ignored: Z^1 and l^2 were
+        # validated, exit 0.
+        ({"type": "zd", "params": {"dimension": 3}}, "unknown params key 'dimension' for space type 'zd'"),
+        ({"type": "lp", "params": {"P": 1}}, "unknown params key 'P' for space type 'lp'"),
+        ({"type": "heisenberg", "params": {"dim": 3}}, "unknown params key 'dim' for space type 'heisenberg'"),
+        ({"type": "finite", "params": {"matrix": [[0]], "base": 0}}, "unknown params key 'base' for space type 'finite'"),
+        ({"type": "zd", "dim": 3}, "unknown descriptor key 'dim' for space type 'zd'"),
+        ({"type": "zd", "base": [1]}, "unknown descriptor key 'base' for space type 'zd'"),
+    ],
+    ids=lambda a: json.dumps(a)[:48] if not isinstance(a, str) else None,
+)
+def test_malformed_space_descriptors_exit_2(capsys, space, message):
+    code, out, err = run(capsys, "validate", "metric", "--space", json.dumps(space))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"] == message
+
+
+def test_finite_group_tables_read_integral_floats_as_integers(capsys):
+    # As every integer field of JSON input does; such a table passed the
+    # permutation check and ended in TypeError on a float index: exit 1.
+    reports = [run(capsys, "validate", "metric", "--space", json.dumps({"type": "finite_group", "params": {**C2, **t}}))
+               for t in ({}, {"table": [[0.0, 1.0], [1.0, 0.0]], "generators": [1.0]})]
+    assert reports[0] == reports[1] and reports[0][0] == 0
+
+
+@pytest.mark.parametrize("space, point", [
+    ("star_tree", {"kind": "ray", "n": 2, "s": 1}),  # was read as int(2,1): exit 0
+    ("spoke_ray", {"kind": "int", "n": 2, "s": 1}),
+    ("spoke_ray", {"n": 2, "s": 1}),
+], ids=lambda a: json.dumps(a)[:30])
+def test_unknown_tagged_point_kinds_exit_2(capsys, space, point):
+    code, out, err = run(capsys, "extend", "mcshane", "--space", json.dumps({"type": space}),
+                         "--domain", '[{"kind": "hub"}]', "--values", '["0"]', "--eval", json.dumps([point]))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"] == f"unknown tagged point {point!r}"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

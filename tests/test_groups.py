@@ -776,6 +776,31 @@ def test_finite_group_lengths():
         FiniteGroup([[0, 1], [1, 1]])  # not a permutation row
 
 
+def test_finite_group_reads_its_table_and_generators_when_built():
+    # Integral floats and ints' texts are integers; every generator is an element.
+    c2 = FiniteGroup([[0.0, "1"], [1.0, 0]], [1.0])
+    assert c2.table == ((0, 1), (1, 0)) and c2.standard_generators() == (1,)
+    assert type(c2.table[0][0]) is type(c2.standard_generators()[0]) is int
+    for table, gens, message in [
+        ([[0, 1], [1, 0.5]], [1], "table entry must be an integer, got 0.5"),
+        ([[0, 1], [1, None]], [1], "table entry must be an integer, got None"),
+        ([[0, 1], [1, 0]], [2], "generator 2 is not an index into a 2-element group"),
+        ([[0, 1], [1, 0]], [1, -1], "generator -1 is not an index into a 2-element group"),
+        ([[0, 1], [1, 0]], ["a"], "generator must be an integer, got 'a'"),
+    ]:
+        with pytest.raises(InvalidParameterError) as exc:
+            FiniteGroup(table, gens)
+        assert str(exc.value) == message
+
+
+def test_group_parameters_are_read_by_their_constructors():
+    assert (Zd().dim, Zd(3.0).dim, Zd("2").dim, FreeGroup().rank, FreeGroup(3.0).rank) == (1, 3, 2, 2, 3)
+    for make, field in ((Zd, "dim"), (FreeGroup, "rank")):
+        for v in (1.5, float("inf"), None, "1/2"):
+            with pytest.raises(InvalidParameterError, match=f"^{field} must be an integer, got "):
+                make(v)
+
+
 KLEIN = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
 
 

@@ -35,6 +35,7 @@ from horokit.serialize import (
     space_from_descriptor,
 )
 from horokit.spaces import (
+    DISTORTIONS,
     HUB,
     DistortedLine,
     DistortionReport,
@@ -85,6 +86,31 @@ def test_space_descriptors():
         space_from_descriptor({"type": "banach"})
     with pytest.raises(InvalidParameterError):
         space_from_descriptor([1, 2])
+
+
+def test_descriptor_params_are_the_constructor_keywords():
+    # A type given no params is its constructor's defaults, and a group
+    # family is the Cayley graph of its standard generators.
+    for kind, ctor in serialize.SPACE_TYPES.items():
+        if kind == "finite_group":  # its table has no default
+            continue
+        space = space_from_descriptor({"type": kind})
+        if isinstance(space, CayleyGraphSpace):
+            assert type(space.family) is ctor and space.gens == GeneratingSet.standard(space.family)
+        else:
+            assert type(space) is ctor
+    assert space_from_descriptor({"type": "zd"}).family.dim == Zd().dim == 1
+    assert space_from_descriptor({"type": "free"}).family.rank == FreeGroup().rank == 2
+    assert (space_from_descriptor({"type": "lp"}).p, space_from_descriptor({"type": "lp"}).dim) == (2.0, 2)
+    assert (LpSpace().p, LpSpace().dim, LpSpace(3.5).dim) == (2.0, 2, 2)
+    assert space_from_descriptor({"type": "distorted_line"}).dfun is DistortedLine().dfun is DISTORTIONS["sqrt"]
+    gens = space_from_descriptor({"type": "finite_group", "params": {"table": [[0, 1], [1, 0]], "generators": [1]}})
+    assert gens.family.table == ((0, 1), (1, 0)) and gens.gens.elements == (1,)
+    # Library callers have their parameters checked as JSON callers do.
+    with pytest.raises(InvalidParameterError, match="^p must be a real number in the float range, got 1000"):
+        LpSpace(10**400)
+    with pytest.raises(InvalidParameterError, match="^dim must be an integer, got 1.5"):
+        LpSpace(2, 1.5)
 
 
 # Entries as JSON text: strings of every form Fraction reads or rejects,
