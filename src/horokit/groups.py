@@ -570,20 +570,19 @@ class GeneratingSet:
     @classmethod
     def create(cls, family: GroupFamily, elements: Iterable[Element]) -> "GeneratingSet":
         ident = family.identity()
-        seen = []
+        seen = {}  # each element once, in the order first seen, which the sort keeps on ties
         for g in elements:
             family.check_element(g)
             if g == ident:
                 raise InvalidParameterError("generating set must not contain the identity")
-            for h in (g, family.inverse(g)):
-                if h not in seen:
-                    seen.append(h)
-        seen.sort(key=family.element_key)
-        return cls(family, tuple(seen))
+            seen[g] = seen[family.inverse(g)] = None
+        return cls(family, tuple(sorted(seen, key=family.element_key)))
 
     @classmethod
     def standard(cls, family: GroupFamily) -> "GeneratingSet":
-        return cls.create(family, family.standard_generators())
+        gens = cls.create(family, family.standard_generators())
+        vars(gens)["is_standard"] = True  # the cached value, so that is_standard forms no second set
+        return gens
 
     @cached_property
     def is_standard(self) -> bool:

@@ -53,11 +53,11 @@ def ball_limit() -> int:
 
 def integer_field(v, name: str) -> int:
     """An integer field of input, read by ``int()`` where that keeps its
-    value (an int, an integral float, an int's text); a fraction, an
+    value (an int, an integral float, an int's text); a bool, fraction,
     infinity, NaN or any other value raises an error naming the field."""
     try:
         n = int(v)
-        if n == v or isinstance(v, str):
+        if (n == v or isinstance(v, str)) and not isinstance(v, (bool, np.bool_)):
             return n
     except (TypeError, ValueError, OverflowError):
         pass
@@ -66,11 +66,13 @@ def integer_field(v, name: str) -> int:
 
 def real_field(v, name: str, read=float):
     """``read(v)`` (float, or a reader of float arrays) of a real field of
-    input; a number past the float range is an error naming the field."""
+    input; a bool or a number past the float range is an error naming it."""
     try:
-        return read(v)
+        if not isinstance(v, (bool, np.bool_)):
+            return read(v)
     except OverflowError:
-        raise InvalidParameterError(f"{name} must be a real number in the float range, got {v!r}") from None
+        pass
+    raise InvalidParameterError(f"{name} must be a real number in the float range, got {v!r}")
 
 
 class MetricSpace(ABC):

@@ -5,7 +5,10 @@ floats serialize as their shortest round-trip decimals.
 
 A space descriptor {"type": t, "params": {...}} builds t's constructor with
 the params as its keyword arguments (a group as its Cayley graph); "finite"
-also takes "base" (0), and any other key is invalid input.
+also takes "base" (0).  A tagged point {"kind": k, **keywords} is its kind's
+constructor ``kinds[k]`` called with the keywords.  Any other key is invalid
+input, as are a coordinate point that is not a JSON list and a JSON boolean
+in a number field.
 
   type            constructor                         point
   finite          FiniteMetricSpace(matrix)           index
@@ -13,8 +16,8 @@ also takes "base" (0), and any other key is invalid input.
   free            FreeGroup(rank=2)                   word, as "abA"
   heisenberg      Heisenberg()                        [a, b, c]
   finite_group    FiniteGroup(table, generators)      index
-  spoke_ray       SpokeRaySpace()                     {"kind": "hub"|"ray"|"head"|"spoke", "t"|"n"[, "s"]}
-  star_tree       StarTreeSpace()                     {"kind": "hub"|"int", "n", "s"}, "int" by default
+  spoke_ray       SpokeRaySpace()                     {"kind": "hub"|"ray"|"head"|"spoke", **keywords}
+  star_tree       StarTreeSpace()                     {"kind": "hub"|"int", **keywords}, "int" by default
   distorted_line  DistortedLine(distortion="sqrt")    number
   poincare_disk   PoincareDisk()                      [x, y]
   half_plane      UpperHalfPlane()                    [x, y]
@@ -37,6 +40,7 @@ with ``as_dict`` is written as what that returns.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _str
@@ -47,7 +51,7 @@ import numpy as np
 from .errors import InvalidParameterError, UnsupportedError
 from .groups import CayleyGraphSpace, FiniteGroup, FreeGroup, GroupFamily, Heisenberg, Zd
 from .metric import FiniteMetricSpace, MetricSpace, integer_field, real_field
-from .spaces import DistortedLine, LpSpace, PoincareDisk, SpokeRaySpace, StarTreeSpace, UpperHalfPlane, frac
+from .spaces import DistortedLine, LpSpace, PoincareDisk, SpokeRaySpace, StarTreeSpace, UpperHalfPlane
 
 SCHEMA_VERSION = "1"
 
@@ -82,14 +86,11 @@ def space_from_descriptor(desc: dict) -> MetricSpace:
         ctor = SPACE_TYPES.get(kind) if isinstance(kind, str) else None
         if ctor is None:
             raise InvalidParameterError(f"unknown space type {kind!r}")
-        code = getattr(ctor.__init__, "__code__", None)  # a class without its own __init__ takes none
-        top, names = ("type", "params"), code.co_varnames[1 : code.co_argcount] if code else ()
+        top, names = ("type", "params"), inspect.signature(ctor).parameters
     if not isinstance(params, dict):
         raise InvalidParameterError(f"params must be a JSON object, got {params!r}")
-    for where, keys, known in (("descriptor", desc, top), ("params", params, names)):
-        bad = next((k for k in keys if k not in known), None)
-        if bad is not None:
-            raise InvalidParameterError(f"unknown {where} key {bad!r} for space type {kind!r}")
+    _check_keys(desc, top, "descriptor", f"space type {kind!r}")
+    _check_keys(params, names, "params", f"space type {kind!r}")
     if ctor is None:
         # Entries read as Fraction(str(v)) reads them: a JSON int as it is, and
         # any other value as its text, which FiniteMetricSpace reads exactly.
@@ -97,6 +98,14 @@ def space_from_descriptor(desc: dict) -> MetricSpace:
         return FiniteMetricSpace(matrix, base_index=integer_field(desc.get("base", 0), "base"))
     space = ctor(**params)
     return CayleyGraphSpace(space) if isinstance(space, GroupFamily) else space
+
+
+def _check_keys(keys, known, where: str, of: str) -> None:
+    """The one check of descriptor and point keys: the first key not in
+    ``known`` is an error that names it, ``where`` it was and ``of`` what."""
+    bad = next((k for k in keys if k not in known), None)
+    if bad is not None:
+        raise InvalidParameterError(f"unknown {where} key {bad!r} for {of}")
 
 
 def point_from_json(space: MetricSpace, obj) -> Any:
@@ -115,21 +124,19 @@ def _parse_point(space: MetricSpace, obj) -> Any:
             return integer_field(obj, "element")
         if isinstance(space.family, FreeGroup):
             return space.family.word(str(obj))
+        if not isinstance(obj, list):
+            raise InvalidParameterError(f"a coordinate point must be a JSON list, got {obj!r}")
         return tuple(integer_field(v, "coordinate") for v in obj)
     if isinstance(space, (SpokeRaySpace, StarTreeSpace)):
         if not isinstance(obj, dict):
             raise InvalidParameterError(f"a tagged point must be a JSON object, got {obj!r}")
         kind = obj.get("kind", "int")  # a star-tree interval point may leave its kind out
-        if kind not in space.kinds:
+        ctor = space.kinds.get(kind) if isinstance(kind, str) else None
+        if ctor is None:
             raise InvalidParameterError(f"unknown tagged point {obj!r}")
-        if kind == "hub":
-            return space.base_point
-        if kind == "ray":
-            return space.ray_point(frac(obj["t"]))
-        n = integer_field(obj["n"], "n")
-        if kind == "head":
-            return space.spoke_head(n)
-        return (space.spoke_interior if kind == "spoke" else space.interval_point)(n, frac(obj["s"]))
+        fields = {k: v for k, v in obj.items() if k != "kind"}
+        _check_keys(fields, inspect.signature(ctor).parameters, "point", f"kind {kind!r}")
+        return ctor(**fields)
     if isinstance(space, DistortedLine):
         return real_field(obj, "point")
     if isinstance(space, (PoincareDisk, UpperHalfPlane)):
@@ -140,6 +147,8 @@ def _parse_point(space: MetricSpace, obj) -> Any:
             pass
         raise InvalidParameterError(f"a hyperbolic point must be a pair of numbers, got {obj!r}")
     if isinstance(space, LpSpace):
+        if not (isinstance(obj, list) and all(type(v) in (int, float) for v in obj)):  # no bool, no list
+            raise InvalidParameterError(f"an l^p point must be a flat JSON list of numbers, got {obj!r}")
         return real_field(obj, "point", lambda v: np.asarray(v, dtype=float))
     raise UnsupportedError(f"no point parser for {type(space).__name__}")
 

@@ -23,14 +23,22 @@ from .metric import MetricSpace, int_dtype, integer_field, over_one_denominator,
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, strings like "7/2", Fractions and floats to Fraction.  A
-    float is read as the decimal text Python prints for it, as ``--values``
-    reads it: 1e-13 is 1/10^13, and NaN and infinities raise ValueError."""
+    """Coerce ints, strings like "7/2", Fractions and floats (no bools) to
+    Fraction.  A float is read as the decimal text Python prints for it, as
+    ``--values`` reads it: 1e-13 is 1/10^13; NaN and infinities raise ValueError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (str, int, float)):
+    if isinstance(x, (str, int, float)) and not isinstance(x, bool):
         return Fraction(str(x) if isinstance(x, float) else x)
     raise InvalidParameterError(f"cannot coerce {x!r} to an exact rational")
+
+
+HUB = ("hub",)
+
+
+def hub() -> tuple:
+    """The hub, base point of both tree-like spaces."""
+    return HUB
 
 
 class _CodedSpace(MetricSpace):
@@ -41,9 +49,25 @@ class _CodedSpace(MetricSpace):
     Codes scaled to the points' lcm are int64 while below 2^61
     (:func:`int_dtype`), keeping distances and differences below 2^63.
 
-    A point is a tuple (tag, field, ...) with a tag from ``kinds``: its
-    label is "tag(field,...)", or the bare tag, and its key is the tag's
-    position in ``kinds`` followed by its fields, padded with 0 to two."""
+    A point is a tuple (tag, field, ...) built by ``kinds[tag](**fields)``,
+    whose keyword arguments are its JSON fields; the constructor normalizes
+    them, and ``_codes`` is the one check of a point, for it and
+    ``check_point`` alike.  A label is "tag(field,...)", or the bare tag; a
+    key is the tag's place in ``kinds``, then the fields padded with 0 to two."""
+
+    base_point = HUB
+
+    def __init_subclass__(cls):
+        cls.places = dict(zip(cls.kinds, range(len(cls.kinds))))  # each tag's place in point keys
+
+    @classmethod
+    def _checked(cls, *p) -> tuple:
+        """The point p, once ``_codes`` has checked it."""
+        cls._codes(p)
+        return p
+
+    def check_point(self, p) -> None:
+        self._codes(p)
 
     def distance(self, p, q) -> Fraction:
         (a, m), (b, n) = self._codes(p), self._codes(q)
@@ -71,15 +95,13 @@ class _CodedSpace(MetricSpace):
         return p[0] + (f"({','.join(map(str, p[1:]))})" if len(p) > 1 else "")
 
     def point_key(self, p):
-        self.check_point(p)
-        return (self.kinds.index(p[0]), *p[1:], 0, 0)[:3]
+        self._codes(p)
+        return (self.places[p[0]], *p[1:], 0, 0)[:3]
 
 
 # ---------------------------------------------------------------------------
 # Ray with spokes
 # ---------------------------------------------------------------------------
-
-HUB = ("hub",)
 
 
 class SpokeRaySpace(_CodedSpace):
@@ -96,74 +118,49 @@ class SpokeRaySpace(_CodedSpace):
     minimum route wins.
     """
 
-    kinds = ("hub", "ray", "head", "spoke")
-
-    @property
-    def base_point(self):
-        return HUB
-
     @staticmethod
     def ray_point(t) -> tuple:
         t = frac(t)
-        if t < 0:
-            raise InvalidPointError(f"ray parameter {t} must be >= 0")
-        return HUB if t == 0 else ("ray", t)
+        return HUB if t == 0 else SpokeRaySpace._checked("ray", t)
 
     @staticmethod
-    def spoke_head(n: int) -> tuple:
-        if not isinstance(n, int) or n < 1:
-            raise InvalidPointError(f"spoke index {n!r} must be an integer >= 1")
-        return ("head", n)
+    def spoke_head(n) -> tuple:
+        return SpokeRaySpace._checked("head", integer_field(n, "n"))
 
     @staticmethod
-    def spoke_interior(n: int, s) -> tuple:
-        if not isinstance(n, int) or n < 1:
-            raise InvalidPointError(f"spoke index {n!r} must be an integer >= 1")
-        s = frac(s)
-        length = Fraction(2 * n - 1, 2)
-        if s < 0 or s > length:
-            raise InvalidPointError(f"spoke position {s} outside [0, {length}]")
-        if s == 0:
-            return ("head", n)
-        if s == length:
-            return ("ray", Fraction(n))
-        return ("spoke", n, s)
+    def spoke_interior(n, s) -> tuple:
+        """The point at s along spoke n: its head at s = 0, ray point n at s = n - 1/2."""
+        n, s = integer_field(n, "n"), frac(s)
+        p = ("head", n) if s == 0 else ("ray", Fraction(n)) if 2 * s == 2 * n - 1 > 0 else ("spoke", n, s)
+        return SpokeRaySpace._checked(*p)
 
+    kinds = {"hub": hub, "ray": ray_point, "head": spoke_head, "spoke": spoke_interior}
     gamma = ray_point  # the distinguished geodesic ray
 
-    def check_point(self, p) -> None:
-        self._codes(p)
-
-    def _codes(self, p) -> tuple:
-        """(spoke, position, hub cost, ray anchor, ray cost) of a point,
-        checked, over its denominator (2q at a/q on a spoke): spoke index (0
-        off the spokes) and position along it, then the costs of its exits
-        onto the skeleton, the half-line of ray parameters with the hub at 0."""
-        if not isinstance(p, tuple) or not p:
-            raise InvalidPointError(f"{p!r} is not a tagged point")
-        tag = p[0]
-        if tag == "hub":
-            if p != HUB:
-                raise InvalidPointError(f"malformed hub point {p!r}")
+    @staticmethod
+    def _codes(p) -> tuple:
+        """(spoke, position, hub cost, ray anchor, ray cost) of a point over
+        its denominator (2q at a/q on a spoke): spoke index (0 off the
+        spokes) and position along it, then the costs of its exits onto the
+        skeleton, the half-line of ray parameters with the hub at 0.  Fields
+        out of range are named; a tuple no constructor gives is malformed."""
+        tag = p[0] if isinstance(p, tuple) and p else None
+        if tag == "hub" and len(p) == 1:
             return (0, 0, 0, 0, 0), 1
-        if tag == "ray":
-            if len(p) != 2 or not isinstance(p[1], Fraction) or p[1].numerator <= 0:
-                raise InvalidPointError(f"malformed ray point {p!r}")
+        if tag == "ray" and len(p) == 2 and isinstance(p[1], Fraction) and p[1]:
+            if p[1].numerator < 0:
+                raise InvalidPointError(f"ray parameter {p[1]} must be >= 0")
             return (0, 0, p[1].numerator, p[1].numerator, 0), p[1].denominator
-        if tag == "head":
-            if len(p) != 2 or not isinstance(p[1], int) or p[1] < 1:
-                raise InvalidPointError(f"malformed spoke head {p!r}")
-            n, s, q = p[1], 0, 1
-        elif tag == "spoke":
-            if len(p) != 3 or not isinstance(p[1], int) or p[1] < 1:
-                raise InvalidPointError(f"malformed spoke point {p!r}")
-            n, s = p[1], p[2]
-            if not isinstance(s, Fraction) or not 0 < 2 * s.numerator < (2 * n - 1) * s.denominator:
-                raise InvalidPointError(f"spoke position out of range in {p!r}")
-            s, q = s.numerator, s.denominator
-        else:
-            raise InvalidPointError(f"unknown point tag {tag!r}")
-        return (2 * q * n, 2 * s, 2 * (q + s), 2 * q * n, (2 * n - 1) * q - 2 * s), 2 * q
+        if tag == "head" and len(p) == 2 or tag == "spoke" and len(p) == 3 and isinstance(p[2], Fraction):
+            n, a, q = (p[1], 0, 1) if tag == "head" else (p[1], p[2].numerator, p[2].denominator)
+            if type(n) is not int or n < 1:
+                raise InvalidPointError(f"spoke index {n!r} must be an integer >= 1")
+            ray = (2 * n - 1) * q - 2 * a  # the distance to the spoke's far end, over 2q
+            if a < 0 or ray < 0:
+                raise InvalidPointError(f"spoke position {p[2]} outside [0, {Fraction(2 * n - 1, 2)}]")
+            if tag == "head" or a and ray:
+                return (2 * q * n, 2 * a, 2 * (q + a), 2 * q * n, ray), 2 * q
+        raise InvalidPointError(f"malformed spoke-ray point {p!r}")
 
     @staticmethod
     def _code_distances(y, cols):
@@ -209,46 +206,36 @@ class StarTreeSpace(_CodedSpace):
     dead end of finite length n with endpoint x_n.
     """
 
-    kinds = ("hub", "int")
-
-    @property
-    def base_point(self):
-        return HUB
-
     @staticmethod
-    def interval_point(n: int, s) -> tuple:
-        if not isinstance(n, int) or n < 1:
-            raise InvalidPointError(f"interval index {n!r} must be an integer >= 1")
-        s = frac(s)
-        if s < 0 or s > n:
-            raise InvalidPointError(f"position {s} outside [0, {n}]")
-        return HUB if s == 0 else ("int", n, s)
+    def interval_point(n, s) -> tuple:
+        """The point at depth s on interval n >= 1: the hub at depth 0."""
+        n, s = integer_field(n, "n"), frac(s)
+        return HUB if s == 0 and n > 0 else StarTreeSpace._checked("int", n, s)
+
+    kinds = {"hub": hub, "int": interval_point}
 
     @classmethod
     def endpoint(cls, n: int) -> tuple:
         return cls.interval_point(n, n)
 
-    def check_point(self, p) -> None:
-        if p == HUB:
-            return
-        if (
-            not isinstance(p, tuple)
-            or len(p) != 3
-            or p[0] != "int"
-            or not isinstance(p[1], int)
-            or p[1] < 1
-            or not isinstance(p[2], Fraction)
-            or not 0 < p[2] <= p[1]
-        ):
-            raise InvalidPointError(f"{p!r} is not a point of the interval star")
-
     distance = _CodedSpace.distance
 
-    def _codes(self, p) -> tuple:
-        """(branch, depth) of a checked point over the depth's denominator;
-        the hub is on branch 0."""
-        self.check_point(p)
-        return ((0, 0), 1) if p == HUB else ((p[1] * p[2].denominator, p[2].numerator), p[2].denominator)
+    @staticmethod
+    def _codes(p) -> tuple:
+        """(branch, depth) of a point over the depth's denominator, the hub
+        on branch 0; fields out of range are named, as for spoke-ray points."""
+        tag = p[0] if isinstance(p, tuple) and p else None
+        if tag == "hub" and len(p) == 1:
+            return (0, 0), 1
+        if tag == "int" and len(p) == 3 and isinstance(p[2], Fraction):
+            n, a, q = p[1], p[2].numerator, p[2].denominator
+            if type(n) is not int or n < 1:
+                raise InvalidPointError(f"interval index {n!r} must be an integer >= 1")
+            if not 0 <= a <= n * q:
+                raise InvalidPointError(f"position {p[2]} outside [0, {n}]")
+            if a:
+                return (n * q, a), q
+        raise InvalidPointError(f"{p!r} is not a point of the interval star")
 
     @staticmethod
     def _code_distances(y, cols):

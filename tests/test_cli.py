@@ -522,6 +522,54 @@ def test_unknown_tagged_point_kinds_exit_2(capsys, space, point):
     assert json.loads(err)["message"] == f"unknown tagged point {point!r}"
 
 
+@pytest.mark.parametrize("space, point, message", [
+    # A key that no constructor takes was ignored: head(3), the hub and
+    # int(2,1), exit 0.
+    ("spoke_ray", {"kind": "head", "n": 3, "s": "1/2"}, "unknown point key 's' for kind 'head'"),
+    ("spoke_ray", {"kind": "hub", "t": 5}, "unknown point key 't' for kind 'hub'"),
+    ("star_tree", {"n": 2, "s": 1, "depth": 7}, "unknown point key 'depth' for kind 'int'"),
+    # A missing key is malformed input, as before.
+    ("spoke_ray", {"kind": "spoke", "n": 2}, "'s'"),
+    ("star_tree", {"s": 1}, "'n'"),
+    # Fields out of range, each named.
+    ("spoke_ray", {"kind": "head", "n": 0}, "spoke index 0 must be an integer >= 1"),
+    ("spoke_ray", {"kind": "ray", "t": -1}, "ray parameter -1 must be >= 0"),
+    ("spoke_ray", {"kind": "spoke", "n": 3, "s": 10}, "spoke position 10 outside [0, 5/2]"),
+    ("star_tree", {"n": 0, "s": 1}, "interval index 0 must be an integer >= 1"),
+    ("star_tree", {"n": 3, "s": 4}, "position 4 outside [0, 3]"),
+], ids=lambda a: json.dumps(a)[:40])
+def test_tagged_point_fields_exit_2(capsys, space, point, message):
+    code, out, err = run(capsys, "extend", "mcshane", "--space", json.dumps({"type": space}),
+                         "--domain", '[{"kind": "hub"}]', "--values", '["0"]', "--eval", json.dumps([point]))
+    assert (code, out) == (2, "")
+    assert message in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("space, origin, point, message", [
+    # Any iterable was read as coordinates: the text "12" as (1,2), an
+    # object's keys as (3,4), nested lists flattened; each exited 0.
+    ({"type": "zd", "params": {"dim": 2}}, [0, 0], "12", "a coordinate point must be a JSON list, got '12'"),
+    ({"type": "zd", "params": {"dim": 2}}, [0, 0], {"3": 0, "4": 1},
+     "a coordinate point must be a JSON list, got {'3': 0, '4': 1}"),
+    ({"type": "zd", "params": {"dim": 1}}, [0], 5, "a coordinate point must be a JSON list, got 5"),
+    ({"type": "heisenberg"}, [0, 0, 0], "123", "a coordinate point must be a JSON list, got '123'"),
+    ({"type": "lp"}, [0, 0], [[1, 2], [3, 4]], "an l^p point must be a flat JSON list of numbers, got [[1, 2], [3, 4]]"),
+    ({"type": "lp"}, [0, 0], "7", "an l^p point must be a flat JSON list of numbers, got '7'"),
+    ({"type": "lp"}, [0, 0], 7, "an l^p point must be a flat JSON list of numbers, got 7"),
+    ({"type": "lp"}, [0, 0], [1, True], "an l^p point must be a flat JSON list of numbers, got [1, True]"),
+    ({"type": "lp"}, [0, 0], ["1", "2"], "an l^p point must be a flat JSON list of numbers, got ['1', '2']"),
+    # and a JSON true is no integer
+    ({"type": "zd", "params": {"dim": 2}}, [0, 0], [1, True], "coordinate must be an integer, got True"),
+    ({"type": "finite", "params": {"matrix": [[0, 1], [1, 0]]}}, 0, True, "point must be an integer, got True"),
+], ids=lambda a: json.dumps(a)[:40])
+def test_coordinate_points_must_be_json_lists_exit_2(capsys, space, origin, point, message):
+    for domain, target in (([point], origin), ([origin], point)):  # as a domain point, then as an --eval point
+        code, out, err = run(capsys, "extend", "mcshane", "--space", json.dumps(space),
+                             "--domain", json.dumps(domain), "--values", '["0"]', "--eval", json.dumps([target]))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"] == message
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -107,6 +107,62 @@ def test_generating_set_closes_inverses():
     assert gens.elements == ((-1,), (1,))
 
 
+class _Eq(tuple):
+    """A Z^d element that counts the == tests made on it."""
+
+    calls = 0
+
+    def __eq__(self, other):
+        _Eq.calls += 1
+        return tuple.__eq__(self, other)
+
+    __hash__ = tuple.__hash__
+
+
+class _CountedZd(Zd):
+    def identity(self):
+        return _Eq(super().identity())
+
+    def _inv(self, g):
+        return _Eq(super()._inv(g))
+
+    def standard_generators(self):
+        return tuple(map(_Eq, super().standard_generators()))
+
+
+class _Tied(Zd):
+    """Z, with every element on one key and ints as elements."""
+
+    def __init__(self):
+        super().__init__(1)
+
+    def identity(self):
+        return 0
+
+    def _inv(self, g):
+        return -g
+
+    def check_element(self, g):
+        pass
+
+    def element_key(self, g):
+        return 0
+
+
+def test_generating_sets_dedup_in_linear_time():
+    # Each generator and its inverse is one dict entry, so the == tests grow
+    # linearly in d, where a list scan made about (2d)^2 / 2 of them; and the
+    # Cayley graph of the standard set forms it once, not again for is_standard.
+    d = 200
+    _Eq.calls = 0
+    space = CayleyGraphSpace(_CountedZd(d))
+    assert _Eq.calls <= 6 * d
+    assert space.closed and space.gens.elements == tuple(sorted(Zd(d).standard_generators()))
+    # Order is kept for elements that tie on element_key: first seen first.
+    tied = GeneratingSet.create(_Tied(), [3, 1, 2])
+    assert tied.elements == (3, -3, 1, -1, 2, -2)
+
+
 def _sphere_sizes(ball):
     return np.diff(ball.sphere_offsets).tolist()
 

@@ -1,9 +1,12 @@
 import dataclasses
 import functools
+import inspect
 import json
 import os
+import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from horokit.groups import (
     Zd,
     cyclic_group,
 )
-from horokit.metric import FiniteMetricSpace, MetricReport
+from horokit.metric import FiniteMetricSpace, MetricReport, real_field
 from horokit.serialize import (
     SCHEMA_VERSION,
     RowTable,
@@ -243,9 +246,56 @@ def test_integer_fields_read_integral_values_and_name_the_rest():
         (lambda v: space_from_descriptor({"type": "finite", "params": {"matrix": [[0]]}, "base": v}), "base"),
     ]
     for read, field in bad:
-        for v in (1.5, float("inf"), float("nan"), "1/2", None, [1]):
+        for v in (1.5, float("inf"), float("nan"), "1/2", None, [1], True, False, np.True_):
             with pytest.raises(InvalidParameterError, match=f"^{field} must be an integer, got "):
                 read(v)
+    # A real field reads any number in the float range, but no boolean: JSON
+    # true read as 1.0, and as the ray parameter 1.
+    assert point_from_json(DistortedLine(), 2) == 2.0 and LpSpace(3).p == 3.0
+    real = [
+        (lambda v: point_from_json(DistortedLine(), v), "point"),
+        (lambda v: LpSpace(v), "p"),
+        (lambda v: real_field(v, "value"), "value"),
+    ]
+    for read, field in real:
+        for v in (10**400, True, False, np.True_):
+            with pytest.raises(InvalidParameterError, match=f"^{field} must be a real number in the float range, got "):
+                read(v)
+    for v in (True, False, np.True_):
+        with pytest.raises(InvalidParameterError, match=f"^cannot coerce {v!r} to an exact rational"):
+            point_from_json(sr, {"kind": "ray", "t": v})
+
+
+# The JSON fields of each kind of tagged point, as README lists them.
+POINT_FIELDS = {
+    SpokeRaySpace: {"hub": [], "ray": ["t"], "head": ["n"], "spoke": ["n", "s"]},
+    StarTreeSpace: {"hub": [], "int": ["n", "s"]},
+}
+
+
+def test_point_fields_are_the_constructor_keywords():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    for space, fields in POINT_FIELDS.items():
+        assert {kind: list(inspect.signature(ctor).parameters) for kind, ctor in space.kinds.items()} == fields
+        for kind, ctor in space.kinds.items():
+            assert f"`{ctor.__name__}({', '.join(fields[kind])})`" in readme
+
+
+def _rebuilt(space, p):
+    """``kinds[tag](**fields)`` of the tagged point p = (tag, field, ...)."""
+    ctor = space.kinds[p[0]]
+    return ctor(**dict(zip(inspect.signature(ctor).parameters, p[1:], strict=True)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["spoke_ray", "star_tree"]), data=st.data(), seed=st.integers(0, 2**32))
+def test_each_tagged_point_is_its_kinds_constructor_call(kind, data, seed):
+    # Every valid point, drawn from the round-trip strategies and from
+    # sample_points, is the call of its tag's constructor on its fields.
+    space, pairs = data.draw(SPACES[kind])
+    for p in [data.draw(pairs)[1], *space.sample_points(random.Random(seed), 8)]:
+        q = _rebuilt(space, p)
+        assert q == p and list(map(type, q)) == list(map(type, p))
 
 
 def test_emit_json_deterministic_and_typed():
