@@ -23,7 +23,7 @@ from .errors import (
 )
 from .functionals import BallFunctional, ZdLinear, check_rows, eval_functional
 from .groups import CayleyBall, GeneratingSet, GroupFamily, cayley_ball
-from .metric import CHUNK, Scalar, first_lipschitz_violation
+from .metric import CHUNK, Scalar, first_failure, first_lipschitz_violation
 from .serialize import RowTable
 
 
@@ -420,11 +420,7 @@ def reduced_fixed_point_audit(
     space = isometry.space
     x0 = space.base_point
     bound = space.distance(isometry.apply_inverse(x0), x0)
-    worst = 0
-    for x in samples:
-        gap = abs(eval_functional(h, isometry.apply_inverse(x)) - eval_functional(h, x))
-        if gap > worst:
-            worst = gap
-        if gap > bound + tol:
-            return FixedPointAuditReport(False, bound, worst, len(samples), x)
-    return FixedPointAuditReport(True, bound, worst, len(samples))
+    checked, worst, x, _ = first_failure(
+        samples, lambda y: abs(eval_functional(h, isometry.apply_inverse(y)) - eval_functional(h, y)), bound + tol
+    )
+    return FixedPointAuditReport(x is None, bound, worst, checked, x)

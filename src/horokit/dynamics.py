@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedError,
 )
 from .functionals import DiskBusemann, RealizedFunctional, eval_functional
-from .metric import MetricSpace, Point, Scalar
+from .metric import MetricSpace, Point, Scalar, first_failure
 from .spaces import (
     DistortedLine,
     PoincareDisk,
@@ -439,23 +439,14 @@ def almost_fixed_invariant_functional(
             break  # the audit applies f there again, and raises if it gets there
     h.preload([p for pair in zip(grid, images) for p in pair])
     equality = f.kind == "isometry"
-    worst = 0.0
-    checked = 0
-    passed = True
-    for i, x in enumerate(grid):
-        hx = h.evaluate(x)
-        hfx = h.evaluate(images[i] if i < len(images) else f.apply(x))
-        if not (hx.stabilized and hfx.stabilized):
-            passed = False
-            break
-        gap = hfx.value - hx.value
-        gap = abs(gap) if equality else max(0, gap)
-        worst = max(worst, float(gap))
-        checked += 1
-        if gap > tol:
-            passed = False
-            break
-    return AlmostFixedReport(h, disp.bound, passed, worst, checked, equality)
+
+    def gap(i):
+        hx, hfx = h.evaluate(grid[i]), h.evaluate(images[i] if i < len(images) else f.apply(grid[i]))
+        d = hfx.value - hx.value
+        return (abs(d) if equality else max(0, d)) if hx.stabilized and hfx.stabilized else None
+
+    checked, worst, i, _ = first_failure(range(len(grid)), gap, tol)
+    return AlmostFixedReport(h, disp.bound, i is None, float(worst), checked, equality)
 
 
 # ---------------------------------------------------------------------------

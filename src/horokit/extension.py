@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidParameterError, PreconditionError
 from .functionals import EvalOutcome, WitnessLimit
 from .metric import MetricSpace, Point, Scalar
-from .metric import first_lipschitz_violation, numeric_arrays
+from .metric import first_failure, first_lipschitz_violation, numeric_arrays
 from .spaces import HUB, SpokeRaySpace, StarTreeSpace, frac
 
 
@@ -149,12 +149,12 @@ class PigeonholeLimit(WitnessLimit):
             same = tail == ordered[: len(tail)]
             return (int(order[same.argmax()]), None) if same.any() else (None, None)
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, a break as no gap is
-            starts = np.flatnonzero(np.r_[True, ~(np.diff(ordered) <= self.tol / 10.0)])
-        ends = np.r_[starts[1:], len(vals)]
-        hits = np.flatnonzero(ends - starts >= self.recur_min)
+            breaks = np.flatnonzero(~(np.diff(ordered) <= self.tol / 10.0)) + 1
+        cuts = np.concatenate(([0], breaks, [len(vals)]))  # run k is ordered[cuts[k]:cuts[k + 1]]
+        hits = np.flatnonzero(np.diff(cuts) >= self.recur_min)
         if not hits.size:
             return None, None
-        lo, hi = starts[hits[0]], ends[hits[0]]
+        lo, hi = cuts[hits[0]], cuts[hits[0] + 1]
         members = order[lo:hi]
         return int(members[np.argmax(active[members])]), float(ordered[hi - 1] - ordered[lo])
 
@@ -194,21 +194,16 @@ def hahn_banach_extend(
     H = PigeonholeLimit(space, witnesses)
     H.preload([*eval_points, *audit_points])
     table = {space.point_label(p): H.evaluate(p) for p in sorted(eval_points, key=space.point_key)}
-    worst: Scalar = 0
-    checked = 0
-    failure = None
-    slack = 0 if space.exact else H.tol
-    for y in sorted(audit_points, key=space.point_key):
+
+    def gap(y):
         out = H.evaluate(y)
-        if not out.stabilized:
-            failure = ("no_stabilization", y)
-            break
-        gap = abs(out.value - h_on_subset(y))
-        worst = max(worst, gap)
-        checked += 1
-        if gap > slack:
-            failure = ("restriction_mismatch", y, out.value, h_on_subset(y))
-            break
+        return abs(out.value - h_on_subset(y)) if out.stabilized else None
+
+    slack = 0 if space.exact else H.tol
+    checked, worst, y, g = first_failure(sorted(audit_points, key=space.point_key), gap, slack)
+    failure = None if y is None else ("no_stabilization", y)
+    if g is not None:
+        failure = ("restriction_mismatch", y, H.evaluate(y).value, h_on_subset(y))
     return HahnBanachResult(H, table, RestrictionAudit(failure is None, checked, worst, failure))
 
 

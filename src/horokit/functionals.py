@@ -224,12 +224,6 @@ class ZdLinear:
         # (g.h)(x) = h(x - g) - h(-g) = h(x) for linear h.
         return self
 
-    def __eq__(self, other):
-        return isinstance(other, ZdLinear) and self.u == other.u
-
-    def __hash__(self):
-        return hash(("zd_linear", self.u))
-
 
 def eval_functional(f, y) -> Scalar:
     """Evaluate any functional-like object at a point.

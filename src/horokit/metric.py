@@ -8,6 +8,8 @@ This module also holds the one checker of the metric axioms, the triangle
 inequality and the 1-Lipschitz condition.  It works on distance matrices
 and reports the first violation in a fixed canonical order; callers build
 the matrix, through their distance oracle or an array kernel, and call it.
+It also holds :func:`first_failure`, the one stop-and-count rule of the
+audits that certify the paper's existence statements.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -286,6 +288,24 @@ def first_lipschitz_violation(V: np.ndarray, D: np.ndarray, tol: Scalar = 0, pai
             p = int(np.argmax(bad[r]))
             return (a + r, int(i[p]), int(j[p]))
     return None
+
+
+def first_failure(items: Iterable, gap: Callable, limit: Scalar) -> tuple:
+    """(checked, worst, item, gap) of the audits' one rule: walk ``items``
+    in order, stop uncounted at the first whose ``gap`` is None (an outcome
+    that did not stabilize), else count it, keep the largest gap (from 0),
+    and stop at the first gap above ``limit``.  item and gap are None when
+    every item passes."""
+    checked, worst = 0, 0
+    for item in items:
+        g = gap(item)
+        if g is None:
+            return checked, worst, item, None
+        checked += 1
+        worst = max(worst, g)
+        if g > limit:
+            return checked, worst, item, g
+    return checked, worst, None, None
 
 
 class FiniteMetricSpace(MetricSpace):

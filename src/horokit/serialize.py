@@ -7,8 +7,8 @@ A space descriptor {"type": t, "params": {...}} builds t's constructor with
 the params as its keyword arguments (a group as its Cayley graph); "finite"
 also takes "base" (0).  A tagged point {"kind": k, **keywords} is its kind's
 constructor ``kinds[k]`` called with the keywords.  Any other key is invalid
-input, as are a coordinate point that is not a JSON list and a JSON boolean
-in a number field.
+input, as are a missing key without a default (each error names the key), a
+coordinate point that is not a JSON list and a JSON boolean in a number field.
 
   type            constructor                         point
   finite          FiniteMetricSpace(matrix)           index
@@ -42,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _str
 from typing import Any
@@ -57,8 +58,6 @@ SCHEMA_VERSION = "1"
 
 
 def scalar_to_json(v) -> Any:
-    if type(v) is int:
-        return v
     if isinstance(v, Fraction):
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     if isinstance(v, (int, np.integer)):
@@ -81,31 +80,38 @@ def space_from_descriptor(desc: dict) -> MetricSpace:
         raise InvalidParameterError("space descriptor must be a dict with a 'type'")
     kind, params = desc["type"], desc.get("params", {})
     if kind == "finite":
-        ctor, top, names = None, ("type", "params", "base"), ("matrix",)
+        top = ("type", "params", "base")
+
+        def ctor(matrix):
+            # Entries read as Fraction(str(v)) reads them: a JSON int as it is, and
+            # any other value as its text, which FiniteMetricSpace reads exactly.
+            matrix = [[v if type(v) is int else str(v) for v in row] for row in matrix]
+            return FiniteMetricSpace(matrix, base_index=integer_field(desc.get("base", 0), "base"))
     else:
         ctor = SPACE_TYPES.get(kind) if isinstance(kind, str) else None
         if ctor is None:
             raise InvalidParameterError(f"unknown space type {kind!r}")
-        top, names = ("type", "params"), inspect.signature(ctor).parameters
+        top = ("type", "params")
     if not isinstance(params, dict):
         raise InvalidParameterError(f"params must be a JSON object, got {params!r}")
     _check_keys(desc, top, "descriptor", f"space type {kind!r}")
-    _check_keys(params, names, "params", f"space type {kind!r}")
-    if ctor is None:
-        # Entries read as Fraction(str(v)) reads them: a JSON int as it is, and
-        # any other value as its text, which FiniteMetricSpace reads exactly.
-        matrix = [[v if type(v) is int else str(v) for v in row] for row in params["matrix"]]
-        return FiniteMetricSpace(matrix, base_index=integer_field(desc.get("base", 0), "base"))
+    _check_keys(params, inspect.signature(ctor).parameters, "params", f"space type {kind!r}")
     space = ctor(**params)
     return CayleyGraphSpace(space) if isinstance(space, GroupFamily) else space
 
 
 def _check_keys(keys, known, where: str, of: str) -> None:
     """The one check of descriptor and point keys: the first key not in
-    ``known`` is an error that names it, ``where`` it was and ``of`` what."""
+    ``known`` is an error that names it, ``where`` it was and ``of`` what,
+    and so, when ``known`` is a signature's parameters, is the first of
+    them without a default that the keys leave out."""
     bad = next((k for k in keys if k not in known), None)
     if bad is not None:
         raise InvalidParameterError(f"unknown {where} key {bad!r} for {of}")
+    params = known.values() if isinstance(known, Mapping) else ()
+    lost = next((p.name for p in params if p.default is p.empty and p.name not in keys), None)
+    if lost is not None:
+        raise InvalidParameterError(f"missing {where} key {lost!r} for {of}")
 
 
 def point_from_json(space: MetricSpace, obj) -> Any:

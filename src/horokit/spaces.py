@@ -301,6 +301,7 @@ class DistortedLine(MetricSpace):
     named by its key in ``DISTORTIONS``."""
 
     exact = False
+    base_point = 0.0
 
     def __init__(self, distortion: str = "sqrt"):
         if distortion not in DISTORTIONS:
@@ -311,10 +312,6 @@ class DistortedLine(MetricSpace):
         self.check_point(p)
         self.check_point(q)
         return self.dfun(abs(float(p) - float(q)))
-
-    @property
-    def base_point(self):
-        return 0.0
 
     def check_point(self, p) -> None:
         # The exact-type test spares float points the slower ABC check.
@@ -440,10 +437,7 @@ class PoincareDisk(_HyperbolicModel):
     """
 
     scale = 1.0
-
-    @property
-    def base_point(self) -> complex:
-        return 0j
+    base_point = 0j
 
     @staticmethod
     def _point(p) -> tuple[float, complex]:
@@ -469,10 +463,7 @@ class UpperHalfPlane(_HyperbolicModel):
     is stable for nearby points."""
 
     scale = 2.0
-
-    @property
-    def base_point(self) -> complex:
-        return 1j
+    base_point = 1j
 
     @staticmethod
     def _point(p) -> tuple[float, complex]:

@@ -387,6 +387,14 @@ def test_fixed_point_audit_z_shift():
     assert rep.worst == 1  # |h(x-1) - h(x)| = 1 exactly
 
 
+def test_fixed_point_audit_counts_only_the_samples_it_compared():
+    # h(x) = x^2 moves by |2x - 1| under the shift by 1, whose bound is 1:
+    # (0,) and (1,) pass at 1, (5,) fails at 9, and (6,) is never compared.
+    g = group_translation(CayleyGraphSpace(Z1), (1,))
+    rep = reduced_fixed_point_audit(g, lambda p: p[0] ** 2, [(0,), (1,), (5,), (6,)])
+    assert (rep.passed, rep.bound, rep.worst, rep.checked, rep.violating) == (False, 1, 9, 3, (5,))
+
+
 def test_fixed_point_audit_disk_rotation():
     disk = PoincareDisk()
     rot = MoebiusMap(Fraction(3, 5), Fraction(-4, 5), Fraction(4, 5), Fraction(3, 5))

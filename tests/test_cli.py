@@ -545,6 +545,21 @@ def test_tagged_point_fields_exit_2(capsys, space, point, message):
     assert message in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    # A missing point key ended in the constructor's TypeError, naming a
+    # Python function; a missing finite matrix in KeyError.
+    (("extend", "mcshane", "--space", '{"type": "spoke_ray"}', "--domain", '[{"kind": "hub"}]', "--values", '["0"]',
+      "--eval", '[{"kind": "spoke", "n": 2}]'), "missing point key 's' for kind 'spoke'"),
+    (("validate", "metric", "--space", '{"type": "finite_group"}'),
+     "missing params key 'table' for space type 'finite_group'"),
+    (("validate", "metric", "--space", '{"type": "finite"}'), "missing params key 'matrix' for space type 'finite'"),
+], ids=["spoke point", "finite_group", "finite"])
+def test_missing_keys_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"] == message
+
+
 @pytest.mark.parametrize("space, origin, point, message", [
     # Any iterable was read as coordinates: the text "12" as (1,2), an
     # object's keys as (3,4), nested lists flattened; each exited 0.

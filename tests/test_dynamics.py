@@ -31,7 +31,7 @@ from horokit.errors import (
     NotMonotoneError,
     PreconditionError,
 )
-from horokit.functionals import HalfPlaneBusemannInfinity, Linear, ZdLinear
+from horokit.functionals import EvalOutcome, HalfPlaneBusemannInfinity, Linear, ZdLinear
 from horokit.groups import CayleyGraphSpace, Heisenberg, Zd, cyclic_group
 from horokit.metric import FiniteMetricSpace
 from horokit.spaces import DistortedLine, LpSpace, PoincareDisk, UpperHalfPlane
@@ -552,6 +552,18 @@ def test_almost_fixed_finite_space_fixed_point():
     )
     assert rep.audit_passed
     assert rep.functional.evaluate(2).value == 2
+
+
+def test_almost_fixed_audit_stops_at_an_unstabilized_point():
+    # On the path 0-1-2-3 with f = 0, the chosen witnesses are 3, 2 and six
+    # 1s: every h_w(0) is 0, but at 3 the trailing run of 1s is shorter than
+    # the stable window, so the audit stops there, counting only x = 0.
+    space = FiniteMetricSpace([[abs(i - j) for j in range(4)] for i in range(4)])
+    f = SelfMap(space, lambda x: 0)
+    rep = almost_fixed_invariant_functional(f, [3, 2, 1], [3, 2] + [1] * 6, [0, 3, 1], tol=0)
+    assert (rep.audit_passed, rep.audit_checked, rep.audit_worst, rep.equality_mode) == (False, 1, 0.0, False)
+    assert type(rep.audit_worst) is float
+    assert rep.functional.evaluate(3) == EvalOutcome(Fraction(1), False, 2, None, 8)
 
 
 def test_almost_fixed_requires_displacement_cert():

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from horokit.extension import (
     McShaneExtension,
     PartialFunctional,
     PigeonholeLimit,
+    RestrictionAudit,
     euclidean_zero_nonmembership_check,
     hahn_banach_extend,
     spoke_ray_failure_witness,
@@ -187,6 +189,36 @@ def test_extension_trivial_subset_equals_function():
         audit_points=[SR.gamma(5)],
     )
     assert res.table["ray(5)"].value == -5
+
+
+def test_extension_audit_reports_the_first_mismatch():
+    # h is off by 1 at ray(3): the audit compares hub, ray(1), ray(2) and
+    # ray(3) in point-key order, stops there, and never reaches ray(5).
+    res = hahn_banach_extend(
+        SR,
+        lambda y: ray_limit_on_ray(y) + (y == SR.gamma(3)),
+        (SR.gamma(k) for k in range(1, 40)),
+        audit_points=[SR.gamma(s) for s in (5, 1, 3, 2)] + [HUB],
+    )
+    assert res.audit == RestrictionAudit(False, 4, 1, ("restriction_mismatch", SR.gamma(3), -3, -2))
+
+
+def test_extension_audit_reports_an_unstabilized_point():
+    # Two witnesses give ray(5) the values -1 and -3: no value recurs, so
+    # the audit stops there without counting it, after the hub's exact 0.
+    res = hahn_banach_extend(SR, ray_limit_on_ray, (SR.gamma(k) for k in (1, 2)), audit_points=[SR.gamma(5), HUB])
+    assert res.audit == RestrictionAudit(False, 1, 0, ("no_stabilization", SR.gamma(5)))
+    assert not res.functional.evaluate(SR.gamma(5)).stabilized
+
+
+def test_mcshane_report_labels_distorted_line_points(capsys):
+    # A distorted-line point is labelled by the repr of its float.
+    code = main(["extend", "mcshane", "--space", '{"type": "distorted_line"}', "--domain", "[0, 4]",
+                 "--values", '["0", "1"]', "--eval", "[2.5, -1, 9]"])
+    assert code == 0
+    values = json.loads(capsys.readouterr().out)["result"]["values"]
+    expected = [max(0 - math.sqrt(abs(x)), 1 - math.sqrt(abs(x - 4))) for x in (2.5, -1, 9)]
+    assert values == [{"point": p, "value": v} for p, v in zip(["2.5", "-1.0", "9.0"], expected)]
 
 
 def test_pigeonhole_needs_witnesses():

@@ -35,6 +35,22 @@ from horokit.spaces import PoincareDisk, SpokeRaySpace, StarTreeSpace, UpperHalf
 from oracles import bfs_ball, random_rational_metric
 
 
+def test_first_failure_is_the_audits_stop_and_count_rule():
+    # Items are walked in order: an item whose gap is None (an outcome that
+    # did not stabilize) stops the walk uncounted; any other is counted, the
+    # largest gap kept, and the first gap above the limit stops it.
+    gaps = {"a": 1, "b": 3, "c": None, "d": 5}
+    assert metric.first_failure("abd", gaps.get, 5) == (3, 5, None, None)
+    assert metric.first_failure("abd", gaps.get, 2) == (2, 3, "b", 3)
+    assert metric.first_failure("dab", gaps.get, 4) == (1, 5, "d", 5)
+    assert metric.first_failure("acd", gaps.get, 0) == (1, 1, "a", 1)
+    assert metric.first_failure("acd", gaps.get, 9) == (1, 1, "c", None)
+    assert metric.first_failure("cab", gaps.get, 9) == (0, 0, "c", None)
+    assert metric.first_failure("", gaps.get, 0) == (0, 0, None, None)
+    # A NaN gap is counted, is never the worst and never above the limit.
+    assert metric.first_failure("ab", lambda _: math.nan, 0) == (2, 0, None, None)
+
+
 def test_triangle_violation_reported():
     with pytest.raises(InvalidSpaceError, match="triangle"):
         FiniteMetricSpace([[0, 1, 3], [1, 0, 1], [3, 1, 0]])

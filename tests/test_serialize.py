@@ -281,6 +281,31 @@ def test_point_fields_are_the_constructor_keywords():
             assert f"`{ctor.__name__}({', '.join(fields[kind])})`" in readme
 
 
+@pytest.mark.parametrize("make, message", [
+    # A missing key reached the constructor: a TypeError naming a Python
+    # function, or for the finite matrix a KeyError.
+    (lambda: point_from_json(SpokeRaySpace(), {"kind": "spoke", "n": 2}), "missing point key 's' for kind 'spoke'"),
+    (lambda: point_from_json(SpokeRaySpace(), {"kind": "spoke"}), "missing point key 'n' for kind 'spoke'"),
+    (lambda: point_from_json(SpokeRaySpace(), {"kind": "ray"}), "missing point key 't' for kind 'ray'"),
+    (lambda: point_from_json(StarTreeSpace(), {"s": 1}), "missing point key 'n' for kind 'int'"),
+    (lambda: point_from_json(StarTreeSpace(), {"kind": "int", "n": 1}), "missing point key 's' for kind 'int'"),
+    (lambda: space_from_descriptor({"type": "finite_group"}), "missing params key 'table' for space type 'finite_group'"),
+    (lambda: space_from_descriptor({"type": "finite_group", "params": {"generators": [1]}}),
+     "missing params key 'table' for space type 'finite_group'"),
+    (lambda: space_from_descriptor({"type": "finite"}), "missing params key 'matrix' for space type 'finite'"),
+    (lambda: space_from_descriptor({"type": "finite", "params": {}, "base": 0}),
+     "missing params key 'matrix' for space type 'finite'"),
+    # An unknown key is named first.
+    (lambda: point_from_json(SpokeRaySpace(), {"kind": "spoke", "x": 1}), "unknown point key 'x' for kind 'spoke'"),
+    (lambda: space_from_descriptor({"type": "finite", "params": {"base": 0}}),
+     "unknown params key 'base' for space type 'finite'"),
+], ids=lambda a: None if callable(a) else a)
+def test_missing_keys_are_named(make, message):
+    with pytest.raises(InvalidParameterError) as err:
+        make()
+    assert str(err.value) == message
+
+
 def _rebuilt(space, p):
     """``kinds[tag](**fields)`` of the tagged point p = (tag, field, ...)."""
     ctor = space.kinds[p[0]]
