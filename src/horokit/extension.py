@@ -10,6 +10,7 @@ evaluation tables.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -77,15 +78,20 @@ class McShaneExtension:
         if self.mode not in ("sup", "inf"):
             raise InvalidParameterError(f"mode must be 'sup' or 'inf', got {self.mode!r}")
 
-    def evaluate(self, b: Point) -> Scalar:
-        space = self.partial.space
-        if self.mode == "sup":
-            return max(
-                v - space.distance(a, b) for a, v in zip(self.partial.points, self.partial.values)
-            )
-        return min(
-            v + space.distance(a, b) for a, v in zip(self.partial.points, self.partial.values)
-        )
+    def evaluate(self, targets: Sequence[Point]) -> list[Scalar]:
+        """F at each of ``targets``, from one ``distance_block`` of them
+        against the domain.  On an exact space the values go onto the
+        block's denominator L as Python ints, so no pair builds a Fraction
+        or scales in int64, and each target is one Fraction over L."""
+        pf, exact = self.partial, self.partial.space.exact
+        D, den = pf.space.distance_block(pf.points)(targets, np.arange(len(pf.points)))
+        fr = list(map(Fraction, pf.values)) if exact else pf.values  # a float value is read exactly
+        L = math.lcm(den, *(v.denominator for v in fr)) if exact else den  # a float block's den is 1
+        V = [v.numerator * (L // v.denominator) for v in fr] if exact else fr
+        op, best = (operator.sub, max) if self.mode == "sup" else (operator.add, min)
+        rows = (D if L == den else D.astype(object) * (L // den)).tolist()
+        out = [best(map(op, V, row)) for row in rows]
+        return [Fraction(x, L) for x in out] if exact else out
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .metric import MetricSpace, ball_limit, exact_table, integer_field
+from .metric import MetricSpace, ball_limit, exact_table, integer_field, list_field
 
 Element = Any
 
@@ -514,7 +514,7 @@ class FiniteGroup(GroupFamily):
     """Finite group from a multiplication table; elements are indices."""
 
     def __init__(self, table: Sequence[Sequence[int]], generators: Sequence[int] | None = None):
-        n = len(table)
+        n = len(list_field(table, "table", rows=True))
         self.table = tuple(tuple(integer_field(v, "table entry") for v in row) for row in table)
         self.n = n
         self.name = f"finite({n})"
@@ -526,7 +526,8 @@ class FiniteGroup(GroupFamily):
             raise InvalidParameterError("table has no identity element")
         self._identity = ident
         self._inverses = [row.index(ident) for row in self.table]  # each row is a permutation
-        self._default_gens = tuple(integer_field(g, "generator") for g in generators or ())
+        gens = () if generators is None else list_field(generators, "generators")
+        self._default_gens = tuple(integer_field(g, "generator") for g in gens)
         for g in self._default_gens:
             if not 0 <= g < n:
                 raise InvalidParameterError(f"generator {g} is not an index into a {n}-element group")

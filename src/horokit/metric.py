@@ -68,13 +68,23 @@ def integer_field(v, name: str) -> int:
 
 def real_field(v, name: str, read=float):
     """``read(v)`` (float, or a reader of float arrays) of a real field of
-    input; a bool or a number past the float range is an error naming it."""
+    input; a bool, a number past the float range or anything ``read`` cannot
+    read (None, a list, text that is no decimal) is an error naming it."""
     try:
         if not isinstance(v, (bool, np.bool_)):
             return read(v)
-    except OverflowError:
+    except (TypeError, ValueError, OverflowError):
         pass
     raise InvalidParameterError(f"{name} must be a real number in the float range, got {v!r}")
+
+
+def list_field(v, name: str, rows: bool = False):
+    """A list field of input (a list, tuple or array), with ``rows`` a list
+    of such lists; any other shape is an error naming the field."""
+    seq = (list, tuple, np.ndarray)
+    if isinstance(v, seq) and (not rows or all(isinstance(row, seq) for row in v)):
+        return v
+    raise InvalidParameterError(f"{name} must be a list{' of lists' if rows else ''}, got {v!r}")
 
 
 class MetricSpace(ABC):
@@ -161,12 +171,17 @@ INT64_SAFE = 1 << 61
 
 def exact_table(rows) -> tuple[np.ndarray, int]:
     """The 2-D table ``rows`` of exact scalars as (M, den) with M / den = rows,
-    by :func:`over_one_denominator`.  Ints and Fractions are read as they
-    are, and strings "p" and "p/q" in ASCII digits as the ints p and q, so
-    none of them builds a Fraction; any other entry is read by
-    ``Fraction(v)``, with its value or its exception."""
+    by :func:`over_one_denominator`.  Each distinct entry is read once, in
+    row-major order of first occurrence (entries that compare equal are
+    equal rationals), and the table is one fancy index of those values.
+    Ints and Fractions are read as they are, and strings "p" and "p/q" in
+    ASCII digits as the ints p and q, so none of them builds a Fraction; any
+    other entry is read by ``Fraction(v)``, with its value or its exception."""
+    flat = list(chain.from_iterable(rows))
+    at = dict.fromkeys(flat)
     ps, qs = [], []
-    for v in chain.from_iterable(rows):
+    for v in at:
+        at[v] = len(ps)
         if type(v) is str and v.isascii():
             p, slash, q = v.partition("/")
             if p.isdigit() and (q.isdigit() or not slash):
@@ -179,6 +194,7 @@ def exact_table(rows) -> tuple[np.ndarray, int]:
         ps.append(v.numerator)
         qs.append(v.denominator)
     M, den = over_one_denominator(ps, qs)
+    M = M[np.fromiter(map(at.__getitem__, flat), np.intp, len(flat))]
     return (M.reshape(len(rows), -1) if len(rows) else M), den
 
 

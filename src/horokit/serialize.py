@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, UnsupportedError
 from .groups import CayleyGraphSpace, FiniteGroup, FreeGroup, GroupFamily, Heisenberg, Zd
-from .metric import FiniteMetricSpace, MetricSpace, integer_field, real_field
+from .metric import FiniteMetricSpace, MetricSpace, integer_field, list_field, real_field
 from .spaces import DistortedLine, LpSpace, PoincareDisk, SpokeRaySpace, StarTreeSpace, UpperHalfPlane
 
 SCHEMA_VERSION = "1"
@@ -85,7 +85,7 @@ def space_from_descriptor(desc: dict) -> MetricSpace:
         def ctor(matrix):
             # Entries read as Fraction(str(v)) reads them: a JSON int as it is, and
             # any other value as its text, which FiniteMetricSpace reads exactly.
-            matrix = [[v if type(v) is int else str(v) for v in row] for row in matrix]
+            matrix = [[v if type(v) is int else str(v) for v in row] for row in list_field(matrix, "matrix", rows=True)]
             return FiniteMetricSpace(matrix, base_index=integer_field(desc.get("base", 0), "base"))
     else:
         ctor = SPACE_TYPES.get(kind) if isinstance(kind, str) else None

@@ -583,6 +583,17 @@ def integer_grid_extensions(matrix, domain, values, free_idx, grid):
     return out
 
 
+def mcshane_reference(dist, domain, values, targets, mode):
+    """McShane's extension at each target b, one pair at a time:
+    max_a (f(a) - d(a, b)) in sup mode, min_a (f(a) + d(a, b)) in inf mode.
+    ``dist`` is a distance matrix, read entry by entry as Fractions, or a
+    callable d(a, b)."""
+    d = dist if callable(dist) else (lambda a, b: Fraction(str(dist[a][b])))
+    if mode == "sup":
+        return [max(v - d(a, b) for a, v in zip(domain, values)) for b in targets]
+    return [min(v + d(a, b) for a, v in zip(domain, values)) for b in targets]
+
+
 def random_rational_metric(rng, n: int, *, integral: bool = False):
     """Random exact metric on n points via shortest-path closure."""
     INF = Fraction(10**9)

@@ -163,8 +163,8 @@ def test_acceptance_05_mcshane_suite():
         pf = PartialFunctional(space, domain, values)
         sup = McShaneExtension(pf, "sup")
         inf = McShaneExtension(pf, "inf")
-        sup_vals = [sup.evaluate(i) for i in range(n)]
-        inf_vals = [inf.evaluate(i) for i in range(n)]
+        sup_vals = sup.evaluate(list(range(n)))
+        inf_vals = inf.evaluate(list(range(n)))
         for i, p in enumerate(domain):
             ok = ok and sup_vals[p] == values[i] == inf_vals[p]
         for i in range(n):
@@ -180,13 +180,13 @@ def test_acceptance_05_mcshane_suite():
         domain = [0, n - 1]
         values = [Fraction(0), Fraction(min(1, matrix[0][n - 1]))]
         pf = PartialFunctional(space, domain, values)
-        sup = McShaneExtension(pf, "sup")
-        inf = McShaneExtension(pf, "inf")
+        lo = McShaneExtension(pf, "sup").evaluate(list(range(n)))
+        hi = McShaneExtension(pf, "inf").evaluate(list(range(n)))
         free = [i for i in range(n) if i not in domain]
         span = int(max(max(row) for row in matrix)) + 1
         for ext in integer_grid_extensions(matrix, domain, values, free, range(-span, span + 1)):
             for i in range(n):
-                ok = ok and sup.evaluate(i) <= ext[i] <= inf.evaluate(i)
+                ok = ok and lo[i] <= ext[i] <= hi[i]
     _report(5, "sup/inf extension suite: 100 exact spaces + brute-force sandwich", t0, 10.0, ok)
 
 

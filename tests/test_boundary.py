@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from horokit import boundary
 from horokit.boundary import (
+    DriftAuditReport,
     DriftMeasure,
     ZFunctional,
     _unique_rows,
@@ -338,6 +339,26 @@ def test_drift_measure_validation():
         DriftMeasure.create(space, [(ZdLinear([1]), Fraction(-1)), (ZdLinear([-1]), Fraction(2))])
     with pytest.raises(UnsupportedError):
         DriftMeasure.create(space, [(lambda x: 0, Fraction(1))])
+
+
+def test_drift_audit_reports_its_first_failure():
+    # Built without ``create``, a measure may hold functionals the audit must reject.
+    space = CayleyGraphSpace(Z1)
+
+    class Scaled:  # T(g) = -2 g: additive, but |T(1)| = 2 > |1|
+        def evaluate(self, g):
+            return Fraction(-2 * g[0])
+
+    class Point:  # T(g) = |g - 2| - 2: 1-Lipschitz, but T(1) + T(3) = -2 != T(4) = 0
+        def evaluate(self, g):
+            return Fraction(abs(g[0] - 2) - 2)
+
+    els = [(0,), (1,), (3,)]
+    assert drift_audit(DriftMeasure(space, ((Scaled(), Fraction(1)),)), els) == DriftAuditReport(
+        False, 0, 1, ("lipschitz", (1,)))
+    # pairs in order: (0, 0), (0, 1), (0, 3), (1, 0), (1, 1) pass, and (1, 3) is the sixth
+    assert drift_audit(DriftMeasure(space, ((Point(), Fraction(1)),)), els) == DriftAuditReport(
+        False, 6, 3, ("additivity", (1,), (3,)))
 
 
 # ---------------------------------------------------------------------------

@@ -469,6 +469,54 @@ def test_numbers_past_the_float_range_exit_2(capsys, space, domain, values, targ
     assert json.loads(err)["message"].startswith(message)
 
 
+# Phrases of Python's own exception texts, which an exit-2 message must not carry.
+PYTHON_TEXTS = ("object is not iterable", "has no len()", "float() argument", "could not convert", "NoneType")
+
+FINITE_GROUP = '{"type": "finite_group", "params": {"table": [[0, 1], [1, 0]], "generators": 1}}'
+LINE = '{"type": "distorted_line"}'
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # A matrix, table or generator list of the wrong shape printed the
+        # TypeError of the iteration or len() that read it.
+        (("validate", "metric", "--space", '{"type": "finite", "params": {"matrix": 5}}'),
+         "matrix must be a list of lists, got 5"),
+        (("validate", "metric", "--space", '{"type": "finite", "params": {"matrix": [5]}}'),
+         "matrix must be a list of lists, got [5]"),
+        (("validate", "metric", "--space", '{"type": "finite", "params": {"matrix": "0"}}'),
+         "matrix must be a list of lists, got '0'"),
+        (("validate", "metric", "--space", '{"type": "finite_group", "params": {"table": 3}}'),
+         "table must be a list of lists, got 3"),
+        (("validate", "metric", "--space", '{"type": "finite_group", "params": {"table": [0, 1]}}'),
+         "table must be a list of lists, got [0, 1]"),
+        (("validate", "metric", "--space", FINITE_GROUP), "generators must be a list, got 1"),
+        # A real field that float() could not read printed float()'s text.
+        (("validate", "metric", "--space", '{"type": "lp", "params": {"p": null}}'),
+         "p must be a real number in the float range, got None"),
+        (("extend", "mcshane", "--space", LINE, "--domain", "[0]", "--values", '["x"]', "--eval", "[1]"),
+         "value must be a real number in the float range, got 'x'"),
+        (("extend", "mcshane", "--space", LINE, "--domain", "[0]", "--values", '["1/2"]', "--eval", "[1]"),
+         "value must be a real number in the float range, got '1/2'"),
+        (("extend", "mcshane", "--space", LINE, "--domain", "[0]", "--values", "[null]", "--eval", "[1]"),
+         "value must be a real number in the float range, got None"),
+        (("extend", "mcshane", "--space", LINE, "--domain", "[0]", "--values", "[0]", "--eval", "[null]"),
+         "point must be a real number in the float range, got None"),
+        (("extend", "mcshane", "--space", LINE, "--domain", "[[0]]", "--values", "[0]", "--eval", "[1]"),
+         "point must be a real number in the float range, got [0]"),
+    ],
+    ids=["matrix 5", "matrix [5]", "matrix text", "table 3", "table [0, 1]", "generators 1", "lp p null",
+         "value x", "value 1/2", "value null", "point null", "point [0]"],
+)
+def test_shapes_and_real_fields_are_named(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    got = json.loads(err)["message"]
+    assert got == message
+    assert not any(text in got for text in PYTHON_TEXTS)
+
+
 C2 = {"table": [[0, 1], [1, 0]], "generators": [1]}
 
 

@@ -21,9 +21,11 @@ from horokit.extension import (
     star_tree_failure_witness,
 )
 from horokit.functionals import RealizedFunctional, eval_functional, lipschitz_check
+from horokit.groups import CayleyGraphSpace, Heisenberg
 from horokit.metric import FiniteMetricSpace
-from horokit.spaces import DistortedLine, HUB, LpSpace, SpokeRaySpace, StarTreeSpace
+from horokit.spaces import DistortedLine, HUB, LpSpace, PoincareDisk, SpokeRaySpace, StarTreeSpace, UpperHalfPlane
 
+import oracles
 from oracles import integer_grid_extensions, pigeonhole_reference, random_rational_metric
 
 SR = SpokeRaySpace()
@@ -40,8 +42,8 @@ def test_single_point_extensions_are_signed_distance():
     pf = PartialFunctional(space, [0], [Fraction(0)])
     sup = McShaneExtension(pf, "sup")
     inf = McShaneExtension(pf, "inf")
-    assert [sup.evaluate(i) for i in range(3)] == [0, -1, -2]
-    assert [inf.evaluate(i) for i in range(3)] == [0, 1, 2]
+    assert sup.evaluate([0, 1, 2]) == [0, -1, -2]
+    assert inf.evaluate([0, 1, 2]) == [0, 1, 2]
 
 
 def test_full_domain_reproduces_function():
@@ -50,7 +52,7 @@ def test_full_domain_reproduces_function():
     pf = PartialFunctional(space, [0, 1, 2], vals)
     for mode in ("sup", "inf"):
         ext = McShaneExtension(pf, mode)
-        assert [ext.evaluate(i) for i in range(3)] == vals
+        assert ext.evaluate([0, 1, 2]) == vals
 
 
 def test_non_lipschitz_input_rejected_with_pair():
@@ -84,8 +86,8 @@ def test_mcshane_random_spaces_exact_properties():
         pf = PartialFunctional(space, domain, values)
         sup = McShaneExtension(pf, "sup")
         inf = McShaneExtension(pf, "inf")
-        sup_vals = [sup.evaluate(i) for i in range(n)]
-        inf_vals = [inf.evaluate(i) for i in range(n)]
+        sup_vals = sup.evaluate(list(range(n)))
+        inf_vals = inf.evaluate(list(range(n)))
         for i, p in enumerate(domain):
             assert sup_vals[p] == values[i] == inf_vals[p]
         for i in range(n):
@@ -104,8 +106,8 @@ def test_mcshane_sandwich_against_brute_force():
         domain = [0, 2]
         values = [Fraction(0), Fraction(min(2, matrix[0][2]))]
         pf = PartialFunctional(space, domain, values)
-        sup = McShaneExtension(pf, "sup")
-        inf = McShaneExtension(pf, "inf")
+        lo = McShaneExtension(pf, "sup").evaluate(list(range(n)))
+        hi = McShaneExtension(pf, "inf").evaluate(list(range(n)))
         free = [i for i in range(n) if i not in domain]
         span = int(max(max(row) for row in matrix)) + 2
         grid = range(-span, span + 1)
@@ -113,7 +115,82 @@ def test_mcshane_sandwich_against_brute_force():
         assert extensions, "oracle found no integer extensions"
         for ext in extensions:
             for i in range(n):
-                assert sup.evaluate(i) <= ext[i] <= inf.evaluate(i)
+                assert lo[i] <= ext[i] <= hi[i]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), mode=st.sampled_from(["sup", "inf"]))
+def test_mcshane_block_matches_the_per_pair_oracle_on_finite_spaces(seed, n, mode):
+    rng = random.Random(seed)
+    matrix = random_rational_metric(rng, n)
+    domain = [rng.randrange(n) for _ in range(rng.randrange(1, n + 2))]  # repeats allowed
+    seed_values = [Fraction(rng.randrange(-20, 21), rng.randrange(1, 5)) for _ in domain]
+    values = [max(s - matrix[a][b] for a, s in zip(domain, seed_values)) for b in domain]  # 1-Lipschitz
+    targets = [rng.randrange(n) for _ in range(rng.randrange(0, 2 * n))]  # any order, repeats, or none
+    got = McShaneExtension(PartialFunctional(FiniteMetricSpace(matrix), domain, values), mode).evaluate(targets)
+    assert got == oracles.mcshane_reference(matrix, domain, values, targets, mode)
+    assert all(type(v) is Fraction for v in got)
+
+
+@pytest.mark.parametrize("mode", ["sup", "inf"])
+@pytest.mark.parametrize(
+    "far, values",
+    [
+        (2**40 + 3, [Fraction(0), Fraction(1, 2**30)]),  # 2^40 over 2^30 is 2^70, past int64
+        (2**60, [Fraction(0), Fraction(1, 8)]),  # the finite repro of the CI step at the int64 edge
+        (2**62 + 1, [Fraction(-5, 3), Fraction(2**61, 7)]),  # the matrix itself past int64
+    ],
+    ids=["2^40 over 2^30", "2^60 over 8", "2^62 matrix"],
+)
+def test_mcshane_block_holds_values_past_int64_as_python_ints(far, values, mode):
+    matrix = [[0, far, far], [far, 0, 1], [far, 1, 0]]
+    space = FiniteMetricSpace(matrix)
+    targets = [2, 1, 0, 2]
+    got = McShaneExtension(PartialFunctional(space, [0, 1], values), mode).evaluate(targets)
+    assert got == oracles.mcshane_reference(matrix, [0, 1], values, targets, mode)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["sup", "inf"]))
+@pytest.mark.parametrize(
+    "make",
+    [DistortedLine, lambda: LpSpace(3, 2), lambda: LpSpace(math.inf, 3), PoincareDisk, UpperHalfPlane,
+     SpokeRaySpace, StarTreeSpace, lambda: CayleyGraphSpace(Heisenberg())],
+    ids=["distorted-line", "l3", "linf", "disk", "half-plane", "spoke-ray", "star-tree", "heisenberg"],
+)
+def test_mcshane_block_matches_the_per_pair_oracle_on_other_spaces(make, seed, mode):
+    # Float values are v -+ d(a, b) of distance() bit for bit; exact ones are equal Fractions.
+    rng = random.Random(seed)
+    space = make()
+    domain = space.sample_points(rng, rng.randrange(1, 6))
+    z = space.sample_points(rng, 1)[0]
+    values = [space.distance(a, z) - space.distance(space.base_point, z) for a in domain]
+    targets = space.sample_points(rng, rng.randrange(0, 6)) + domain[:1]
+    got = McShaneExtension(PartialFunctional(space, domain, values), mode).evaluate(targets)
+    want = oracles.mcshane_reference(space.distance, domain, values, targets, mode)
+    if space.exact:
+        assert got == want and all(type(v) is Fraction for v in got)
+    else:
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
+def test_mcshane_reads_values_of_any_number_type_exactly_on_exact_spaces():
+    # A float or NumPy value on an exact space is the rational it holds.
+    pf = PartialFunctional(FiniteMetricSpace([[0, 1], [1, 0]]), [0, 1], [0.5, np.int64(1)])
+    assert McShaneExtension(pf, "sup").evaluate([0, 1]) == [Fraction(1, 2), Fraction(1)]
+    assert McShaneExtension(pf, "inf").evaluate([0, 1]) == [Fraction(1, 2), Fraction(1)]
+
+
+def test_mcshane_reads_one_block_per_extension(monkeypatch):
+    matrix = random_rational_metric(random.Random(3), 6)
+    values = [Fraction(0), matrix[0][4]]
+    ext = McShaneExtension(PartialFunctional(FiniteMetricSpace(matrix), [0, 4], values), "inf")
+    blocks = []
+    real = FiniteMetricSpace.distance_block
+    monkeypatch.setattr(FiniteMetricSpace, "distance_block", lambda self, pts: blocks.append(pts) or real(self, pts))
+    monkeypatch.setattr(FiniteMetricSpace, "distance", None)  # no pair is read alone
+    assert ext.evaluate(list(range(6))) == oracles.mcshane_reference(matrix, [0, 4], values, range(6), "inf")
+    assert blocks == [[0, 4]]
 
 
 # ---------------------------------------------------------------------------

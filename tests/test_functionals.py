@@ -20,6 +20,7 @@ from horokit.errors import (
 from horokit.extension import PigeonholeLimit
 from horokit.functionals import (
     BallFunctional,
+    CheckOutcome,
     DiskBusemann,
     HalfPlaneBusemannInfinity,
     Linear,
@@ -306,6 +307,30 @@ def test_linear_lipschitz_sup_norm():
     # ||v||_1 <= 1 makes -<x, v> 1-Lipschitz for the sup norm; the batched
     # draws once took every sup-norm distance to be 1.
     assert lipschitz_check(Linear([0.5, -0.5]), LpSpace(math.inf, 2), pairs=10_000, tol=1e-12).passed
+
+
+def test_lipschitz_check_reports_the_worst_batched_pair():
+    # ||v||_1 = 1.4 > 1: -<x, v> is not 1-Lipschitz for the sup norm.  The
+    # pairs are the documented draws of N(0, 3) from default_rng(seed).
+    pairs, seed = 500, 4
+    out = lipschitz_check(Linear([0.6, 0.8]), LpSpace(math.inf, 2), pairs=pairs, tol=1e-12, seed=seed)
+    rng = np.random.default_rng(seed)
+    Y, Z = rng.normal(0.0, 3.0, size=(pairs, 2)), rng.normal(0.0, 3.0, size=(pairs, 2))
+    gaps = [abs(0.6 * (y[0] - z[0]) + 0.8 * (y[1] - z[1])) - max(abs(y - z)) for y, z in zip(Y, Z)]
+    i = int(np.argmax(gaps))
+    assert (out.passed, out.checked) == (False, pairs)
+    assert out.worst == pytest.approx(gaps[i], abs=1e-12) and out.worst > 0.1
+    assert out.witness[0].tolist() == Y[i].tolist() and out.witness[1].tolist() == Z[i].tolist()
+
+
+def test_lipschitz_check_stops_at_the_first_sampled_pair_over_tol():
+    # f(p) = 2p on two points at distance 1: a pair of equal points has gap 0,
+    # the first pair of distinct points gap 1.
+    space = FiniteMetricSpace([[0, 1], [1, 0]])
+    pts = space.sample_points(random.Random(0), 2 * 50)
+    first = next(i for i in range(50) if pts[2 * i] != pts[2 * i + 1])
+    out = lipschitz_check(lambda p: 2 * p, space, pairs=50, tol=0)
+    assert out == CheckOutcome(False, first + 1, 1.0, (pts[2 * first], pts[2 * first + 1]))
 
 
 def test_disk_busemann_lipschitz():

@@ -843,10 +843,21 @@ def test_finite_group_reads_its_table_and_generators_when_built():
         ([[0, 1], [1, 0]], [2], "generator 2 is not an index into a 2-element group"),
         ([[0, 1], [1, 0]], [1, -1], "generator -1 is not an index into a 2-element group"),
         ([[0, 1], [1, 0]], ["a"], "generator must be an integer, got 'a'"),
+        # Shapes: len() of 3 and iteration over 1 raised Python's own TypeError.
+        (3, [1], "table must be a list of lists, got 3"),
+        ([0, 1], [1], "table must be a list of lists, got [0, 1]"),
+        ([[0, 1], "10"], [1], "table must be a list of lists, got [[0, 1], '10']"),
+        ([[0, 1], [1, 0]], 1, "generators must be a list, got 1"),
+        ([[0, 1], [1, 0]], 0, "generators must be a list, got 0"),
+        ([[0, 1], [1, 0]], "1", "generators must be a list, got '1'"),
     ]:
         with pytest.raises(InvalidParameterError) as exc:
             FiniteGroup(table, gens)
         assert str(exc.value) == message
+    # Tuples and arrays are lists too, and no generators is the default.
+    for table, gens in ((((0, 1), (1, 0)), (1,)), (np.array([[0, 1], [1, 0]]), np.array([1]))):
+        assert FiniteGroup(table, gens).standard_generators() == (1,)
+    assert FiniteGroup([[0, 1], [1, 0]])._default_gens == ()
 
 
 def test_group_parameters_are_read_by_their_constructors():

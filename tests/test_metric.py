@@ -400,6 +400,55 @@ def test_numeric_arrays_scaling():
     assert V.dtype == D.dtype == np.int64 and tol == 1 and type(tol) is int
 
 
+# Entries of every form exact_table reads, several of them one value spelt
+# differently (1, True, "1", 1.0, "2/2"; 0 and -0.0), and entries that
+# Fraction() rejects, each with its own exception.
+TABLE_ENTRIES = [0, 1, True, -3, 2**62, 1.0, -0.0, 0.5, 0.1, Fraction(1, 2), Fraction(-7, 3), Fraction(1, 2**62),
+                 "1", "2/2", "1/2", "2/4", "0", "10/6", "0.5", "-1/2", " 3 ", "+1", "١/٢"]
+BAD_ENTRIES = ["x", "1/0", "", "1/-2", None, float("nan"), float("inf")]
+
+
+def _raised(make):
+    """What make() returns, or the class and text of what it raises."""
+    try:
+        return make()
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 5), m=st.integers(1, 5), bad=st.integers(0, 3))
+def test_exact_table_reads_each_distinct_entry_as_fraction_does(data, n, m, bad):
+    """The one read per distinct entry gives the table of reading every entry
+    by Fraction(v), or the exception of the first entry it rejects in
+    row-major order, also when that entry repeats."""
+    rows = [[data.draw(st.sampled_from(TABLE_ENTRIES)) for _ in range(m)] for _ in range(n)]
+    for _ in range(bad if n else 0):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, m - 1))
+        rows[i][j] = data.draw(st.sampled_from(BAD_ENTRIES))
+    want = _raised(lambda: [[Fraction(v) for v in row] for row in rows])
+    got = _raised(lambda: exact_table(rows))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    M, den = got
+    assert den == math.lcm(*(v.denominator for row in want for v in row))
+    table = [[int(v * den) for v in row] for row in want]
+    assert M.tolist() == (table if n else [])
+    assert M.dtype == (object if max(den, *map(abs, sum(table, [0]))) >= 2**61 else np.int64)
+
+
+def test_exact_table_names_the_first_bad_entry_in_row_major_order():
+    for rows, bad in [
+        ([["0", "x"], ["y", "x"]], "x"),
+        ([["0", "1/2"], ["y", "y"]], "y"),  # a repeated bad entry after good ones
+        ([["0", "1/2", "x"], ["1/2", "0", "1/0"], ["x", "1/0", "0"]], "x"),
+        ([["1/0", None], [None, "1/0"]], "1/0"),
+        ([[0, 1], [None, 0]], None),
+    ]:
+        assert _raised(lambda: exact_table(rows)) == _raised(lambda: Fraction(bad))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

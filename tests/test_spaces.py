@@ -15,6 +15,7 @@ from horokit.metric import FiniteMetricSpace, validate_metric
 from horokit.spaces import (
     DISTORTIONS,
     DistortedLine,
+    DistortionReport,
     HUB,
     LpSpace,
     PoincareDisk,
@@ -434,6 +435,15 @@ class TestDistortedLine:
         rep = distorted_line_validate(lambda t: t * t, range(1, 100))
         assert not rep.passed
         assert rep.failure[0] == "ratio_increasing"
+
+    def test_decreasing_profile_fails_first_on_order(self):
+        rep = distorted_line_validate(lambda t: 0.0 if t == 0 else 1.0 / t, [3, 1, 2])
+        assert rep == DistortionReport(False, 3, ("not_nondecreasing", 1.0, 2.0))
+
+    def test_profile_past_the_grid_fails_subadditivity(self):
+        # D(t) = t on the one-point grid {1}, so order and ratio pass, but D(2) = 20.
+        rep = distorted_line_validate(lambda t: t if t in (0.0, 1.0) else 10.0 * t, [1])
+        assert rep == DistortionReport(False, 1, ("not_subadditive", 1.0, 1.0))
 
     def test_nonzero_at_zero_rejected(self):
         with pytest.raises(InvalidDistortionError):
