@@ -93,6 +93,11 @@ class McShaneExtension:
         out = [best(map(op, V, row)) for row in rows]
         return [Fraction(x, L) for x in out] if exact else out
 
+    def __call__(self, b: Point) -> Scalar:
+        """F at the one point b, as ``evaluate([b])[0]``: how
+        :func:`~horokit.functionals.eval_functional` reads it."""
+        return self.evaluate([b])[0]
+
 
 # ---------------------------------------------------------------------------
 # Pigeonhole limits along witness sequences

@@ -229,14 +229,15 @@ def eval_functional(f, y) -> Scalar:
     """Evaluate any functional-like object at a point.
 
     Accepts model functionals, witness limits (whose stabilized value is
-    returned, raising BudgetError otherwise), and plain callables.
+    returned, raising BudgetError otherwise), and callables, read first: a
+    McShane extension is called, as its ``evaluate`` takes a list.
     """
     if isinstance(f, WitnessLimit):
         return f.value(y)
-    if hasattr(f, "evaluate"):
-        return f.evaluate(y)
     if callable(f):
         return f(y)
+    if hasattr(f, "evaluate"):
+        return f.evaluate(y)
     raise UnsupportedError(f"cannot evaluate {type(f).__name__}")
 
 

@@ -79,12 +79,15 @@ def real_field(v, name: str, read=float):
 
 
 def list_field(v, name: str, rows: bool = False):
-    """A list field of input (a list, tuple or array), with ``rows`` a list
-    of such lists; any other shape is an error naming the field."""
-    seq = (list, tuple, np.ndarray)
-    if isinstance(v, seq) and (not rows or all(isinstance(row, seq) for row in v)):
+    """A list field of input (a sequence or array, not text), with ``rows``
+    a list of such lists; any other shape is an error naming the field."""
+    if _listlike(v) and (not rows or all(map(_listlike, v))):
         return v
     raise InvalidParameterError(f"{name} must be a list{' of lists' if rows else ''}, got {v!r}")
+
+
+def _listlike(v) -> bool:
+    return isinstance(v, (Sequence, np.ndarray)) and not isinstance(v, (str, bytes))
 
 
 class MetricSpace(ABC):
@@ -173,15 +176,16 @@ def exact_table(rows) -> tuple[np.ndarray, int]:
     """The 2-D table ``rows`` of exact scalars as (M, den) with M / den = rows,
     by :func:`over_one_denominator`.  Each distinct entry is read once, in
     row-major order of first occurrence (entries that compare equal are
-    equal rationals), and the table is one fancy index of those values.
-    Ints and Fractions are read as they are, and strings "p" and "p/q" in
-    ASCII digits as the ints p and q, so none of them builds a Fraction; any
-    other entry is read by ``Fraction(v)``, with its value or its exception."""
+    equal rationals), and repeats are one fancy index of those values; a
+    table holding a Fraction is read per entry, as Fraction's hash is Python
+    code that costs more than the read.  Ints and Fractions are read as they
+    are, and strings "p" and "p/q" in ASCII digits as the ints p and q, so
+    none of them builds a Fraction; any other entry is read by
+    ``Fraction(v)``, with its value or its exception."""
     flat = list(chain.from_iterable(rows))
-    at = dict.fromkeys(flat)
+    keys = flat if Fraction in map(type, flat) else [*dict.fromkeys(flat)]
     ps, qs = [], []
-    for v in at:
-        at[v] = len(ps)
+    for v in keys:
         if type(v) is str and v.isascii():
             p, slash, q = v.partition("/")
             if p.isdigit() and (q.isdigit() or not slash):
@@ -194,7 +198,9 @@ def exact_table(rows) -> tuple[np.ndarray, int]:
         ps.append(v.numerator)
         qs.append(v.denominator)
     M, den = over_one_denominator(ps, qs)
-    M = M[np.fromiter(map(at.__getitem__, flat), np.intp, len(flat))]
+    if len(keys) < len(flat):
+        at = dict(zip(keys, range(len(keys))))
+        M = M[np.fromiter(map(at.__getitem__, flat), np.intp, len(flat))]
     return (M.reshape(len(rows), -1) if len(rows) else M), den
 
 

@@ -181,6 +181,16 @@ def test_mcshane_reads_values_of_any_number_type_exactly_on_exact_spaces():
     assert McShaneExtension(pf, "inf").evaluate([0, 1]) == [Fraction(1, 2), Fraction(1)]
 
 
+def test_mcshane_extension_is_a_functional_of_one_point():
+    # eval_functional and lipschitz_check read an extension at one point at a time.
+    matrix = random_rational_metric(random.Random(4), 5)
+    space = FiniteMetricSpace(matrix)
+    for mode in ("sup", "inf"):
+        ext = McShaneExtension(PartialFunctional(space, [1, 3], [Fraction(0), matrix[1][3] / 2]), mode)
+        assert [eval_functional(ext, b) for b in range(5)] == [ext(b) for b in range(5)] == ext.evaluate(range(5))
+        assert lipschitz_check(ext, space, pairs=40).passed
+
+
 def test_mcshane_reads_one_block_per_extension(monkeypatch):
     matrix = random_rational_metric(random.Random(3), 6)
     values = [Fraction(0), matrix[0][4]]

@@ -854,8 +854,12 @@ def test_finite_group_reads_its_table_and_generators_when_built():
         with pytest.raises(InvalidParameterError) as exc:
             FiniteGroup(table, gens)
         assert str(exc.value) == message
-    # Tuples and arrays are lists too, and no generators is the default.
-    for table, gens in ((((0, 1), (1, 0)), (1,)), (np.array([[0, 1], [1, 0]]), np.array([1]))):
+    # Any sequence that is not text is a list too, and no generators is the default.
+    for table, gens in (
+        (((0, 1), (1, 0)), (1,)),
+        (np.array([[0, 1], [1, 0]]), np.array([1])),
+        ([range(2), range(1, -1, -1)], range(1, 2)),
+    ):
         assert FiniteGroup(table, gens).standard_generators() == (1,)
     assert FiniteGroup([[0, 1], [1, 0]])._default_gens == ()
 

@@ -438,6 +438,13 @@ def test_exact_table_reads_each_distinct_entry_as_fraction_does(data, n, m, bad)
     assert M.dtype == (object if max(den, *map(abs, sum(table, [0]))) >= 2**61 else np.int64)
 
 
+def test_exact_table_reads_a_table_holding_a_fraction_per_entry(monkeypatch):
+    # Fraction's hash is Python code: such a table is read without hashing an entry.
+    monkeypatch.setattr(Fraction, "__hash__", None)
+    M, den = exact_table([[Fraction(1, 2), "1/3", 1], ["1/3", Fraction(1, 2), 1]])
+    assert (M.tolist(), den) == ([[3, 2, 6], [2, 3, 6]], 6)
+
+
 def test_exact_table_names_the_first_bad_entry_in_row_major_order():
     for rows, bad in [
         ([["0", "x"], ["y", "x"]], "x"),
