@@ -147,7 +147,11 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> np.ndarray:
     automorphism's index array, then the union, are deduplicated again.
     ``_check_rows`` checks each distinct row, even one outside [-r, r],
     exactly: it vanishes at the identity and is 1-Lipschitz on every pair
-    of B(r), so |h(x)| <= |x| <= r.
+    of B(r), so |h(x)| <= |x| <= r.  Stable spheres: every S(R), R >= R0 =
+    ``fam.stable_radius(r)``, gives the set of S(R0).  Proof: F_n's
+    ``sphere_rows`` is S(r) for every R (R0 = r); Z^d's keys, each of sum
+    <= d r <= R (R0 = d r), are those with some |k_i| = r.  So a set is
+    built once per ball, under (min(R, R0), dtype), and is read-only.
     """
     if not 0 <= r <= R:
         raise PreconditionError(f"need 0 <= ball radius {r} <= sphere radius {R}")
@@ -156,17 +160,22 @@ def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> np.ndarray:
     fam, n = ball.space.family, ball.sphere_offsets[r + 1]
     dtype = np.int16 if R + r <= np.iinfo(np.int16).max else np.int64
     X, perms = ball.rows(r), _ball_facts(ball, r)[1]
-    if X is None:
-        points = ball.ball(r)
-        blocks = [ball.space.distance_block(points)(ball.sphere(R), np.arange(n))[0].astype(dtype)]
-    else:
-        blocks = _distance_blocks(fam, X, fam.sphere_rows(X, r, R), dtype)
-    # Dedup block by block, so that a huge sphere is never held whole, then
-    # close each block's rows under the automorphisms.
-    parts = [u[:, p] for u in (_distinct_rows(b - b[:, :1]) for b in blocks) for p in perms]
-    rows = parts[0] if len(parts) == 1 else _distinct_rows(np.concatenate([np.empty((0, n), dtype), *parts]))
-    _check_rows(ball, r, rows)
-    return rows
+
+    def build():
+        if X is None:
+            blocks = [ball.space.distance_block(ball.ball(r))(ball.sphere(R), np.arange(n))[0].astype(dtype)]
+        else:
+            blocks = _distance_blocks(fam, X, fam.sphere_rows(X, r, R), dtype)
+        # Dedup block by block, so that a huge sphere is never held whole, then
+        # close each block's rows under the automorphisms.
+        parts = [u[:, p] for u in (_distinct_rows(b - b[:, :1]) for b in blocks) for p in perms]
+        rows = parts[0] if len(parts) == 1 else _distinct_rows(np.concatenate([np.empty((0, n), dtype), *parts]))
+        _check_rows(ball, r, rows)
+        rows.flags.writeable = False
+        return rows
+
+    R0 = None if X is None else fam.stable_radius(r)
+    return ball.once(("restrictions", r, dtype), R if R0 is None else min(R, R0), build)
 
 
 @dataclass(frozen=True)

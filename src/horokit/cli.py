@@ -121,7 +121,12 @@ def _count(flag: str, value: int, minimum: int = 0) -> int:
 
 def _load_space(text: str):
     with _parsing("--space"):
-        return space_from_descriptor(json.loads(text))
+        desc = json.loads(text)
+        try:
+            return space_from_descriptor(desc)
+        except (ValueError, ZeroDivisionError):  # only Fraction's, on a finite matrix entry: name the first
+            [real_field(v, "matrix entry", Fraction, "rational number") for row in desc["params"]["matrix"] for v in row]
+            raise
 
 
 def _mobius_from_flag(text: str | None) -> MoebiusMap:
@@ -183,7 +188,8 @@ def _extend_mcshane(args) -> Outcome:
     with _parsing("--domain"):
         pts = [point_from_json(space, p) for p in json.loads(args.domain)]
     with _parsing("--values"):
-        vals = [Fraction(str(v)) if space.exact else real_field(v, "value") for v in json.loads(args.values)]
+        exact = (lambda v: Fraction(str(v)), "rational number") if space.exact else ()
+        vals = [real_field(v, "value", *exact) for v in json.loads(args.values)]
     ext = McShaneExtension(PartialFunctional(space, pts, vals), args.mode)
     if args.eval == "all":
         targets = space.points()

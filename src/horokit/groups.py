@@ -15,7 +15,7 @@ from functools import cached_property
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from math import comb, inf, isqrt
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Hashable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -122,6 +122,10 @@ class ClosedFormFamily(GroupFamily):
         over the rows X of B(r), R >= r, give exactly the set of S(R) up to
         ``automorphisms``: taken with their columns permuted by each p."""
 
+    def stable_radius(self, r: int) -> Optional[int]:
+        """R0 with the same ``sphere_rows(X, r, R)`` for all R >= R0; None: nothing proved."""
+        return None
+
     def automorphisms(self, X: np.ndarray) -> np.ndarray:
         """Index arrays p, one row per automorphism s that permutes the
         generators, the identity first, with X[p] = s(X) on the rows X of
@@ -215,6 +219,9 @@ class Zd(ClosedFormFamily):
             K = np.concatenate([K[idx], a[:, None].astype(X.dtype)], axis=1)
             size, edge = size[idx] + np.abs(a), edge[idx] | (np.abs(a) == r)
         return K[(size == R) | ((size < R) & edge)]
+
+    def stable_radius(self, r):
+        return self.dim * r
 
     def distance_rows(self, X, G, dtype):
         """l1 distance of the coordinate rows, by broadcasting."""
@@ -319,6 +326,9 @@ class FreeGroup(ClosedFormFamily):
         and every word of S(r) begins some word of S(R) (repeat its last
         letter): |S(r)| rows whatever R is."""
         return X if r == 0 else X[X[:, r - 1] != 0]
+
+    def stable_radius(self, r):
+        return r
 
     def distance_rows(self, X, G, dtype):
         """|x| + |g| - 2 lcp(x, g) on the letter rows, whose padding 0 is
@@ -616,7 +626,7 @@ class CayleyBall:
     sphere_offsets: tuple[int, ...]
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def once(self, what: str, r: int, build: Callable[[], Any]):
+    def once(self, what: Hashable, r: int, build: Callable[[], Any]):
         """``build()``, kept under (what, r): the ball's per-radius memo; r
         past the radius raises first."""
         if not 0 <= r <= self.radius:

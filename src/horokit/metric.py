@@ -66,16 +66,16 @@ def integer_field(v, name: str) -> int:
     raise InvalidParameterError(f"{name} must be an integer, got {v!r}")
 
 
-def real_field(v, name: str, read=float):
-    """``read(v)`` (float, or a reader of float arrays) of a real field of
-    input; a bool, a number past the float range or anything ``read`` cannot
-    read (None, a list, text that is no decimal) is an error naming it."""
+def real_field(v, name: str, read=float, kind="real number in the float range"):
+    """``read(v)`` (float, a reader of float arrays, or of a ``kind`` such as
+    a rational number) of a field of input; a bool, a number past the float
+    range or anything ``read`` cannot read is an error naming the field."""
     try:
         if not isinstance(v, (bool, np.bool_)):
             return read(v)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         pass
-    raise InvalidParameterError(f"{name} must be a real number in the float range, got {v!r}")
+    raise InvalidParameterError(f"{name} must be a {kind}, got {v!r}")
 
 
 def list_field(v, name: str, rows: bool = False):

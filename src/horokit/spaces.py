@@ -304,7 +304,7 @@ class DistortedLine(MetricSpace):
     base_point = 0.0
 
     def __init__(self, distortion: str = "sqrt"):
-        if distortion not in DISTORTIONS:
+        if not isinstance(distortion, str) or distortion not in DISTORTIONS:
             raise InvalidParameterError(f"unknown distortion {distortion!r}")
         self.dfun = DISTORTIONS[distortion]
 

@@ -499,6 +499,24 @@ def l1_restrictions(d: int, ball_r: int, sphere_r: int):
     return sorted(patterns)
 
 
+def l1_restrictions_array(d: int, ball_r: int, sphere_r: int):
+    """``l1_restrictions`` by NumPy, for spheres too large for its loops: the
+    same l1 distances from every g of the sphere, which is enumerated as its
+    first d - 1 coordinates (l1 norm at most sphere_r) and a last one of
+    either sign making up the rest."""
+    ball = sorted(
+        (p for p in itertools.product(range(-ball_r, ball_r + 1), repeat=d) if sum(map(abs, p)) <= ball_r),
+        key=lambda p: (sum(map(abs, p)), p),
+    )
+    heads = list(itertools.product(range(-sphere_r, sphere_r + 1), repeat=d - 1))
+    head = np.array(heads, np.int64).reshape(len(heads), d - 1)
+    last = sphere_r - np.abs(head).sum(axis=1)
+    sphere = np.concatenate([np.c_[head, last][last >= 0], np.c_[head, -last][last > 0]])
+    B = np.array(ball, np.int64)
+    rows = sum(np.abs(sphere[:, None, i] - B[None, :, i]) for i in range(d)) - sphere_r
+    return sorted(set(map(tuple, rows.tolist())))
+
+
 # --- free group tree ends -----------------------------------------------------
 
 
@@ -537,6 +555,37 @@ def free_restrictions(rank: int, ball_r: int, sphere_r: int):
         for g in sphere
     }
     return sorted(patterns)
+
+
+def free_restrictions_array(rank: int, ball_r: int, sphere_r: int):
+    """``free_restrictions`` by NumPy, for spheres too large for its loops.
+    For each ball point p, every word p^-1 g, g on the sphere, is reduced at
+    once by the stack rule of ``free_reduce``: a letter pops the top of its
+    row's stack if it is the top's inverse, and is pushed otherwise.  Every
+    row starts from the stack of p^-1, which ``free_reduce`` leaves as it is.
+    Each row's stack is a slice of one flat array."""
+    ball = sorted(
+        free_words(rank, ball_r),
+        key=lambda w: (len(w), [2 * abs(x) + (x < 0) for x in w]),
+    )
+    sphere = [g for g in free_words(rank, sphere_r) if len(g) == sphere_r]
+    G = np.array(sphere, np.int8).reshape(len(sphere), sphere_r)
+    rows = np.empty((len(G), len(ball)), np.int8)
+    for k, p in enumerate(ball):
+        width = len(p) + sphere_r
+        stack = np.zeros((len(G), width), np.int8)
+        stack[:, : len(p)] = [-x for x in reversed(p)]
+        stack = stack.reshape(-1)
+        base = np.arange(len(G)) * width
+        top = base + len(p)  # one past the top of each row's stack
+        for x in G.T:
+            pop = (top > base) & (stack[top - 1] == -x)
+            top -= pop
+            stack[top] = np.where(pop, 0, x)
+            top += ~pop
+        rows[:, k] = top - base - sphere_r
+    distinct = np.unique(rows.view(f"V{len(ball)}")).view(np.int8).reshape(-1, len(ball))
+    return sorted(map(tuple, distinct.tolist()))
 
 
 def free_end_restrictions(rank: int, ball_r: int, depth: int = 24):

@@ -50,9 +50,11 @@ from oracles import (
     free_end_restrictions,
     free_reduce,
     free_restrictions,
+    free_restrictions_array,
     h3_restrictions,
     heis_mul,
     l1_restrictions,
+    l1_restrictions_array,
     translated_rows,
 )
 
@@ -498,6 +500,100 @@ def test_free_sphere_restrictions_far_out_match_reduction_oracle(rank, r, R):
     fam = FreeGroup(rank)
     ball = cayley_ball(fam, GeneratingSet.standard(fam), R)
     assert _values(sphere_restrictions(ball, r, R)) == free_restrictions(rank, r, R)
+
+
+# Stable spheres.  On Z^d every S(R), R >= R0 = d r, has the keys with some
+# |k_i| = r, since a key's sum is at most d r <= R; F_n reads S(r) from
+# R0 = r on.  So every sphere past R0 gives the set of S(R0).
+STABLE_CASES = [(Zd(d), d) for d in (1, 2, 3, 4)] + [(FreeGroup(2), 1), (FreeGroup(3), 1)]
+
+
+def _oracle(fam, r, R):
+    """``l1_restrictions`` or ``free_restrictions`` where their loops are
+    cheap, else the same brute force by arrays (checked against them below)."""
+    if isinstance(fam, Zd):
+        small = (2 * R + 1) ** fam.dim <= 100_000
+        return (l1_restrictions if small else l1_restrictions_array)(fam.dim, r, R)
+    small = oracles.free_sphere_count(fam.rank, R) * oracles.free_sphere_count(fam.rank, r) <= 100_000
+    return (free_restrictions if small else free_restrictions_array)(fam.rank, r, R)
+
+
+@pytest.mark.parametrize("fam, per_r", STABLE_CASES, ids=[c[0].name for c in STABLE_CASES])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_spheres_past_the_stable_radius_match_the_oracles(fam, per_r, r):
+    R0 = fam.stable_radius(r)
+    assert R0 == per_r * r
+    ball = cayley_ball(fam, GeneratingSet.standard(fam), R0 + 4)
+    for R in range(R0, R0 + 5):
+        assert _values(sphere_restrictions(ball, r, R)) == _oracle(fam, r, R), R
+
+
+@pytest.mark.parametrize(
+    "rank, r, R", [(1, 2, 5), (2, 0, 3), (2, 2, 4), (2, 3, 5), (3, 1, 4), (3, 2, 4)],
+)
+def test_free_array_oracle_matches_the_reduction_oracle(rank, r, R):
+    assert free_restrictions_array(rank, r, R) == free_restrictions(rank, r, R)
+
+
+@pytest.mark.parametrize(
+    "d, r, R", [(1, 0, 3), (1, 2, 5), (2, 0, 2), (2, 2, 4), (2, 3, 3), (3, 1, 5), (3, 2, 6), (4, 1, 4)],
+)
+def test_l1_array_oracle_matches_the_l1_oracle(d, r, R):
+    assert l1_restrictions_array(d, r, R) == l1_restrictions(d, r, R)
+
+
+def _counting(monkeypatch, cls, *names):
+    """Count the calls of cls's methods ``names``, by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(cls, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "fam, r", [(Zd(1), 2), (Zd(2), 1), (Zd(3), 2), (FreeGroup(2), 2), (FreeGroup(3), 1), (Heisenberg(), 1)],
+    ids=lambda c: getattr(c, "name", c),
+)
+def test_one_kernel_run_per_stable_sphere(fam, r, monkeypatch):
+    # Each sphere's rows and distances are built once per ball for each
+    # distinct min(R, R0); H3 proves no R0, so it builds each R.  Every R
+    # past R0 returns the one read-only set of S(R0).
+    R0 = fam.stable_radius(r)
+    radii = range(r, (R0 or 6) + 4)
+    ball = cayley_ball(fam, GeneratingSet.standard(fam), radii[-1])
+    boundary._ball_facts(ball, r)  # D of B(r) reads distance_rows once per ball
+    calls = _counting(monkeypatch, type(fam), "sphere_rows", "distance_rows")
+    sets = {R: sphere_restrictions(ball, r, R) for R in [*radii, *radii]}
+    distinct = len({R if R0 is None else min(R, R0) for R in radii})
+    assert calls == {"sphere_rows": distinct, "distance_rows": distinct}
+    assert distinct == (len(radii) if R0 is None else R0 - r + 1)
+    if R0 is not None:
+        assert all(sets[R] is sets[R0] for R in radii if R >= R0)
+    for V in sets.values():
+        with pytest.raises(ValueError, match="read-only"):
+            V[0, 0] = 1
+
+
+@pytest.mark.parametrize("case", SEARCH_CASES, ids=lambda c: c[0])
+def test_a_searched_ball_builds_each_sphere(case, monkeypatch):
+    # A search proves no stable radius, even for Z^2: each R reads its own
+    # sphere's distance block, once, and repeated radii come from the memo.
+    _, fam, steps = case
+    gens = GeneratingSet.create(fam, steps) if steps else GeneratingSet.standard(fam)
+    ball = cayley_ball(fam, gens, 6)
+    boundary._ball_facts(ball, 1)
+    calls = _counting(monkeypatch, CayleyGraphSpace, "distance_block")
+    sets = {R: sphere_restrictions(ball, 1, R) for R in [*range(1, 7), *range(1, 7)]}
+    assert calls == {"distance_block": 6}
+    assert len({id(V) for V in sets.values()}) == 6
+    with pytest.raises(ValueError, match="read-only"):
+        sets[6][...] = 0
 
 
 @st.composite

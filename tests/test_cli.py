@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horokit.cli import main
 from horokit.errors import ResourceLimitError
@@ -470,10 +475,16 @@ def test_numbers_past_the_float_range_exit_2(capsys, space, domain, values, targ
 
 
 # Phrases of Python's own exception texts, which an exit-2 message must not carry.
-PYTHON_TEXTS = ("object is not iterable", "has no len()", "float() argument", "could not convert", "NoneType")
+PYTHON_TEXTS = ("is not iterable", "has no len", "float() argument", "could not convert", "NoneType", "Invalid literal",
+                "unhashable type")
 
 FINITE_GROUP = '{"type": "finite_group", "params": {"table": [[0, 1], [1, 0]], "generators": 1}}'
 LINE = '{"type": "distorted_line"}'
+TWO_POINTS = '{"type": "finite", "params": {"matrix": [[0, 1], [1, 0]]}}'
+
+
+def _finite(entry: str) -> str:
+    return f'{{"type": "finite", "params": {{"matrix": [[0, {entry}], [{entry}, 0]]}}}}'
 
 
 @pytest.mark.parametrize(
@@ -505,9 +516,27 @@ LINE = '{"type": "distorted_line"}'
          "point must be a real number in the float range, got None"),
         (("extend", "mcshane", "--space", LINE, "--domain", "[[0]]", "--values", "[0]", "--eval", "[1]"),
          "point must be a real number in the float range, got [0]"),
+        # An exact entry Fraction could not read printed Fraction's text.
+        (("validate", "metric", "--space", _finite("null")), "matrix entry must be a rational number, got None"),
+        (("validate", "metric", "--space", _finite("true")), "matrix entry must be a rational number, got True"),
+        (("validate", "metric", "--space", _finite('"x"')), "matrix entry must be a rational number, got 'x'"),
+        (("validate", "metric", "--space", _finite('"1/0"')), "matrix entry must be a rational number, got '1/0'"),
+        (("extend", "mcshane", "--space", TWO_POINTS, "--domain", "[0]", "--values", "[null]", "--eval", "[1]"),
+         "value must be a rational number, got None"),
+        (("extend", "mcshane", "--space", TWO_POINTS, "--domain", "[0]", "--values", "[true]", "--eval", "[1]"),
+         "value must be a rational number, got True"),
+        (("extend", "mcshane", "--space", TWO_POINTS, "--domain", "[0]", "--values", '["x"]', "--eval", "[1]"),
+         "value must be a rational number, got 'x'"),
+        (("extend", "mcshane", "--space", TWO_POINTS, "--domain", "[0]", "--values", '["1/0"]', "--eval", "[1]"),
+         "value must be a rational number, got '1/0'"),
+        # A distortion name that is no text was looked up in a dict.
+        (("validate", "metric", "--space", '{"type": "distorted_line", "params": {"distortion": ["sqrt"]}}'),
+         "unknown distortion ['sqrt']"),
     ],
     ids=["matrix 5", "matrix [5]", "matrix text", "table 3", "table [0, 1]", "generators 1", "lp p null",
-         "value x", "value 1/2", "value null", "point null", "point [0]"],
+         "value x", "value 1/2", "value null", "point null", "point [0]", "entry null", "entry true", "entry x",
+         "entry 1/0", "exact value null", "exact value true", "exact value x", "exact value 1/0",
+         "distortion list"],
 )
 def test_shapes_and_real_fields_are_named(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -515,6 +544,104 @@ def test_shapes_and_real_fields_are_named(capsys, argv, message):
     got = json.loads(err)["message"]
     assert got == message
     assert not any(text in got for text in PYTHON_TEXTS)
+
+
+# Any JSON value: what a field may hold when its input is wrong.
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from([10**400, 0.5, -1.5, 1e-13])
+    | st.sampled_from(["x", "", "0", "1/2", "-1/3", "2/4", "1/0", "nan", "inf", "ab"]),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.sampled_from(["kind", "n", "s", "t"]), kids, max_size=2),
+    max_leaves=4,
+)
+
+
+# A size field takes no int past 3: a huge dim or rank is still built in
+# full, and exhausts memory rather than exiting 2.
+SIZE_JUNK = JUNK.filter(lambda v: not isinstance(v, int) or abs(v) <= 3)
+
+
+def _mostly(valid, junk=JUNK):
+    """``valid`` about three times in four, else ``junk``."""
+    return st.integers(0, 3).flatmap(lambda k: junk if k == 3 else valid)
+
+
+REAL = st.integers(-3, 3) | st.floats(-3, 3, allow_nan=False)
+RATIONAL = st.integers(0, 3) | st.sampled_from(["1/2", "3/4", "2", "2/4"])
+
+
+def _square(entries):
+    return st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def _cyclic(n: int) -> list:
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def _params(**fields):
+    """A params object with these fields, often with a junk value, at times
+    with some left out or an unknown key, or no object at all."""
+    fields = {k: _mostly(v, SIZE_JUNK if k in ("dim", "rank") else JUNK) for k, v in fields.items()}
+    full = st.fixed_dictionaries(fields)
+    some = st.fixed_dictionaries({}, optional=fields)
+    extra = st.builds(lambda p, v: {**p, "extra": v}, some, JUNK)
+    return st.integers(0, 7).flatmap(lambda k: full if k < 6 else extra if k == 6 else JUNK)
+
+
+# Per descriptor type: (params, point), each drawn near the valid form and
+# at times off it.  dim, rank and matrices stay small.
+DESCRIPTORS = {
+    "finite": (_params(matrix=_square(_mostly(RATIONAL))), st.integers(0, 4)),
+    "zd": (_params(dim=st.integers(1, 3)), st.lists(st.integers(-2, 2), min_size=1, max_size=3)),
+    "free": (_params(rank=st.integers(1, 3)), st.sampled_from(["e", "a", "aB", "bA", "c"])),
+    "heisenberg": (_params(), st.lists(st.integers(-2, 2), min_size=3, max_size=3)),
+    "finite_group": (
+        _params(table=st.integers(1, 4).map(_cyclic) | _square(st.integers(0, 3)),
+                generators=st.lists(st.integers(0, 3), min_size=1, max_size=3)),
+        st.integers(0, 4),
+    ),
+    "spoke_ray": (_params(), st.fixed_dictionaries(
+        {"kind": st.sampled_from(["hub", "ray", "head", "spoke", "x"])},
+        optional={"t": REAL, "n": st.integers(0, 3), "s": REAL})),
+    "star_tree": (_params(), st.fixed_dictionaries(
+        {}, optional={"kind": st.sampled_from(["hub", "int", "x"]), "n": st.integers(0, 3), "s": REAL})),
+    "distorted_line": (_params(distortion=st.sampled_from(["sqrt", "log1p", "x"])), REAL),
+    "poincare_disk": (_params(), st.lists(st.floats(-0.7, 0.7), min_size=2, max_size=2)),
+    "half_plane": (_params(), st.lists(st.floats(0.1, 3), min_size=2, max_size=2)),
+    "lp": (_params(p=st.sampled_from([1, 1.5, 2, 3]), dim=st.integers(1, 3)), st.lists(REAL, min_size=1, max_size=3)),
+}
+
+
+@st.composite
+def cli_inputs(draw):
+    """argv for ``validate metric`` or ``extend mcshane`` on a descriptor of
+    one of the 11 types, with its points and values."""
+    kind = draw(st.sampled_from(sorted(DESCRIPTORS)))
+    params, point = DESCRIPTORS[kind]
+    desc = {"type": kind} if draw(st.integers(0, 9)) == 0 else {"type": kind, "params": draw(params)}
+    space = json.dumps(desc)
+    if draw(st.booleans()):
+        return ("validate", "metric", "--space", space, "--triples", "20")
+    domain = draw(st.lists(_mostly(point), min_size=1, max_size=3))
+    values = draw(st.lists(_mostly(REAL | RATIONAL), min_size=len(domain), max_size=len(domain)))
+    targets = draw(st.lists(_mostly(point), max_size=3))
+    return ("extend", "mcshane", "--space", space, "--domain", json.dumps(domain),
+            "--values", json.dumps(values), "--eval", json.dumps(targets))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argv=cli_inputs())
+def test_no_python_text_in_invalid_input_messages(argv):
+    # Every input exits 0 (passed), 1 (a check failed) or 2 (invalid input),
+    # and an exit-2 message names what is wrong in the kit's own words.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        # NumPy warns on a float value "inf" or "nan"; the message is checked, not the warning.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(list(argv))
+    assert code in (0, 1, 2)
+    if code == 2:
+        message = json.loads(err.getvalue())["message"]
+        assert not any(text in message for text in PYTHON_TEXTS), message
 
 
 C2 = {"table": [[0, 1], [1, 0]], "generators": [1]}
