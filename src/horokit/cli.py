@@ -61,7 +61,7 @@ from .extension import (
 )
 from .functionals import HalfPlaneBusemannInfinity, ZdLinear
 from .groups import CayleyGraphSpace, FreeGroup, GeneratingSet, Heisenberg, Zd
-from .metric import real_field, validate_metric
+from .metric import integer_field, list_field, real_field, validate_metric
 from .serialize import (
     SCHEMA_VERSION,
     emit_json,
@@ -129,11 +129,17 @@ def _load_space(text: str):
             raise
 
 
+def _finite(v) -> float:
+    """A finite float: float() also reads "inf", "nan" and JSON's 1e999, which are no values."""
+    if not math.isfinite(x := float(v)):
+        raise ValueError(v)
+    return x
+
+
 def _mobius_from_flag(text: str | None) -> MoebiusMap:
-    with _parsing("--matrix"):
-        if text is None:
-            raise InvalidParameterError("--map mobius needs --matrix")
-        parts = [Fraction(p) for p in text.split(",")]
+    if text is None:
+        raise InvalidParameterError("--map mobius needs --matrix")
+    parts = [real_field(p, "--matrix entry", Fraction, "rational number") for p in text.split(",")]
     if len(parts) != 4:
         raise InvalidParameterError("matrix flag needs four comma-separated entries")
     return MoebiusMap(*parts)
@@ -186,10 +192,10 @@ def _selftest_boundary() -> list[tuple[str, bool]]:
 def _extend_mcshane(args) -> Outcome:
     space = _load_space(args.space)
     with _parsing("--domain"):
-        pts = [point_from_json(space, p) for p in json.loads(args.domain)]
+        pts = [point_from_json(space, p) for p in list_field(json.loads(args.domain), "--domain")]
     with _parsing("--values"):
-        exact = (lambda v: Fraction(str(v)), "rational number") if space.exact else ()
-        vals = [real_field(v, "value", *exact) for v in json.loads(args.values)]
+        read = (lambda v: Fraction(str(v)), "rational number") if space.exact else (_finite,)
+        vals = [real_field(v, "value", *read) for v in list_field(json.loads(args.values), "--values")]
     ext = McShaneExtension(PartialFunctional(space, pts, vals), args.mode)
     if args.eval == "all":
         targets = space.points()
@@ -197,7 +203,7 @@ def _extend_mcshane(args) -> Outcome:
             raise InvalidParameterError("--eval all needs a space with finitely many points")
     else:
         with _parsing("--eval"):
-            targets = [point_from_json(space, p) for p in json.loads(args.eval)]
+            targets = [point_from_json(space, p) for p in list_field(json.loads(args.eval), "--eval")]
     values = list(zip(map(space.point_label, targets), ext.evaluate(targets)))
     result = {"mode": args.mode, "values": [{"point": p, "value": v} for p, v in values]}
     return Outcome("extend.mcshane", {"mode": args.mode}, result, True,
@@ -275,8 +281,7 @@ def _spectral_map(args):
     if args.map == "mobius":
         return _mobius_from_flag(args.matrix).as_selfmap(UpperHalfPlane())
     space = CayleyGraphSpace(_group_family(args))
-    with _parsing("--vector"):
-        vector = tuple(int(v) for v in args.vector.split(","))
+    vector = tuple(integer_field(v, "--vector entry") for v in args.vector.split(","))
     space.check_point(vector)
     return group_translation(space, vector)
 
@@ -382,8 +387,7 @@ def _dynamics_parabolic(args) -> Outcome:
 
 
 def _dynamics_distorted_line(args) -> Outcome:
-    with _parsing("--anchors"):
-        anchors = [float(a) for a in args.anchors.split(",")]
+    anchors = [real_field(a, "--anchors entry") for a in args.anchors.split(",")]
     rep = distorted_compactification_check(DistortedLine(args.distortion), args.r, anchors)
     return Outcome("dynamics.distorted_line", {"r": args.r}, rep, rep.decreasing,
                    lambda: [("anchor", "sup"), *zip(rep.anchors, rep.sups)])
@@ -443,8 +447,7 @@ def _selftest_gallery() -> list[tuple[str, bool]]:
 
 
 def _reduced_classify_z(args) -> Outcome:
-    with _parsing("--anchors"):
-        lo, hi = (int(v) for v in args.anchors.split(":"))
+    lo, hi = map(integer_field, args.anchors.partition(":")[::2], ("--anchors start", "--anchors end"))
     if lo > hi:
         raise InvalidParameterError(f"--anchors range {args.anchors} is empty")
     fs = [ZFunctional.point(n) for n in range(lo, hi + 1)] + [ZFunctional.plus_end(), ZFunctional.minus_end()]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -535,34 +536,25 @@ def parabolic_orbit_functional(
     M = averaging
     lo = -(M - 1)
     idx = list(range(lo, eval_hi + 1))
-    n_lo = orbit.n0 + max(0, eval_hi)
-    n_hi = N + min(0, lo)
+    n_lo = orbit.n0 + eval_hi
+    n_hi = N + lo
     if n_lo > n_hi:
         raise PreconditionError(
             f"window empty: need D up to {eval_hi - lo + orbit.n0}, have N = {N}"
         )
-    vectors = []
-    for n in range(n_lo, n_hi + 1):
-        vectors.append(tuple(orbit.D[n - m] - orbit.D[n] for m in idx))
+    vectors = [tuple(orbit.D[n - m] - orbit.D[n] for m in idx) for n in range(n_lo, n_hi + 1)]
     # Count each key and keep its latest vector.  Exact keys are the vectors
     # themselves, and the first one is kept: 0 and Fraction(0) are equal keys
     # but are written differently.
     quantum = tol / 10.0
-    counts: dict[tuple, int] = {}
-    reps: dict[tuple, tuple] = {}
-    for v in vectors:
-        k = v if orbit.exact else tuple(round(float(x) / quantum) for x in v)
-        counts[k] = counts.get(k, 0) + 1
-        reps[k] = v
-    recurring = {k: c for k, c in counts.items() if c >= 2}
-    if recurring:
-        chosen_key = min(recurring)
-        certificate = "stabilized"
-        recurrences = recurring[chosen_key]
-        values = list(chosen_key if orbit.exact else reps[chosen_key])
+    keys = [v if orbit.exact else tuple(round(float(x) / quantum) for x in v) for v in vectors]
+    counts, latest = Counter(keys), dict(zip(keys, vectors))
+    key = min((k for k, c in counts.items() if c >= 2), default=None)
+    if key is not None:
+        certificate, recurrences = "stabilized", counts[key]
+        values = list(key if orbit.exact else latest[key])
     else:
-        certificate = "tail"
-        recurrences = 1
+        certificate, recurrences = "tail", 1
         values = list(vectors[-1])
     monotone_ok = all(values[i + 1] <= values[i] for i in range(len(values) - 1))
     # audit range 0..eval_hi for the vanishing trend
@@ -577,7 +569,7 @@ def parabolic_orbit_functional(
         for j in range(M):
             total += float(values[m - j - lo]) - float(values[-j - lo])
         ces_vals.append(total / M)
-    ces_sup = max(abs(v) for v in ces_vals) if ces_vals else 0.0
+    ces_sup = max(abs(v) for v in ces_vals)
     return OrbitFunctionalReport(
         idx,
         values,

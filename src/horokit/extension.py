@@ -58,7 +58,7 @@ class PartialFunctional:
             _, i, j = hit
             d = D[i, j] if den == 1 else Fraction(int(D[i, j]), den)
             raise InvalidParameterError(
-                f"not 1-Lipschitz on pair ({points[i]!r}, {points[j]!r}): "
+                f"not 1-Lipschitz on pair ({space.point_label(points[i])}, {space.point_label(points[j])}): "
                 f"|{values[i]} - {values[j]}| > {d}"
             )
 

@@ -86,8 +86,8 @@ class ClosedFormFamily(GroupFamily):
     coordinate array (``CayleyBall.rows``), ``coords`` of any elements,
     the distance kernel on such rows, and the restriction rows of a sphere
     (``sphere_rows``) up to the automorphisms that permute the generators
-    (``automorphisms``).  Under ``has_closed_form`` nothing is searched, and
-    no other module reads the coordinate layout."""
+    (``automorphisms``).  Under its standard generators nothing is searched,
+    and no other module reads the coordinate layout."""
 
     @abstractmethod
     def closed_form_length(self, g: Element) -> int:
@@ -667,12 +667,6 @@ class CayleyBall:
         return tuple(g for r in range(lo, hi + 1) for g in decode(rows[at[r] : at[r + 1]], r))
 
 
-def has_closed_form(family: GroupFamily, gens: GeneratingSet) -> bool:
-    """A ``ClosedFormFamily`` under its standard generators: word lengths,
-    balls and distance rows come from closed forms, not from a search."""
-    return isinstance(family, ClosedFormFamily) and gens.is_standard
-
-
 def cayley_ball(
     family: GroupFamily,
     gens: GeneratingSet,
@@ -712,8 +706,8 @@ class CayleyGraphSpace(MetricSpace):
     ``layers[r]`` is S(r) in discovery order, empty past the reach of a
     finite group.  ``ball`` grows the search to a radius, and the same search
     answers every word-length query, from the closed form when ``closed``
-    (``has_closed_form``, decided once).  ``cap`` is the ``ball_limit`` when
-    the space is built.
+    (a ``ClosedFormFamily`` under its standard generators, decided once).
+    ``cap`` is the ``ball_limit`` when the space is built.
     """
 
     distance_bound = 4096  # longest word length a search looks for; closed forms have none
@@ -728,7 +722,7 @@ class CayleyGraphSpace(MetricSpace):
         self.gens = gens if gens is not None else GeneratingSet.standard(family)
         if self.gens.family is not family:
             raise InvalidParameterError("generating set belongs to a different family")
-        self.closed = has_closed_form(family, self.gens)
+        self.closed = isinstance(family, ClosedFormFamily) and self.gens.is_standard
         self.cap = ball_limit()
         self._dist: dict[Element, int] = {family.identity(): 0}
         self.layers: list[list[Element]] = [[family.identity()]]

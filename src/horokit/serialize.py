@@ -57,16 +57,6 @@ from .spaces import DistortedLine, LpSpace, PoincareDisk, SpokeRaySpace, StarTre
 SCHEMA_VERSION = "1"
 
 
-def scalar_to_json(v) -> Any:
-    if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    raise UnsupportedError(f"cannot serialize scalar {v!r}")
-
-
 SPACE_TYPES = {"zd": Zd, "free": FreeGroup, "heisenberg": Heisenberg, "finite_group": FiniteGroup,
                "spoke_ray": SpokeRaySpace, "star_tree": StarTreeSpace, "distorted_line": DistortedLine,
                "poincare_disk": PoincareDisk, "half_plane": UpperHalfPlane, "lp": LpSpace}
@@ -161,9 +151,9 @@ def _parse_point(space: MetricSpace, obj) -> Any:
 
 def _default(o):
     """Convert a value JSON has no literal for; the result is written in its place."""
-    if isinstance(o, (Fraction, np.integer, np.floating)):
-        return scalar_to_json(o)
-    if isinstance(o, np.ndarray):
+    if isinstance(o, Fraction):
+        return str(o)  # "p", or "p/q" in lowest terms
+    if isinstance(o, (np.ndarray, np.integer, np.floating)):
         return o.tolist()
     if isinstance(o, complex):
         return [o.real, o.imag]

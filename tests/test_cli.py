@@ -476,11 +476,15 @@ def test_numbers_past_the_float_range_exit_2(capsys, space, domain, values, targ
 
 # Phrases of Python's own exception texts, which an exit-2 message must not carry.
 PYTHON_TEXTS = ("is not iterable", "has no len", "float() argument", "could not convert", "NoneType", "Invalid literal",
-                "unhashable type")
+                "unhashable type", "invalid literal for int()", "values to unpack")
 
 FINITE_GROUP = '{"type": "finite_group", "params": {"table": [[0, 1], [1, 0]], "generators": 1}}'
 LINE = '{"type": "distorted_line"}'
 TWO_POINTS = '{"type": "finite", "params": {"matrix": [[0, 1], [1, 0]]}}'
+
+
+HALF_PLANE = '{"type": "half_plane"}'
+TRIANGLE = "[[0.1, 0.1], [1.0, 0.1], [0.5, 0.6]]"
 
 
 def _finite(entry: str) -> str:
@@ -532,18 +536,73 @@ def _finite(entry: str) -> str:
         # A distortion name that is no text was looked up in a dict.
         (("validate", "metric", "--space", '{"type": "distorted_line", "params": {"distortion": ["sqrt"]}}'),
          "unknown distortion ['sqrt']"),
+        # A text flag's entry that int(), float() or Fraction() could not
+        # read, a classify-z range without two ends, and a JSON flag that is
+        # no list printed Python's own text.
+        (("spectral", "tau", "--map", "translation", "--group", "zd", "--vector", "1,x"),
+         "--vector entry must be an integer, got 'x'"),
+        (("spectral", "tau", "--map", "translation", "--vector", "1.5"), "--vector entry must be an integer, got '1.5'"),
+        (("spectral", "tau", "--matrix", "1,x,0,1"), "--matrix entry must be a rational number, got 'x'"),
+        (("spectral", "tau", "--matrix", "1,1/0,0,1"), "--matrix entry must be a rational number, got '1/0'"),
+        (("spectral", "displacement", "--matrix", "1,,0,1"), "--matrix entry must be a rational number, got ''"),
+        (("spectral", "principle", "--matrix", "2,0,0,y"), "--matrix entry must be a rational number, got 'y'"),
+        (("dynamics", "distorted-line", "--anchors", "x"),
+         "--anchors entry must be a real number in the float range, got 'x'"),
+        (("reduced", "classify-z", "--anchors", "1"), "--anchors end must be an integer, got ''"),
+        (("reduced", "classify-z", "--anchors", "1:x"), "--anchors end must be an integer, got 'x'"),
+        (("reduced", "classify-z", "--anchors", "y:1"), "--anchors start must be an integer, got 'y'"),
+        (("reduced", "classify-z", "--anchors", "1:2:3"), "--anchors end must be an integer, got '2:3'"),
+        (("extend", "mcshane", "--space", LINE, "--domain", "5", "--values", "[0]", "--eval", "[1]"),
+         "--domain must be a list, got 5"),
+        (("extend", "mcshane", "--space", LINE, "--domain", "[0]", "--values", "5", "--eval", "[1]"),
+         "--values must be a list, got 5"),
+        (("extend", "mcshane", "--space", LINE, "--domain", "[0]", "--values", "[0]", "--eval", "7"),
+         "--eval must be a list, got 7"),
+        (("extend", "mcshane", "--space", LINE, "--domain", "[0]", "--values", "[0]", "--eval", '{"a": 1}'),
+         "--eval must be a list, got {'a': 1}"),
+        # float() reads "inf", "nan" and JSON's 1e999, which no value of a
+        # float space may be: only the Lipschitz check refused them, after
+        # NumPy's RuntimeWarning.
+        (("extend", "mcshane", "--space", HALF_PLANE, "--domain", TRIANGLE, "--values", '[0, "inf", "inf"]', "--eval", "[]"),
+         "value must be a real number in the float range, got 'inf'"),
+        (("extend", "mcshane", "--space", HALF_PLANE, "--domain", TRIANGLE, "--values", "[0, 1e999, 0]", "--eval", "[]"),
+         "value must be a real number in the float range, got inf"),
+        (("extend", "mcshane", "--space", LINE, "--domain", "[0]", "--values", '["-inf"]', "--eval", "[1]"),
+         "value must be a real number in the float range, got '-inf'"),
+        (("extend", "mcshane", "--space", '{"type": "lp"}', "--domain", "[[0, 0]]", "--values", '["nan"]',
+          "--eval", "[[1, 1]]"), "value must be a real number in the float range, got 'nan'"),
+        # A Lipschitz failure names its points by their labels, not by repr.
+        (("extend", "mcshane", "--space", '{"type": "lp"}', "--domain", "[[0, 0], [1, 0]]", "--values", "[0, 5]",
+          "--eval", "[]"), "not 1-Lipschitz on pair ((0.0,0.0), (1.0,0.0)): |0.0 - 5.0| > 1.0"),
+        (("extend", "mcshane", "--space", '{"type": "spoke_ray"}', "--domain", '[{"kind": "hub"}, {"kind": "ray", "t": 1}]',
+          "--values", "[0, 5]", "--eval", "[]"), "not 1-Lipschitz on pair (hub, ray(1)): |0 - 5| > 1"),
+        (("extend", "mcshane", "--space", '{"type": "zd", "params": {"dim": 2}}', "--domain", "[[0, 0], [1, 1]]",
+          "--values", "[0, 3]", "--eval", "[]"), "not 1-Lipschitz on pair ((0,0), (1,1)): |0 - 3| > 2"),
+        # The messages these flags already named, and a finite space's point
+        # labels (an index's label is its repr), keep their bytes.
+        (("spectral", "tau", "--matrix", "1,0,1"), "matrix flag needs four comma-separated entries"),
+        (("spectral", "tau", "--map", "mobius"), "--map mobius needs --matrix"),
+        (("reduced", "classify-z", "--anchors", "3:1"), "--anchors range 3:1 is empty"),
+        (("extend", "mcshane", "--space", TWO_POINTS, "--domain", "[0, 1]", "--values", '[0, "3/2"]', "--eval", "[]"),
+         "not 1-Lipschitz on pair (0, 1): |0 - 3/2| > 1"),
     ],
     ids=["matrix 5", "matrix [5]", "matrix text", "table 3", "table [0, 1]", "generators 1", "lp p null",
          "value x", "value 1/2", "value null", "point null", "point [0]", "entry null", "entry true", "entry x",
          "entry 1/0", "exact value null", "exact value true", "exact value x", "exact value 1/0",
-         "distortion list"],
+         "distortion list", "vector x", "vector 1.5", "tau matrix x", "tau matrix 1/0", "displacement matrix empty",
+         "principle matrix y", "distorted anchors x", "classify anchors 1", "classify anchors 1:x",
+         "classify anchors y:1", "classify anchors 1:2:3", "domain 5", "values 5", "eval 7", "eval object",
+         "value inf", "value 1e999", "value -inf", "lp value nan", "lp labels", "spoke-ray labels", "zd labels",
+         "matrix three entries", "mobius no matrix", "anchors empty range", "finite labels"],
 )
 def test_shapes_and_real_fields_are_named(capsys, argv, message):
-    code, out, err = run(capsys, *argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy RuntimeWarning on the way
+        code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     got = json.loads(err)["message"]
     assert got == message
-    assert not any(text in got for text in PYTHON_TEXTS)
+    assert not any(text in got for text in PYTHON_TEXTS + ("array(",))
 
 
 # Any JSON value: what a field may hold when its input is wrong.
@@ -611,10 +670,36 @@ DESCRIPTORS = {
 }
 
 
+# An entry of a text flag: numbers, near-numbers and junk.
+FLAG_ENTRY = st.sampled_from(["1", "-2", "0", "3", "1/2", "2/4", "1.5", "", "x", "1/0", "nan", "inf", "1e999", " 3", "1:2"])
+
+
+def _entries(sep: str, least: int, most: int):
+    return st.lists(FLAG_ENTRY, min_size=least, max_size=most).map(sep.join)
+
+
+# argv for each command with a text flag of entries, its other flags small;
+# "--flag=text" keeps a text that starts with "-" a value.
+TEXT_FLAGS = st.one_of(
+    _entries(",", 3, 5).map(lambda m: ("spectral", "tau", f"--matrix={m}", "--n", "8")),
+    _entries(",", 3, 5).map(lambda m: ("spectral", "displacement", f"--matrix={m}", "--budget", "4", "--n", "4")),
+    _entries(",", 3, 5).map(lambda m: ("spectral", "principle", f"--matrix={m}", "--n", "8")),
+    st.tuples(st.sampled_from(["z", "zd", "heisenberg"]), _entries(",", 1, 3)).map(
+        lambda a: ("spectral", "tau", "--map", "translation", "--group", a[0], f"--vector={a[1]}", "--n", "8")),
+    _entries(",", 0, 3).map(lambda a: ("dynamics", "distorted-line", f"--anchors={a}")),
+    _entries(":", 0, 3).map(lambda a: ("reduced", "classify-z", f"--anchors={a}")),
+)
+
+NOT_A_LIST = JUNK.filter(lambda v: not isinstance(v, list))
+
+
 @st.composite
 def cli_inputs(draw):
     """argv for ``validate metric`` or ``extend mcshane`` on a descriptor of
-    one of the 11 types, with its points and values."""
+    one of the 11 types, with its points and values, at times with one of
+    its JSON lists no list; or for a command with a text flag of entries."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(TEXT_FLAGS)
     kind = draw(st.sampled_from(sorted(DESCRIPTORS)))
     params, point = DESCRIPTORS[kind]
     desc = {"type": kind} if draw(st.integers(0, 9)) == 0 else {"type": kind, "params": draw(params)}
@@ -623,9 +708,11 @@ def cli_inputs(draw):
         return ("validate", "metric", "--space", space, "--triples", "20")
     domain = draw(st.lists(_mostly(point), min_size=1, max_size=3))
     values = draw(st.lists(_mostly(REAL | RATIONAL), min_size=len(domain), max_size=len(domain)))
-    targets = draw(st.lists(_mostly(point), max_size=3))
-    return ("extend", "mcshane", "--space", space, "--domain", json.dumps(domain),
-            "--values", json.dumps(values), "--eval", json.dumps(targets))
+    lists = [domain, values, draw(st.lists(_mostly(point), max_size=3))]
+    if (k := draw(st.integers(0, 11))) < 3:
+        lists[k] = draw(NOT_A_LIST)
+    return ("extend", "mcshane", "--space", space, *(x for flag, v in zip(("--domain", "--values", "--eval"), lists)
+                                                     for x in (flag, json.dumps(v))))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

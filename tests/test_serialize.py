@@ -34,7 +34,6 @@ from horokit.serialize import (
     RowTable,
     emit_json,
     point_from_json,
-    scalar_to_json,
     space_from_descriptor,
 )
 from horokit.spaces import (
@@ -53,11 +52,12 @@ from oracles import json_report
 
 
 def test_scalar_round_trip():
-    assert scalar_to_json(Fraction(7, 2)) == "7/2"
-    assert scalar_to_json(Fraction(3)) == "3"
-    assert Fraction(scalar_to_json(Fraction(7, 2))) == Fraction(7, 2)
-    assert scalar_to_json(0.25) == 0.25
-    assert type(scalar_to_json(np.int64(-3))) is int and scalar_to_json(True) == 1
+    # A Fraction is written as "p/q" in lowest terms ("p" when integral), a
+    # NumPy scalar as the Python int or float it holds.
+    values = [Fraction(7, 2), Fraction(3), Fraction(-6, 4), 0.25, np.int64(-3), np.float64(0.25)]
+    text = emit_json(values)
+    assert text == json_report(["7/2", "3", "-3/2", 0.25, -3, 0.25])
+    assert [Fraction(v) for v in json.loads(text)[:3]] == values[:3]
 
 
 def test_ball_functional_is_written_as_radius_order_and_values():
