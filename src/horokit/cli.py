@@ -61,7 +61,7 @@ from .extension import (
 )
 from .functionals import HalfPlaneBusemannInfinity, ZdLinear
 from .groups import CayleyGraphSpace, FreeGroup, GeneratingSet, Heisenberg, Zd
-from .metric import integer_field, list_field, real_field, validate_metric
+from .metric import integer_field, list_field, rational_field, real_field, validate_metric
 from .serialize import (
     SCHEMA_VERSION,
     emit_json,
@@ -78,7 +78,6 @@ from .spaces import (
     StarTreeSpace,
     UpperHalfPlane,
     distorted_line_validate,
-    frac,
 )
 
 
@@ -125,7 +124,7 @@ def _load_space(text: str):
         try:
             return space_from_descriptor(desc)
         except (ValueError, ZeroDivisionError):  # only Fraction's, on a finite matrix entry: name the first
-            [real_field(v, "matrix entry", Fraction, "rational number") for row in desc["params"]["matrix"] for v in row]
+            [rational_field(v, "matrix entry") for row in desc["params"]["matrix"] for v in row]
             raise
 
 
@@ -139,7 +138,7 @@ def _finite(v) -> float:
 def _mobius_from_flag(text: str | None) -> MoebiusMap:
     if text is None:
         raise InvalidParameterError("--map mobius needs --matrix")
-    parts = [real_field(p, "--matrix entry", Fraction, "rational number") for p in text.split(",")]
+    parts = [rational_field(p, "--matrix entry") for p in text.split(",")]
     if len(parts) != 4:
         raise InvalidParameterError("matrix flag needs four comma-separated entries")
     return MoebiusMap(*parts)
@@ -190,12 +189,15 @@ def _selftest_boundary() -> list[tuple[str, bool]]:
 
 
 def _extend_mcshane(args) -> Outcome:
+    for flag in ("space", "domain", "values"):  # not required of --selftest, so checked here
+        if getattr(args, flag) is None:
+            raise InvalidParameterError(f"--{flag} is required")
     space = _load_space(args.space)
     with _parsing("--domain"):
         pts = [point_from_json(space, p) for p in list_field(json.loads(args.domain), "--domain")]
     with _parsing("--values"):
-        read = (lambda v: Fraction(str(v)), "rational number") if space.exact else (_finite,)
-        vals = [real_field(v, "value", *read) for v in list_field(json.loads(args.values), "--values")]
+        read = rational_field if space.exact else lambda v, name: real_field(v, name, _finite)
+        vals = [read(v, "value") for v in list_field(json.loads(args.values), "--values")]
     ext = McShaneExtension(PartialFunctional(space, pts, vals), args.mode)
     if args.eval == "all":
         targets = space.points()
@@ -423,7 +425,7 @@ def _gallery_spoke_ray(args) -> Outcome:
 
 def _gallery_star_tree(args) -> Outcome:
     return _failure_witness(args, "star-tree", star_tree_failure_witness,
-                            lambda w: w.gap == 2 * min(frac(args.r), Fraction(int(w.stage))))
+                            lambda w: w.gap == 2 * min(args.r, w.stage))
 
 
 def _gallery_euclidean_zero(args) -> Outcome:
@@ -630,12 +632,9 @@ def main(argv=None) -> int:
                 print(f"{'PASS' if ok else 'FAIL'} {args.command}.{name}")
             return 0 if all(ok for _, ok in checks) else 1
         outcome = args.handler(args)
-    except (ResourceLimitError, BudgetError) as exc:
+    except HorokitError as exc:
         sys.stderr.write(emit_json({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 3
-    except (HorokitError, json.JSONDecodeError) as exc:
-        sys.stderr.write(emit_json({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 2
+        return 3 if isinstance(exc, (ResourceLimitError, BudgetError)) else 2
     if args.format == "csv":
         text, end = "".join(",".join(str(cell) for cell in row) + "\n" for row in outcome.rows()), ""
     else:

@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedError,
 )
 from .functionals import DiskBusemann, RealizedFunctional, eval_functional
-from .metric import MetricSpace, Point, Scalar, first_failure
+from .metric import MetricSpace, Point, Scalar, first_failure, real_field
 from .spaces import (
     DistortedLine,
     PoincareDisk,
@@ -100,19 +100,17 @@ class MoebiusMap:
 
     The entries are held exactly, as four integers over one positive
     denominator in lowest terms, and read back as ``Fraction``s.  Ints,
-    Fractions and strings such as ``"1/2"`` are read exactly, and floats at
-    their exact binary value.  The determinant must be exactly one, so a
-    float matrix whose rounded entries miss it (a float rotation, say) is
-    rejected, and traces of products compare exactly.  The actions on
-    points and the orbit distances read the entries rounded to floats, so
-    each must lie in the float range.
+    Fractions and strings such as ``"1/2"`` are read exactly, floats at
+    their exact binary value, and a bool is no entry.  The determinant must
+    be exactly one, so a float matrix whose rounded entries miss it (a float
+    rotation, say) is rejected, and traces of products compare exactly.  The
+    actions on points and the orbit distances read the entries rounded to
+    floats, so each must lie in the float range.
     """
 
     def __init__(self, a, b, c, d):
-        try:
-            ratios = [(v, 1) if type(v) is int else Fraction(v).as_integer_ratio() for v in (a, b, c, d)]
-        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise InvalidParameterError(f"matrix entries must be numbers in the float range: {exc}") from exc
+        ratios = [(v, 1) if type(v) is int else real_field(v, "matrix entry", Fraction).as_integer_ratio()
+                  for v in (a, b, c, d)]
         den = math.lcm(*(q for _, q in ratios))
         self._hold([p * (den // q) for p, q in ratios], den)
 

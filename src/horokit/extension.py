@@ -20,8 +20,8 @@ import numpy as np
 from .errors import InvalidParameterError, PreconditionError
 from .functionals import EvalOutcome, WitnessLimit
 from .metric import MetricSpace, Point, Scalar
-from .metric import first_failure, first_lipschitz_violation, numeric_arrays
-from .spaces import HUB, SpokeRaySpace, StarTreeSpace, frac
+from .metric import first_failure, first_lipschitz_violation, numeric_arrays, rational_field
+from .spaces import HUB, SpokeRaySpace, StarTreeSpace
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +253,13 @@ def spoke_ray_failure_witness(r, stages: Sequence) -> FailureReport:
     not uniform on B(r) no matter how large t is; at any FIXED head the
     values stabilize exactly once t passes its index.
     """
+    r = rational_field(r, "r")
     if r < 1:
         raise PreconditionError("need r >= 1 so that the heads are inside the ball")
     space = SpokeRaySpace()
     witnesses = []
     for t in stages:
-        t = frac(t)
+        t = rational_field(t, "stage")
         if t < 1:
             raise PreconditionError("stages must be >= 1")
         n = int(t) + 1
@@ -273,16 +274,16 @@ def spoke_ray_failure_witness(r, stages: Sequence) -> FailureReport:
         head = space.spoke_head(n)
         # d(head, gamma(t)) - t equals -1/2 for every t >= n.
         stab.append((space.point_label(head), n))
-    return FailureReport("spoke_ray", frac(r), witnesses, stab)
+    return FailureReport("spoke_ray", r, witnesses, stab)
 
 
 def star_tree_failure_witness(r, branch_indices: Sequence[int]) -> FailureReport:
     """On the interval star, h_{x_n} converges pointwise to d(x0, .) while
     missing it by exactly 2s at the depth-s point of branch n."""
+    r = rational_field(r, "r")
     if r < 1:
         raise PreconditionError("need r >= 1")
     space = StarTreeSpace()
-    r = frac(r)
     witnesses = []
     for n in branch_indices:
         s = min(r, Fraction(n))
@@ -325,7 +326,7 @@ def euclidean_zero_nonmembership_check(grid: Sequence) -> ZeroObstructionReport:
     h_z(y) = |y - z| - |z|.  For |z| >= 1, |h_z(1)| = 1 exactly; for
     |z| <= 1, h_z(1) + h_z(-1) = 2(1 - |z|) and still max(|h_z(+-1)|) = 1.
     """
-    anchors = [frac(z) for z in grid]
+    anchors = [rational_field(z, "anchor") for z in grid]
     if not anchors:
         raise PreconditionError("anchor grid must be nonempty")
     # Over the anchors' common denominator q, z = p / q, q h_z(1) = |q - p| - |p|

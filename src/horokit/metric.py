@@ -78,6 +78,16 @@ def real_field(v, name: str, read=float, kind="real number in the float range"):
     raise InvalidParameterError(f"{name} must be a {kind}, got {v!r}")
 
 
+def rational_field(v, name: str) -> Fraction:
+    """A rational field of input: a Fraction as it is, a float as the decimal
+    text Python prints for it (1e-13 is 1/10^13) and any other value as
+    ``Fraction(v)`` reads it; a bool, NaN, an infinity or anything Fraction
+    cannot read is an error naming the field."""
+    if isinstance(v, Fraction):
+        return v
+    return real_field(v, name, lambda x: Fraction(str(x) if isinstance(x, float) else x), "rational number")
+
+
 def list_field(v, name: str, rows: bool = False):
     """A list field of input (a sequence or array, not text), with ``rows``
     a list of such lists; any other shape is an error naming the field."""

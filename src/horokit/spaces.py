@@ -19,18 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidDistortionError, InvalidPointError, InvalidParameterError
-from .metric import MetricSpace, int_dtype, integer_field, over_one_denominator, real_field
-
-
-def frac(x) -> Fraction:
-    """Coerce ints, strings like "7/2", Fractions and floats (no bools) to
-    Fraction.  A float is read as the decimal text Python prints for it, as
-    ``--values`` reads it: 1e-13 is 1/10^13; NaN and infinities raise ValueError."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (str, int, float)) and not isinstance(x, bool):
-        return Fraction(str(x) if isinstance(x, float) else x)
-    raise InvalidParameterError(f"cannot coerce {x!r} to an exact rational")
+from .metric import MetricSpace, int_dtype, integer_field, over_one_denominator, rational_field, real_field
 
 
 HUB = ("hub",)
@@ -120,7 +109,7 @@ class SpokeRaySpace(_CodedSpace):
 
     @staticmethod
     def ray_point(t) -> tuple:
-        t = frac(t)
+        t = rational_field(t, "t")
         return HUB if t == 0 else SpokeRaySpace._checked("ray", t)
 
     @staticmethod
@@ -130,7 +119,7 @@ class SpokeRaySpace(_CodedSpace):
     @staticmethod
     def spoke_interior(n, s) -> tuple:
         """The point at s along spoke n: its head at s = 0, ray point n at s = n - 1/2."""
-        n, s = integer_field(n, "n"), frac(s)
+        n, s = integer_field(n, "n"), rational_field(s, "s")
         p = ("head", n) if s == 0 else ("ray", Fraction(n)) if 2 * s == 2 * n - 1 > 0 else ("spoke", n, s)
         return SpokeRaySpace._checked(*p)
 
@@ -209,7 +198,7 @@ class StarTreeSpace(_CodedSpace):
     @staticmethod
     def interval_point(n, s) -> tuple:
         """The point at depth s on interval n >= 1: the hub at depth 0."""
-        n, s = integer_field(n, "n"), frac(s)
+        n, s = integer_field(n, "n"), rational_field(s, "s")
         return HUB if s == 0 and n > 0 else StarTreeSpace._checked("int", n, s)
 
     kinds = {"hub": hub, "int": interval_point}

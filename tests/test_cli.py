@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horokit.cli import main
+from horokit import errors
 from horokit.errors import ResourceLimitError
 from horokit.groups import GeneratingSet, Heisenberg, cayley_ball
 
@@ -300,6 +301,31 @@ def test_internal_error_is_not_reported_as_invalid_input(monkeypatch):
         main(["boundary"])
 
 
+HOROKIT_ERRORS = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.HorokitError)]
+
+
+@pytest.mark.parametrize("error", HOROKIT_ERRORS + [TypeError, json.JSONDecodeError], ids=lambda c: c.__name__)
+def test_main_exit_code_per_error_class(capsys, monkeypatch, error):
+    # A limit that was hit exits 3, any other library error 2, each with its
+    # class and message on stderr; anything else is an internal error and
+    # propagates (every json.loads of input runs inside _parsing).
+    import horokit.cli as cli
+
+    exc = error("no 'x'", "doc", 0) if error is json.JSONDecodeError else error("no 'x'")
+
+    def stub(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "limit_restrictions", stub)
+    if not issubclass(error, errors.HorokitError):
+        with pytest.raises(error):
+            main(["boundary"])
+        return
+    code, out, err = run(capsys, "boundary")
+    assert (code, out) == (3 if error in (errors.ResourceLimitError, errors.BudgetError) else 2, "")
+    assert err == f'{{\n  "error": "{error.__name__}",\n  "message": "no \'x\'"\n}}\n'
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -476,7 +502,7 @@ def test_numbers_past_the_float_range_exit_2(capsys, space, domain, values, targ
 
 # Phrases of Python's own exception texts, which an exit-2 message must not carry.
 PYTHON_TEXTS = ("is not iterable", "has no len", "float() argument", "could not convert", "NoneType", "Invalid literal",
-                "unhashable type", "invalid literal for int()", "values to unpack")
+                "unhashable type", "invalid literal for int()", "values to unpack", "Fraction(")
 
 FINITE_GROUP = '{"type": "finite_group", "params": {"table": [[0, 1], [1, 0]], "generators": 1}}'
 LINE = '{"type": "distorted_line"}'
@@ -489,6 +515,11 @@ TRIANGLE = "[[0.1, 0.1], [1.0, 0.1], [0.5, 0.6]]"
 
 def _finite(entry: str) -> str:
     return f'{{"type": "finite", "params": {{"matrix": [[0, {entry}], [{entry}, 0]]}}}}'
+
+
+def _tagged(space: str, point: dict) -> tuple:
+    return ("extend", "mcshane", "--space", json.dumps({"type": space}), "--domain", '[{"kind": "hub"}]',
+            "--values", "[0]", "--eval", json.dumps([point]))
 
 
 @pytest.mark.parametrize(
@@ -585,6 +616,19 @@ def _finite(entry: str) -> str:
         (("reduced", "classify-z", "--anchors", "3:1"), "--anchors range 3:1 is empty"),
         (("extend", "mcshane", "--space", TWO_POINTS, "--domain", "[0, 1]", "--values", '[0, "3/2"]', "--eval", "[]"),
          "not 1-Lipschitz on pair (0, 1): |0 - 3/2| > 1"),
+        # A tagged point's t or s that Fraction could not read printed
+        # Fraction's text, or a message that named no field.
+        (_tagged("spoke_ray", {"kind": "ray", "t": "x"}), "t must be a rational number, got 'x'"),
+        (_tagged("spoke_ray", {"kind": "spoke", "n": 2, "s": "1/0"}), "s must be a rational number, got '1/0'"),
+        (_tagged("star_tree", {"n": 2, "s": None}), "s must be a rational number, got None"),
+        (_tagged("spoke_ray", {"kind": "ray", "t": True}), "t must be a rational number, got True"),
+        (_tagged("spoke_ray", {"kind": "ray", "t": math.inf}), "t must be a rational number, got inf"),
+        (_tagged("spoke_ray", {"kind": "ray", "t": "nan"}), "t must be a rational number, got 'nan'"),
+        (_tagged("star_tree", {"n": 2, "s": [1]}), "s must be a rational number, got [1]"),
+        # An omitted JSON flag of extend mcshane was passed to json.loads.
+        (("extend", "mcshane", "--domain", "[0]", "--values", "[0]"), "--space is required"),
+        (("extend", "mcshane", "--space", LINE, "--values", "[0]"), "--domain is required"),
+        (("extend", "mcshane", "--space", LINE, "--domain", "[0]"), "--values is required"),
     ],
     ids=["matrix 5", "matrix [5]", "matrix text", "table 3", "table [0, 1]", "generators 1", "lp p null",
          "value x", "value 1/2", "value null", "point null", "point [0]", "entry null", "entry true", "entry x",
@@ -593,7 +637,9 @@ def _finite(entry: str) -> str:
          "principle matrix y", "distorted anchors x", "classify anchors 1", "classify anchors 1:x",
          "classify anchors y:1", "classify anchors 1:2:3", "domain 5", "values 5", "eval 7", "eval object",
          "value inf", "value 1e999", "value -inf", "lp value nan", "lp labels", "spoke-ray labels", "zd labels",
-         "matrix three entries", "mobius no matrix", "anchors empty range", "finite labels"],
+         "matrix three entries", "mobius no matrix", "anchors empty range", "finite labels", "ray t x",
+         "spoke s 1/0", "star s null", "ray t true", "ray t inf", "ray t nan", "star s list", "no space",
+         "no domain", "no values"],
 )
 def test_shapes_and_real_fields_are_named(capsys, argv, message):
     with warnings.catch_warnings():
@@ -660,9 +706,9 @@ DESCRIPTORS = {
     ),
     "spoke_ray": (_params(), st.fixed_dictionaries(
         {"kind": st.sampled_from(["hub", "ray", "head", "spoke", "x"])},
-        optional={"t": REAL, "n": st.integers(0, 3), "s": REAL})),
+        optional={"t": _mostly(REAL), "n": st.integers(0, 3), "s": _mostly(REAL)})),
     "star_tree": (_params(), st.fixed_dictionaries(
-        {}, optional={"kind": st.sampled_from(["hub", "int", "x"]), "n": st.integers(0, 3), "s": REAL})),
+        {}, optional={"kind": st.sampled_from(["hub", "int", "x"]), "n": st.integers(0, 3), "s": _mostly(REAL)})),
     "distorted_line": (_params(distortion=st.sampled_from(["sqrt", "log1p", "x"])), REAL),
     "poincare_disk": (_params(), st.lists(st.floats(-0.7, 0.7), min_size=2, max_size=2)),
     "half_plane": (_params(), st.lists(st.floats(0.1, 3), min_size=2, max_size=2)),
@@ -697,7 +743,8 @@ NOT_A_LIST = JUNK.filter(lambda v: not isinstance(v, list))
 def cli_inputs(draw):
     """argv for ``validate metric`` or ``extend mcshane`` on a descriptor of
     one of the 11 types, with its points and values, at times with one of
-    its JSON lists no list; or for a command with a text flag of entries."""
+    its JSON lists no list or one of its JSON flags left out; or for a
+    command with a text flag of entries."""
     if draw(st.integers(0, 4)) == 0:
         return draw(TEXT_FLAGS)
     kind = draw(st.sampled_from(sorted(DESCRIPTORS)))
@@ -711,8 +758,10 @@ def cli_inputs(draw):
     lists = [domain, values, draw(st.lists(_mostly(point), max_size=3))]
     if (k := draw(st.integers(0, 11))) < 3:
         lists[k] = draw(NOT_A_LIST)
-    return ("extend", "mcshane", "--space", space, *(x for flag, v in zip(("--domain", "--values", "--eval"), lists)
-                                                     for x in (flag, json.dumps(v))))
+    flags = {"--space": space, **dict(zip(("--domain", "--values", "--eval"), map(json.dumps, lists)))}
+    if draw(st.integers(0, 9)) == 0:  # --eval has a default, the other three none
+        del flags[draw(st.sampled_from(["--space", "--domain", "--values"]))]
+    return ("extend", "mcshane", *(x for item in flags.items() for x in item))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

@@ -266,6 +266,15 @@ def test_moebius_rejects_non_finite_and_non_numeric_entries(entries):
         MoebiusMap(*entries)
 
 
+@pytest.mark.parametrize("entry", [math.nan, "x", None, True, "1/0"])
+def test_moebius_entry_message_names_the_entry(entry):
+    # Python's own text was appended ("Invalid literal for Fraction: 'x'"),
+    # and a bool was read as 1.
+    with pytest.raises(InvalidParameterError) as exc:
+        MoebiusMap(1, entry, 0, 1)
+    assert str(exc.value) == f"matrix entry must be a real number in the float range, got {entry!r}"
+
+
 def test_moebius_float_entries_read_at_their_binary_value():
     m = MoebiusMap(2.0, 0.0, 0.0, 0.5)
     assert m.entries() == (2, 0, 0, Fraction(1, 2))

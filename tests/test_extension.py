@@ -451,6 +451,19 @@ def test_failure_witness_preconditions():
         spoke_ray_failure_witness(1, [Fraction(1, 2)])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: spoke_ray_failure_witness(1, ["x"]), "stage must be a rational number, got 'x'"),
+    (lambda: spoke_ray_failure_witness(math.nan, [3]), "r must be a rational number, got nan"),
+    (lambda: star_tree_failure_witness(math.inf, [3]), "r must be a rational number, got inf"),
+    (lambda: star_tree_failure_witness("x", [3]), "r must be a rational number, got 'x'"),  # was a TypeError
+    (lambda: euclidean_zero_nonmembership_check([1, None]), "anchor must be a rational number, got None"),
+], ids=["stage", "spoke r", "star r", "star r text", "anchor"])
+def test_witness_fields_are_named(call, message):
+    with pytest.raises(InvalidParameterError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # The zero functional and the one-dimensional obstruction
 # ---------------------------------------------------------------------------

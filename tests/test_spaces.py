@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from horokit.dynamics import MoebiusMap
 from horokit.errors import InvalidDistortionError, InvalidParameterError, InvalidPointError
 from horokit.groups import CayleyGraphSpace, FreeGroup, Heisenberg, Zd, cyclic_group
-from horokit.metric import FiniteMetricSpace, validate_metric
+from horokit.metric import FiniteMetricSpace, rational_field, validate_metric
 from horokit.spaces import (
     DISTORTIONS,
     DistortedLine,
@@ -25,7 +25,6 @@ from horokit.spaces import (
     cayley_to_disk,
     cayley_to_half_plane,
     distorted_line_validate,
-    frac,
     lp_norm,
 )
 
@@ -48,17 +47,17 @@ ST = StarTreeSpace()
     (2.5, Fraction(5, 2)),
     (1e22, Fraction(10**22)),
 ])
-def test_frac_reads_a_float_as_its_printed_decimal(x, want):
+def test_rational_field_reads_a_float_as_its_printed_decimal(x, want):
     # As --values reads a float: Fraction(str(x)), not a nearby fraction of
     # small denominator (1e-13 used to become 0, the hub).
-    assert frac(x) == want
+    assert rational_field(x, "t") == want
     assert SR.point_label(SR.ray_point(x)) == f"ray({want})"
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
-def test_frac_rejects_non_finite_floats(x):
-    with pytest.raises(ValueError):
-        frac(x)
+def test_rational_field_rejects_non_finite_floats(x):
+    with pytest.raises(InvalidParameterError, match=f"^t must be a rational number, got {x!r}$"):
+        rational_field(x, "t")
 
 
 class TestSpokeRay:
