@@ -17,7 +17,6 @@ import json
 import math
 import random
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -100,13 +99,11 @@ def _group_family(args):
     return Zd(1 if args.group == "z" else args.dim)
 
 
-@contextmanager
-def _parsing(flag: str):
-    """Report malformed text in ``flag`` as invalid input (exit 2); the same
-    exception types raised anywhere else are internal errors."""
+def _json(flag: str, text: str):
+    """The JSON value of ``flag``: text that does not parse is invalid input (exit 2)."""
     try:
-        yield
-    except (TypeError, ValueError, KeyError, ZeroDivisionError) as exc:
+        return json.loads(text)
+    except ValueError as exc:
         raise InvalidParameterError(f"malformed {flag}: {exc}") from exc
 
 
@@ -119,13 +116,12 @@ def _count(flag: str, value: int, minimum: int = 0) -> int:
 
 
 def _load_space(text: str):
-    with _parsing("--space"):
-        desc = json.loads(text)
-        try:
-            return space_from_descriptor(desc)
-        except (ValueError, ZeroDivisionError):  # only Fraction's, on a finite matrix entry: name the first
-            [rational_field(v, "matrix entry") for row in desc["params"]["matrix"] for v in row]
-            raise
+    desc = _json("--space", text)
+    try:
+        return space_from_descriptor(desc)
+    except (ValueError, ZeroDivisionError):  # only Fraction's, on a finite matrix entry: name the first
+        [rational_field(v, "matrix entry") for row in desc["params"]["matrix"] for v in row]
+        raise
 
 
 def _finite(v) -> float:
@@ -193,19 +189,16 @@ def _extend_mcshane(args) -> Outcome:
         if getattr(args, flag) is None:
             raise InvalidParameterError(f"--{flag} is required")
     space = _load_space(args.space)
-    with _parsing("--domain"):
-        pts = [point_from_json(space, p) for p in list_field(json.loads(args.domain), "--domain")]
-    with _parsing("--values"):
-        read = rational_field if space.exact else lambda v, name: real_field(v, name, _finite)
-        vals = [read(v, "value") for v in list_field(json.loads(args.values), "--values")]
+    pts = [point_from_json(space, p) for p in list_field(_json("--domain", args.domain), "--domain")]
+    read = rational_field if space.exact else lambda v, name: real_field(v, name, _finite)
+    vals = [read(v, "value") for v in list_field(_json("--values", args.values), "--values")]
     ext = McShaneExtension(PartialFunctional(space, pts, vals), args.mode)
     if args.eval == "all":
         targets = space.points()
         if targets is None:
             raise InvalidParameterError("--eval all needs a space with finitely many points")
     else:
-        with _parsing("--eval"):
-            targets = [point_from_json(space, p) for p in list_field(json.loads(args.eval), "--eval")]
+        targets = [point_from_json(space, p) for p in list_field(_json("--eval", args.eval), "--eval")]
     values = list(zip(map(space.point_label, targets), ext.evaluate(targets)))
     result = {"mode": args.mode, "values": [{"point": p, "value": v} for p, v in values]}
     return Outcome("extend.mcshane", {"mode": args.mode}, result, True,
@@ -632,20 +625,24 @@ def main(argv=None) -> int:
                 print(f"{'PASS' if ok else 'FAIL'} {args.command}.{name}")
             return 0 if all(ok for _, ok in checks) else 1
         outcome = args.handler(args)
+        if args.format == "csv":
+            text, end = "".join(",".join(str(cell) for cell in row) + "\n" for row in outcome.rows()), ""
+        else:
+            report = {"schema_version": SCHEMA_VERSION, "command": outcome.command,
+                      "config": outcome.config, "result": outcome.result}
+            text, end = emit_json(report), "\n"  # written apart: no copy of the report
+        if args.out:
+            try:  # opened only now: a failed computation leaves no file
+                fh = open(args.out, "w")
+            except OSError as exc:
+                raise InvalidParameterError(f"cannot write --out {args.out}: {exc.strerror}") from exc
+            with fh:
+                print(text, end=end, file=fh)
+        else:
+            print(text, end=end)
     except HorokitError as exc:
         sys.stderr.write(emit_json({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 3 if isinstance(exc, (ResourceLimitError, BudgetError)) else 2
-    if args.format == "csv":
-        text, end = "".join(",".join(str(cell) for cell in row) + "\n" for row in outcome.rows()), ""
-    else:
-        report = {"schema_version": SCHEMA_VERSION, "command": outcome.command,
-                  "config": outcome.config, "result": outcome.result}
-        text, end = emit_json(report), "\n"  # written apart: no copy of the report
-    if args.out:
-        with open(args.out, "w") as fh:
-            print(text, end=end, file=fh)
-    else:
-        print(text, end=end)
     return 0 if outcome.ok else 1
 
 

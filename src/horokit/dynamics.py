@@ -11,6 +11,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
@@ -114,19 +115,21 @@ class MoebiusMap:
         den = math.lcm(*(q for _, q in ratios))
         self._hold([p * (den // q) for p, q in ratios], den)
 
-    def _hold(self, nums, den: int) -> None:
-        """Keep the entries nums / den, den > 0, reduced by their one gcd; int
-        division rounds each float correctly, as ``float(Fraction)`` does."""
+    def _hold(self, nums, den: int) -> "MoebiusMap":
+        """Hold the entries nums / den, den > 0, reduced by their one gcd, and
+        return the map; int division rounds each float as ``float(Fraction)``."""
         g = math.gcd(*nums, den)
         self._nums, self._den = tuple(v // g for v in nums), den // g
         try:
             self._floats = tuple(v / self._den for v in self._nums)
-        except OverflowError as exc:
-            raise InvalidParameterError(f"matrix entries must be numbers in the float range: {exc}") from exc
+        except OverflowError as exc:  # the largest entry is past the range; no str() of its digits
+            big = Decimal(max(self._nums, key=abs)) / self._den
+            raise InvalidParameterError(f"matrix entry must be a real number in the float range, got {big:.6e}") from exc
         a, b, c, d = self._nums
         if a * d - b * c != self._den**2:
             raise InvalidParameterError(f"determinant must be 1, got {Fraction(a * d - b * c, self._den**2)}")
         self._inverse: Optional[MoebiusMap] = None
+        return self
 
     a, b, c, d = (property(lambda self, k=k: Fraction(self._nums[k], self._den)) for k in range(4))
 
@@ -139,14 +142,14 @@ class MoebiusMap:
     def compose(self, other: "MoebiusMap") -> "MoebiusMap":
         """The product, multiplied on the integers over den * other's den."""
         (a, b, c, d), (e, f, g, h) = self._nums, other._nums
-        out = MoebiusMap.__new__(MoebiusMap)
-        out._hold((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h), self._den * other._den)
-        return out
+        nums = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        return MoebiusMap.__new__(MoebiusMap)._hold(nums, self._den * other._den)
 
     def inverse(self) -> "MoebiusMap":
         """The inverse map, built on the first call."""
         if self._inverse is None:
-            self._inverse = MoebiusMap(self.d, -self.b, -self.c, self.a)
+            a, b, c, d = self._nums
+            self._inverse = MoebiusMap.__new__(MoebiusMap)._hold((d, -b, -c, a), self._den)
         return self._inverse
 
     def classify(self) -> str:

@@ -270,6 +270,64 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["result"]["passed"] is True
 
 
+@pytest.mark.parametrize("target, reason", [("no/such/dir/r.json", "No such file or directory"), ("", "Is a directory")],
+                         ids=["missing-dir", "directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, target, reason):
+    # open() raised FileNotFoundError out of main after the computation: a
+    # traceback and exit 1, the code of a failed audit.
+    path = str(tmp_path / target)
+    code, out, err = run(capsys, "boundary", "--out", path)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "InvalidParameterError", "message": f"cannot write --out {path}: {reason}"}
+
+
+def test_out_is_opened_after_the_computation(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    code, _, _ = run(capsys, "boundary", "--r", "-1", "--out", str(target))
+    assert code == 2
+    assert not target.exists()
+
+
+def _space_flag(kind: str, params: dict | None = None, **top) -> tuple:
+    return ("--space", json.dumps({"type": kind, **({} if params is None else {"params": params}), **top}))
+
+
+@pytest.mark.parametrize(
+    "argv, error, message",
+    [
+        (("boundary", "--window", "0"), "PreconditionError", "window must be >= 1"),
+        (("boundary", "--group", "zd", "--dim", "0"), "InvalidParameterError", "dimension must be >= 1"),
+        (("boundary", "--group", "free", "--rank", "0"), "InvalidParameterError", "rank must be >= 1"),
+        (("gallery", "star-tree", "--r", "0"), "PreconditionError", "need r >= 1"),
+        (("dynamics", "distorted-line", "--r", "-1"), "PreconditionError", "r must be >= 0"),
+        (("dynamics", "parabolic", "--fixture", "heisenberg-z", "--n", "40", "--eval-hi", "30"),
+         "PreconditionError", "window empty: need D up to 45, have N = 40"),
+        (("validate", "metric", *_space_flag("finite", {"matrix": [[0, 1]]})),
+         "InvalidSpaceError", "distance matrix is not square"),
+        (("validate", "metric", *_space_flag("finite", {"matrix": [[0, 1], [1, 0]]}, base=2)),
+         "InvalidSpaceError", "base index 2 outside [0, 2)"),
+        (("validate", "metric", *_space_flag("lp", {"dim": 0})), "InvalidParameterError", "dimension must be >= 1"),
+        (("validate", "metric", *_space_flag("finite_group", {"table": [[0, 2, 1], [2, 1, 0], [1, 0, 2]],
+                                                               "generators": [1]})),
+         "InvalidParameterError", "table has no identity element"),
+        (("validate", "metric", *_space_flag("finite_group", {"table": [[0, 1], [1, 0]]})),
+         "InvalidParameterError", "finite group was built without generators"),
+        (("extend", "mcshane", *_space_flag("zd"), "--domain", "[[0]]", "--values", "[0, 1]"),
+         "InvalidParameterError", "domain and value lists differ in length"),
+        (("extend", "mcshane", *_space_flag("zd"), "--domain", "[]", "--values", "[]"),
+         "InvalidParameterError", "domain must be nonempty"),
+        (("spectral", "displacement", "--matrix", "1,1,0,1", "--budget", "0"),
+         "PreconditionError", "point generator yielded nothing"),
+    ],
+    ids=["window", "zd-dim", "free-rank", "star-tree-r", "distorted-r", "parabolic-window", "not-square", "base",
+         "lp-dim", "no-identity", "no-generators", "lengths", "empty-domain", "no-points"],
+)
+def test_library_preconditions_reached_from_argv_exit_2(capsys, argv, error, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": error, "message": message}
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -308,7 +366,7 @@ HOROKIT_ERRORS = [c for c in vars(errors).values() if isinstance(c, type) and is
 def test_main_exit_code_per_error_class(capsys, monkeypatch, error):
     # A limit that was hit exits 3, any other library error 2, each with its
     # class and message on stderr; anything else is an internal error and
-    # propagates (every json.loads of input runs inside _parsing).
+    # propagates (every json.loads of input runs inside _json).
     import horokit.cli as cli
 
     exc = error("no 'x'", "doc", 0) if error is json.JSONDecodeError else error("no 'x'")
@@ -502,7 +560,7 @@ def test_numbers_past_the_float_range_exit_2(capsys, space, domain, values, targ
 
 # Phrases of Python's own exception texts, which an exit-2 message must not carry.
 PYTHON_TEXTS = ("is not iterable", "has no len", "float() argument", "could not convert", "NoneType", "Invalid literal",
-                "unhashable type", "invalid literal for int()", "values to unpack", "Fraction(")
+                "unhashable type", "invalid literal for int()", "values to unpack", "Fraction(", "too large")
 
 FINITE_GROUP = '{"type": "finite_group", "params": {"table": [[0, 1], [1, 0]], "generators": 1}}'
 LINE = '{"type": "distorted_line"}'
@@ -629,6 +687,14 @@ def _tagged(space: str, point: dict) -> tuple:
         (("extend", "mcshane", "--domain", "[0]", "--values", "[0]"), "--space is required"),
         (("extend", "mcshane", "--space", LINE, "--values", "[0]"), "--domain is required"),
         (("extend", "mcshane", "--space", LINE, "--domain", "[0]"), "--values is required"),
+        # An exact entry past the float range printed Python's "integer
+        # division result too large for a float"; past int's str() limit
+        # (1e5000), no digits are written out.
+        (("spectral", "tau", "--matrix", "1e400,0,0,1e-400"),
+         "matrix entry must be a real number in the float range, got 1.000000e+400"),
+        (("spectral", "tau", "--matrix=1,1,1,1e999"), "matrix entry must be a real number in the float range, got 1.000000e+999"),
+        (("spectral", "principle", "--matrix=-1e5000,0,0,-1e-5000"),
+         "matrix entry must be a real number in the float range, got -1.000000e+5000"),
     ],
     ids=["matrix 5", "matrix [5]", "matrix text", "table 3", "table [0, 1]", "generators 1", "lp p null",
          "value x", "value 1/2", "value null", "point null", "point [0]", "entry null", "entry true", "entry x",
@@ -639,7 +705,7 @@ def _tagged(space: str, point: dict) -> tuple:
          "value inf", "value 1e999", "value -inf", "lp value nan", "lp labels", "spoke-ray labels", "zd labels",
          "matrix three entries", "mobius no matrix", "anchors empty range", "finite labels", "ray t x",
          "spoke s 1/0", "star s null", "ray t true", "ray t inf", "ray t nan", "star s list", "no space",
-         "no domain", "no values"],
+         "no domain", "no values", "matrix 1e400", "matrix 1e999", "matrix 1e5000"],
 )
 def test_shapes_and_real_fields_are_named(capsys, argv, message):
     with warnings.catch_warnings():

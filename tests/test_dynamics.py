@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horokit import dynamics
 from horokit.dynamics import (
     MoebiusMap,
     OrbitSpace,
@@ -131,13 +132,13 @@ def test_compose_and_inverse_equal_the_fraction_product(left, right):
 def test_the_inverse_is_built_when_first_applied(monkeypatch):
     m, ref = MoebiusMap(2, 1, 3, 2), MoebiusMap(2, -1, -3, 2)
     built = []
-    init = MoebiusMap.__init__
+    hold = MoebiusMap._hold
 
-    def counting(self, *entries):
-        built.append(entries)
-        init(self, *entries)
+    def counting(self, nums, den):
+        built.append((nums, den))
+        return hold(self, nums, den)
 
-    monkeypatch.setattr(MoebiusMap, "__init__", counting)
+    monkeypatch.setattr(MoebiusMap, "_hold", counting)
     hp, disk = UpperHalfPlane(), PoincareDisk()
     maps = ((m.as_selfmap(hp), ref.apply_half_plane, hp), (m.as_selfmap(disk), ref.apply_disk, disk))
     assert built == []
@@ -146,6 +147,19 @@ def test_the_inverse_is_built_when_first_applied(monkeypatch):
             assert f.apply_inverse(x) == apply_ref(x)
     assert len(built) == 1 and m.inverse().entries() == ref.entries()
     assert all(type(v) is Fraction for v in m.inverse().entries())
+
+
+def test_the_inverse_is_read_from_the_held_integers(monkeypatch):
+    # (d, -b, -c, a) over the held denominator: no entry is read again.
+    m, ref = MoebiusMap("3/2", "1/3", "3/4", "5/6"), MoebiusMap("5/6", "-1/3", "-3/4", "3/2")
+
+    def refuse(*args, **kw):
+        raise AssertionError("an entry was read again")
+
+    monkeypatch.setattr(dynamics, "real_field", refuse)
+    inv = m.inverse()
+    assert inv.entries() == ref.entries() and inv._floats == ref._floats
+    assert m.inverse() is inv
 
 
 def test_orbit_distances_match_direct_evaluation():
@@ -273,6 +287,27 @@ def test_moebius_entry_message_names_the_entry(entry):
     with pytest.raises(InvalidParameterError) as exc:
         MoebiusMap(1, entry, 0, 1)
     assert str(exc.value) == f"matrix entry must be a real number in the float range, got {entry!r}"
+
+
+_BIG = MoebiusMap(2**600, 0, 0, Fraction(1, 2**600))
+
+
+@pytest.mark.parametrize(
+    "build, got",
+    [
+        (lambda: MoebiusMap(10**400, 0, 0, Fraction(1, 10**400)), "1.000000e+400"),
+        (lambda: MoebiusMap(1, 1, 1, 10**999), "1.000000e+999"),
+        # past the 4,300 digits of int's str() limit
+        (lambda: MoebiusMap(Fraction(-(10**5000), 3), 0, 0, Fraction(-3, 10**5000)), "-3.333333e+4999"),
+        (lambda: _BIG.compose(_BIG), "1.721848e+361"),  # 2^1200, made by a product
+    ],
+    ids=["1e400", "1e999", "1e5000", "product"],
+)
+def test_moebius_overflow_names_the_entry(build, got):
+    # Python's "integer division result too large for a float" was appended.
+    with pytest.raises(InvalidParameterError) as exc:
+        build()
+    assert str(exc.value) == f"matrix entry must be a real number in the float range, got {got}"
 
 
 def test_moebius_float_entries_read_at_their_binary_value():
