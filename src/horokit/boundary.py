@@ -63,16 +63,16 @@ def _sorted_rows(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, first
 
 
-def _distinct_rows(V: np.ndarray) -> np.ndarray:
-    """The distinct rows of the integer block V in lexicographic order, as
-    ``np.unique`` gives them along axis 0, with V's dtype."""
+def _merged_rows(V: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the integer block V in lexicographic order, and
+    the rows of the bool table P OR-ed over each run of V's equal rows."""
     order, first = _sorted_rows(V)
-    return V[order[first]]
+    return V[order[first]], np.logical_or.reduceat(P[order], np.flatnonzero(first), axis=0)
 
 
 def _unique_rows(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_distinct_rows(V)`` and the inverse index: ``inverse[i]`` is the
-    position of V[i] among them."""
+    """The distinct rows of the integer block V as ``np.unique(V, axis=0)``
+    gives them, and the inverse index: V[i] is their row ``inverse[i]``."""
     order, first = _sorted_rows(V)
     inverse = np.empty(len(V), np.intp)
     inverse[order] = np.cumsum(first) - 1
@@ -128,54 +128,54 @@ def _check_rows(ball: CayleyBall, r: int, V: np.ndarray) -> None:
         check_rows(ball.labels(r), V[[hit[0]]], D)
 
 
+def _scan(ball: CayleyBall, r: int, radii: Sequence[int]) -> list[np.ndarray]:
+    """``sphere_restrictions(ball, r, R)`` for the increasing ``radii``, kept
+    by the ball under (min(R, R0), dtype of the last R): the first not kept
+    builds them all.  Rows G and their presence table P are the family's
+    ``sphere_rows(X, r, radii)`` on X = ``ball.rows(r)``, with d(x, g) by
+    ``_distance_blocks``, or a searched ball's spheres, with one
+    ``distance_block`` and P by ``sphere_offsets``.  Less its identity
+    column, a row is h_g.  One sort keeps the distinct rows, P OR-ed over
+    copies (``_merged_rows``), one more their closure under
+    ``automorphisms``; ``_check_rows`` checks each exactly (|h| <= r).
+    Stable spheres: S(R), R >= R0 = ``fam.stable_radius(r)``, gives the set
+    of S(R0): F_n's ``sphere_rows`` is S(r) for every R (R0 = r), and Z^d's
+    keys, of sum <= d r <= R (R0 = d r), are those with some |k_i| = r."""
+    if not 0 <= r <= radii[0]:
+        raise PreconditionError(f"need 0 <= ball radius {r} <= sphere radius {radii[0]}")
+    if ball.radius < radii[-1]:
+        raise PreconditionError(f"ball radius {ball.radius} is insufficient; need >= {radii[-1]}")
+    fam, n, X = ball.space.family, ball.sphere_offsets[r + 1], ball.rows(r)
+    dtype = np.int16 if radii[-1] + r < 1 << 15 else np.int64
+    R0 = None if X is None else fam.stable_radius(r)
+    keys, sets = [R if R0 is None else min(R, R0) for R in radii], {}
+
+    def build(scan):
+        if X is None:
+            lo, hi, at = scan[0], scan[-1], ball.sphere_offsets
+            P = np.repeat(np.arange(lo, hi + 1), np.diff(at[lo : hi + 2]))[:, None] == scan
+            V = ball.space.distance_block(ball.ball(r))(ball.elements[at[lo] : at[hi + 1]], np.arange(n))[0].astype(dtype)
+        else:
+            G, P = fam.sphere_rows(X, r, scan)
+            V = np.concatenate([*_distance_blocks(fam, X, G, dtype)])
+        rows, seen = _merged_rows(V - V[:, :1], P)
+        if len(perms := _ball_facts(ball, r)[1]) > 1:
+            rows, seen = _merged_rows(np.concatenate([rows[:, p] for p in perms]), np.tile(seen, (len(perms), 1)))
+        _check_rows(ball, r, rows)
+        for R, present in zip(scan, seen.T):
+            sets[R] = rows[present]
+            sets[R].flags.writeable = False
+        return sets
+
+    return [ball.once(("restrictions", r, dtype), k, lambda: (sets or build(sorted(set(keys))))[k]) for k in keys]
+
+
 def sphere_restrictions(ball: CayleyBall, r: int, R: int) -> np.ndarray:
     """Deduplicated restrictions h_g|B(r) over all g with |g| = R, as the
-    (k, |B(r)|) matrix of their distinct value rows in lexicographic
-    (value-tuple) order, one column per point of ``ball.ball(r)``.
-
-    Under a closed form, X = ``ball.rows(r)`` is B(r), built once per ball
-    like ``ball.labels(r)``, and the family's ``sphere_rows(X, r, R)`` gives
-    rows with the set of h-rows of S(R) up to ``automorphisms(X)`` (Z^d:
-    its clipped keys; F_n: S(r); H3: S(R) on one sector of its 8
-    automorphisms).  ``_distance_blocks`` gives d(x, g) on those rows; a
-    searched ball gives them from one ``distance_block`` of B(r) on
-    ``ball.space``.  D and the automorphisms are ``_ball_facts(ball, r)``,
-    shared by every sphere.  Each row minus its identity column d(e, g) is
-    h_g.  Values are int16 (int64 once R + r leaves int16).  Each chunk of
-    about 256K elements is deduplicated on packed keys in value-tuple order
-    (``_distinct_rows``); its rows with their columns permuted by each
-    automorphism's index array, then the union, are deduplicated again.
-    ``_check_rows`` checks each distinct row, even one outside [-r, r],
-    exactly: it vanishes at the identity and is 1-Lipschitz on every pair
-    of B(r), so |h(x)| <= |x| <= r.  Stable spheres: every S(R), R >= R0 =
-    ``fam.stable_radius(r)``, gives the set of S(R0).  Proof: F_n's
-    ``sphere_rows`` is S(r) for every R (R0 = r); Z^d's keys, each of sum
-    <= d r <= R (R0 = d r), are those with some |k_i| = r.  So a set is
-    built once per ball, under (min(R, R0), dtype), and is read-only.
-    """
-    if not 0 <= r <= R:
-        raise PreconditionError(f"need 0 <= ball radius {r} <= sphere radius {R}")
-    if ball.radius < R:
-        raise PreconditionError(f"ball radius {ball.radius} is insufficient; need >= {R}")
-    fam, n = ball.space.family, ball.sphere_offsets[r + 1]
-    dtype = np.int16 if R + r <= np.iinfo(np.int16).max else np.int64
-    X, perms = ball.rows(r), _ball_facts(ball, r)[1]
-
-    def build():
-        if X is None:
-            blocks = [ball.space.distance_block(ball.ball(r))(ball.sphere(R), np.arange(n))[0].astype(dtype)]
-        else:
-            blocks = _distance_blocks(fam, X, fam.sphere_rows(X, r, R), dtype)
-        # Dedup block by block, so that a huge sphere is never held whole, then
-        # close each block's rows under the automorphisms.
-        parts = [u[:, p] for u in (_distinct_rows(b - b[:, :1]) for b in blocks) for p in perms]
-        rows = parts[0] if len(parts) == 1 else _distinct_rows(np.concatenate([np.empty((0, n), dtype), *parts]))
-        _check_rows(ball, r, rows)
-        rows.flags.writeable = False
-        return rows
-
-    R0 = None if X is None else fam.stable_radius(r)
-    return ball.once(("restrictions", r, dtype), R if R0 is None else min(R, R0), build)
+    read-only (k, |B(r)|) matrix of their distinct value rows in value-tuple
+    order, one column per point of ``ball.ball(r)``, int16 (int64 once R + r
+    leaves int16): the ``_scan`` of R alone, unless a window's scan kept it."""
+    return _scan(ball, r, [R])[0]
 
 
 @dataclass(frozen=True)
@@ -222,9 +222,10 @@ def limit_restrictions(
 
     The certificate is Stabilized when the accepted set is unchanged when
     r_max is replaced by any value in that window, Heuristic otherwise.
-    One dedup of the spheres R = lo..r_max, lo = max(r, r_max - 2 window),
-    gives their distinct rows and a presence table seen[row, R - lo]; the
-    set accepted at each end radius is a column ``any`` over that table.
+    One ``_scan`` builds the spheres R = lo..r_max, lo = max(r, r_max - 2
+    window).  One dedup of their sets gives their distinct rows and
+    a presence table seen[row, R - lo]; the set accepted at each end radius
+    is a column ``any`` over that table.
     """
     if window < 1:
         raise PreconditionError("window must be >= 1")
@@ -232,6 +233,7 @@ def limit_restrictions(
         raise PreconditionError("need r_max > r + window")
     ball = cayley_ball(family, gens, r_max)
     lo = max(r, r_max - 2 * window)
+    _scan(ball, r, range(lo, r_max + 1))
     spheres = [sphere_restrictions(ball, r, R) for R in range(lo, r_max + 1)]
     rows, inverse = _unique_rows(np.concatenate(spheres))
     seen = np.zeros((len(rows), len(spheres)), dtype=bool)

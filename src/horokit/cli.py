@@ -60,7 +60,7 @@ from .extension import (
 )
 from .functionals import HalfPlaneBusemannInfinity, ZdLinear
 from .groups import CayleyGraphSpace, FreeGroup, GeneratingSet, Heisenberg, Zd
-from .metric import integer_field, list_field, rational_field, real_field, validate_metric
+from .metric import exact_text, integer_field, list_field, rational_field, real_field, validate_metric
 from .serialize import (
     SCHEMA_VERSION,
     emit_json,
@@ -100,11 +100,13 @@ def _group_family(args):
 
 
 def _json(flag: str, text: str):
-    """The JSON value of ``flag``: text that does not parse is invalid input (exit 2)."""
+    """The JSON value of ``flag``: text that does not parse or nests too deep is invalid input (exit 2)."""
     try:
         return json.loads(text)
     except ValueError as exc:
         raise InvalidParameterError(f"malformed {flag}: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidParameterError(f"malformed {flag}: nesting too deep") from exc
 
 
 def _count(flag: str, value: int, minimum: int = 0) -> int:
@@ -373,8 +375,8 @@ def _dynamics_parabolic(args) -> Outcome:
                        {"max_abs": worst, "values_head": vals[:5]}, worst <= tol,
                        lambda: [("n", "value"), *enumerate(vals, -n)])
     _count("--eval-hi", args.eval_hi)
-    family = Heisenberg()
-    orbit = OrbitSpace.from_selfmap(group_translation(CayleyGraphSpace(family), family.central(1)), args.n)
+    family, n = Heisenberg(), _count("--n", args.n, 1)  # at n = 0 the orbit has no point to bound tau by
+    orbit = OrbitSpace.from_selfmap(group_translation(CayleyGraphSpace(family), family.central(1)), n)
     rep = parabolic_orbit_functional(orbit, eval_hi=args.eval_hi, averaging=args.averaging)
     return Outcome("dynamics.parabolic.heisenberg", {"n": args.n},
                    {**vars(rep), "displacements": orbit.D}, rep.monotone_ok,
@@ -626,7 +628,7 @@ def main(argv=None) -> int:
             return 0 if all(ok for _, ok in checks) else 1
         outcome = args.handler(args)
         if args.format == "csv":
-            text, end = "".join(",".join(str(cell) for cell in row) + "\n" for row in outcome.rows()), ""
+            text, end = "".join(",".join(map(exact_text, row)) + "\n" for row in outcome.rows()), ""
         else:
             report = {"schema_version": SCHEMA_VERSION, "command": outcome.command,
                       "config": outcome.config, "result": outcome.result}

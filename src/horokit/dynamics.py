@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedError,
 )
 from .functionals import DiskBusemann, RealizedFunctional, eval_functional
-from .metric import MetricSpace, Point, Scalar, first_failure, real_field
+from .metric import MetricSpace, Point, Scalar, exact_text, first_failure, real_field
 from .spaces import (
     DistortedLine,
     PoincareDisk,
@@ -127,7 +127,7 @@ class MoebiusMap:
             raise InvalidParameterError(f"matrix entry must be a real number in the float range, got {big:.6e}") from exc
         a, b, c, d = self._nums
         if a * d - b * c != self._den**2:
-            raise InvalidParameterError(f"determinant must be 1, got {Fraction(a * d - b * c, self._den**2)}")
+            raise InvalidParameterError(f"determinant must be 1, got {exact_text(Fraction(a * d - b * c, self._den**2))}")
         self._inverse: Optional[MoebiusMap] = None
         return self
 

@@ -117,13 +117,14 @@ class ClosedFormFamily(GroupFamily):
         return np.array(rows, np.int64).reshape(len(rows), width)
 
     @abstractmethod
-    def sphere_rows(self, X: np.ndarray, r: int, R: int) -> np.ndarray:
-        """Coordinate rows, built without S(R), whose h-rows d(x, .) - d(e, .)
-        over the rows X of B(r), R >= r, give exactly the set of S(R) up to
-        ``automorphisms``: taken with their columns permuted by each p."""
+    def sphere_rows(self, X: np.ndarray, r: int, radii: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinate rows G, built without any S(R), and a bool table P: the
+        h-rows d(x, .) - d(e, .) of G[P[:, t]] over the rows X of B(r), r <=
+        radii[t], give exactly the set of S(radii[t]) up to ``automorphisms``,
+        taken with their columns permuted by each p."""
 
     def stable_radius(self, r: int) -> Optional[int]:
-        """R0 with the same ``sphere_rows(X, r, R)`` for all R >= R0; None: nothing proved."""
+        """R0 with the set of S(R0) for every S(R), R >= R0; None: nothing proved."""
         return None
 
     def automorphisms(self, X: np.ndarray) -> np.ndarray:
@@ -202,23 +203,24 @@ class Zd(ClosedFormFamily):
             sizes = np.add.reduceat(count, rs * rs)
         return X
 
-    def sphere_rows(self, X, r, R):
-        """The keys k = clip(g, -r, r) of S(R), at most (2r + 1)^d whatever R is.
+    def sphere_rows(self, X, r, radii):
+        """The keys k = clip(g, -r, r) of S(R), R in radii: at most (2r + 1)^d.
 
         For |x_i| <= r, |x_i - g_i| - |g_i| is -sign(g_i) x_i once |g_i| >= r,
         so h_g = h_k on B(r).  The g with key k have |g| = sum |k_i| plus any
         amount on the coordinates with |k_i| = r, so k occurs on S(R) iff
         sum |k_i| = R, or sum |k_i| < R and some |k_i| = r.  Keys grow one
-        coordinate at a time; each prefix with sum <= R extends to a key.
+        coordinate at a time; a prefix of sum <= max(radii) extends to a key.
         """
         K, size, edge = np.zeros((1, 0), X.dtype), np.zeros(1, np.int64), np.zeros(1, bool)
         for _ in range(self.dim):
-            m = np.minimum(r, R - size)  # a prefix of sum s takes a = -m..m
-            idx = np.repeat(np.arange(len(K)), 2 * m + 1)
-            a = np.arange(len(idx)) - np.repeat(np.cumsum(2 * m + 1) - m - 1, 2 * m + 1)
+            w = 2 * (m := np.minimum(r, max(radii) - size)) + 1  # a prefix of sum s takes a = -m..m
+            idx = np.repeat(np.arange(len(K)), w)
+            a = np.arange(len(idx)) - np.repeat(np.cumsum(w) - m - 1, w)
             K = np.concatenate([K[idx], a[:, None].astype(X.dtype)], axis=1)
-            size, edge = size[idx] + np.abs(a), edge[idx] | (np.abs(a) == r)
-        return K[(size == R) | ((size < R) & edge)]
+            size, edge = size[idx] + (b := np.abs(a)), edge[idx] | (b == r)
+        P = (size[:, None] == radii) | ((size[:, None] < radii) & edge[:, None])
+        return K[(hit := P.any(axis=1))], P[hit]
 
     def stable_radius(self, r):
         return self.dim * r
@@ -320,12 +322,12 @@ class FreeGroup(ClosedFormFamily):
     def row_elements(self, rows, r):
         return super().row_elements(rows[:, :r], r)
 
-    def sphere_rows(self, X, r, R):
-        """S(r), the last rows of X.  lcp(x, g) <= |x| <= r, so d(x, g) - |g|
-        = |x| - 2 lcp(x, g) over B(r) is also the row of g's first r letters,
-        and every word of S(r) begins some word of S(R) (repeat its last
-        letter): |S(r)| rows whatever R is."""
-        return X if r == 0 else X[X[:, r - 1] != 0]
+    def sphere_rows(self, X, r, radii):
+        """S(r), the last rows of X, on every sphere.  lcp(x, g) <= |x| <= r,
+        so d(x, g) - |g| = |x| - 2 lcp(x, g) over B(r) is also the row of g's
+        first r letters, and every word of S(r) begins some word of S(R)
+        (repeat its last letter): |S(r)| rows whatever R is."""
+        return (G := X if r == 0 else X[X[:, r - 1] != 0]), np.ones((len(G), len(radii)), bool)
 
     def stable_radius(self, r):
         return r
@@ -484,16 +486,17 @@ class Heisenberg(ClosedFormFamily):
         rows = self._runs(*self._columns(radius))
         return rows[np.lexsort((*rows.T[::-1], heisenberg_length(*rows.T)))]
 
-    def sphere_rows(self, X, r, R):
-        """S(R) on the sector 0 <= a <= b, which meets every orbit of
-        ``automorphisms``.  In each column S(R) is B(R)'s c-interval [ab - E,
-        E] less B(R - 1)'s [ab - E', E'], none where a + b = R: two runs."""
-        a, b = self._columns(R)[:2]
+    def sphere_rows(self, X, r, radii):
+        """B(max radii) less B(min radii - 1) on the sector 0 <= a <= b, which
+        meets every orbit of ``automorphisms``, P by each row's length.  In
+        each column it is B(max)'s c-interval [ab - E, E] less B(min - 1)'s
+        [ab - E', E'], none where a + b >= min radii: two runs."""
+        a, b = self._columns(max(radii))[:2]
         a, b = a[(0 <= a) & (a <= b)], b[(0 <= a) & (a <= b)]
-        E, E1 = self._reach(a, b, R), self._reach(a, b, R - 1)
-        cut = np.where(a + b < R, a * b - E1, E + 1)  # where B(R - 1) starts, if anywhere
+        E, E1 = self._reach(a, b, max(radii)), self._reach(a, b, min(radii) - 1)
+        cut = np.where(a + b < min(radii), a * b - E1, E + 1)  # where B(min radii - 1) starts, if anywhere
         lo, hi = np.concatenate([a * b - E, np.maximum(E1 + 1, cut)]), np.concatenate([cut - 1, E])
-        return self._runs(np.tile(a, 2), np.tile(b, 2), lo, hi)
+        return (G := self._runs(np.tile(a, 2), np.tile(b, 2), lo, hi)), heisenberg_length(*G.T)[:, None] == radii
 
     def automorphisms(self, X):
         """The 8 automorphisms that permute x^+-1, y^+-1: (a, b, c) -> (s a,

@@ -20,6 +20,7 @@ import os
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
@@ -81,11 +82,29 @@ def real_field(v, name: str, read=float, kind="real number in the float range"):
 def rational_field(v, name: str) -> Fraction:
     """A rational field of input: a Fraction as it is, a float as the decimal
     text Python prints for it (1e-13 is 1/10^13) and any other value as
-    ``Fraction(v)`` reads it; a bool, NaN, an infinity or anything Fraction
+    ``_fraction(v)`` reads it; a bool, NaN, an infinity or anything Fraction
     cannot read is an error naming the field."""
     if isinstance(v, Fraction):
         return v
-    return real_field(v, name, lambda x: Fraction(str(x) if isinstance(x, float) else x), "rational number")
+    return real_field(v, name, lambda x: _fraction(str(x) if isinstance(x, float) else x), "rational number")
+
+
+def _fraction(v) -> Fraction:
+    """``Fraction(v)``, which builds 10**e for a text's exponent e (seconds of
+    work for "1e10000000"): past |e| = 10,000 the text is a ValueError, as a
+    digit string past int's 4,300-digit text limit already is."""
+    if isinstance(v, str) and abs(int(v.lower().partition("e")[2] or 0)) > 10_000:
+        raise ValueError(v)
+    return Fraction(v)
+
+
+def exact_text(v) -> str:
+    """``str(v)``; an int or Fraction past int's 4,300-digit text limit in the
+    same digits ("p", or "p/q" in lowest terms), written through Decimal."""
+    try:
+        return str(v)
+    except ValueError:
+        return "/".join(map(str, map(Decimal, (v.numerator, v.denominator)[: 1 + (v.denominator > 1)])))
 
 
 def list_field(v, name: str, rows: bool = False):
@@ -191,7 +210,7 @@ def exact_table(rows) -> tuple[np.ndarray, int]:
     code that costs more than the read.  Ints and Fractions are read as they
     are, and strings "p" and "p/q" in ASCII digits as the ints p and q, so
     none of them builds a Fraction; any other entry is read by
-    ``Fraction(v)``, with its value or its exception."""
+    ``_fraction(v)``, with its value or its exception."""
     flat = list(chain.from_iterable(rows))
     keys = flat if Fraction in map(type, flat) else [*dict.fromkeys(flat)]
     ps, qs = [], []
@@ -204,7 +223,7 @@ def exact_table(rows) -> tuple[np.ndarray, int]:
                     ps.append(p)
                     qs.append(q)
                     continue
-        v = v if isinstance(v, (int, Fraction)) else Fraction(v)
+        v = v if isinstance(v, (int, Fraction)) else _fraction(v)
         ps.append(v.numerator)
         qs.append(v.denominator)
     M, den = over_one_denominator(ps, qs)

@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, UnsupportedError
 from .groups import CayleyGraphSpace, FiniteGroup, FreeGroup, GroupFamily, Heisenberg, Zd
-from .metric import FiniteMetricSpace, MetricSpace, integer_field, list_field, real_field
+from .metric import FiniteMetricSpace, MetricSpace, exact_text, integer_field, list_field, real_field
 from .spaces import DistortedLine, LpSpace, PoincareDisk, SpokeRaySpace, StarTreeSpace, UpperHalfPlane
 
 SCHEMA_VERSION = "1"
@@ -152,7 +152,7 @@ def _parse_point(space: MetricSpace, obj) -> Any:
 def _default(o):
     """Convert a value JSON has no literal for; the result is written in its place."""
     if isinstance(o, Fraction):
-        return str(o)  # "p", or "p/q" in lowest terms
+        return exact_text(o)  # "p", or "p/q" in lowest terms
     if isinstance(o, (np.ndarray, np.integer, np.floating)):
         return o.tolist()
     if isinstance(o, complex):

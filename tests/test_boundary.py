@@ -684,7 +684,7 @@ def test_a_row_out_of_range_is_not_merged_away(monkeypatch, low, high):
         return out
 
     X = ball.rows(r)
-    G = h3.sphere_rows(X, r, R)
+    G = h3.sphere_rows(X, r, [R])[0]
     D = real(X, X, np.int64)
     labels = tuple(h3.element_label(p) for p in ball.ball(r))
     V = forged(X, G, np.int64)
@@ -861,6 +861,74 @@ def test_a_window_straddling_int16_and_int64_spheres():
     assert lrs.values.dtype == np.int64
     assert lrs.values.tolist() == [[0, -1, 1], [0, 1, -1]]
     assert lrs.certificate.kind == "stabilized"
+
+
+# One scan per window: (family, steps, r, r_max, window).  The Z^d windows
+# lie on both sides of R0 = d r (Z^1's start at R0 = r), C12's spheres past
+# its diameter 6 are empty, and Z^1 at r = 1 straddles int16 and int64.
+SCAN_CASES = [
+    (Zd(1), None, 2, 7, 2),
+    (Zd(2), None, 2, 7, 2),
+    (Zd(3), None, 2, 9, 2),
+    (Zd(4), None, 1, 7, 2),
+    (FreeGroup(2), None, 2, 7, 2),
+    (FreeGroup(3), None, 1, 5, 2),
+    (Heisenberg(), None, 1, 8, 3),
+    (Heisenberg(), None, 2, 8, 2),
+    (Heisenberg(), None, 3, 7, 2),
+    (cyclic_group(12), None, 1, 10, 3),
+    (Zd(2), Z2_XY, 2, 8, 2),
+    (Zd(1), None, 1, 32_770, 3),
+]
+
+
+def _window_oracle(fam, steps, r, radii):
+    """{R: the oracle's set of S(R)} for R in radii."""
+    if isinstance(fam, Heisenberg):
+        return h3_restrictions(r, radii)
+    if isinstance(fam, FiniteGroup):
+        return bfs_restrictions(0, [1, 11], lambda p, q: (p + q) % 12, lambda p: -p % 12, lambda p: p, r, radii)
+    if steps:
+        return bfs_restrictions((0, 0), steps, _z2_add, _z2_neg, lambda p: p, r, radii)
+    return {R: _oracle(fam, r, R) for R in radii}
+
+
+def _recorded_balls(monkeypatch):
+    """The balls that boundary's cayley_ball builds, in order."""
+    balls, real = [], boundary.cayley_ball
+    monkeypatch.setattr(boundary, "cayley_ball", lambda *args: balls.append(real(*args)) or balls[-1])
+    return balls
+
+
+@pytest.mark.parametrize("case", SCAN_CASES, ids=lambda c: f"{c[0].name}{'{x,y,xy}' if c[1] else ''} r={c[2]} R={c[3]}")
+def test_one_window_scan_gives_each_spheres_own_set(case, monkeypatch):
+    # limit_restrictions scans its window's spheres at once; each sphere's
+    # set, read back from its ball, is the set a fresh ball gives that
+    # sphere alone, and the oracle's, with the same dtype.
+    fam, steps, r, r_max, window = case
+    gens = GeneratingSet.create(fam, steps) if steps else GeneratingSet.standard(fam)
+    balls = _recorded_balls(monkeypatch)
+    limit_restrictions(fam, gens, r, r_max, window)
+    radii = range(max(r, r_max - 2 * window), r_max + 1)
+    alone = {R: sphere_restrictions(cayley_ball(fam, gens, R), r, R) for R in radii}
+    monkeypatch.setattr(boundary, "_distance_blocks", None)  # the window's sets are read, not built
+    monkeypatch.setattr(CayleyGraphSpace, "distance_block", None)
+    oracle = _window_oracle(fam, steps, r, radii)
+    for R in radii:
+        got = sphere_restrictions(balls[0], r, R)
+        assert _values(got) == _values(alone[R]) == oracle[R], R
+        assert got.dtype == alone[R].dtype
+        assert not got.flags.writeable
+
+
+def test_a_window_is_one_scan(monkeypatch):
+    # H3 at r = 2 over S(8..14): one sphere_rows and one distance_rows call
+    # for all seven spheres, beside the distance_rows of B(2)'s own facts.
+    h3 = Heisenberg()
+    calls = _counting(monkeypatch, Heisenberg, "sphere_rows", "distance_rows")
+    lrs = limit_restrictions(h3, GeneratingSet.standard(h3), 2, 14, 3)
+    assert calls == {"sphere_rows": 1, "distance_rows": 2}
+    assert (len(lrs.values), lrs.certificate.kind) == (459, "heuristic")
 
 
 @pytest.mark.parametrize("fam", [Zd(2), Zd(3), FreeGroup(2), FreeGroup(3), Heisenberg()], ids=lambda f: f.name)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -558,9 +559,18 @@ def test_numbers_past_the_float_range_exit_2(capsys, space, domain, values, targ
     assert json.loads(err)["message"].startswith(message)
 
 
+# A nesting past Python's recursion limit, and number texts past the bounds
+# of reading: an exponent whose 10**e Fraction would build, and a digit
+# string past int's 4,300-digit text limit.
+DEEP = "[" * 5000 + "]" * 5000
+HUGE_EXPONENT = "1e10000000"
+LONG_DIGITS = "1" * 5000
+
+
 # Phrases of Python's own exception texts, which an exit-2 message must not carry.
 PYTHON_TEXTS = ("is not iterable", "has no len", "float() argument", "could not convert", "NoneType", "Invalid literal",
-                "unhashable type", "invalid literal for int()", "values to unpack", "Fraction(", "too large")
+                "unhashable type", "invalid literal for int()", "values to unpack", "Fraction(", "too large",
+                "recursion", "Exceeds the limit")
 
 FINITE_GROUP = '{"type": "finite_group", "params": {"table": [[0, 1], [1, 0]], "generators": 1}}'
 LINE = '{"type": "distorted_line"}'
@@ -720,7 +730,7 @@ def test_shapes_and_real_fields_are_named(capsys, argv, message):
 # Any JSON value: what a field may hold when its input is wrong.
 JUNK = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from([10**400, 0.5, -1.5, 1e-13])
-    | st.sampled_from(["x", "", "0", "1/2", "-1/3", "2/4", "1/0", "nan", "inf", "ab"]),
+    | st.sampled_from(["x", "", "0", "1/2", "-1/3", "2/4", "1/0", "nan", "inf", "ab", HUGE_EXPONENT, LONG_DIGITS]),
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.sampled_from(["kind", "n", "s", "t"]), kids, max_size=2),
     max_leaves=4,
 )
@@ -783,14 +793,16 @@ DESCRIPTORS = {
 
 
 # An entry of a text flag: numbers, near-numbers and junk.
-FLAG_ENTRY = st.sampled_from(["1", "-2", "0", "3", "1/2", "2/4", "1.5", "", "x", "1/0", "nan", "inf", "1e999", " 3", "1:2"])
+FLAG_ENTRY = st.sampled_from(["1", "-2", "0", "3", "1/2", "2/4", "1.5", "", "x", "1/0", "nan", "inf", "1e999", " 3", "1:2",
+                             HUGE_EXPONENT, LONG_DIGITS])
 
 
 def _entries(sep: str, least: int, most: int):
     return st.lists(FLAG_ENTRY, min_size=least, max_size=most).map(sep.join)
 
 
-# argv for each command with a text flag of entries, its other flags small;
+# argv for each command with a text flag of entries, its other flags small,
+# and for dynamics parabolic's orbit at small, zero and negative counts;
 # "--flag=text" keeps a text that starts with "-" a value.
 TEXT_FLAGS = st.one_of(
     _entries(",", 3, 5).map(lambda m: ("spectral", "tau", f"--matrix={m}", "--n", "8")),
@@ -800,6 +812,9 @@ TEXT_FLAGS = st.one_of(
         lambda a: ("spectral", "tau", "--map", "translation", "--group", a[0], f"--vector={a[1]}", "--n", "8")),
     _entries(",", 0, 3).map(lambda a: ("dynamics", "distorted-line", f"--anchors={a}")),
     _entries(":", 0, 3).map(lambda a: ("reduced", "classify-z", f"--anchors={a}")),
+    st.tuples(st.integers(-2, 8), st.integers(-1, 3), st.integers(-1, 3)).map(
+        lambda a: ("dynamics", "parabolic", "--fixture", "heisenberg-z", "--n", str(a[0]), f"--eval-hi={a[1]}",
+                   f"--averaging={a[2]}")),
 )
 
 NOT_A_LIST = JUNK.filter(lambda v: not isinstance(v, list))
@@ -809,14 +824,15 @@ NOT_A_LIST = JUNK.filter(lambda v: not isinstance(v, list))
 def cli_inputs(draw):
     """argv for ``validate metric`` or ``extend mcshane`` on a descriptor of
     one of the 11 types, with its points and values, at times with one of
-    its JSON lists no list or one of its JSON flags left out; or for a
-    command with a text flag of entries."""
+    its JSON lists no list, one of its JSON flags left out or nested too
+    deep; or for a command with a text flag of entries, or ``dynamics
+    parabolic``'s orbit."""
     if draw(st.integers(0, 4)) == 0:
         return draw(TEXT_FLAGS)
     kind = draw(st.sampled_from(sorted(DESCRIPTORS)))
     params, point = DESCRIPTORS[kind]
     desc = {"type": kind} if draw(st.integers(0, 9)) == 0 else {"type": kind, "params": draw(params)}
-    space = json.dumps(desc)
+    space = DEEP if draw(st.integers(0, 19)) == 0 else json.dumps(desc)
     if draw(st.booleans()):
         return ("validate", "metric", "--space", space, "--triples", "20")
     domain = draw(st.lists(_mostly(point), min_size=1, max_size=3))
@@ -827,6 +843,8 @@ def cli_inputs(draw):
     flags = {"--space": space, **dict(zip(("--domain", "--values", "--eval"), map(json.dumps, lists)))}
     if draw(st.integers(0, 9)) == 0:  # --eval has a default, the other three none
         del flags[draw(st.sampled_from(["--space", "--domain", "--values"]))]
+    elif draw(st.integers(0, 19)) == 0:
+        flags[draw(st.sampled_from(["--domain", "--values", "--eval"]))] = DEEP
     return ("extend", "mcshane", *(x for item in flags.items() for x in item))
 
 
@@ -844,6 +862,64 @@ def test_no_python_text_in_invalid_input_messages(argv):
     if code == 2:
         message = json.loads(err.getvalue())["message"]
         assert not any(text in message for text in PYTHON_TEXTS), message
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # --n below 1 left the orbit no point: min() of an empty range, exit 1.
+        (("dynamics", "parabolic", "--fixture", "heisenberg-z", "--n", "0"), "--n must be finite and >= 1, got 0"),
+        (("dynamics", "parabolic", "--fixture", "heisenberg-z", "--n", "-3"), "--n must be finite and >= 1, got -3"),
+        # json.loads raised RecursionError, which main did not catch: exit 1.
+        (("validate", "metric", "--space", DEEP), "malformed --space: nesting too deep"),
+        (("extend", "mcshane", "--space", TWO_POINTS, "--domain", DEEP, "--values", "[0]"),
+         "malformed --domain: nesting too deep"),
+        (("extend", "mcshane", "--space", TWO_POINTS, "--domain", "[0]", "--values", DEEP),
+         "malformed --values: nesting too deep"),
+        # Fraction built 10**e for the exponent e first: seconds for each entry.
+        (("extend", "mcshane", "--space", TWO_POINTS, "--domain", "[0]", "--values", f'["{HUGE_EXPONENT}"]', "--eval", "[1]"),
+         f"value must be a rational number, got '{HUGE_EXPONENT}'"),
+        (("validate", "metric", "--space", _finite(f'"-{HUGE_EXPONENT}"')),
+         f"matrix entry must be a rational number, got '-{HUGE_EXPONENT}'"),
+        (("spectral", "tau", "--matrix", f"1,{HUGE_EXPONENT},0,1"),
+         f"--matrix entry must be a rational number, got '{HUGE_EXPONENT}'"),
+        (("spectral", "tau", "--matrix", "1,1e-10001,0,1"), "--matrix entry must be a rational number, got '1e-10001'"),
+        (("validate", "metric", "--space", _finite(f'"{LONG_DIGITS}"')),
+         f"matrix entry must be a rational number, got '{LONG_DIGITS}'"),
+    ],
+    ids=["parabolic n 0", "parabolic n -3", "deep space", "deep domain", "deep values", "huge exponent value",
+         "huge exponent entry", "huge exponent matrix", "exponent past the bound", "long digits entry"],
+)
+def test_unbounded_inputs_exit_2_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"] == message
+    assert time.perf_counter() - start < 1
+
+
+# 10^4400 - 10^5000, past int's 4,300-digit str() limit, in its digits.
+BIG_VALUE = "-" + "9" * 600 + "0" * 4400
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_an_exact_value_past_the_text_limit_is_written(capsys, fmt):
+    # Both entries read within the exponent bound; the report writer then
+    # called str() on the value f(0) - d(0, 1) = 10^4400 - 10^5000: exit 1.
+    code, out, _ = run(capsys, "extend", "mcshane", "--space", _finite('"1e5000"'), "--domain", "[0]",
+                       "--values", '["1e4400"]', "--eval", "[1]", "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        assert json.loads(out)["result"]["values"] == [{"point": "1", "value": BIG_VALUE}]
+    else:
+        assert out == f"point,value\n1,{BIG_VALUE}\n"
+
+
+def test_a_determinant_past_the_text_limit_is_named(capsys):
+    # 1e-3000 reads within the bound, and d = 10^-6000: its message called str().
+    code, out, err = run(capsys, "spectral", "tau", "--matrix", "1e-3000,0,0,1e-3000")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"] == f"determinant must be 1, got 1/1{'0' * 6000}"
 
 
 C2 = {"table": [[0, 1], [1, 0]], "generators": [1]}

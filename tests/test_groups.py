@@ -592,7 +592,7 @@ def _assert_sphere_rows_keep_the_sphere_h_rows(fam, r, R):
     # alone on Z^d and F_n), against the decoded S(R) under closed_form_length.
     ball = cayley_ball(fam, GeneratingSet.standard(fam), R)
     X = fam.ball_coords(r)
-    G = fam.sphere_rows(X, r, R)
+    G = fam.sphere_rows(X, r, [R])[0]
     assert len(G) <= ball.sphere_offsets[R + 1] - ball.sphere_offsets[R]
     M = fam.distance_rows(X, G, np.int64)
     H = M - M[:, :1]
@@ -610,11 +610,29 @@ def test_sphere_rows_keep_the_sphere_h_rows(fam, r, R):
     _assert_sphere_rows_keep_the_sphere_h_rows(fam, r, R)
 
 
+@pytest.mark.parametrize("r, radii", [(0, [0, 1, 2, 3]), (1, [1, 2, 3, 4]), (2, [3, 4, 5, 6, 7])])
+@pytest.mark.parametrize("fam", CLOSED_FORM_FAMILIES, ids=lambda f: f.name)
+def test_sphere_rows_of_several_radii_hold_each_spheres_rows(fam, r, radii):
+    # Column t of the presence table picks rows with the set of S(radii[t]):
+    # the h-rows, closed under the automorphisms, of that sphere's own call.
+    X = fam.ball_coords(r)
+    G, P = fam.sphere_rows(X, r, radii)
+    assert P.dtype == bool and P.shape == (len(G), len(radii)) and P.any(axis=1).all()
+    perms = fam.automorphisms(X)
+
+    def closed(rows):
+        M = fam.distance_rows(X, rows, np.int64)
+        return {tuple(row) for p in perms for row in (M - M[:, :1])[:, p].tolist()}
+
+    for t, R in enumerate(radii):
+        assert closed(G[P[:, t]]) == closed(fam.sphere_rows(X, r, [R])[0]), R
+
+
 # Both sides of R0 = d r, the first sphere that holds the 2^d corner keys.
 @pytest.mark.parametrize("d,r,R", [(2, 2, R) for R in range(2, 7)] + [(3, 1, R) for R in range(1, 6)])
 def test_zd_sphere_rows_around_the_corner_radius(d, r, R):
     _assert_sphere_rows_keep_the_sphere_h_rows(Zd(d), r, R)
-    keys = {tuple(k) for k in Zd(d).sphere_rows(Zd(d).ball_coords(r), r, R).tolist()}
+    keys = {tuple(k) for k in Zd(d).sphere_rows(Zd(d).ball_coords(r), r, [R])[0].tolist()}
     assert all((c in keys) == (R >= d * r) for c in itertools.product([-r, r], repeat=d))
 
 
@@ -651,7 +669,7 @@ def test_h3_sphere_rows_are_the_sector_of_the_sphere(h3_matrix_lengths):
     # S(R) on 0 <= a <= b, each element once, against BFS on the matrices.
     fam = Heisenberg()
     for R in range(13):
-        got = list(map(tuple, fam.sphere_rows(fam.ball_coords(1), 1, R).tolist()))
+        got = list(map(tuple, fam.sphere_rows(fam.ball_coords(1), 1, [R])[0].tolist()))
         want = {g for g, d in h3_matrix_lengths.items() if d == R and 0 <= g[0] <= g[1]}
         assert len(got) == len(want) and set(got) == want, R
 
