@@ -50,11 +50,11 @@ def _sorted_rows(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     U -= V.min(initial=0).astype(np.uint64)  # modulo 2^64: the true offset in [0, 2^64)
     width = max(1, int(U.max(initial=0)).bit_length())
     per = 64 // width
-    shifts = np.arange(per - 1, -1, -1, dtype=np.uint64) * np.uint64(width)
+    scale = np.uint64(1) << np.arange(per - 1, -1, -1, dtype=np.uint64) * np.uint64(width)
     words = []
     for a in range(0, V.shape[1], per):
         cols = U[:, a : a + per]
-        words.append(np.bitwise_or.reduce(cols << shifts[: cols.shape[1]], axis=1))
+        words.append(cols @ scale[: cols.shape[1]])  # the fields do not overlap: the sum is their OR
     order = np.argsort(words[0], kind="stable") if len(words) == 1 else np.lexsort(words[::-1])
     first = np.arange(len(V)) == 0
     for w in words:

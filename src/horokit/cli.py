@@ -100,11 +100,14 @@ def _group_family(args):
 
 
 def _json(flag: str, text: str):
-    """The JSON value of ``flag``: text that does not parse or nests too deep is invalid input (exit 2)."""
+    """The JSON value of ``flag``: text that does not parse, nests too deep or
+    holds a number past int's text limit is invalid input (exit 2)."""
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except json.JSONDecodeError as exc:
         raise InvalidParameterError(f"malformed {flag}: {exc}") from exc
+    except ValueError as exc:  # only int's, on a number past its digit limit
+        raise InvalidParameterError(f"malformed {flag}: a number past {sys.get_int_max_str_digits()} digits") from exc
     except RecursionError as exc:
         raise InvalidParameterError(f"malformed {flag}: nesting too deep") from exc
 

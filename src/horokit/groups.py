@@ -226,8 +226,8 @@ class Zd(ClosedFormFamily):
         return self.dim * r
 
     def distance_rows(self, X, G, dtype):
-        """l1 distance of the coordinate rows, by broadcasting."""
-        return np.abs(np.asarray(G, dtype)[:, None, :] - np.asarray(X, dtype)).sum(axis=2, dtype=dtype)
+        """l1 distance of the coordinate rows, one coordinate at a time."""
+        return sum(np.abs(np.subtract.outer(g, x, dtype=dtype)) for g, x in zip(G.T, X.T))
 
 
 class FreeGroup(ClosedFormFamily):
@@ -334,12 +334,15 @@ class FreeGroup(ClosedFormFamily):
 
     def distance_rows(self, X, G, dtype):
         """|x| + |g| - 2 lcp(x, g) on the letter rows, whose padding 0 is
-        never a letter; the lcp reads the columns that X and G share."""
-        w = min(X.shape[1], G.shape[1])
-        real = X != 0
-        same = (G[:, None, :w] == X[:, :w]) & real[:, :w]
-        lcp = np.logical_and.accumulate(same, axis=2).sum(axis=2, dtype=dtype)
-        return real.sum(axis=1, dtype=dtype) + (G != 0).sum(axis=1, dtype=dtype)[:, None] - 2 * lcp
+        never a letter.  The lcp counts the columns, of those X and G share,
+        where a running AND of equal entries holds: past the end of x only
+        padding is equal (x = g), which min(count, |x|) drops."""
+        run, lcp = np.ones((len(G), len(X)), bool), np.zeros((len(G), len(X)), dtype)
+        for k in range(min(X.shape[1], G.shape[1])):
+            run &= G[:, k, None] == X[:, k]
+            lcp += run
+        size = (X != 0).sum(axis=1, dtype=dtype)
+        return size + (G != 0).sum(axis=1, dtype=dtype)[:, None] - 2 * np.minimum(lcp, size)
 
     def word(self, text: str) -> Element:
         """Parse a label like "abA" or "ax7X12" back into an element."""
@@ -356,34 +359,40 @@ class _IntOps:
     minimum, maximum, isqrt = min, max, isqrt
 
     @staticmethod
-    def where(cond, x, y):
-        return x if cond else y
+    def ceil_div(e, d):
+        return -(-e // d)
 
 
 class _ArrayOps:
-    """The same primitives elementwise on int64 arrays."""
+    """The same primitives elementwise on int32 or int64 arrays, in their dtype."""
 
-    minimum, maximum, where = np.minimum, np.maximum, np.where
+    minimum, maximum = np.minimum, np.maximum
 
     @staticmethod
     def isqrt(e):
         # A float square root is off by at most one below 2^62.
-        s = np.sqrt(e.astype(np.float64)).astype(np.int64)
+        s = np.sqrt(e).astype(e.dtype)
         s -= s * s > e
         s += (s + 1) * (s + 1) <= e
         return s
+
+    @staticmethod
+    def ceil_div(e, d):
+        # For e < 2^53 and d >= 1 the float e/d errs by under 1/d, the least gap from e/d to an integer it is not.
+        return np.ceil(e / d).astype(e.dtype) if e.max(initial=0) < 1 << 53 else -(-e // d)
 
 
 def heisenberg_length(a, b, c):
     """Word length of (a, b, c) in H3 under x^+-1, y^+-1 (Blachere 2003).
 
     Works on Python ints (exact at any size) and elementwise on int64
-    arrays (exact while |ab| and |c| stay below 2^61).  The automorphisms
+    arrays (exact while |ab|, |c| < 2^61, with float ceilings while e <
+    2^53) or int32 ones (``Heisenberg.distance_rows``).  The automorphisms
     x -> x^-1 and y -> y^-1 map (a, b, c) to (-a, b, -c) and (a, -b, -c),
-    so a, b >= 0 after flipping c when the signs differ.  Then 0 <= c <= ab
-    has length a + b.  Otherwise let e = c when c > ab, or e = ab - c when
-    c < 0 (the inverse with a and b negated is (a, b, ab - c)); the length
-    is 2 min{P + Q : P >= a, Q >= b, PQ >= e} - a - b.
+    so a, b >= 0 after flipping c when the signs differ.  Then e = max(c,
+    ab - c) <= ab just when 0 <= c <= ab, of length a + b.  Otherwise e is
+    c or ab - c, as c > ab or c < 0 (the inverse with a and b negated is
+    (a, b, ab - c)); the length is 2 min{P + Q : P >= a, Q >= b, PQ >= e} - a - b.
 
     With a <= b, e > ab puts both P = ceil(e/b) (with Q = b) and
     P = isqrt(e) above a.  Past ceil(e/b) the sum P + b only grows, and
@@ -391,15 +400,15 @@ def heisenberg_length(a, b, c):
     attains, so the minimum is at one of the two.
     """
     ops = _IntOps if isinstance(a, int) else _ArrayOps
-    c = ops.where((a < 0) ^ (b < 0), -c, c)
+    c = c - 2 * c * ((a ^ b) < 0)
     a, b = abs(a), abs(b)
     ab = a * b
-    e = ops.where(c > ab, c, ab - c)
+    e = ops.maximum(c, ab - c)
     # The clamps at 1 only guard the divisions where e = 0 or a = b = 0.
     hi = ops.maximum(ops.maximum(a, b), 1)
     s = ops.maximum(ops.isqrt(e), 1)
-    best = ops.minimum(-(-e // hi) + hi, s + ops.maximum(hi, -(-e // s)))
-    return ops.where((0 <= c) & (c <= ab), a + b, 2 * best - a - b)
+    best = ops.minimum(ops.ceil_div(e, hi) + hi, s + ops.maximum(hi, ops.ceil_div(e, s)))
+    return a + b + 2 * (best - a - b) * (e > ab)
 
 
 class Heisenberg(ClosedFormFamily):
@@ -514,10 +523,14 @@ class Heisenberg(ClosedFormFamily):
         return order[np.searchsorted(keys[0], keys, sorter=order)]
 
     def distance_rows(self, X, G, dtype):
-        """``heisenberg_length`` of x^-1 g, broadcast over int64 (a, b, c) rows."""
-        # x^-1 g = (g_a - x_a, g_b - x_b, g_c - x_c - x_a (g_b - x_b))
-        da, db, dc = np.moveaxis(G[:, None, :] - X, 2, 0)
-        return heisenberg_length(da, db, dc - X[:, 0] * db).astype(dtype)
+        """``heisenberg_length`` of x^-1 g, in int32 while all entries are below 2^14."""
+        # x^-1 g = (g_a - x_a, g_b - x_b, g_c - x_c - x_a (g_b - x_b)).  Entries below 2^14 give
+        # |a|, |b| < 2^15, ab < 2^30, |c| < 2^29 + 2^15: 2|c|, e <= ab + |c|, e + max(a, b) and
+        # (isqrt(e) + 1)^2, the largest values of heisenberg_length, stay below 2^31 - 2^28.
+        wide = max(np.abs(X).max(initial=0), np.abs(G).max(initial=0)) >= 1 << 14
+        X, G = (A.astype(np.int64 if wide else np.int32) for A in (X, G))
+        db = G[:, 1, None] - X[:, 1]
+        return heisenberg_length(G[:, 0, None] - X[:, 0], db, G[:, 2, None] - X[:, 2] - X[:, 0] * db).astype(dtype)
 
     def central(self, n: int = 1) -> Element:
         return (0, 0, n)

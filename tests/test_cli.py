@@ -824,15 +824,18 @@ NOT_A_LIST = JUNK.filter(lambda v: not isinstance(v, list))
 def cli_inputs(draw):
     """argv for ``validate metric`` or ``extend mcshane`` on a descriptor of
     one of the 11 types, with its points and values, at times with one of
-    its JSON lists no list, one of its JSON flags left out or nested too
-    deep; or for a command with a text flag of entries, or ``dynamics
+    its JSON lists no list, one of its JSON flags left out, nested too deep
+    or led by a number too long to read; or for a command with a text flag of entries, or ``dynamics
     parabolic``'s orbit."""
     if draw(st.integers(0, 4)) == 0:
         return draw(TEXT_FLAGS)
     kind = draw(st.sampled_from(sorted(DESCRIPTORS)))
     params, point = DESCRIPTORS[kind]
     desc = {"type": kind} if draw(st.integers(0, 9)) == 0 else {"type": kind, "params": draw(params)}
-    space = DEEP if draw(st.integers(0, 19)) == 0 else json.dumps(desc)
+    def splice(text):  # at times behind an unquoted number past int's 4,300-digit text limit
+        return f"[{LONG_DIGITS}, {text}]" if draw(st.integers(0, 19)) == 0 else text
+
+    space = splice(DEEP if draw(st.integers(0, 19)) == 0 else json.dumps(desc))
     if draw(st.booleans()):
         return ("validate", "metric", "--space", space, "--triples", "20")
     domain = draw(st.lists(_mostly(point), min_size=1, max_size=3))
@@ -840,7 +843,7 @@ def cli_inputs(draw):
     lists = [domain, values, draw(st.lists(_mostly(point), max_size=3))]
     if (k := draw(st.integers(0, 11))) < 3:
         lists[k] = draw(NOT_A_LIST)
-    flags = {"--space": space, **dict(zip(("--domain", "--values", "--eval"), map(json.dumps, lists)))}
+    flags = {"--space": space, **dict(zip(("--domain", "--values", "--eval"), (splice(json.dumps(v)) for v in lists)))}
     if draw(st.integers(0, 9)) == 0:  # --eval has a default, the other three none
         del flags[draw(st.sampled_from(["--space", "--domain", "--values"]))]
     elif draw(st.integers(0, 19)) == 0:
@@ -886,9 +889,15 @@ def test_no_python_text_in_invalid_input_messages(argv):
         (("spectral", "tau", "--matrix", "1,1e-10001,0,1"), "--matrix entry must be a rational number, got '1e-10001'"),
         (("validate", "metric", "--space", _finite(f'"{LONG_DIGITS}"')),
          f"matrix entry must be a rational number, got '{LONG_DIGITS}'"),
+        # Unquoted, json.loads raised int's own "Exceeds the limit (4300 digits)" text.
+        (("extend", "mcshane", "--space", TWO_POINTS, "--domain", "[0]", "--values", f"[1{'0' * 5000}]"),
+         "malformed --values: a number past 4300 digits"),
+        (("validate", "metric", "--space", f'{{"type": "zd", "params": {{"dim": {LONG_DIGITS}}}}}'),
+         "malformed --space: a number past 4300 digits"),
     ],
     ids=["parabolic n 0", "parabolic n -3", "deep space", "deep domain", "deep values", "huge exponent value",
-         "huge exponent entry", "huge exponent matrix", "exponent past the bound", "long digits entry"],
+         "huge exponent entry", "huge exponent matrix", "exponent past the bound", "long digits entry",
+         "long digits value", "long digits dim"],
 )
 def test_unbounded_inputs_exit_2_at_once(capsys, argv, message):
     start = time.perf_counter()

@@ -497,6 +497,14 @@ def test_heisenberg_length_near_large_squares(m, offset, a):
     assert heisenberg_length(*_columns([g])).tolist() == [heisenberg_length(*g)]
 
 
+@pytest.mark.parametrize("c", [2**53 - 1, 2**53, 2**53 + 2**13 + 1])
+def test_heisenberg_length_across_the_float_ceiling_edge(c):
+    # e = c near 2^53, and the length is 2 ceil(e/b) + b - 1 with b = 2^40 + 1.
+    # Past 2^53 the float of e is 2^53 + 2^13 = 2^13 b: a float ceiling 2^13.
+    g = (1, 2**40 + 1, c)
+    assert heisenberg_length(*_columns([g])).tolist() == [heisenberg_length(*g)] == [2 * -(-c // (2**40 + 1)) + 2**40]
+
+
 def test_ball_deterministic():
     fam = Heisenberg()
     gens = GeneratingSet.standard(fam)
@@ -574,9 +582,32 @@ def test_search_distance_stops_at_the_bound():
 CLOSED_FORM_FAMILIES = [Zd(1), Zd(2), Zd(3), FreeGroup(1), FreeGroup(2), FreeGroup(3), Heisenberg()]
 
 
-@pytest.mark.parametrize("r,R", [(0, 3), (1, 1), (1, 4), (2, 5)])
+# Largest entries of far points: below H3's int32 bound 2^14, at it, one bit
+# past it (where int32 would overflow), and below kernel_range.
+DTYPE_EDGES = [2**14 - 1, 2**14, 2**15 - 1, CayleyGraphSpace.kernel_range - 1]
+
+
+def _far_points(fam, m):
+    """Every tuple of entries -m, 0, m and 20 drawn from [-m, m], for
+    entries that reach m; F_n's entries are letters, so its points are 20
+    reduced words of 0-16 letters and their halves, sharing prefixes."""
+    rng = random.Random(m)
+    if isinstance(fam, FreeGroup):
+        letters = [x for i in range(1, fam.rank + 1) for x in (i, -i)]
+        words = [free_reduce(rng.choices(letters, k=rng.randint(0, 16))) for _ in range(20)]
+        return words + [w[: len(w) // 2] for w in words]
+    dim = len(fam.identity())
+    return [*itertools.product((-m, 0, m), repeat=dim), *(tuple(rng.randint(-m, m) for _ in range(dim)) for _ in range(20))]
+
+
+@pytest.mark.parametrize("r,R", [(0, 3), (1, 1), (1, 4), (2, 5), *(pytest.param(m, None, id=f"far-{m}") for m in DTYPE_EDGES)])
 @pytest.mark.parametrize("fam", CLOSED_FORM_FAMILIES, ids=lambda f: f.name)
 def test_distance_rows_match_closed_form_lengths(fam, r, R):
+    if R is None:  # far points, every entry at most r, against Python ints pair by pair
+        points = _far_points(fam, r)
+        want = [[fam.closed_form_length(fam.multiply(fam.inverse(x), g)) for x in points] for g in points]
+        assert fam.distance_rows(fam.coords(points), fam.coords(points), np.int64).tolist() == want
+        return
     ball = cayley_ball(fam, GeneratingSet.standard(fam), R)
     n, lo, hi = ball.sphere_offsets[r + 1], ball.sphere_offsets[R], ball.sphere_offsets[R + 1]
     points, sphere = ball.ball(r), ball.sphere(R)
