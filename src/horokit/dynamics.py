@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedError,
 )
 from .functionals import DiskBusemann, RealizedFunctional, eval_functional
-from .metric import MetricSpace, Point, Scalar, exact_text, first_failure, real_field
+from .metric import MetricSpace, Point, Scalar, exact_text, first_failure, on_one_scale, real_field
 from .spaces import (
     DistortedLine,
     PoincareDisk,
@@ -110,10 +110,8 @@ class MoebiusMap:
     """
 
     def __init__(self, a, b, c, d):
-        ratios = [(v, 1) if type(v) is int else real_field(v, "matrix entry", Fraction).as_integer_ratio()
-                  for v in (a, b, c, d)]
-        den = math.lcm(*(q for _, q in ratios))
-        self._hold([p * (den // q) for p, q in ratios], den)
+        entries = [v if type(v) is int else real_field(v, "matrix entry", Fraction) for v in (a, b, c, d)]
+        self._hold(*on_one_scale(entries)[:2])
 
     def _hold(self, nums, den: int) -> "MoebiusMap":
         """Hold the entries nums / den, den > 0, reduced by their one gcd, and

@@ -9,7 +9,6 @@ evaluation tables.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,7 +19,7 @@ import numpy as np
 from .errors import InvalidParameterError, PreconditionError
 from .functionals import EvalOutcome, WitnessLimit
 from .metric import MetricSpace, Point, Scalar
-from .metric import first_failure, first_lipschitz_violation, numeric_arrays, rational_field
+from .metric import first_failure, first_lipschitz_violation, int_dtype, on_one_scale, rational_field
 from .spaces import HUB, SpokeRaySpace, StarTreeSpace
 
 
@@ -33,8 +32,9 @@ class PartialFunctional:
     """A 1-Lipschitz real function on a finite subset of a space.
 
     The Lipschitz certificate is checked over all domain pairs at
-    construction; the first violating pair in row-major order is reported
-    in the error.
+    construction (on an exact space on McShane's scale, :func:`on_one_scale`,
+    a float value read exactly; else in float64 within 1e-12); the first
+    violating pair in row-major order is reported in the error.
     """
 
     def __init__(
@@ -51,9 +51,10 @@ class PartialFunctional:
         self.points = list(points)
         self.values = list(values)
         D, den = space.distance_block(self.points)(self.points, np.arange(len(self.points)))
-        # The checker wants 0 at index 0, which a shift gives; times den is D's scale.
-        shifted = [[(v - self.values[0]) * den for v in self.values]]
-        hit = first_lipschitz_violation(*numeric_arrays(shifted, D, tol=0 if space.exact else 1e-12))
+        exact = space.exact
+        V, L, E = on_one_scale(self.values, den, D) if exact else (self.values, den, D)
+        V = [[v - V[0] for v in V]]  # the checker wants 0 at index 0
+        hit = first_lipschitz_violation(np.array(V, int_dtype(L, V[0]) if exact else float), E, 0 if exact else 1e-12)
         if hit is not None:
             _, i, j = hit
             d = D[i, j] if den == 1 else Fraction(int(D[i, j]), den)
@@ -80,17 +81,14 @@ class McShaneExtension:
 
     def evaluate(self, targets: Sequence[Point]) -> list[Scalar]:
         """F at each of ``targets``, from one ``distance_block`` of them
-        against the domain.  On an exact space the values go onto the
-        block's denominator L as Python ints, so no pair builds a Fraction
-        or scales in int64, and each target is one Fraction over L."""
+        against the domain.  On an exact space the values and the block are
+        Python ints over :func:`on_one_scale`'s L, the scale PartialFunctional
+        checked them on, and each target is one Fraction over L."""
         pf, exact = self.partial, self.partial.space.exact
         D, den = pf.space.distance_block(pf.points)(targets, np.arange(len(pf.points)))
-        fr = list(map(Fraction, pf.values)) if exact else pf.values  # a float value is read exactly
-        L = math.lcm(den, *(v.denominator for v in fr)) if exact else den  # a float block's den is 1
-        V = [v.numerator * (L // v.denominator) for v in fr] if exact else fr
+        V, L, E = on_one_scale(pf.values, den, D) if exact else (pf.values, den, D)
         op, best = (operator.sub, max) if self.mode == "sup" else (operator.add, min)
-        rows = (D if L == den else D.astype(object) * (L // den)).tolist()
-        out = [best(map(op, V, row)) for row in rows]
+        out = [best(map(op, V, row)) for row in E.tolist()]
         return [Fraction(x, L) for x in out] if exact else out
 
     def __call__(self, b: Point) -> Scalar:
@@ -331,8 +329,7 @@ def euclidean_zero_nonmembership_check(grid: Sequence) -> ZeroObstructionReport:
         raise PreconditionError("anchor grid must be nonempty")
     # Over the anchors' common denominator q, z = p / q, q h_z(1) = |q - p| - |p|
     # and q h_z(-1) = |q + p| - |p|: each identity is checked on the integers.
-    q = math.lcm(*{z.denominator for z in anchors})
-    ps = [z.numerator * (q // z.denominator) for z in anchors]
+    ps, q, _ = on_one_scale(anchors)
     h1 = [abs(q - p) - abs(p) for p in ps]
     hm1 = [abs(q + p) - abs(p) for p in ps]
     min_of_max = Fraction(min(map(max, map(abs, h1), map(abs, hm1))), q)

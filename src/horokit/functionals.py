@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedError,
 )
 from .metric import MetricSpace, Point, Scalar
-from .metric import first_lipschitz_violation, numeric_arrays
+from .metric import first_lipschitz_violation
 from .spaces import LpSpace, PoincareDisk, disk_gap, lp_norm, pad_pair
 
 
@@ -56,8 +56,7 @@ class BallFunctional:
             raise InvalidParameterError("domain and value lists differ in length")
         pts = self.points
         D = [[dist(p, q) if i < j else 0 for j, q in enumerate(pts)] for i, p in enumerate(pts)]
-        V, D, _ = numeric_arrays([self.values], D)
-        check_rows(self.labels, V, D)
+        check_rows(self.labels, np.array([self.values]), np.array(D, object))  # int64, not np.int64 objects that wrap
 
 
 def check_rows(labels: Sequence[str], V: np.ndarray, D: np.ndarray) -> None:

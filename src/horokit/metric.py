@@ -249,20 +249,15 @@ def int_dtype(den: int, M: list[int]):
     return object if max(den, max(map(abs, M), default=0)) >= INT64_SAFE else np.int64
 
 
-def numeric_arrays(*tables, tol: Scalar = 0) -> tuple:
-    """The 2-D tables as arrays for the checks below, followed by tol.
-
-    If all entries and tol are ints or Fractions, they are read as one
-    :func:`exact_table`, NumPy ints as Python ints so that scaling cannot
-    overflow; if any is a float, everything becomes float64.
-    """
-    tables = [t.tolist() if isinstance(t, np.ndarray) else t for t in tables]
-    flat = [v for t in tables for row in t for v in row] + [tol]
-    flat = [v.item() if isinstance(v, np.generic) else v for v in flat]
-    if not all(isinstance(v, (int, Fraction)) for v in flat):
-        return (*(np.array(t, dtype=float) for t in tables), float(tol))
-    parts = np.split(exact_table([flat])[0][0], np.cumsum([sum(map(len, t)) for t in tables]))
-    return (*(p.reshape(len(t), -1) if t else p for p, t in zip(parts, tables)), int(parts[-1][0]))
+def on_one_scale(values, den: int = 1, D=None) -> tuple[list[int], int, Any]:
+    """The exact ``values`` as Python ints V over L = lcm(den, their
+    denominators), and the block D / den as E / L: D itself while L = den,
+    Python ints past it.  Ints and Fractions are read as they are, any other
+    value by ``Fraction(v)`` (a float exactly), and a NaN, say, is an error."""
+    fr = [v if isinstance(v, (int, Fraction)) else real_field(v, "value", Fraction, "rational number") for v in values]
+    L = math.lcm(den, *{v.denominator for v in fr})
+    V = [v.numerator * (L // v.denominator) for v in fr]
+    return V, L, D if D is None or L == den else D.astype(object) * (L // den)
 
 
 def first_axiom_violation(D: np.ndarray, tol: Scalar = 0) -> Optional[tuple[str, int, int]]:

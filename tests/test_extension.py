@@ -61,6 +61,56 @@ def test_non_lipschitz_input_rejected_with_pair():
         PartialFunctional(space, [0, 1], [Fraction(0), Fraction(5)])
 
 
+def test_float_value_on_an_exact_space_is_certified_exactly():
+    # 0.1 is 3602879701896397 / 2^55, past 1/10: certified in float64 it
+    # passed, and the sup extension was then 1/180143985094819840 at point 0.
+    space = FiniteMetricSpace([[0, "1/10"], ["1/10", 0]])
+    with pytest.raises(InvalidParameterError) as exc:
+        PartialFunctional(space, [0, 1], [0, 0.1])
+    assert str(exc.value) == "not 1-Lipschitz on pair (0, 1): |0 - 0.1| > 1/10"
+    # A value with no exact reading is named, not passed on as Python's ValueError or OverflowError.
+    for v in (float("nan"), float("inf")):
+        with pytest.raises(InvalidParameterError, match=f"^value must be a rational number, got {v}$"):
+            PartialFunctional(space, [0, 1], [0, v])
+
+
+def _value_of_any_type(rng, v):
+    """v as an int (when integral), a Fraction or a float, or v moved by a
+    small Fraction, so that some draws break the Lipschitz bound."""
+    how = rng.randrange(4)
+    if how == 0:
+        return int(v) if v.denominator == 1 else v
+    if how == 1:
+        return float(v)
+    return v if how == 2 else v + Fraction(rng.choice([-1, 1]), rng.randrange(1, 7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+def test_partial_functional_certifies_exactly_what_mcshane_extends(seed, n):
+    # Values d(., z) are tight on the pairs through z, where a float's rounding
+    # (of a third, say) or a small move breaks the bound in Fraction arithmetic.
+    rng = random.Random(seed)
+    matrix = random_rational_metric(rng, n)
+    domain = [rng.randrange(n) for _ in range(rng.randrange(1, n + 2))]  # repeats allowed
+    z = rng.choice(domain)
+    values = [_value_of_any_type(rng, matrix[a][z]) for a in domain]
+    exact = list(map(Fraction, values))
+    bad = [(i, j) for i in range(len(domain)) for j in range(i + 1, len(domain))
+           if abs(exact[i] - exact[j]) > matrix[domain[i]][domain[j]]]
+    space = FiniteMetricSpace(matrix)
+    if bad:
+        i, j = bad[0]
+        with pytest.raises(InvalidParameterError) as exc:
+            PartialFunctional(space, domain, values)
+        d = matrix[domain[i]][domain[j]]
+        assert str(exc.value) == f"not 1-Lipschitz on pair ({domain[i]}, {domain[j]}): |{values[i]} - {values[j]}| > {d}"
+        return
+    pf = PartialFunctional(space, domain, values)
+    for mode in ("sup", "inf"):
+        assert McShaneExtension(pf, mode).evaluate(domain) == exact
+
+
 def test_bad_mode_rejected():
     space = FiniteMetricSpace([[0]])
     pf = PartialFunctional(space, [0], [Fraction(0)])

@@ -77,6 +77,13 @@ def test_ball_functional_lipschitz_violation_detected():
         BallFunctional(2, labels, (0, 1, -1, 2), pts).check(dist)  # |2 - (-1)| = 3 > d = 1
 
 
+def test_ball_functional_check_does_not_wrap_numpy_ints():
+    # As objects, np.int64 0 - (-2^63) wraps to -2^63, whose abs is negative and passes any bound.
+    bf = BallFunctional(1, ("0", "1"), (np.int64(0), np.int64(-(2**63))), (0, 1))
+    with pytest.raises(InvalidParameterError, match=r"not 1-Lipschitz on pair \(0, 1\)"):
+        bf.check(lambda p, q: abs(p - q))
+
+
 # ---------------------------------------------------------------------------
 # Closed-form models
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from horokit.metric import (
     first_axiom_violation,
     first_lipschitz_violation,
     first_triangle_violation,
-    numeric_arrays,
+    on_one_scale,
     validate_metric,
 )
 from horokit.spaces import PoincareDisk, SpokeRaySpace, StarTreeSpace, UpperHalfPlane
@@ -373,13 +373,17 @@ def _tol(rng, kind):
     return rng.choice([0.0, 1e-10]) if kind == "float" else rng.choice([0, Fraction(1, 3)])
 
 
-def test_numeric_arrays_scaling():
-    D, tol = numeric_arrays([[0, Fraction(1, 2)], [Fraction(1, 3), 0]], tol=Fraction(1, 4))
-    assert D.dtype == np.int64 and D.tolist() == [[0, 6], [4, 0]] and tol == 3
-    D, _ = numeric_arrays([[0, Fraction(2**70, 7)]])
-    assert D.dtype == object and D.tolist() == [[0, 2**70]]
-    D, tol = numeric_arrays([[0, Fraction(1, 2)]], tol=1e-12)
-    assert D.dtype == np.float64 and tol == 1e-12
+def _arrays(*tables, tol=0):
+    """The tables as the checkers read them, followed by tol: float64 if an
+    entry or tol is a float, else one exact_table of every entry and tol."""
+    flat = [v for t in tables for row in t for v in row] + [tol]
+    if any(isinstance(v, float) for v in flat):
+        return (*(np.array(t, dtype=float) for t in tables), float(tol))
+    parts = np.split(exact_table([flat])[0][0], np.cumsum([sum(map(len, t)) for t in tables]))
+    return (*(p.reshape(len(t), -1) for p, t in zip(parts, tables)), int(parts[-1][0]))
+
+
+def test_exact_table_scaling():
     M, den = exact_table([[1 - 2**61, 3]])
     assert M.dtype == np.int64 and M.tolist() == [[1 - 2**61, 3]] and den == 1
     wide, den = exact_table([[-(2**61), 3]])
@@ -392,12 +396,27 @@ def test_numeric_arrays_scaling():
     M, den = exact_table([[Fraction(1, 2), 3], [Fraction(-5, 6), 0]])
     assert M.dtype == np.int64 and M.tolist() == [[3, 18], [-5, 0]] and den == 6
     assert exact_table([])[0].shape == (0,)
-    # NumPy ints are read as Python ints: an int64 2^60 scaled by 8 would wrap.
-    V, D, tol = numeric_arrays([[0, Fraction(1, 8)]], np.array([[0, 2**60], [2**60, 0]]))
-    assert D.dtype == object and D.tolist() == [[0, 2**63], [2**63, 0]]
-    assert V.tolist() == [[0, 1]] and tol == 0
-    V, D, tol = numeric_arrays([[np.int64(0), np.int64(1)]], [[0, 1], [1, 0]], tol=np.int64(1))
-    assert V.dtype == D.dtype == np.int64 and tol == 1 and type(tol) is int
+
+
+def test_on_one_scale_puts_values_and_block_on_one_denominator():
+    D = np.array([[0, 2], [2, 0]])
+    # L = den: the block is D itself.
+    V, L, E = on_one_scale([0, Fraction(2, 3)], 3, D)
+    assert (V, L) == ([0, 2], 3) and E is D
+    # L != den: D / 3 is E / 6, in Python ints.
+    V, L, E = on_one_scale([Fraction(1, 2), 3, -0.25], 3, D)
+    assert (V, L) == ([6, 36, -3], 12) and E.dtype == object and E.tolist() == [[0, 8], [8, 0]]
+    assert all(type(e) is int for e in E.flat)
+    # A float is read exactly, a NumPy int as its value; no block, no E.
+    assert on_one_scale([0.1, np.int64(-2)]) == ([3602879701896397, -2 * 2**55], 2**55, None)
+    # Two denominators below 2^61, L past it: E holds Python ints.
+    V, L, E = on_one_scale([Fraction(1, 2**61 - 1)], 3, D)
+    assert L == 3 * (2**61 - 1) and L >= 2**61 and V == [3]
+    assert E.dtype == object and E.tolist() == [[0, 2 * (2**61 - 1)], [2 * (2**61 - 1), 0]]
+    # An int64 2^60 over den 1, with a value over 8, is 2^63 over 8: past int64, as a Python int.
+    V, L, E = on_one_scale([0, Fraction(1, 8)], 1, np.array([[0, 2**60], [2**60, 0]]))
+    assert (V, L) == ([0, 1], 8) and E.dtype == object and E.tolist() == [[0, 2**63], [2**63, 0]]
+    assert type(E[0, 1]) is int
 
 
 # Entries of every form exact_table reads, several of them one value spelt
@@ -467,7 +486,7 @@ def test_axiom_checker_matches_brute_force(seed, kind, n, count):
     rng = random.Random(seed)
     D = _corrupt(rng, kind, _metric(rng, kind, n), count)
     tol = _tol(rng, kind)
-    assert first_axiom_violation(*numeric_arrays(D, tol=tol)) == oracles.first_axiom_violation(D, tol)
+    assert first_axiom_violation(*_arrays(D, tol=tol)) == oracles.first_axiom_violation(D, tol)
 
 
 @settings(max_examples=150, deadline=None)
@@ -483,7 +502,7 @@ def test_triangle_checker_matches_brute_force(seed, kind, n, count, chunk):
     D = _corrupt(rng, kind, _metric(rng, kind, n), count)
     tol = _tol(rng, kind)
     triples = [[rng.randrange(n) for _ in range(3)] for _ in range(rng.randrange(80))]
-    Dn, t = numeric_arrays(D, tol=tol)
+    Dn, t = _arrays(D, tol=tol)
     with chunk_size(chunk):
         assert first_triangle_violation(Dn, t) == oracles.first_triangle_violation(D, tol)
         assert first_triangle_violation(Dn, t, triples) == oracles.first_triangle_violation(
@@ -508,7 +527,7 @@ def test_lipschitz_checker_matches_brute_force(seed, kind, n, rows, count, chunk
     _corrupt(rng, kind, V, count)
     _corrupt(rng, kind, D, rng.randrange(2))
     tol = _tol(rng, kind)
-    Vn, Dn, t = numeric_arrays(V, D, tol=tol)
+    Vn, Dn, t = _arrays(V, D, tol=tol)
     with chunk_size(chunk):
         assert first_lipschitz_violation(Vn, Dn, t) == oracles.first_lipschitz_violation(V, D, tol)
 
