@@ -12,6 +12,7 @@ rows.  Exit codes: 0 success, 1 a property audit failed, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -60,7 +61,7 @@ from .extension import (
 )
 from .functionals import HalfPlaneBusemannInfinity, ZdLinear
 from .groups import CayleyGraphSpace, FreeGroup, GeneratingSet, Heisenberg, Zd
-from .metric import exact_text, integer_field, list_field, rational_field, real_field, validate_metric
+from .metric import exact_text, finite_float, integer_field, list_field, rational_field, real_field, validate_metric
 from .serialize import (
     SCHEMA_VERSION,
     emit_json,
@@ -78,6 +79,8 @@ from .spaces import (
     UpperHalfPlane,
     distorted_line_validate,
 )
+
+SLICE = 1 << 16  # characters of a report written at a time
 
 
 class Outcome(NamedTuple):
@@ -127,13 +130,6 @@ def _load_space(text: str):
     except (ValueError, ZeroDivisionError):  # only Fraction's, on a finite matrix entry: name the first
         [rational_field(v, "matrix entry") for row in desc["params"]["matrix"] for v in row]
         raise
-
-
-def _finite(v) -> float:
-    """A finite float: float() also reads "inf", "nan" and JSON's 1e999, which are no values."""
-    if not math.isfinite(x := float(v)):
-        raise ValueError(v)
-    return x
 
 
 def _mobius_from_flag(text: str | None) -> MoebiusMap:
@@ -195,7 +191,7 @@ def _extend_mcshane(args) -> Outcome:
             raise InvalidParameterError(f"--{flag} is required")
     space = _load_space(args.space)
     pts = [point_from_json(space, p) for p in list_field(_json("--domain", args.domain), "--domain")]
-    read = rational_field if space.exact else lambda v, name: real_field(v, name, _finite)
+    read = rational_field if space.exact else lambda v, name: real_field(v, name, finite_float)
     vals = [read(v, "value") for v in list_field(_json("--values", args.values), "--values")]
     ext = McShaneExtension(PartialFunctional(space, pts, vals), args.mode)
     if args.eval == "all":
@@ -636,15 +632,16 @@ def main(argv=None) -> int:
             report = {"schema_version": SCHEMA_VERSION, "command": outcome.command,
                       "config": outcome.config, "result": outcome.result}
             text, end = emit_json(report), "\n"  # written apart: no copy of the report
+        fh = contextlib.nullcontext(sys.stdout)
         if args.out:
             try:  # opened only now: a failed computation leaves no file
                 fh = open(args.out, "w")
             except OSError as exc:
                 raise InvalidParameterError(f"cannot write --out {args.out}: {exc.strerror}") from exc
-            with fh:
-                print(text, end=end, file=fh)
-        else:
-            print(text, end=end)
+        with fh as sink:  # in slices: a text handle encodes each write whole into a second buffer
+            for i in range(0, len(text), SLICE):
+                sink.write(text[i:i + SLICE])
+            sink.write(end)
     except HorokitError as exc:
         sys.stderr.write(emit_json({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 3 if isinstance(exc, (ResourceLimitError, BudgetError)) else 2

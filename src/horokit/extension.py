@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidParameterError, PreconditionError
 from .functionals import EvalOutcome, WitnessLimit
 from .metric import MetricSpace, Point, Scalar
-from .metric import first_failure, first_lipschitz_violation, int_dtype, on_one_scale, rational_field
+from .metric import finite_float, first_failure, first_lipschitz_violation, int_dtype, on_one_scale, rational_field, real_field
 from .spaces import HUB, SpokeRaySpace, StarTreeSpace
 
 
@@ -33,8 +33,9 @@ class PartialFunctional:
 
     The Lipschitz certificate is checked over all domain pairs at
     construction (on an exact space on McShane's scale, :func:`on_one_scale`,
-    a float value read exactly; else in float64 within 1e-12); the first
-    violating pair in row-major order is reported in the error.
+    a float value read exactly; else in float64 within 1e-12, where a NaN or
+    an infinity is an error); the first violating pair in row-major order is
+    reported in the error.
     """
 
     def __init__(
@@ -52,7 +53,7 @@ class PartialFunctional:
         self.values = list(values)
         D, den = space.distance_block(self.points)(self.points, np.arange(len(self.points)))
         exact = space.exact
-        V, L, E = on_one_scale(self.values, den, D) if exact else (self.values, den, D)
+        V, L, E = on_one_scale(values, den, D) if exact else ([real_field(v, "value", finite_float) for v in values], den, D)
         V = [[v - V[0] for v in V]]  # the checker wants 0 at index 0
         hit = first_lipschitz_violation(np.array(V, int_dtype(L, V[0]) if exact else float), E, 0 if exact else 1e-12)
         if hit is not None:

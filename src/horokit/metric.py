@@ -79,6 +79,13 @@ def real_field(v, name: str, read=float, kind="real number in the float range"):
     raise InvalidParameterError(f"{name} must be a {kind}, got {v!r}")
 
 
+def finite_float(v) -> float:
+    """A finite float: float() also reads "inf", "nan" and JSON's 1e999, which are no values."""
+    if not math.isfinite(x := float(v)):
+        raise ValueError(v)
+    return x
+
+
 def rational_field(v, name: str) -> Fraction:
     """A rational field of input: a Fraction as it is, a float as the decimal
     text Python prints for it (1e-13 is 1/10^13) and any other value as

@@ -25,11 +25,12 @@ coordinate point that is not a JSON list and a JSON boolean in a number field.
 
 ``emit_json`` returns exactly the text of ``json.dumps(obj, default=...,
 sort_keys=True, indent=2)`` without the stdlib's per-value generators, as
-one list of pieces joined once: a list or tuple of only exact ints, or only
-exact strs, is one ``join``, and a ``RowTable`` (the restrictions
-``LimitRestrictionSet.as_dict`` writes) is one row's text cut at its values
-into a head, a separator and a tail: the text of each distinct value is
-made once, each row is one join of those texts and all rows one join.
+one list of pieces joined once, the one copy of the text: a list or tuple
+of only exact ints, or only exact strs, is one ``join``, and a ``RowTable``
+(the restrictions ``LimitRestrictionSet.as_dict`` writes) is one row's text
+cut at its values into a head, a separator and a tail: the text of each
+distinct value is made once, each row is one join of those texts, and the
+rows are pieces of their own with one shared glue string between them.
 
 A report is a dataclass written as its fields: ``skip`` in a field's
 metadata leaves it out, ``key`` writes it under another name, and ``json``
@@ -226,12 +227,15 @@ def emit_json(obj) -> str:
             # One row's text, cut at its values ("\0" marks them: a JSON string
             # escapes it) into a head, the separator between values and a
             # tail, and each distinct value's text made once: every row is
-            # one join of texts, and all rows one join of rows.
+            # one join of texts, and goes into ``out`` as it is, with one
+            # shared glue string (tail, row separator, head) between rows, so
+            # the report's join is the one copy of the table's text.
             start, sep = len(out), ",\n" + "  " * (level + 1)
             write({**o.fields, "values": [_SLOT] * o.values.shape[1]}, level + 1)
             head, *inner, tail = "".join("\0" if p is _SLOT else p for p in out[start:]).split("\0")
-            rows = map((inner or [""])[0].join, _value_texts(o.values).tolist())
-            out[start:] = ["[", sep[1:], head, (tail + sep + head).join(rows), tail, "\n" + "  " * level + "]"]
+            pieces = [tail + sep + head] * (2 * len(o.values) - 1)
+            pieces[::2] = map((inner or [""])[0].join, _value_texts(o.values).tolist())
+            out[start:] = ["[", sep[1:], head, *pieces, tail, "\n" + "  " * level + "]"]
         elif not isinstance(o, (list, tuple, dict)):
             write(_default(o), level)
         elif not o:

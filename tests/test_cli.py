@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import math
+import sys
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -10,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horokit.cli import main
+from horokit.cli import SLICE, main
 from horokit import errors
 from horokit.errors import ResourceLimitError
 from horokit.groups import GeneratingSet, Heisenberg, cayley_ball
+from horokit.serialize import SCHEMA_VERSION, emit_json
 
 from oracles import h3_lengths_by_area, heis_matmul, heis_matrix, heis_triple
 
@@ -287,6 +290,60 @@ def test_out_is_opened_after_the_computation(tmp_path, capsys):
     code, _, _ = run(capsys, "boundary", "--r", "-1", "--out", str(target))
     assert code == 2
     assert not target.exists()
+
+
+class _Writes(io.StringIO):
+    """A text stdout that records the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, s):
+        self.sizes.append(len(s))
+        return super().write(s)
+
+
+@pytest.mark.parametrize("fmt, n, minus, past", [("json", 1793, 29, 0), ("json", 1793, 30, 1),
+                                                ("csv", 7709, 7, 0), ("csv", 7709, 8, 1)])
+def test_report_is_written_in_slices_byte_for_byte(tmp_path, monkeypatch, fmt, n, minus, past):
+    # The sup extension of 0 at [0] on Z, at n points: a point at -10^5 writes
+    # one character more than one at 10^5, so ``minus`` of them make the text
+    # two slices long exactly, or ``past`` characters more.
+    points = [[10**5]] * (n - minus) + [[-(10**5)]] * minus
+    argv = ["extend", "mcshane", "--space", '{"type": "zd"}', "--domain", "[[0]]", "--values", "[0]",
+            "--eval", json.dumps(points), "--format", fmt]
+    rows = [(f"({p})", Fraction(-(10**5))) for [p] in points]
+    if fmt == "json":
+        result = {"mode": "sup", "values": [{"point": p, "value": v} for p, v in rows]}
+        text = emit_json({"schema_version": SCHEMA_VERSION, "command": "extend.mcshane", "config": {"mode": "sup"},
+                          "result": result})
+        expected = text + "\n"
+    else:
+        text = expected = "point,value\n" + "".join(f"{p},{v}\n" for p, v in rows)
+    assert len(text) == 2 * SLICE + past
+    monkeypatch.setattr(sys, "stdout", stdout := _Writes())
+    assert main(argv) == 0
+    assert stdout.getvalue() == expected
+    assert max(stdout.sizes) == SLICE and len(stdout.sizes) == 3 + past
+    target = tmp_path / "report"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert target.read_bytes() == expected.encode()
+    assert stdout.getvalue() == expected
+
+
+def test_report_is_held_once_when_written(tmp_path):
+    # H3, r = 3, R = 8, window 3: a 2.4 MB report.  The table's own join, the
+    # report's join and print's encoding of the whole text held it 3.2 times.
+    target = tmp_path / "report.json"
+    argv = ["boundary", "--group", "heisenberg", "--r", "3", "--rmax", "8", "--window", "3", "--out", str(target)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * target.stat().st_size
 
 
 def _space_flag(kind: str, params: dict | None = None, **top) -> tuple:

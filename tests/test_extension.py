@@ -74,6 +74,17 @@ def test_float_value_on_an_exact_space_is_certified_exactly():
             PartialFunctional(space, [0, 1], [0, v])
 
 
+def test_non_finite_value_on_a_float_space_is_named():
+    # Every float comparison with NaN is false, so a NaN value passed the float
+    # check, and the sup extension was then -1.0 at the NaN point.
+    space, pts = LpSpace(2, 2), [np.array([0.0, 0.0]), np.array([1.0, 0.0])]
+    for values in ([0.0, math.nan], [math.nan, 0.0], [0.0, math.inf], [-math.inf, 0.0]):
+        bad = next(v for v in values if not math.isfinite(v))
+        with pytest.raises(InvalidParameterError, match=f"^value must be a real number in the float range, got {bad}$"):
+            PartialFunctional(space, pts, values)
+    assert McShaneExtension(PartialFunctional(space, pts, [0.0, 0.5]), "sup").evaluate(pts) == [0.0, 0.5]
+
+
 def _value_of_any_type(rng, v):
     """v as an int (when integral), a Fraction or a float, or v moved by a
     small Fraction, so that some draws break the Lipschitz bound."""
