@@ -30,8 +30,8 @@ from .serialize import RowTable
 def _distance_blocks(fam, X: np.ndarray, G: np.ndarray, dtype) -> Iterator[np.ndarray]:
     """Row blocks of the |G| x |X| matrix of d(x, g) = |x^-1 g| for the
     coordinate rows x of X and g of G: the family's ``distance_rows`` in
-    chunks of about ``CHUNK`` values."""
-    step = max(1, CHUNK // (len(X) * max(1, G.shape[1])))
+    chunks of about 8 ``CHUNK`` values, as at CHUNK its calls slow large cells."""
+    step = max(1, (CHUNK << 3) // (len(X) * max(1, G.shape[1])))
     for a in range(0, len(G), step):
         yield fam.distance_rows(X, G[a : a + step], dtype)
 
@@ -111,7 +111,7 @@ def _kept_pairs(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nbr = np.repeat(np.arange(n)[:, None], max(1, np.bincount(x, minlength=n).max(initial=0)), axis=1)
     nbr[x, np.arange(len(x)) - np.searchsorted(x, x)] = z
     closer = np.empty((n, n), dtype=bool)
-    step = max(1, CHUNK // (n * nbr.shape[1]))
+    step = max(1, (CHUNK << 3) // (n * nbr.shape[1]))
     for a in range(0, n, step):
         closer[a : a + step] = D[nbr[a : a + step]].min(axis=1) == D[a : a + step] - 1
     return np.nonzero(np.triu((D == 1) | ~(closer | closer.T), 1))

@@ -160,9 +160,14 @@ class MoebiusMap:
 
     def translation_length(self) -> float:
         """Closed-form translation number: 2*arccosh(|tr|/2) when
-        hyperbolic, 0 for parabolic and elliptic maps."""
-        t = abs(self._nums[0] + self._nums[3]) / (2 * self._den)  # |tr| / 2, rounded once: t stays in range
-        return 2.0 * math.acosh(t) if t > 1.0 else 0.0
+        hyperbolic, 0 for parabolic and elliptic maps.  Rounding |tr|/2 =
+        1 + delta costs about 2^-54/delta of the result, so below delta =
+        2^-20 it is 2*log1p(delta + sqrt(delta (2 + delta))), delta rounded once."""
+        s, den = abs(self._nums[0] + self._nums[3]), 2 * self._den
+        if (s - den) << 20 < den:  # delta < 2^-20, or not hyperbolic (delta <= 0)
+            e = max(0.0, (s - den) / den)
+            return 2.0 * math.log1p(e + math.sqrt(e * (2.0 + e)))
+        return 2.0 * math.acosh(s / den)  # |tr| / 2, rounded once: it stays in range
 
     def apply_half_plane(self, z: complex) -> complex:
         a, b, c, d = self._floats

@@ -200,9 +200,10 @@ class MetricSpace(ABC):
 # The checker: metric axioms, triangle inequality, 1-Lipschitz rows
 # ---------------------------------------------------------------------------
 
-# Check temporaries (and boundary's value blocks) hold at most about this
-# many elements per chunk.
-CHUNK = 1 << 18
+# Check temporaries hold at most about this many elements per chunk, 256 KB
+# of int64.  Passes over many value rows (the Lipschitz check, boundary's
+# blocks) take 8 CHUNK: at CHUNK their per-chunk calls cost large cells 10-24%.
+CHUNK = 1 << 15
 
 # Exact integers below this magnitude are held in int64: sums of three fit.
 INT64_SAFE = 1 << 61
@@ -328,7 +329,7 @@ def first_lipschitz_violation(V: np.ndarray, D: np.ndarray, tol: Scalar = 0, pai
     arrays ``pairs = (i, j)`` in their order."""
     i, j = np.triu_indices(D.shape[0], 1) if pairs is None else pairs
     bound = D[i, j] + tol
-    step = max(1, CHUNK // max(1, len(i)))
+    step = max(1, (CHUNK << 3) // max(1, len(i)))
     for a in range(0, len(V), step):
         chunk = unwrapped(V[a : a + step])
         bad = np.abs(chunk[:, i] - chunk[:, j]) > bound

@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, UnsupportedError
 from .groups import CayleyGraphSpace, FiniteGroup, FreeGroup, GroupFamily, Heisenberg, Zd
-from .metric import FiniteMetricSpace, MetricSpace, exact_text, integer_field, list_field, real_field
+from .metric import CHUNK, FiniteMetricSpace, MetricSpace, exact_text, integer_field, list_field, real_field
 from .spaces import DistortedLine, LpSpace, PoincareDisk, SpokeRaySpace, StarTreeSpace, UpperHalfPlane
 
 SCHEMA_VERSION = "1"
@@ -229,12 +229,14 @@ def emit_json(obj) -> str:
             # tail, and each distinct value's text made once: every row is
             # one join of texts, and goes into ``out`` as it is, with one
             # shared glue string (tail, row separator, head) between rows, so
-            # the report's join is the one copy of the table's text.
-            start, sep = len(out), ",\n" + "  " * (level + 1)
+            # the report's join is the one copy of the table's text.  Texts
+            # are listed about CHUNK at a time, as whole-table lists stay resident.
+            start, sep, step = len(out), ",\n" + "  " * (level + 1), max(1, CHUNK // o.values.shape[1])
             write({**o.fields, "values": [_SLOT] * o.values.shape[1]}, level + 1)
             head, *inner, tail = "".join("\0" if p is _SLOT else p for p in out[start:]).split("\0")
-            pieces = [tail + sep + head] * (2 * len(o.values) - 1)
-            pieces[::2] = map((inner or [""])[0].join, _value_texts(o.values).tolist())
+            pieces, texts = [tail + sep + head] * (2 * len(o.values) - 1), _value_texts(o.values)
+            rows = (t for a in range(0, len(texts), step) for t in texts[a : a + step].tolist())
+            pieces[::2] = map((inner or [""])[0].join, rows)
             out[start:] = ["[", sep[1:], head, *pieces, tail, "\n" + "  " * level + "]"]
         elif not isinstance(o, (list, tuple, dict)):
             write(_default(o), level)

@@ -104,6 +104,16 @@ def moebius_orbit_distances(entries, n_max: int) -> list[float]:
     return out
 
 
+def moebius_translation_length(entries) -> float:
+    """2 arccosh(|tr| / 2) of a determinant-one matrix (a, b, c, d), 0 unless
+    |tr| > 2: the exact trace, then the arccosh at 60 decimal digits past
+    those of its denominator (|tr| / 2 - 1 keeps 60 digits), rounded to a
+    float."""
+    t = abs(Fraction(entries[0]) + Fraction(entries[3])) / 2
+    with mpmath.workdps(60 + len(str(t.denominator))):
+        return float(2 * mpmath.acosh(mpmath.mpf(t.numerator) / t.denominator)) if t > 1 else 0.0
+
+
 def moebius_orbit_scalar(floats, n_max: int) -> list[float]:
     """d(i, M^n i) for n = 0..n_max by the scalar float recurrence the
     library's orbit kernel must repeat bit for bit: four Python floats per

@@ -76,6 +76,14 @@ def test_spectral_tau_closed_form(capsys):
     assert abs(data["result"]["bound"] - 2 * 0.6931471805599453) < 1e-9
 
 
+def test_spectral_tau_near_parabolic(capsys):
+    # |tr| = 2 + 10^-15 / 8 rounds |tr| / 2 to 1.0, yet the map is hyperbolic.
+    matrix = "1,1/8,1/1000000000000000,8000000000000001/8000000000000000"
+    code, out, _ = run(capsys, "spectral", "tau", "--map", "mobius", "--matrix", matrix, "--n", "60")
+    assert code == 0
+    assert json.loads(out)["result"]["closed_form"] == pytest.approx(2.2360679775e-08, rel=1e-10, abs=0)
+
+
 @pytest.mark.parametrize("budget", [600, 1022])
 def test_spectral_displacement_at_the_edge_of_the_float_range(capsys, budget):
     # z -> 4z moves each i 2^k by log 4; from k = 511 on Im z Im 4z overflows,

@@ -37,7 +37,13 @@ from horokit.groups import CayleyGraphSpace, Heisenberg, Zd, cyclic_group
 from horokit.metric import FiniteMetricSpace
 from horokit.spaces import DistortedLine, LpSpace, PoincareDisk, UpperHalfPlane
 
-from oracles import hyperbolic_pair_reference, matmul2, moebius_orbit_distances, moebius_orbit_scalar
+from oracles import (
+    hyperbolic_pair_reference,
+    matmul2,
+    moebius_orbit_distances,
+    moebius_orbit_scalar,
+    moebius_translation_length,
+)
 
 HP = UpperHalfPlane()
 
@@ -84,6 +90,29 @@ def test_moebius_translation_length_past_the_float_range():
         float(m.trace())
     assert m.translation_length() == 2.0 * math.acosh(float(N))
     assert MoebiusMap(*CANCELLING).translation_length() == 0.0
+
+
+NEAR_PARABOLIC = (1, Fraction(1, 8), Fraction(1, 10**15), Fraction(8 * 10**15 + 1, 8 * 10**15))
+
+
+@pytest.mark.parametrize("k", [0, 1, 12, 30, 60, 100])
+def test_near_parabolic_translation_length_keeps_its_digits(k):
+    # |tr| / 2 = 1 + delta with delta = 2^-20 / 3^k: rounding |tr| / 2 to a
+    # float loses delta (to 1.0 past 2^-53) or most of its digits, while
+    # tau = 2 arccosh(1 + delta) is about 2 sqrt(2 delta).
+    delta = Fraction(1, 2**20 * 3**k)
+    entries = (1, 1, 2 * delta, 1 + 2 * delta)  # det 1, trace 2 + 2 delta
+    assert MoebiusMap(*entries).translation_length() == pytest.approx(moebius_translation_length(entries), rel=4e-16, abs=0)
+
+
+def test_near_parabolic_repro_is_hyperbolic():
+    m = MoebiusMap(*NEAR_PARABOLIC)  # |tr| = 2 + 10^-15 / 8
+    assert m.classify() == "hyperbolic"
+    assert m.translation_length() == pytest.approx(moebius_translation_length(NEAR_PARABOLIC), rel=4e-16, abs=0)
+    assert m.translation_length() == pytest.approx(2.2360679775e-08, rel=1e-10, abs=0)
+    # the bits of 2 acosh(|tr| / 2) stay wherever delta >= 2^-20, as on
+    # every map that test_moebius_translation_length pins
+    assert all(abs(m.trace()) <= 2 or abs(m.trace()) / 2 - 1 >= Fraction(1, 2**20) for m in _products(range(40)) + SPECIAL)
 
 
 def test_moebius_composition_and_inverse():

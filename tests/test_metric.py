@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -54,6 +55,21 @@ def test_first_failure_is_the_audits_stop_and_count_rule():
 def test_triangle_violation_reported():
     with pytest.raises(InvalidSpaceError, match="triangle"):
         FiniteMetricSpace([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
+
+
+def test_triangle_check_temporaries_stay_small():
+    # n = 45: one block of all 45^3 int64 sums (730 KB) at 2^18-element
+    # chunks read a tracemalloc peak of 903 KB; 2^15-element chunks of 16
+    # rows read 569 KB.
+    matrix = random_rational_metric(random.Random(13), 45)
+    FiniteMetricSpace(matrix)  # warm any caches first
+    tracemalloc.start()
+    try:
+        FiniteMetricSpace(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 700_000
 
 
 def test_finite_space_reads_an_array_matrix():
